@@ -80,11 +80,11 @@ class IntruderState:
     held_challenge: Message | None = None
     initiated: set[DeviceId] = field(default_factory=set)
 
-    def intercept(self, msg: Message, now: int) -> list[Message]:
-        return intercept(self, msg, now)
+    def intercept(self, msg: Message) -> list[Message]:
+        return intercept(self, msg)
 
-    def start_attack(self, now: int) -> list[Message]:
-        return start_attack(self, now)
+    def start_attack(self) -> list[Message]:
+        return start_attack(self)
 
 
 def new_intruder(
@@ -136,7 +136,7 @@ def _ensure_own_keypair(intruder: IntruderState) -> DhKeyPair:
     return intruder.dh_own
 
 
-def start_attack(intruder: IntruderState, now: int) -> list[Message]:
+def start_attack(intruder: IntruderState) -> list[Message]:
     """Kickoff messages; non-empty only for the originating mode."""
     if intruder.mode is not IntruderMode.ORIGINATE_TO_A:
         return []
@@ -157,7 +157,7 @@ def _issue_own_challenge(intruder: IntruderState, victim: DeviceId, fake: Device
     return Message(MsgKind.CHALLENGE, fake, victim, challenge.value)
 
 
-def intercept(intruder: IntruderState, msg: Message, now: int) -> list[Message]:
+def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
     """React to one message that physically arrived at the intruder."""
     _note(intruder, msg)
     if intruder.mode is IntruderMode.RELAY_PASSIVE:

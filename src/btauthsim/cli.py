@@ -31,8 +31,8 @@ from .crypto import (
     init_key,
     xor_bytes,
 )
-from .protocol import AuthOutcome, DeviceState, Variant, new_device, rtt_estimate
-from .simnet import Detection, LinkConfig, Transcript, delay_detector, run
+from .protocol import AuthOutcome, DeviceState, Variant, new_device
+from .simnet import Detection, LinkConfig, Transcript, delay_detector, run, transcript_rtt
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "ConfigError", "run_scenario", "main"]
 
@@ -81,35 +81,36 @@ class ScenarioResult:
 
 
 def validate(config: ScenarioConfig) -> None:
+    """Reject a configuration that cannot run. Link timing, the PIN and the
+    group are checked by constructing their value types; the flags named in
+    each message are those of the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if config.initiator == "C" and config.intruder is not IntruderMode.ORIGINATE_TO_A:
         raise ConfigError("initiator C requires the originate intruder mode")
     if config.seeds_count < 1:
         raise ConfigError(f"seeds-count must be at least 1, got {config.seeds_count}")
-    if not 1 <= len(config.pin) <= 16:
-        raise ConfigError(f"pin must be 1 to 16 octets, got {len(config.pin)}")
-    if config.latency_ms <= 0:
-        raise ConfigError(f"latency must be positive, got {config.latency_ms}")
-    if config.timeout_ms <= config.latency_ms:
-        raise ConfigError("timeout must exceed the per-hop latency")
+    _construct("pin", Pin, config.pin)
+    _construct("latency-ms/timeout-ms", LinkConfig, config.latency_ms, config.timeout_ms)
     if config.detect_factor <= 1:
         raise ConfigError(f"detect-factor must exceed 1, got {config.detect_factor}")
     if config.output not in ("text", "jsonl"):
         raise ConfigError(f"output must be text or jsonl, got {config.output}")
     if config.variant is Variant.DH_IMPROVED:
-        _validate_group(config.dh_p, config.dh_alpha)
+        if config.dh_p >= DH_P_CAP:
+            raise ConfigError(f"dh-p must be below 2^48, got {config.dh_p}")
+        _construct("dh-p/dh-alpha", DhParams, config.dh_p, config.dh_alpha)
+        if not has_full_order(config.dh_alpha, config.dh_p):
+            raise ConfigError(
+                f"dh-alpha {config.dh_alpha} is not a primitive root of {config.dh_p}"
+            )
 
 
-def _validate_group(p: int, alpha: int) -> None:
-    if p >= DH_P_CAP:
-        raise ConfigError(f"dh-p must be below 2^48, got {p}")
+def _construct(flags: str, value_type, *args) -> None:
     try:
-        DhParams(p=p, alpha=alpha)
+        value_type(*args)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
-    if not has_full_order(alpha, p):
-        raise ConfigError(f"dh-alpha {alpha} is not a primitive root of {p}")
+        raise ConfigError(f"{flags}: {err}") from None
 
 
 def _derive_link_key(pin: Pin, master: random.Random) -> LinkKey:
@@ -131,13 +132,8 @@ def _derive_link_key(pin: Pin, master: random.Random) -> LinkKey:
 
 
 def _build_devices(
-    config: ScenarioConfig, link_key: LinkKey, seed_a: int, seed_b: int
+    config: ScenarioConfig, link_key: LinkKey, seed_a: int, seed_b: int, params: DhParams | None
 ) -> tuple[DeviceState, DeviceState]:
-    params = (
-        DhParams(p=config.dh_p, alpha=config.dh_alpha)
-        if config.variant is Variant.DH_IMPROVED
-        else None
-    )
     dev_a = new_device(ADDR_A, config.variant, link_key, seed_a, dh_params=params)
     dev_b = new_device(ADDR_B, config.variant, link_key, seed_b, dh_params=params)
     return dev_a, dev_b
@@ -152,25 +148,25 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     seed_c = master.getrandbits(64)
     link_key = _derive_link_key(Pin(config.pin), master)
     links = LinkConfig(latency_ms=config.latency_ms, timeout_ms=config.timeout_ms)
+    params = (
+        DhParams(p=config.dh_p, alpha=config.dh_alpha)
+        if config.variant is Variant.DH_IMPROVED
+        else None
+    )
 
     # intruder-free pass over the same seeds calibrates each device's
     # expected round trip for this variant and latency
-    base_a, base_b = _build_devices(config, link_key, seed_a, seed_b)
-    run([base_a, base_b], None, links, ADDR_A, ADDR_B, seed=seed)
+    base_a, base_b = _build_devices(config, link_key, seed_a, seed_b, params)
+    calibration, _ = run([base_a, base_b], None, links, ADDR_A, ADDR_B, seed=seed)
     baselines = {}
-    for base in (base_a, base_b):
-        baseline = rtt_estimate(base)
+    for device_id in (ADDR_A, ADDR_B):
+        baseline = transcript_rtt(calibration, device_id)
         assert baseline is not None
-        baselines[base.id] = baseline
+        baselines[device_id] = baseline
 
-    dev_a, dev_b = _build_devices(config, link_key, seed_a, seed_b)
+    dev_a, dev_b = _build_devices(config, link_key, seed_a, seed_b, params)
     intruder = None
     if config.intruder is not None:
-        params = (
-            DhParams(p=config.dh_p, alpha=config.dh_alpha)
-            if config.variant is Variant.DH_IMPROVED
-            else None
-        )
         intruder = new_intruder(
             ADDR_C,
             config.intruder,
@@ -270,11 +266,11 @@ def main(argv=None) -> int:
     config = _config_from_args(args)
     try:
         validate(config)
-    except ConfigError as err:
+        sink = open(args.out, "w") if args.out else sys.stdout
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    sink = open(args.out, "w") if args.out else sys.stdout
     try:
         for offset in range(config.seeds_count):
             result = run_scenario(config, config.seed + offset)

@@ -27,7 +27,6 @@ __all__ = [
     "modexp",
     "is_prime",
     "prime_factors",
-    "is_primitive_root",
     "has_full_order",
     "dh_keypair",
     "dh_shared",
@@ -286,30 +285,13 @@ def prime_factors(n: int) -> list[int]:
     return factors
 
 
-def is_primitive_root(alpha: int, p: int) -> bool:
-    """True iff the powers alpha^1..alpha^(p-1) cover all p-1 residues.
-
-    Walks the full cycle, so O(p): desk-scale p only. Raises if p is not
-    prime.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    alpha %= p
-    if alpha == 0:
-        return False
-    cur = 1
-    for k in range(1, p):
-        cur = cur * alpha % p
-        if cur == 1:
-            return k == p - 1
-    return False
-
-
 def has_full_order(alpha: int, p: int) -> bool:
     """Primitive-root check via the prime factorization of p-1.
 
-    Equivalent to is_primitive_root but needs only the factorization, so it
-    also covers moduli too large to enumerate (used for startup validation).
+    alpha generates the full group iff alpha^((p-1)/q) != 1 for every prime
+    q dividing p-1. Needs only that factorization, never a walk over the
+    group, so it covers moduli too large to enumerate (used for startup
+    validation). Raises if p is not prime.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -326,7 +308,7 @@ class DhParams:
     Construction enforces primality, alpha in [2, p-1], and p < 2^128 so the
     shared secret always fits the 16-octet session-key derivation. Whether
     alpha really generates the full group is the caller's check
-    (is_primitive_root / has_full_order); scenario validation performs it.
+    (has_full_order); scenario validation performs it.
     """
 
     p: int

@@ -8,13 +8,14 @@ Variants:
   dh-improved  a public-value exchange runs first and the agreed session key
                is folded into the challenge-response key
 
-Devices never self-transition on time; timeout bookkeeping belongs to the
-network loop driving them. Each state machine is single-owner: one driving
-loop mutates it, and devices share nothing but messages.
+Devices take no time input and never self-transition on time: delivery
+times, timeouts and round-trip measurement belong to the network loop
+driving them and to its transcript. Each state machine is single-owner: one
+driving loop mutates it, and devices share nothing but messages.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .crypto import (
@@ -47,7 +48,6 @@ __all__ = [
     "new_device",
     "start",
     "handle",
-    "rtt_estimate",
     "outcome_of",
     "encode_public",
     "decode_public",
@@ -154,7 +154,6 @@ class DeviceState:
     effective_key: LinkKey = None  # type: ignore[assignment]
     pending_challenge_sent: Challenge | None = None
     pending_challenge_received: Challenge | None = None
-    challenge_sent_at: int | None = None
     answered_peer: bool = False
     peer_authenticated: bool = False
     dh: DhKeyPair | None = None
@@ -162,7 +161,6 @@ class DeviceState:
     first_leg_challenge: Challenge | None = None
     first_leg_aco: Aco | None = None
     enc_key: bytes | None = None
-    rtt_samples: list[tuple[Challenge, int, int]] = field(default_factory=list)
     sent_count: int = 0
     recv_count: int = 0
 
@@ -190,7 +188,7 @@ def new_device(
     )
 
 
-def start(device: DeviceState, peer: DeviceId, now: int) -> list[Message]:
+def start(device: DeviceState, peer: DeviceId) -> list[Message]:
     """Open the handshake toward peer: address announcement plus either the
     first challenge (legacy, improved) or this side's public value."""
     if device.phase is not Phase.IDLE:
@@ -203,13 +201,13 @@ def start(device: DeviceState, peer: DeviceId, now: int) -> list[Message]:
         out.append(Message(MsgKind.DH_PUBLIC, device.id, peer, encode_public(device.dh.s_public)))
         device.phase = Phase.DH_EXCHANGE
     else:
-        out.append(_issue_challenge(device, now))
+        out.append(_issue_challenge(device))
         device.phase = Phase.AWAIT_RESPONSE
     device.sent_count += len(out)
     return out
 
 
-def handle(device: DeviceState, msg: Message, now: int) -> list[Message]:
+def handle(device: DeviceState, msg: Message) -> list[Message]:
     """Advance the state machine on one delivered message.
 
     Returns the messages to transmit in response. A message kind that is
@@ -228,13 +226,13 @@ def handle(device: DeviceState, msg: Message, now: int) -> list[Message]:
     if device.phase is Phase.IDLE and msg.kind is MsgKind.AUTH_REQUEST:
         out = _on_auth_request(device, msg)
     elif device.phase is Phase.DH_EXCHANGE and msg.kind is MsgKind.DH_PUBLIC:
-        out = _on_dh_public(device, msg, now)
+        out = _on_dh_public(device, msg)
     elif device.phase is Phase.AWAIT_CHALLENGE and msg.kind is MsgKind.CHALLENGE:
-        out = _on_first_challenge(device, msg, now)
+        out = _on_first_challenge(device, msg)
     elif device.phase is Phase.AWAIT_RESPONSE and msg.kind is MsgKind.CHALLENGE:
         out = _on_counter_challenge(device, msg)
     elif device.phase is Phase.AWAIT_RESPONSE and msg.kind is MsgKind.RESPONSE:
-        out = _on_response(device, msg, now)
+        out = _on_response(device, msg)
     elif device.phase is Phase.AWAIT_CONFIRM and msg.kind is MsgKind.AUTH_SUCCESS:
         _complete(device)
         out = []
@@ -244,23 +242,15 @@ def handle(device: DeviceState, msg: Message, now: int) -> list[Message]:
     return out
 
 
-def rtt_estimate(device: DeviceState) -> int | None:
-    """Worst observed challenge-to-response round trip, if any completed."""
-    if not device.rtt_samples:
-        return None
-    return max(received - sent for _, sent, received in device.rtt_samples)
-
-
 def _fresh_keypair(device: DeviceState) -> DhKeyPair:
     params = device.dh_params
     assert params is not None
     return dh_keypair(params, device.rng.randrange(1, params.p))
 
 
-def _issue_challenge(device: DeviceState, now: int) -> Message:
+def _issue_challenge(device: DeviceState) -> Message:
     challenge = Challenge(device.rng.randbytes(16))
     device.pending_challenge_sent = challenge
-    device.challenge_sent_at = now
     assert device.peer is not None
     return Message(MsgKind.CHALLENGE, device.id, device.peer, challenge.value)
 
@@ -297,7 +287,7 @@ def _on_auth_request(device: DeviceState, msg: Message) -> list[Message]:
     return []
 
 
-def _on_dh_public(device: DeviceState, msg: Message, now: int) -> list[Message]:
+def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
     params = device.dh_params
     assert params is not None
     out = []
@@ -312,23 +302,23 @@ def _on_dh_public(device: DeviceState, msg: Message, now: int) -> list[Message]:
     device.session = session_key_from_shared(shared, params)
     device.effective_key = LinkKey(xor_bytes(device.link_key.value, device.session.value))
     if device.role is Role.INITIATOR:
-        out.append(_issue_challenge(device, now))
+        out.append(_issue_challenge(device))
         device.phase = Phase.AWAIT_RESPONSE
     else:
         device.phase = Phase.AWAIT_CHALLENGE
     return out
 
 
-def _on_first_challenge(device: DeviceState, msg: Message, now: int) -> list[Message]:
+def _on_first_challenge(device: DeviceState, msg: Message) -> list[Message]:
     challenge = Challenge(msg.payload)
     device.pending_challenge_received = challenge
     device.first_leg_challenge = challenge
     if device.variant is Variant.LEGACY:
         # answer at once, then counter-challenge in the same step
-        out = [_answer(device, challenge, first_leg=True), _issue_challenge(device, now)]
+        out = [_answer(device, challenge, first_leg=True), _issue_challenge(device)]
     else:
         # withhold the answer until our own challenge has been answered
-        out = [_issue_challenge(device, now)]
+        out = [_issue_challenge(device)]
     device.phase = Phase.AWAIT_RESPONSE
     return out
 
@@ -344,12 +334,9 @@ def _on_counter_challenge(device: DeviceState, msg: Message) -> list[Message]:
     return out
 
 
-def _on_response(device: DeviceState, msg: Message, now: int) -> list[Message]:
+def _on_response(device: DeviceState, msg: Message) -> list[Message]:
     if device.peer_authenticated or device.pending_challenge_sent is None:
         return _fail(device, msg)
-    # timing is recorded before verification: a wrong answer still took time
-    assert device.challenge_sent_at is not None
-    device.rtt_samples.append((device.pending_challenge_sent, device.challenge_sent_at, now))
     assert device.peer is not None
     expected, aco = e1(device.effective_key, device.pending_challenge_sent, device.peer)
     if device.role is Role.INITIATOR:

@@ -109,8 +109,9 @@ def run(
     """Drive one handshake to quiescence or timeout.
 
     devices are the honest endpoints; intruder (optional) is any object with
-    an id, an intercept(msg, now) -> [Message] method, and a
-    start_attack(now) -> [Message] method. The initiator may be the
+    an id, an intercept(msg) -> [Message] method, and a
+    start_attack() -> [Message] method. Time lives only here: neither the
+    devices nor the intruder see it. The initiator may be the
     intruder's own id, in which case the run opens with its attack messages.
     The seed is bookkeeping only (devices carry their own streams); it is
     stamped into the transcript for reporting.
@@ -139,10 +140,10 @@ def run(
         schedule_seq += 1
 
     if intruder_id is not None and initiator == intruder_id:
-        for msg in intruder.start_attack(0):
+        for msg in intruder.start_attack():
             schedule(msg, intruder_id, 0)
     elif initiator in registry:
-        for msg in protocol_start(registry[initiator], target, 0):
+        for msg in protocol_start(registry[initiator], target):
             schedule(msg, initiator, 0)
     else:
         raise ValueError(f"unregistered device referenced: {initiator}")
@@ -166,9 +167,9 @@ def run(
             )
         )
         if physical_to == intruder_id:
-            replies = intruder.intercept(msg, time)
+            replies = intruder.intercept(msg)
         else:
-            replies = handle(registry[physical_to], msg, time)
+            replies = handle(registry[physical_to], msg)
         for reply in replies:
             schedule(reply, physical_to, time)
 

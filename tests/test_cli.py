@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btauthsim.cli import (
     ConfigError,
@@ -158,6 +160,14 @@ class TestConfigErrors:
         assert status == 2
         assert "detect-factor" in err
 
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.txt"
+        status, out, err = run_main(capsys, "--out", str(path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "missing" in err
+
     def test_unknown_variant_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--variant", "quantum"])
@@ -187,14 +197,17 @@ class TestScenarioApi:
         assert base.link_key == other.link_key
         assert base.transcript.to_text() == other.transcript.to_text()
 
-    def test_baselines_by_variant(self):
-        legacy = run_scenario(ScenarioConfig(variant=Variant.LEGACY), 3)
-        improved = run_scenario(ScenarioConfig(variant=Variant.IMPROVED), 3)
-        a, b = sorted(legacy.baselines, key=str)
-        assert legacy.baselines[a] == 20
-        assert legacy.baselines[b] == 20
-        assert improved.baselines[a] == 40
-        assert improved.baselines[b] == 20
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=50))
+    @settings(max_examples=25, deadline=None)
+    def test_baselines_by_variant(self, seed, latency_ms):
+        # the companion run's round trips: one hop each way, plus the
+        # counter-challenge leg for A under the nested variants
+        hops_a = {Variant.LEGACY: 2, Variant.IMPROVED: 4, Variant.DH_IMPROVED: 4}
+        for variant in Variant:
+            result = run_scenario(ScenarioConfig(variant=variant, latency_ms=latency_ms), seed)
+            a, b = sorted(result.baselines, key=str)
+            assert result.baselines[a] == hops_a[variant] * latency_ms
+            assert result.baselines[b] == 2 * latency_ms
 
     def test_originate_intruder_flag_combination(self):
         config = ScenarioConfig(

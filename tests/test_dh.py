@@ -13,7 +13,6 @@ from btauthsim.crypto import (
     dh_shared,
     has_full_order,
     is_prime,
-    is_primitive_root,
     modexp,
     prime_factors,
 )
@@ -27,6 +26,25 @@ def naive_modexp(base: int, exponent: int, modulus: int) -> int:
     for _ in range(exponent):
         result = result * base % modulus
     return result
+
+
+def is_primitive_root(alpha: int, p: int) -> bool:
+    """True iff the powers alpha^1..alpha^(p-1) cover all p-1 residues.
+
+    The enumerating oracle that has_full_order is checked against: it walks
+    the full cycle, so O(p), desk-scale p only. Raises if p is not prime.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    alpha %= p
+    if alpha == 0:
+        return False
+    cur = 1
+    for k in range(1, p):
+        cur = cur * alpha % p
+        if cur == 1:
+            return k == p - 1
+    return False
 
 
 def smallest_primitive_root(p: int) -> int:

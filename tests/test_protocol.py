@@ -17,9 +17,9 @@ from btauthsim.protocol import (
     handle,
     new_device,
     outcome_of,
-    rtt_estimate,
     start,
 )
+from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
@@ -38,7 +38,7 @@ def pump(devices, first_msgs, latency=10):
     while queue:
         t, msg = queue.popleft()
         log.append((t, msg))
-        for out in handle(devices[msg.receiver], msg, t):
+        for out in handle(devices[msg.receiver], msg):
             queue.append((t + latency, out))
     return log
 
@@ -52,8 +52,17 @@ def honest_pair(variant, seed_a=1, seed_b=2, key_a=KEY1, key_b=KEY1):
 
 def run_honest(variant, **kw):
     dev_a, dev_b = honest_pair(variant, **kw)
-    log = pump({ADDR_A: dev_a, ADDR_B: dev_b}, start(dev_a, ADDR_B, 0))
+    log = pump({ADDR_A: dev_a, ADDR_B: dev_b}, start(dev_a, ADDR_B))
     return dev_a, dev_b, log
+
+
+def round_trips(variant):
+    """Each device's worst challenge-to-response round trip, as the network
+    loop's transcript records it for a direct honest run at 10 ms per hop."""
+    dev_a, dev_b = honest_pair(variant)
+    links = LinkConfig(latency_ms=10)
+    transcript, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B, seed=0)
+    return transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B)
 
 
 class TestLegacyHonest:
@@ -77,9 +86,7 @@ class TestLegacyHonest:
         assert outcome_of(dev_b).authenticated_with == ADDR_A
 
     def test_round_trip_times(self):
-        dev_a, dev_b, _ = run_honest(Variant.LEGACY)
-        assert rtt_estimate(dev_a) == 20
-        assert rtt_estimate(dev_b) == 20
+        assert round_trips(Variant.LEGACY) == (20, 20)
 
     def test_ciphering_key_agreed(self):
         dev_a, dev_b, _ = run_honest(Variant.LEGACY)
@@ -93,9 +100,9 @@ class TestLegacyHonest:
 
     def test_responder_answers_immediately(self):
         dev_a, dev_b = honest_pair(Variant.LEGACY)
-        first = start(dev_a, ADDR_B, 0)
-        assert handle(dev_b, first[0], 10) == []
-        replies = handle(dev_b, first[1], 10)
+        first = start(dev_a, ADDR_B)
+        assert handle(dev_b, first[0]) == []
+        replies = handle(dev_b, first[1])
         assert [m.kind for m in replies] == [MsgKind.RESPONSE, MsgKind.CHALLENGE]
 
 
@@ -123,27 +130,25 @@ class TestImprovedHonest:
 
     def test_responder_withholds_on_first_challenge(self):
         dev_a, dev_b = honest_pair(Variant.IMPROVED)
-        first = start(dev_a, ADDR_B, 0)
-        handle(dev_b, first[0], 10)
-        replies = handle(dev_b, first[1], 10)
+        first = start(dev_a, ADDR_B)
+        handle(dev_b, first[0])
+        replies = handle(dev_b, first[1])
         assert [m.kind for m in replies] == [MsgKind.CHALLENGE]
 
     def test_withheld_answer_released_by_valid_response(self):
         dev_a, dev_b = honest_pair(Variant.IMPROVED)
-        first = start(dev_a, ADDR_B, 0)
-        handle(dev_b, first[0], 10)
-        (counter,) = handle(dev_b, first[1], 10)
-        (answer,) = handle(dev_a, counter, 20)
+        first = start(dev_a, ADDR_B)
+        handle(dev_b, first[0])
+        (counter,) = handle(dev_b, first[1])
+        (answer,) = handle(dev_a, counter)
         assert answer.kind is MsgKind.RESPONSE
-        released = handle(dev_b, answer, 30)
+        released = handle(dev_b, answer)
         assert [m.kind for m in released] == [MsgKind.RESPONSE]
         expected, _ = e1(KEY1, Challenge(first[1].payload), ADDR_B)
         assert released[0].payload == expected.value
 
     def test_round_trip_times(self):
-        dev_a, dev_b, _ = run_honest(Variant.IMPROVED)
-        assert rtt_estimate(dev_a) == 40
-        assert rtt_estimate(dev_b) == 20
+        assert round_trips(Variant.IMPROVED) == (40, 20)
 
 
 class TestDhImprovedHonest:
@@ -178,9 +183,7 @@ class TestDhImprovedHonest:
         assert all(1 <= s <= PARAMS.p - 1 for s in publics)
 
     def test_round_trip_times(self):
-        dev_a, dev_b, _ = run_honest(Variant.DH_IMPROVED)
-        assert rtt_estimate(dev_a) == 40
-        assert rtt_estimate(dev_b) == 20
+        assert round_trips(Variant.DH_IMPROVED) == (40, 20)
 
     def test_requires_group_parameters(self):
         with pytest.raises(ValueError):
@@ -196,57 +199,56 @@ class TestFailures:
 
     def test_wrong_response_rejected(self):
         dev_a, dev_b = honest_pair(Variant.LEGACY)
-        start(dev_a, ADDR_B, 0)
+        start(dev_a, ADDR_B)
         forged = Message(MsgKind.RESPONSE, ADDR_B, ADDR_A, b"\x00\x00\x00\x00")
-        out = handle(dev_a, forged, 10)
+        out = handle(dev_a, forged)
         assert [m.kind for m in out] == [MsgKind.AUTH_FAIL]
         assert dev_a.phase is Phase.FAILED
 
     def test_illegal_kind_in_phase(self):
         dev_b = new_device(ADDR_B, Variant.LEGACY, KEY1, 2)
         stray = Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, b"\x00" * 16)
-        out = handle(dev_b, stray, 10)
+        out = handle(dev_b, stray)
         assert [m.kind for m in out] == [MsgKind.AUTH_FAIL]
         assert dev_b.phase is Phase.FAILED
 
     def test_auth_fail_is_terminal_and_silent(self):
         dev_a, dev_b = honest_pair(Variant.LEGACY)
-        start(dev_a, ADDR_B, 0)
-        assert handle(dev_a, Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_A), 10) == []
+        start(dev_a, ADDR_B)
+        assert handle(dev_a, Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_A)) == []
         assert dev_a.phase is Phase.FAILED
 
     def test_terminal_phases_absorb(self):
         dev_a, _, _ = run_honest(Variant.LEGACY)
         stray = Message(MsgKind.CHALLENGE, ADDR_B, ADDR_A, b"\x07" * 16)
-        assert handle(dev_a, stray, 99) == []
+        assert handle(dev_a, stray) == []
         assert dev_a.phase is Phase.DONE
 
 
 class TestDriverContract:
     def test_start_twice_rejected(self):
         dev_a = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
-        start(dev_a, ADDR_B, 0)
+        start(dev_a, ADDR_B)
         with pytest.raises(ProtocolError):
-            start(dev_a, ADDR_B, 0)
+            start(dev_a, ADDR_B)
 
     def test_misrouted_message_rejected(self):
         dev_a = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
         msg = Message(MsgKind.AUTH_REQUEST, ADDR_B, DeviceId(b"\xcc" * 6), ADDR_B.addr)
         with pytest.raises(ProtocolError):
-            handle(dev_a, msg, 0)
+            handle(dev_a, msg)
 
     def test_fresh_device_state(self):
         dev = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
         assert dev.phase is Phase.IDLE
         assert not dev.peer_authenticated
         assert dev.dh is None
-        assert rtt_estimate(dev) is None
 
     def test_same_seed_same_first_challenge(self):
         one = new_device(ADDR_A, Variant.LEGACY, KEY1, 42)
         two = new_device(ADDR_B, Variant.LEGACY, KEY1, 42)
-        c1 = start(one, ADDR_B, 0)[1].payload
-        c2 = start(two, ADDR_A, 0)[1].payload
+        c1 = start(one, ADDR_B)[1].payload
+        c2 = start(two, ADDR_A)[1].payload
         assert c1 == c2
 
 

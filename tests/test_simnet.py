@@ -7,7 +7,7 @@ import pytest
 
 from btauthsim.adversary import IntruderMode, new_intruder
 from btauthsim.crypto import DeviceId, DhParams, LinkKey
-from btauthsim.protocol import AuthStatus, MsgKind, Variant, new_device, rtt_estimate
+from btauthsim.protocol import AuthStatus, MsgKind, Variant, new_device
 from btauthsim.simnet import (
     Detection,
     LinkConfig,
@@ -184,21 +184,27 @@ class TestSerialization:
         assert first.to_text() == second.to_text()
 
 
+# expected worst round trip of (A, B) at the default 10 ms per hop: the
+# nested variants make A wait for B's counter-challenge leg too
+DEVICE_RTT = {Variant.LEGACY: (20, 20), Variant.IMPROVED: (40, 20), Variant.DH_IMPROVED: (40, 20)}
+
+
 class TestRttReconstruction:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_matches_device_estimates_direct(self, variant):
-        dev_a, dev_b, transcript, _ = run_direct(variant)
-        assert transcript_rtt(transcript, ADDR_A) == rtt_estimate(dev_a)
-        assert transcript_rtt(transcript, ADDR_B) == rtt_estimate(dev_b)
+        _, _, transcript, _ = run_direct(variant)
+        rtts = (transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B))
+        assert rtts == DEVICE_RTT[variant]
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_matches_device_estimates_relayed(self, variant):
+        # every hop goes through the intruder, so each round trip doubles
         mode = IntruderMode.RELAY_PASSIVE if variant is Variant.DH_IMPROVED else (
             IntruderMode.RELAY_ACTIVE
         )
-        dev_a, dev_b, _, transcript, _ = run_relayed(variant, mode=mode)
-        assert transcript_rtt(transcript, ADDR_A) == rtt_estimate(dev_a)
-        assert transcript_rtt(transcript, ADDR_B) == rtt_estimate(dev_b)
+        _, _, _, transcript, _ = run_relayed(variant, mode=mode)
+        rtts = (transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B))
+        assert rtts == tuple(2 * rtt for rtt in DEVICE_RTT[variant])
 
     def test_relay_doubles_observed_rtt(self):
         _, _, direct, _ = run_direct(Variant.LEGACY)
