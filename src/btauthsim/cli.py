@@ -8,6 +8,7 @@ scenario name and seed alone.
 """
 
 import argparse
+import functools
 import random
 import sys
 from dataclasses import dataclass
@@ -82,8 +83,10 @@ class ScenarioResult:
 
 def validate(config: ScenarioConfig) -> None:
     """Reject a configuration that cannot run. Link timing, the PIN and the
-    group are checked by constructing their value types; the flags named in
-    each message are those of the command line."""
+    group are checked by constructing their value types, and a timeout too
+    short for the intruder-free handshake by calibrating the configuration,
+    which caches it for run_scenario; the flags named in each message are
+    those of the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if config.initiator == "C" and config.intruder is not IntruderMode.ORIGINATE_TO_A:
@@ -104,6 +107,7 @@ def validate(config: ScenarioConfig) -> None:
             raise ConfigError(
                 f"dh-alpha {config.dh_alpha} is not a primitive root of {config.dh_p}"
             )
+    _prepared(config.variant, config.latency_ms, config.timeout_ms, config.dh_p, config.dh_alpha)
 
 
 def _construct(flags: str, value_type, *args) -> None:
@@ -132,39 +136,55 @@ def _derive_link_key(pin: Pin, master: random.Random) -> LinkKey:
 
 
 def _build_devices(
-    config: ScenarioConfig, link_key: LinkKey, seed_a: int, seed_b: int, params: DhParams | None
+    variant: Variant, link_key: LinkKey, seed_a: int, seed_b: int, params: DhParams | None
 ) -> tuple[DeviceState, DeviceState]:
-    dev_a = new_device(ADDR_A, config.variant, link_key, seed_a, dh_params=params)
-    dev_b = new_device(ADDR_B, config.variant, link_key, seed_b, dh_params=params)
+    dev_a = new_device(ADDR_A, variant, link_key, seed_a, dh_params=params)
+    dev_b = new_device(ADDR_B, variant, link_key, seed_b, dh_params=params)
     return dev_a, dev_b
 
 
+@functools.cache
+def _prepared(
+    variant: Variant, latency_ms: int, timeout_ms: int, dh_p: int, dh_alpha: int
+) -> tuple[LinkConfig, DhParams | None, tuple[tuple[DeviceId, int], ...]]:
+    """Links, group (dh-improved only) and per-device baselines of one
+    configuration, computed once per variant, link timing and group.
+
+    The baselines are the round trips of an intruder-free companion run,
+    read from its transcript. In an honest run no branch depends on payload
+    octets (responses always verify, and every public value of a keypair is
+    a valid peer value), so the delivery schedule, and with it each round
+    trip, depends on the variant and the link timing alone; one run at a
+    fixed seed calibrates every seed. Raises ConfigError when the timeout
+    cuts that run short of a round trip for either device.
+    """
+    links = LinkConfig(latency_ms=latency_ms, timeout_ms=timeout_ms)
+    params = DhParams(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None
+    dev_a, dev_b = _build_devices(variant, LinkKey(bytes(16)), 0, 1, params)
+    calibration, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B, seed=0)
+    baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (ADDR_A, ADDR_B))
+    if any(baseline is None for _, baseline in baselines):
+        raise ConfigError(
+            f"latency-ms/timeout-ms: timeout {timeout_ms} ms ends the intruder-free "
+            f"{variant.value} handshake before both round trips complete"
+        )
+    return links, params, baselines
+
+
 def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
-    """One full run at one seed: baseline calibration, the run itself,
-    detection, and scoring."""
+    """One full run at one seed: the run itself, detection against the
+    configuration's cached baselines, and scoring."""
     master = random.Random(seed)
     seed_a = master.getrandbits(64)
     seed_b = master.getrandbits(64)
     seed_c = master.getrandbits(64)
     link_key = _derive_link_key(Pin(config.pin), master)
-    links = LinkConfig(latency_ms=config.latency_ms, timeout_ms=config.timeout_ms)
-    params = (
-        DhParams(p=config.dh_p, alpha=config.dh_alpha)
-        if config.variant is Variant.DH_IMPROVED
-        else None
+    links, params, calibrated = _prepared(
+        config.variant, config.latency_ms, config.timeout_ms, config.dh_p, config.dh_alpha
     )
+    baselines = dict(calibrated)
 
-    # intruder-free pass over the same seeds calibrates each device's
-    # expected round trip for this variant and latency
-    base_a, base_b = _build_devices(config, link_key, seed_a, seed_b, params)
-    calibration, _ = run([base_a, base_b], None, links, ADDR_A, ADDR_B, seed=seed)
-    baselines = {}
-    for device_id in (ADDR_A, ADDR_B):
-        baseline = transcript_rtt(calibration, device_id)
-        assert baseline is not None
-        baselines[device_id] = baseline
-
-    dev_a, dev_b = _build_devices(config, link_key, seed_a, seed_b, params)
+    dev_a, dev_b = _build_devices(config.variant, link_key, seed_a, seed_b, params)
     intruder = None
     if config.intruder is not None:
         intruder = new_intruder(

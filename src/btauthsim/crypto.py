@@ -224,20 +224,13 @@ def encryption_key(key: LinkKey, aco: Aco, en_rand: Challenge) -> bytes:
 
 
 def modexp(base: int, exponent: int, modulus: int) -> int:
-    """Square-and-multiply base**exponent mod modulus."""
+    """base**exponent mod modulus, by the builtin three-argument pow; the
+    modulus must be at least 2 and the exponent non-negative."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
-    result = 1
-    acc = base % modulus
-    e = exponent
-    while e > 0:
-        if e & 1:
-            result = result * acc % modulus
-        acc = acc * acc % modulus
-        e >>= 1
-    return result
+    return pow(base, exponent, modulus)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -269,7 +262,8 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division; intended for desk-scale n."""
+    """Distinct prime factors, in ascending order, by trial division that
+    stops once the cofactor left is prime; intended for desk-scale n."""
     if n < 2:
         return []
     factors = []
@@ -279,6 +273,8 @@ def prime_factors(n: int) -> list[int]:
             factors.append(d)
             while n % d == 0:
                 n //= d
+            if is_prime(n):
+                break
         d += 1 if d == 2 else 2
     if n > 1:
         factors.append(n)

@@ -1,11 +1,13 @@
 """Scenario configuration, report lines, output modes, exit codes."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btauthsim import cli
 from btauthsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -14,7 +16,32 @@ from btauthsim.cli import (
     validate,
 )
 from btauthsim.adversary import IntruderMode
-from btauthsim.protocol import Variant
+from btauthsim.crypto import DhParams, Pin
+from btauthsim.protocol import Variant, new_device
+from btauthsim.simnet import LinkConfig, run, transcript_rtt
+
+# hops of the intruder-free handshake, first send to last delivery
+HANDSHAKE_HOPS = {Variant.LEGACY: 4, Variant.IMPROVED: 5, Variant.DH_IMPROVED: 7}
+
+
+def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
+    """Per-seed calibration: an intruder-free companion run of devices built
+    from the seed's own draws, read with transcript_rtt."""
+    master = random.Random(seed)
+    seed_a = master.getrandbits(64)
+    seed_b = master.getrandbits(64)
+    master.getrandbits(64)  # the intruder's stream
+    link_key = cli._derive_link_key(Pin(config.pin), master)
+    params = (
+        DhParams(config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
+    )
+    devices = [
+        new_device(cli.ADDR_A, config.variant, link_key, seed_a, dh_params=params),
+        new_device(cli.ADDR_B, config.variant, link_key, seed_b, dh_params=params),
+    ]
+    links = LinkConfig(config.latency_ms, config.timeout_ms)
+    transcript, _ = run(devices, None, links, cli.ADDR_A, cli.ADDR_B, seed=seed)
+    return {dev: transcript_rtt(transcript, dev) for dev in (cli.ADDR_A, cli.ADDR_B)}
 
 
 def run_main(capsys, *argv):
@@ -155,6 +182,14 @@ class TestConfigErrors:
         status, _, _ = run_main(capsys, "--latency-ms", "50", "--timeout-ms", "50")
         assert status == 2
 
+    def test_timeout_shorter_than_handshake(self, capsys):
+        # the timeout exceeds one hop but ends the handshake before B's
+        # challenge is answered
+        status, out, err = run_main(capsys, "--latency-ms", "10", "--timeout-ms", "25")
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: latency-ms/timeout-ms: ")
+
     def test_detect_factor_bound(self, capsys):
         status, _, err = run_main(capsys, "--detect-factor", "1.0")
         assert status == 2
@@ -208,6 +243,30 @@ class TestScenarioApi:
             a, b = sorted(result.baselines, key=str)
             assert result.baselines[a] == hops_a[variant] * latency_ms
             assert result.baselines[b] == 2 * latency_ms
+
+    @given(
+        st.sampled_from(list(Variant)),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from([(23, 5), (2**31 - 1, 7)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_baselines_equal_fresh_calibration(
+        self, variant, seed, latency_ms, slack, group
+    ):
+        config = ScenarioConfig(
+            variant=variant,
+            latency_ms=latency_ms,
+            timeout_ms=HANDSHAKE_HOPS[variant] * latency_ms + slack,
+            dh_p=group[0],
+            dh_alpha=group[1],
+        )
+        result = run_scenario(config, seed)
+        assert result.baselines == fresh_baselines(config, seed)
+        # each result owns its baselines; emptying one leaves the cache intact
+        result.baselines.clear()
+        assert run_scenario(config, seed + 1).baselines == fresh_baselines(config, seed + 1)
 
     def test_originate_intruder_flag_combination(self):
         config = ScenarioConfig(

@@ -19,6 +19,9 @@ from btauthsim.crypto import (
 
 SMALL_PRIMES = [5, 7, 11, 13, 23, 97, 101, 499, 997, 2003, 4999, 7919, 10007]
 
+# largest safe prime below 2^47: WIDE_P - 1 = 2 * q with q prime
+WIDE_P = 140737488353843
+
 
 def naive_modexp(base: int, exponent: int, modulus: int) -> int:
     """Repeated multiplication, the slow-but-obviously-correct route."""
@@ -121,6 +124,24 @@ class TestPrimality:
         assert prime_factors(360) == [2, 3, 5]
         assert prime_factors(10006) == [2, 5003]
         assert prime_factors(2147483646) == [2, 3, 7, 11, 31, 151, 331]
+        # a full trial division up to sqrt(WIDE_P - 1) takes seconds;
+        # stopping at the prime cofactor takes one division
+        assert prime_factors(WIDE_P - 1) == [2, (WIDE_P - 1) // 2]
+
+    @given(st.integers(min_value=-5, max_value=10**6))
+    @settings(max_examples=300)
+    def test_prime_factors_match_trial_division(self, n):
+        def trial(n):
+            factors, d = [], 2
+            while d * d <= n:
+                if n % d == 0:
+                    factors.append(d)
+                    while n % d == 0:
+                        n //= d
+                d += 1
+            return factors + [n] if n > 1 else factors
+
+        assert prime_factors(n) == trial(n)
 
 
 class TestPrimitiveRoot:
