@@ -55,15 +55,12 @@ class ScenarioConfig:
     variant: Variant = Variant.LEGACY
     intruder: IntruderMode | None = None
     initiator: str = "A"
-    seed: int = 0
-    seeds_count: int = 1
     pin: bytes = b"0000"
     latency_ms: int = 10
     timeout_ms: int = 2000
     detect_factor: float = 1.5
     dh_p: int = 2147483647
     dh_alpha: int = 7
-    output: str = "text"
 
     @property
     def scenario_name(self) -> str:
@@ -82,37 +79,24 @@ class ScenarioResult:
 
 
 def validate(config: ScenarioConfig) -> None:
-    """Reject a configuration that cannot run. Link timing, the PIN and the
-    group are checked by constructing their value types, and a timeout too
-    short for the intruder-free handshake by calibrating the configuration,
-    which caches it for run_scenario; the flags named in each message are
-    those of the command line."""
+    """Reject a configuration that cannot run. The initiator, the PIN and
+    the detector threshold are checked here; link timing and the group are
+    checked, and a timeout too short for the intruder-free handshake is
+    caught, by _prepared, which caches the configuration for run_scenario.
+    The flags named in each message are those of the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if config.initiator == "C" and config.intruder is not IntruderMode.ORIGINATE_TO_A:
         raise ConfigError("initiator C requires the originate intruder mode")
-    if config.seeds_count < 1:
-        raise ConfigError(f"seeds-count must be at least 1, got {config.seeds_count}")
     _construct("pin", Pin, config.pin)
-    _construct("latency-ms/timeout-ms", LinkConfig, config.latency_ms, config.timeout_ms)
     if config.detect_factor <= 1:
         raise ConfigError(f"detect-factor must exceed 1, got {config.detect_factor}")
-    if config.output not in ("text", "jsonl"):
-        raise ConfigError(f"output must be text or jsonl, got {config.output}")
-    if config.variant is Variant.DH_IMPROVED:
-        if config.dh_p >= DH_P_CAP:
-            raise ConfigError(f"dh-p must be below 2^48, got {config.dh_p}")
-        _construct("dh-p/dh-alpha", DhParams, config.dh_p, config.dh_alpha)
-        if not has_full_order(config.dh_alpha, config.dh_p):
-            raise ConfigError(
-                f"dh-alpha {config.dh_alpha} is not a primitive root of {config.dh_p}"
-            )
-    _prepared(config.variant, config.latency_ms, config.timeout_ms, config.dh_p, config.dh_alpha)
+    _prepare(config)
 
 
-def _construct(flags: str, value_type, *args) -> None:
+def _construct(flags: str, value_type, *args):
     try:
-        value_type(*args)
+        return value_type(*args)
     except ValueError as err:
         raise ConfigError(f"{flags}: {err}") from None
 
@@ -143,25 +127,41 @@ def _build_devices(
     return dev_a, dev_b
 
 
+def _prepare(config: ScenarioConfig):
+    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
+    return _prepared(config.variant, config.latency_ms, config.timeout_ms, group)
+
+
 @functools.cache
 def _prepared(
-    variant: Variant, latency_ms: int, timeout_ms: int, dh_p: int, dh_alpha: int
+    variant: Variant, latency_ms: int, timeout_ms: int, group: tuple[int, int] | None
 ) -> tuple[LinkConfig, DhParams | None, tuple[tuple[DeviceId, int], ...]]:
-    """Links, group (dh-improved only) and per-device baselines of one
-    configuration, computed once per variant, link timing and group.
+    """Links, group and per-device baselines of one configuration, built
+    and checked once per variant, link timing and group (dh-improved only;
+    the other variants take no group).
 
-    The baselines are the round trips of an intruder-free companion run,
-    read from its transcript. In an honest run no branch depends on payload
-    octets (responses always verify, and every public value of a keypair is
-    a valid peer value), so the delivery schedule, and with it each round
-    trip, depends on the variant and the link timing alone; one run at a
-    fixed seed calibrates every seed. Raises ConfigError when the timeout
+    The link timing and the group are turned into their value types here
+    and nowhere else; the group must lie below DH_P_CAP and alpha must
+    generate it. The baselines are the round trips of an intruder-free
+    companion run, read from its transcript. In an honest run no branch
+    depends on payload octets (responses always verify, and every public
+    value of a keypair is a valid peer value), so the delivery schedule,
+    and with it each round trip, depends on the variant and the link timing
+    alone; one run at a fixed seed calibrates every seed. Raises
+    ConfigError on an invalid link timing or group, and when the timeout
     cuts that run short of a round trip for either device.
     """
-    links = LinkConfig(latency_ms=latency_ms, timeout_ms=timeout_ms)
-    params = DhParams(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None
+    links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
+    params = None
+    if group is not None:
+        dh_p, dh_alpha = group
+        if dh_p >= DH_P_CAP:
+            raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
+        params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
+        if not has_full_order(dh_alpha, dh_p):
+            raise ConfigError(f"dh-alpha {dh_alpha} is not a primitive root of {dh_p}")
     dev_a, dev_b = _build_devices(variant, LinkKey(bytes(16)), 0, 1, params)
-    calibration, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B, seed=0)
+    calibration, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B)
     baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (ADDR_A, ADDR_B))
     if any(baseline is None for _, baseline in baselines):
         raise ConfigError(
@@ -179,9 +179,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     seed_b = master.getrandbits(64)
     seed_c = master.getrandbits(64)
     link_key = _derive_link_key(Pin(config.pin), master)
-    links, params, calibrated = _prepared(
-        config.variant, config.latency_ms, config.timeout_ms, config.dh_p, config.dh_alpha
-    )
+    links, params, calibrated = _prepare(config)
     baselines = dict(calibrated)
 
     dev_a, dev_b = _build_devices(config.variant, link_key, seed_a, seed_b, params)
@@ -197,7 +195,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
             dh_params=params,
         )
     initiator = ADDR_C if config.initiator == "C" else ADDR_A
-    transcript, outcomes = run([dev_a, dev_b], intruder, links, initiator, ADDR_B, seed=seed)
+    transcript, outcomes = run([dev_a, dev_b], intruder, links, initiator, ADDR_B)
 
     detection = Detection.NONE
     for device_id in (ADDR_A, ADDR_B):
@@ -269,15 +267,12 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         variant=Variant(args.variant),
         intruder=None if args.intruder == "none" else IntruderMode(args.intruder),
         initiator=args.initiator,
-        seed=args.seed,
-        seeds_count=args.seeds_count,
         pin=args.pin.encode(),
         latency_ms=args.latency_ms,
         timeout_ms=args.timeout_ms,
         detect_factor=args.detect_factor,
         dh_p=args.dh_p,
         dh_alpha=args.dh_alpha,
-        output=args.output,
     )
 
 
@@ -285,6 +280,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = _config_from_args(args)
     try:
+        if args.seeds_count < 1:
+            raise ConfigError(f"seeds-count must be at least 1, got {args.seeds_count}")
         validate(config)
         sink = open(args.out, "w") if args.out else sys.stdout
     except (ConfigError, OSError) as err:
@@ -292,12 +289,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        for offset in range(config.seeds_count):
-            result = run_scenario(config, config.seed + offset)
+        for offset in range(args.seeds_count):
+            result = run_scenario(config, args.seed + offset)
             if args.transcript:
                 text = (
                     result.transcript.to_jsonl()
-                    if config.output == "jsonl"
+                    if args.output == "jsonl"
                     else result.transcript.to_text()
                 )
                 sink.write(text)

@@ -89,7 +89,6 @@ class Transcript:
     events: tuple[TranscriptEvent, ...]
     links: LinkConfig
     end_time: int
-    seed: int
 
     def to_text(self) -> str:
         return "".join(e.to_text_line() + "\n" for e in self.events)
@@ -104,7 +103,6 @@ def run(
     links: LinkConfig,
     initiator: DeviceId,
     target: DeviceId,
-    seed: int,
 ) -> tuple[Transcript, dict[DeviceId, AuthOutcome]]:
     """Drive one handshake to quiescence or timeout.
 
@@ -113,8 +111,6 @@ def run(
     start_attack() -> [Message] method. Time lives only here: neither the
     devices nor the intruder see it. The initiator may be the
     intruder's own id, in which case the run opens with its attack messages.
-    The seed is bookkeeping only (devices carry their own streams); it is
-    stamped into the transcript for reporting.
     """
     registry: dict[DeviceId, DeviceState] = {}
     for dev in devices:
@@ -176,10 +172,7 @@ def run(
     outcomes = {dev_id: outcome_of(dev) for dev_id, dev in registry.items()}
     finished = all(out.status is not AuthStatus.TIMED_OUT for out in outcomes.values())
     end_time = last_time if finished else links.timeout_ms
-    return (
-        Transcript(events=tuple(events), links=links, end_time=end_time, seed=seed),
-        outcomes,
-    )
+    return Transcript(events=tuple(events), links=links, end_time=end_time), outcomes
 
 
 def transcript_rtt(transcript: Transcript, device: DeviceId) -> int | None:

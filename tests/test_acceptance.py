@@ -86,9 +86,7 @@ def attack_run(variant, mode, seed, key=None):
         rng_seed=material.getrandbits(64), dh_params=params,
     )
     initiator = ADDR_C if mode is IntruderMode.ORIGINATE_TO_A else ADDR_A
-    transcript, outcomes = run(
-        [dev_a, dev_b], intruder, LinkConfig(), initiator, ADDR_B, seed=seed
-    )
+    transcript, outcomes = run([dev_a, dev_b], intruder, LinkConfig(), initiator, ADDR_B)
     score = verdict(intruder, outcomes, transcript, Detection.NONE, key)
     return dev_a, dev_b, intruder, transcript, outcomes, score
 

@@ -30,7 +30,7 @@ def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
         ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seeds[2], dh_params=params
     )
     initiator = ADDR_C if mode is IntruderMode.ORIGINATE_TO_A else ADDR_A
-    transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, initiator, ADDR_B, seed=0)
+    transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, initiator, ADDR_B)
     score = verdict(intruder, outcomes, transcript, Detection.NONE, key)
     return dev_a, dev_b, intruder, transcript, outcomes, score
 
@@ -190,7 +190,7 @@ class TestVerdictPlumbing:
         dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
         dev_b = new_device(ADDR_B, Variant.LEGACY, LinkKey(b"\xff" * 16), 2)
         intruder = new_intruder(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B)
-        transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, ADDR_A, ADDR_B, seed=0)
+        transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, ADDR_A, ADDR_B)
         score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
         assert score.attack_success is False
 

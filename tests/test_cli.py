@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim import cli
+from btauthsim import cli, crypto
 from btauthsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -16,12 +16,15 @@ from btauthsim.cli import (
     validate,
 )
 from btauthsim.adversary import IntruderMode
-from btauthsim.crypto import DhParams, Pin
+from btauthsim.crypto import DhParams, Pin, has_full_order, is_prime
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
 # hops of the intruder-free handshake, first send to last delivery
 HANDSHAKE_HOPS = {Variant.LEGACY: 4, Variant.IMPROVED: 5, Variant.DH_IMPROVED: 7}
+
+# largest safe prime below 2^47; 2 generates its group
+WIDE_P = 140737488353843
 
 
 def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
@@ -40,7 +43,7 @@ def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
         new_device(cli.ADDR_B, config.variant, link_key, seed_b, dh_params=params),
     ]
     links = LinkConfig(config.latency_ms, config.timeout_ms)
-    transcript, _ = run(devices, None, links, cli.ADDR_A, cli.ADDR_B, seed=seed)
+    transcript, _ = run(devices, None, links, cli.ADDR_A, cli.ADDR_B)
     return {dev: transcript_rtt(transcript, dev) for dev in (cli.ADDR_A, cli.ADDR_B)}
 
 
@@ -204,16 +207,53 @@ class TestConfigErrors:
         assert "missing" in err
 
     def test_unknown_variant_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--variant", "quantum"])
-        assert exc.value.code == 2
+        for argv in (["--variant", "quantum"], ["--output", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_validate_direct(self):
         validate(ScenarioConfig())
         with pytest.raises(ConfigError):
             validate(ScenarioConfig(initiator="B"))
-        with pytest.raises(ConfigError):
-            validate(ScenarioConfig(output="xml"))
+
+    def test_run_scenario_checks_group(self):
+        # run_scenario without validate still refuses a non-generator
+        config = ScenarioConfig(variant=Variant.DH_IMPROVED, dh_p=23, dh_alpha=4)
+        with pytest.raises(ConfigError, match="primitive root"):
+            run_scenario(config, 0)
+
+    def test_group_checked_once_per_configuration(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, p):
+            calls.append((alpha, p))
+            return has_full_order(alpha, p)
+
+        cli._prepared.cache_clear()
+        monkeypatch.setattr(cli, "has_full_order", counted)
+        for mode in (None, IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
+            config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
+            validate(config)
+            run_scenario(config, 0)
+        assert calls == [(7, 2**31 - 1)]
+
+    def test_wide_group_primality_tests(self, monkeypatch):
+        # one Miller-Rabin pass on p for the group, two inside the generator
+        # check's factorisation of p - 1 = 2q; none on a cached repeat
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        cli._prepared.cache_clear()
+        monkeypatch.setattr(crypto, "is_prime", counted)
+        config = ScenarioConfig(variant=Variant.DH_IMPROVED, dh_p=WIDE_P, dh_alpha=2)
+        validate(config)
+        assert len(calls) == 3
+        validate(config)
+        assert len(calls) == 3
 
 
 class TestScenarioApi:

@@ -61,7 +61,7 @@ def round_trips(variant):
     loop's transcript records it for a direct honest run at 10 ms per hop."""
     dev_a, dev_b = honest_pair(variant)
     links = LinkConfig(latency_ms=10)
-    transcript, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B, seed=0)
+    transcript, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B)
     return transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B)
 
 

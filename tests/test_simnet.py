@@ -39,14 +39,14 @@ def build_intruder(mode, variant, seed_c=3):
 
 def run_direct(variant, links=LINKS, **kw):
     dev_a, dev_b = build_pair(variant, **kw)
-    transcript, outcomes = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B, seed=0)
+    transcript, outcomes = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B)
     return dev_a, dev_b, transcript, outcomes
 
 
 def run_relayed(variant, mode=IntruderMode.RELAY_ACTIVE, links=LINKS, initiator=ADDR_A, **kw):
     dev_a, dev_b = build_pair(variant, **kw)
     intruder = build_intruder(mode, variant)
-    transcript, outcomes = run([dev_a, dev_b], intruder, links, initiator, ADDR_B, seed=0)
+    transcript, outcomes = run([dev_a, dev_b], intruder, links, initiator, ADDR_B)
     return dev_a, dev_b, intruder, transcript, outcomes
 
 
@@ -133,12 +133,12 @@ class TestRegistry:
     def test_unregistered_initiator(self):
         dev_a, dev_b = build_pair(Variant.LEGACY)
         with pytest.raises(ValueError):
-            run([dev_a, dev_b], None, LINKS, ADDR_C, ADDR_B, seed=0)
+            run([dev_a, dev_b], None, LINKS, ADDR_C, ADDR_B)
 
     def test_unregistered_target(self):
         dev_a, dev_b = build_pair(Variant.LEGACY)
         with pytest.raises(ValueError):
-            run([dev_a, dev_b], None, LINKS, ADDR_A, ADDR_C, seed=0)
+            run([dev_a, dev_b], None, LINKS, ADDR_A, ADDR_C)
 
 
 class TestSerialization:
