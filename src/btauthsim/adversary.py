@@ -78,7 +78,6 @@ class IntruderState:
     own_challenge_answered: bool = False
     relayed_first_challenge: bool = False
     held_challenge: Message | None = None
-    initiated: set[DeviceId] = field(default_factory=set)
 
     def intercept(self, msg: Message) -> list[Message]:
         return intercept(self, msg)
@@ -193,7 +192,6 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
             # a's address; b's own counter-challenge will be dropped, so
             # nothing downstream can ever be answered
             intruder.relayed_first_challenge = True
-            intruder.initiated.add(b)
             out = [Message(MsgKind.AUTH_REQUEST, a, b, a.addr)]
             if intruder.variant is Variant.DH_IMPROVED:
                 pair = _ensure_own_keypair(intruder)
@@ -210,7 +208,7 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
             intruder.own_challenge_answered = True
             return []
         dest = msg.receiver
-        if dest == a or dest in intruder.initiated:
+        if dest == a or (dest == b and intruder.relayed_first_challenge):
             return [msg]
         return []
 

@@ -9,6 +9,7 @@ scenario name and seed alone.
 
 import argparse
 import functools
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -86,11 +87,11 @@ def validate(config: ScenarioConfig) -> None:
     The flags named in each message are those of the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
-    if config.initiator == "C" and config.intruder is not IntruderMode.ORIGINATE_TO_A:
-        raise ConfigError("initiator C requires the originate intruder mode")
+    if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
+        raise ConfigError("initiator C and the originate intruder mode require each other")
     _construct("pin", Pin, config.pin)
-    if config.detect_factor <= 1:
-        raise ConfigError(f"detect-factor must exceed 1, got {config.detect_factor}")
+    if not 1 < config.detect_factor < math.inf:
+        raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
     _prepare(config)
 
 
@@ -158,7 +159,7 @@ def _prepared(
         if dh_p >= DH_P_CAP:
             raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
         params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
-        if not has_full_order(dh_alpha, dh_p):
+        if not has_full_order(params):
             raise ConfigError(f"dh-alpha {dh_alpha} is not a primitive root of {dh_p}")
     dev_a, dev_b = _build_devices(variant, LinkKey(bytes(16)), 0, 1, params)
     calibration, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B)

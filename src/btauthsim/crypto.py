@@ -281,22 +281,6 @@ def prime_factors(n: int) -> list[int]:
     return factors
 
 
-def has_full_order(alpha: int, p: int) -> bool:
-    """Primitive-root check via the prime factorization of p-1.
-
-    alpha generates the full group iff alpha^((p-1)/q) != 1 for every prime
-    q dividing p-1. Needs only that factorization, never a walk over the
-    group, so it covers moduli too large to enumerate (used for startup
-    validation). Raises if p is not prime.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    alpha %= p
-    if alpha == 0:
-        return False
-    return all(modexp(alpha, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
-
-
 @dataclass(frozen=True)
 class DhParams:
     """Public group: prime modulus p and a generator candidate alpha.
@@ -304,7 +288,8 @@ class DhParams:
     Construction enforces primality, alpha in [2, p-1], and p < 2^128 so the
     shared secret always fits the 16-octet session-key derivation. Whether
     alpha really generates the full group is the caller's check
-    (has_full_order); scenario validation performs it.
+    (has_full_order, on the constructed value); scenario validation
+    performs it.
     """
 
     p: int
@@ -317,6 +302,19 @@ class DhParams:
             raise ValueError(f"p must be prime, got {self.p}")
         if not 2 <= self.alpha <= self.p - 1:
             raise ValueError(f"alpha must be in [2, p-1], got {self.alpha}")
+
+
+def has_full_order(params: DhParams) -> bool:
+    """Primitive-root check via the prime factorization of p-1.
+
+    alpha generates the full group iff alpha^((p-1)/q) != 1 for every prime
+    q dividing p-1. Needs only that factorization, never a walk over the
+    group, so it covers moduli too large to enumerate (used for startup
+    validation). DhParams has already checked that p is prime and alpha
+    lies in [2, p-1].
+    """
+    p, alpha = params.p, params.alpha
+    return all(modexp(alpha, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
 
 
 @dataclass(frozen=True)

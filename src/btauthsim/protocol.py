@@ -145,13 +145,13 @@ class DeviceState:
     variant: Variant
     link_key: LinkKey
     rng: random.Random
+    # effective_key is what e1 actually runs with: the link key, XORed with
+    # the session key once a public-value exchange has completed
+    effective_key: LinkKey
     dh_params: DhParams | None = None
     role: Role | None = None
     peer: DeviceId | None = None
     phase: Phase = Phase.IDLE
-    # effective_key is what e1 actually runs with: the link key, XORed with
-    # the session key once a public-value exchange has completed
-    effective_key: LinkKey = None  # type: ignore[assignment]
     pending_challenge_sent: Challenge | None = None
     pending_challenge_received: Challenge | None = None
     answered_peer: bool = False
@@ -163,10 +163,6 @@ class DeviceState:
     enc_key: bytes | None = None
     sent_count: int = 0
     recv_count: int = 0
-
-    def __post_init__(self):
-        if self.effective_key is None:
-            self.effective_key = self.link_key
 
 
 def new_device(
@@ -184,6 +180,7 @@ def new_device(
         variant=variant,
         link_key=link_key,
         rng=random.Random(rng_seed),
+        effective_key=link_key,
         dh_params=dh_params,
     )
 

@@ -1,15 +1,18 @@
 """Deterministic discrete-event network for driving handshake runs.
 
-Messages are delivered in (time, schedule-order) order with a fixed per-hop
-latency. When an intruder is registered, the topology is a chain: honest
-devices have no direct link, so every honest transmission physically arrives
-at the intruder, whatever the message claims. The transcript records
+Every hop takes the same fixed latency, so each message falls due one hop
+after the delivery that caused it, never before anything already queued:
+delivery is first in, first out, in the order messages were sent. When an
+intruder is registered, the topology is a chain: honest devices have no
+direct link, so every honest transmission physically arrives at the
+intruder, whatever the message claims. The transcript records
 physical transmitter and receiver per hop; claimed identities live inside
 the messages.
 """
 
-import heapq
 import json
+import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,11 +122,9 @@ def run(
         raise ValueError(f"unregistered device referenced: {target}")
     intruder_id = intruder.id if intruder is not None else None
 
-    queue: list[tuple[int, int, Message, DeviceId, DeviceId]] = []
-    schedule_seq = 0
+    queue: deque[tuple[int, Message, DeviceId, DeviceId]] = deque()
 
     def schedule(msg: Message, sender: DeviceId, now: int) -> None:
-        nonlocal schedule_seq
         if sender == intruder_id:
             physical_to = msg.receiver
         elif intruder_id is not None:
@@ -132,8 +133,7 @@ def run(
             physical_to = msg.receiver
         if physical_to != intruder_id and physical_to not in registry:
             raise ValueError(f"unregistered device referenced: {physical_to}")
-        heapq.heappush(queue, (now + links.latency_ms, schedule_seq, msg, sender, physical_to))
-        schedule_seq += 1
+        queue.append((now + links.latency_ms, msg, sender, physical_to))
 
     if intruder_id is not None and initiator == intruder_id:
         for msg in intruder.start_attack():
@@ -147,7 +147,7 @@ def run(
     events: list[TranscriptEvent] = []
     last_time = 0
     while queue:
-        time, _, msg, physical_from, physical_to = heapq.heappop(queue)
+        time, msg, physical_from, physical_to = queue.popleft()
         if time > links.timeout_ms:
             last_time = links.timeout_ms
             break
@@ -210,8 +210,8 @@ def delay_detector(
     """Flag a device whose observed round trip exceeds factor x baseline."""
     if baseline_rtt <= 0:
         raise ValueError("baseline rtt must be positive")
-    if threshold_factor <= 1:
-        raise ValueError("threshold factor must exceed 1")
+    if not 1 < threshold_factor < math.inf:
+        raise ValueError(f"threshold factor must be finite and exceed 1, got {threshold_factor}")
     observed = transcript_rtt(transcript, device)
     if observed is not None and observed > threshold_factor * baseline_rtt:
         return Detection.DELAY_FLAGGED

@@ -1,22 +1,30 @@
-"""The benchmark's correctness gate as a unit test: any drift in report
-lines, transcripts or verdict rows fails here without a benchmark run."""
+"""The benchmark's correctness gate and its tracer's patch points as unit
+tests: any drift in report lines, transcripts or verdict rows, and any
+rename of a name the tracer wraps, fails here without a benchmark run."""
 
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from btauthsim import cli
+from btauthsim.adversary import IntruderMode
+from btauthsim.cli import ScenarioConfig
+from btauthsim.protocol import Variant
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(module_name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("perfbench_workloads", "workloads.py")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -24,3 +32,27 @@ def test_gate_digest_matches_expected(name):
     digest, wrong = workloads.gate_digest(workloads.build(name))
     assert wrong == 0
     assert digest == workloads.expected_digest(name)
+
+
+def test_tracer_patch_points_are_on_the_call_path(monkeypatch):
+    # spans.py imports its sibling as plain `workloads`
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spans = _load("perfbench_spans", "spans.py")
+    originals = [(module, attr, getattr(module, attr)) for module, attr, _ in spans.POINTS]
+    # one validated dh-improved relay run written as JSONL reaches every point
+    config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=IntruderMode.RELAY_ACTIVE)
+    workload = workloads.Workload("jsonl", (config,), (), serialise=True)
+    tracer = spans.Tracer()
+    cli._prepared.cache_clear()
+    tracer.install()
+    try:
+        for module, attr, original in originals:
+            assert getattr(module, attr) is not original, attr
+        workloads.validate(config)
+        workloads.step(workload, config, 0, io.StringIO())
+    finally:
+        tracer.uninstall()
+    for module, attr, original in originals:
+        assert getattr(module, attr) is original, attr
+    summary = tracer.summary(-1, tracer.run + 1)
+    assert [name for name in spans.NAMES if summary.spans.get(name, (0,))[0] == 0] == []

@@ -142,9 +142,18 @@ class TestTranscriptOutput:
 
 class TestConfigErrors:
     def test_initiator_c_needs_originate(self, capsys):
-        status, _, err = run_main(capsys, "--initiator", "C")
-        assert status == 2
-        assert "originate" in err
+        # and the reverse: the originate intruder opens the run itself, so
+        # with A opening it the run is no attack the mode defines
+        for argv in (
+            ["--initiator", "C"],
+            ["--intruder", "relay-active", "--initiator", "C"],
+            ["--variant", "legacy", "--intruder", "originate"],
+            ["--variant", "dh-improved", "--intruder", "originate"],
+        ):
+            status, out, err = run_main(capsys, *argv)
+            assert status == 2, argv
+            assert out == ""
+            assert "originate" in err
 
     def test_nonprime_group_modulus(self, capsys):
         status, _, err = run_main(capsys, "--variant", "dh-improved", "--dh-p", "10")
@@ -194,9 +203,12 @@ class TestConfigErrors:
         assert err.startswith("error: latency-ms/timeout-ms: ")
 
     def test_detect_factor_bound(self, capsys):
-        status, _, err = run_main(capsys, "--detect-factor", "1.0")
-        assert status == 2
-        assert "detect-factor" in err
+        for factor in ("1.0", "nan", "inf"):
+            status, _, err = run_main(
+                capsys, "--intruder", "relay-active", "--detect-factor", factor
+            )
+            assert status == 2, factor
+            assert "detect-factor" in err
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         path = tmp_path / "missing" / "report.txt"
@@ -226,9 +238,9 @@ class TestConfigErrors:
     def test_group_checked_once_per_configuration(self, monkeypatch):
         calls = []
 
-        def counted(alpha, p):
-            calls.append((alpha, p))
-            return has_full_order(alpha, p)
+        def counted(params):
+            calls.append((params.alpha, params.p))
+            return has_full_order(params)
 
         cli._prepared.cache_clear()
         monkeypatch.setattr(cli, "has_full_order", counted)
@@ -239,8 +251,9 @@ class TestConfigErrors:
         assert calls == [(7, 2**31 - 1)]
 
     def test_wide_group_primality_tests(self, monkeypatch):
-        # one Miller-Rabin pass on p for the group, two inside the generator
-        # check's factorisation of p - 1 = 2q; none on a cached repeat
+        # one Miller-Rabin pass on p, by DhParams, and one inside the
+        # generator check's factorisation of p - 1 = 2q, on q; none on a
+        # cached repeat
         calls = []
 
         def counted(n):
@@ -251,9 +264,9 @@ class TestConfigErrors:
         monkeypatch.setattr(crypto, "is_prime", counted)
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, dh_p=WIDE_P, dh_alpha=2)
         validate(config)
-        assert len(calls) == 3
+        assert calls == [WIDE_P, (WIDE_P - 1) // 2]
         validate(config)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestScenarioApi:

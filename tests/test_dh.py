@@ -153,10 +153,12 @@ class TestPrimitiveRoot:
         assert not is_primitive_root(23, 23)
 
     def test_rejects_composite_modulus(self):
+        # has_full_order takes only a DhParams, whose construction refuses a
+        # composite modulus
         with pytest.raises(ValueError):
             is_primitive_root(3, 10)
-        with pytest.raises(ValueError):
-            has_full_order(3, 10)
+        with pytest.raises(ValueError, match="prime"):
+            DhParams(p=10, alpha=3)
 
     def test_count_matches_euler_phi_of_group_order(self):
         for p in [5, 7, 11, 13, 23, 97]:
@@ -165,15 +167,22 @@ class TestPrimitiveRoot:
             assert count == phi, p
 
     def test_factored_check_agrees_with_enumeration(self):
-        for p in [5, 7, 11, 13, 23, 97]:
-            for alpha in range(0, p + 1):
-                assert has_full_order(alpha, p) == is_primitive_root(alpha, p), (alpha, p)
+        for p in [3, 5, 7, 11, 13, 23, 97]:
+            for alpha in range(2, p):
+                params = DhParams(p=p, alpha=alpha)
+                assert has_full_order(params) == is_primitive_root(alpha, p), (alpha, p)
+            # the residues that generate nothing never reach the check
+            for alpha in (0, 1, p):
+                assert not is_primitive_root(alpha, p)
+                with pytest.raises(ValueError, match="alpha"):
+                    DhParams(p=p, alpha=alpha)
 
     def test_factored_check_handles_large_modulus(self):
         # enumeration would walk 2^31 - 2 steps here; the factored check is
         # instant
-        assert has_full_order(7, 2147483647)
-        assert not has_full_order(2, 2147483647)
+        assert has_full_order(DhParams(p=2147483647, alpha=7))
+        assert not has_full_order(DhParams(p=2147483647, alpha=2))
+        assert has_full_order(DhParams(p=WIDE_P, alpha=2))
 
     def test_smallest_roots(self):
         assert smallest_primitive_root(23) == 5

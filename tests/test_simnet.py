@@ -242,5 +242,6 @@ class TestDelayDetector:
         _, _, transcript, _ = run_direct(Variant.LEGACY)
         with pytest.raises(ValueError):
             delay_detector(transcript, 0, 1.5, ADDR_A)
-        with pytest.raises(ValueError):
-            delay_detector(transcript, 20, 1.0, ADDR_A)
+        for factor in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                delay_detector(transcript, 20, factor, ADDR_A)
