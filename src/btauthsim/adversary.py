@@ -226,7 +226,14 @@ def verdict(
 ) -> AttackVerdict:
     """Score the run. link_key is judge-side knowledge: it identifies which
     captured challenge-response pairs are the victims' real credentials, and
-    is never given to the intruder itself."""
+    is never given to the intruder itself.
+
+    Confidentiality is breached when some captured 16-octet item, taken as
+    a challenge, has its response under link_key by some honest claimant
+    among the captured 4-octet items. The scan takes the items in ascending
+    octet order and, for each, the claimants in the order of outcomes, and
+    stops at the first match; the order is fixed, whatever the hash seed,
+    so the e1 calls a run makes are too."""
     honest = set(outcomes)
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
     direct_hops = any(e.from_id in honest and e.to_id in honest for e in transcript.events)
@@ -242,14 +249,14 @@ def verdict(
         if event.from_id in honest:
             emitted.add((event.from_id, event.kind, event.payload))
 
-    confidentiality = Confidentiality.MAINTAINED
-    challenges = [item for item in intruder.knowledge if len(item) == 16]
+    challenges = sorted(item for item in intruder.knowledge if len(item) == 16)
     responses = {item for item in intruder.knowledge if len(item) == 4}
-    for raw in challenges:
-        for claimant in honest:
-            sres, _ = e1(link_key, Challenge(raw), claimant)
-            if sres.value in responses:
-                confidentiality = Confidentiality.BREACHED
+    breached = any(
+        e1(link_key, Challenge(raw), claimant)[0].value in responses
+        for raw in challenges
+        for claimant in outcomes
+    )
+    confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED
 
     return AttackVerdict(
         attack_success=attack_success,

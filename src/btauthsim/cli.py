@@ -29,6 +29,7 @@ from .crypto import (
     LinkKey,
     Pin,
     combination_link_key,
+    e1,
     has_full_order,
     init_key,
     xor_bytes,
@@ -79,12 +80,18 @@ class ScenarioResult:
     link_key: LinkKey
 
 
-def validate(config: ScenarioConfig) -> None:
-    """Reject a configuration that cannot run. The initiator, the PIN and
-    the detector threshold are checked here; link timing and the group are
-    checked, and a timeout too short for the intruder-free handshake is
-    caught, by _prepared, which caches the configuration for run_scenario.
-    The flags named in each message are those of the command line."""
+# links, group (dh-improved only) and per-device baselines of a configuration
+Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[DeviceId, int], ...]]
+
+
+def validate(config: ScenarioConfig) -> Prepared:
+    """Reject a configuration that cannot run, else return its links, group
+    and per-device baselines. The initiator, the PIN and the detector
+    threshold are checked here; link timing and the group are checked, and
+    a timeout too short for the intruder-free handshake is caught, by
+    _prepared, which caches them per configuration. run_scenario takes its
+    inputs from here, so every check applies to every run. The flags named
+    in each message are those of the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
@@ -92,7 +99,8 @@ def validate(config: ScenarioConfig) -> None:
     _construct("pin", Pin, config.pin)
     if not 1 < config.detect_factor < math.inf:
         raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
-    _prepare(config)
+    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
+    return _prepared(config.variant, config.latency_ms, config.timeout_ms, group)
 
 
 def _construct(flags: str, value_type, *args):
@@ -128,15 +136,10 @@ def _build_devices(
     return dev_a, dev_b
 
 
-def _prepare(config: ScenarioConfig):
-    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
-    return _prepared(config.variant, config.latency_ms, config.timeout_ms, group)
-
-
 @functools.cache
 def _prepared(
     variant: Variant, latency_ms: int, timeout_ms: int, group: tuple[int, int] | None
-) -> tuple[LinkConfig, DhParams | None, tuple[tuple[DeviceId, int], ...]]:
+) -> Prepared:
     """Links, group and per-device baselines of one configuration, built
     and checked once per variant, link timing and group (dh-improved only;
     the other variants take no group).
@@ -174,14 +177,18 @@ def _prepared(
 
 def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     """One full run at one seed: the run itself, detection against the
-    configuration's cached baselines, and scoring."""
+    configuration's cached baselines, and scoring. It first clears the e1
+    memo, so the run starts from no other run's entries, then takes links,
+    group and baselines from validate, so it raises ConfigError for every
+    configuration that validate rejects."""
+    e1.cache_clear()
+    links, params, calibrated = validate(config)
+    baselines = dict(calibrated)
     master = random.Random(seed)
     seed_a = master.getrandbits(64)
     seed_b = master.getrandbits(64)
     seed_c = master.getrandbits(64)
     link_key = _derive_link_key(Pin(config.pin), master)
-    links, params, calibrated = _prepare(config)
-    baselines = dict(calibrated)
 
     dev_a, dev_b = _build_devices(config.variant, link_key, seed_a, seed_b, params)
     intruder = None

@@ -10,7 +10,6 @@ physical transmitter and receiver per hop; claimed identities live inside
 the messages.
 """
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -76,15 +75,12 @@ class TranscriptEvent:
         )
 
     def to_json_line(self) -> str:
-        record = {
-            "seq": self.seq,
-            "t": self.time,
-            "from": str(self.from_id),
-            "to": str(self.to_id),
-            "kind": self.kind.value,
-            "payload": self.payload_hex,
-        }
-        return json.dumps(record, separators=(",", ":"))
+        # every value is an int, a hex string or a MsgKind name, none of
+        # which JSON needs to escape; the line is the compact json.dumps
+        return (
+            f'{{"seq":{self.seq},"t":{self.time},"from":"{self.from_id}",'
+            f'"to":"{self.to_id}","kind":"{self.kind.value}","payload":"{self.payload_hex}"}}'
+        )
 
 
 @dataclass(frozen=True)

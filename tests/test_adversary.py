@@ -1,7 +1,10 @@
 """Intruder behavior, attack scorecards, and discrete-log cost."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from btauthsim import cli
 from btauthsim.adversary import (
     Confidentiality,
     Integrity,
@@ -10,6 +13,7 @@ from btauthsim.adversary import (
     new_intruder,
     verdict,
 )
+from btauthsim.cli import ScenarioConfig, run_scenario
 from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1
 from btauthsim.protocol import AuthStatus, MsgKind, Variant, new_device
 from btauthsim.simnet import Detection, LinkConfig, run
@@ -193,6 +197,80 @@ class TestVerdictPlumbing:
         transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, ADDR_A, ADDR_B)
         score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
         assert score.attack_success is False
+
+
+HEADLINE = [
+    (Variant.LEGACY, None),
+    (Variant.IMPROVED, None),
+    (Variant.DH_IMPROVED, None),
+    (Variant.LEGACY, IntruderMode.RELAY_ACTIVE),
+    (Variant.LEGACY, IntruderMode.RELAY_PASSIVE),
+    (Variant.LEGACY, IntruderMode.ORIGINATE_TO_A),
+    (Variant.IMPROVED, IntruderMode.RELAY_ACTIVE),
+    (Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A),
+    (Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE),
+    (Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE),
+]
+
+
+def full_scan_confidentiality(intruder, outcomes, link_key):
+    """Every captured 16-octet item against every honest claimant, with the
+    unmemoised e1 and no early exit."""
+    challenges = [item for item in intruder.knowledge if len(item) == 16]
+    responses = {item for item in intruder.knowledge if len(item) == 4}
+    confidentiality = Confidentiality.MAINTAINED
+    for raw in challenges:
+        for claimant in set(outcomes):
+            sres, _ = e1.__wrapped__(link_key, Challenge(raw), claimant)
+            if sres.value in responses:
+                confidentiality = Confidentiality.BREACHED
+    return confidentiality
+
+
+class TestConfidentialityScan:
+    @pytest.mark.parametrize("latency_ms,timeout_ms", [(10, 2000), (1, 2000), (25, 400)])
+    def test_first_match_agrees_with_full_scan(self, monkeypatch, latency_ms, timeout_ms):
+        judged = []
+
+        def checked(intruder, outcomes, transcript, detection, link_key):
+            score = verdict(intruder, outcomes, transcript, detection, link_key)
+            assert score.confidentiality is full_scan_confidentiality(intruder, outcomes, link_key)
+            judged.append(score.confidentiality)
+            return score
+
+        monkeypatch.setattr(cli, "verdict", checked)
+        for variant, mode in HEADLINE:
+            initiator = "C" if mode is IntruderMode.ORIGINATE_TO_A else "A"
+            config = ScenarioConfig(
+                variant=variant,
+                intruder=mode,
+                initiator=initiator,
+                latency_ms=latency_ms,
+                timeout_ms=timeout_ms,
+            )
+            for seed in range(20):
+                run_scenario(config, seed)
+        assert len(judged) == 20 * sum(mode is not None for _, mode in HEADLINE)
+        assert set(judged) == set(Confidentiality)
+
+    @given(
+        st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=5),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=4), st.booleans()), max_size=3),
+        st.lists(st.binary(min_size=4, max_size=4), max_size=3),
+    )
+    @settings(deadline=None)
+    def test_first_match_agrees_on_any_knowledge(self, challenges, answered, noise):
+        # captured responses of either claimant to any of the challenges
+        _, _, intruder, transcript, outcomes, _ = attack_run(
+            Variant.LEGACY, IntruderMode.RELAY_PASSIVE
+        )
+        claimants = list(outcomes)
+        intruder.knowledge = set(challenges) | set(noise)
+        for index, second in answered:
+            raw = challenges[index % len(challenges)]
+            intruder.knowledge.add(e1(KEY, Challenge(raw), claimants[second])[0].value)
+        score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
+        assert score.confidentiality is full_scan_confidentiality(intruder, outcomes, KEY)
 
 
 class TestDlogBruteforce:

@@ -1,6 +1,7 @@
 """Scenario configuration, report lines, output modes, exit codes."""
 
 import json
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from btauthsim.cli import (
     validate,
 )
 from btauthsim.adversary import IntruderMode
-from btauthsim.crypto import DhParams, Pin, has_full_order, is_prime
+from btauthsim.crypto import DhParams, Pin, has_full_order, is_prime, mixhash128
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
@@ -235,6 +236,20 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="primitive root"):
             run_scenario(config, 0)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig(intruder=IntruderMode.ORIGINATE_TO_A),
+            ScenarioConfig(initiator="X"),
+            ScenarioConfig(intruder=IntruderMode.RELAY_ACTIVE, detect_factor=math.nan),
+            ScenarioConfig(pin=b""),
+        ],
+        ids=["originate-initiator-a", "initiator-x", "nan-detect-factor", "empty-pin"],
+    )
+    def test_run_scenario_checks_what_validate_checks(self, config):
+        with pytest.raises(ConfigError):
+            run_scenario(config, 0)
+
     def test_group_checked_once_per_configuration(self, monkeypatch):
         calls = []
 
@@ -320,6 +335,34 @@ class TestScenarioApi:
         # each result owns its baselines; emptying one leaves the cache intact
         result.baselines.clear()
         assert run_scenario(config, seed + 1).baselines == fresh_baselines(config, seed + 1)
+
+    @pytest.mark.parametrize(
+        "variant,mode",
+        [
+            (Variant.LEGACY, IntruderMode.RELAY_PASSIVE),
+            (Variant.IMPROVED, IntruderMode.RELAY_ACTIVE),
+            (Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE),
+        ],
+        ids=["legacy-passive", "improved-active", "dh-passive"],
+    )
+    def test_e1_memo_carries_nothing_between_runs(self, monkeypatch, variant, mode):
+        # a run's digest count is a function of its scenario and seed, not
+        # of the runs before it
+        config = ScenarioConfig(variant=variant, intruder=mode)
+        validate(config)
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return mixhash128(data)
+
+        monkeypatch.setattr(crypto, "mixhash128", counted)
+        counts = []
+        for seed in (5, 6, 5):
+            calls.clear()
+            run_scenario(config, seed)
+            counts.append(len(calls))
+        assert counts[0] == counts[2]
 
     def test_originate_intruder_flag_combination(self):
         config = ScenarioConfig(

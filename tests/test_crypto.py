@@ -28,6 +28,10 @@ ZADDR = DeviceId(b"\x00" * 6)
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
 
+EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
+    lambda n: st.tuples(st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))
+)
+
 
 class TestValueTypes:
     def test_widths_enforced(self):
@@ -88,6 +92,20 @@ class TestE1:
         sres, aco = e1(LinkKey(key), Challenge(chal), ADDR_A)
         assert len(sres.value) == 4
         assert len(aco.value) == 12
+
+    @given(
+        st.binary(min_size=16, max_size=16),
+        st.binary(min_size=16, max_size=16),
+        st.binary(min_size=6, max_size=6),
+    )
+    def test_memo_matches_unmemoised(self, key, chal, addr):
+        args = (LinkKey(key), Challenge(chal), DeviceId(addr))
+        expected = e1.__wrapped__(*args)
+        assert e1(*args) == expected
+        # a repeat, answered from the memo, and a bytearray-built triple
+        assert e1(*args) == expected
+        mutable = (LinkKey(bytearray(key)), Challenge(bytearray(chal)), DeviceId(bytearray(addr)))
+        assert e1(*mutable) == expected
 
 
 class TestInitKey:
@@ -181,3 +199,15 @@ class TestXorBytes:
     @given(st.binary(max_size=32))
     def test_self_inverse(self, data):
         assert xor_bytes(data, data) == b"\x00" * len(data)
+
+    @given(EQUAL_LENGTH_PAIRS)
+    def test_matches_bytewise_oracle(self, operands):
+        a, b = operands
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+    @given(st.binary(max_size=32), st.binary(max_size=32))
+    def test_unequal_lengths_rejected(self, a, b):
+        if len(a) == len(b):
+            b += b"\x00"
+        with pytest.raises(ValueError, match="equal length"):
+            xor_bytes(a, b)

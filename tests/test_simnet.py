@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from btauthsim.adversary import IntruderMode, new_intruder
 from btauthsim.crypto import DeviceId, DhParams, LinkKey
@@ -11,6 +13,7 @@ from btauthsim.protocol import AuthStatus, MsgKind, Variant, new_device
 from btauthsim.simnet import (
     Detection,
     LinkConfig,
+    TranscriptEvent,
     delay_detector,
     run,
     transcript_rtt,
@@ -168,6 +171,28 @@ class TestSerialization:
             assert record["to"] == str(event.to_id)
             assert record["kind"] == event.kind.value
             assert record["payload"] == event.payload.hex()
+
+    @given(
+        st.integers(),
+        st.integers(),
+        st.binary(min_size=6, max_size=6),
+        st.binary(min_size=6, max_size=6),
+        st.sampled_from(list(MsgKind)),
+        st.binary(max_size=32),
+    )
+    def test_json_line_matches_json_dumps(self, seq, time, sender, receiver, kind, payload):
+        event = TranscriptEvent(seq, time, DeviceId(sender), DeviceId(receiver), kind, payload)
+        record = {
+            "seq": event.seq,
+            "t": event.time,
+            "from": str(event.from_id),
+            "to": str(event.to_id),
+            "kind": event.kind.value,
+            "payload": event.payload_hex,
+        }
+        line = event.to_json_line()
+        assert line == json.dumps(record, separators=(",", ":"))
+        assert json.loads(line) == record
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_identical_runs_identical_transcripts(self, variant):
