@@ -233,7 +233,8 @@ def verdict(
     among the captured 4-octet items. The scan takes the items in ascending
     octet order and, for each, the claimants in the order of outcomes, and
     stops at the first match; the order is fixed, whatever the hash seed,
-    so the e1 calls a run makes are too."""
+    so the e1 calls a run makes are too. When the intruder captured no
+    4-octet item, no challenge can match, and the scan makes no e1 call."""
     honest = set(outcomes)
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
     direct_hops = any(e.from_id in honest and e.to_id in honest for e in transcript.events)
@@ -251,7 +252,7 @@ def verdict(
 
     challenges = sorted(item for item in intruder.knowledge if len(item) == 16)
     responses = {item for item in intruder.knowledge if len(item) == 4}
-    breached = any(
+    breached = bool(responses) and any(
         e1(link_key, Challenge(raw), claimant)[0].value in responses
         for raw in challenges
         for claimant in outcomes

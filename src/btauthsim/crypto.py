@@ -10,11 +10,19 @@ the verifying device and the verdict each derive it. cli.run_scenario
 clears the memo at the start of every run, so no run reuses another run's
 entries and each run's count of digests depends only on its scenario and
 seed. Results are unchanged: e1 is pure and its inputs are frozen values.
+
+Besides that memo, which functools.lru_cache guards itself, the one shared
+mutable structure is the table of live device addresses behind DeviceId,
+which keeps one object per address so that addresses compare and hash by
+identity. It holds its objects weakly, and a lock guards the path that adds
+an address to it.
 """
 
 from dataclasses import dataclass
 import functools
 import struct
+import threading
+import weakref
 
 __all__ = [
     "DeviceId",
@@ -58,14 +66,43 @@ def _hold_octets(obj, field: str, value: bytes, width: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DeviceId:
-    """48-bit hardware address (BD_ADDR). Renders as 12 lowercase hex digits."""
+# the one live DeviceId of each address; see DeviceId
+_ADDRESSES: "weakref.WeakValueDictionary[bytes, DeviceId]" = weakref.WeakValueDictionary()
+_ADDRESSES_LOCK = threading.Lock()
 
+
+@dataclass(frozen=True, eq=False, init=False)
+class DeviceId:
+    """48-bit hardware address (BD_ADDR). Renders as 12 lowercase hex digits.
+
+    There is one live DeviceId per address: constructing an address that is
+    already in use returns the existing object, and copy, deepcopy and
+    pickle give it back too. Equality and hashing are therefore object
+    identity, from object's own slots, which agrees with address equality
+    because no two live objects share an address. The table of live
+    addresses holds them weakly, so an address no one refers to leaves it;
+    the path that adds an address holds a lock, so that threads racing on a
+    new address all get one object.
+    """
+
+    __slots__ = ("addr", "__weakref__")
     addr: bytes
 
-    def __post_init__(self):
-        _hold_octets(self, "addr", self.addr, 6)
+    def __new__(cls, addr: bytes) -> "DeviceId":
+        # only bytes is looked up as it comes: a memoryview hashes and
+        # compares like bytes too, and must still be refused
+        if type(addr) is bytes:
+            known = _ADDRESSES.get(addr)
+            if known is not None:
+                return known
+        candidate = object.__new__(cls)
+        object.__setattr__(candidate, "addr", addr)
+        _hold_octets(candidate, "addr", addr, 6)
+        with _ADDRESSES_LOCK:
+            return _ADDRESSES.setdefault(candidate.addr, candidate)
+
+    def __reduce__(self):
+        return DeviceId, (self.addr,)
 
     def __str__(self) -> str:
         return self.addr.hex()
@@ -142,7 +179,9 @@ class Pin:
     digits: bytes
 
     def __post_init__(self):
-        if not isinstance(self.digits, (bytes, bytearray)):
+        if isinstance(self.digits, bytearray):
+            object.__setattr__(self, "digits", bytes(self.digits))
+        elif not isinstance(self.digits, bytes):
             raise TypeError("Pin.digits must be bytes")
         if not 1 <= len(self.digits) <= 16:
             raise ValueError(f"PIN length must be in [1, 16] octets, got {len(self.digits)}")
@@ -152,14 +191,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = 0x9E3779B97F4A7C15
 _S0_INIT = 0x736F6D6570736575
 _S1_INIT = 0x646F72616E646F6D
-
-
-def _rotl13(x: int) -> int:
-    return ((x << 13) & _MASK64) | (x >> 51)
-
-
-def _rotl32(x: int) -> int:
-    return ((x << 32) & _MASK64) | (x >> 32)
+_BLOCK = struct.Struct("<Q")
+# the length block, then the four trailing all-zero blocks
+_LENGTH_AND_TAIL = struct.Struct("<5Q")
+_DIGEST = struct.Struct("<QQ")
+# the 0x80 octet and the zero octets that follow an input of n octets, by n % 8
+_PADDING = [b"\x80" + bytes(-(n + 1) % 8) for n in range(8)]
 
 
 def mixhash128(data: bytes) -> bytes:
@@ -176,18 +213,21 @@ def mixhash128(data: bytes) -> bytes:
         s1 = (s1 + s0) ^ rotl64(s1, 32)
 
     followed by four trailing block steps with m = 0. The digest is the
-    little-endian octets of s0 then s1.
+    little-endian octets of s0 then s1. data may be any bytes-like object.
     """
+    n = len(data)
     s0 = _S0_INIT
     s1 = _S1_INIT
-    buf = bytes(data) + b"\x80" + b"\x00" * ((-len(data) - 1) % 8) + struct.pack("<Q", len(data))
-    for (m,) in struct.iter_unpack("<Q", buf):
-        s0 = (_rotl13(s0 ^ m) * _MULT) & _MASK64
-        s1 = ((s1 + s0) & _MASK64) ^ _rotl32(s1)
-    for _ in range(4):
-        s0 = (_rotl13(s0) * _MULT) & _MASK64
-        s1 = ((s1 + s0) & _MASK64) ^ _rotl32(s1)
-    return struct.pack("<QQ", s0, s1)
+    buf = bytes(data) + _PADDING[n % 8] + _LENGTH_AND_TAIL.pack(n, 0, 0, 0, 0)
+    for (m,) in _BLOCK.iter_unpack(buf):
+        x = s0 ^ m
+        # rotl64(x, 13) is x << 13 | x >> 51 taken mod 2^64; the bits that
+        # x << 13 sets above bit 63 only add multiples of 2^64 to the
+        # product, so one mask after the multiply does for both
+        s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+        # masking the XOR masks both of its operands
+        s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    return _DIGEST.pack(s0, s1)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim import cli
+from btauthsim import adversary, cli
 from btauthsim.adversary import (
     Confidentiality,
     Integrity,
@@ -252,6 +252,29 @@ class TestConfidentialityScan:
                 run_scenario(config, seed)
         assert len(judged) == 20 * sum(mode is not None for _, mode in HEADLINE)
         assert set(judged) == set(Confidentiality)
+
+    def test_no_captured_response_means_no_scan(self, monkeypatch):
+        e1_calls = []
+        captured = []
+
+        def counting_e1(*args):
+            e1_calls.append(args)
+            return e1(*args)
+
+        def judged(intruder, *args):
+            captured.append(intruder.knowledge)
+            return verdict(intruder, *args)
+
+        monkeypatch.setattr(adversary, "e1", counting_e1)
+        monkeypatch.setattr(cli, "verdict", judged)
+        config = ScenarioConfig(
+            variant=Variant.IMPROVED, intruder=IntruderMode.ORIGINATE_TO_A, initiator="C"
+        )
+        scores = [run_scenario(config, seed).score for seed in range(20)]
+        assert len(captured) == 20
+        assert not any(len(item) == 4 for knowledge in captured for item in knowledge)
+        assert all(score.confidentiality is Confidentiality.MAINTAINED for score in scores)
+        assert e1_calls == []
 
     @given(
         st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=5),

@@ -1,9 +1,16 @@
 """Key-derivation functions and value-type validation."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from btauthsim import crypto
 from btauthsim.crypto import (
     Aco,
     Challenge,
@@ -58,6 +65,17 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             Pin(b"0" * 17)
 
+    def test_pin_holds_its_digits_as_bytes(self):
+        digits = bytearray(b"0000")
+        pin = Pin(digits)
+        digits.clear()
+        assert pin == Pin(b"0000")
+        assert type(pin.digits) is bytes
+        assert hash(pin) == hash(Pin(b"0000"))
+        assert init_key(pin, ZADDR, Z16) == init_key(Pin(b"0000"), ZADDR, Z16)
+        with pytest.raises(TypeError, match="Pin.digits must be bytes"):
+            Pin("0000")  # type: ignore[arg-type]
+
     def test_device_id_hex_round_trip(self):
         assert str(ADDR_A) == "aa0000000001"
         assert DeviceId.from_hex("aa0000000001") == ADDR_A
@@ -65,6 +83,76 @@ class TestValueTypes:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             Z16.value = b"\x01" * 16  # type: ignore[misc]
+
+
+class TestDeviceIdIdentity:
+    @given(st.binary(min_size=6, max_size=6), st.booleans(), st.binary(min_size=6, max_size=6))
+    def test_one_object_per_address(self, raw, mutable, other_raw):
+        addr = DeviceId(bytearray(raw) if mutable else raw)
+        assert addr is DeviceId(bytes(raw))
+        assert type(addr.addr) is bytes and addr.addr == raw
+        assert repr(addr) == f"DeviceId(addr={raw!r})"
+        other = DeviceId(other_raw)
+        assert (addr == other) == (raw == other_raw) == (addr is other)
+        if raw == other_raw:
+            assert hash(addr) == hash(other)
+        assert copy.copy(addr) is addr
+        assert copy.deepcopy(addr) is addr
+        assert copy.deepcopy({addr: [addr]}) == {addr: [addr]}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(addr, protocol)) is addr
+        with pytest.raises(AttributeError):
+            addr.addr = other_raw  # type: ignore[misc]
+        assert DeviceId(raw).addr == raw
+
+    @given(st.binary(max_size=12).filter(lambda raw: len(raw) != 6), st.booleans())
+    def test_wrong_width_rejected(self, raw, mutable):
+        with pytest.raises(ValueError, match=f"DeviceId.addr must be exactly 6 octets, got {len(raw)}"):
+            DeviceId(bytearray(raw) if mutable else raw)
+
+    @pytest.mark.parametrize("value", ["aa0000000001", 6, None, [0] * 6, memoryview(b"\x00" * 6)])
+    def test_wrong_type_rejected(self, value):
+        with pytest.raises(TypeError, match=f"DeviceId.addr must be bytes, got {type(value).__name__}"):
+            DeviceId(value)
+
+    def test_threads_racing_on_a_new_address_get_one_object(self):
+        # eight threads meet at the barrier before each fresh address; a
+        # short switch interval makes them interleave inside the constructor
+        fresh = [b"\xfe\xed" + k.to_bytes(4, "big") for k in range(200)]
+        gc.collect()
+        assert not any(raw in crypto._ADDRESSES for raw in fresh)
+        start = threading.Barrier(8)
+        made = [[] for _ in range(8)]
+
+        def make(index):
+            for raw in fresh:
+                start.wait(timeout=10)
+                made[index].append(DeviceId(bytearray(raw) if index % 2 else raw))
+
+        threads = [threading.Thread(target=make, args=(index,)) for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(addrs) == len(fresh) for addrs in made)
+        for k in range(len(fresh)):
+            assert all(addrs[k] is made[0][k] for addrs in made)
+
+    def test_table_drops_an_address_no_one_holds(self):
+        raw = b"\xde\xad\xbe\xef\x00\x01"
+        gc.collect()
+        assert raw not in crypto._ADDRESSES
+        addr = DeviceId(raw)
+        assert crypto._ADDRESSES[raw] is addr
+        del addr
+        gc.collect()
+        assert raw not in crypto._ADDRESSES
 
 
 class TestE1:
@@ -106,6 +194,23 @@ class TestE1:
         assert e1(*args) == expected
         mutable = (LinkKey(bytearray(key)), Challenge(bytearray(chal)), DeviceId(bytearray(addr)))
         assert e1(*mutable) == expected
+
+    def test_memo_miss_digests_once_through_the_module_name(self, monkeypatch):
+        calls = []
+        real = crypto.mixhash128
+
+        def counting(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(crypto, "mixhash128", counting)
+        e1.cache_clear()
+        args = (ZKEY, Challenge(b"\x07" * 16), ADDR_B)
+        sres, aco = e1(*args)
+        assert len(calls) == 1
+        assert sres.value + aco.value == real(calls[0])
+        assert e1(*args) == (sres, aco)
+        assert len(calls) == 1
 
 
 class TestInitKey:

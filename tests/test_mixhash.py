@@ -88,7 +88,12 @@ def test_no_collisions_in_large_corpus():
 @given(st.binary(max_size=256))
 @settings(max_examples=300)
 def test_reference_agreement(data):
-    assert mixhash128(data) == ref_mixhash128(data)
+    expected = ref_mixhash128(data)
+    assert mixhash128(data) == expected
+    assert mixhash128(bytearray(data)) == expected
+    assert mixhash128(memoryview(data)) == expected
+    strided = memoryview(data + data)[::2]
+    assert mixhash128(strided) == ref_mixhash128(bytes(strided))
 
 
 @given(st.binary(max_size=128))
