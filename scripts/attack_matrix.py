@@ -40,6 +40,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=20, help="seeds per scenario (default 20)")
     parser.add_argument("--base-seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     started = time.perf_counter()
     rows = []

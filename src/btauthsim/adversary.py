@@ -8,6 +8,7 @@ octet strings; the verdict functions turn outcomes plus transcript into the
 attack scorecard.
 """
 
+import functools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,7 +69,7 @@ class IntruderState:
     variant: Variant
     victim_a: DeviceId
     victim_b: DeviceId
-    rng: random.Random
+    rng_seed: int
     dh_params: DhParams | None = None
     impersonating: dict[DeviceId, DeviceId] = field(default_factory=dict)
     knowledge: set[bytes] = field(default_factory=set)
@@ -78,6 +79,12 @@ class IntruderState:
     own_challenge_answered: bool = False
     relayed_first_challenge: bool = False
     held_challenge: Message | None = None
+
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        """The intruder's random stream, seeded from rng_seed on first
+        draw: the relay modes that never draw from it never seed it."""
+        return random.Random(self.rng_seed)
 
     def intercept(self, msg: Message) -> list[Message]:
         return intercept(self, msg)
@@ -108,7 +115,7 @@ def new_intruder(
         variant=variant,
         victim_a=victim_a,
         victim_b=victim_b,
-        rng=random.Random(rng_seed),
+        rng_seed=rng_seed,
         dh_params=dh_params,
         impersonating={victim_a: victim_b, victim_b: victim_a},
     )

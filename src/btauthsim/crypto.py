@@ -213,12 +213,14 @@ def mixhash128(data: bytes) -> bytes:
         s1 = (s1 + s0) ^ rotl64(s1, 32)
 
     followed by four trailing block steps with m = 0. The digest is the
-    little-endian octets of s0 then s1. data may be any bytes-like object.
+    little-endian octets of s0 then s1. data may be any bytes-like object;
+    its length is counted in octets, whatever the item size of a view.
     """
+    data = bytes(data)
     n = len(data)
     s0 = _S0_INIT
     s1 = _S1_INIT
-    buf = bytes(data) + _PADDING[n % 8] + _LENGTH_AND_TAIL.pack(n, 0, 0, 0, 0)
+    buf = data + _PADDING[n % 8] + _LENGTH_AND_TAIL.pack(n, 0, 0, 0, 0)
     for (m,) in _BLOCK.iter_unpack(buf):
         x = s0 ^ m
         # rotl64(x, 13) is x << 13 | x >> 51 taken mod 2^64; the bits that

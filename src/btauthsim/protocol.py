@@ -8,6 +8,10 @@ Variants:
   dh-improved  a public-value exchange runs first and the agreed session key
                is folded into the challenge-response key
 
+The legal steps are data: _TRANSITIONS maps each (phase, message kind) pair
+that a device accepts to its handler. The terminal phases absorb every
+message; any other pair fails the handshake with an AuthFail.
+
 Devices take no time input and never self-transition on time: delivery
 times, timeouts and round-trip measurement belong to the network loop
 driving them and to its transcript. Each state machine is single-owner: one
@@ -72,6 +76,10 @@ class MsgKind(Enum):
     AUTH_SUCCESS = "AuthSuccess"
     AUTH_FAIL = "AuthFail"
 
+    # members are singletons that compare by identity, so the identity hash
+    # agrees with equality and costs no Python-level call
+    __hash__ = object.__hash__
+
 
 _PAYLOAD_WIDTH = {
     MsgKind.AUTH_REQUEST: 6,
@@ -93,14 +101,15 @@ class Message:
     receiver: DeviceId
     payload: bytes = b""
 
-    def __post_init__(self):
-        if self.sender == self.receiver:
+    # dataclass keeps this __init__: it checks first, then stores every
+    # field in one step instead of one object.__setattr__ call per field
+    def __init__(self, kind: MsgKind, sender: DeviceId, receiver: DeviceId, payload: bytes = b""):
+        if sender == receiver:
             raise ValueError("message sender and receiver must differ")
-        want = _PAYLOAD_WIDTH[self.kind]
-        if len(self.payload) != want:
-            raise ValueError(
-                f"{self.kind.value} payload must be {want} octets, got {len(self.payload)}"
-            )
+        want = _PAYLOAD_WIDTH[kind]
+        if len(payload) != want:
+            raise ValueError(f"{kind.value} payload must be {want} octets, got {len(payload)}")
+        self.__dict__.update(kind=kind, sender=sender, receiver=receiver, payload=payload)
 
 
 def encode_public(value: int) -> bytes:
@@ -124,6 +133,9 @@ class Phase(Enum):
     AWAIT_CONFIRM = "AwaitConfirm"
     DONE = "Done"
     FAILED = "Failed"
+
+    # identity hash, as for MsgKind
+    __hash__ = object.__hash__
 
 
 class AuthStatus(Enum):
@@ -160,9 +172,23 @@ class DeviceState:
     session: SessionKey | None = None
     first_leg_challenge: Challenge | None = None
     first_leg_aco: Aco | None = None
-    enc_key: bytes | None = None
     sent_count: int = 0
     recv_count: int = 0
+
+    @property
+    def enc_key(self) -> bytes | None:
+        """Encryption key of a completed handshake, derived on read: from
+        the effective key, the first leg's ciphering offset and challenge
+        once the device is Done and both first-leg fields are set, else
+        None. A terminal device absorbs every message without changing
+        those fields, so every read gives the same key."""
+        if (
+            self.phase is Phase.DONE
+            and self.first_leg_aco is not None
+            and self.first_leg_challenge is not None
+        ):
+            return encryption_key(self.effective_key, self.first_leg_aco, self.first_leg_challenge)
+        return None
 
 
 def new_device(
@@ -207,34 +233,17 @@ def start(device: DeviceState, peer: DeviceId) -> list[Message]:
 def handle(device: DeviceState, msg: Message) -> list[Message]:
     """Advance the state machine on one delivered message.
 
-    Returns the messages to transmit in response. A message kind that is
-    illegal in the current phase fails the handshake with an AuthFail; the
-    terminal phases absorb everything silently.
+    Returns the messages to transmit in response. The terminal phases
+    absorb everything silently; otherwise _TRANSITIONS names the handler of
+    the pair (phase, message kind), and a pair it lacks fails the handshake
+    with an AuthFail.
     """
     if msg.receiver != device.id:
         raise ProtocolError(f"message for {msg.receiver} delivered to {device.id}")
     device.recv_count += 1
-    if device.phase in (Phase.DONE, Phase.FAILED):
+    if device.phase in _TERMINAL:
         return []
-    if msg.kind is MsgKind.AUTH_FAIL:
-        device.phase = Phase.FAILED
-        return []
-
-    if device.phase is Phase.IDLE and msg.kind is MsgKind.AUTH_REQUEST:
-        out = _on_auth_request(device, msg)
-    elif device.phase is Phase.DH_EXCHANGE and msg.kind is MsgKind.DH_PUBLIC:
-        out = _on_dh_public(device, msg)
-    elif device.phase is Phase.AWAIT_CHALLENGE and msg.kind is MsgKind.CHALLENGE:
-        out = _on_first_challenge(device, msg)
-    elif device.phase is Phase.AWAIT_RESPONSE and msg.kind is MsgKind.CHALLENGE:
-        out = _on_counter_challenge(device, msg)
-    elif device.phase is Phase.AWAIT_RESPONSE and msg.kind is MsgKind.RESPONSE:
-        out = _on_response(device, msg)
-    elif device.phase is Phase.AWAIT_CONFIRM and msg.kind is MsgKind.AUTH_SUCCESS:
-        _complete(device)
-        out = []
-    else:
-        out = _fail(device, msg)
+    out = _TRANSITIONS.get((device.phase, msg.kind), _fail)(device, msg)
     device.sent_count += len(out)
     return out
 
@@ -267,12 +276,14 @@ def _fail(device: DeviceState, msg: Message) -> list[Message]:
     return [Message(MsgKind.AUTH_FAIL, device.id, target)]
 
 
-def _complete(device: DeviceState) -> None:
+def _on_auth_success(device: DeviceState, msg: Message) -> list[Message]:
     device.phase = Phase.DONE
-    if device.first_leg_aco is not None and device.first_leg_challenge is not None:
-        device.enc_key = encryption_key(
-            device.effective_key, device.first_leg_aco, device.first_leg_challenge
-        )
+    return []
+
+
+def _on_auth_fail(device: DeviceState, msg: Message) -> list[Message]:
+    device.phase = Phase.FAILED
+    return []
 
 
 def _on_auth_request(device: DeviceState, msg: Message) -> list[Message]:
@@ -346,9 +357,8 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
         # our earlier answer plus this verification closes the loop; tell
         # the peer and finish
         assert device.peer is not None
-        confirm = Message(MsgKind.AUTH_SUCCESS, device.id, device.peer)
-        _complete(device)
-        return [confirm]
+        device.phase = Phase.DONE
+        return [Message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
     if device.role is Role.RESPONDER:
         # nested ordering: the withheld answer goes out only now
         assert device.pending_challenge_received is not None
@@ -357,6 +367,21 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
         return out
     # initiator verified before answering the counter-challenge; keep waiting
     return []
+
+
+_TERMINAL = frozenset((Phase.DONE, Phase.FAILED))
+
+# the legal steps: (phase, kind of the delivered message) -> handler
+_TRANSITIONS = {
+    (Phase.IDLE, MsgKind.AUTH_REQUEST): _on_auth_request,
+    (Phase.DH_EXCHANGE, MsgKind.DH_PUBLIC): _on_dh_public,
+    (Phase.AWAIT_CHALLENGE, MsgKind.CHALLENGE): _on_first_challenge,
+    (Phase.AWAIT_RESPONSE, MsgKind.CHALLENGE): _on_counter_challenge,
+    (Phase.AWAIT_RESPONSE, MsgKind.RESPONSE): _on_response,
+    (Phase.AWAIT_CONFIRM, MsgKind.AUTH_SUCCESS): _on_auth_success,
+    # a peer's AuthFail ends the handshake silently in every live phase
+    **{(phase, MsgKind.AUTH_FAIL): _on_auth_fail for phase in Phase if phase not in _TERMINAL},
+}
 
 
 def outcome_of(device: DeviceState) -> AuthOutcome:

@@ -64,6 +64,15 @@ class TranscriptEvent:
     kind: MsgKind
     payload: bytes
 
+    # dataclass keeps this __init__: it stores every field in one step
+    # instead of one object.__setattr__ call per field
+    def __init__(
+        self, seq: int, time: int, from_id: DeviceId, to_id: DeviceId, kind: MsgKind, payload: bytes
+    ):
+        self.__dict__.update(
+            seq=seq, time=time, from_id=from_id, to_id=to_id, kind=kind, payload=payload
+        )
+
     @property
     def payload_hex(self) -> str:
         return self.payload.hex()
@@ -175,14 +184,15 @@ def transcript_rtt(transcript: Transcript, device: DeviceId) -> int | None:
     """Worst challenge-to-response round trip for one device, reconstructed
     from delivery times alone (send time = delivery time minus one hop)."""
     latency = transcript.links.latency_ms
-    sends = [
-        e.time - latency
-        for e in transcript.events
-        if e.kind is MsgKind.CHALLENGE and e.from_id == device
-    ]
-    arrivals = [
-        e.time for e in transcript.events if e.kind is MsgKind.RESPONSE and e.to_id == device
-    ]
+    challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
+    sends = []
+    arrivals = []
+    for e in transcript.events:
+        if e.kind is challenge:
+            if e.from_id == device:
+                sends.append(e.time - latency)
+        elif e.kind is response and e.to_id == device:
+            arrivals.append(e.time)
     worst = None
     cursor = 0
     for sent in sends:

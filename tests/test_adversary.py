@@ -1,5 +1,8 @@
 """Intruder behavior, attack scorecards, and discrete-log cost."""
 
+import random
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,6 +297,47 @@ class TestConfidentialityScan:
             intruder.knowledge.add(e1(KEY, Challenge(raw), claimants[second])[0].value)
         score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
         assert score.confidentiality is full_scan_confidentiality(intruder, outcomes, KEY)
+
+
+class TestIntruderRng:
+    @pytest.mark.parametrize(
+        "variant,mode",
+        [(variant, IntruderMode.RELAY_PASSIVE) for variant in Variant]
+        + [(variant, IntruderMode.RELAY_ACTIVE) for variant in (Variant.LEGACY, Variant.IMPROVED)],
+        ids=lambda v: v.value,
+    )
+    def test_a_relay_that_never_draws_never_seeds(self, monkeypatch, variant, mode):
+        seeded = []
+
+        def counting_random(seed):
+            seeded.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(adversary, "random", types.SimpleNamespace(Random=counting_random))
+        _, _, intruder, _, _, _ = attack_run(variant, mode)
+        assert seeded == []
+        # still readable, from the stream of its seed
+        assert intruder.rng.getstate() == random.Random(3).getstate()
+        assert seeded == [3]
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_originate_draws_follow_the_seeded_stream(self, variant):
+        _, _, intruder, transcript, _, _ = attack_run(variant, IntruderMode.ORIGINATE_TO_A)
+        stream = random.Random(3)
+        if variant is Variant.DH_IMPROVED:
+            assert intruder.dh_own.r_private == stream.randrange(1, PARAMS.p)
+        challenge = stream.randbytes(16)
+        assert intruder.own_challenge == Challenge(challenge)
+        sent = [
+            e.payload
+            for e in transcript.events
+            if e.from_id == ADDR_C and e.kind is MsgKind.CHALLENGE
+        ]
+        assert sent[0] == challenge
+
+    def test_relay_active_keypair_follows_the_seeded_stream(self):
+        _, _, intruder, _, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
+        assert intruder.dh_own.r_private == random.Random(3).randrange(1, PARAMS.p)
 
 
 class TestDlogBruteforce:

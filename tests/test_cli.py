@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim import cli, crypto
+from btauthsim import cli, crypto, protocol
 from btauthsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -17,7 +17,7 @@ from btauthsim.cli import (
     validate,
 )
 from btauthsim.adversary import IntruderMode
-from btauthsim.crypto import DhParams, Pin, has_full_order, is_prime, mixhash128
+from btauthsim.crypto import DhParams, Pin, encryption_key, has_full_order, is_prime, mixhash128
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
@@ -363,6 +363,23 @@ class TestScenarioApi:
             run_scenario(config, seed)
             counts.append(len(calls))
         assert counts[0] == counts[2]
+
+    def test_no_run_derives_an_encryption_key(self, monkeypatch):
+        # no report line, transcript or verdict reads a device's enc_key
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return encryption_key(*args)
+
+        monkeypatch.setattr(protocol, "encryption_key", counted)
+        for variant in Variant:
+            for mode in [None, *IntruderMode]:
+                initiator = "C" if mode is IntruderMode.ORIGINATE_TO_A else "A"
+                config = ScenarioConfig(variant=variant, intruder=mode, initiator=initiator)
+                for seed in range(5):
+                    run_scenario(config, seed)
+        assert calls == []
 
     def test_originate_intruder_flag_combination(self):
         config = ScenarioConfig(

@@ -1,12 +1,15 @@
 """Handshake state machines: flows, orderings, failures, determinism."""
 
+import copy
+import dataclasses
+import itertools
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1
+from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, encryption_key
 from btauthsim.protocol import (
     AuthStatus,
     Message,
@@ -23,6 +26,7 @@ from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
+ADDR_C = DeviceId.from_hex("cc0000000003")
 KEY1 = LinkKey(bytes(range(16)))
 KEY2 = LinkKey(bytes(range(16, 32)))
 PARAMS = DhParams(p=2147483647, alpha=7)
@@ -303,3 +307,198 @@ class TestDeterminism:
             assert first_initiator_resp is not None
             assert first_responder_resp is not None
             assert first_responder_resp > first_initiator_resp
+
+
+# the (phase, kind) pairs a live device steps on, besides the AuthFail that
+# every live phase takes; written out here, not read from the module
+LEGAL = {
+    (Phase.IDLE, MsgKind.AUTH_REQUEST),
+    (Phase.DH_EXCHANGE, MsgKind.DH_PUBLIC),
+    (Phase.AWAIT_CHALLENGE, MsgKind.CHALLENGE),
+    (Phase.AWAIT_RESPONSE, MsgKind.CHALLENGE),
+    (Phase.AWAIT_RESPONSE, MsgKind.RESPONSE),
+    (Phase.AWAIT_CONFIRM, MsgKind.AUTH_SUCCESS),
+}
+TERMINAL = {Phase.DONE, Phase.FAILED}
+WIDTH = {
+    MsgKind.AUTH_REQUEST: 6,
+    MsgKind.CHALLENGE: 16,
+    MsgKind.RESPONSE: 4,
+    MsgKind.DH_PUBLIC: 16,
+    MsgKind.AUTH_SUCCESS: 0,
+    MsgKind.AUTH_FAIL: 0,
+}
+
+
+def honest_steps():
+    """Every delivery of an honest run of each variant, as (a copy of the
+    receiving device just before it, the message), and the final devices."""
+    steps = []
+    finals = []
+    for variant in Variant:
+        dev_a, dev_b = honest_pair(variant)
+        devices = {ADDR_A: dev_a, ADDR_B: dev_b}
+        queue = deque(start(dev_a, ADDR_B))
+        while queue:
+            msg = queue.popleft()
+            steps.append((copy.deepcopy(devices[msg.receiver]), msg))
+            queue.extend(handle(devices[msg.receiver], msg))
+        finals += [dev_a, dev_b]
+    return steps, finals
+
+
+STEPS, FINALS = honest_steps()
+
+
+def snapshot(dev):
+    """Every field of a device, its random stream by state."""
+    fields = {f.name: getattr(dev, f.name) for f in dataclasses.fields(dev)}
+    fields["rng"] = dev.rng.getstate()
+    return fields
+
+
+def device_in(phase):
+    """A fresh copy of a device in the given phase."""
+    if phase is Phase.DONE:
+        return copy.deepcopy(FINALS[0])
+    if phase is Phase.FAILED:
+        dev_a, _ = honest_pair(Variant.LEGACY)
+        start(dev_a, ADDR_B)
+        handle(dev_a, Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_A))
+        return dev_a
+    return copy.deepcopy(next(dev for dev, _ in STEPS if dev.phase is phase))
+
+
+class TestTransitionTable:
+    def test_honest_runs_step_on_every_legal_pair(self):
+        assert {(dev.phase, msg.kind) for dev, msg in STEPS} == LEGAL
+
+    @pytest.mark.parametrize(
+        "phase,kind",
+        list(itertools.product(Phase, MsgKind)),
+        ids=[f"{p.value}-{k.value}" for p, k in itertools.product(Phase, MsgKind)],
+    )
+    def test_step(self, phase, kind):
+        if (phase, kind) in LEGAL:
+            dev, msg = next(
+                (copy.deepcopy(d), m) for d, m in STEPS if (d.phase, m.kind) == (phase, kind)
+            )
+            out = handle(dev, msg)
+            assert MsgKind.AUTH_FAIL not in [m.kind for m in out]
+            assert dev.phase is not Phase.FAILED
+            return
+        dev = device_in(phase)
+        before = snapshot(dev)
+        out = handle(dev, Message(kind, ADDR_C, dev.id, bytes(WIDTH[kind])))
+        if phase in TERMINAL:
+            # absorbed: only the receive count moves
+            assert out == []
+            before["recv_count"] += 1
+            assert snapshot(dev) == before
+        elif kind is MsgKind.AUTH_FAIL:
+            assert out == []
+            assert dev.phase is Phase.FAILED
+        else:
+            # the peer hears of the failure, or the sender while no peer is set
+            target = ADDR_C if phase is Phase.IDLE else before["peer"]
+            assert target is not None
+            assert out == [Message(MsgKind.AUTH_FAIL, dev.id, target)]
+            assert dev.phase is Phase.FAILED
+
+
+class TestEncKey:
+    def test_none_short_of_done_and_after_failed(self):
+        # every device before a delivery of an honest run is short of Done
+        assert all(dev.phase is not Phase.DONE and dev.enc_key is None for dev, _ in STEPS)
+        dev = next(
+            copy.deepcopy(d)
+            for d, _ in STEPS
+            if d.first_leg_aco is not None and d.first_leg_challenge is not None
+        )
+        handle(dev, Message(MsgKind.AUTH_FAIL, ADDR_C, dev.id))
+        assert dev.phase is Phase.FAILED
+        assert dev.enc_key is None
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_derived_from_the_device_and_fixed_once_done(self, variant):
+        dev_a, dev_b, _ = run_honest(variant)
+        for dev, peer in ((dev_a, ADDR_B), (dev_b, ADDR_A)):
+            key = encryption_key(dev.effective_key, dev.first_leg_aco, dev.first_leg_challenge)
+            assert dev.enc_key == key
+            for kind in MsgKind:
+                assert handle(dev, Message(kind, peer, dev.id, bytes(WIDTH[kind]))) == []
+                assert dev.enc_key == key
+            with pytest.raises(AttributeError):
+                dev.enc_key = key
+
+
+@dataclasses.dataclass(frozen=True)
+class MessageTwin:
+    """Message as a plain frozen dataclass, with the checks it had then."""
+
+    kind: MsgKind
+    sender: DeviceId
+    receiver: DeviceId
+    payload: bytes = b""
+
+    def __post_init__(self):
+        if self.sender == self.receiver:
+            raise ValueError("message sender and receiver must differ")
+        want = WIDTH[self.kind]
+        if len(self.payload) != want:
+            raise ValueError(
+                f"{self.kind.value} payload must be {want} octets, got {len(self.payload)}"
+            )
+
+
+def build(cls, *args, **kwargs):
+    """An instance, or the message of the ValueError that construction raised."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as err:
+        return str(err)
+
+
+def values(record):
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+@st.composite
+def message_args(draw):
+    kind = draw(st.sampled_from(list(MsgKind)))
+    addresses = st.sampled_from([ADDR_A, ADDR_B, ADDR_C])
+    width = WIDTH[kind]
+    payload = draw(st.binary(min_size=width, max_size=width) | st.binary(max_size=20))
+    return kind, draw(addresses), draw(addresses), payload
+
+
+class TestMessageRecord:
+    def test_fields_match_the_twin(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(Message)] == [
+            (f.name, f.default) for f in dataclasses.fields(MessageTwin)
+        ]
+
+    @given(message_args(), message_args())
+    @settings(max_examples=300)
+    def test_behaves_like_a_plain_frozen_dataclass(self, args, other):
+        msg, twin = build(Message, *args), build(MessageTwin, *args)
+        if isinstance(twin, str):
+            # the same checks, in the same order, with the same messages
+            assert msg == twin
+            return
+        assert values(msg) == values(twin) == args
+        assert repr(msg) == repr(twin).replace("MessageTwin(", "Message(", 1)
+        assert hash(msg) == hash(twin)
+        assert msg == Message(**dict(zip(("kind", "sender", "receiver", "payload"), args)))
+        assert (msg == build(Message, *other)) == (twin == build(MessageTwin, *other))
+        if args[3] == b"":
+            assert Message(*args[:3]) == msg
+        for name, value in zip(("kind", "sender", "receiver", "payload"), other):
+            replaced = build(dataclasses.replace, msg, **{name: value})
+            replaced_twin = build(dataclasses.replace, twin, **{name: value})
+            if isinstance(replaced_twin, str):
+                assert replaced == replaced_twin
+            else:
+                assert values(replaced) == values(replaced_twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(msg, name, value)

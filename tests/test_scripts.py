@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,3 +29,13 @@ def test_attack_matrix_matches_readme(capsys):
     table = capsys.readouterr().out.split("\n\n")[0].splitlines()
     assert status == 0
     assert table == readme_block("The matrix over the default seeds:")
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_attack_matrix_rejects_fewer_than_one_seed(capsys, seeds):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("attack_matrix").main(["--seeds", seeds])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--seeds must be at least 1, got {seeds}" in captured.err

@@ -1,5 +1,6 @@
 """Event loop, routing topology, transcripts, timeout, delay detection."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -13,6 +14,7 @@ from btauthsim.protocol import AuthStatus, MsgKind, Variant, new_device
 from btauthsim.simnet import (
     Detection,
     LinkConfig,
+    Transcript,
     TranscriptEvent,
     delay_detector,
     run,
@@ -209,6 +211,74 @@ class TestSerialization:
         assert first.to_text() == second.to_text()
 
 
+@dataclasses.dataclass(frozen=True)
+class TranscriptEventTwin:
+    """TranscriptEvent's fields as a plain frozen dataclass."""
+
+    seq: int
+    time: int
+    from_id: DeviceId
+    to_id: DeviceId
+    kind: MsgKind
+    payload: bytes
+
+
+FIELDS = ("seq", "time", "from_id", "to_id", "kind", "payload")
+event_args = st.tuples(
+    st.integers(),
+    st.integers(),
+    st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
+    st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
+    st.sampled_from(list(MsgKind)),
+    st.binary(max_size=20),
+)
+
+
+class TestEventRecord:
+    @given(event_args, event_args)
+    def test_behaves_like_a_plain_frozen_dataclass(self, args, other):
+        event, twin = TranscriptEvent(*args), TranscriptEventTwin(*args)
+        assert [f.name for f in dataclasses.fields(TranscriptEvent)] == list(FIELDS)
+        assert tuple(getattr(event, name) for name in FIELDS) == args
+        assert event == TranscriptEvent(**dict(zip(FIELDS, args)))
+        assert repr(event) == repr(twin).replace("TranscriptEventTwin(", "TranscriptEvent(", 1)
+        assert hash(event) == hash(twin)
+        assert (event == TranscriptEvent(*other)) == (twin == TranscriptEventTwin(*other))
+        for name, value in zip(FIELDS, other):
+            replaced = dataclasses.replace(event, **{name: value})
+            assert repr(replaced) == repr(dataclasses.replace(twin, **{name: value})).replace(
+                "TranscriptEventTwin(", "TranscriptEvent(", 1
+            )
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, name, value)
+
+
+def two_pass_rtt(transcript, device):
+    """transcript_rtt as it was written with one comprehension for the sends
+    and one for the arrivals; the oracle for the single pass."""
+    latency = transcript.links.latency_ms
+    sends = [
+        e.time - latency
+        for e in transcript.events
+        if e.kind is MsgKind.CHALLENGE and e.from_id == device
+    ]
+    arrivals = [
+        e.time for e in transcript.events if e.kind is MsgKind.RESPONSE and e.to_id == device
+    ]
+    worst = None
+    cursor = 0
+    for sent in sends:
+        while cursor < len(arrivals) and arrivals[cursor] < sent:
+            cursor += 1
+        if cursor == len(arrivals):
+            break
+        rtt = arrivals[cursor] - sent
+        cursor += 1
+        if worst is None or rtt > worst:
+            worst = rtt
+    return worst
+
+
 # expected worst round trip of (A, B) at the default 10 ms per hop: the
 # nested variants make A wait for B's counter-challenge leg too
 DEVICE_RTT = {Variant.LEGACY: (20, 20), Variant.IMPROVED: (40, 20), Variant.DH_IMPROVED: (40, 20)}
@@ -236,6 +306,30 @@ class TestRttReconstruction:
         _, _, _, relayed, _ = run_relayed(Variant.LEGACY)
         assert transcript_rtt(direct, ADDR_A) == 20
         assert transcript_rtt(relayed, ADDR_A) == 40
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=200),
+                st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
+                st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
+                st.sampled_from(list(MsgKind)),
+            ),
+            max_size=30,
+        ),
+        st.integers(min_value=1, max_value=20),
+        st.booleans(),
+    )
+    def test_single_pass_matches_two_pass_oracle(self, hops, latency_ms, in_order):
+        if in_order:
+            hops = sorted(hops, key=lambda hop: hop[0])
+        events = tuple(
+            TranscriptEvent(seq, time, sender, receiver, kind, b"")
+            for seq, (time, sender, receiver, kind) in enumerate(hops)
+        )
+        transcript = Transcript(events, LinkConfig(latency_ms=latency_ms), 0)
+        for device in (ADDR_A, ADDR_B, ADDR_C):
+            assert transcript_rtt(transcript, device) == two_pass_rtt(transcript, device)
 
     def test_no_samples_when_no_responses(self):
         _, _, _, transcript, _ = run_relayed(
