@@ -15,7 +15,7 @@ import sys
 import time
 
 from btauthsim.adversary import dlog_bruteforce
-from btauthsim.crypto import DhParams, dh_keypair
+from btauthsim.crypto import DhParams, dh_keypair, has_full_order
 
 
 def main(argv=None) -> int:
@@ -25,8 +25,17 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
+    try:
+        params = DhParams(p=args.dh_p, alpha=args.dh_alpha)
+    except ValueError as err:
+        parser.error(f"--dh-p/--dh-alpha: {err}")
+    # a non-generator leaves exponents that share a public value, so the
+    # scan would recover a smaller one than was drawn
+    if not has_full_order(params):
+        parser.error(f"--dh-alpha {params.alpha} is not a primitive root of {params.p}")
 
-    params = DhParams(p=args.dh_p, alpha=args.dh_alpha)
     rng = random.Random(args.seed)
 
     costs = []

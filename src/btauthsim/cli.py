@@ -247,21 +247,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="btauthsim",
         description="Simulate pairing authentication runs and relay attacks.",
     )
-    parser.add_argument("--variant", choices=[v.value for v in Variant], default="legacy")
+    defaults = ScenarioConfig()
+    parser.add_argument(
+        "--variant", choices=[v.value for v in Variant], default=defaults.variant.value
+    )
     parser.add_argument(
         "--intruder",
         choices=["none"] + [m.value for m in IntruderMode],
         default="none",
     )
-    parser.add_argument("--initiator", choices=["A", "C"], default="A")
+    parser.add_argument("--initiator", choices=["A", "C"], default=defaults.initiator)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seeds-count", type=int, default=1)
-    parser.add_argument("--pin", default="0000")
-    parser.add_argument("--latency-ms", type=int, default=10)
-    parser.add_argument("--timeout-ms", type=int, default=2000)
-    parser.add_argument("--detect-factor", type=float, default=1.5)
-    parser.add_argument("--dh-p", type=int, default=2147483647)
-    parser.add_argument("--dh-alpha", type=int, default=7)
+    parser.add_argument("--pin", default=defaults.pin.decode())
+    parser.add_argument("--latency-ms", type=int, default=defaults.latency_ms)
+    parser.add_argument("--timeout-ms", type=int, default=defaults.timeout_ms)
+    parser.add_argument("--detect-factor", type=float, default=defaults.detect_factor)
+    parser.add_argument("--dh-p", type=int, default=defaults.dh_p)
+    parser.add_argument("--dh-alpha", type=int, default=defaults.dh_alpha)
     parser.add_argument("--output", choices=["text", "jsonl"], default="text")
     parser.add_argument(
         "--transcript", action="store_true", help="print each run's transcript before its report"

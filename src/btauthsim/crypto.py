@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import functools
 import struct
 import threading
+from typing import ClassVar
 import weakref
 
 __all__ = [
@@ -113,63 +114,57 @@ class DeviceId:
 
 
 @dataclass(frozen=True)
-class Challenge:
+class _Octets:
+    """Fixed-width octet value. Each subclass sets WIDTH and is a frozen
+    dataclass of its own, so that it refuses every attribute, not only value."""
+
+    WIDTH: ClassVar[int]
+    value: bytes
+
+    def __post_init__(self):
+        _hold_octets(self, "value", self.value, self.WIDTH)
+
+
+@dataclass(frozen=True)
+class Challenge(_Octets):
     """128-bit random authentication challenge (AU_RAND)."""
 
-    value: bytes
-
-    def __post_init__(self):
-        _hold_octets(self, "value", self.value, 16)
+    WIDTH = 16
 
 
 @dataclass(frozen=True)
-class Sres:
+class Sres(_Octets):
     """32-bit signed response to a challenge."""
 
-    value: bytes
-
-    def __post_init__(self):
-        _hold_octets(self, "value", self.value, 4)
+    WIDTH = 4
 
 
 @dataclass(frozen=True)
-class Aco:
+class Aco(_Octets):
     """96-bit authenticated ciphering offset, the secondary E1 output."""
 
-    value: bytes
-
-    def __post_init__(self):
-        _hold_octets(self, "value", self.value, 12)
+    WIDTH = 12
 
 
 @dataclass(frozen=True)
-class LinkKey:
+class LinkKey(_Octets):
     """128-bit long-term shared secret used for authentication."""
 
-    value: bytes
-
-    def __post_init__(self):
-        _hold_octets(self, "value", self.value, 16)
+    WIDTH = 16
 
 
 @dataclass(frozen=True)
-class InitKey:
+class InitKey(_Octets):
     """128-bit bootstrap key used when no link key exists yet."""
 
-    value: bytes
-
-    def __post_init__(self):
-        _hold_octets(self, "value", self.value, 16)
+    WIDTH = 16
 
 
 @dataclass(frozen=True)
-class SessionKey:
+class SessionKey(_Octets):
     """128-bit key derived from a completed Diffie-Hellman exchange."""
 
-    value: bytes
-
-    def __post_init__(self):
-        _hold_octets(self, "value", self.value, 16)
+    WIDTH = 16
 
 
 @dataclass(frozen=True)

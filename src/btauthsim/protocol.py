@@ -12,10 +12,12 @@ The legal steps are data: _TRANSITIONS maps each (phase, message kind) pair
 that a device accepts to its handler. The terminal phases absorb every
 message; any other pair fails the handshake with an AuthFail.
 
-Devices take no time input and never self-transition on time: delivery
-times, timeouts and round-trip measurement belong to the network loop
-driving them and to its transcript. Each state machine is single-owner: one
-driving loop mutates it, and devices share nothing but messages.
+A device holds only what its handshake reads; the encryption key of a
+completed handshake is derived from the first leg when read. Devices take no
+time input and never self-transition on time: delivery times, timeouts and
+round-trip measurement belong to the network loop driving them and to its
+transcript. Each state machine is single-owner: one driving loop mutates it,
+and devices share nothing but messages.
 """
 
 import random
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .crypto import (
-    Aco,
     Challenge,
     DeviceId,
     DhKeyPair,
@@ -147,7 +148,6 @@ class AuthStatus(Enum):
 @dataclass(frozen=True)
 class AuthOutcome:
     status: AuthStatus
-    messages_exchanged: int
     authenticated_with: DeviceId | None
 
 
@@ -170,25 +170,21 @@ class DeviceState:
     peer_authenticated: bool = False
     dh: DhKeyPair | None = None
     session: SessionKey | None = None
-    first_leg_challenge: Challenge | None = None
-    first_leg_aco: Aco | None = None
-    sent_count: int = 0
-    recv_count: int = 0
 
     @property
     def enc_key(self) -> bytes | None:
-        """Encryption key of a completed handshake, derived on read: from
-        the effective key, the first leg's ciphering offset and challenge
-        once the device is Done and both first-leg fields are set, else
-        None. A terminal device absorbs every message without changing
-        those fields, so every read gives the same key."""
-        if (
-            self.phase is Phase.DONE
-            and self.first_leg_aco is not None
-            and self.first_leg_challenge is not None
-        ):
-            return encryption_key(self.effective_key, self.first_leg_aco, self.first_leg_challenge)
-        return None
+        """Encryption key of a Done device, else None, derived on read from
+        the first leg: the challenge the initiator sent and the responder
+        received, and the Aco of e1 on it and the responder's address. A
+        Done device absorbs every message, so every read gives the same key."""
+        if self.phase is not Phase.DONE:
+            return None
+        if self.role is Role.INITIATOR:
+            challenge, responder = self.pending_challenge_sent, self.peer
+        else:
+            challenge, responder = self.pending_challenge_received, self.id
+        _, aco = e1(self.effective_key, challenge, responder)
+        return encryption_key(self.effective_key, aco, challenge)
 
 
 def new_device(
@@ -226,7 +222,6 @@ def start(device: DeviceState, peer: DeviceId) -> list[Message]:
     else:
         out.append(_issue_challenge(device))
         device.phase = Phase.AWAIT_RESPONSE
-    device.sent_count += len(out)
     return out
 
 
@@ -240,12 +235,9 @@ def handle(device: DeviceState, msg: Message) -> list[Message]:
     """
     if msg.receiver != device.id:
         raise ProtocolError(f"message for {msg.receiver} delivered to {device.id}")
-    device.recv_count += 1
     if device.phase in _TERMINAL:
         return []
-    out = _TRANSITIONS.get((device.phase, msg.kind), _fail)(device, msg)
-    device.sent_count += len(out)
-    return out
+    return _TRANSITIONS.get((device.phase, msg.kind), _fail)(device, msg)
 
 
 def _fresh_keypair(device: DeviceState) -> DhKeyPair:
@@ -261,10 +253,8 @@ def _issue_challenge(device: DeviceState) -> Message:
     return Message(MsgKind.CHALLENGE, device.id, device.peer, challenge.value)
 
 
-def _answer(device: DeviceState, challenge: Challenge, first_leg: bool) -> Message:
-    sres, aco = e1(device.effective_key, challenge, device.id)
-    if first_leg:
-        device.first_leg_aco = aco
+def _answer(device: DeviceState, challenge: Challenge) -> Message:
+    sres, _ = e1(device.effective_key, challenge, device.id)
     device.answered_peer = True
     assert device.peer is not None
     return Message(MsgKind.RESPONSE, device.id, device.peer, sres.value)
@@ -320,10 +310,9 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
 def _on_first_challenge(device: DeviceState, msg: Message) -> list[Message]:
     challenge = Challenge(msg.payload)
     device.pending_challenge_received = challenge
-    device.first_leg_challenge = challenge
     if device.variant is Variant.LEGACY:
         # answer at once, then counter-challenge in the same step
-        out = [_answer(device, challenge, first_leg=True), _issue_challenge(device)]
+        out = [_answer(device, challenge), _issue_challenge(device)]
     else:
         # withhold the answer until our own challenge has been answered
         out = [_issue_challenge(device)]
@@ -336,7 +325,7 @@ def _on_counter_challenge(device: DeviceState, msg: Message) -> list[Message]:
         return _fail(device, msg)
     challenge = Challenge(msg.payload)
     device.pending_challenge_received = challenge
-    out = [_answer(device, challenge, first_leg=False)]
+    out = [_answer(device, challenge)]
     if device.peer_authenticated:
         device.phase = Phase.AWAIT_CONFIRM
     return out
@@ -346,23 +335,19 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
     if device.peer_authenticated or device.pending_challenge_sent is None:
         return _fail(device, msg)
     assert device.peer is not None
-    expected, aco = e1(device.effective_key, device.pending_challenge_sent, device.peer)
-    if device.role is Role.INITIATOR:
-        device.first_leg_challenge = device.pending_challenge_sent
-        device.first_leg_aco = aco
+    expected, _ = e1(device.effective_key, device.pending_challenge_sent, device.peer)
     if Sres(msg.payload) != expected:
         return _fail(device, msg)
     device.peer_authenticated = True
     if device.answered_peer:
         # our earlier answer plus this verification closes the loop; tell
         # the peer and finish
-        assert device.peer is not None
         device.phase = Phase.DONE
         return [Message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
     if device.role is Role.RESPONDER:
         # nested ordering: the withheld answer goes out only now
         assert device.pending_challenge_received is not None
-        out = [_answer(device, device.pending_challenge_received, first_leg=True)]
+        out = [_answer(device, device.pending_challenge_received)]
         device.phase = Phase.AWAIT_CONFIRM
         return out
     # initiator verified before answering the counter-challenge; keep waiting
@@ -394,6 +379,5 @@ def outcome_of(device: DeviceState) -> AuthOutcome:
         status = AuthStatus.TIMED_OUT
     return AuthOutcome(
         status=status,
-        messages_exchanged=device.sent_count + device.recv_count,
         authenticated_with=device.peer if status is AuthStatus.MUTUAL_SUCCESS else None,
     )

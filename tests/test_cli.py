@@ -285,6 +285,9 @@ class TestConfigErrors:
 
 
 class TestScenarioApi:
+    def test_command_line_defaults_are_the_config_defaults(self):
+        assert cli._config_from_args(cli._build_parser().parse_args([])) == ScenarioConfig()
+
     def test_small_dh_group_runs(self, capsys):
         status, out, _ = run_main(
             capsys, "--variant", "dh-improved", "--dh-p", "23", "--dh-alpha", "5"

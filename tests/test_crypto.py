@@ -1,6 +1,7 @@
 """Key-derivation functions and value-type validation."""
 
 import copy
+import dataclasses
 import gc
 import pickle
 import sys
@@ -83,6 +84,73 @@ class TestValueTypes:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             Z16.value = b"\x01" * 16  # type: ignore[misc]
+
+
+OCTETS = {Challenge: 16, Sres: 4, Aco: 12, LinkKey: 16, InitKey: 16, SessionKey: 16}
+
+
+def twin_of(cls):
+    """The octet type as a dataclass of its own, as each was defined before
+    they shared a base: same name, one field, its own width check."""
+
+    def __post_init__(self):
+        crypto._hold_octets(self, "value", self.value, OCTETS[cls])
+
+    return dataclasses.make_dataclass(
+        cls.__name__, [("value", bytes)], frozen=True, namespace={"__post_init__": __post_init__}
+    )
+
+
+TWINS = {cls: twin_of(cls) for cls in OCTETS}
+
+
+def build(cls, value):
+    """An instance, or the type and message of the error construction raised."""
+    try:
+        return cls(value)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+OCTET_VALUES = (
+    st.sampled_from(sorted(set(OCTETS.values()))).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    )
+    | st.binary(max_size=20)
+    | st.binary(max_size=20).map(bytearray)
+    | st.sampled_from(["0" * 16, 16, None, memoryview(b"\x00" * 16)])
+)
+
+
+class TestOctetTypes:
+    def test_one_width_check(self):
+        assert {cls.__post_init__ for cls in OCTETS} == {crypto._Octets.__post_init__}
+        assert {cls: cls.WIDTH for cls in OCTETS} == OCTETS
+
+    @given(st.sampled_from(list(OCTETS)), OCTET_VALUES, st.sampled_from(list(OCTETS)), OCTET_VALUES)
+    def test_behave_as_their_own_dataclasses(self, cls, value, other_cls, other_value):
+        obj, twin = build(cls, value), build(TWINS[cls], value)
+        if isinstance(twin, tuple):
+            # the same checks, with the same errors
+            assert obj == twin
+            return
+        assert [f.name for f in dataclasses.fields(obj)] == ["value"]
+        assert type(obj.value) is bytes and obj.value == twin.value
+        assert repr(obj) == repr(twin)
+        assert hash(obj) == hash(twin)
+        other, other_twin = build(other_cls, other_value), build(TWINS[other_cls], other_value)
+        if not isinstance(other_twin, tuple):
+            # equal only to the same type with the same octets
+            assert (obj == other) == (twin == other_twin)
+            assert (obj == other) == (cls is other_cls and obj.value == other.value)
+        replaced = build(lambda v: dataclasses.replace(obj, value=v), other_value)
+        replaced_twin = build(lambda v: dataclasses.replace(twin, value=v), other_value)
+        assert repr(replaced) == repr(replaced_twin)
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        for name in ("value", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, other_value)
 
 
 class TestDeviceIdIdentity:

@@ -1,6 +1,7 @@
 """The scripts' documented output."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,29 @@ def test_attack_matrix_rejects_fewer_than_one_seed(capsys, seeds):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--seeds must be at least 1, got {seeds}" in captured.err
+
+
+def test_dlog_cost_recovers_every_exponent(capsys):
+    status = load_script("dlog_cost").main(["--trials", "20"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert "trials: 20, all exponents recovered exactly" in out
+    assert re.search(r"^mean iterations: [\d.]+ \(expected ~5003\.0, ratio [\d.]+\)$", out, re.M)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--dh-p", "24"], "--dh-p/--dh-alpha: p must be prime, got 24"),
+        (["--dh-p", "23", "--dh-alpha", "2"], "--dh-alpha 2 is not a primitive root of 23"),
+    ],
+    ids=["no-trials", "composite-p", "non-generator"],
+)
+def test_dlog_cost_usage_errors(capsys, args, message):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("dlog_cost").main(args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
