@@ -15,6 +15,7 @@ import sys
 import time
 
 from btauthsim.adversary import dlog_bruteforce
+from btauthsim.cli import DH_P_CAP
 from btauthsim.crypto import DhParams, dh_keypair, has_full_order
 
 
@@ -27,6 +28,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
+    # the scan is linear in the exponent, so it keeps to the simulator's groups
+    if args.dh_p >= DH_P_CAP:
+        parser.error(f"--dh-p must be below {DH_P_CAP}, got {args.dh_p}")
     try:
         params = DhParams(p=args.dh_p, alpha=args.dh_alpha)
     except ValueError as err:

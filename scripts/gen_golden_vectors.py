@@ -20,6 +20,7 @@ from btauthsim.crypto import (
     Pin,
     combination_link_key,
     e1,
+    e1_aco,
     encryption_key,
     init_key,
     mixhash128,
@@ -52,7 +53,8 @@ def build_rows() -> list[tuple[str, ...]]:
     zero_key = LinkKey(b"\x00" * 16)
     zero_rand = Challenge(b"\x00" * 16)
     zero_addr = DeviceId(b"\x00" * 6)
-    sres, aco = e1(zero_key, zero_rand, zero_addr)
+    sres = e1(zero_key, zero_rand, zero_addr)
+    aco = e1_aco(zero_key, zero_rand, zero_addr)
     rows.append(
         (
             "e1_all_zero",

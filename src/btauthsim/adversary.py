@@ -260,8 +260,8 @@ def verdict(
     challenges = sorted(item for item in intruder.knowledge if len(item) == 16)
     responses = {item for item in intruder.knowledge if len(item) == 4}
     breached = bool(responses) and any(
-        e1(link_key, Challenge(raw), claimant)[0].value in responses
-        for raw in challenges
+        e1(link_key, challenge, claimant).value in responses
+        for challenge in map(Challenge, challenges)
         for claimant in outcomes
     )
     confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED

@@ -4,18 +4,23 @@ All operations are pure functions on value types and safe to call from any
 thread. Octet widths follow the Bluetooth wire formats: 48-bit addresses,
 128-bit challenges and keys, 32-bit signed responses, 96-bit ciphering offset.
 
-e1 keeps a small memo of its recent results, because one run computes the
-same (key, challenge, claimant) triple more than once: the answering device,
-the verifying device and the verdict each derive it. cli.run_scenario
-clears the memo at the start of every run, so no run reuses another run's
-entries and each run's count of digests depends only on its scenario and
-seed. Results are unchanged: e1 is pure and its inputs are frozen values.
+e1 derives only the 32-bit response, from the one lane of the digest that
+the response reads; e1_aco derives the ciphering offset from the full
+digest. e1 keeps a small memo of its recent results, because one run
+computes the same (key, challenge, claimant) triple more than once: the
+answering device, the verifying device and the verdict each derive it.
+cli.run_scenario clears the memo at the start of every run, so no run
+reuses another run's entries and each run's count of responses computed
+depends only on its scenario and seed. Results are unchanged: e1 is pure
+and its inputs are frozen values.
 
 Besides that memo, which functools.lru_cache guards itself, the one shared
 mutable structure is the table of live device addresses behind DeviceId,
 which keeps one object per address so that addresses compare and hash by
 identity. It holds its objects weakly, and a lock guards the path that adds
-an address to it.
+an address to it. Each DhParams also caches a table of powers of its
+generator, built on first use and never mutated once built; two threads
+that race to build it build equal tables.
 """
 
 from dataclasses import dataclass
@@ -38,6 +43,7 @@ __all__ = [
     "DhKeyPair",
     "mixhash128",
     "e1",
+    "e1_aco",
     "init_key",
     "combination_link_key",
     "encryption_key",
@@ -52,19 +58,21 @@ __all__ = [
 ]
 
 
-def _hold_octets(obj, field: str, value: bytes, width: int) -> None:
+def _hold_octets(obj, field: str, value: bytes, width: int, max_width: int | None = None) -> None:
     """Check the width of a value type's octet field and hold it as bytes,
-    so that the value is immutable and hashable, as the e1 memo needs."""
+    so that the value is immutable and hashable, as the e1 memo needs. The
+    field takes exactly width octets, or width to max_width when max_width
+    is given."""
+    name = f"{type(obj).__name__}.{field}"
     if not isinstance(value, bytes):
         if not isinstance(value, bytearray):
-            raise TypeError(
-                f"{type(obj).__name__}.{field} must be bytes, got {type(value).__name__}"
-            )
+            raise TypeError(f"{name} must be bytes, got {type(value).__name__}")
         object.__setattr__(obj, field, bytes(value))
-    if len(value) != width:
-        raise ValueError(
-            f"{type(obj).__name__}.{field} must be exactly {width} octets, got {len(value)}"
-        )
+    if max_width is None:
+        if len(value) != width:
+            raise ValueError(f"{name} must be exactly {width} octets, got {len(value)}")
+    elif not width <= len(value) <= max_width:
+        raise ValueError(f"{name} must be {width} to {max_width} octets, got {len(value)}")
 
 
 # the one live DeviceId of each address; see DeviceId
@@ -174,12 +182,7 @@ class Pin:
     digits: bytes
 
     def __post_init__(self):
-        if isinstance(self.digits, bytearray):
-            object.__setattr__(self, "digits", bytes(self.digits))
-        elif not isinstance(self.digits, bytes):
-            raise TypeError("Pin.digits must be bytes")
-        if not 1 <= len(self.digits) <= 16:
-            raise ValueError(f"PIN length must be in [1, 16] octets, got {len(self.digits)}")
+        _hold_octets(self, "digits", self.digits, 1, 16)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -210,6 +213,9 @@ def mixhash128(data: bytes) -> bytes:
     followed by four trailing block steps with m = 0. The digest is the
     little-endian octets of s0 then s1. data may be any bytes-like object;
     its length is counted in octets, whatever the item size of a view.
+
+    The s0 update reads only s0 and the block, never s1, so the first 8
+    octets of the digest are the s0 lane alone; e1 runs that lane by itself.
     """
     data = bytes(data)
     n = len(data)
@@ -242,20 +248,38 @@ _TAG_ENC_KEY = b"\x04"
 _TAG_SESSION = b"\x05"
 
 
+# the e1 message is the tag, key, challenge and claimant address, 39 octets;
+# its padding fills the fifth block, and the length block and the four
+# trailing zero blocks follow
+_E1_TAIL = b"\x80" + _LENGTH_AND_TAIL.pack(39, 0, 0, 0, 0)
+_E1_BLOCKS = struct.Struct("<10Q")
+_SRES = struct.Struct("<I")
+
+
 # the scripted scenarios derive at most 12 distinct triples in a run, plus 2
 # of a first run's calibration, so within a run the memo evicts nothing
 @functools.lru_cache(maxsize=32)
-def e1(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> tuple[Sres, Aco]:
-    """Authentication function: 32-bit response plus 96-bit ciphering offset.
+def e1(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> Sres:
+    """Authentication function: the 32-bit response to a challenge.
 
-    The full 16-octet digest splits exactly into Sres (first 4 octets) and
-    Aco (remaining 12). Results are memoised, least recently used first out,
-    for the triples of the current run; cli.run_scenario calls
-    e1.cache_clear() before each run, and e1.__wrapped__ is the unmemoised
-    function.
+    Sres is the first 4 octets of the mixhash128 digest of the tag, key,
+    challenge and claimant address, that is the low 32 bits of its final
+    s0 lane, so e1 runs that lane alone. Results are memoised, least
+    recently used first out, for the triples of the current run;
+    cli.run_scenario calls e1.cache_clear() before each run, and
+    e1.__wrapped__ is the unmemoised function.
     """
-    digest = mixhash128(_TAG_AUTH + key.value + challenge.value + claimant.addr)
-    return Sres(digest[:4]), Aco(digest[4:])
+    s0 = _S0_INIT
+    for m in _E1_BLOCKS.unpack(_TAG_AUTH + key.value + challenge.value + claimant.addr + _E1_TAIL):
+        x = s0 ^ m
+        s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    return Sres(_SRES.pack(s0 & 0xFFFFFFFF))
+
+
+def e1_aco(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> Aco:
+    """The 96-bit ciphering offset of the triple that e1 answers: the last
+    12 octets of the same digest, whose first 4 are the response."""
+    return Aco(mixhash128(_TAG_AUTH + key.value + challenge.value + claimant.addr)[4:])
 
 
 def init_key(pin: Pin, addr: DeviceId, rand: Challenge) -> InitKey:
@@ -362,6 +386,24 @@ class DhParams:
         if not 2 <= self.alpha <= self.p - 1:
             raise ValueError(f"alpha must be in [2, p-1], got {self.alpha}")
 
+    @functools.cached_property
+    def alpha_table(self) -> tuple[tuple[int, ...], ...]:
+        """Fixed-base table for dh_keypair: row i holds alpha^(d*16^i) mod p
+        for d = 0..15, one row per hexadecimal digit of p-1. Built by
+        multiplication on first use and never mutated; the cache lives in
+        the instance dictionary, outside the frozen fields, so equality and
+        hashing ignore it."""
+        p = self.p
+        rows = []
+        base = self.alpha
+        for _ in range(((p - 1).bit_length() + 3) // 4):
+            row = [1]
+            for _ in range(15):
+                row.append(row[-1] * base % p)
+            rows.append(tuple(row))
+            base = row[-1] * base % p
+        return tuple(rows)
+
 
 def has_full_order(params: DhParams) -> bool:
     """Primitive-root check via the prime factorization of p-1.
@@ -385,10 +427,19 @@ class DhKeyPair:
 
 
 def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
-    """Key pair with public value alpha^r mod p; r must lie in [1, p-1]."""
-    if not 1 <= r <= params.p - 1:
+    """Key pair with public value alpha^r mod p; r must lie in [1, p-1].
+
+    alpha^r is the product of one entry of each row of params.alpha_table,
+    the one that each hexadecimal digit of r selects."""
+    p = params.p
+    if not 1 <= r <= p - 1:
         raise ValueError(f"private exponent must be in [1, p-1], got {r}")
-    return DhKeyPair(r_private=r, s_public=modexp(params.alpha, r, params.p))
+    s_public = 1
+    digits = r
+    for row in params.alpha_table:
+        s_public = s_public * row[digits & 15] % p
+        digits >>= 4
+    return DhKeyPair(r_private=r, s_public=s_public)
 
 
 def dh_shared(params: DhParams, peer_public: int, r: int) -> int:

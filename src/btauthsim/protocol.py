@@ -35,6 +35,7 @@ from .crypto import (
     dh_keypair,
     dh_shared,
     e1,
+    e1_aco,
     encryption_key,
     session_key_from_shared,
     xor_bytes,
@@ -175,15 +176,16 @@ class DeviceState:
     def enc_key(self) -> bytes | None:
         """Encryption key of a Done device, else None, derived on read from
         the first leg: the challenge the initiator sent and the responder
-        received, and the Aco of e1 on it and the responder's address. A
-        Done device absorbs every message, so every read gives the same key."""
+        received, and the Aco of e1_aco on it and the responder's address.
+        A Done device absorbs every message, so every read gives the same
+        key."""
         if self.phase is not Phase.DONE:
             return None
         if self.role is Role.INITIATOR:
             challenge, responder = self.pending_challenge_sent, self.peer
         else:
             challenge, responder = self.pending_challenge_received, self.id
-        _, aco = e1(self.effective_key, challenge, responder)
+        aco = e1_aco(self.effective_key, challenge, responder)
         return encryption_key(self.effective_key, aco, challenge)
 
 
@@ -254,7 +256,7 @@ def _issue_challenge(device: DeviceState) -> Message:
 
 
 def _answer(device: DeviceState, challenge: Challenge) -> Message:
-    sres, _ = e1(device.effective_key, challenge, device.id)
+    sres = e1(device.effective_key, challenge, device.id)
     device.answered_peer = True
     assert device.peer is not None
     return Message(MsgKind.RESPONSE, device.id, device.peer, sres.value)
@@ -335,7 +337,7 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
     if device.peer_authenticated or device.pending_challenge_sent is None:
         return _fail(device, msg)
     assert device.peer is not None
-    expected, _ = e1(device.effective_key, device.pending_challenge_sent, device.peer)
+    expected = e1(device.effective_key, device.pending_challenge_sent, device.peer)
     if Sres(msg.payload) != expected:
         return _fail(device, msg)
     device.peer_authenticated = True

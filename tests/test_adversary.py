@@ -98,8 +98,7 @@ class TestImprovedCaseRelay:
         matched = 0
         for raw in set(challenges):
             for claimant in (ADDR_A, ADDR_B):
-                sres, _ = e1(KEY, Challenge(raw), claimant)
-                if sres.value in intruder.knowledge:
+                if e1(KEY, Challenge(raw), claimant).value in intruder.knowledge:
                     matched += 1
         assert matched == 2
 
@@ -224,8 +223,7 @@ def full_scan_confidentiality(intruder, outcomes, link_key):
     confidentiality = Confidentiality.MAINTAINED
     for raw in challenges:
         for claimant in set(outcomes):
-            sres, _ = e1.__wrapped__(link_key, Challenge(raw), claimant)
-            if sres.value in responses:
+            if e1.__wrapped__(link_key, Challenge(raw), claimant).value in responses:
                 confidentiality = Confidentiality.BREACHED
     return confidentiality
 
@@ -294,7 +292,7 @@ class TestConfidentialityScan:
         intruder.knowledge = set(challenges) | set(noise)
         for index, second in answered:
             raw = challenges[index % len(challenges)]
-            intruder.knowledge.add(e1(KEY, Challenge(raw), claimants[second])[0].value)
+            intruder.knowledge.add(e1(KEY, Challenge(raw), claimants[second]).value)
         score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
         assert score.confidentiality is full_scan_confidentiality(intruder, outcomes, KEY)
 

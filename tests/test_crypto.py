@@ -24,6 +24,7 @@ from btauthsim.crypto import (
     Sres,
     combination_link_key,
     e1,
+    e1_aco,
     encryption_key,
     init_key,
     session_key_from_shared,
@@ -74,7 +75,7 @@ class TestValueTypes:
         assert type(pin.digits) is bytes
         assert hash(pin) == hash(Pin(b"0000"))
         assert init_key(pin, ZADDR, Z16) == init_key(Pin(b"0000"), ZADDR, Z16)
-        with pytest.raises(TypeError, match="Pin.digits must be bytes"):
+        with pytest.raises(TypeError, match="^Pin.digits must be bytes, got str$"):
             Pin("0000")  # type: ignore[arg-type]
 
     def test_device_id_hex_round_trip(self):
@@ -225,7 +226,9 @@ class TestDeviceIdIdentity:
 
 class TestE1:
     def test_golden_all_zero(self):
-        sres, aco = e1(ZKEY, Z16, ZADDR)
+        sres = e1(ZKEY, Z16, ZADDR)
+        aco = e1_aco(ZKEY, Z16, ZADDR)
+        assert type(sres) is Sres and type(aco) is Aco
         assert sres.value.hex() == "e168721d"
         assert aco.value.hex() == "fcf1089b38c23c185b2d9740"
 
@@ -245,9 +248,10 @@ class TestE1:
 
     @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
     def test_output_widths(self, key, chal):
-        sres, aco = e1(LinkKey(key), Challenge(chal), ADDR_A)
-        assert len(sres.value) == 4
-        assert len(aco.value) == 12
+        sres = e1(LinkKey(key), Challenge(chal), ADDR_A)
+        aco = e1_aco(LinkKey(key), Challenge(chal), ADDR_A)
+        assert type(sres) is Sres and len(sres.value) == 4
+        assert type(aco) is Aco and len(aco.value) == 12
 
     @given(
         st.binary(min_size=16, max_size=16),
@@ -263,7 +267,7 @@ class TestE1:
         mutable = (LinkKey(bytearray(key)), Challenge(bytearray(chal)), DeviceId(bytearray(addr)))
         assert e1(*mutable) == expected
 
-    def test_memo_miss_digests_once_through_the_module_name(self, monkeypatch):
+    def test_memo_miss_runs_no_full_digest(self, monkeypatch):
         calls = []
         real = crypto.mixhash128
 
@@ -274,11 +278,19 @@ class TestE1:
         monkeypatch.setattr(crypto, "mixhash128", counting)
         e1.cache_clear()
         args = (ZKEY, Challenge(b"\x07" * 16), ADDR_B)
-        sres, aco = e1(*args)
-        assert len(calls) == 1
-        assert sres.value + aco.value == real(calls[0])
-        assert e1(*args) == (sres, aco)
-        assert len(calls) == 1
+        message = b"\x01" + ZKEY.value + args[1].value + ADDR_B.addr
+        sres = e1(*args)
+        assert calls == []
+        assert e1.cache_info().misses == 1 and e1.cache_info().hits == 0
+        # a repeat is answered from the memo
+        assert e1(*args) is sres
+        assert e1.cache_info().misses == 1 and e1.cache_info().hits == 1
+        assert calls == []
+        # the offset takes the full digest, once, through the module name;
+        # the response is the first 4 octets of that same digest
+        aco = e1_aco(*args)
+        assert calls == [message]
+        assert sres.value + aco.value == real(message)
 
 
 class TestInitKey:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btauthsim import crypto
 from btauthsim.crypto import (
     DhParams,
     dh_keypair,
@@ -259,3 +260,36 @@ class TestKeyAgreement:
         pair1 = dh_keypair(params, r1)
         pair2 = dh_keypair(params, r2)
         assert dh_shared(params, pair2.s_public, r1) == dh_shared(params, pair1.s_public, r2)
+
+
+class TestFixedBaseTable:
+    def test_every_base_and_exponent_mod_23(self):
+        for alpha in range(2, 23):
+            params = DhParams(p=23, alpha=alpha)
+            for r in range(1, 23):
+                assert dh_keypair(params, r).s_public == pow(alpha, r, 23), (alpha, r)
+
+    @pytest.mark.parametrize("p,alpha", [(2**31 - 1, 7), (WIDE_P, 2)], ids=["p31", "wide"])
+    def test_edges_and_random_exponents(self, p, alpha):
+        params = DhParams(p=p, alpha=alpha)
+        rng = random.Random(p)
+        for r in [1, 2, 15, 16, 17, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(500)]:
+            pair = dh_keypair(params, r)
+            assert pair.r_private == r
+            assert pair.s_public == pow(alpha, r, p), r
+
+    def test_built_once_without_modexp_and_ignored_by_equality(self, monkeypatch):
+        params = DhParams(p=WIDE_P, alpha=2)
+        calls = []
+        monkeypatch.setattr(crypto, "modexp", lambda *args: calls.append(args))
+        table = params.alpha_table
+        assert dh_keypair(params, 12345).s_public == pow(2, 12345, WIDE_P)
+        assert params.alpha_table is table
+        assert calls == []
+        # one row per hexadecimal digit of p - 1, each alpha^(d * 16^i)
+        assert len(table) == ((WIDE_P - 1).bit_length() + 3) // 4
+        assert all(len(row) == 16 for row in table)
+        assert table[3][5] == pow(2, 5 * 16**3, WIDE_P)
+        monkeypatch.undo()
+        fresh = DhParams(p=WIDE_P, alpha=2)
+        assert fresh == params and hash(fresh) == hash(params)

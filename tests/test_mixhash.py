@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim.crypto import mixhash128
+from btauthsim.crypto import Challenge, DeviceId, LinkKey, e1, e1_aco, mixhash128
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -40,6 +40,15 @@ def ref_mixhash128(data: bytes) -> bytes:
         s0 = (_ref_rotl(s0 ^ m, 13) * 0x9E3779B97F4A7C15) & _M64
         s1 = ((s1 + s0) ^ _ref_rotl(s1, 32)) & _M64
     return s0.to_bytes(8, "little") + s1.to_bytes(8, "little")
+
+
+def ref_s0_lane(data: bytes) -> int:
+    """The s0 lane of ref_mixhash128 run alone, over the same blocks."""
+    s0 = 0x736F6D6570736575
+    msg = bytes(data) + b"\x80" + bytes(-(len(data) + 1) % 8) + len(data).to_bytes(8, "little")
+    for m in [int.from_bytes(msg[i : i + 8], "little") for i in range(0, len(msg), 8)] + [0] * 4:
+        s0 = (_ref_rotl(s0 ^ m, 13) * 0x9E3779B97F4A7C15) & _M64
+    return s0
 
 
 GOLDEN = [
@@ -110,3 +119,27 @@ def test_deterministic(data):
 def test_distinct_inputs_distinct_digests(a, b):
     if a != b:
         assert mixhash128(a) != mixhash128(b)
+
+
+def test_s0_lane_never_reads_s1():
+    # the first 8 digest octets are the s0 lane run alone, at every length
+    # up to and past e1's 39-octet message
+    rng = random.Random(0x50)
+    for n in range(0, 80):
+        data = rng.randbytes(n)
+        assert ref_mixhash128(data)[:8] == ref_s0_lane(data).to_bytes(8, "little"), n
+
+
+@given(
+    st.binary(min_size=16, max_size=16),
+    st.binary(min_size=16, max_size=16),
+    st.binary(min_size=6, max_size=6),
+)
+@settings(max_examples=300)
+def test_e1_is_the_digest_split(key, challenge, addr):
+    # the response is the first 4 digest octets, the offset the other 12
+    digest = ref_mixhash128(b"\x01" + key + challenge + addr)
+    args = (LinkKey(key), Challenge(challenge), DeviceId(addr))
+    assert e1(*args).value == digest[:4]
+    assert e1.__wrapped__(*args).value == digest[:4]
+    assert e1_aco(*args).value == digest[4:]

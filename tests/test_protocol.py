@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btauthsim.adversary import IntruderMode, new_intruder
-from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, encryption_key
+from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, e1_aco, encryption_key
 from btauthsim.protocol import (
     AuthStatus,
     Message,
@@ -148,7 +148,7 @@ class TestImprovedHonest:
         assert answer.kind is MsgKind.RESPONSE
         released = handle(dev_b, answer)
         assert [m.kind for m in released] == [MsgKind.RESPONSE]
-        expected, _ = e1(KEY1, Challenge(first[1].payload), ADDR_B)
+        expected = e1(KEY1, Challenge(first[1].payload), ADDR_B)
         assert released[0].payload == expected.value
 
     def test_round_trip_times(self):
@@ -454,7 +454,7 @@ class TestEncKey:
                 )
             )
             for dev in devices:
-                _, aco = e1(dev.effective_key, challenge, ADDR_B)
+                aco = e1_aco(dev.effective_key, challenge, ADDR_B)
                 key = encryption_key(dev.effective_key, aco, challenge)
                 assert dev.enc_key == key
                 peer = ADDR_B if dev.id is ADDR_A else ADDR_A

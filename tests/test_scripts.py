@@ -1,10 +1,15 @@
 """The scripts' documented output."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from btauthsim.cli import DH_P_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,3 +71,18 @@ def test_dlog_cost_usage_errors(capsys, args, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("dh_p", [DH_P_CAP, 2**61 - 1], ids=["at-cap", "mersenne-61"])
+def test_dlog_cost_rejects_a_modulus_at_or_above_the_cap(dh_p):
+    # a subprocess with a timeout: a modulus let through would scan for ages
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "dlog_cost.py"),
+         "--dh-p", str(dh_p), "--dh-alpha", "37", "--trials", "1"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"--dh-p must be below {DH_P_CAP}, got {dh_p}" in done.stderr
