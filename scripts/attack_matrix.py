@@ -42,6 +42,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.base_seed < 0:
+        parser.error(f"--base-seed must be non-negative, got {args.base_seed}")
 
     started = time.perf_counter()
     rows = []

@@ -28,6 +28,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
+    # random.Random takes |seed|, so a negative seed would replay another's trials
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     # the scan is linear in the exponent, so it keeps to the simulator's groups
     if args.dh_p >= DH_P_CAP:
         parser.error(f"--dh-p must be below {DH_P_CAP}, got {args.dh_p}")

@@ -242,20 +242,30 @@ def verdict(
     stops at the first match; the order is fixed, whatever the hash seed,
     so the e1 calls a run makes are too. When the intruder captured no
     4-octet item, no challenge can match, and the scan makes no e1 call."""
-    honest = set(outcomes)
+    honest = outcomes.keys()
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
-    direct_hops = any(e.from_id in honest and e.to_id in honest for e in transcript.events)
-    attack_success = all_success and not direct_hops and len(transcript.events) > 0
 
-    integrity = Integrity.MAINTAINED
+    # one pass finds both facts: whether any hop ran between two honest
+    # devices, and the first hop the intruder delivered that its
+    # impersonated victim had not emitted before it
+    direct_hops = forged = False
+    intruder_id, impersonating = intruder.id, intruder.impersonating
     emitted: set[tuple[DeviceId, MsgKind, bytes]] = set()
     for event in transcript.events:
-        if event.from_id == intruder.id and event.to_id in honest:
-            impersonated = intruder.impersonating.get(event.to_id)
-            if (impersonated, event.kind, event.payload) not in emitted:
-                integrity = Integrity.BROKEN
-        if event.from_id in honest:
-            emitted.add((event.from_id, event.kind, event.payload))
+        from_id = event.from_id
+        if (
+            from_id is intruder_id
+            and not forged
+            and event.to_id in honest
+            and (impersonating.get(event.to_id), event.kind, event.payload) not in emitted
+        ):
+            forged = True
+        if from_id in honest:
+            if event.to_id in honest:
+                direct_hops = True
+            emitted.add((from_id, event.kind, event.payload))
+    attack_success = all_success and not direct_hops and len(transcript.events) > 0
+    integrity = Integrity.BROKEN if forged else Integrity.MAINTAINED
 
     challenges = sorted(item for item in intruder.knowledge if len(item) == 16)
     responses = {item for item in intruder.knowledge if len(item) == 4}

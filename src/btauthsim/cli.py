@@ -175,12 +175,19 @@ def _prepared(
     return links, params, baselines
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     """One full run at one seed: the run itself, detection against the
     configuration's cached baselines, and scoring. It first clears the e1
     memo, so the run starts from no other run's entries, then takes links,
     group and baselines from validate, so it raises ConfigError for every
-    configuration that validate rejects."""
+    configuration that validate rejects, and for a negative seed, which
+    random.Random would take as its absolute value."""
+    _check_seed(seed)
     e1.cache_clear()
     links, params, calibrated = validate(config)
     baselines = dict(calibrated)
@@ -291,6 +298,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = _config_from_args(args)
     try:
+        _check_seed(args.seed)
         if args.seeds_count < 1:
             raise ConfigError(f"seeds-count must be at least 1, got {args.seeds_count}")
         validate(config)

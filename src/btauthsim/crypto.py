@@ -82,7 +82,8 @@ _ADDRESSES_LOCK = threading.Lock()
 
 @dataclass(frozen=True, eq=False, init=False)
 class DeviceId:
-    """48-bit hardware address (BD_ADDR). Renders as 12 lowercase hex digits.
+    """48-bit hardware address (BD_ADDR). Renders as 12 lowercase hex digits,
+    which text holds, computed once when the address is first constructed.
 
     There is one live DeviceId per address: constructing an address that is
     already in use returns the existing object, and copy, deepcopy and
@@ -94,7 +95,7 @@ class DeviceId:
     new address all get one object.
     """
 
-    __slots__ = ("addr", "__weakref__")
+    __slots__ = ("addr", "text", "__weakref__")
     addr: bytes
 
     def __new__(cls, addr: bytes) -> "DeviceId":
@@ -107,6 +108,7 @@ class DeviceId:
         candidate = object.__new__(cls)
         object.__setattr__(candidate, "addr", addr)
         _hold_octets(candidate, "addr", addr, 6)
+        object.__setattr__(candidate, "text", candidate.addr.hex())
         with _ADDRESSES_LOCK:
             return _ADDRESSES.setdefault(candidate.addr, candidate)
 
@@ -114,7 +116,7 @@ class DeviceId:
         return DeviceId, (self.addr,)
 
     def __str__(self) -> str:
-        return self.addr.hex()
+        return self.text
 
     @classmethod
     def from_hex(cls, text: str) -> "DeviceId":

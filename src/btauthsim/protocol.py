@@ -31,7 +31,6 @@ from .crypto import (
     DhParams,
     LinkKey,
     SessionKey,
-    Sres,
     dh_keypair,
     dh_shared,
     e1,
@@ -338,7 +337,7 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
         return _fail(device, msg)
     assert device.peer is not None
     expected = e1(device.effective_key, device.pending_challenge_sent, device.peer)
-    if Sres(msg.payload) != expected:
+    if msg.payload != expected.value:
         return _fail(device, msg)
     device.peer_authenticated = True
     if device.answered_peer:

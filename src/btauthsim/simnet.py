@@ -78,18 +78,41 @@ class TranscriptEvent:
         return self.payload.hex()
 
     def to_text_line(self) -> str:
-        return (
-            f"seq={self.seq} t={self.time} from={self.from_id} to={self.to_id} "
-            f"kind={self.kind.value} payload={self.payload_hex}"
-        )
+        return _text_lines((self,))[0]
 
     def to_json_line(self) -> str:
-        # every value is an int, a hex string or a MsgKind name, none of
-        # which JSON needs to escape; the line is the compact json.dumps
-        return (
-            f'{{"seq":{self.seq},"t":{self.time},"from":"{self.from_id}",'
-            f'"to":"{self.to_id}","kind":"{self.kind.value}","payload":"{self.payload_hex}"}}'
-        )
+        return _json_lines((self,))[0]
+
+
+# the text of each message kind, read once here rather than through the
+# enum's value property on every line
+_KIND_TEXT = {kind: kind.value for kind in MsgKind}
+
+
+# Each line format is defined once, over a sequence of events, so that a
+# whole transcript is formatted in one comprehension with no call per line.
+def _text_lines(events) -> list[str]:
+    return [
+        f"seq={e.seq} t={e.time} from={e.from_id.text} to={e.to_id.text} "
+        f"kind={_KIND_TEXT[e.kind]} payload={e.payload.hex()}"
+        for e in events
+    ]
+
+
+def _json_lines(events) -> list[str]:
+    # every value is an int, a hex string or a MsgKind name, none of which
+    # JSON needs to escape; each line is the compact json.dumps
+    return [
+        f'{{"seq":{e.seq},"t":{e.time},"from":"{e.from_id.text}","to":"{e.to_id.text}",'
+        f'"kind":"{_KIND_TEXT[e.kind]}","payload":"{e.payload.hex()}"}}'
+        for e in events
+    ]
+
+
+def _terminated(lines: list[str]) -> str:
+    """The lines, each ended by a newline, joined in one step."""
+    lines.append("")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -99,10 +122,10 @@ class Transcript:
     end_time: int
 
     def to_text(self) -> str:
-        return "".join(e.to_text_line() + "\n" for e in self.events)
+        return _terminated(_text_lines(self.events))
 
     def to_jsonl(self) -> str:
-        return "".join(e.to_json_line() + "\n" for e in self.events)
+        return _terminated(_json_lines(self.events))
 
 
 def run(
@@ -127,25 +150,28 @@ def run(
         raise ValueError(f"unregistered device referenced: {target}")
     intruder_id = intruder.id if intruder is not None else None
 
+    latency, timeout = links.latency_ms, links.timeout_ms
     queue: deque[tuple[int, Message, DeviceId, DeviceId]] = deque()
 
-    def schedule(msg: Message, sender: DeviceId, now: int) -> None:
-        if sender == intruder_id:
-            physical_to = msg.receiver
-        elif intruder_id is not None:
-            physical_to = intruder_id
+    def send(replies: list[Message], sender: DeviceId, now: int) -> None:
+        """Queue the messages one step emitted, all due one hop after now.
+        With an intruder registered, an honest sender's messages physically
+        reach the intruder; the intruder's own go to their receivers."""
+        due = now + latency
+        if intruder_id is None or sender is intruder_id:
+            for msg in replies:
+                physical_to = msg.receiver
+                if physical_to is not intruder_id and physical_to not in registry:
+                    raise ValueError(f"unregistered device referenced: {physical_to}")
+                queue.append((due, msg, sender, physical_to))
         else:
-            physical_to = msg.receiver
-        if physical_to != intruder_id and physical_to not in registry:
-            raise ValueError(f"unregistered device referenced: {physical_to}")
-        queue.append((now + links.latency_ms, msg, sender, physical_to))
+            for msg in replies:
+                queue.append((due, msg, sender, intruder_id))
 
-    if intruder_id is not None and initiator == intruder_id:
-        for msg in intruder.start_attack():
-            schedule(msg, intruder_id, 0)
+    if intruder_id is not None and initiator is intruder_id:
+        send(intruder.start_attack(), intruder_id, 0)
     elif initiator in registry:
-        for msg in protocol_start(registry[initiator], target):
-            schedule(msg, initiator, 0)
+        send(protocol_start(registry[initiator], target), initiator, 0)
     else:
         raise ValueError(f"unregistered device referenced: {initiator}")
 
@@ -153,30 +179,21 @@ def run(
     last_time = 0
     while queue:
         time, msg, physical_from, physical_to = queue.popleft()
-        if time > links.timeout_ms:
-            last_time = links.timeout_ms
+        if time > timeout:
+            last_time = timeout
             break
         last_time = time
         events.append(
-            TranscriptEvent(
-                seq=len(events),
-                time=time,
-                from_id=physical_from,
-                to_id=physical_to,
-                kind=msg.kind,
-                payload=msg.payload,
-            )
+            TranscriptEvent(len(events), time, physical_from, physical_to, msg.kind, msg.payload)
         )
-        if physical_to == intruder_id:
-            replies = intruder.intercept(msg)
+        if physical_to is intruder_id:
+            send(intruder.intercept(msg), physical_to, time)
         else:
-            replies = handle(registry[physical_to], msg)
-        for reply in replies:
-            schedule(reply, physical_to, time)
+            send(handle(registry[physical_to], msg), physical_to, time)
 
     outcomes = {dev_id: outcome_of(dev) for dev_id, dev in registry.items()}
     finished = all(out.status is not AuthStatus.TIMED_OUT for out in outcomes.values())
-    end_time = last_time if finished else links.timeout_ms
+    end_time = last_time if finished else timeout
     return Transcript(events=tuple(events), links=links, end_time=end_time), outcomes
 
 
@@ -189,9 +206,9 @@ def transcript_rtt(transcript: Transcript, device: DeviceId) -> int | None:
     arrivals = []
     for e in transcript.events:
         if e.kind is challenge:
-            if e.from_id == device:
+            if e.from_id is device:
                 sends.append(e.time - latency)
-        elif e.kind is response and e.to_id == device:
+        elif e.kind is response and e.to_id is device:
             arrivals.append(e.time)
     worst = None
     cursor = 0

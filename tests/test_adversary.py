@@ -4,11 +4,12 @@ import random
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btauthsim import adversary, cli
 from btauthsim.adversary import (
+    AttackVerdict,
     Confidentiality,
     Integrity,
     IntruderMode,
@@ -18,8 +19,8 @@ from btauthsim.adversary import (
 )
 from btauthsim.cli import ScenarioConfig, run_scenario
 from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1
-from btauthsim.protocol import AuthStatus, MsgKind, Variant, new_device
-from btauthsim.simnet import Detection, LinkConfig, run
+from btauthsim.protocol import AuthOutcome, AuthStatus, MsgKind, Variant, new_device
+from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run
 
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
@@ -295,6 +296,69 @@ class TestConfidentialityScan:
             intruder.knowledge.add(e1(KEY, Challenge(raw), claimants[second]).value)
         score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
         assert score.confidentiality is full_scan_confidentiality(intruder, outcomes, KEY)
+
+
+def two_pass_verdict(intruder, outcomes, transcript, detection, link_key):
+    """The judge as two passes over the events: one for direct hops, then
+    one that checks every intruder-delivered hop against what the
+    impersonated victim emitted before it."""
+    honest = set(outcomes)
+    all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
+    direct_hops = any(e.from_id in honest and e.to_id in honest for e in transcript.events)
+    attack_success = all_success and not direct_hops and len(transcript.events) > 0
+    integrity = Integrity.MAINTAINED
+    emitted = set()
+    for event in transcript.events:
+        if event.from_id == intruder.id and event.to_id in honest:
+            impersonated = intruder.impersonating.get(event.to_id)
+            if (impersonated, event.kind, event.payload) not in emitted:
+                integrity = Integrity.BROKEN
+        if event.from_id in honest:
+            emitted.add((event.from_id, event.kind, event.payload))
+    return AttackVerdict(
+        attack_success=attack_success,
+        integrity=integrity,
+        confidentiality=full_scan_confidentiality(intruder, outcomes, link_key),
+        detection=detection,
+    )
+
+
+_PARTY = st.sampled_from([ADDR_A, ADDR_B, ADDR_C])
+# a few short payloads, so that a delivered hop often repeats an emitted one
+_PAYLOAD = st.one_of(st.sampled_from([b"", b"\x01", b"\x02"]), st.binary(max_size=32))
+_HOP = st.tuples(_PARTY, _PARTY, st.sampled_from(list(MsgKind)), _PAYLOAD)
+_OUTCOME = st.sampled_from(list(AuthStatus))
+
+
+class TestOnePassVerdict:
+    @given(st.lists(_HOP, max_size=16), _OUTCOME, _OUTCOME, st.booleans(), st.sampled_from(list(Detection)))
+    # every device succeeded, yet one hop ran directly between A and B
+    @example(
+        [(ADDR_A, ADDR_C, MsgKind.AUTH_REQUEST, b"\x01"), (ADDR_A, ADDR_B, MsgKind.AUTH_SUCCESS, b"")],
+        AuthStatus.MUTUAL_SUCCESS,
+        AuthStatus.MUTUAL_SUCCESS,
+        False,
+        Detection.NONE,
+    )
+    @settings(deadline=None)
+    def test_agrees_with_the_two_pass_judge(self, hops, status_a, status_b, b_first, detection):
+        transcript = Transcript(
+            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
+            links=LINKS,
+            end_time=len(hops),
+        )
+        outcomes = {
+            ADDR_A: AuthOutcome(status_a, ADDR_B),
+            ADDR_B: AuthOutcome(status_b, ADDR_A),
+        }
+        if b_first:
+            outcomes = dict(reversed(outcomes.items()))
+        intruder = new_intruder(
+            ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B
+        )
+        intruder.knowledge = {payload for *_, payload in hops}
+        args = (intruder, outcomes, transcript, detection, KEY)
+        assert verdict(*args) == two_pass_verdict(*args)
 
 
 class TestIntruderRng:

@@ -189,6 +189,17 @@ class TestConfigErrors:
         assert status == 2
         assert "seeds-count" in err
 
+    @pytest.mark.parametrize(
+        "seed,more",
+        [("-3", ("--intruder", "relay-active", "--transcript")), ("-2", ("--seeds-count", "5"))],
+    )
+    def test_negative_seed(self, capsys, seed, more):
+        # random.Random takes |seed|, so -3 would replay seed 3 under another label
+        status, out, err = run_main(capsys, "--seed", seed, *more)
+        assert status == 2
+        assert out == ""
+        assert err == f"error: seed must be non-negative, got {seed}\n"
+
     def test_latency_and_timeout(self, capsys):
         status, _, _ = run_main(capsys, "--latency-ms", "0")
         assert status == 2
@@ -249,6 +260,10 @@ class TestConfigErrors:
     def test_run_scenario_checks_what_validate_checks(self, config):
         with pytest.raises(ConfigError):
             run_scenario(config, 0)
+
+    def test_run_scenario_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            run_scenario(ScenarioConfig(), -1)
 
     def test_group_checked_once_per_configuration(self, monkeypatch):
         calls = []

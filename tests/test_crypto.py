@@ -174,6 +174,25 @@ class TestDeviceIdIdentity:
             addr.addr = other_raw  # type: ignore[misc]
         assert DeviceId(raw).addr == raw
 
+    @given(st.binary(min_size=6, max_size=6), st.booleans())
+    def test_text_is_the_hex_of_the_address(self, raw, mutable):
+        addr = DeviceId(bytearray(raw) if mutable else raw)
+        assert str(addr) == addr.text == raw.hex()
+        for same in (copy.copy(addr), copy.deepcopy(addr)):
+            assert str(same) == raw.hex()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert str(pickle.loads(pickle.dumps(addr, protocol))) == raw.hex()
+        with pytest.raises(AttributeError):
+            addr.text = "000000000000"  # type: ignore[misc]
+
+    def test_text_of_an_address_rebuilt_from_a_pickle(self):
+        # the address leaves the table before loading, so loading builds it anew
+        raw = b"\xde\xad\xbe\xef\x00\x02"
+        blob = pickle.dumps(DeviceId(raw))
+        gc.collect()
+        assert raw not in crypto._ADDRESSES
+        assert str(pickle.loads(blob)) == "deadbeef0002"
+
     @given(st.binary(max_size=12).filter(lambda raw: len(raw) != 6), st.booleans())
     def test_wrong_width_rejected(self, raw, mutable):
         with pytest.raises(ValueError, match=f"DeviceId.addr must be exactly 6 octets, got {len(raw)}"):

@@ -47,6 +47,15 @@ def test_attack_matrix_rejects_fewer_than_one_seed(capsys, seeds):
     assert f"--seeds must be at least 1, got {seeds}" in captured.err
 
 
+def test_attack_matrix_rejects_a_negative_base_seed(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("attack_matrix").main(["--base-seed", "-1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--base-seed must be non-negative, got -1" in captured.err
+
+
 def test_dlog_cost_recovers_every_exponent(capsys):
     status = load_script("dlog_cost").main(["--trials", "20"])
     out = capsys.readouterr().out
@@ -59,10 +68,11 @@ def test_dlog_cost_recovers_every_exponent(capsys):
     "args,message",
     [
         (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--seed", "-3"], "--seed must be non-negative, got -3"),
         (["--dh-p", "24"], "--dh-p/--dh-alpha: p must be prime, got 24"),
         (["--dh-p", "23", "--dh-alpha", "2"], "--dh-alpha 2 is not a primitive root of 23"),
     ],
-    ids=["no-trials", "composite-p", "non-generator"],
+    ids=["no-trials", "negative-seed", "composite-p", "non-generator"],
 )
 def test_dlog_cost_usage_errors(capsys, args, message):
     with pytest.raises(SystemExit) as exit_info:

@@ -196,6 +196,25 @@ class TestSerialization:
         assert line == json.dumps(record, separators=(",", ":"))
         assert json.loads(line) == record
 
+    @given(
+        st.lists(
+            st.builds(
+                TranscriptEvent,
+                st.integers(min_value=0),
+                st.integers(min_value=0),
+                st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
+                st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
+                st.sampled_from(list(MsgKind)),
+                st.binary(max_size=32),
+            ),
+            max_size=20,
+        )
+    )
+    def test_bulk_serialisers_join_the_line_methods(self, events):
+        transcript = Transcript(events=tuple(events), links=LINKS, end_time=0)
+        assert transcript.to_jsonl() == "".join(e.to_json_line() + "\n" for e in events)
+        assert transcript.to_text() == "".join(e.to_text_line() + "\n" for e in events)
+
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_identical_runs_identical_transcripts(self, variant):
         _, _, first, _ = run_direct(variant, seed_a=11, seed_b=12)
