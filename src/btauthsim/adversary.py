@@ -3,14 +3,14 @@
 The intruder sits between two victims, playing each victim's peer toward the
 other. It can relay traffic verbatim, relay while substituting its own
 public values, or originate a handshake toward one victim under the other's
-address. Everything it observes lands in a grow-only knowledge set of raw
-octet strings; the verdict functions turn outcomes plus transcript into the
-attack scorecard.
+address. It keeps no record of what it saw: every hop it sends or receives
+is in the run's transcript, and verdict scores a run from the outcomes and
+that transcript alone.
 """
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .crypto import Challenge, DeviceId, DhKeyPair, DhParams, LinkKey, dh_keypair, e1
@@ -71,8 +71,6 @@ class IntruderState:
     victim_b: DeviceId
     rng_seed: int
     dh_params: DhParams | None = None
-    impersonating: dict[DeviceId, DeviceId] = field(default_factory=dict)
-    knowledge: set[bytes] = field(default_factory=set)
     dh_own: DhKeyPair | None = None
     # origination bookkeeping
     own_challenge: Challenge | None = None
@@ -102,7 +100,9 @@ def new_intruder(
     rng_seed: int = 0,
     dh_params: DhParams | None = None,
 ) -> IntruderState:
-    """Outsider intruder between victim_a and victim_b; it holds no link key.
+    """Outsider intruder between victim_a and victim_b. It holds no link key
+    and keeps no record of the traffic: what it captured is read from the
+    run's transcript by verdict.
 
     In originate mode the attack direction is fixed: the intruder opens
     toward victim_a under victim_b's address.
@@ -117,20 +117,7 @@ def new_intruder(
         victim_b=victim_b,
         rng_seed=rng_seed,
         dh_params=dh_params,
-        impersonating={victim_a: victim_b, victim_b: victim_a},
     )
-
-
-def _note(intruder: IntruderState, msg: Message) -> None:
-    intruder.knowledge.add(msg.payload)
-    intruder.knowledge.add(msg.sender.addr)
-    intruder.knowledge.add(msg.receiver.addr)
-
-
-def _emit(intruder: IntruderState, msgs: list[Message]) -> list[Message]:
-    for msg in msgs:
-        intruder.knowledge.add(msg.payload)
-    return msgs
 
 
 def _ensure_own_keypair(intruder: IntruderState) -> DhKeyPair:
@@ -146,15 +133,14 @@ def start_attack(intruder: IntruderState) -> list[Message]:
     """Kickoff messages; non-empty only for the originating mode."""
     if intruder.mode is not IntruderMode.ORIGINATE_TO_A:
         return []
-    victim = intruder.victim_a
-    fake = intruder.impersonating[victim]
+    victim, fake = intruder.victim_a, intruder.victim_b
     out = [Message(MsgKind.AUTH_REQUEST, fake, victim, fake.addr)]
     if intruder.variant is Variant.DH_IMPROVED:
         pair = _ensure_own_keypair(intruder)
         out.append(Message(MsgKind.DH_PUBLIC, fake, victim, encode_public(pair.s_public)))
     else:
         out.append(_issue_own_challenge(intruder, victim, fake))
-    return _emit(intruder, out)
+    return out
 
 
 def _issue_own_challenge(intruder: IntruderState, victim: DeviceId, fake: DeviceId) -> Message:
@@ -165,18 +151,17 @@ def _issue_own_challenge(intruder: IntruderState, victim: DeviceId, fake: Device
 
 def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
     """React to one message that physically arrived at the intruder."""
-    _note(intruder, msg)
     if intruder.mode is IntruderMode.RELAY_PASSIVE:
-        return _emit(intruder, [msg])
+        return [msg]
     if intruder.mode is IntruderMode.RELAY_ACTIVE:
         if msg.kind is MsgKind.DH_PUBLIC:
             pair = _ensure_own_keypair(intruder)
             swapped = Message(
                 MsgKind.DH_PUBLIC, msg.sender, msg.receiver, encode_public(pair.s_public)
             )
-            return _emit(intruder, [swapped])
-        return _emit(intruder, [msg])
-    return _emit(intruder, _originate_step(intruder, msg))
+            return [swapped]
+        return [msg]
+    return _originate_step(intruder, msg)
 
 
 def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
@@ -186,7 +171,7 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
     if msg.kind is MsgKind.DH_PUBLIC:
         if source == a and intruder.own_challenge is None:
             # a's public answered ours; now the challenge leg can start
-            return [_issue_own_challenge(intruder, a, intruder.impersonating[a])]
+            return [_issue_own_challenge(intruder, a, b)]
         if source == b and intruder.held_challenge is not None:
             released = intruder.held_challenge
             intruder.held_challenge = None
@@ -225,16 +210,21 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
 
 
 def verdict(
-    intruder: IntruderState,
     outcomes: dict[DeviceId, AuthOutcome],
     transcript: Transcript,
     detection: Detection,
     link_key: LinkKey,
 ) -> AttackVerdict:
-    """Score the run. link_key is judge-side knowledge: it identifies which
-    captured challenge-response pairs are the victims' real credentials, and
-    is never given to the intruder itself.
+    """Score a run from its record alone. outcomes names the two honest
+    devices, each the other's peer (ValueError for any other count); every
+    other party in the transcript is the intruder, which captured the
+    payload of every hop it sent or received. In an intruder-free run every
+    hop is direct, so nothing is captured. link_key is judge-side
+    knowledge: it identifies which captured challenge-response pairs are
+    the victims' real credentials, and is never given to the intruder.
 
+    Integrity is broken when the intruder delivered to an honest device a
+    hop that the other honest device had not emitted before it.
     Confidentiality is breached when some captured 16-octet item, taken as
     a challenge, has its response under link_key by some honest claimant
     among the captured 4-octet items. The scan takes the items in ascending
@@ -242,33 +232,34 @@ def verdict(
     stops at the first match; the order is fixed, whatever the hash seed,
     so the e1 calls a run makes are too. When the intruder captured no
     4-octet item, no challenge can match, and the scan makes no e1 call."""
-    honest = outcomes.keys()
+    a, b = outcomes
+    peer = {a: b, b: a}
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
 
-    # one pass finds both facts: whether any hop ran between two honest
-    # devices, and the first hop the intruder delivered that its
-    # impersonated victim had not emitted before it
+    # one pass finds every fact: whether any hop ran between the honest
+    # devices, the first forged hop, and what the intruder captured
     direct_hops = forged = False
-    intruder_id, impersonating = intruder.id, intruder.impersonating
     emitted: set[tuple[DeviceId, MsgKind, bytes]] = set()
+    captured: set[bytes] = set()
     for event in transcript.events:
-        from_id = event.from_id
-        if (
-            from_id is intruder_id
-            and not forged
-            and event.to_id in honest
-            and (impersonating.get(event.to_id), event.kind, event.payload) not in emitted
+        from_id, to_id = event.from_id, event.to_id
+        if from_id in peer:
+            emitted.add((from_id, event.kind, event.payload))
+            if to_id in peer:
+                direct_hops = True
+                continue
+        elif (
+            not forged
+            and to_id in peer
+            and (peer[to_id], event.kind, event.payload) not in emitted
         ):
             forged = True
-        if from_id in honest:
-            if event.to_id in honest:
-                direct_hops = True
-            emitted.add((from_id, event.kind, event.payload))
+        captured.add(event.payload)
     attack_success = all_success and not direct_hops and len(transcript.events) > 0
     integrity = Integrity.BROKEN if forged else Integrity.MAINTAINED
 
-    challenges = sorted(item for item in intruder.knowledge if len(item) == 16)
-    responses = {item for item in intruder.knowledge if len(item) == 4}
+    challenges = sorted(item for item in captured if len(item) == 16)
+    responses = {item for item in captured if len(item) == 4}
     breached = bool(responses) and any(
         e1(link_key, challenge, claimant).value in responses
         for challenge in map(Challenge, challenges)

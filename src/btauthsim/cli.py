@@ -14,14 +14,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .adversary import (
-    AttackVerdict,
-    Confidentiality,
-    Integrity,
-    IntruderMode,
-    new_intruder,
-    verdict,
-)
+from .adversary import AttackVerdict, IntruderMode, new_intruder, verdict
 from .crypto import (
     Challenge,
     DeviceId,
@@ -217,20 +210,11 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
         flag = delay_detector(transcript, baselines[device_id], config.detect_factor, device_id)
         if flag is Detection.DELAY_FLAGGED:
             detection = Detection.DELAY_FLAGGED
-    if intruder is not None:
-        score = verdict(intruder, outcomes, transcript, detection, link_key)
-    else:
-        score = AttackVerdict(
-            attack_success=False,
-            integrity=Integrity.MAINTAINED,
-            confidentiality=Confidentiality.MAINTAINED,
-            detection=detection,
-        )
     return ScenarioResult(
         seed=seed,
         transcript=transcript,
         outcomes=outcomes,
-        score=score,
+        score=verdict(outcomes, transcript, detection, link_key),
         baselines=baselines,
         link_key=link_key,
     )

@@ -318,11 +318,18 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
     return pow(base, exponent, modulus)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base above (Sorenson &
+# Webster 2015): below it, the test is exact
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set; deterministic below 3.3e24."""
+    """Miller-Rabin with the first thirteen primes as bases, exact below
+    psi_13 = 3317044064679887385961981 (about 3.3e24, under 2^82). Raises
+    ValueError at or above that bound rather than guess."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality is decided only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
     for small in _MR_BASES:
@@ -370,19 +377,17 @@ def prime_factors(n: int) -> list[int]:
 class DhParams:
     """Public group: prime modulus p and a generator candidate alpha.
 
-    Construction enforces primality, alpha in [2, p-1], and p < 2^128 so the
-    shared secret always fits the 16-octet session-key derivation. Whether
-    alpha really generates the full group is the caller's check
-    (has_full_order, on the constructed value); scenario validation
-    performs it.
+    Construction enforces primality, alpha in [2, p-1], and, through
+    is_prime's bound, p < 2^82, so the shared secret always fits the
+    16-octet session-key derivation. Whether alpha really generates the
+    full group is the caller's check (has_full_order, on the constructed
+    value); scenario validation performs it.
     """
 
     p: int
     alpha: int
 
     def __post_init__(self):
-        if self.p >= 1 << 128:
-            raise ValueError("p must be below 2^128")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not 2 <= self.alpha <= self.p - 1:

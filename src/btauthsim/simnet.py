@@ -73,10 +73,6 @@ class TranscriptEvent:
             seq=seq, time=time, from_id=from_id, to_id=to_id, kind=kind, payload=payload
         )
 
-    @property
-    def payload_hex(self) -> str:
-        return self.payload.hex()
-
     def to_text_line(self) -> str:
         return _text_lines((self,))[0]
 

@@ -4,7 +4,7 @@ import random
 import types
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from btauthsim import adversary, cli
@@ -17,7 +17,7 @@ from btauthsim.adversary import (
     new_intruder,
     verdict,
 )
-from btauthsim.cli import ScenarioConfig, run_scenario
+from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
 from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1
 from btauthsim.protocol import AuthOutcome, AuthStatus, MsgKind, Variant, new_device
 from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run
@@ -39,8 +39,16 @@ def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
     )
     initiator = ADDR_C if mode is IntruderMode.ORIGINATE_TO_A else ADDR_A
     transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, initiator, ADDR_B)
-    score = verdict(intruder, outcomes, transcript, Detection.NONE, key)
+    score = verdict(outcomes, transcript, Detection.NONE, key)
     return dev_a, dev_b, intruder, transcript, outcomes, score
+
+
+def captured(transcript, outcomes):
+    """The payloads of every hop that a party outside outcomes sent or
+    received: what the intruder of the run saw."""
+    return {
+        e.payload for e in transcript.events if e.from_id not in outcomes or e.to_id not in outcomes
+    }
 
 
 class TestLegacyRelay:
@@ -54,15 +62,11 @@ class TestLegacyRelay:
         assert score.integrity is Integrity.MAINTAINED
 
     def test_plaintext_pairs_captured(self):
-        _, _, intruder, _, _, score = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, outcomes, score = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
         assert score.confidentiality is Confidentiality.BREACHED
         # both challenge payloads crossed the intruder
-        challenges = [k for k in intruder.knowledge if len(k) == 16]
+        challenges = [k for k in captured(transcript, outcomes) if len(k) == 16]
         assert len(challenges) >= 2
-
-    def test_knowledge_only_grows(self):
-        _, _, intruder, transcript, _, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
-        assert all(e.payload in intruder.knowledge for e in transcript.events)
 
 
 class TestImprovedCaseOriginate:
@@ -90,16 +94,17 @@ class TestImprovedCaseRelay:
         assert score.confidentiality is Confidentiality.BREACHED
 
     def test_both_pairs_in_knowledge(self):
-        _, _, intruder, transcript, _, _ = attack_run(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, outcomes, _ = attack_run(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE)
+        knowledge = captured(transcript, outcomes)
         challenges = [e.payload for e in transcript.events if e.kind is MsgKind.CHALLENGE]
         responses = [e.payload for e in transcript.events if e.kind is MsgKind.RESPONSE]
         for payload in challenges + responses:
-            assert payload in intruder.knowledge
+            assert payload in knowledge
         # each captured challenge pairs with a captured valid answer
         matched = 0
         for raw in set(challenges):
             for claimant in (ADDR_A, ADDR_B):
-                if e1(KEY, Challenge(raw), claimant).value in intruder.knowledge:
+                if e1(KEY, Challenge(raw), claimant).value in knowledge:
                     matched += 1
         assert matched == 2
 
@@ -119,21 +124,24 @@ class TestDhRelay:
         assert set(into_c).isdisjoint(out_of_c)
 
     def test_passive_relay_cannot_breach(self):
-        dev_a, dev_b, intruder, _, outcomes, score = attack_run(
+        dev_a, dev_b, _, transcript, outcomes, score = attack_run(
             Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE
         )
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
         assert score.confidentiality is Confidentiality.MAINTAINED
         assert dev_a.session is not None
-        assert dev_a.session.value not in intruder.knowledge
-        assert dev_b.session.value not in intruder.knowledge
+        knowledge = captured(transcript, outcomes)
+        assert dev_a.session.value not in knowledge
+        assert dev_b.session.value not in knowledge
 
     def test_shared_secret_never_observed(self):
-        dev_a, _, intruder, _, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE)
+        dev_a, _, _, transcript, outcomes, _ = attack_run(
+            Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE
+        )
         # reconstruct the shared integer from the honest side and check the
         # intruder never saw any encoding of it
         shared_key = dev_a.session
-        assert shared_key.value not in intruder.knowledge
+        assert shared_key.value not in captured(transcript, outcomes)
 
     def test_active_intruder_needs_group_parameters(self):
         with pytest.raises(ValueError):
@@ -187,10 +195,8 @@ class TestNoForgedResponses:
 
 class TestVerdictPlumbing:
     def test_detection_passthrough(self):
-        _, _, intruder, transcript, outcomes, _ = attack_run(
-            Variant.LEGACY, IntruderMode.RELAY_ACTIVE
-        )
-        flagged = verdict(intruder, outcomes, transcript, Detection.DELAY_FLAGGED, KEY)
+        _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        flagged = verdict(outcomes, transcript, Detection.DELAY_FLAGGED, KEY)
         assert flagged.detection is Detection.DELAY_FLAGGED
 
     def test_mismatched_keys_defeat_relay(self):
@@ -198,8 +204,16 @@ class TestVerdictPlumbing:
         dev_b = new_device(ADDR_B, Variant.LEGACY, LinkKey(b"\xff" * 16), 2)
         intruder = new_intruder(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B)
         transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, ADDR_A, ADDR_B)
-        score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
+        score = verdict(outcomes, transcript, Detection.NONE, KEY)
         assert score.attack_success is False
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_outcomes_must_name_two_devices(self, count):
+        _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        parties = [ADDR_A, ADDR_B, ADDR_C][:count]
+        outcome = next(iter(outcomes.values()))
+        with pytest.raises(ValueError):
+            verdict(dict.fromkeys(parties, outcome), transcript, Detection.NONE, KEY)
 
 
 HEADLINE = [
@@ -216,11 +230,11 @@ HEADLINE = [
 ]
 
 
-def full_scan_confidentiality(intruder, outcomes, link_key):
+def full_scan_confidentiality(knowledge, outcomes, link_key):
     """Every captured 16-octet item against every honest claimant, with the
     unmemoised e1 and no early exit."""
-    challenges = [item for item in intruder.knowledge if len(item) == 16]
-    responses = {item for item in intruder.knowledge if len(item) == 4}
+    challenges = [item for item in knowledge if len(item) == 16]
+    responses = {item for item in knowledge if len(item) == 4}
     confidentiality = Confidentiality.MAINTAINED
     for raw in challenges:
         for claimant in set(outcomes):
@@ -234,9 +248,10 @@ class TestConfidentialityScan:
     def test_first_match_agrees_with_full_scan(self, monkeypatch, latency_ms, timeout_ms):
         judged = []
 
-        def checked(intruder, outcomes, transcript, detection, link_key):
-            score = verdict(intruder, outcomes, transcript, detection, link_key)
-            assert score.confidentiality is full_scan_confidentiality(intruder, outcomes, link_key)
+        def checked(outcomes, transcript, detection, link_key):
+            score = verdict(outcomes, transcript, detection, link_key)
+            knowledge = captured(transcript, outcomes)
+            assert score.confidentiality is full_scan_confidentiality(knowledge, outcomes, link_key)
             judged.append(score.confidentiality)
             return score
 
@@ -252,20 +267,21 @@ class TestConfidentialityScan:
             )
             for seed in range(20):
                 run_scenario(config, seed)
-        assert len(judged) == 20 * sum(mode is not None for _, mode in HEADLINE)
+        # intruder-free runs go through the same judge
+        assert len(judged) == 20 * len(HEADLINE)
         assert set(judged) == set(Confidentiality)
 
     def test_no_captured_response_means_no_scan(self, monkeypatch):
         e1_calls = []
-        captured = []
+        knowledges = []
 
         def counting_e1(*args):
             e1_calls.append(args)
             return e1(*args)
 
-        def judged(intruder, *args):
-            captured.append(intruder.knowledge)
-            return verdict(intruder, *args)
+        def judged(outcomes, transcript, *args):
+            knowledges.append(captured(transcript, outcomes))
+            return verdict(outcomes, transcript, *args)
 
         monkeypatch.setattr(adversary, "e1", counting_e1)
         monkeypatch.setattr(cli, "verdict", judged)
@@ -273,8 +289,8 @@ class TestConfidentialityScan:
             variant=Variant.IMPROVED, intruder=IntruderMode.ORIGINATE_TO_A, initiator="C"
         )
         scores = [run_scenario(config, seed).score for seed in range(20)]
-        assert len(captured) == 20
-        assert not any(len(item) == 4 for knowledge in captured for item in knowledge)
+        assert len(knowledges) == 20
+        assert not any(len(item) == 4 for knowledge in knowledges for item in knowledge)
         assert all(score.confidentiality is Confidentiality.MAINTAINED for score in scores)
         assert e1_calls == []
 
@@ -286,22 +302,41 @@ class TestConfidentialityScan:
     @settings(deadline=None)
     def test_first_match_agrees_on_any_knowledge(self, challenges, answered, noise):
         # captured responses of either claimant to any of the challenges
-        _, _, intruder, transcript, outcomes, _ = attack_run(
-            Variant.LEGACY, IntruderMode.RELAY_PASSIVE
-        )
+        _, _, _, _, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_PASSIVE)
         claimants = list(outcomes)
-        intruder.knowledge = set(challenges) | set(noise)
+        payloads = challenges + noise
         for index, second in answered:
             raw = challenges[index % len(challenges)]
-            intruder.knowledge.add(e1(KEY, Challenge(raw), claimants[second]).value)
-        score = verdict(intruder, outcomes, transcript, Detection.NONE, KEY)
-        assert score.confidentiality is full_scan_confidentiality(intruder, outcomes, KEY)
+            payloads.append(e1(KEY, Challenge(raw), claimants[second]).value)
+        # each payload crosses the intruder, alternately into it and out of it
+        routes = [(ADDR_A, ADDR_C), (ADDR_C, ADDR_B)]
+        transcript = Transcript(
+            events=tuple(
+                TranscriptEvent(
+                    seq,
+                    seq,
+                    *routes[seq % 2],
+                    MsgKind.CHALLENGE if len(payload) == 16 else MsgKind.RESPONSE,
+                    payload,
+                )
+                for seq, payload in enumerate(payloads)
+            ),
+            links=LINKS,
+            end_time=len(payloads),
+        )
+        knowledge = captured(transcript, outcomes)
+        assert knowledge == set(payloads)
+        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        assert score.confidentiality is full_scan_confidentiality(knowledge, outcomes, KEY)
 
 
-def two_pass_verdict(intruder, outcomes, transcript, detection, link_key):
-    """The judge as two passes over the events: one for direct hops, then
-    one that checks every intruder-delivered hop against what the
-    impersonated victim emitted before it."""
+def two_pass_verdict(outcomes, transcript, detection, link_key):
+    """The judge by its record-only definition, one fact per pass: direct
+    hops between the honest devices; each hop that another party delivered
+    to an honest device, checked against what the other honest device
+    emitted before it; and the payloads that other party sent or received."""
+    a, b = outcomes
+    other = {a: b, b: a}
     honest = set(outcomes)
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
     direct_hops = any(e.from_id in honest and e.to_id in honest for e in transcript.events)
@@ -309,16 +344,16 @@ def two_pass_verdict(intruder, outcomes, transcript, detection, link_key):
     integrity = Integrity.MAINTAINED
     emitted = set()
     for event in transcript.events:
-        if event.from_id == intruder.id and event.to_id in honest:
-            impersonated = intruder.impersonating.get(event.to_id)
-            if (impersonated, event.kind, event.payload) not in emitted:
+        if event.from_id not in honest and event.to_id in honest:
+            if (other[event.to_id], event.kind, event.payload) not in emitted:
                 integrity = Integrity.BROKEN
         if event.from_id in honest:
             emitted.add((event.from_id, event.kind, event.payload))
+    knowledge = captured(transcript, outcomes)
     return AttackVerdict(
         attack_success=attack_success,
         integrity=integrity,
-        confidentiality=full_scan_confidentiality(intruder, outcomes, link_key),
+        confidentiality=full_scan_confidentiality(knowledge, outcomes, link_key),
         detection=detection,
     )
 
@@ -353,12 +388,140 @@ class TestOnePassVerdict:
         }
         if b_first:
             outcomes = dict(reversed(outcomes.items()))
-        intruder = new_intruder(
-            ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B
-        )
-        intruder.knowledge = {payload for *_, payload in hops}
-        args = (intruder, outcomes, transcript, detection, KEY)
+        args = (outcomes, transcript, detection, KEY)
         assert verdict(*args) == two_pass_verdict(*args)
+
+
+def honest_verdict(detection):
+    """The verdict an intruder-free run scores, as run_scenario once built
+    it by hand."""
+    return AttackVerdict(False, Integrity.MAINTAINED, Confidentiality.MAINTAINED, detection)
+
+
+class TestHonestRunsAreJudged:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_one_verdict_and_no_scan(self, monkeypatch, variant):
+        e1_calls = []
+        judged = []
+
+        def counting_e1(*args):
+            e1_calls.append(args)
+            return e1(*args)
+
+        def judging(outcomes, transcript, detection, link_key):
+            score = verdict(outcomes, transcript, detection, link_key)
+            judged.append((detection, score))
+            return score
+
+        monkeypatch.setattr(adversary, "e1", counting_e1)
+        monkeypatch.setattr(cli, "verdict", judging)
+        config = ScenarioConfig(variant=variant)
+        for seed in range(20):
+            result = run_scenario(config, seed)
+            assert len(judged) == 1, f"seed {seed}"
+            detection, score = judged.pop()
+            assert result.score is score
+            assert score == honest_verdict(detection), f"seed {seed}"
+        assert e1_calls == []
+
+
+def knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key):
+    """The judge that verdict replaced, as it scored an intruder run: from
+    the intruder's own grow-only record of the payloads it received and
+    sent and the addresses on what it received, with the intruder at C
+    impersonating B toward A and A toward B."""
+    honest = outcomes.keys()
+    impersonating = {cli.ADDR_A: cli.ADDR_B, cli.ADDR_B: cli.ADDR_A}
+    all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
+    direct_hops = forged = False
+    emitted = set()
+    for event in transcript.events:
+        from_id = event.from_id
+        if (
+            from_id is cli.ADDR_C
+            and not forged
+            and event.to_id in honest
+            and (impersonating.get(event.to_id), event.kind, event.payload) not in emitted
+        ):
+            forged = True
+        if from_id in honest:
+            if event.to_id in honest:
+                direct_hops = True
+            emitted.add((from_id, event.kind, event.payload))
+    challenges = sorted(item for item in knowledge if len(item) == 16)
+    responses = {item for item in knowledge if len(item) == 4}
+    breached = bool(responses) and any(
+        e1(link_key, challenge, claimant).value in responses
+        for challenge in map(Challenge, challenges)
+        for claimant in outcomes
+    )
+    return AttackVerdict(
+        attack_success=all_success and not direct_hops and len(transcript.events) > 0,
+        integrity=Integrity.BROKEN if forged else Integrity.MAINTAINED,
+        confidentiality=Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED,
+        detection=detection,
+    )
+
+
+class TestRecordOnlyJudge:
+    @given(
+        st.sampled_from(list(Variant)),
+        st.sampled_from([None, *IntruderMode]),
+        st.integers(min_value=1, max_value=30),
+        # the timeout in whole hops, plus part of one
+        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=0, max_value=29),
+        st.integers(min_value=0, max_value=1 << 32),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_agrees_with_the_knowledge_set_judge(self, variant, mode, latency_ms, hops, part, seed):
+        config = ScenarioConfig(
+            variant=variant,
+            intruder=mode,
+            initiator="C" if mode is IntruderMode.ORIGINATE_TO_A else "A",
+            latency_ms=latency_ms,
+            timeout_ms=hops * latency_ms + part % latency_ms,
+        )
+        try:
+            cli.validate(config)
+        except ConfigError:
+            assume(False)
+
+        payloads, addresses, judged = set(), set(), []
+        intercept, start_attack = adversary.intercept, adversary.start_attack
+
+        def recording_intercept(intruder, msg):
+            payloads.add(msg.payload)
+            addresses.update((msg.sender.addr, msg.receiver.addr))
+            out = intercept(intruder, msg)
+            payloads.update(m.payload for m in out)
+            return out
+
+        def recording_start_attack(intruder):
+            out = start_attack(intruder)
+            payloads.update(m.payload for m in out)
+            return out
+
+        def judging(*args):
+            score = verdict(*args)
+            judged.append((args, score))
+            return score
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adversary, "intercept", recording_intercept)
+            patch.setattr(adversary, "start_attack", recording_start_attack)
+            patch.setattr(cli, "verdict", judging)
+            result = run_scenario(config, seed)
+
+        [((outcomes, transcript, detection, link_key), score)] = judged
+        assert result.score is score
+        assert captured(transcript, outcomes) == payloads
+        if mode is None:
+            expected = honest_verdict(detection)
+        else:
+            knowledge = payloads | addresses
+            expected = knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key)
+        assert score == expected
 
 
 class TestIntruderRng:

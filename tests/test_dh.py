@@ -101,6 +101,12 @@ class TestModexp:
         assert modexp(base, exponent, modulus) == pow(base, exponent, modulus)
 
 
+# the least strong pseudoprimes to the first twelve and thirteen prime bases
+# (Sorenson & Webster 2015)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
 class TestPrimality:
     def test_known_primes(self):
         for p in SMALL_PRIMES + [2, 3, 5003, 2147483647]:
@@ -118,6 +124,26 @@ class TestPrimality:
 
         for n in range(0, 2000):
             assert is_prime(n) == trial(n), n
+
+    def test_psi12_is_composite(self):
+        # the least strong pseudoprime to the bases 2 .. 37
+        assert PSI_12 == 399165290221 * 798330580441
+        assert not is_prime(PSI_12)
+
+    def test_dh_params_reject_psi12(self):
+        with pytest.raises(ValueError, match="must be prime"):
+            DhParams(p=PSI_12, alpha=2)
+
+    @pytest.mark.parametrize(
+        "n", [PSI_13, PSI_13 + 2, (1 << 128) + 51], ids=["psi13", "psi13+2", "2^128+51"]
+    )
+    def test_undecided_at_or_above_psi13(self, n):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(n)
+
+    def test_decided_just_below_psi13(self):
+        # 17 divides it
+        assert not is_prime(PSI_13 - 2)
 
     def test_prime_factors(self):
         assert prime_factors(1) == []
@@ -206,7 +232,7 @@ class TestDhParams:
             DhParams(p=23, alpha=23)
 
     def test_oversized_p_rejected(self):
-        # 2^128 + 51 is prime but over the width cap
+        # 2^128 + 51 is prime, but above the bound below which is_prime decides
         with pytest.raises(ValueError):
             DhParams(p=(1 << 128) + 51, alpha=2)
 

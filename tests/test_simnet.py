@@ -190,7 +190,7 @@ class TestSerialization:
             "from": str(event.from_id),
             "to": str(event.to_id),
             "kind": event.kind.value,
-            "payload": event.payload_hex,
+            "payload": event.payload.hex(),
         }
         line = event.to_json_line()
         assert line == json.dumps(record, separators=(",", ":"))
