@@ -15,8 +15,8 @@ import sys
 import time
 
 from btauthsim.adversary import dlog_bruteforce
-from btauthsim.cli import DH_P_CAP
-from btauthsim.crypto import DhParams, dh_keypair, has_full_order
+from btauthsim.cli import ConfigError, check_group
+from btauthsim.crypto import dh_keypair
 
 
 def main(argv=None) -> int:
@@ -31,17 +31,13 @@ def main(argv=None) -> int:
     # random.Random takes |seed|, so a negative seed would replay another's trials
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
-    # the scan is linear in the exponent, so it keeps to the simulator's groups
-    if args.dh_p >= DH_P_CAP:
-        parser.error(f"--dh-p must be below {DH_P_CAP}, got {args.dh_p}")
+    # the scan is linear in the exponent, so it keeps to the simulator's
+    # groups; a non-generator leaves exponents that share a public value, so
+    # the scan would recover a smaller one than was drawn
     try:
-        params = DhParams(p=args.dh_p, alpha=args.dh_alpha)
-    except ValueError as err:
-        parser.error(f"--dh-p/--dh-alpha: {err}")
-    # a non-generator leaves exponents that share a public value, so the
-    # scan would recover a smaller one than was drawn
-    if not has_full_order(params):
-        parser.error(f"--dh-alpha {params.alpha} is not a primitive root of {params.p}")
+        params = check_group(args.dh_p, args.dh_alpha)
+    except ConfigError as err:
+        parser.error(str(err))
 
     rng = random.Random(args.seed)
 

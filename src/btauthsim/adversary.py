@@ -30,7 +30,6 @@ __all__ = [
     "Integrity",
     "Confidentiality",
     "AttackVerdict",
-    "new_intruder",
     "start_attack",
     "intercept",
     "verdict",
@@ -64,6 +63,15 @@ class AttackVerdict:
 
 @dataclass
 class IntruderState:
+    """Outsider intruder between victim_a and victim_b. It holds no link key
+    and keeps no record of the traffic: what it captured is read from the
+    run's transcript by verdict.
+
+    In originate mode the attack direction is fixed: the intruder opens
+    toward victim_a under victim_b's address. An active intruder against
+    the dh variant needs the group parameters (ValueError otherwise).
+    """
+
     id: DeviceId
     mode: IntruderMode
     variant: Variant
@@ -74,9 +82,16 @@ class IntruderState:
     dh_own: DhKeyPair | None = None
     # origination bookkeeping
     own_challenge: Challenge | None = None
-    own_challenge_answered: bool = False
     relayed_first_challenge: bool = False
     held_challenge: Message | None = None
+
+    def __post_init__(self):
+        if (
+            self.variant is Variant.DH_IMPROVED
+            and self.dh_params is None
+            and self.mode is not IntruderMode.RELAY_PASSIVE
+        ):
+            raise ValueError("an active intruder against the dh variant needs the group parameters")
 
     @functools.cached_property
     def rng(self) -> random.Random:
@@ -89,35 +104,6 @@ class IntruderState:
 
     def start_attack(self) -> list[Message]:
         return start_attack(self)
-
-
-def new_intruder(
-    id: DeviceId,
-    mode: IntruderMode,
-    variant: Variant,
-    victim_a: DeviceId,
-    victim_b: DeviceId,
-    rng_seed: int = 0,
-    dh_params: DhParams | None = None,
-) -> IntruderState:
-    """Outsider intruder between victim_a and victim_b. It holds no link key
-    and keeps no record of the traffic: what it captured is read from the
-    run's transcript by verdict.
-
-    In originate mode the attack direction is fixed: the intruder opens
-    toward victim_a under victim_b's address.
-    """
-    if variant is Variant.DH_IMPROVED and dh_params is None and mode is not IntruderMode.RELAY_PASSIVE:
-        raise ValueError("an active intruder against the dh variant needs the group parameters")
-    return IntruderState(
-        id=id,
-        mode=mode,
-        variant=variant,
-        victim_a=victim_a,
-        victim_b=victim_b,
-        rng_seed=rng_seed,
-        dh_params=dh_params,
-    )
 
 
 def _ensure_own_keypair(intruder: IntruderState) -> DhKeyPair:
@@ -195,14 +181,11 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
         return []
 
     if msg.kind is MsgKind.RESPONSE:
-        if source == a and intruder.own_challenge is not None and not intruder.own_challenge_answered:
-            # the harvest: a victim's answer to a challenge we chose
-            intruder.own_challenge_answered = True
+        # a's answers are the harvest, answers to challenges we chose; b's
+        # answers go on to a
+        if source == a:
             return []
-        dest = msg.receiver
-        if dest == a or (dest == b and intruder.relayed_first_challenge):
-            return [msg]
-        return []
+        return [msg]
 
     # confirmations and failures die here; the stalled victim is left to
     # its timeout

@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .adversary import AttackVerdict, IntruderMode, new_intruder, verdict
+from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
     Challenge,
     DeviceId,
@@ -36,6 +36,10 @@ ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
 ADDR_C = DeviceId.from_hex("cc0000000003")
 
+# pairing needs no user input: the bootstrap key cancels out of the link
+# key, so the factory PIN stands for any PIN
+FACTORY_PIN = Pin(b"0000")
+
 # group moduli stay desk-scale: primitive-root validation and the
 # brute-force experiments must stay interactive
 DH_P_CAP = 1 << 48
@@ -50,7 +54,6 @@ class ScenarioConfig:
     variant: Variant = Variant.LEGACY
     intruder: IntruderMode | None = None
     initiator: str = "A"
-    pin: bytes = b"0000"
     latency_ms: int = 10
     timeout_ms: int = 2000
     detect_factor: float = 1.5
@@ -79,17 +82,17 @@ Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[DeviceId, int], ...]]
 
 def validate(config: ScenarioConfig) -> Prepared:
     """Reject a configuration that cannot run, else return its links, group
-    and per-device baselines. The initiator, the PIN and the detector
-    threshold are checked here; link timing and the group are checked, and
-    a timeout too short for the intruder-free handshake is caught, by
-    _prepared, which caches them per configuration. run_scenario takes its
-    inputs from here, so every check applies to every run. The flags named
-    in each message are those of the command line."""
+    and per-device baselines. The initiator (which must be C exactly for
+    the originate intruder, the one mode that opens a run itself) and the
+    detector threshold are checked here; link timing and the group are
+    checked, and a timeout too short for the intruder-free handshake is
+    caught, by _prepared, which caches them per configuration. run_scenario
+    takes its inputs from here, so every check applies to every run. The
+    flags named in each message are those of the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
         raise ConfigError("initiator C and the originate intruder mode require each other")
-    _construct("pin", Pin, config.pin)
     if not 1 < config.detect_factor < math.inf:
         raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
     group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
@@ -103,12 +106,13 @@ def _construct(flags: str, value_type, *args):
         raise ConfigError(f"{flags}: {err}") from None
 
 
-def _derive_link_key(pin: Pin, master: random.Random) -> LinkKey:
+def _derive_link_key(master: random.Random) -> LinkKey:
     """Pairing phase: both contributions cross the wire masked by the
-    PIN-derived bootstrap key, so the bootstrap key cancels out of the
-    combined result; the link key depends on the contributions alone."""
+    bootstrap key of the factory PIN, which cancels out of the combined
+    result; the link key depends on the contributions alone, whatever the
+    PIN."""
     pairing_rand = Challenge(master.randbytes(16))
-    bootstrap = init_key(pin, ADDR_A, pairing_rand)
+    bootstrap = init_key(FACTORY_PIN, ADDR_A, pairing_rand)
     rand_a = Challenge(master.randbytes(16))
     rand_b = Challenge(master.randbytes(16))
     masked_a = xor_bytes(rand_a.value, bootstrap.value)
@@ -129,6 +133,18 @@ def _build_devices(
     return dev_a, dev_b
 
 
+def check_group(dh_p: int, dh_alpha: int) -> DhParams:
+    """The group of modulus dh_p and generator dh_alpha; raises ConfigError
+    unless dh_p is a prime below DH_P_CAP and dh_alpha generates its whole
+    multiplicative group."""
+    if dh_p >= DH_P_CAP:
+        raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
+    params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
+    if not has_full_order(params):
+        raise ConfigError(f"dh-alpha {dh_alpha} is not a primitive root of {dh_p}")
+    return params
+
+
 @functools.cache
 def _prepared(
     variant: Variant, latency_ms: int, timeout_ms: int, group: tuple[int, int] | None
@@ -137,10 +153,9 @@ def _prepared(
     and checked once per variant, link timing and group (dh-improved only;
     the other variants take no group).
 
-    The link timing and the group are turned into their value types here
-    and nowhere else; the group must lie below DH_P_CAP and alpha must
-    generate it. The baselines are the round trips of an intruder-free
-    companion run, read from its transcript. In an honest run no branch
+    The link timing and the group (through check_group) are turned into
+    their value types here and nowhere else. The baselines are the round
+    trips of an intruder-free companion run, read from its transcript. In an honest run no branch
     depends on payload octets (responses always verify, and every public
     value of a keypair is a valid peer value), so the delivery schedule,
     and with it each round trip, depends on the variant and the link timing
@@ -149,16 +164,9 @@ def _prepared(
     cuts that run short of a round trip for either device.
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
-    params = None
-    if group is not None:
-        dh_p, dh_alpha = group
-        if dh_p >= DH_P_CAP:
-            raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
-        params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
-        if not has_full_order(params):
-            raise ConfigError(f"dh-alpha {dh_alpha} is not a primitive root of {dh_p}")
+    params = None if group is None else check_group(*group)
     dev_a, dev_b = _build_devices(variant, LinkKey(bytes(16)), 0, 1, params)
-    calibration, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B)
+    calibration, _ = run(dev_a, dev_b, None, links)
     baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (ADDR_A, ADDR_B))
     if any(baseline is None for _, baseline in baselines):
         raise ConfigError(
@@ -188,12 +196,12 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     seed_a = master.getrandbits(64)
     seed_b = master.getrandbits(64)
     seed_c = master.getrandbits(64)
-    link_key = _derive_link_key(Pin(config.pin), master)
+    link_key = _derive_link_key(master)
 
     dev_a, dev_b = _build_devices(config.variant, link_key, seed_a, seed_b, params)
     intruder = None
     if config.intruder is not None:
-        intruder = new_intruder(
+        intruder = IntruderState(
             ADDR_C,
             config.intruder,
             config.variant,
@@ -202,8 +210,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
             rng_seed=seed_c,
             dh_params=params,
         )
-    initiator = ADDR_C if config.initiator == "C" else ADDR_A
-    transcript, outcomes = run([dev_a, dev_b], intruder, links, initiator, ADDR_B)
+    transcript, outcomes = run(dev_a, dev_b, intruder, links)
 
     detection = Detection.NONE
     for device_id in (ADDR_A, ADDR_B):
@@ -250,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--initiator", choices=["A", "C"], default=defaults.initiator)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seeds-count", type=int, default=1)
-    parser.add_argument("--pin", default=defaults.pin.decode())
     parser.add_argument("--latency-ms", type=int, default=defaults.latency_ms)
     parser.add_argument("--timeout-ms", type=int, default=defaults.timeout_ms)
     parser.add_argument("--detect-factor", type=float, default=defaults.detect_factor)
@@ -269,7 +275,6 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         variant=Variant(args.variant),
         intruder=None if args.intruder == "none" else IntruderMode(args.intruder),
         initiator=args.initiator,
-        pin=args.pin.encode(),
         latency_ms=args.latency_ms,
         timeout_ms=args.timeout_ms,
         detect_factor=args.detect_factor,

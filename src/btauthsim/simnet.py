@@ -125,25 +125,22 @@ class Transcript:
 
 
 def run(
-    devices,
+    dev_a: DeviceState,
+    dev_b: DeviceState,
     intruder,
     links: LinkConfig,
-    initiator: DeviceId,
-    target: DeviceId,
 ) -> tuple[Transcript, dict[DeviceId, AuthOutcome]]:
     """Drive one handshake to quiescence or timeout.
 
-    devices are the honest endpoints; intruder (optional) is any object with
-    an id, an intercept(msg) -> [Message] method, and a
-    start_attack() -> [Message] method. Time lives only here: neither the
-    devices nor the intruder see it. The initiator may be the
-    intruder's own id, in which case the run opens with its attack messages.
+    dev_a and dev_b are the honest endpoints; the outcomes come back in that
+    order. intruder (optional) is any object with an id, an
+    intercept(msg) -> [Message] method, and a start_attack() -> [Message]
+    method. The run opens with the intruder's kickoff when that is
+    non-empty, else with dev_a's request toward dev_b. Time lives only here:
+    neither the devices nor the intruder see it. Raises ValueError when the
+    intruder addresses a device that is not registered.
     """
-    registry: dict[DeviceId, DeviceState] = {}
-    for dev in devices:
-        registry[dev.id] = dev
-    if target not in registry:
-        raise ValueError(f"unregistered device referenced: {target}")
+    registry: dict[DeviceId, DeviceState] = {dev_a.id: dev_a, dev_b.id: dev_b}
     intruder_id = intruder.id if intruder is not None else None
 
     latency, timeout = links.latency_ms, links.timeout_ms
@@ -164,12 +161,11 @@ def run(
             for msg in replies:
                 queue.append((due, msg, sender, intruder_id))
 
-    if intruder_id is not None and initiator is intruder_id:
-        send(intruder.start_attack(), intruder_id, 0)
-    elif initiator in registry:
-        send(protocol_start(registry[initiator], target), initiator, 0)
+    kickoff = intruder.start_attack() if intruder is not None else None
+    if kickoff:
+        send(kickoff, intruder_id, 0)
     else:
-        raise ValueError(f"unregistered device referenced: {initiator}")
+        send(protocol_start(dev_a, dev_b.id), dev_a.id, 0)
 
     events: list[TranscriptEvent] = []
     last_time = 0

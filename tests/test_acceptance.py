@@ -36,8 +36,8 @@ from btauthsim.adversary import (
     Confidentiality,
     Integrity,
     IntruderMode,
+    IntruderState,
     dlog_bruteforce,
-    new_intruder,
     verdict,
 )
 from btauthsim.cli import ScenarioConfig, run_scenario
@@ -82,12 +82,11 @@ def attack_run(variant, mode, seed, key=None):
     params = PARAMS if variant is Variant.DH_IMPROVED else None
     dev_a = new_device(ADDR_A, variant, key, material.getrandbits(64), dh_params=params)
     dev_b = new_device(ADDR_B, variant, key, material.getrandbits(64), dh_params=params)
-    intruder = new_intruder(
+    intruder = IntruderState(
         ADDR_C, mode, variant, ADDR_A, ADDR_B,
         rng_seed=material.getrandbits(64), dh_params=params,
     )
-    initiator = ADDR_C if mode is IntruderMode.ORIGINATE_TO_A else ADDR_A
-    transcript, outcomes = run([dev_a, dev_b], intruder, LinkConfig(), initiator, ADDR_B)
+    transcript, outcomes = run(dev_a, dev_b, intruder, LinkConfig())
     score = verdict(outcomes, transcript, Detection.NONE, key)
     return dev_a, dev_b, intruder, transcript, outcomes, score
 

@@ -13,8 +13,8 @@ from btauthsim.adversary import (
     Confidentiality,
     Integrity,
     IntruderMode,
+    IntruderState,
     dlog_bruteforce,
-    new_intruder,
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
@@ -34,11 +34,10 @@ def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
     params = PARAMS if variant is Variant.DH_IMPROVED else None
     dev_a = new_device(ADDR_A, variant, key, seeds[0], dh_params=params)
     dev_b = new_device(ADDR_B, variant, key, seeds[1], dh_params=params)
-    intruder = new_intruder(
+    intruder = IntruderState(
         ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seeds[2], dh_params=params
     )
-    initiator = ADDR_C if mode is IntruderMode.ORIGINATE_TO_A else ADDR_A
-    transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, initiator, ADDR_B)
+    transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
     score = verdict(outcomes, transcript, Detection.NONE, key)
     return dev_a, dev_b, intruder, transcript, outcomes, score
 
@@ -145,7 +144,7 @@ class TestDhRelay:
 
     def test_active_intruder_needs_group_parameters(self):
         with pytest.raises(ValueError):
-            new_intruder(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED, ADDR_A, ADDR_B)
+            IntruderState(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED, ADDR_A, ADDR_B, 0)
 
 
 class TestLegacyOriginate:
@@ -156,9 +155,17 @@ class TestLegacyOriginate:
         assert score.attack_success is False
 
     def test_chosen_challenge_harvest(self):
-        _, _, intruder, _, _, score = attack_run(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A)
+        _, _, intruder, transcript, _, score = attack_run(
+            Variant.LEGACY, IntruderMode.ORIGINATE_TO_A
+        )
         assert intruder.own_challenge is not None
-        assert intruder.own_challenge_answered
+        # a's answer to c's own challenge reaches c and goes no further
+        events = transcript.events
+        answer = next(
+            i for i, e in enumerate(events) if e.kind is MsgKind.RESPONSE and e.from_id == ADDR_A
+        )
+        assert events[answer].to_id == ADDR_C
+        assert all(e.payload != events[answer].payload for e in events[answer + 1 :])
         assert score.confidentiality is Confidentiality.BREACHED
 
 
@@ -202,8 +209,8 @@ class TestVerdictPlumbing:
     def test_mismatched_keys_defeat_relay(self):
         dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
         dev_b = new_device(ADDR_B, Variant.LEGACY, LinkKey(b"\xff" * 16), 2)
-        intruder = new_intruder(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B)
-        transcript, outcomes = run([dev_a, dev_b], intruder, LINKS, ADDR_A, ADDR_B)
+        intruder = IntruderState(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B, 0)
+        transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
         score = verdict(outcomes, transcript, Detection.NONE, KEY)
         assert score.attack_success is False
 

@@ -35,16 +35,14 @@ def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
     seed_a = master.getrandbits(64)
     seed_b = master.getrandbits(64)
     master.getrandbits(64)  # the intruder's stream
-    link_key = cli._derive_link_key(Pin(config.pin), master)
+    link_key = cli._derive_link_key(master)
     params = (
         DhParams(config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
     )
-    devices = [
-        new_device(cli.ADDR_A, config.variant, link_key, seed_a, dh_params=params),
-        new_device(cli.ADDR_B, config.variant, link_key, seed_b, dh_params=params),
-    ]
+    dev_a = new_device(cli.ADDR_A, config.variant, link_key, seed_a, dh_params=params)
+    dev_b = new_device(cli.ADDR_B, config.variant, link_key, seed_b, dh_params=params)
     links = LinkConfig(config.latency_ms, config.timeout_ms)
-    transcript, _ = run(devices, None, links, cli.ADDR_A, cli.ADDR_B)
+    transcript, _ = run(dev_a, dev_b, None, links)
     return {dev: transcript_rtt(transcript, dev) for dev in (cli.ADDR_A, cli.ADDR_B)}
 
 
@@ -179,10 +177,12 @@ class TestConfigErrors:
         status, _, _ = run_main(capsys, "--variant", "legacy", "--dh-p", "10")
         assert status == 0
 
-    def test_pin_length(self, capsys):
-        status, _, err = run_main(capsys, "--pin", "0" * 17)
-        assert status == 2
-        assert "pin" in err
+    def test_pin_is_not_an_option(self, capsys):
+        # pairing needs no user input: the PIN cannot change a run
+        with pytest.raises(SystemExit) as exc:
+            main(["--pin", "1234"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pin 1234" in capsys.readouterr().err
 
     def test_seeds_count_positive(self, capsys):
         status, _, err = run_main(capsys, "--seeds-count", "0")
@@ -253,9 +253,8 @@ class TestConfigErrors:
             ScenarioConfig(intruder=IntruderMode.ORIGINATE_TO_A),
             ScenarioConfig(initiator="X"),
             ScenarioConfig(intruder=IntruderMode.RELAY_ACTIVE, detect_factor=math.nan),
-            ScenarioConfig(pin=b""),
         ],
-        ids=["originate-initiator-a", "initiator-x", "nan-detect-factor", "empty-pin"],
+        ids=["originate-initiator-a", "initiator-x", "nan-detect-factor"],
     )
     def test_run_scenario_checks_what_validate_checks(self, config):
         with pytest.raises(ConfigError):
@@ -310,11 +309,12 @@ class TestScenarioApi:
         assert status == 0
         assert "messages=8" in out
 
-    def test_custom_pin_changes_nothing_downstream(self):
+    def test_custom_pin_changes_nothing_downstream(self, monkeypatch):
         # the pairing mask cancels, so the link key and hence the whole
-        # transcript are pin-independent
-        base = run_scenario(ScenarioConfig(pin=b"0000"), 0)
-        other = run_scenario(ScenarioConfig(pin=b"123456"), 0)
+        # transcript are pin-independent: the factory PIN stands for any
+        base = run_scenario(ScenarioConfig(), 0)
+        monkeypatch.setattr(cli, "FACTORY_PIN", Pin(b"123456"))
+        other = run_scenario(ScenarioConfig(), 0)
         assert base.link_key == other.link_key
         assert base.transcript.to_text() == other.transcript.to_text()
 

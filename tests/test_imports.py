@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/btauthsim/*.py"), *ROOT.glob("scripts/*.py")])
+MODULES = sorted(
+    [*ROOT.glob("src/btauthsim/*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+)
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -46,7 +48,7 @@ def test_every_import_is_read(path):
 
 def test_modules_are_found():
     names = {path.name for path in MODULES}
-    assert {"adversary.py", "cli.py", "attack_matrix.py"} <= names
+    assert {"adversary.py", "cli.py", "attack_matrix.py", "test_imports.py"} <= names
 
 
 @pytest.mark.parametrize(

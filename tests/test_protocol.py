@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim.adversary import IntruderMode, new_intruder
+from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, e1_aco, encryption_key
 from btauthsim.protocol import (
     AuthStatus,
@@ -66,7 +66,7 @@ def round_trips(variant):
     loop's transcript records it for a direct honest run at 10 ms per hop."""
     dev_a, dev_b = honest_pair(variant)
     links = LinkConfig(latency_ms=10)
-    transcript, _ = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B)
+    transcript, _ = run(dev_a, dev_b, None, links)
     return transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B)
 
 
@@ -406,8 +406,8 @@ class TestTransitionTable:
 
 
 def enc_key_runs(variant):
-    """(devices, transcript, initiator address) of honest and intruder runs
-    of one variant over a few seeds."""
+    """(devices, transcript) of honest and intruder runs of one variant
+    over a few seeds."""
     params = PARAMS if variant is Variant.DH_IMPROVED else None
     runs = []
     for seed in range(1, 11):
@@ -415,12 +415,11 @@ def enc_key_runs(variant):
             dev_a, dev_b = honest_pair(variant, seed_a=seed, seed_b=seed + 100)
             intruder = None
             if mode is not None:
-                intruder = new_intruder(
+                intruder = IntruderState(
                     ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seed + 200, dh_params=params
                 )
-            initiator = ADDR_C if mode is IntruderMode.ORIGINATE_TO_A else ADDR_A
-            transcript, _ = run([dev_a, dev_b], intruder, LinkConfig(), initiator, ADDR_B)
-            runs.append(((dev_a, dev_b), transcript, initiator))
+            transcript, _ = run(dev_a, dev_b, intruder, LinkConfig())
+            runs.append(((dev_a, dev_b), transcript))
     return runs
 
 
@@ -439,18 +438,19 @@ class TestEncKey:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_derived_from_the_device_and_fixed_once_done(self, variant):
         both_done = 0
-        for devices, transcript, initiator in enc_key_runs(variant):
+        for devices, transcript in enc_key_runs(variant):
             if any(dev.phase is not Phase.DONE for dev in devices):
                 assert all(dev.phase is Phase.DONE or dev.enc_key is None for dev in devices)
                 continue
             both_done += 1
-            # the first leg, read from the transcript: the initiator's first
-            # challenge, answered by B
+            # the first leg, read from the transcript: A's first challenge,
+            # answered by B (a run that ends with both devices Done was
+            # opened by A, since an originate run never does)
             challenge = Challenge(
                 next(
                     e.payload
                     for e in transcript.events
-                    if e.kind is MsgKind.CHALLENGE and e.from_id is initiator
+                    if e.kind is MsgKind.CHALLENGE and e.from_id is ADDR_A
                 )
             )
             for dev in devices:

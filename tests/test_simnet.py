@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from btauthsim.adversary import IntruderMode, new_intruder
+from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import DeviceId, DhParams, LinkKey
-from btauthsim.protocol import AuthStatus, MsgKind, Variant, new_device
+from btauthsim.protocol import AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import (
     Detection,
     LinkConfig,
@@ -39,19 +39,19 @@ def build_pair(variant, seed_a=1, seed_b=2, key_a=KEY, key_b=KEY):
 
 def build_intruder(mode, variant, seed_c=3):
     params = PARAMS if variant is Variant.DH_IMPROVED else None
-    return new_intruder(ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seed_c, dh_params=params)
+    return IntruderState(ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seed_c, dh_params=params)
 
 
 def run_direct(variant, links=LINKS, **kw):
     dev_a, dev_b = build_pair(variant, **kw)
-    transcript, outcomes = run([dev_a, dev_b], None, links, ADDR_A, ADDR_B)
+    transcript, outcomes = run(dev_a, dev_b, None, links)
     return dev_a, dev_b, transcript, outcomes
 
 
-def run_relayed(variant, mode=IntruderMode.RELAY_ACTIVE, links=LINKS, initiator=ADDR_A, **kw):
+def run_relayed(variant, mode=IntruderMode.RELAY_ACTIVE, links=LINKS, **kw):
     dev_a, dev_b = build_pair(variant, **kw)
     intruder = build_intruder(mode, variant)
-    transcript, outcomes = run([dev_a, dev_b], intruder, links, initiator, ADDR_B)
+    transcript, outcomes = run(dev_a, dev_b, intruder, links)
     return dev_a, dev_b, intruder, transcript, outcomes
 
 
@@ -109,9 +109,7 @@ class TestRelayedRuns:
         assert outbound == inbound
 
     def test_originate_deadlock(self):
-        _, _, _, transcript, outcomes = run_relayed(
-            Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A, initiator=ADDR_C
-        )
+        _, _, _, transcript, outcomes = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
         assert len(transcript.events) == 6
         assert not any(e.kind is MsgKind.RESPONSE for e in transcript.events)
         assert all(o.status is AuthStatus.TIMED_OUT for o in outcomes.values())
@@ -134,16 +132,44 @@ class TestTimeout:
             LinkConfig(latency_ms=10, timeout_ms=10)
 
 
-class TestRegistry:
-    def test_unregistered_initiator(self):
-        dev_a, dev_b = build_pair(Variant.LEGACY)
-        with pytest.raises(ValueError):
-            run([dev_a, dev_b], None, LINKS, ADDR_C, ADDR_B)
+class TestOpening:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("mode", [None, *IntruderMode], ids=lambda m: getattr(m, "value", "none"))
+    def test_originate_alone_opens_with_the_intruder(self, variant, mode):
+        dev_a, dev_b = build_pair(variant)
+        intruder = None if mode is None else build_intruder(mode, variant)
+        transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
+        assert list(outcomes) == [ADDR_A, ADDR_B]
+        first = transcript.events[0]
+        if mode is IntruderMode.ORIGINATE_TO_A:
+            assert first.from_id == ADDR_C
+        else:
+            assert (first.from_id, first.kind, first.payload) == (
+                ADDR_A,
+                MsgKind.AUTH_REQUEST,
+                ADDR_A.addr,
+            )
+            assert first.to_id == (ADDR_B if mode is None else ADDR_C)
+        if mode in (IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
+            # the request claims b as its receiver, so c's first hop takes it there
+            relayed = next(e for e in transcript.events if e.from_id == ADDR_C)
+            assert (relayed.to_id, relayed.kind) == (ADDR_B, MsgKind.AUTH_REQUEST)
 
-    def test_unregistered_target(self):
+    def test_intruder_addressing_an_unregistered_device(self):
+        stray = DeviceId.from_hex("dd0000000004")
+
+        class StrayIntruder:
+            id = ADDR_C
+
+            def start_attack(self):
+                return []
+
+            def intercept(self, msg):
+                return [Message(msg.kind, msg.sender, stray, msg.payload)]
+
         dev_a, dev_b = build_pair(Variant.LEGACY)
-        with pytest.raises(ValueError):
-            run([dev_a, dev_b], None, LINKS, ADDR_A, ADDR_C)
+        with pytest.raises(ValueError, match="unregistered device referenced"):
+            run(dev_a, dev_b, StrayIntruder(), LINKS)
 
 
 class TestSerialization:
@@ -351,9 +377,7 @@ class TestRttReconstruction:
             assert transcript_rtt(transcript, device) == two_pass_rtt(transcript, device)
 
     def test_no_samples_when_no_responses(self):
-        _, _, _, transcript, _ = run_relayed(
-            Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A, initiator=ADDR_C
-        )
+        _, _, _, transcript, _ = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
         assert transcript_rtt(transcript, ADDR_A) is None
 
 
@@ -371,9 +395,7 @@ class TestDelayDetector:
         assert delay_detector(transcript, 20, 3.0, ADDR_A) is Detection.NONE
 
     def test_no_samples_not_flagged(self):
-        _, _, _, transcript, _ = run_relayed(
-            Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A, initiator=ADDR_C
-        )
+        _, _, _, transcript, _ = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
         assert delay_detector(transcript, 20, 1.5, ADDR_A) is Detection.NONE
 
     def test_parameter_validation(self):
