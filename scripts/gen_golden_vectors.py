@@ -61,13 +61,13 @@ def build_rows() -> list[tuple[str, ...]]:
             zero_key.value.hex(),
             zero_rand.value.hex(),
             zero_addr.addr.hex(),
-            sres.value.hex() + aco.value.hex(),
+            sres.hex() + aco.value.hex(),
         )
     )
 
     for name, pin in [("init_key_pin_0000", b"0000"), ("init_key_pin_00000", b"00000")]:
         key = init_key(Pin(pin), zero_addr, zero_rand)
-        rows.append((name, pin.hex(), zero_addr.addr.hex(), zero_rand.value.hex(), key.value.hex()))
+        rows.append((name, pin.hex(), zero_addr.addr.hex(), zero_rand.value.hex(), key.hex()))
 
     ra, rb = Challenge(b"\x11" * 16), Challenge(b"\x22" * 16)
     addr_a = DeviceId.from_hex("aa0000000001")
@@ -102,7 +102,7 @@ def build_rows() -> list[tuple[str, ...]]:
             "session_key_k2_p23",
             (2).to_bytes(16, "big").hex(),
             (23).to_bytes(16, "big").hex(),
-            session.value.hex(),
+            session.hex(),
         )
     )
     return rows

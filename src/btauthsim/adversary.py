@@ -10,7 +10,7 @@ that transcript alone.
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .crypto import Challenge, DeviceId, DhKeyPair, DhParams, LinkKey, dh_keypair, e1
@@ -79,11 +79,10 @@ class IntruderState:
     victim_b: DeviceId
     rng_seed: int
     dh_params: DhParams | None = None
-    dh_own: DhKeyPair | None = None
+    dh_own: DhKeyPair | None = field(default=None, init=False)
     # origination bookkeeping
-    own_challenge: Challenge | None = None
-    relayed_first_challenge: bool = False
-    held_challenge: Message | None = None
+    own_challenge: Challenge | None = field(default=None, init=False)
+    held_challenge: Message | None = field(default=None, init=False)
 
     def __post_init__(self):
         if (
@@ -151,25 +150,23 @@ def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
 
 
 def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
+    # responder a emits one ChallengeMsg and at most one DhPublicMsg, and b
+    # at most one DhPublicMsg, so no branch below acts twice in a run
     a, b = intruder.victim_a, intruder.victim_b
     source = msg.sender
 
     if msg.kind is MsgKind.DH_PUBLIC:
-        if source == a and intruder.own_challenge is None:
+        if source == a:
             # a's public answered ours; now the challenge leg can start
             return [_issue_own_challenge(intruder, a, b)]
-        if source == b and intruder.held_challenge is not None:
-            released = intruder.held_challenge
-            intruder.held_challenge = None
-            return [released]
-        return []
+        # b's public answered ours: release a's held counter-challenge
+        return [intruder.held_challenge]
 
     if msg.kind is MsgKind.CHALLENGE:
-        if source == a and not intruder.relayed_first_challenge:
+        if source == a:
             # a's counter-challenge becomes a fresh handshake toward b under
             # a's address; b's own counter-challenge will be dropped, so
             # nothing downstream can ever be answered
-            intruder.relayed_first_challenge = True
             out = [Message(MsgKind.AUTH_REQUEST, a, b, a.addr)]
             if intruder.variant is Variant.DH_IMPROVED:
                 pair = _ensure_own_keypair(intruder)
@@ -244,7 +241,7 @@ def verdict(
     challenges = sorted(item for item in captured if len(item) == 16)
     responses = {item for item in captured if len(item) == 4}
     breached = bool(responses) and any(
-        e1(link_key, challenge, claimant).value in responses
+        e1(link_key, challenge, claimant) in responses
         for challenge in map(Challenge, challenges)
         for claimant in outcomes
     )

@@ -115,12 +115,12 @@ def _derive_link_key(master: random.Random) -> LinkKey:
     bootstrap = init_key(FACTORY_PIN, ADDR_A, pairing_rand)
     rand_a = Challenge(master.randbytes(16))
     rand_b = Challenge(master.randbytes(16))
-    masked_a = xor_bytes(rand_a.value, bootstrap.value)
-    masked_b = xor_bytes(rand_b.value, bootstrap.value)
+    masked_a = xor_bytes(rand_a.value, bootstrap)
+    masked_b = xor_bytes(rand_b.value, bootstrap)
     return combination_link_key(
-        Challenge(xor_bytes(masked_a, bootstrap.value)),
+        Challenge(xor_bytes(masked_a, bootstrap)),
         ADDR_A,
-        Challenge(xor_bytes(masked_b, bootstrap.value)),
+        Challenge(xor_bytes(masked_b, bootstrap)),
         ADDR_B,
     )
 

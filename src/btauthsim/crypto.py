@@ -1,8 +1,10 @@
 """Key material, the keyed mixing function behind E1/E2/E3, and Diffie-Hellman arithmetic.
 
-All operations are pure functions on value types and safe to call from any
-thread. Octet widths follow the Bluetooth wire formats: 48-bit addresses,
-128-bit challenges and keys, 32-bit signed responses, 96-bit ciphering offset.
+All operations are pure functions and safe to call from any thread. Octet
+widths follow the Bluetooth wire formats: 48-bit addresses, 128-bit
+challenges and keys, 32-bit signed responses, 96-bit ciphering offset. Value
+types check widths where functions take them; e1, init_key and
+session_key_from_shared return plain bytes.
 
 e1 derives only the 32-bit response, from the one lane of the digest that
 the response reads; e1_aco derives the ciphering offset from the full
@@ -33,11 +35,8 @@ import weakref
 __all__ = [
     "DeviceId",
     "Challenge",
-    "Sres",
     "Aco",
     "LinkKey",
-    "InitKey",
-    "SessionKey",
     "Pin",
     "DhParams",
     "DhKeyPair",
@@ -143,13 +142,6 @@ class Challenge(_Octets):
 
 
 @dataclass(frozen=True)
-class Sres(_Octets):
-    """32-bit signed response to a challenge."""
-
-    WIDTH = 4
-
-
-@dataclass(frozen=True)
 class Aco(_Octets):
     """96-bit authenticated ciphering offset, the secondary E1 output."""
 
@@ -159,20 +151,6 @@ class Aco(_Octets):
 @dataclass(frozen=True)
 class LinkKey(_Octets):
     """128-bit long-term shared secret used for authentication."""
-
-    WIDTH = 16
-
-
-@dataclass(frozen=True)
-class InitKey(_Octets):
-    """128-bit bootstrap key used when no link key exists yet."""
-
-    WIDTH = 16
-
-
-@dataclass(frozen=True)
-class SessionKey(_Octets):
-    """128-bit key derived from a completed Diffie-Hellman exchange."""
 
     WIDTH = 16
 
@@ -261,12 +239,12 @@ _SRES = struct.Struct("<I")
 # the scripted scenarios derive at most 12 distinct triples in a run, plus 2
 # of a first run's calibration, so within a run the memo evicts nothing
 @functools.lru_cache(maxsize=32)
-def e1(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> Sres:
-    """Authentication function: the 32-bit response to a challenge.
+def e1(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> bytes:
+    """Authentication function: the 4-octet response (SRES) to a challenge.
 
-    Sres is the first 4 octets of the mixhash128 digest of the tag, key,
-    challenge and claimant address, that is the low 32 bits of its final
-    s0 lane, so e1 runs that lane alone. Results are memoised, least
+    The response is the first 4 octets of the mixhash128 digest of the tag,
+    key, challenge and claimant address, that is the low 32 bits of its
+    final s0 lane, so e1 runs that lane alone. Results are memoised, least
     recently used first out, for the triples of the current run;
     cli.run_scenario calls e1.cache_clear() before each run, and
     e1.__wrapped__ is the unmemoised function.
@@ -275,7 +253,7 @@ def e1(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> Sres:
     for m in _E1_BLOCKS.unpack(_TAG_AUTH + key.value + challenge.value + claimant.addr + _E1_TAIL):
         x = s0 ^ m
         s0 = (x << 13 | x >> 51) * _MULT & _MASK64
-    return Sres(_SRES.pack(s0 & 0xFFFFFFFF))
+    return _SRES.pack(s0 & 0xFFFFFFFF)
 
 
 def e1_aco(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> Aco:
@@ -284,10 +262,10 @@ def e1_aco(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> Aco:
     return Aco(mixhash128(_TAG_AUTH + key.value + challenge.value + claimant.addr)[4:])
 
 
-def init_key(pin: Pin, addr: DeviceId, rand: Challenge) -> InitKey:
-    """Bootstrap key from PIN, PIN length, hardware address, and a random number."""
+def init_key(pin: Pin, addr: DeviceId, rand: Challenge) -> bytes:
+    """16-octet bootstrap key from PIN, PIN length, hardware address, and a random number."""
     material = _TAG_INIT_KEY + pin.digits + bytes([len(pin.digits)]) + addr.addr + rand.value
-    return InitKey(mixhash128(material))
+    return mixhash128(material)
 
 
 def combination_link_key(
@@ -456,9 +434,9 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
     return modexp(peer_public, r, params.p)
 
 
-def session_key_from_shared(k: int, params: DhParams) -> SessionKey:
-    """Bind the shared integer and group modulus into a uniform 128-bit key."""
+def session_key_from_shared(k: int, params: DhParams) -> bytes:
+    """Bind the shared integer and group modulus into a uniform 16-octet key."""
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
     material = _TAG_SESSION + k.to_bytes(16, "big") + params.p.to_bytes(16, "big")
-    return SessionKey(mixhash128(material))
+    return mixhash128(material)

@@ -21,7 +21,7 @@ and devices share nothing but messages.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .crypto import (
@@ -30,7 +30,6 @@ from .crypto import (
     DhKeyPair,
     DhParams,
     LinkKey,
-    SessionKey,
     dh_keypair,
     dh_shared,
     e1,
@@ -155,21 +154,19 @@ class AuthOutcome:
 class DeviceState:
     id: DeviceId
     variant: Variant
-    link_key: LinkKey
     rng: random.Random
-    # effective_key is what e1 actually runs with: the link key, XORed with
-    # the session key once a public-value exchange has completed
+    # effective_key is the one key e1 runs with: the pairing link key, XORed
+    # with the session key once a public-value exchange has completed
     effective_key: LinkKey
     dh_params: DhParams | None = None
-    role: Role | None = None
-    peer: DeviceId | None = None
-    phase: Phase = Phase.IDLE
-    pending_challenge_sent: Challenge | None = None
-    pending_challenge_received: Challenge | None = None
-    answered_peer: bool = False
-    peer_authenticated: bool = False
-    dh: DhKeyPair | None = None
-    session: SessionKey | None = None
+    role: Role | None = field(default=None, init=False)
+    peer: DeviceId | None = field(default=None, init=False)
+    phase: Phase = field(default=Phase.IDLE, init=False)
+    pending_challenge_sent: Challenge | None = field(default=None, init=False)
+    pending_challenge_received: Challenge | None = field(default=None, init=False)
+    answered_peer: bool = field(default=False, init=False)
+    peer_authenticated: bool = field(default=False, init=False)
+    dh: DhKeyPair | None = field(default=None, init=False)
 
     @property
     def enc_key(self) -> bytes | None:
@@ -201,7 +198,6 @@ def new_device(
     return DeviceState(
         id=id,
         variant=variant,
-        link_key=link_key,
         rng=random.Random(rng_seed),
         effective_key=link_key,
         dh_params=dh_params,
@@ -258,7 +254,7 @@ def _answer(device: DeviceState, challenge: Challenge) -> Message:
     sres = e1(device.effective_key, challenge, device.id)
     device.answered_peer = True
     assert device.peer is not None
-    return Message(MsgKind.RESPONSE, device.id, device.peer, sres.value)
+    return Message(MsgKind.RESPONSE, device.id, device.peer, sres)
 
 
 def _fail(device: DeviceState, msg: Message) -> list[Message]:
@@ -278,8 +274,11 @@ def _on_auth_fail(device: DeviceState, msg: Message) -> list[Message]:
 
 
 def _on_auth_request(device: DeviceState, msg: Message) -> list[Message]:
+    peer = DeviceId(msg.payload)
+    if peer is device.id:  # it could address no message to itself
+        return _fail(device, msg)
     device.role = Role.RESPONDER
-    device.peer = DeviceId(msg.payload)
+    device.peer = peer
     device.phase = (
         Phase.DH_EXCHANGE if device.variant is Variant.DH_IMPROVED else Phase.AWAIT_CHALLENGE
     )
@@ -298,8 +297,9 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
         shared = dh_shared(params, decode_public(msg.payload), device.dh.r_private)
     except ValueError:
         return _fail(device, msg)
-    device.session = session_key_from_shared(shared, params)
-    device.effective_key = LinkKey(xor_bytes(device.link_key.value, device.session.value))
+    # success leaves DhExchange, so effective_key is still the pairing key
+    session = session_key_from_shared(shared, params)
+    device.effective_key = LinkKey(xor_bytes(device.effective_key.value, session))
     if device.role is Role.INITIATOR:
         out.append(_issue_challenge(device))
         device.phase = Phase.AWAIT_RESPONSE
@@ -336,8 +336,7 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
     if device.peer_authenticated or device.pending_challenge_sent is None:
         return _fail(device, msg)
     assert device.peer is not None
-    expected = e1(device.effective_key, device.pending_challenge_sent, device.peer)
-    if msg.payload != expected.value:
+    if msg.payload != e1(device.effective_key, device.pending_challenge_sent, device.peer):
         return _fail(device, msg)
     device.peer_authenticated = True
     if device.answered_peer:

@@ -58,6 +58,7 @@ from btauthsim.crypto import (
     mixhash128,
     modexp,
     session_key_from_shared,
+    xor_bytes,
 )
 from btauthsim.protocol import AuthStatus, MsgKind, Variant, encode_public, new_device
 from btauthsim.simnet import Detection, LinkConfig, run
@@ -89,6 +90,11 @@ def attack_run(variant, mode, seed, key=None):
     transcript, outcomes = run(dev_a, dev_b, intruder, LinkConfig())
     score = verdict(outcomes, transcript, Detection.NONE, key)
     return dev_a, dev_b, intruder, transcript, outcomes, score
+
+
+def session_of(device, key):
+    """A dh-improved device's session key: its working key XOR the pairing key."""
+    return xor_bytes(device.effective_key.value, key.value)
 
 
 def captured(transcript, outcomes):
@@ -166,7 +172,7 @@ def test_criterion_3_nested_scheme_still_relayable():
         responses = {k for k in knowledge if len(k) == 4}
         for claimant in (ADDR_A, ADDR_B):
             matched = sum(
-                e1(key, Challenge(c), claimant).value in responses for c in challenges
+                e1(key, Challenge(c), claimant) in responses for c in challenges
             )
             assert matched >= 1, f"seed {seed}: no usable pair for {claimant}"
     _report(3, f"relay beats nested auth on {len(SEEDS)}/{len(SEEDS)} seeds and "
@@ -182,16 +188,19 @@ def test_criterion_4_key_agreement_blocks_active_relay():
         assert all(o.status is AuthStatus.FAILED for o in outcomes.values()), f"seed {seed}"
 
     for seed in SEEDS:
+        # the pairing key attack_run draws by default
+        key = LinkKey(random.Random(seed).randbytes(16))
         dev_a, dev_b, _, transcript, outcomes, score = attack_run(
-            Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE, seed
+            Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE, seed, key=key
         )
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
         assert score.confidentiality is Confidentiality.MAINTAINED, f"seed {seed}"
         shared = dh_shared(PARAMS, dev_b.dh.s_public, dev_a.dh.r_private)
-        assert dev_a.session == dev_b.session
+        session = session_of(dev_a, key)
+        assert session == session_of(dev_b, key)
         knowledge = captured(transcript, outcomes)
         assert encode_public(shared) not in knowledge, f"seed {seed}"
-        assert dev_a.session.value not in knowledge, f"seed {seed}"
+        assert session not in knowledge, f"seed {seed}"
     _report(4, f"active relay fails on {len(SEEDS)}/{len(SEEDS)} seeds; passive relay "
                f"never sees the shared secret or session key")
 
@@ -307,10 +316,10 @@ def test_criterion_8_reproducibility_and_frozen_vectors():
             assert ref_mixhash128(inputs[0]).hex() == expected, name
         elif name == "e1_all_zero":
             args = (LinkKey(inputs[0]), Challenge(inputs[1]), DeviceId(inputs[2]))
-            assert (e1(*args).value + e1_aco(*args).value).hex() == expected
+            assert (e1(*args) + e1_aco(*args).value).hex() == expected
         elif name.startswith("init_key_"):
             out = init_key(Pin(inputs[0]), DeviceId(inputs[1]), Challenge(inputs[2]))
-            assert out.value.hex() == expected
+            assert out.hex() == expected
         elif name == "combination_link_key":
             out = combination_link_key(
                 Challenge(inputs[0]), DeviceId(inputs[1]),
@@ -324,7 +333,7 @@ def test_criterion_8_reproducibility_and_frozen_vectors():
             k = int.from_bytes(inputs[0], "big")
             p = int.from_bytes(inputs[1], "big")
             out = session_key_from_shared(k, DhParams(p=p, alpha=5))
-            assert out.value.hex() == expected
+            assert out.hex() == expected
         else:
             raise AssertionError(f"unrecognized vector row {name!r}")
         checked += 1

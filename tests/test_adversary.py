@@ -18,7 +18,7 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1
+from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, xor_bytes
 from btauthsim.protocol import AuthOutcome, AuthStatus, MsgKind, Variant, new_device
 from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run
 
@@ -40,6 +40,11 @@ def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
     transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
     score = verdict(outcomes, transcript, Detection.NONE, key)
     return dev_a, dev_b, intruder, transcript, outcomes, score
+
+
+def session_of(device, key=KEY):
+    """A dh-improved device's session key: its working key XOR the pairing key."""
+    return xor_bytes(device.effective_key.value, key.value)
 
 
 def captured(transcript, outcomes):
@@ -103,7 +108,7 @@ class TestImprovedCaseRelay:
         matched = 0
         for raw in set(challenges):
             for claimant in (ADDR_A, ADDR_B):
-                if e1(KEY, Challenge(raw), claimant).value in knowledge:
+                if e1(KEY, Challenge(raw), claimant) in knowledge:
                     matched += 1
         assert matched == 2
 
@@ -128,10 +133,10 @@ class TestDhRelay:
         )
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
         assert score.confidentiality is Confidentiality.MAINTAINED
-        assert dev_a.session is not None
+        assert dev_a.dh is not None
         knowledge = captured(transcript, outcomes)
-        assert dev_a.session.value not in knowledge
-        assert dev_b.session.value not in knowledge
+        assert session_of(dev_a) not in knowledge
+        assert session_of(dev_b) not in knowledge
 
     def test_shared_secret_never_observed(self):
         dev_a, _, _, transcript, outcomes, _ = attack_run(
@@ -139,12 +144,38 @@ class TestDhRelay:
         )
         # reconstruct the shared integer from the honest side and check the
         # intruder never saw any encoding of it
-        shared_key = dev_a.session
-        assert shared_key.value not in captured(transcript, outcomes)
+        shared_key = session_of(dev_a)
+        assert shared_key not in captured(transcript, outcomes)
 
     def test_active_intruder_needs_group_parameters(self):
         with pytest.raises(ValueError):
             IntruderState(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED, ADDR_A, ADDR_B, 0)
+
+
+class TestHonestEmissions:
+    @pytest.mark.parametrize("mode", [None, *IntruderMode], ids=lambda m: m.value if m else "none")
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_at_most_one_challenge_and_public_per_device(self, variant, mode):
+        # the originate intruder forwards or forges at most once per
+        # message an honest device emits, because each emits at most one
+        # ChallengeMsg and at most one DhPublicMsg in a run
+        params = PARAMS if variant is Variant.DH_IMPROVED else None
+        timings = [(10, 2000), (1, 2000), (25, 400), (10, 45), (7, 30), (3, 7), (2, 5), (1, 2)]
+        for latency_ms, timeout_ms in timings:
+            for seed in range(8):
+                dev_a = new_device(ADDR_A, variant, KEY, 3 * seed, dh_params=params)
+                dev_b = new_device(ADDR_B, variant, KEY, 3 * seed + 1, dh_params=params)
+                intruder = None
+                if mode is not None:
+                    intruder = IntruderState(
+                        ADDR_C, mode, variant, ADDR_A, ADDR_B,
+                        rng_seed=3 * seed + 2, dh_params=params,
+                    )
+                transcript, _ = run(dev_a, dev_b, intruder, LinkConfig(latency_ms, timeout_ms))
+                for device in (ADDR_A, ADDR_B):
+                    kinds = [e.kind for e in transcript.events if e.from_id is device]
+                    assert kinds.count(MsgKind.CHALLENGE) <= 1, (latency_ms, timeout_ms, seed)
+                    assert kinds.count(MsgKind.DH_PUBLIC) <= 1, (latency_ms, timeout_ms, seed)
 
 
 class TestLegacyOriginate:
@@ -245,7 +276,7 @@ def full_scan_confidentiality(knowledge, outcomes, link_key):
     confidentiality = Confidentiality.MAINTAINED
     for raw in challenges:
         for claimant in set(outcomes):
-            if e1.__wrapped__(link_key, Challenge(raw), claimant).value in responses:
+            if e1.__wrapped__(link_key, Challenge(raw), claimant) in responses:
                 confidentiality = Confidentiality.BREACHED
     return confidentiality
 
@@ -314,7 +345,7 @@ class TestConfidentialityScan:
         payloads = challenges + noise
         for index, second in answered:
             raw = challenges[index % len(challenges)]
-            payloads.append(e1(KEY, Challenge(raw), claimants[second]).value)
+            payloads.append(e1(KEY, Challenge(raw), claimants[second]))
         # each payload crosses the intruder, alternately into it and out of it
         routes = [(ADDR_A, ADDR_C), (ADDR_C, ADDR_B)]
         transcript = Transcript(
@@ -458,7 +489,7 @@ def knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key):
     challenges = sorted(item for item in knowledge if len(item) == 16)
     responses = {item for item in knowledge if len(item) == 4}
     breached = bool(responses) and any(
-        e1(link_key, challenge, claimant).value in responses
+        e1(link_key, challenge, claimant) in responses
         for challenge in map(Challenge, challenges)
         for claimant in outcomes
     )

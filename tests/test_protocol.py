@@ -10,7 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btauthsim.adversary import IntruderMode, IntruderState
-from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, e1_aco, encryption_key
+from btauthsim.crypto import (
+    Challenge,
+    DeviceId,
+    DhParams,
+    LinkKey,
+    dh_shared,
+    e1,
+    e1_aco,
+    encryption_key,
+    session_key_from_shared,
+    xor_bytes,
+)
 from btauthsim.protocol import (
     AuthStatus,
     Message,
@@ -149,7 +160,7 @@ class TestImprovedHonest:
         released = handle(dev_b, answer)
         assert [m.kind for m in released] == [MsgKind.RESPONSE]
         expected = e1(KEY1, Challenge(first[1].payload), ADDR_B)
-        assert released[0].payload == expected.value
+        assert released[0].payload == expected
 
     def test_round_trip_times(self):
         assert round_trips(Variant.IMPROVED) == (40, 20)
@@ -175,10 +186,13 @@ class TestDhImprovedHonest:
 
     def test_session_keys_agree_and_shift_the_auth_key(self):
         dev_a, dev_b, _ = run_honest(Variant.DH_IMPROVED)
-        assert dev_a.session is not None
-        assert dev_a.session == dev_b.session
+        # a session key is the working key XOR the pairing key
+        session_a = xor_bytes(dev_a.effective_key.value, KEY1.value)
+        shared = dh_shared(PARAMS, dev_b.dh.s_public, dev_a.dh.r_private)
+        assert session_a == session_key_from_shared(shared, PARAMS)
+        assert session_a == xor_bytes(dev_b.effective_key.value, KEY1.value)
         assert dev_a.effective_key == dev_b.effective_key
-        assert dev_a.effective_key != dev_a.link_key
+        assert dev_a.effective_key != KEY1
 
     def test_public_values_in_group_range(self):
         _, _, log = run_honest(Variant.DH_IMPROVED)
@@ -221,6 +235,18 @@ class TestFailures:
         start(dev_a, ADDR_B)
         assert handle(dev_a, Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_A)) == []
         assert dev_a.phase is Phase.FAILED
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_auth_request_announcing_the_receiver_fails(self, variant):
+        # the announced address would make the device its own peer
+        _, dev_b = honest_pair(variant)
+        forged = Message(MsgKind.AUTH_REQUEST, ADDR_C, ADDR_B, ADDR_B.addr)
+        assert handle(dev_b, forged) == [Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_C)]
+        assert dev_b.phase is Phase.FAILED
+        assert dev_b.peer is None
+        # a failed device absorbs what follows
+        follow = Message(MsgKind.CHALLENGE, ADDR_C, ADDR_B, b"\x07" * 16)
+        assert handle(dev_b, follow) == []
 
     def test_terminal_phases_absorb(self):
         dev_a, _, _ = run_honest(Variant.LEGACY)

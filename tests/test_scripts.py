@@ -3,12 +3,14 @@
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from btauthsim import cli
 from btauthsim.cli import DH_P_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +30,22 @@ def readme_block(after: str) -> list[str]:
     opening = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("```"))
     closing = lines.index("```", opening + 1)
     return lines[opening + 1 : closing]
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The arguments of each btauthsim line in the README's CLI block."""
+    commands = [shlex.split(line, comments=True) for line in readme_block("## CLI")]
+    return [command[1:] for command in commands if command[:1] == ["btauthsim"]]
+
+
+def test_readme_cli_block_lists_examples():
+    assert len(readme_cli_examples()) >= 5
+
+
+@pytest.mark.parametrize("args", readme_cli_examples(), ids=lambda args: " ".join(args) or "defaults")
+def test_readme_cli_example_runs(capsys, args):
+    assert cli.main(args) == 0
+    assert "scenario=" in capsys.readouterr().out
 
 
 def test_attack_matrix_matches_readme(capsys):
