@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Measure the brute-force discrete-log cost over a prime-order group.
+"""Measure the brute-force discrete-log cost in the multiplicative group mod p.
+
+Z_p^* has order p-1, which is even and so composite for every prime p
+above 3: the group is not of prime order, and its generator has order p-1.
 
 Draws random exponents, recovers each from its public value by linear
 scan, and reports the mean iteration count next to the (p-1)/2 expected

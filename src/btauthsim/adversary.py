@@ -205,44 +205,51 @@ def verdict(
 
     Integrity is broken when the intruder delivered to an honest device a
     hop that the other honest device had not emitted before it.
-    Confidentiality is breached when some captured 16-octet item, taken as
-    a challenge, has its response under link_key by some honest claimant
-    among the captured 4-octet items. The scan takes the items in ascending
+    Confidentiality is breached when some challenge the intruder saw cross
+    as a ChallengeMsg (a captured 16-octet CHALLENGE payload) has its
+    response under link_key by some honest claimant among the captured
+    4-octet RESPONSE payloads. The scan takes the challenges in ascending
     octet order and, for each, the claimants in the order of outcomes, and
     stops at the first match; the order is fixed, whatever the hash seed,
     so the e1 calls a run makes are too. When the intruder captured no
-    4-octet item, no challenge can match, and the scan makes no e1 call."""
+    response, no challenge can match, and the scan makes no e1 call.
+
+    Leaving out the other captured payloads, the DH public values among
+    them, changes no verdict a run can produce: a device computes e1 only
+    on the payload of a ChallengeMsg delivered to it, and in an intruder
+    run every hop into a device comes from the intruder, so it is captured
+    as a CHALLENGE. A valid response to a value that crossed only under
+    another kind would need a 32-bit collision. The width checks stay,
+    because a hand-built transcript may carry any payload under any kind."""
     a, b = outcomes
     peer = {a: b, b: a}
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
 
     # one pass finds every fact: whether any hop ran between the honest
-    # devices, the first forged hop, and what the intruder captured
+    # devices, the first forged hop, and the credentials the intruder captured
     direct_hops = forged = False
     emitted: set[tuple[DeviceId, MsgKind, bytes]] = set()
-    captured: set[bytes] = set()
+    challenges: set[bytes] = set()
+    responses: set[bytes] = set()
     for event in transcript.events:
-        from_id, to_id = event.from_id, event.to_id
+        from_id, to_id, kind, payload = event.from_id, event.to_id, event.kind, event.payload
         if from_id in peer:
-            emitted.add((from_id, event.kind, event.payload))
+            emitted.add((from_id, kind, payload))
             if to_id in peer:
                 direct_hops = True
                 continue
-        elif (
-            not forged
-            and to_id in peer
-            and (peer[to_id], event.kind, event.payload) not in emitted
-        ):
+        elif not forged and to_id in peer and (peer[to_id], kind, payload) not in emitted:
             forged = True
-        captured.add(event.payload)
+        if kind is MsgKind.CHALLENGE and len(payload) == 16:
+            challenges.add(payload)
+        elif kind is MsgKind.RESPONSE and len(payload) == 4:
+            responses.add(payload)
     attack_success = all_success and not direct_hops and len(transcript.events) > 0
     integrity = Integrity.BROKEN if forged else Integrity.MAINTAINED
 
-    challenges = sorted(item for item in captured if len(item) == 16)
-    responses = {item for item in captured if len(item) == 4}
     breached = bool(responses) and any(
         e1(link_key, challenge, claimant) in responses
-        for challenge in map(Challenge, challenges)
+        for challenge in map(Challenge, sorted(challenges))
         for claimant in outcomes
     )
     confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED

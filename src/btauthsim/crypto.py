@@ -16,13 +16,15 @@ reuses another run's entries and each run's count of responses computed
 depends only on its scenario and seed. Results are unchanged: e1 is pure
 and its inputs are frozen values.
 
-Besides that memo, which functools.lru_cache guards itself, the one shared
-mutable structure is the table of live device addresses behind DeviceId,
-which keeps one object per address so that addresses compare and hash by
-identity. It holds its objects weakly, and a lock guards the path that adds
-an address to it. Each DhParams also caches a table of powers of its
-generator, built on first use and never mutated once built; two threads
-that race to build it build equal tables.
+Besides that memo and mixhash128's cache of message layouts by input length
+(at most 64 lengths; each entry is the padding tail and the struct that
+reads the whole message), both of which functools.lru_cache guards itself,
+the one shared mutable structure is the table of live device addresses
+behind DeviceId, which keeps one object per address so that addresses
+compare and hash by identity. It holds its objects weakly, and a lock
+guards the path that adds an address to it. Each DhParams also caches a
+table of powers of its generator, built on first use and never mutated
+once built; two threads that race to build it build equal tables.
 """
 
 from dataclasses import dataclass
@@ -62,16 +64,22 @@ def _hold_octets(obj, field: str, value: bytes, width: int, max_width: int | Non
     so that the value is immutable and hashable, as the e1 memo needs. The
     field takes exactly width octets, or width to max_width when max_width
     is given."""
-    name = f"{type(obj).__name__}.{field}"
+    # each message formats the field's name itself: a value that passes formats nothing
     if not isinstance(value, bytes):
         if not isinstance(value, bytearray):
-            raise TypeError(f"{name} must be bytes, got {type(value).__name__}")
+            raise TypeError(
+                f"{type(obj).__name__}.{field} must be bytes, got {type(value).__name__}"
+            )
         object.__setattr__(obj, field, bytes(value))
     if max_width is None:
         if len(value) != width:
-            raise ValueError(f"{name} must be exactly {width} octets, got {len(value)}")
+            raise ValueError(
+                f"{type(obj).__name__}.{field} must be exactly {width} octets, got {len(value)}"
+            )
     elif not width <= len(value) <= max_width:
-        raise ValueError(f"{name} must be {width} to {max_width} octets, got {len(value)}")
+        raise ValueError(
+            f"{type(obj).__name__}.{field} must be {width} to {max_width} octets, got {len(value)}"
+        )
 
 
 # the one live DeviceId of each address; see DeviceId
@@ -169,12 +177,18 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = 0x9E3779B97F4A7C15
 _S0_INIT = 0x736F6D6570736575
 _S1_INIT = 0x646F72616E646F6D
-_BLOCK = struct.Struct("<Q")
 # the length block, then the four trailing all-zero blocks
 _LENGTH_AND_TAIL = struct.Struct("<5Q")
 _DIGEST = struct.Struct("<QQ")
-# the 0x80 octet and the zero octets that follow an input of n octets, by n % 8
-_PADDING = [b"\x80" + bytes(-(n + 1) % 8) for n in range(8)]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(n: int) -> tuple[bytes, struct.Struct]:
+    """What follows an input of n octets (the 0x80 octet, the zero octets
+    up to a multiple of 8, the length block and the four zero blocks), and
+    the struct that reads the whole message as little-endian u64 blocks."""
+    tail = b"\x80" + bytes(-(n + 1) % 8) + _LENGTH_AND_TAIL.pack(n, 0, 0, 0, 0)
+    return tail, struct.Struct(f"<{(n + len(tail)) // 8}Q")
 
 
 def mixhash128(data: bytes) -> bytes:
@@ -198,11 +212,10 @@ def mixhash128(data: bytes) -> bytes:
     octets of the digest are the s0 lane alone; e1 runs that lane by itself.
     """
     data = bytes(data)
-    n = len(data)
+    tail, blocks = _layout(len(data))
     s0 = _S0_INIT
     s1 = _S1_INIT
-    buf = data + _PADDING[n % 8] + _LENGTH_AND_TAIL.pack(n, 0, 0, 0, 0)
-    for (m,) in _BLOCK.iter_unpack(buf):
+    for m in blocks.unpack(data + tail):
         x = s0 ^ m
         # rotl64(x, 13) is x << 13 | x >> 51 taken mod 2^64; the bits that
         # x << 13 sets above bit 63 only add multiples of 2^64 to the
@@ -228,16 +241,14 @@ _TAG_ENC_KEY = b"\x04"
 _TAG_SESSION = b"\x05"
 
 
-# the e1 message is the tag, key, challenge and claimant address, 39 octets;
-# its padding fills the fifth block, and the length block and the four
-# trailing zero blocks follow
-_E1_TAIL = b"\x80" + _LENGTH_AND_TAIL.pack(39, 0, 0, 0, 0)
-_E1_BLOCKS = struct.Struct("<10Q")
+# the e1 message is the tag, key, challenge and claimant address, 39 octets
+_E1_TAIL, _E1_BLOCKS = _layout(39)
 _SRES = struct.Struct("<I")
 
 
-# the scripted scenarios derive at most 12 distinct triples in a run, plus 2
-# of a first run's calibration, so within a run the memo evicts nothing
+# the scripted scenarios derive at most 6 distinct triples in a run (the
+# dh-improved relays), plus 2 of a first run's calibration, so within a run
+# the memo evicts nothing
 @functools.lru_cache(maxsize=32)
 def e1(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> bytes:
     """Authentication function: the 4-octet response (SRES) to a challenge.

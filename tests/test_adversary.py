@@ -27,6 +27,8 @@ ADDR_B = DeviceId.from_hex("bb0000000002")
 ADDR_C = DeviceId.from_hex("cc0000000003")
 KEY = LinkKey(bytes(range(16)))
 PARAMS = DhParams(p=2147483647, alpha=7)
+# the largest safe prime below 2^47, whose generator is 2
+WIDE_P = 140737488353843
 LINKS = LinkConfig()
 
 
@@ -268,28 +270,52 @@ HEADLINE = [
 ]
 
 
-def full_scan_confidentiality(knowledge, outcomes, link_key):
-    """Every captured 16-octet item against every honest claimant, with the
-    unmemoised e1 and no early exit."""
-    challenges = [item for item in knowledge if len(item) == 16]
-    responses = {item for item in knowledge if len(item) == 4}
+def full_scan_confidentiality(challenges, responses, outcomes, link_key):
+    """Every 16-octet item of challenges against every honest claimant, with
+    the unmemoised e1 and no early exit, matched among the 4-octet items of
+    responses."""
+    responses = {item for item in responses if len(item) == 4}
     confidentiality = Confidentiality.MAINTAINED
-    for raw in challenges:
+    for raw in (item for item in challenges if len(item) == 16):
         for claimant in set(outcomes):
             if e1.__wrapped__(link_key, Challenge(raw), claimant) in responses:
                 confidentiality = Confidentiality.BREACHED
     return confidentiality
 
 
+def captured_of_kind(transcript, outcomes, kind):
+    """The payloads of the captured hops of one message kind."""
+    return {
+        e.payload
+        for e in transcript.events
+        if e.kind is kind and (e.from_id not in outcomes or e.to_id not in outcomes)
+    }
+
+
 class TestConfidentialityScan:
-    @pytest.mark.parametrize("latency_ms,timeout_ms", [(10, 2000), (1, 2000), (25, 400)])
-    def test_first_match_agrees_with_full_scan(self, monkeypatch, latency_ms, timeout_ms):
+    @pytest.mark.parametrize(
+        "latency_ms,timeout_ms,dh_p,dh_alpha",
+        [
+            (10, 2000, 2147483647, 7),
+            (1, 2000, 2147483647, 7),
+            (25, 400, 2147483647, 7),
+            (10, 2000, WIDE_P, 2),
+        ],
+        ids=["10-2000", "1-2000", "25-400", "10-2000-dh-wide"],
+    )
+    def test_first_match_agrees_with_full_scan(
+        self, monkeypatch, latency_ms, timeout_ms, dh_p, dh_alpha
+    ):
+        # the oracle tries every captured 16-octet item as a challenge,
+        # whatever its kind: on every run, leaving out the other kinds
+        # changes no verdict
         judged = []
 
         def checked(outcomes, transcript, detection, link_key):
             score = verdict(outcomes, transcript, detection, link_key)
             knowledge = captured(transcript, outcomes)
-            assert score.confidentiality is full_scan_confidentiality(knowledge, outcomes, link_key)
+            expected = full_scan_confidentiality(knowledge, knowledge, outcomes, link_key)
+            assert score.confidentiality is expected
             judged.append(score.confidentiality)
             return score
 
@@ -302,6 +328,8 @@ class TestConfidentialityScan:
                 initiator=initiator,
                 latency_ms=latency_ms,
                 timeout_ms=timeout_ms,
+                dh_p=dh_p,
+                dh_alpha=dh_alpha,
             )
             for seed in range(20):
                 run_scenario(config, seed)
@@ -365,14 +393,74 @@ class TestConfidentialityScan:
         knowledge = captured(transcript, outcomes)
         assert knowledge == set(payloads)
         score = verdict(outcomes, transcript, Detection.NONE, KEY)
-        assert score.confidentiality is full_scan_confidentiality(knowledge, outcomes, KEY)
+        assert score.confidentiality is full_scan_confidentiality(knowledge, knowledge, outcomes, KEY)
+
+    @pytest.mark.parametrize(
+        "mode", [IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE], ids=lambda m: m.value
+    )
+    def test_dh_public_values_are_not_tried_as_challenges(self, monkeypatch, mode):
+        # no relayed dh-improved run verifies under the link key, so the scan
+        # runs in full: both claimants for each captured ChallengeMsg payload
+        e1_calls = []
+
+        def counting_e1(*args):
+            e1_calls.append(args)
+            return e1(*args)
+
+        monkeypatch.setattr(adversary, "e1", counting_e1)
+        config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
+        counts = []
+        for seed in range(10):
+            e1_calls.clear()
+            result = run_scenario(config, seed)
+            challenges = captured_of_kind(result.transcript, result.outcomes, MsgKind.CHALLENGE)
+            assert captured_of_kind(result.transcript, result.outcomes, MsgKind.RESPONSE)
+            assert result.score.confidentiality is Confidentiality.MAINTAINED
+            assert len(e1_calls) == 2 * len(challenges), f"seed {seed}"
+            counts.append(len(e1_calls))
+        assert counts[0] == 4
+
+    def test_a_response_to_a_public_value_is_no_credential(self):
+        """A transcript that no run can produce: the intruder relays a
+        DhPublicMsg whose payload X is then answered, as if a challenge, by
+        a relayed ResponseMsg e1(K, X, A). A device computes e1 only on the
+        payload of a ChallengeMsg delivered to it, and in an intruder run
+        every hop into a device comes from the intruder, so a challenge a
+        device answered is always captured as a ChallengeMsg. Here X never
+        crossed as one, so the pair is no credential the intruder saw and
+        the judge does not try X; the kind-blind scan would."""
+        public = bytes(range(100, 116))
+        response = e1(KEY, Challenge(public), ADDR_A)
+        hops = [
+            (ADDR_A, ADDR_C, MsgKind.DH_PUBLIC, public),
+            (ADDR_C, ADDR_B, MsgKind.DH_PUBLIC, public),
+            (ADDR_A, ADDR_C, MsgKind.RESPONSE, response),
+            (ADDR_C, ADDR_B, MsgKind.RESPONSE, response),
+        ]
+        transcript = Transcript(
+            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
+            links=LINKS,
+            end_time=len(hops),
+        )
+        outcomes = {
+            ADDR_A: AuthOutcome(AuthStatus.FAILED, ADDR_B),
+            ADDR_B: AuthOutcome(AuthStatus.FAILED, ADDR_A),
+        }
+        knowledge = captured(transcript, outcomes)
+        blind = full_scan_confidentiality(knowledge, knowledge, outcomes, KEY)
+        assert blind is Confidentiality.BREACHED
+        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        assert score.confidentiality is Confidentiality.MAINTAINED
+        assert score.integrity is Integrity.MAINTAINED
 
 
 def two_pass_verdict(outcomes, transcript, detection, link_key):
     """The judge by its record-only definition, one fact per pass: direct
     hops between the honest devices; each hop that another party delivered
     to an honest device, checked against what the other honest device
-    emitted before it; and the payloads that other party sent or received."""
+    emitted before it; and the payloads that other party sent or received,
+    of which only CHALLENGE payloads are tried as challenges and RESPONSE
+    payloads as responses."""
     a, b = outcomes
     other = {a: b, b: a}
     honest = set(outcomes)
@@ -387,11 +475,12 @@ def two_pass_verdict(outcomes, transcript, detection, link_key):
                 integrity = Integrity.BROKEN
         if event.from_id in honest:
             emitted.add((event.from_id, event.kind, event.payload))
-    knowledge = captured(transcript, outcomes)
+    challenges = captured_of_kind(transcript, outcomes, MsgKind.CHALLENGE)
+    responses = captured_of_kind(transcript, outcomes, MsgKind.RESPONSE)
     return AttackVerdict(
         attack_success=attack_success,
         integrity=integrity,
-        confidentiality=full_scan_confidentiality(knowledge, outcomes, link_key),
+        confidentiality=full_scan_confidentiality(challenges, responses, outcomes, link_key),
         detection=detection,
     )
 

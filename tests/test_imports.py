@@ -1,7 +1,9 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and so is
+every private name a program module defines at its top level.
 
-A deletion that leaves an import behind fails here. A name listed in the
-module's ``__all__`` counts as read, since the module exports it.
+A deletion that leaves an import, a constant or a helper behind fails here.
+A name listed in the module's ``__all__`` counts as read, since the module
+exports it.
 """
 
 import ast
@@ -10,9 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [*ROOT.glob("src/btauthsim/*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
-)
+PROGRAM = sorted([*ROOT.glob("src/btauthsim/*.py"), *ROOT.glob("scripts/*.py")])
+MODULES = sorted([*PROGRAM, *ROOT.glob("tests/*.py")])
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -24,6 +25,14 @@ def exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def read_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unread_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = []
@@ -33,17 +42,38 @@ def unread_imports(source: str) -> list[str]:
             imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names]
-    read = {
-        node.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    return sorted(set(imported) - read - exported(tree))
+    return sorted(set(imported) - read_names(tree) - exported(tree))
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private names (a leading underscore, and not a dunder) that the
+    module's top level binds by assignment, def or class, and that nothing
+    in the module reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    return sorted(private - read_names(tree))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text()) == []
 
 
 def test_modules_are_found():
@@ -60,7 +90,18 @@ def test_modules_are_found():
         ("from a import b\n__all__ = ['b']\n", []),
         ("from __future__ import annotations\n", []),
         ("def f():\n    import json\n    return json\n", []),
+        ("_X = 1\n", ["_X"]),
+        ("_X = 1\ndef f():\n    return _X\n", []),
+        ("_A, (_B, c) = 1, (2, 3)\n_A\n", ["_B"]),
+        ("_T: int = 1\n_U: int\n", ["_T", "_U"]),
+        ("def _f():\n    pass\n", ["_f"]),
+        ("async def _g():\n    pass\n_g()\n", []),
+        ("class _C:\n    pass\nclass D(_C):\n    pass\n", []),
+        ("class _C:\n    _inner = 1\n", ["_C"]),
+        ("__version__ = '1'\n__x = 1\n", ["__x"]),
+        ("import os as _os\n", ["_os"]),
+        ("def f():\n    _local = 1\n", []),
     ],
 )
 def test_the_check_itself(source, unread):
-    assert unread_imports(source) == unread
+    assert unread_imports(source) + unread_private_names(source) == unread

@@ -79,6 +79,22 @@ def test_matches_reference_across_lengths():
         assert mixhash128(data) == ref_mixhash128(data), f"mismatch at length {n}"
 
 
+def test_every_length_and_buffer_type_matches_reference():
+    # 73 lengths, more than the 64 that mixhash128's layout cache holds, and
+    # twice over, so lengths evicted from the cache are laid out again
+    rng = random.Random(0x48)
+    for _ in range(2):
+        for n in range(0, 73):
+            data = rng.randbytes(n)
+            expected = ref_mixhash128(data)
+            assert mixhash128(data) == expected, n
+            assert mixhash128(bytearray(data)) == expected, n
+            assert mixhash128(memoryview(data)) == expected, n
+            if n % 2 == 0:
+                # a view of 2-octet items: its length counts octets, not items
+                assert mixhash128(memoryview(data).cast("H")) == expected, n
+
+
 def test_length_padding_distinguishes_trailing_zeros():
     # the final length block must separate inputs that differ only by
     # zero-padding
