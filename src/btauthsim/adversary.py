@@ -3,12 +3,13 @@
 The intruder sits between two victims, playing each victim's peer toward the
 other. It can relay traffic verbatim, relay while substituting its own
 public values, or originate a handshake toward one victim under the other's
-address. It keeps no record of what it saw: every hop it sends or receives
-is in the run's transcript, and verdict scores a run from the outcomes and
-that transcript alone.
+address. It holds only values: the key pair and the challenge its mode
+sends, drawn when it is built, and what its origination holds back. It
+keeps no record of what it saw: every hop it sends or receives is in the
+run's transcript, and verdict scores a run from the outcomes and that
+transcript alone.
 """
 
-import functools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,6 +71,9 @@ class IntruderState:
     In originate mode the attack direction is fixed: the intruder opens
     toward victim_a under victim_b's address. An active intruder against
     the dh variant needs the group parameters (ValueError otherwise).
+    It draws from random.Random(rng_seed), when built, only what its mode
+    sends: an active one against the dh variant its key pair first, and an
+    originating one then its challenge.
     """
 
     id: DeviceId
@@ -85,18 +89,18 @@ class IntruderState:
     held_challenge: Message | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if (
-            self.variant is Variant.DH_IMPROVED
-            and self.dh_params is None
-            and self.mode is not IntruderMode.RELAY_PASSIVE
-        ):
+        forges_publics = (
+            self.variant is Variant.DH_IMPROVED and self.mode is not IntruderMode.RELAY_PASSIVE
+        )
+        if forges_publics and self.dh_params is None:
             raise ValueError("an active intruder against the dh variant needs the group parameters")
-
-    @functools.cached_property
-    def rng(self) -> random.Random:
-        """The intruder's random stream, seeded from rng_seed on first
-        draw: the relay modes that never draw from it never seed it."""
-        return random.Random(self.rng_seed)
+        originates = self.mode is IntruderMode.ORIGINATE_TO_A
+        if forges_publics or originates:
+            rng = random.Random(self.rng_seed)
+            if forges_publics:
+                self.dh_own = dh_keypair(self.dh_params, rng.randrange(1, self.dh_params.p))
+            if originates:
+                self.own_challenge = Challenge(rng.randbytes(16))
 
     def intercept(self, msg: Message) -> list[Message]:
         return intercept(self, msg)
@@ -105,12 +109,9 @@ class IntruderState:
         return start_attack(self)
 
 
-def _ensure_own_keypair(intruder: IntruderState) -> DhKeyPair:
+def _own_keypair(intruder: IntruderState) -> DhKeyPair:
     if intruder.dh_own is None:
-        params = intruder.dh_params
-        if params is None:
-            raise ValueError("group parameters required to forge public values")
-        intruder.dh_own = dh_keypair(params, intruder.rng.randrange(1, params.p))
+        raise ValueError("only an active intruder against the dh variant forges public values")
     return intruder.dh_own
 
 
@@ -121,7 +122,7 @@ def start_attack(intruder: IntruderState) -> list[Message]:
     victim, fake = intruder.victim_a, intruder.victim_b
     out = [Message(MsgKind.AUTH_REQUEST, fake, victim, fake.addr)]
     if intruder.variant is Variant.DH_IMPROVED:
-        pair = _ensure_own_keypair(intruder)
+        pair = _own_keypair(intruder)
         out.append(Message(MsgKind.DH_PUBLIC, fake, victim, encode_public(pair.s_public)))
     else:
         out.append(_issue_own_challenge(intruder, victim, fake))
@@ -129,9 +130,8 @@ def start_attack(intruder: IntruderState) -> list[Message]:
 
 
 def _issue_own_challenge(intruder: IntruderState, victim: DeviceId, fake: DeviceId) -> Message:
-    challenge = Challenge(intruder.rng.randbytes(16))
-    intruder.own_challenge = challenge
-    return Message(MsgKind.CHALLENGE, fake, victim, challenge.value)
+    assert intruder.own_challenge is not None
+    return Message(MsgKind.CHALLENGE, fake, victim, intruder.own_challenge.value)
 
 
 def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
@@ -140,7 +140,7 @@ def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
         return [msg]
     if intruder.mode is IntruderMode.RELAY_ACTIVE:
         if msg.kind is MsgKind.DH_PUBLIC:
-            pair = _ensure_own_keypair(intruder)
+            pair = _own_keypair(intruder)
             swapped = Message(
                 MsgKind.DH_PUBLIC, msg.sender, msg.receiver, encode_public(pair.s_public)
             )
@@ -169,7 +169,7 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
             # nothing downstream can ever be answered
             out = [Message(MsgKind.AUTH_REQUEST, a, b, a.addr)]
             if intruder.variant is Variant.DH_IMPROVED:
-                pair = _ensure_own_keypair(intruder)
+                pair = _own_keypair(intruder)
                 out.append(Message(MsgKind.DH_PUBLIC, a, b, encode_public(pair.s_public)))
                 intruder.held_challenge = msg
             else:

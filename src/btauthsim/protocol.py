@@ -12,7 +12,9 @@ The legal steps are data: _TRANSITIONS maps each (phase, message kind) pair
 that a device accepts to its handler. The terminal phases absorb every
 message; any other pair fails the handshake with an AuthFail.
 
-A device holds only what its handshake reads; the encryption key of a
+A device holds only values: what its handshake reads, including its own
+challenge and, on dh-improved, its key pair, both drawn when the device is
+built, so a copy of a device is a snapshot of it. The encryption key of a
 completed handshake is derived from the first leg when read. Devices take no
 time input and never self-transition on time: delivery times, timeouts and
 round-trip measurement belong to the network loop driving them and to its
@@ -154,15 +156,15 @@ class AuthOutcome:
 class DeviceState:
     id: DeviceId
     variant: Variant
-    rng: random.Random
     # effective_key is the one key e1 runs with: the pairing link key, XORed
     # with the session key once a public-value exchange has completed
     effective_key: LinkKey
+    # the one challenge this device sends, drawn when it was built
+    challenge: Challenge
     dh_params: DhParams | None = None
     role: Role | None = field(default=None, init=False)
     peer: DeviceId | None = field(default=None, init=False)
     phase: Phase = field(default=Phase.IDLE, init=False)
-    pending_challenge_sent: Challenge | None = field(default=None, init=False)
     pending_challenge_received: Challenge | None = field(default=None, init=False)
     answered_peer: bool = field(default=False, init=False)
     peer_authenticated: bool = field(default=False, init=False)
@@ -178,7 +180,7 @@ class DeviceState:
         if self.phase is not Phase.DONE:
             return None
         if self.role is Role.INITIATOR:
-            challenge, responder = self.pending_challenge_sent, self.peer
+            challenge, responder = self.challenge, self.peer
         else:
             challenge, responder = self.pending_challenge_received, self.id
         aco = e1_aco(self.effective_key, challenge, responder)
@@ -192,16 +194,24 @@ def new_device(
     rng_seed: int,
     dh_params: DhParams | None = None,
 ) -> DeviceState:
-    """Fresh idle device with a deterministic per-device challenge stream."""
-    if variant is Variant.DH_IMPROVED and dh_params is None:
-        raise ValueError("dh-improved devices need group parameters")
-    return DeviceState(
+    """Fresh idle device holding every random value it may send, drawn
+    from random.Random(rng_seed): on dh-improved its key pair first, then
+    its challenge."""
+    rng = random.Random(rng_seed)
+    dh = None
+    if variant is Variant.DH_IMPROVED:
+        if dh_params is None:
+            raise ValueError("dh-improved devices need group parameters")
+        dh = dh_keypair(dh_params, rng.randrange(1, dh_params.p))
+    device = DeviceState(
         id=id,
         variant=variant,
-        rng=random.Random(rng_seed),
         effective_key=link_key,
+        challenge=Challenge(rng.randbytes(16)),
         dh_params=dh_params,
     )
+    device.dh = dh
+    return device
 
 
 def start(device: DeviceState, peer: DeviceId) -> list[Message]:
@@ -213,7 +223,6 @@ def start(device: DeviceState, peer: DeviceId) -> list[Message]:
     device.peer = peer
     out = [Message(MsgKind.AUTH_REQUEST, device.id, peer, device.id.addr)]
     if device.variant is Variant.DH_IMPROVED:
-        device.dh = _fresh_keypair(device)
         out.append(Message(MsgKind.DH_PUBLIC, device.id, peer, encode_public(device.dh.s_public)))
         device.phase = Phase.DH_EXCHANGE
     else:
@@ -228,7 +237,8 @@ def handle(device: DeviceState, msg: Message) -> list[Message]:
     Returns the messages to transmit in response. The terminal phases
     absorb everything silently; otherwise _TRANSITIONS names the handler of
     the pair (phase, message kind), and a pair it lacks fails the handshake
-    with an AuthFail.
+    with an AuthFail. No handler reads the claimed sender of msg, except
+    that a failure goes to it while the device has no peer yet.
     """
     if msg.receiver != device.id:
         raise ProtocolError(f"message for {msg.receiver} delivered to {device.id}")
@@ -237,17 +247,9 @@ def handle(device: DeviceState, msg: Message) -> list[Message]:
     return _TRANSITIONS.get((device.phase, msg.kind), _fail)(device, msg)
 
 
-def _fresh_keypair(device: DeviceState) -> DhKeyPair:
-    params = device.dh_params
-    assert params is not None
-    return dh_keypair(params, device.rng.randrange(1, params.p))
-
-
 def _issue_challenge(device: DeviceState) -> Message:
-    challenge = Challenge(device.rng.randbytes(16))
-    device.pending_challenge_sent = challenge
     assert device.peer is not None
-    return Message(MsgKind.CHALLENGE, device.id, device.peer, challenge.value)
+    return Message(MsgKind.CHALLENGE, device.id, device.peer, device.challenge.value)
 
 
 def _answer(device: DeviceState, challenge: Challenge) -> Message:
@@ -289,8 +291,7 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
     params = device.dh_params
     assert params is not None
     out = []
-    if device.dh is None:
-        device.dh = _fresh_keypair(device)
+    if device.role is Role.RESPONDER:
         assert device.peer is not None
         out.append(Message(MsgKind.DH_PUBLIC, device.id, device.peer, encode_public(device.dh.s_public)))
     try:
@@ -333,10 +334,10 @@ def _on_counter_challenge(device: DeviceState, msg: Message) -> list[Message]:
 
 
 def _on_response(device: DeviceState, msg: Message) -> list[Message]:
-    if device.peer_authenticated or device.pending_challenge_sent is None:
+    if device.peer_authenticated:
         return _fail(device, msg)
     assert device.peer is not None
-    if msg.payload != e1(device.effective_key, device.pending_challenge_sent, device.peer):
+    if msg.payload != e1(device.effective_key, device.challenge, device.peer):
         return _fail(device, msg)
     device.peer_authenticated = True
     if device.answered_peer:

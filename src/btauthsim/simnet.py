@@ -73,12 +73,6 @@ class TranscriptEvent:
             seq=seq, time=time, from_id=from_id, to_id=to_id, kind=kind, payload=payload
         )
 
-    def to_text_line(self) -> str:
-        return _text_lines((self,))[0]
-
-    def to_json_line(self) -> str:
-        return _json_lines((self,))[0]
-
 
 # the text of each message kind, read once here rather than through the
 # enum's value property on every line

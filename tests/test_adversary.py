@@ -19,7 +19,7 @@ from btauthsim.adversary import (
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
 from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, xor_bytes
-from btauthsim.protocol import AuthOutcome, AuthStatus, MsgKind, Variant, new_device
+from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run
 
 ADDR_A = DeviceId.from_hex("aa0000000001")
@@ -292,6 +292,17 @@ def captured_of_kind(transcript, outcomes, kind):
     }
 
 
+_PUBLIC = bytes(range(100, 116))
+_ANSWER = e1(KEY, Challenge(_PUBLIC), ADDR_A)
+# a DhPublicMsg relayed by the intruder, then answered as if a challenge
+ANSWERED_PUBLIC_HOPS = [
+    (ADDR_A, ADDR_C, MsgKind.DH_PUBLIC, _PUBLIC),
+    (ADDR_C, ADDR_B, MsgKind.DH_PUBLIC, _PUBLIC),
+    (ADDR_A, ADDR_C, MsgKind.RESPONSE, _ANSWER),
+    (ADDR_C, ADDR_B, MsgKind.RESPONSE, _ANSWER),
+]
+
+
 class TestConfidentialityScan:
     @pytest.mark.parametrize(
         "latency_ms,timeout_ms,dh_p,dh_alpha",
@@ -429,14 +440,7 @@ class TestConfidentialityScan:
         device answered is always captured as a ChallengeMsg. Here X never
         crossed as one, so the pair is no credential the intruder saw and
         the judge does not try X; the kind-blind scan would."""
-        public = bytes(range(100, 116))
-        response = e1(KEY, Challenge(public), ADDR_A)
-        hops = [
-            (ADDR_A, ADDR_C, MsgKind.DH_PUBLIC, public),
-            (ADDR_C, ADDR_B, MsgKind.DH_PUBLIC, public),
-            (ADDR_A, ADDR_C, MsgKind.RESPONSE, response),
-            (ADDR_C, ADDR_B, MsgKind.RESPONSE, response),
-        ]
+        hops = ANSWERED_PUBLIC_HOPS
         transcript = Transcript(
             events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
             links=LINKS,
@@ -488,12 +492,29 @@ def two_pass_verdict(outcomes, transcript, detection, link_key):
 _PARTY = st.sampled_from([ADDR_A, ADDR_B, ADDR_C])
 # a few short payloads, so that a delivered hop often repeats an emitted one
 _PAYLOAD = st.one_of(st.sampled_from([b"", b"\x01", b"\x02"]), st.binary(max_size=32))
-_HOP = st.tuples(_PARTY, _PARTY, st.sampled_from(list(MsgKind)), _PAYLOAD)
+_KIND = st.sampled_from(list(MsgKind))
+_HOP = st.tuples(_PARTY, _PARTY, _KIND, _PAYLOAD)
 _OUTCOME = st.sampled_from(list(AuthStatus))
 
 
+@st.composite
+def _hops(draw):
+    """Arbitrary hops, plus both halves of a few real credentials: a
+    challenge c and e1(KEY, c, claimant) for an honest claimant, each under
+    any kind between any parties, all in any order. Random payloads alone
+    almost never hold a credential, so they could not tell a judge that
+    reads the kind of a hop from one that ignores it."""
+    hops = draw(st.lists(_HOP, max_size=12))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        challenge = draw(st.binary(min_size=16, max_size=16))
+        claimant = draw(st.sampled_from([ADDR_A, ADDR_B]))
+        for payload in (challenge, e1(KEY, Challenge(challenge), claimant)):
+            hops.append((draw(_PARTY), draw(_PARTY), draw(_KIND), payload))
+    return draw(st.permutations(hops))
+
+
 class TestOnePassVerdict:
-    @given(st.lists(_HOP, max_size=16), _OUTCOME, _OUTCOME, st.booleans(), st.sampled_from(list(Detection)))
+    @given(_hops(), _OUTCOME, _OUTCOME, st.booleans(), st.sampled_from(list(Detection)))
     # every device succeeded, yet one hop ran directly between A and B
     @example(
         [(ADDR_A, ADDR_C, MsgKind.AUTH_REQUEST, b"\x01"), (ADDR_A, ADDR_B, MsgKind.AUTH_SUCCESS, b"")],
@@ -502,6 +523,8 @@ class TestOnePassVerdict:
         False,
         Detection.NONE,
     )
+    # a response to a value that crossed only as a public value
+    @example(ANSWERED_PUBLIC_HOPS, AuthStatus.FAILED, AuthStatus.FAILED, False, Detection.NONE)
     @settings(deadline=None)
     def test_agrees_with_the_two_pass_judge(self, hops, status_a, status_b, b_first, detection):
         transcript = Transcript(
@@ -651,6 +674,18 @@ class TestRecordOnlyJudge:
         assert score == expected
 
 
+def counted_attack_run(monkeypatch, variant, mode):
+    """attack_run with the intruder's random.Random calls recorded by seed."""
+    seeded = []
+
+    def counting_random(seed):
+        seeded.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(adversary, "random", types.SimpleNamespace(Random=counting_random))
+    return seeded, attack_run(variant, mode)
+
+
 class TestIntruderRng:
     @pytest.mark.parametrize(
         "variant,mode",
@@ -659,25 +694,22 @@ class TestIntruderRng:
         ids=lambda v: v.value,
     )
     def test_a_relay_that_never_draws_never_seeds(self, monkeypatch, variant, mode):
-        seeded = []
-
-        def counting_random(seed):
-            seeded.append(seed)
-            return random.Random(seed)
-
-        monkeypatch.setattr(adversary, "random", types.SimpleNamespace(Random=counting_random))
-        _, _, intruder, _, _, _ = attack_run(variant, mode)
+        seeded, (_, _, intruder, _, _, _) = counted_attack_run(monkeypatch, variant, mode)
         assert seeded == []
-        # still readable, from the stream of its seed
-        assert intruder.rng.getstate() == random.Random(3).getstate()
-        assert seeded == [3]
+        assert intruder.dh_own is None
+        assert intruder.own_challenge is None
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_originate_draws_follow_the_seeded_stream(self, variant):
-        _, _, intruder, transcript, _, _ = attack_run(variant, IntruderMode.ORIGINATE_TO_A)
+    def test_originate_draws_follow_the_seeded_stream(self, monkeypatch, variant):
+        seeded, (_, _, intruder, transcript, _, _) = counted_attack_run(
+            monkeypatch, variant, IntruderMode.ORIGINATE_TO_A
+        )
+        assert seeded == [3]
         stream = random.Random(3)
         if variant is Variant.DH_IMPROVED:
             assert intruder.dh_own.r_private == stream.randrange(1, PARAMS.p)
+        else:
+            assert intruder.dh_own is None
         challenge = stream.randbytes(16)
         assert intruder.own_challenge == Challenge(challenge)
         sent = [
@@ -687,9 +719,24 @@ class TestIntruderRng:
         ]
         assert sent[0] == challenge
 
-    def test_relay_active_keypair_follows_the_seeded_stream(self):
-        _, _, intruder, _, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
+    def test_relay_active_keypair_follows_the_seeded_stream(self, monkeypatch):
+        seeded, (_, _, intruder, _, _, _) = counted_attack_run(
+            monkeypatch, Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE
+        )
+        assert seeded == [3]
         assert intruder.dh_own.r_private == random.Random(3).randrange(1, PARAMS.p)
+        assert intruder.own_challenge is None
+
+    @pytest.mark.parametrize("variant", [Variant.LEGACY, Variant.IMPROVED], ids=lambda v: v.value)
+    def test_no_public_value_to_forge_outside_the_dh_variant(self, variant):
+        # the group parameters alone give an intruder against these
+        # variants no key pair: it drew none when it was built
+        intruder = IntruderState(
+            ADDR_C, IntruderMode.RELAY_ACTIVE, variant, ADDR_A, ADDR_B, rng_seed=3, dh_params=PARAMS
+        )
+        public = Message(MsgKind.DH_PUBLIC, ADDR_A, ADDR_B, bytes(16))
+        with pytest.raises(ValueError, match="forges public values"):
+            intruder.intercept(public)
 
 
 class TestDlogBruteforce:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -274,6 +275,24 @@ class TestDriverContract:
         assert not dev.peer_authenticated
         assert dev.dh is None
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_draws_the_key_pair_then_the_challenge(self, variant):
+        dev_a, dev_b = honest_pair(variant, seed_a=5, seed_b=6)
+        for dev, seed in ((dev_a, 5), (dev_b, 6)):
+            stream = random.Random(seed)
+            if variant is Variant.DH_IMPROVED:
+                assert dev.dh.r_private == stream.randrange(1, PARAMS.p)
+            else:
+                assert dev.dh is None
+            assert dev.challenge == Challenge(stream.randbytes(16))
+        # and each sends the challenge it was built with
+        devices = {ADDR_A: dev_a, ADDR_B: dev_b}
+        sent = [m for _, m in pump(devices, start(dev_a, ADDR_B)) if m.kind is MsgKind.CHALLENGE]
+        assert sent == [
+            Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, dev_a.challenge.value),
+            Message(MsgKind.CHALLENGE, ADDR_B, ADDR_A, dev_b.challenge.value),
+        ]
+
     def test_same_seed_same_first_challenge(self):
         one = new_device(ADDR_A, Variant.LEGACY, KEY1, 42)
         two = new_device(ADDR_B, Variant.LEGACY, KEY1, 42)
@@ -377,10 +396,8 @@ STEPS, FINALS = honest_steps()
 
 
 def snapshot(dev):
-    """Every field of a device, its random stream by state."""
-    fields = {f.name: getattr(dev, f.name) for f in dataclasses.fields(dev)}
-    fields["rng"] = dev.rng.getstate()
-    return fields
+    """Every field of a device."""
+    return {f.name: getattr(dev, f.name) for f in dataclasses.fields(dev)}
 
 
 def device_in(phase):
@@ -398,6 +415,22 @@ def device_in(phase):
 class TestTransitionTable:
     def test_honest_runs_step_on_every_legal_pair(self):
         assert {(dev.phase, msg.kind) for dev, msg in STEPS} == LEGAL
+
+    def test_a_copy_is_a_snapshot(self):
+        # a device holds only values, so a shallow copy steps on its own
+        # exactly as a deep one does, and neither touches the original
+        for dev, msg in STEPS:
+            before = snapshot(dev)
+            shallow, deep = copy.copy(dev), copy.deepcopy(dev)
+            assert handle(shallow, msg) == handle(deep, msg)
+            assert snapshot(shallow) == snapshot(deep)
+            assert snapshot(dev) == before
+
+    def test_no_step_reads_the_claimed_sender(self):
+        for dev, msg in STEPS:
+            claimed, forged = copy.copy(dev), copy.copy(dev)
+            assert handle(claimed, msg) == handle(forged, dataclasses.replace(msg, sender=ADDR_C))
+            assert snapshot(claimed) == snapshot(forged)
 
     @pytest.mark.parametrize(
         "phase,kind",

@@ -218,7 +218,7 @@ class TestSerialization:
             "kind": event.kind.value,
             "payload": event.payload.hex(),
         }
-        line = event.to_json_line()
+        [line] = Transcript(events=(event,), links=LINKS, end_time=0).to_jsonl().splitlines()
         assert line == json.dumps(record, separators=(",", ":"))
         assert json.loads(line) == record
 
@@ -236,10 +236,11 @@ class TestSerialization:
             max_size=20,
         )
     )
-    def test_bulk_serialisers_join_the_line_methods(self, events):
+    def test_bulk_serialisers_join_one_event_transcripts(self, events):
         transcript = Transcript(events=tuple(events), links=LINKS, end_time=0)
-        assert transcript.to_jsonl() == "".join(e.to_json_line() + "\n" for e in events)
-        assert transcript.to_text() == "".join(e.to_text_line() + "\n" for e in events)
+        alone = [Transcript(events=(e,), links=LINKS, end_time=0) for e in events]
+        assert transcript.to_jsonl() == "".join(t.to_jsonl() for t in alone)
+        assert transcript.to_text() == "".join(t.to_text() for t in alone)
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_identical_runs_identical_transcripts(self, variant):
