@@ -12,11 +12,8 @@ import sys
 from pathlib import Path
 
 from btauthsim.crypto import (
-    Aco,
-    Challenge,
     DeviceId,
     DhParams,
-    LinkKey,
     Pin,
     combination_link_key,
     e1,
@@ -50,47 +47,48 @@ def build_rows() -> list[tuple[str, ...]]:
     ]:
         rows.append((name, data.hex(), mixhash128(data).hex()))
 
-    zero_key = LinkKey(b"\x00" * 16)
-    zero_rand = Challenge(b"\x00" * 16)
+    zero_key = b"\x00" * 16
+    zero_rand = b"\x00" * 16
     zero_addr = DeviceId(b"\x00" * 6)
     sres = e1(zero_key, zero_rand, zero_addr)
     aco = e1_aco(zero_key, zero_rand, zero_addr)
     rows.append(
         (
             "e1_all_zero",
-            zero_key.value.hex(),
-            zero_rand.value.hex(),
+            zero_key.hex(),
+            zero_rand.hex(),
             zero_addr.addr.hex(),
-            sres.hex() + aco.value.hex(),
+            sres.hex() + aco.hex(),
         )
     )
 
     for name, pin in [("init_key_pin_0000", b"0000"), ("init_key_pin_00000", b"00000")]:
         key = init_key(Pin(pin), zero_addr, zero_rand)
-        rows.append((name, pin.hex(), zero_addr.addr.hex(), zero_rand.value.hex(), key.hex()))
+        rows.append((name, pin.hex(), zero_addr.addr.hex(), zero_rand.hex(), key.hex()))
 
-    ra, rb = Challenge(b"\x11" * 16), Challenge(b"\x22" * 16)
+    ra, rb = b"\x11" * 16, b"\x22" * 16
     addr_a = DeviceId.from_hex("aa0000000001")
     addr_b = DeviceId.from_hex("bb0000000002")
     combined = combination_link_key(ra, addr_a, rb, addr_b)
     rows.append(
         (
             "combination_link_key",
-            ra.value.hex(),
+            ra.hex(),
             addr_a.addr.hex(),
-            rb.value.hex(),
+            rb.hex(),
             addr_b.addr.hex(),
-            combined.value.hex(),
+            combined.hex(),
         )
     )
 
-    enc = encryption_key(zero_key, Aco(b"\x00" * 12), zero_rand)
+    zero_aco = b"\x00" * 12
+    enc = encryption_key(zero_key, zero_aco, zero_rand)
     rows.append(
         (
             "encryption_key_all_zero",
-            zero_key.value.hex(),
-            (b"\x00" * 12).hex(),
-            zero_rand.value.hex(),
+            zero_key.hex(),
+            zero_aco.hex(),
+            zero_rand.hex(),
             enc.hex(),
         )
     )

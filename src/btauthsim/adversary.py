@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .crypto import Challenge, DeviceId, DhKeyPair, DhParams, LinkKey, dh_keypair, e1
+from .crypto import DeviceId, DhKeyPair, DhParams, check_octets, dh_keypair, e1
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -85,7 +85,7 @@ class IntruderState:
     dh_params: DhParams | None = None
     dh_own: DhKeyPair | None = field(default=None, init=False)
     # origination bookkeeping
-    own_challenge: Challenge | None = field(default=None, init=False)
+    own_challenge: bytes | None = field(default=None, init=False)
     held_challenge: Message | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -100,7 +100,7 @@ class IntruderState:
             if forges_publics:
                 self.dh_own = dh_keypair(self.dh_params, rng.randrange(1, self.dh_params.p))
             if originates:
-                self.own_challenge = Challenge(rng.randbytes(16))
+                self.own_challenge = rng.randbytes(16)
 
     def intercept(self, msg: Message) -> list[Message]:
         return intercept(self, msg)
@@ -131,7 +131,7 @@ def start_attack(intruder: IntruderState) -> list[Message]:
 
 def _issue_own_challenge(intruder: IntruderState, victim: DeviceId, fake: DeviceId) -> Message:
     assert intruder.own_challenge is not None
-    return Message(MsgKind.CHALLENGE, fake, victim, intruder.own_challenge.value)
+    return Message(MsgKind.CHALLENGE, fake, victim, intruder.own_challenge)
 
 
 def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
@@ -193,13 +193,13 @@ def verdict(
     outcomes: dict[DeviceId, AuthOutcome],
     transcript: Transcript,
     detection: Detection,
-    link_key: LinkKey,
+    link_key: bytes,
 ) -> AttackVerdict:
     """Score a run from its record alone. outcomes names the two honest
     devices, each the other's peer (ValueError for any other count); every
     other party in the transcript is the intruder, which captured the
     payload of every hop it sent or received. In an intruder-free run every
-    hop is direct, so nothing is captured. link_key is judge-side
+    hop is direct, so nothing is captured. link_key, 16 octets, is judge-side
     knowledge: it identifies which captured challenge-response pairs are
     the victims' real credentials, and is never given to the intruder.
 
@@ -221,6 +221,7 @@ def verdict(
     as a CHALLENGE. A valid response to a value that crossed only under
     another kind would need a 32-bit collision. The width checks stay,
     because a hand-built transcript may carry any payload under any kind."""
+    check_octets("link_key", link_key, 16)
     a, b = outcomes
     peer = {a: b, b: a}
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
@@ -249,7 +250,7 @@ def verdict(
 
     breached = bool(responses) and any(
         e1(link_key, challenge, claimant) in responses
-        for challenge in map(Challenge, sorted(challenges))
+        for challenge in sorted(challenges)
         for claimant in outcomes
     )
     confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
-    Challenge,
     DeviceId,
     DhParams,
-    LinkKey,
     Pin,
     combination_link_key,
     e1,
@@ -73,7 +71,7 @@ class ScenarioResult:
     outcomes: dict[DeviceId, AuthOutcome]
     score: AttackVerdict
     baselines: dict[DeviceId, int]
-    link_key: LinkKey
+    link_key: bytes
 
 
 # links, group (dh-improved only) and per-device baselines of a configuration
@@ -106,27 +104,22 @@ def _construct(flags: str, value_type, *args):
         raise ConfigError(f"{flags}: {err}") from None
 
 
-def _derive_link_key(master: random.Random) -> LinkKey:
+def _derive_link_key(master: random.Random) -> bytes:
     """Pairing phase: both contributions cross the wire masked by the
     bootstrap key of the factory PIN, which cancels out of the combined
     result; the link key depends on the contributions alone, whatever the
     PIN."""
-    pairing_rand = Challenge(master.randbytes(16))
+    pairing_rand = master.randbytes(16)
     bootstrap = init_key(FACTORY_PIN, ADDR_A, pairing_rand)
-    rand_a = Challenge(master.randbytes(16))
-    rand_b = Challenge(master.randbytes(16))
-    masked_a = xor_bytes(rand_a.value, bootstrap)
-    masked_b = xor_bytes(rand_b.value, bootstrap)
+    masked_a = xor_bytes(master.randbytes(16), bootstrap)
+    masked_b = xor_bytes(master.randbytes(16), bootstrap)
     return combination_link_key(
-        Challenge(xor_bytes(masked_a, bootstrap)),
-        ADDR_A,
-        Challenge(xor_bytes(masked_b, bootstrap)),
-        ADDR_B,
+        xor_bytes(masked_a, bootstrap), ADDR_A, xor_bytes(masked_b, bootstrap), ADDR_B
     )
 
 
 def _build_devices(
-    variant: Variant, link_key: LinkKey, seed_a: int, seed_b: int, params: DhParams | None
+    variant: Variant, link_key: bytes, seed_a: int, seed_b: int, params: DhParams | None
 ) -> tuple[DeviceState, DeviceState]:
     dev_a = new_device(ADDR_A, variant, link_key, seed_a, dh_params=params)
     dev_b = new_device(ADDR_B, variant, link_key, seed_b, dh_params=params)
@@ -165,7 +158,7 @@ def _prepared(
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
     params = None if group is None else check_group(*group)
-    dev_a, dev_b = _build_devices(variant, LinkKey(bytes(16)), 0, 1, params)
+    dev_a, dev_b = _build_devices(variant, bytes(16), 0, 1, params)
     calibration, _ = run(dev_a, dev_b, None, links)
     baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (ADDR_A, ADDR_B))
     if any(baseline is None for _, baseline in baselines):

@@ -2,9 +2,10 @@
 
 All operations are pure functions and safe to call from any thread. Octet
 widths follow the Bluetooth wire formats: 48-bit addresses, 128-bit
-challenges and keys, 32-bit signed responses, 96-bit ciphering offset. Value
-types check widths where functions take them; e1, init_key and
-session_key_from_shared return plain bytes.
+challenges and keys, 32-bit signed responses, 96-bit ciphering offset. Every
+octet string a function takes or returns is plain bytes; each function
+checks the type and width of the octets it takes, and check_octets holds
+that check and its messages, which DeviceId and Pin share.
 
 e1 derives only the 32-bit response, from the one lane of the digest that
 the response reads; e1_aco derives the ciphering offset from the full
@@ -13,8 +14,9 @@ computes the same (key, challenge, claimant) triple more than once: the
 answering device, the verifying device and the verdict each derive it.
 cli.run_scenario clears the memo at the start of every run, so no run
 reuses another run's entries and each run's count of responses computed
-depends only on its scenario and seed. Results are unchanged: e1 is pure
-and its inputs are frozen values.
+depends only on its scenario and seed. Results are unchanged: e1 is pure,
+and its memo is keyed by each argument's type as well as its value, so a
+view that equals memoised bytes misses and meets e1's check.
 
 Besides that memo and mixhash128's cache of message layouts by input length
 (at most 64 lengths; each entry is the padding tail and the struct that
@@ -31,15 +33,12 @@ from dataclasses import dataclass
 import functools
 import struct
 import threading
-from typing import ClassVar
 import weakref
 
 __all__ = [
     "DeviceId",
-    "Challenge",
-    "Aco",
-    "LinkKey",
     "Pin",
+    "check_octets",
     "DhParams",
     "DhKeyPair",
     "mixhash128",
@@ -59,27 +58,18 @@ __all__ = [
 ]
 
 
-def _hold_octets(obj, field: str, value: bytes, width: int, max_width: int | None = None) -> None:
-    """Check the width of a value type's octet field and hold it as bytes,
-    so that the value is immutable and hashable, as the e1 memo needs. The
-    field takes exactly width octets, or width to max_width when max_width
-    is given."""
-    # each message formats the field's name itself: a value that passes formats nothing
+def check_octets(name: str, value: bytes, width: int, max_width: int | None = None) -> None:
+    """Raise TypeError unless value is bytes, and ValueError naming it
+    unless it holds exactly width octets, or width to max_width when
+    max_width is given."""
+    # each message formats the name itself: a value that passes formats nothing
     if not isinstance(value, bytes):
-        if not isinstance(value, bytearray):
-            raise TypeError(
-                f"{type(obj).__name__}.{field} must be bytes, got {type(value).__name__}"
-            )
-        object.__setattr__(obj, field, bytes(value))
+        raise TypeError(f"{name} must be bytes, got {type(value).__name__}")
     if max_width is None:
         if len(value) != width:
-            raise ValueError(
-                f"{type(obj).__name__}.{field} must be exactly {width} octets, got {len(value)}"
-            )
+            raise ValueError(f"{name} must be exactly {width} octets, got {len(value)}")
     elif not width <= len(value) <= max_width:
-        raise ValueError(
-            f"{type(obj).__name__}.{field} must be {width} to {max_width} octets, got {len(value)}"
-        )
+        raise ValueError(f"{name} must be {width} to {max_width} octets, got {len(value)}")
 
 
 # the one live DeviceId of each address; see DeviceId
@@ -99,7 +89,7 @@ class DeviceId:
     because no two live objects share an address. The table of live
     addresses holds them weakly, so an address no one refers to leaves it;
     the path that adds an address holds a lock, so that threads racing on a
-    new address all get one object.
+    new address all get one object. A bytearray address is copied to bytes.
     """
 
     __slots__ = ("addr", "text", "__weakref__")
@@ -112,12 +102,14 @@ class DeviceId:
             known = _ADDRESSES.get(addr)
             if known is not None:
                 return known
+        elif isinstance(addr, bytearray):
+            addr = bytes(addr)
+        check_octets("DeviceId.addr", addr, 6)
         candidate = object.__new__(cls)
         object.__setattr__(candidate, "addr", addr)
-        _hold_octets(candidate, "addr", addr, 6)
-        object.__setattr__(candidate, "text", candidate.addr.hex())
+        object.__setattr__(candidate, "text", addr.hex())
         with _ADDRESSES_LOCK:
-            return _ADDRESSES.setdefault(candidate.addr, candidate)
+            return _ADDRESSES.setdefault(addr, candidate)
 
     def __reduce__(self):
         return DeviceId, (self.addr,)
@@ -131,46 +123,16 @@ class DeviceId:
 
 
 @dataclass(frozen=True)
-class _Octets:
-    """Fixed-width octet value. Each subclass sets WIDTH and is a frozen
-    dataclass of its own, so that it refuses every attribute, not only value."""
-
-    WIDTH: ClassVar[int]
-    value: bytes
-
-    def __post_init__(self):
-        _hold_octets(self, "value", self.value, self.WIDTH)
-
-
-@dataclass(frozen=True)
-class Challenge(_Octets):
-    """128-bit random authentication challenge (AU_RAND)."""
-
-    WIDTH = 16
-
-
-@dataclass(frozen=True)
-class Aco(_Octets):
-    """96-bit authenticated ciphering offset, the secondary E1 output."""
-
-    WIDTH = 12
-
-
-@dataclass(frozen=True)
-class LinkKey(_Octets):
-    """128-bit long-term shared secret used for authentication."""
-
-    WIDTH = 16
-
-
-@dataclass(frozen=True)
 class Pin:
-    """PIN code of 1 to 16 octets, factory value or user-entered."""
+    """PIN code of 1 to 16 octets, factory value or user-entered; a
+    bytearray is copied to bytes, so that the PIN is immutable and hashable."""
 
     digits: bytes
 
     def __post_init__(self):
-        _hold_octets(self, "digits", self.digits, 1, 16)
+        if isinstance(self.digits, bytearray):
+            object.__setattr__(self, "digits", bytes(self.digits))
+        check_octets("Pin.digits", self.digits, 1, 16)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -248,53 +210,65 @@ _SRES = struct.Struct("<I")
 
 # the scripted scenarios derive at most 6 distinct triples in a run (the
 # dh-improved relays), plus 2 of a first run's calibration, so within a run
-# the memo evicts nothing
-@functools.lru_cache(maxsize=32)
-def e1(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> bytes:
-    """Authentication function: the 4-octet response (SRES) to a challenge.
+# the memo evicts nothing; typed, so that a view equal to memoised bytes
+# misses and meets the check
+@functools.lru_cache(maxsize=32, typed=True)
+def e1(key: bytes, challenge: bytes, claimant: DeviceId) -> bytes:
+    """Authentication function: the 4-octet response (SRES) to a 16-octet
+    challenge under a 16-octet key.
 
     The response is the first 4 octets of the mixhash128 digest of the tag,
     key, challenge and claimant address, that is the low 32 bits of its
     final s0 lane, so e1 runs that lane alone. Results are memoised, least
-    recently used first out, for the triples of the current run;
-    cli.run_scenario calls e1.cache_clear() before each run, and
-    e1.__wrapped__ is the unmemoised function.
+    recently used first out, for the triples of the current run, and the
+    octets are checked on a miss; cli.run_scenario calls e1.cache_clear()
+    before each run, and e1.__wrapped__ is the unmemoised function.
     """
+    check_octets("key", key, 16)
+    check_octets("challenge", challenge, 16)
     s0 = _S0_INIT
-    for m in _E1_BLOCKS.unpack(_TAG_AUTH + key.value + challenge.value + claimant.addr + _E1_TAIL):
+    for m in _E1_BLOCKS.unpack(_TAG_AUTH + key + challenge + claimant.addr + _E1_TAIL):
         x = s0 ^ m
         s0 = (x << 13 | x >> 51) * _MULT & _MASK64
     return _SRES.pack(s0 & 0xFFFFFFFF)
 
 
-def e1_aco(key: LinkKey, challenge: Challenge, claimant: DeviceId) -> Aco:
-    """The 96-bit ciphering offset of the triple that e1 answers: the last
-    12 octets of the same digest, whose first 4 are the response."""
-    return Aco(mixhash128(_TAG_AUTH + key.value + challenge.value + claimant.addr)[4:])
+def e1_aco(key: bytes, challenge: bytes, claimant: DeviceId) -> bytes:
+    """The 12-octet ciphering offset (ACO) of the triple that e1 answers:
+    the last 12 octets of the same digest, whose first 4 are the response."""
+    check_octets("key", key, 16)
+    check_octets("challenge", challenge, 16)
+    return mixhash128(_TAG_AUTH + key + challenge + claimant.addr)[4:]
 
 
-def init_key(pin: Pin, addr: DeviceId, rand: Challenge) -> bytes:
-    """16-octet bootstrap key from PIN, PIN length, hardware address, and a random number."""
-    material = _TAG_INIT_KEY + pin.digits + bytes([len(pin.digits)]) + addr.addr + rand.value
-    return mixhash128(material)
+def init_key(pin: Pin, addr: DeviceId, rand: bytes) -> bytes:
+    """16-octet bootstrap key from PIN, PIN length, hardware address, and a
+    16-octet random number."""
+    check_octets("rand", rand, 16)
+    return mixhash128(_TAG_INIT_KEY + pin.digits + bytes([len(pin.digits)]) + addr.addr + rand)
 
 
-def combination_link_key(
-    rand_a: Challenge, addr_a: DeviceId, rand_b: Challenge, addr_b: DeviceId
-) -> LinkKey:
-    """XOR combination of the two sides' (random, address) contributions.
+def combination_link_key(rand_a: bytes, addr_a: DeviceId, rand_b: bytes, addr_b: DeviceId) -> bytes:
+    """16-octet XOR combination of the two sides' (16-octet random, address)
+    contributions.
 
     Symmetric in the two contribution pairs; equal contributions cancel to
     the all-zero key.
     """
-    half_a = mixhash128(_TAG_LINK_KEY + rand_a.value + addr_a.addr)
-    half_b = mixhash128(_TAG_LINK_KEY + rand_b.value + addr_b.addr)
-    return LinkKey(xor_bytes(half_a, half_b))
+    check_octets("rand_a", rand_a, 16)
+    check_octets("rand_b", rand_b, 16)
+    half_a = mixhash128(_TAG_LINK_KEY + rand_a + addr_a.addr)
+    half_b = mixhash128(_TAG_LINK_KEY + rand_b + addr_b.addr)
+    return xor_bytes(half_a, half_b)
 
 
-def encryption_key(key: LinkKey, aco: Aco, en_rand: Challenge) -> bytes:
-    """Encryption key derived from the link key, ciphering offset, and a random."""
-    return mixhash128(_TAG_ENC_KEY + key.value + aco.value + en_rand.value)
+def encryption_key(key: bytes, aco: bytes, en_rand: bytes) -> bytes:
+    """16-octet encryption key derived from the 16-octet link key, the
+    12-octet ciphering offset, and a 16-octet random."""
+    check_octets("key", key, 16)
+    check_octets("aco", aco, 12)
+    check_octets("en_rand", en_rand, 16)
+    return mixhash128(_TAG_ENC_KEY + key + aco + en_rand)
 
 
 def modexp(base: int, exponent: int, modulus: int) -> int:

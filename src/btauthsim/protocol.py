@@ -20,6 +20,11 @@ time input and never self-transition on time: delivery times, timeouts and
 round-trip measurement belong to the network loop driving them and to its
 transcript. Each state machine is single-owner: one driving loop mutates it,
 and devices share nothing but messages.
+
+Every octet string is plain bytes: the link key, both challenges and each
+message payload. new_device checks the link key it takes, Message refuses a
+payload that is not bytes of its kind's width, and e1 checks the octets it
+takes, so handlers pass payloads on as they arrive.
 """
 
 import random
@@ -27,11 +32,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .crypto import (
-    Challenge,
     DeviceId,
     DhKeyPair,
     DhParams,
-    LinkKey,
+    check_octets,
     dh_keypair,
     dh_shared,
     e1,
@@ -96,7 +100,8 @@ _PAYLOAD_WIDTH = {
 @dataclass(frozen=True)
 class Message:
     """One protocol message. sender is the claimed originator address; who
-    physically transmitted it is the network's business, not the message's."""
+    physically transmitted it is the network's business, not the message's.
+    payload is bytes of the width its kind fixes (TypeError, ValueError)."""
 
     kind: MsgKind
     sender: DeviceId
@@ -108,6 +113,8 @@ class Message:
     def __init__(self, kind: MsgKind, sender: DeviceId, receiver: DeviceId, payload: bytes = b""):
         if sender == receiver:
             raise ValueError("message sender and receiver must differ")
+        if not isinstance(payload, bytes):
+            raise TypeError(f"{kind.value} payload must be bytes, got {type(payload).__name__}")
         want = _PAYLOAD_WIDTH[kind]
         if len(payload) != want:
             raise ValueError(f"{kind.value} payload must be {want} octets, got {len(payload)}")
@@ -158,14 +165,14 @@ class DeviceState:
     variant: Variant
     # effective_key is the one key e1 runs with: the pairing link key, XORed
     # with the session key once a public-value exchange has completed
-    effective_key: LinkKey
+    effective_key: bytes
     # the one challenge this device sends, drawn when it was built
-    challenge: Challenge
+    challenge: bytes
     dh_params: DhParams | None = None
     role: Role | None = field(default=None, init=False)
     peer: DeviceId | None = field(default=None, init=False)
     phase: Phase = field(default=Phase.IDLE, init=False)
-    pending_challenge_received: Challenge | None = field(default=None, init=False)
+    pending_challenge_received: bytes | None = field(default=None, init=False)
     answered_peer: bool = field(default=False, init=False)
     peer_authenticated: bool = field(default=False, init=False)
     dh: DhKeyPair | None = field(default=None, init=False)
@@ -174,9 +181,9 @@ class DeviceState:
     def enc_key(self) -> bytes | None:
         """Encryption key of a Done device, else None, derived on read from
         the first leg: the challenge the initiator sent and the responder
-        received, and the Aco of e1_aco on it and the responder's address.
-        A Done device absorbs every message, so every read gives the same
-        key."""
+        received, and the ciphering offset of e1_aco on it and the
+        responder's address. A Done device absorbs every message, so every
+        read gives the same key."""
         if self.phase is not Phase.DONE:
             return None
         if self.role is Role.INITIATOR:
@@ -190,13 +197,14 @@ class DeviceState:
 def new_device(
     id: DeviceId,
     variant: Variant,
-    link_key: LinkKey,
+    link_key: bytes,
     rng_seed: int,
     dh_params: DhParams | None = None,
 ) -> DeviceState:
-    """Fresh idle device holding every random value it may send, drawn
-    from random.Random(rng_seed): on dh-improved its key pair first, then
-    its challenge."""
+    """Fresh idle device holding its 16-octet link key and every random
+    value it may send, drawn from random.Random(rng_seed): on dh-improved
+    its key pair first, then its challenge."""
+    check_octets("link_key", link_key, 16)
     rng = random.Random(rng_seed)
     dh = None
     if variant is Variant.DH_IMPROVED:
@@ -207,7 +215,7 @@ def new_device(
         id=id,
         variant=variant,
         effective_key=link_key,
-        challenge=Challenge(rng.randbytes(16)),
+        challenge=rng.randbytes(16),
         dh_params=dh_params,
     )
     device.dh = dh
@@ -249,10 +257,10 @@ def handle(device: DeviceState, msg: Message) -> list[Message]:
 
 def _issue_challenge(device: DeviceState) -> Message:
     assert device.peer is not None
-    return Message(MsgKind.CHALLENGE, device.id, device.peer, device.challenge.value)
+    return Message(MsgKind.CHALLENGE, device.id, device.peer, device.challenge)
 
 
-def _answer(device: DeviceState, challenge: Challenge) -> Message:
+def _answer(device: DeviceState, challenge: bytes) -> Message:
     sres = e1(device.effective_key, challenge, device.id)
     device.answered_peer = True
     assert device.peer is not None
@@ -300,7 +308,7 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
         return _fail(device, msg)
     # success leaves DhExchange, so effective_key is still the pairing key
     session = session_key_from_shared(shared, params)
-    device.effective_key = LinkKey(xor_bytes(device.effective_key.value, session))
+    device.effective_key = xor_bytes(device.effective_key, session)
     if device.role is Role.INITIATOR:
         out.append(_issue_challenge(device))
         device.phase = Phase.AWAIT_RESPONSE
@@ -310,11 +318,10 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
 
 
 def _on_first_challenge(device: DeviceState, msg: Message) -> list[Message]:
-    challenge = Challenge(msg.payload)
-    device.pending_challenge_received = challenge
+    device.pending_challenge_received = msg.payload
     if device.variant is Variant.LEGACY:
         # answer at once, then counter-challenge in the same step
-        out = [_answer(device, challenge), _issue_challenge(device)]
+        out = [_answer(device, msg.payload), _issue_challenge(device)]
     else:
         # withhold the answer until our own challenge has been answered
         out = [_issue_challenge(device)]
@@ -325,9 +332,8 @@ def _on_first_challenge(device: DeviceState, msg: Message) -> list[Message]:
 def _on_counter_challenge(device: DeviceState, msg: Message) -> list[Message]:
     if device.role is not Role.INITIATOR or device.pending_challenge_received is not None:
         return _fail(device, msg)
-    challenge = Challenge(msg.payload)
-    device.pending_challenge_received = challenge
-    out = [_answer(device, challenge)]
+    device.pending_challenge_received = msg.payload
+    out = [_answer(device, msg.payload)]
     if device.peer_authenticated:
         device.phase = Phase.AWAIT_CONFIRM
     return out

@@ -42,11 +42,8 @@ from btauthsim.adversary import (
 )
 from btauthsim.cli import ScenarioConfig, run_scenario
 from btauthsim.crypto import (
-    Aco,
-    Challenge,
     DeviceId,
     DhParams,
-    LinkKey,
     Pin,
     combination_link_key,
     dh_keypair,
@@ -79,7 +76,7 @@ def _report(n: int, text: str) -> None:
 def attack_run(variant, mode, seed, key=None):
     """One intruder run outside the CLI wrapper, exposing all actor state."""
     material = random.Random(seed)
-    key = key if key is not None else LinkKey(material.randbytes(16))
+    key = key if key is not None else material.randbytes(16)
     params = PARAMS if variant is Variant.DH_IMPROVED else None
     dev_a = new_device(ADDR_A, variant, key, material.getrandbits(64), dh_params=params)
     dev_b = new_device(ADDR_B, variant, key, material.getrandbits(64), dh_params=params)
@@ -94,7 +91,7 @@ def attack_run(variant, mode, seed, key=None):
 
 def session_of(device, key):
     """A dh-improved device's session key: its working key XOR the pairing key."""
-    return xor_bytes(device.effective_key.value, key.value)
+    return xor_bytes(device.effective_key, key)
 
 
 def captured(transcript, outcomes):
@@ -159,7 +156,7 @@ def test_criterion_2_nested_scheme_deadlocks_originator():
 
 def test_criterion_3_nested_scheme_still_relayable():
     for seed in SEEDS:
-        key = LinkKey(random.Random(seed ^ 0x5A5A).randbytes(16))
+        key = random.Random(seed ^ 0x5A5A).randbytes(16)
         _, _, _, transcript, outcomes, score = attack_run(
             Variant.IMPROVED, IntruderMode.RELAY_ACTIVE, seed, key=key
         )
@@ -172,7 +169,7 @@ def test_criterion_3_nested_scheme_still_relayable():
         responses = {k for k in knowledge if len(k) == 4}
         for claimant in (ADDR_A, ADDR_B):
             matched = sum(
-                e1(key, Challenge(c), claimant) in responses for c in challenges
+                e1(key, c, claimant) in responses for c in challenges
             )
             assert matched >= 1, f"seed {seed}: no usable pair for {claimant}"
     _report(3, f"relay beats nested auth on {len(SEEDS)}/{len(SEEDS)} seeds and "
@@ -189,7 +186,7 @@ def test_criterion_4_key_agreement_blocks_active_relay():
 
     for seed in SEEDS:
         # the pairing key attack_run draws by default
-        key = LinkKey(random.Random(seed).randbytes(16))
+        key = random.Random(seed).randbytes(16)
         dev_a, dev_b, _, transcript, outcomes, score = attack_run(
             Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE, seed, key=key
         )
@@ -315,19 +312,19 @@ def test_criterion_8_reproducibility_and_frozen_vectors():
             assert mixhash128(inputs[0]).hex() == expected, name
             assert ref_mixhash128(inputs[0]).hex() == expected, name
         elif name == "e1_all_zero":
-            args = (LinkKey(inputs[0]), Challenge(inputs[1]), DeviceId(inputs[2]))
-            assert (e1(*args) + e1_aco(*args).value).hex() == expected
+            args = (inputs[0], inputs[1], DeviceId(inputs[2]))
+            assert (e1(*args) + e1_aco(*args)).hex() == expected
         elif name.startswith("init_key_"):
-            out = init_key(Pin(inputs[0]), DeviceId(inputs[1]), Challenge(inputs[2]))
+            out = init_key(Pin(inputs[0]), DeviceId(inputs[1]), inputs[2])
             assert out.hex() == expected
         elif name == "combination_link_key":
             out = combination_link_key(
-                Challenge(inputs[0]), DeviceId(inputs[1]),
-                Challenge(inputs[2]), DeviceId(inputs[3]),
+                inputs[0], DeviceId(inputs[1]),
+                inputs[2], DeviceId(inputs[3]),
             )
-            assert out.value.hex() == expected
+            assert out.hex() == expected
         elif name == "encryption_key_all_zero":
-            out = encryption_key(LinkKey(inputs[0]), Aco(inputs[1]), Challenge(inputs[2]))
+            out = encryption_key(inputs[0], inputs[1], inputs[2])
             assert out.hex() == expected
         elif name == "session_key_k2_p23":
             k = int.from_bytes(inputs[0], "big")

@@ -18,14 +18,14 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import Challenge, DeviceId, DhParams, LinkKey, e1, xor_bytes
+from btauthsim.crypto import DeviceId, DhParams, e1, xor_bytes
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run
 
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
 ADDR_C = DeviceId.from_hex("cc0000000003")
-KEY = LinkKey(bytes(range(16)))
+KEY = bytes(range(16))
 PARAMS = DhParams(p=2147483647, alpha=7)
 # the largest safe prime below 2^47, whose generator is 2
 WIDE_P = 140737488353843
@@ -46,7 +46,7 @@ def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
 
 def session_of(device, key=KEY):
     """A dh-improved device's session key: its working key XOR the pairing key."""
-    return xor_bytes(device.effective_key.value, key.value)
+    return xor_bytes(device.effective_key, key)
 
 
 def captured(transcript, outcomes):
@@ -110,7 +110,7 @@ class TestImprovedCaseRelay:
         matched = 0
         for raw in set(challenges):
             for claimant in (ADDR_A, ADDR_B):
-                if e1(KEY, Challenge(raw), claimant) in knowledge:
+                if e1(KEY, raw, claimant) in knowledge:
                     matched += 1
         assert matched == 2
 
@@ -233,6 +233,30 @@ class TestNoForgedResponses:
                 seen.add(event.payload)
 
 
+class BytearrayRelay(IntruderState):
+    """A passive relay that re-sends each payload as a bytearray."""
+
+    def intercept(self, msg):
+        relayed = super().intercept(msg)
+        return [Message(m.kind, m.sender, m.receiver, bytearray(m.payload)) for m in relayed]
+
+
+class TestWirePayloadsAreBytes:
+    def test_a_relay_of_bytearray_payloads_fails_at_its_own_message(self):
+        # were it let through, both victims would finish and the judge
+        # would meet an unhashable payload
+        dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
+        dev_b = new_device(ADDR_B, Variant.LEGACY, KEY, 2)
+        intruder = BytearrayRelay(
+            ADDR_C, IntruderMode.RELAY_PASSIVE, Variant.LEGACY, ADDR_A, ADDR_B, rng_seed=3
+        )
+        with pytest.raises(TypeError, match="^AuthRequest payload must be bytes, got bytearray$") as err:
+            run(dev_a, dev_b, intruder, LINKS)
+        # raised by Message, called from the intruder's intercept
+        names = [entry.name for entry in err.traceback]
+        assert names[-1] == "__init__" and "intercept" in names
+
+
 class TestVerdictPlumbing:
     def test_detection_passthrough(self):
         _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
@@ -241,7 +265,7 @@ class TestVerdictPlumbing:
 
     def test_mismatched_keys_defeat_relay(self):
         dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
-        dev_b = new_device(ADDR_B, Variant.LEGACY, LinkKey(b"\xff" * 16), 2)
+        dev_b = new_device(ADDR_B, Variant.LEGACY, b"\xff" * 16, 2)
         intruder = IntruderState(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B, 0)
         transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
         score = verdict(outcomes, transcript, Detection.NONE, KEY)
@@ -278,7 +302,7 @@ def full_scan_confidentiality(challenges, responses, outcomes, link_key):
     confidentiality = Confidentiality.MAINTAINED
     for raw in (item for item in challenges if len(item) == 16):
         for claimant in set(outcomes):
-            if e1.__wrapped__(link_key, Challenge(raw), claimant) in responses:
+            if e1.__wrapped__(link_key, raw, claimant) in responses:
                 confidentiality = Confidentiality.BREACHED
     return confidentiality
 
@@ -293,7 +317,7 @@ def captured_of_kind(transcript, outcomes, kind):
 
 
 _PUBLIC = bytes(range(100, 116))
-_ANSWER = e1(KEY, Challenge(_PUBLIC), ADDR_A)
+_ANSWER = e1(KEY, _PUBLIC, ADDR_A)
 # a DhPublicMsg relayed by the intruder, then answered as if a challenge
 ANSWERED_PUBLIC_HOPS = [
     (ADDR_A, ADDR_C, MsgKind.DH_PUBLIC, _PUBLIC),
@@ -384,7 +408,7 @@ class TestConfidentialityScan:
         payloads = challenges + noise
         for index, second in answered:
             raw = challenges[index % len(challenges)]
-            payloads.append(e1(KEY, Challenge(raw), claimants[second]))
+            payloads.append(e1(KEY, raw, claimants[second]))
         # each payload crosses the intruder, alternately into it and out of it
         routes = [(ADDR_A, ADDR_C), (ADDR_C, ADDR_B)]
         transcript = Transcript(
@@ -508,7 +532,7 @@ def _hops(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         challenge = draw(st.binary(min_size=16, max_size=16))
         claimant = draw(st.sampled_from([ADDR_A, ADDR_B]))
-        for payload in (challenge, e1(KEY, Challenge(challenge), claimant)):
+        for payload in (challenge, e1(KEY, challenge, claimant)):
             hops.append((draw(_PARTY), draw(_PARTY), draw(_KIND), payload))
     return draw(st.permutations(hops))
 
@@ -602,7 +626,7 @@ def knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key):
     responses = {item for item in knowledge if len(item) == 4}
     breached = bool(responses) and any(
         e1(link_key, challenge, claimant) in responses
-        for challenge in map(Challenge, challenges)
+        for challenge in challenges
         for claimant in outcomes
     )
     return AttackVerdict(
@@ -711,7 +735,7 @@ class TestIntruderRng:
         else:
             assert intruder.dh_own is None
         challenge = stream.randbytes(16)
-        assert intruder.own_challenge == Challenge(challenge)
+        assert intruder.own_challenge == challenge
         sent = [
             e.payload
             for e in transcript.events

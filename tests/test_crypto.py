@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from btauthsim import crypto
 from btauthsim.crypto import (
-    Aco,
-    Challenge,
     DeviceId,
     DhParams,
-    LinkKey,
     Pin,
+    check_octets,
     combination_link_key,
     e1,
     e1_aco,
@@ -27,9 +25,10 @@ from btauthsim.crypto import (
     session_key_from_shared,
     xor_bytes,
 )
+from btauthsim.protocol import Variant, new_device
 
-Z16 = Challenge(b"\x00" * 16)
-ZKEY = LinkKey(b"\x00" * 16)
+Z16 = b"\x00" * 16
+ZKEY = b"\x00" * 16
 ZADDR = DeviceId(b"\x00" * 6)
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
@@ -44,11 +43,11 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             DeviceId(b"\x00" * 5)
         with pytest.raises(ValueError):
-            Challenge(b"\x00" * 15)
+            e1(ZKEY, b"\x00" * 15, ZADDR)
         with pytest.raises(ValueError):
-            Aco(b"\x00" * 16)
+            encryption_key(ZKEY, b"\x00" * 16, Z16)
         with pytest.raises(ValueError):
-            LinkKey(b"")
+            new_device(ZADDR, Variant.LEGACY, b"", 0)
 
     def test_pin_length_bounds(self):
         Pin(b"0")
@@ -68,81 +67,76 @@ class TestValueTypes:
         assert init_key(pin, ZADDR, Z16) == init_key(Pin(b"0000"), ZADDR, Z16)
         with pytest.raises(TypeError, match="^Pin.digits must be bytes, got str$"):
             Pin("0000")  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="^Pin.digits must be 1 to 16 octets, got 17$"):
+            Pin(bytearray(17))
 
     def test_device_id_hex_round_trip(self):
         assert str(ADDR_A) == "aa0000000001"
         assert DeviceId.from_hex("aa0000000001") == ADDR_A
 
     def test_frozen(self):
-        with pytest.raises(AttributeError):
-            Z16.value = b"\x01" * 16  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Pin(b"0000").digits = b"1234"  # type: ignore[misc]
 
 
-OCTETS = {Challenge: 16, Aco: 12, LinkKey: 16}
+# (function, its arguments with octets of the right width, and per octet
+# parameter its position and width); each builds one call
+OCTET_PARAMETERS = [
+    (e1, (ZKEY, Z16, ADDR_A), {"key": (0, 16), "challenge": (1, 16)}),
+    (e1_aco, (ZKEY, Z16, ADDR_A), {"key": (0, 16), "challenge": (1, 16)}),
+    (init_key, (Pin(b"0000"), ADDR_A, Z16), {"rand": (2, 16)}),
+    (
+        combination_link_key,
+        (Z16, ADDR_A, Z16, ADDR_B),
+        {"rand_a": (0, 16), "rand_b": (2, 16)},
+    ),
+    (
+        encryption_key,
+        (ZKEY, bytes(12), Z16),
+        {"key": (0, 16), "aco": (1, 12), "en_rand": (2, 16)},
+    ),
+    (new_device, (ADDR_A, Variant.LEGACY, ZKEY, 0), {"link_key": (2, 16)}),
+]
+OCTET_CASES = [
+    pytest.param(function, args, name, *where, id=f"{function.__name__}-{name}")
+    for function, args, parameters in OCTET_PARAMETERS
+    for name, where in parameters.items()
+]
 
 
-def twin_of(cls):
-    """The octet type as a dataclass of its own, as each was defined before
-    they shared a base: same name, one field, its own width check."""
-
-    def __post_init__(self):
-        crypto._hold_octets(self, "value", self.value, OCTETS[cls])
-
-    return dataclasses.make_dataclass(
-        cls.__name__, [("value", bytes)], frozen=True, namespace={"__post_init__": __post_init__}
-    )
+def with_argument(args, position, value):
+    return (*args[:position], value, *args[position + 1 :])
 
 
-TWINS = {cls: twin_of(cls) for cls in OCTETS}
+class TestOctetArguments:
+    """Each function checks every octet string it takes: bytes of the
+    width it names, else TypeError or ValueError naming the parameter."""
 
+    @pytest.mark.parametrize("function,args,name,position,width", OCTET_CASES)
+    def test_takes_bytes_of_its_width(self, function, args, name, position, width):
+        # this call memoises e1's answer, and the view of the same octets
+        # below equals and hashes like them: only a memo keyed by type as
+        # well refuses it
+        function(*args)
+        for wrong in (bytearray(width), memoryview(bytes(width)), "0" * width, width, None):
+            with pytest.raises(TypeError):
+                function(*with_argument(args, position, wrong))
+            # e1's memo refuses a bytearray itself, as unhashable
+            with pytest.raises(TypeError, match=f"^{name} must be bytes, got {type(wrong).__name__}$"):
+                getattr(function, "__wrapped__", function)(*with_argument(args, position, wrong))
+        for length in (0, width - 1, width + 1):
+            with pytest.raises(ValueError, match=f"^{name} must be exactly {width} octets, got {length}$"):
+                function(*with_argument(args, position, bytes(length)))
 
-def build(cls, value):
-    """An instance, or the type and message of the error construction raised."""
-    try:
-        return cls(value)
-    except (TypeError, ValueError) as err:
-        return type(err), str(err)
-
-
-OCTET_VALUES = (
-    st.sampled_from(sorted(set(OCTETS.values()))).flatmap(
-        lambda n: st.binary(min_size=n, max_size=n)
-    )
-    | st.binary(max_size=20)
-    | st.binary(max_size=20).map(bytearray)
-    | st.sampled_from(["0" * 16, 16, None, memoryview(b"\x00" * 16)])
-)
-
-
-class TestOctetTypes:
-    def test_one_width_check(self):
-        assert {cls.__post_init__ for cls in OCTETS} == {crypto._Octets.__post_init__}
-        assert {cls: cls.WIDTH for cls in OCTETS} == OCTETS
-
-    @given(st.sampled_from(list(OCTETS)), OCTET_VALUES, st.sampled_from(list(OCTETS)), OCTET_VALUES)
-    def test_behave_as_their_own_dataclasses(self, cls, value, other_cls, other_value):
-        obj, twin = build(cls, value), build(TWINS[cls], value)
-        if isinstance(twin, tuple):
-            # the same checks, with the same errors
-            assert obj == twin
-            return
-        assert [f.name for f in dataclasses.fields(obj)] == ["value"]
-        assert type(obj.value) is bytes and obj.value == twin.value
-        assert repr(obj) == repr(twin)
-        assert hash(obj) == hash(twin)
-        other, other_twin = build(other_cls, other_value), build(TWINS[other_cls], other_value)
-        if not isinstance(other_twin, tuple):
-            # equal only to the same type with the same octets
-            assert (obj == other) == (twin == other_twin)
-            assert (obj == other) == (cls is other_cls and obj.value == other.value)
-        replaced = build(lambda v: dataclasses.replace(obj, value=v), other_value)
-        replaced_twin = build(lambda v: dataclasses.replace(twin, value=v), other_value)
-        assert repr(replaced) == repr(replaced_twin)
-        assert copy.deepcopy(obj) == obj
-        assert pickle.loads(pickle.dumps(obj)) == obj
-        for name in ("value", "other"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, name, other_value)
+    def test_one_check_holds_the_messages(self):
+        with pytest.raises(TypeError, match="^x must be bytes, got bytearray$"):
+            check_octets("x", bytearray(2), 2)
+        with pytest.raises(ValueError, match="^x must be exactly 2 octets, got 3$"):
+            check_octets("x", bytes(3), 2)
+        with pytest.raises(ValueError, match="^x must be 1 to 2 octets, got 0$"):
+            check_octets("x", b"", 1, 2)
+        check_octets("x", b"ab", 2)
+        check_octets("x", b"a", 1, 2)
 
 
 class TestDeviceIdIdentity:
@@ -238,9 +232,9 @@ class TestE1:
     def test_golden_all_zero(self):
         sres = e1(ZKEY, Z16, ZADDR)
         aco = e1_aco(ZKEY, Z16, ZADDR)
-        assert type(sres) is bytes and type(aco) is Aco
+        assert type(sres) is bytes and type(aco) is bytes
         assert sres.hex() == "e168721d"
-        assert aco.value.hex() == "fcf1089b38c23c185b2d9740"
+        assert aco.hex() == "fcf1089b38c23c185b2d9740"
 
     def test_deterministic(self):
         assert e1(ZKEY, Z16, ADDR_A) == e1(ZKEY, Z16, ADDR_A)
@@ -249,19 +243,19 @@ class TestE1:
         assert e1(ZKEY, Z16, ADDR_A) != e1(ZKEY, Z16, ADDR_B)
 
     def test_key_matters(self):
-        other = LinkKey(b"\x01" + b"\x00" * 15)
+        other = b"\x01" + b"\x00" * 15
         assert e1(ZKEY, Z16, ADDR_A) != e1(other, Z16, ADDR_A)
 
     def test_challenge_matters(self):
-        other = Challenge(b"\x00" * 15 + b"\x01")
+        other = b"\x00" * 15 + b"\x01"
         assert e1(ZKEY, Z16, ADDR_A) != e1(ZKEY, other, ADDR_A)
 
     @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
     def test_output_widths(self, key, chal):
-        sres = e1(LinkKey(key), Challenge(chal), ADDR_A)
-        aco = e1_aco(LinkKey(key), Challenge(chal), ADDR_A)
+        sres = e1(key, chal, ADDR_A)
+        aco = e1_aco(key, chal, ADDR_A)
         assert type(sres) is bytes and len(sres) == 4
-        assert type(aco) is Aco and len(aco.value) == 12
+        assert type(aco) is bytes and len(aco) == 12
 
     @given(
         st.binary(min_size=16, max_size=16),
@@ -269,13 +263,13 @@ class TestE1:
         st.binary(min_size=6, max_size=6),
     )
     def test_memo_matches_unmemoised(self, key, chal, addr):
-        args = (LinkKey(key), Challenge(chal), DeviceId(addr))
+        args = (key, chal, DeviceId(addr))
         expected = e1.__wrapped__(*args)
         assert e1(*args) == expected
-        # a repeat, answered from the memo, and a bytearray-built triple
+        # a repeat, answered from the memo, and a triple whose address was
+        # built from a bytearray
         assert e1(*args) == expected
-        mutable = (LinkKey(bytearray(key)), Challenge(bytearray(chal)), DeviceId(bytearray(addr)))
-        assert e1(*mutable) == expected
+        assert e1(key, chal, DeviceId(bytearray(addr))) == expected
 
     def test_memo_miss_runs_no_full_digest(self, monkeypatch):
         calls = []
@@ -287,8 +281,8 @@ class TestE1:
 
         monkeypatch.setattr(crypto, "mixhash128", counting)
         e1.cache_clear()
-        args = (ZKEY, Challenge(b"\x07" * 16), ADDR_B)
-        message = b"\x01" + ZKEY.value + args[1].value + ADDR_B.addr
+        args = (ZKEY, b"\x07" * 16, ADDR_B)
+        message = b"\x01" + ZKEY + args[1] + ADDR_B.addr
         sres = e1(*args)
         assert calls == []
         assert e1.cache_info().misses == 1 and e1.cache_info().hits == 0
@@ -300,7 +294,7 @@ class TestE1:
         # the response is the first 4 octets of that same digest
         aco = e1_aco(*args)
         assert calls == [message]
-        assert sres + aco.value == real(message)
+        assert sres + aco == real(message)
 
 
 class TestDerivedOctets:
@@ -314,8 +308,8 @@ class TestDerivedOctets:
     def test_derivations_return_plain_octets(self, key, chal, addr, pin, shared):
         # the response, the bootstrap key and the session key are bytes of
         # the width their function fixes, with no value type around them
-        sres = e1(LinkKey(key), Challenge(chal), DeviceId(addr))
-        bootstrap = init_key(Pin(pin), DeviceId(addr), Challenge(chal))
+        sres = e1(key, chal, DeviceId(addr))
+        bootstrap = init_key(Pin(pin), DeviceId(addr), chal)
         session = session_key_from_shared(shared, DhParams(p=2147483647, alpha=7))
         assert (type(sres), len(sres)) == (bytes, 4)
         assert (type(bootstrap), len(bootstrap)) == (bytes, 16)
@@ -342,16 +336,17 @@ class TestInitKey:
         base = init_key(Pin(b"1234"), ADDR_A, Z16)
         assert base != init_key(Pin(b"1235"), ADDR_A, Z16)
         assert base != init_key(Pin(b"1234"), ADDR_B, Z16)
-        assert base != init_key(Pin(b"1234"), ADDR_A, Challenge(b"\x01" * 16))
+        assert base != init_key(Pin(b"1234"), ADDR_A, b"\x01" * 16)
 
 
 class TestCombinationLinkKey:
-    RA = Challenge(b"\x11" * 16)
-    RB = Challenge(b"\x22" * 16)
+    RA = b"\x11" * 16
+    RB = b"\x22" * 16
 
     def test_golden(self):
         key = combination_link_key(self.RA, ADDR_A, self.RB, ADDR_B)
-        assert key.value.hex() == "72769791b896519027ea79c544e47f2d"
+        assert type(key) is bytes
+        assert key.hex() == "72769791b896519027ea79c544e47f2d"
 
     def test_symmetric_in_contributions(self):
         assert combination_link_key(self.RA, ADDR_A, self.RB, ADDR_B) == (
@@ -359,11 +354,11 @@ class TestCombinationLinkKey:
         )
 
     def test_equal_contributions_cancel(self):
-        assert combination_link_key(self.RA, ADDR_A, self.RA, ADDR_A).value == b"\x00" * 16
+        assert combination_link_key(self.RA, ADDR_A, self.RA, ADDR_A) == b"\x00" * 16
 
     @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
     def test_symmetry_property(self, ra, rb):
-        ca, cb = Challenge(ra), Challenge(rb)
+        ca, cb = ra, rb
         assert combination_link_key(ca, ADDR_A, cb, ADDR_B) == (
             combination_link_key(cb, ADDR_B, ca, ADDR_A)
         )
@@ -371,15 +366,15 @@ class TestCombinationLinkKey:
 
 class TestEncryptionKey:
     def test_golden(self):
-        key = encryption_key(ZKEY, Aco(b"\x00" * 12), Z16)
+        key = encryption_key(ZKEY, b"\x00" * 12, Z16)
         assert key.hex() == "afa4ba72cc4350e9dffede70391ea517"
 
     def test_width_and_inputs(self):
-        aco = Aco(b"\x07" * 12)
+        aco = b"\x07" * 12
         base = encryption_key(ZKEY, aco, Z16)
         assert len(base) == 16
-        assert base != encryption_key(ZKEY, aco, Challenge(b"\x01" * 16))
-        assert base != encryption_key(ZKEY, Aco(b"\x08" * 12), Z16)
+        assert base != encryption_key(ZKEY, aco, b"\x01" * 16)
+        assert base != encryption_key(ZKEY, b"\x08" * 12, Z16)
 
 
 class TestSessionKeyFromShared:

@@ -1,9 +1,10 @@
 """Every name a module imports is read somewhere in that module, and so is
-every private name a program module defines at its top level.
+every private name a program module defines at its top level; every name a
+program module exports is bound at its top level.
 
-A deletion that leaves an import, a constant or a helper behind fails here.
-A name listed in the module's ``__all__`` counts as read, since the module
-exports it.
+A deletion that leaves an import, a constant, a helper or an export behind
+fails here. A name listed in the module's ``__all__`` counts as read, since
+the module exports it.
 """
 
 import ast
@@ -45,11 +46,8 @@ def unread_imports(source: str) -> list[str]:
     return sorted(set(imported) - read_names(tree) - exported(tree))
 
 
-def unread_private_names(source: str) -> list[str]:
-    """The private names (a leading underscore, and not a dunder) that the
-    module's top level binds by assignment, def or class, and that nothing
-    in the module reads."""
-    tree = ast.parse(source)
+def defined_names(tree: ast.Module) -> list[str]:
+    """The names the module's top level binds by assignment, def or class."""
     defined = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -62,8 +60,29 @@ def unread_private_names(source: str) -> list[str]:
                 for name in ast.walk(target)
                 if isinstance(name, ast.Name)
             ]
-    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    return defined
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private names (a leading underscore, and not a dunder) that the
+    module's top level binds by assignment, def or class, and that nothing
+    in the module reads."""
+    tree = ast.parse(source)
+    private = {name for name in defined_names(tree) if name.startswith("_") and not name.endswith("__")}
     return sorted(private - read_names(tree))
+
+
+def unbound_exports(source: str) -> list[str]:
+    """The names in the module's ``__all__`` that its top level binds by
+    none of def, class, assignment or import."""
+    tree = ast.parse(source)
+    bound = set(defined_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(exported(tree) - bound)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
@@ -74,6 +93,11 @@ def test_every_import_is_read(path):
 @pytest.mark.parametrize("path", PROGRAM, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_exported_name_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
 
 
 def test_modules_are_found():
@@ -101,7 +125,12 @@ def test_modules_are_found():
         ("__version__ = '1'\n__x = 1\n", ["__x"]),
         ("import os as _os\n", ["_os"]),
         ("def f():\n    _local = 1\n", []),
+        ("__all__ = ['f']\n", ["f"]),
+        ("__all__ = ['f', 'g']\ndef f():\n    g = 1\n", ["g"]),
+        ("__all__ = ['C', 'X', 'Y']\nclass C:\n    X = 1\nY: int = 2\n", ["X"]),
+        ("__all__ = ['os', 'c']\nimport os.path\nfrom a import b as c\n", []),
+        ("__all__ = ['b']\nfrom a import b as c\nc\n", ["b"]),
     ],
 )
 def test_the_check_itself(source, unread):
-    assert unread_imports(source) + unread_private_names(source) == unread
+    assert unread_imports(source) + unread_private_names(source) + unbound_exports(source) == unread

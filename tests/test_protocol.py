@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import (
-    Challenge,
     DeviceId,
     DhParams,
-    LinkKey,
     dh_shared,
     e1,
     e1_aco,
@@ -40,8 +38,8 @@ from btauthsim.simnet import LinkConfig, run, transcript_rtt
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
 ADDR_C = DeviceId.from_hex("cc0000000003")
-KEY1 = LinkKey(bytes(range(16)))
-KEY2 = LinkKey(bytes(range(16, 32)))
+KEY1 = bytes(range(16))
+KEY2 = bytes(range(16, 32))
 PARAMS = DhParams(p=2147483647, alpha=7)
 
 
@@ -160,7 +158,7 @@ class TestImprovedHonest:
         assert answer.kind is MsgKind.RESPONSE
         released = handle(dev_b, answer)
         assert [m.kind for m in released] == [MsgKind.RESPONSE]
-        expected = e1(KEY1, Challenge(first[1].payload), ADDR_B)
+        expected = e1(KEY1, first[1].payload, ADDR_B)
         assert released[0].payload == expected
 
     def test_round_trip_times(self):
@@ -188,10 +186,10 @@ class TestDhImprovedHonest:
     def test_session_keys_agree_and_shift_the_auth_key(self):
         dev_a, dev_b, _ = run_honest(Variant.DH_IMPROVED)
         # a session key is the working key XOR the pairing key
-        session_a = xor_bytes(dev_a.effective_key.value, KEY1.value)
+        session_a = xor_bytes(dev_a.effective_key, KEY1)
         shared = dh_shared(PARAMS, dev_b.dh.s_public, dev_a.dh.r_private)
         assert session_a == session_key_from_shared(shared, PARAMS)
-        assert session_a == xor_bytes(dev_b.effective_key.value, KEY1.value)
+        assert session_a == xor_bytes(dev_b.effective_key, KEY1)
         assert dev_a.effective_key == dev_b.effective_key
         assert dev_a.effective_key != KEY1
 
@@ -284,13 +282,13 @@ class TestDriverContract:
                 assert dev.dh.r_private == stream.randrange(1, PARAMS.p)
             else:
                 assert dev.dh is None
-            assert dev.challenge == Challenge(stream.randbytes(16))
+            assert dev.challenge == stream.randbytes(16)
         # and each sends the challenge it was built with
         devices = {ADDR_A: dev_a, ADDR_B: dev_b}
         sent = [m for _, m in pump(devices, start(dev_a, ADDR_B)) if m.kind is MsgKind.CHALLENGE]
         assert sent == [
-            Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, dev_a.challenge.value),
-            Message(MsgKind.CHALLENGE, ADDR_B, ADDR_A, dev_b.challenge.value),
+            Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, dev_a.challenge),
+            Message(MsgKind.CHALLENGE, ADDR_B, ADDR_A, dev_b.challenge),
         ]
 
     def test_same_seed_same_first_challenge(self):
@@ -505,12 +503,10 @@ class TestEncKey:
             # the first leg, read from the transcript: A's first challenge,
             # answered by B (a run that ends with both devices Done was
             # opened by A, since an originate run never does)
-            challenge = Challenge(
-                next(
-                    e.payload
-                    for e in transcript.events
-                    if e.kind is MsgKind.CHALLENGE and e.from_id is ADDR_A
-                )
+            challenge = next(
+                e.payload
+                for e in transcript.events
+                if e.kind is MsgKind.CHALLENGE and e.from_id is ADDR_A
             )
             for dev in devices:
                 aco = e1_aco(dev.effective_key, challenge, ADDR_B)
@@ -528,7 +524,7 @@ class TestEncKey:
 
 @dataclasses.dataclass(frozen=True)
 class MessageTwin:
-    """Message as a plain frozen dataclass, with the checks it had then."""
+    """Message as a plain frozen dataclass, with the checks Message makes."""
 
     kind: MsgKind
     sender: DeviceId
@@ -538,6 +534,10 @@ class MessageTwin:
     def __post_init__(self):
         if self.sender == self.receiver:
             raise ValueError("message sender and receiver must differ")
+        if not isinstance(self.payload, bytes):
+            raise TypeError(
+                f"{self.kind.value} payload must be bytes, got {type(self.payload).__name__}"
+            )
         want = WIDTH[self.kind]
         if len(self.payload) != want:
             raise ValueError(
@@ -546,15 +546,23 @@ class MessageTwin:
 
 
 def build(cls, *args, **kwargs):
-    """An instance, or the message of the ValueError that construction raised."""
+    """An instance, or the type and message of the error construction raised."""
     try:
         return cls(*args, **kwargs)
-    except ValueError as err:
-        return str(err)
+    except (TypeError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def values(record):
     return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+def as_str(raw: bytes) -> str:
+    return "0" * len(raw)
+
+
+# payload types with a len() that are not bytes
+NOT_BYTES = [bytearray, memoryview, as_str, tuple]
 
 
 @st.composite
@@ -563,7 +571,8 @@ def message_args(draw):
     addresses = st.sampled_from([ADDR_A, ADDR_B, ADDR_C])
     width = WIDTH[kind]
     payload = draw(st.binary(min_size=width, max_size=width) | st.binary(max_size=20))
-    return kind, draw(addresses), draw(addresses), payload
+    convert = draw(st.sampled_from([bytes, *NOT_BYTES]))
+    return kind, draw(addresses), draw(addresses), convert(payload)
 
 
 class TestMessageRecord:
@@ -571,6 +580,13 @@ class TestMessageRecord:
         assert [(f.name, f.default) for f in dataclasses.fields(Message)] == [
             (f.name, f.default) for f in dataclasses.fields(MessageTwin)
         ]
+
+    @pytest.mark.parametrize("convert", NOT_BYTES, ids=["bytearray", "memoryview", "str", "tuple"])
+    def test_refuses_a_payload_that_is_not_bytes(self, convert):
+        payload = convert(bytes(16))
+        assert len(payload) == 16
+        with pytest.raises(TypeError, match=f"^ChallengeMsg payload must be bytes, got {type(payload).__name__}$"):
+            Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, payload)
 
     @given(message_args(), message_args())
     @settings(max_examples=300)

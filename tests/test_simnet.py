@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from btauthsim.adversary import IntruderMode, IntruderState
-from btauthsim.crypto import DeviceId, DhParams, LinkKey
+from btauthsim.crypto import DeviceId, DhParams
 from btauthsim.protocol import AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import (
     Detection,
@@ -24,7 +24,7 @@ from btauthsim.simnet import (
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
 ADDR_C = DeviceId.from_hex("cc0000000003")
-KEY = LinkKey(bytes(range(16)))
+KEY = bytes(range(16))
 PARAMS = DhParams(p=2147483647, alpha=7)
 LINKS = LinkConfig()
 
