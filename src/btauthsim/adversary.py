@@ -205,53 +205,59 @@ def verdict(
 
     Integrity is broken when the intruder delivered to an honest device a
     hop that the other honest device had not emitted before it.
-    Confidentiality is breached when some challenge the intruder saw cross
-    as a ChallengeMsg (a captured 16-octet CHALLENGE payload) has its
-    response under link_key by some honest claimant among the captured
-    4-octet RESPONSE payloads. The scan takes the challenges in ascending
-    octet order and, for each, the claimants in the order of outcomes, and
-    stops at the first match; the order is fixed, whatever the hash seed,
-    so the e1 calls a run makes are too. When the intruder captured no
-    response, no challenge can match, and the scan makes no e1 call.
+    Confidentiality is breached when some honest device X answered a
+    challenge the intruder delivered to it: for some captured 16-octet
+    ChallengeMsg payload c delivered to X, e1(link_key, c, X) is among the
+    captured ResponseMsg payloads X sent. The scan takes the claimants in
+    the order of outcomes and, for each, its challenges in ascending octet
+    order, and stops at the first match; the order is fixed, whatever the
+    hash seed, so the e1 calls a run makes are too. A device that sent no
+    response is not scanned, so its challenges cost no e1 call.
 
-    Leaving out the other captured payloads, the DH public values among
-    them, changes no verdict a run can produce: a device computes e1 only
-    on the payload of a ChallengeMsg delivered to it, and in an intruder
-    run every hop into a device comes from the intruder, so it is captured
-    as a CHALLENGE. A valid response to a value that crossed only under
-    another kind would need a 32-bit collision. The width checks stay,
-    because a hand-built transcript may carry any payload under any kind."""
+    Reading only these pairs changes no verdict a run can produce. The
+    intruder holds no key, so every response in a run is one an honest
+    device X emitted, and X emits e1 under its own working key and address
+    only over the payload of a ChallengeMsg delivered to it; in an intruder
+    run both of those hops cross the intruder. Barring a 32-bit collision,
+    a captured response equal to e1(link_key, c, Y) is therefore Y's own
+    answer to c, delivered to Y as a ChallengeMsg, so pairing it with
+    another claimant, another receiver of c or another kind of hop finds
+    nothing more. The width check on challenges stays, because a
+    hand-built transcript may carry any payload under any kind; a response
+    of another width never equals the 4 octets of e1."""
     check_octets("link_key", link_key, 16)
     a, b = outcomes
     peer = {a: b, b: a}
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
 
     # one pass finds every fact: whether any hop ran between the honest
-    # devices, the first forged hop, and the credentials the intruder captured
+    # devices, the first forged hop, and for each honest device the
+    # challenges the intruder delivered to it and the responses it sent
     direct_hops = forged = False
     emitted: set[tuple[DeviceId, MsgKind, bytes]] = set()
-    challenges: set[bytes] = set()
-    responses: set[bytes] = set()
+    delivered: dict[DeviceId, set[bytes]] = {a: set(), b: set()}
+    answered: dict[DeviceId, set[bytes]] = {a: set(), b: set()}
     for event in transcript.events:
         from_id, to_id, kind, payload = event.from_id, event.to_id, event.kind, event.payload
         if from_id in peer:
             emitted.add((from_id, kind, payload))
             if to_id in peer:
                 direct_hops = True
-                continue
-        elif not forged and to_id in peer and (peer[to_id], kind, payload) not in emitted:
-            forged = True
-        if kind is MsgKind.CHALLENGE and len(payload) == 16:
-            challenges.add(payload)
-        elif kind is MsgKind.RESPONSE and len(payload) == 4:
-            responses.add(payload)
+            elif kind is MsgKind.RESPONSE:
+                answered[from_id].add(payload)
+        elif to_id in peer:
+            if not forged and (peer[to_id], kind, payload) not in emitted:
+                forged = True
+            if kind is MsgKind.CHALLENGE and len(payload) == 16:
+                delivered[to_id].add(payload)
     attack_success = all_success and not direct_hops and len(transcript.events) > 0
     integrity = Integrity.BROKEN if forged else Integrity.MAINTAINED
 
-    breached = bool(responses) and any(
-        e1(link_key, challenge, claimant) in responses
-        for challenge in sorted(challenges)
+    breached = any(
+        e1(link_key, challenge, claimant) in answered[claimant]
         for claimant in outcomes
+        if answered[claimant]
+        for challenge in sorted(delivered[claimant])
     )
     confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED
 

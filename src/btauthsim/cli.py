@@ -23,6 +23,7 @@ from .crypto import (
     e1,
     has_full_order,
     init_key,
+    session_key_from_shared,
     xor_bytes,
 )
 from .protocol import AuthOutcome, DeviceState, Variant, new_device
@@ -176,13 +177,15 @@ def _check_seed(seed: int) -> None:
 
 def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     """One full run at one seed: the run itself, detection against the
-    configuration's cached baselines, and scoring. It first clears the e1
-    memo, so the run starts from no other run's entries, then takes links,
-    group and baselines from validate, so it raises ConfigError for every
-    configuration that validate rejects, and for a negative seed, which
-    random.Random would take as its absolute value."""
+    configuration's cached baselines, and scoring. It first clears the
+    memos of e1 and session_key_from_shared, so the run starts from no
+    other run's entries, then takes links, group and baselines from
+    validate, so it raises ConfigError for every configuration that
+    validate rejects, and for a negative seed, which random.Random would
+    take as its absolute value."""
     _check_seed(seed)
     e1.cache_clear()
+    session_key_from_shared.cache_clear()
     links, params, calibrated = validate(config)
     baselines = dict(calibrated)
     master = random.Random(seed)

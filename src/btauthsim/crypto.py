@@ -12,15 +12,18 @@ the response reads; e1_aco derives the ciphering offset from the full
 digest. e1 keeps a small memo of its recent results, because one run
 computes the same (key, challenge, claimant) triple more than once: the
 answering device, the verifying device and the verdict each derive it.
-cli.run_scenario clears the memo at the start of every run, so no run
-reuses another run's entries and each run's count of responses computed
-depends only on its scenario and seed. Results are unchanged: e1 is pure,
-and its memo is keyed by each argument's type as well as its value, so a
-view that equals memoised bytes misses and meets e1's check.
+session_key_from_shared keeps a second memo, because the two devices of a
+dh-improved run that agree on the shared value each derive its key.
+cli.run_scenario clears both memos at the start of every run, so no run
+reuses another run's entries and each run's count of digests computed
+depends only on its scenario and seed. Results are unchanged: both
+functions are pure, and each memo is keyed by each argument's type as
+well as its value, so a view that equals memoised bytes misses and meets
+e1's check.
 
-Besides that memo and mixhash128's cache of message layouts by input length
-(at most 64 lengths; each entry is the padding tail and the struct that
-reads the whole message), both of which functools.lru_cache guards itself,
+Besides those memos and mixhash128's cache of message layouts by input
+length (at most 64 lengths; each entry is the padding tail and the struct
+that reads the whole message), all of which functools.lru_cache guards itself,
 the one shared mutable structure is the table of live device addresses
 behind DeviceId, which keeps one object per address so that addresses
 compare and hash by identity. It holds its objects weakly, and a lock
@@ -208,10 +211,10 @@ _E1_TAIL, _E1_BLOCKS = _layout(39)
 _SRES = struct.Struct("<I")
 
 
-# the scripted scenarios derive at most 6 distinct triples in a run (the
-# dh-improved relays), plus 2 of a first run's calibration, so within a run
-# the memo evicts nothing; typed, so that a view equal to memoised bytes
-# misses and meets the check
+# the scripted scenarios derive at most 4 distinct triples in a run
+# (dh-improved relay-passive), plus 2 of a first run's calibration, so
+# within a run the memo evicts nothing; typed, so that a view equal to
+# memoised bytes misses and meets the check
 @functools.lru_cache(maxsize=32, typed=True)
 def e1(key: bytes, challenge: bytes, claimant: DeviceId) -> bytes:
     """Authentication function: the 4-octet response (SRES) to a 16-octet
@@ -419,8 +422,17 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
     return modexp(peer_public, r, params.p)
 
 
+# the scripted scenarios derive at most 2 distinct keys in a run (one per
+# device when the intruder sends its own public), plus 1 of a first run's
+# calibration; typed, as e1's memo is
+@functools.lru_cache(maxsize=8, typed=True)
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
-    """Bind the shared integer and group modulus into a uniform 16-octet key."""
+    """Bind the shared integer and group modulus into a uniform 16-octet key.
+
+    Memoised like e1, so the two devices of a run that agree on the shared
+    value derive its key once; cli.run_scenario calls
+    session_key_from_shared.cache_clear() before each run, and
+    session_key_from_shared.__wrapped__ is the unmemoised function."""
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
     material = _TAG_SESSION + k.to_bytes(16, "big") + params.p.to_bytes(16, "big")

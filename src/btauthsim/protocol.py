@@ -23,8 +23,9 @@ and devices share nothing but messages.
 
 Every octet string is plain bytes: the link key, both challenges and each
 message payload. new_device checks the link key it takes, Message refuses a
-payload that is not bytes of its kind's width, and e1 checks the octets it
-takes, so handlers pass payloads on as they arrive.
+kind that is not a MsgKind, parties that are not DeviceIds and a payload
+that is not bytes of its kind's width, and e1 checks the octets it takes,
+so handlers pass payloads and claimed senders on as they arrive.
 """
 
 import random
@@ -101,6 +102,7 @@ _PAYLOAD_WIDTH = {
 class Message:
     """One protocol message. sender is the claimed originator address; who
     physically transmitted it is the network's business, not the message's.
+    kind is a MsgKind, sender and receiver are distinct DeviceIds, and
     payload is bytes of the width its kind fixes (TypeError, ValueError)."""
 
     kind: MsgKind
@@ -111,6 +113,12 @@ class Message:
     # dataclass keeps this __init__: it checks first, then stores every
     # field in one step instead of one object.__setattr__ call per field
     def __init__(self, kind: MsgKind, sender: DeviceId, receiver: DeviceId, payload: bytes = b""):
+        if not isinstance(kind, MsgKind):
+            raise TypeError(f"message kind must be a MsgKind, got {type(kind).__name__}")
+        if not isinstance(sender, DeviceId):
+            raise TypeError(f"message sender must be a DeviceId, got {type(sender).__name__}")
+        if not isinstance(receiver, DeviceId):
+            raise TypeError(f"message receiver must be a DeviceId, got {type(receiver).__name__}")
         if sender == receiver:
             raise ValueError("message sender and receiver must differ")
         if not isinstance(payload, bytes):

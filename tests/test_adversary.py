@@ -233,6 +233,39 @@ class TestNoForgedResponses:
                 seen.add(event.payload)
 
 
+class ReflectingIntruder(IntruderState):
+    """Returns victim_a's own challenge to it as a counter-challenge, under
+    victim_b's address, and drops every other message."""
+
+    def intercept(self, msg):
+        if msg.kind is MsgKind.CHALLENGE and msg.sender is self.victim_a:
+            return [Message(MsgKind.CHALLENGE, self.victim_b, self.victim_a, msg.payload)]
+        return []
+
+
+class TestReflection:
+    @pytest.mark.parametrize("variant", [Variant.LEGACY, Variant.IMPROVED], ids=lambda v: v.value)
+    def test_a_reflected_challenge_breaches_confidentiality(self, monkeypatch, variant):
+        # A answers a counter-challenge before it has verified its peer, so
+        # its answer to its own challenge is a credential the intruder
+        # captured: c delivered to A, e1(K, c, A) sent by A
+        monkeypatch.setattr(cli, "IntruderState", ReflectingIntruder)
+        config = ScenarioConfig(variant=variant, intruder=IntruderMode.RELAY_PASSIVE)
+        for seed in range(20):
+            result = run_scenario(config, seed)
+            kinds = [(e.from_id, e.to_id, e.kind) for e in result.transcript.events]
+            assert kinds == [
+                (ADDR_A, ADDR_C, MsgKind.AUTH_REQUEST),
+                (ADDR_A, ADDR_C, MsgKind.CHALLENGE),
+                (ADDR_C, ADDR_A, MsgKind.CHALLENGE),
+                (ADDR_A, ADDR_C, MsgKind.RESPONSE),
+            ], f"seed {seed}"
+            score = result.score
+            assert score.attack_success is False
+            assert score.integrity is Integrity.BROKEN, f"seed {seed}"
+            assert score.confidentiality is Confidentiality.BREACHED, f"seed {seed}"
+
+
 class BytearrayRelay(IntruderState):
     """A passive relay that re-sends each payload as a bytearray."""
 
@@ -307,6 +340,35 @@ def full_scan_confidentiality(challenges, responses, outcomes, link_key):
     return confidentiality
 
 
+def answered_credential_confidentiality(transcript, outcomes, link_key):
+    """For each honest claimant X, every 16-octet CHALLENGE payload the
+    intruder delivered to X against the RESPONSE payloads X sent the
+    intruder, with the unmemoised e1 and no early exit."""
+    confidentiality = Confidentiality.MAINTAINED
+    for claimant in outcomes:
+        delivered = {
+            e.payload
+            for e in transcript.events
+            if e.kind is MsgKind.CHALLENGE
+            and e.to_id is claimant
+            and e.from_id not in outcomes
+            and len(e.payload) == 16
+        }
+        sent = {
+            e.payload
+            for e in transcript.events
+            if e.kind is MsgKind.RESPONSE and e.from_id is claimant and e.to_id not in outcomes
+        }
+        for raw in delivered:
+            if e1.__wrapped__(link_key, raw, claimant) in sent:
+                confidentiality = Confidentiality.BREACHED
+    return confidentiality
+
+
+# the hops that cross the intruder, into it or out of it
+INTRUDER_ROUTES = [(ADDR_A, ADDR_C), (ADDR_C, ADDR_A), (ADDR_B, ADDR_C), (ADDR_C, ADDR_B)]
+
+
 def captured_of_kind(transcript, outcomes, kind):
     """The payloads of the captured hops of one message kind."""
     return {
@@ -325,6 +387,11 @@ ANSWERED_PUBLIC_HOPS = [
     (ADDR_A, ADDR_C, MsgKind.RESPONSE, _ANSWER),
     (ADDR_C, ADDR_B, MsgKind.RESPONSE, _ANSWER),
 ]
+
+
+# a challenge and A's credential over it, e1(KEY, c, A)
+_CHALLENGE = bytes(range(32, 48))
+_CREDENTIAL_A = e1(KEY, _CHALLENGE, ADDR_A)
 
 
 class TestConfidentialityScan:
@@ -396,46 +463,63 @@ class TestConfidentialityScan:
         assert e1_calls == []
 
     @given(
-        st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=5),
-        st.lists(st.tuples(st.integers(min_value=0, max_value=4), st.booleans()), max_size=3),
-        st.lists(st.binary(min_size=4, max_size=4), max_size=3),
+        st.lists(
+            st.tuples(st.binary(min_size=16, max_size=16), st.sampled_from(INTRUDER_ROUTES)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),
+                st.sampled_from([ADDR_A, ADDR_B]),
+                st.sampled_from(INTRUDER_ROUTES),
+            ),
+            max_size=3,
+        ),
+        st.lists(
+            st.tuples(st.binary(min_size=4, max_size=4), st.sampled_from(INTRUDER_ROUTES)),
+            max_size=3,
+        ),
     )
+    # A's challenge, delivered to A and answered by A
+    @example([(bytes(16), (ADDR_C, ADDR_A))], [(0, ADDR_A, (ADDR_A, ADDR_C))], [])
     @settings(deadline=None)
     def test_first_match_agrees_on_any_knowledge(self, challenges, answered, noise):
-        # captured responses of either claimant to any of the challenges
-        _, _, _, _, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_PASSIVE)
-        claimants = list(outcomes)
-        payloads = challenges + noise
-        for index, second in answered:
-            raw = challenges[index % len(challenges)]
-            payloads.append(e1(KEY, raw, claimants[second]))
-        # each payload crosses the intruder, alternately into it and out of it
-        routes = [(ADDR_A, ADDR_C), (ADDR_C, ADDR_B)]
+        # challenges and responses cross the intruder, each into it or out
+        # of it, and the responses include credentials of either claimant to
+        # any of the challenges
+        hops = [(*route, MsgKind.CHALLENGE, raw) for raw, route in challenges]
+        hops += [(*route, MsgKind.RESPONSE, raw) for raw, route in noise]
+        for index, claimant, route in answered:
+            raw = challenges[index % len(challenges)][0]
+            hops.append((*route, MsgKind.RESPONSE, e1(KEY, raw, claimant)))
         transcript = Transcript(
-            events=tuple(
-                TranscriptEvent(
-                    seq,
-                    seq,
-                    *routes[seq % 2],
-                    MsgKind.CHALLENGE if len(payload) == 16 else MsgKind.RESPONSE,
-                    payload,
-                )
-                for seq, payload in enumerate(payloads)
-            ),
+            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
             links=LINKS,
-            end_time=len(payloads),
+            end_time=len(hops),
         )
-        knowledge = captured(transcript, outcomes)
-        assert knowledge == set(payloads)
+        outcomes = {
+            ADDR_A: AuthOutcome(AuthStatus.MUTUAL_SUCCESS, ADDR_B),
+            ADDR_B: AuthOutcome(AuthStatus.MUTUAL_SUCCESS, ADDR_A),
+        }
+        assert captured(transcript, outcomes) == {payload for *_, payload in hops}
         score = verdict(outcomes, transcript, Detection.NONE, KEY)
-        assert score.confidentiality is full_scan_confidentiality(knowledge, knowledge, outcomes, KEY)
+        assert score.confidentiality is answered_credential_confidentiality(
+            transcript, outcomes, KEY
+        )
 
     @pytest.mark.parametrize(
-        "mode", [IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE], ids=lambda m: m.value
+        "mode,calls",
+        [
+            pytest.param(mode, calls, id=mode.value)
+            for mode, calls in [(IntruderMode.RELAY_ACTIVE, 1), (IntruderMode.RELAY_PASSIVE, 2)]
+        ],
     )
-    def test_dh_public_values_are_not_tried_as_challenges(self, monkeypatch, mode):
+    def test_dh_public_values_are_not_tried_as_challenges(self, monkeypatch, mode, calls):
         # no relayed dh-improved run verifies under the link key, so the scan
-        # runs in full: both claimants for each captured ChallengeMsg payload
+        # runs in full, one call for each challenge a device answered: on
+        # relay-active only A answers (B's check of A's answer fails, so B
+        # withholds its own), on relay-passive both do
         e1_calls = []
 
         def counting_e1(*args):
@@ -444,16 +528,98 @@ class TestConfidentialityScan:
 
         monkeypatch.setattr(adversary, "e1", counting_e1)
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
-        counts = []
         for seed in range(10):
             e1_calls.clear()
             result = run_scenario(config, seed)
-            challenges = captured_of_kind(result.transcript, result.outcomes, MsgKind.CHALLENGE)
-            assert captured_of_kind(result.transcript, result.outcomes, MsgKind.RESPONSE)
+            events = result.transcript.events
+            delivered = {e.to_id: e.payload for e in events if e.kind is MsgKind.CHALLENGE}
+            answering = {e.from_id for e in events if e.kind is MsgKind.RESPONSE}
+            assert delivered.keys() == {ADDR_A, ADDR_B, ADDR_C}
             assert result.score.confidentiality is Confidentiality.MAINTAINED
-            assert len(e1_calls) == 2 * len(challenges), f"seed {seed}"
-            counts.append(len(e1_calls))
-        assert counts[0] == 4
+            # claimants in the order of outcomes, each with the challenge
+            # delivered to it
+            assert e1_calls == [
+                (result.link_key, delivered[claimant], claimant)
+                for claimant in result.outcomes
+                if claimant in answering
+            ], f"seed {seed}"
+            assert len(e1_calls) == calls, f"seed {seed}"
+
+    @pytest.mark.parametrize(
+        "hops,expected",
+        [
+            # A's credential, sent by A, to a challenge delivered only to B
+            (
+                [(ADDR_C, ADDR_B, MsgKind.CHALLENGE), (ADDR_A, ADDR_C, MsgKind.RESPONSE)],
+                Confidentiality.MAINTAINED,
+            ),
+            # A's credential to a challenge delivered to A, sent only by C
+            (
+                [(ADDR_C, ADDR_A, MsgKind.CHALLENGE), (ADDR_C, ADDR_B, MsgKind.RESPONSE)],
+                Confidentiality.MAINTAINED,
+            ),
+            # a challenge delivered to A and answered by A
+            (
+                [(ADDR_C, ADDR_A, MsgKind.CHALLENGE), (ADDR_A, ADDR_C, MsgKind.RESPONSE)],
+                Confidentiality.BREACHED,
+            ),
+        ],
+        ids=["delivered-to-the-other", "sent-by-the-intruder", "answered"],
+    )
+    def test_only_a_credential_the_claimant_answered_counts(self, hops, expected):
+        # the claimant-blind scan of every captured challenge against every
+        # captured response breaches on all three
+        payloads = (_CHALLENGE, _CREDENTIAL_A)
+        transcript = Transcript(
+            events=tuple(
+                TranscriptEvent(seq, seq, *hop, payload)
+                for seq, (hop, payload) in enumerate(zip(hops, payloads))
+            ),
+            links=LINKS,
+            end_time=2,
+        )
+        outcomes = {
+            ADDR_A: AuthOutcome(AuthStatus.FAILED, None),
+            ADDR_B: AuthOutcome(AuthStatus.FAILED, None),
+        }
+        challenges = captured_of_kind(transcript, outcomes, MsgKind.CHALLENGE)
+        responses = captured_of_kind(transcript, outcomes, MsgKind.RESPONSE)
+        blind = full_scan_confidentiality(challenges, responses, outcomes, KEY)
+        assert blind is Confidentiality.BREACHED
+        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        assert score.confidentiality is expected
+
+    def test_challenges_are_tried_in_ascending_order(self, monkeypatch):
+        # two challenges delivered to A, A answering neither, and one to B,
+        # which sent no response: the scan hashes A's two, smaller first,
+        # whatever order the hash seed gives the set that holds them (under
+        # PYTHONHASHSEED=12345, Python 3.11, that set yields the larger first)
+        e1_calls = []
+
+        def counting_e1(*args):
+            e1_calls.append(args)
+            return e1(*args)
+
+        monkeypatch.setattr(adversary, "e1", counting_e1)
+        low, high, other = bytes(16), b"\xff" * 16, b"\x07" * 16
+        hops = [
+            (ADDR_C, ADDR_A, MsgKind.CHALLENGE, high),
+            (ADDR_C, ADDR_B, MsgKind.CHALLENGE, other),
+            (ADDR_C, ADDR_A, MsgKind.CHALLENGE, low),
+            (ADDR_A, ADDR_C, MsgKind.RESPONSE, b"\x00" * 4),
+        ]
+        transcript = Transcript(
+            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
+            links=LINKS,
+            end_time=len(hops),
+        )
+        outcomes = {
+            ADDR_B: AuthOutcome(AuthStatus.TIMED_OUT, None),
+            ADDR_A: AuthOutcome(AuthStatus.TIMED_OUT, None),
+        }
+        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        assert score.confidentiality is Confidentiality.MAINTAINED
+        assert e1_calls == [(KEY, low, ADDR_A), (KEY, high, ADDR_A)]
 
     def test_a_response_to_a_public_value_is_no_credential(self):
         """A transcript that no run can produce: the intruder relays a
@@ -486,9 +652,9 @@ def two_pass_verdict(outcomes, transcript, detection, link_key):
     """The judge by its record-only definition, one fact per pass: direct
     hops between the honest devices; each hop that another party delivered
     to an honest device, checked against what the other honest device
-    emitted before it; and the payloads that other party sent or received,
-    of which only CHALLENGE payloads are tried as challenges and RESPONSE
-    payloads as responses."""
+    emitted before it; and, for each honest device, the CHALLENGE payloads
+    another party delivered to it, tried against the RESPONSE payloads it
+    sent another party."""
     a, b = outcomes
     other = {a: b, b: a}
     honest = set(outcomes)
@@ -503,12 +669,10 @@ def two_pass_verdict(outcomes, transcript, detection, link_key):
                 integrity = Integrity.BROKEN
         if event.from_id in honest:
             emitted.add((event.from_id, event.kind, event.payload))
-    challenges = captured_of_kind(transcript, outcomes, MsgKind.CHALLENGE)
-    responses = captured_of_kind(transcript, outcomes, MsgKind.RESPONSE)
     return AttackVerdict(
         attack_success=attack_success,
         integrity=integrity,
-        confidentiality=full_scan_confidentiality(challenges, responses, outcomes, link_key),
+        confidentiality=answered_credential_confidentiality(transcript, outcomes, link_key),
         detection=detection,
     )
 
@@ -524,16 +688,26 @@ _OUTCOME = st.sampled_from(list(AuthStatus))
 @st.composite
 def _hops(draw):
     """Arbitrary hops, plus both halves of a few real credentials: a
-    challenge c and e1(KEY, c, claimant) for an honest claimant, each under
-    any kind between any parties, all in any order. Random payloads alone
-    almost never hold a credential, so they could not tell a judge that
-    reads the kind of a hop from one that ignores it."""
+    challenge c and e1(KEY, c, claimant) for an honest claimant, all in any
+    order. Each half crosses either as the claimant answered it (c from the
+    intruder to the claimant as a ChallengeMsg, the response from the
+    claimant to the intruder as a ResponseMsg) or under any kind between
+    any parties. Random payloads alone almost never hold a credential, and
+    random placements seldom put one where it was answered, so they could
+    not tell a judge that reads the kind, the receiver or the sender of a
+    hop from one that ignores it."""
     hops = draw(st.lists(_HOP, max_size=12))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         challenge = draw(st.binary(min_size=16, max_size=16))
         claimant = draw(st.sampled_from([ADDR_A, ADDR_B]))
-        for payload in (challenge, e1(KEY, challenge, claimant)):
-            hops.append((draw(_PARTY), draw(_PARTY), draw(_KIND), payload))
+        answered = [
+            (ADDR_C, claimant, MsgKind.CHALLENGE, challenge),
+            (claimant, ADDR_C, MsgKind.RESPONSE, e1(KEY, challenge, claimant)),
+        ]
+        for hop in answered:
+            if draw(st.booleans()):
+                hop = (draw(_PARTY), draw(_PARTY), draw(_KIND), hop[3])
+            hops.append(hop)
     return draw(st.permutations(hops))
 
 
@@ -549,6 +723,30 @@ class TestOnePassVerdict:
     )
     # a response to a value that crossed only as a public value
     @example(ANSWERED_PUBLIC_HOPS, AuthStatus.FAILED, AuthStatus.FAILED, False, Detection.NONE)
+    # A's credential, sent by A, to a challenge delivered only to B
+    @example(
+        [(ADDR_C, ADDR_B, MsgKind.CHALLENGE, _CHALLENGE), (ADDR_A, ADDR_C, MsgKind.RESPONSE, _CREDENTIAL_A)],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        False,
+        Detection.NONE,
+    )
+    # A's credential to a challenge delivered to A, sent only by the intruder
+    @example(
+        [(ADDR_C, ADDR_A, MsgKind.CHALLENGE, _CHALLENGE), (ADDR_C, ADDR_B, MsgKind.RESPONSE, _CREDENTIAL_A)],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        True,
+        Detection.NONE,
+    )
+    # A's credential to a challenge delivered to A, sent by A
+    @example(
+        [(ADDR_C, ADDR_A, MsgKind.CHALLENGE, _CHALLENGE), (ADDR_A, ADDR_C, MsgKind.RESPONSE, _CREDENTIAL_A)],
+        AuthStatus.TIMED_OUT,
+        AuthStatus.TIMED_OUT,
+        False,
+        Detection.NONE,
+    )
     @settings(deadline=None)
     def test_agrees_with_the_two_pass_judge(self, hops, status_a, status_b, b_first, detection):
         transcript = Transcript(

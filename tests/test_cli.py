@@ -382,6 +382,33 @@ class TestScenarioApi:
             counts.append(len(calls))
         assert counts[0] == counts[2]
 
+    @pytest.mark.parametrize(
+        "mode,derivations",
+        [(None, 1), (IntruderMode.RELAY_PASSIVE, 1), (IntruderMode.RELAY_ACTIVE, 2)],
+        ids=["honest", "relay-passive", "relay-active"],
+    )
+    def test_one_session_key_derivation_per_shared_value(self, monkeypatch, mode, derivations):
+        # both devices of an honest or passively relayed run agree on the
+        # shared value and derive its key once; a relay that substitutes
+        # the publics leaves each device its own. A seed rerun after other
+        # runs derives as often as the first time: the memo starts empty
+        config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
+        validate(config)
+        session_tag = b"\x05"
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return mixhash128(data)
+
+        monkeypatch.setattr(crypto, "mixhash128", counted)
+        counts = []
+        for seed in (0, 1, 2, 0):
+            calls.clear()
+            run_scenario(config, seed)
+            counts.append(sum(data[:1] == session_tag and len(data) == 33 for data in calls))
+        assert counts == [derivations] * 4
+
     def test_no_run_derives_an_encryption_key(self, monkeypatch):
         # no report line, transcript or verdict reads a device's enc_key
         calls = []

@@ -389,6 +389,24 @@ class TestSessionKeyFromShared:
             session_key_from_shared(2, DhParams(29, 2))
         )
 
+    @given(st.integers(min_value=0, max_value=2**31 - 2), st.sampled_from([(23, 5), (2**31 - 1, 7)]))
+    def test_memo_matches_unmemoised(self, k, group):
+        params = DhParams(*group)
+        k %= params.p
+        expected = session_key_from_shared.__wrapped__(k, params)
+        assert session_key_from_shared(k, params) == expected
+        # a repeat, answered from the memo, and an equal group built anew
+        assert session_key_from_shared(k, params) is session_key_from_shared(k, params)
+        assert session_key_from_shared(k, DhParams(*group)) == expected
+
+    def test_memo_is_typed(self):
+        # an int-valued float equals a memoised int, yet misses and meets
+        # the unmemoised function's failure
+        params = DhParams(p=23, alpha=5)
+        session_key_from_shared(2, params)
+        with pytest.raises(AttributeError):
+            session_key_from_shared(2.0, params)
+
     def test_range_enforced(self):
         params = DhParams(p=23, alpha=5)
         with pytest.raises(ValueError):

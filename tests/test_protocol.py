@@ -300,6 +300,28 @@ class TestDriverContract:
 
 
 class TestMessageValidation:
+    def test_parties_must_be_device_ids(self):
+        with pytest.raises(TypeError, match="^message sender must be a DeviceId, got str$"):
+            Message(MsgKind.AUTH_FAIL, "x", "y")
+        with pytest.raises(TypeError, match="^message receiver must be a DeviceId, got bytes$"):
+            Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B.addr)
+
+    def test_no_device_is_handed_a_sender_that_is_text(self):
+        # an AuthRequest announcing the receiver's own address fails the
+        # handshake toward the claimed sender, which must be an address
+        claimed = "bb0000000002"
+        with pytest.raises(TypeError, match="^message sender must be a DeviceId, got str$"):
+            Message(MsgKind.AUTH_REQUEST, claimed, ADDR_A, ADDR_A.addr)
+        valid = Message(MsgKind.AUTH_REQUEST, ADDR_B, ADDR_A, ADDR_A.addr)
+        with pytest.raises(TypeError, match="^message sender must be a DeviceId, got str$"):
+            dataclasses.replace(valid, sender=claimed)
+        dev = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
+        assert handle(dev, valid) == [Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B)]
+
+    def test_kind_must_be_a_msg_kind(self):
+        with pytest.raises(TypeError, match="^message kind must be a MsgKind, got str$"):
+            Message("x", ADDR_A, ADDR_B)
+
     def test_payload_width_enforced(self):
         with pytest.raises(ValueError):
             Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, b"\x00" * 15)
@@ -532,6 +554,12 @@ class MessageTwin:
     payload: bytes = b""
 
     def __post_init__(self):
+        if not isinstance(self.kind, MsgKind):
+            raise TypeError(f"message kind must be a MsgKind, got {type(self.kind).__name__}")
+        for role in ("sender", "receiver"):
+            party = getattr(self, role)
+            if not isinstance(party, DeviceId):
+                raise TypeError(f"message {role} must be a DeviceId, got {type(party).__name__}")
         if self.sender == self.receiver:
             raise ValueError("message sender and receiver must differ")
         if not isinstance(self.payload, bytes):
@@ -565,11 +593,17 @@ def as_str(raw: bytes) -> str:
 NOT_BYTES = [bytearray, memoryview, as_str, tuple]
 
 
+# kinds and parties that are not a MsgKind or a DeviceId: the text of one,
+# an address's octets or text, and None
+NOT_KINDS = ["ChallengeMsg", None]
+NOT_PARTIES = [ADDR_B.addr, ADDR_B.text, None]
+
+
 @st.composite
 def message_args(draw):
-    kind = draw(st.sampled_from(list(MsgKind)))
-    addresses = st.sampled_from([ADDR_A, ADDR_B, ADDR_C])
-    width = WIDTH[kind]
+    kind = draw(st.sampled_from(list(MsgKind)) | st.sampled_from(NOT_KINDS))
+    addresses = st.sampled_from([ADDR_A, ADDR_B, ADDR_C]) | st.sampled_from(NOT_PARTIES)
+    width = WIDTH.get(kind, 16)
     payload = draw(st.binary(min_size=width, max_size=width) | st.binary(max_size=20))
     convert = draw(st.sampled_from([bytes, *NOT_BYTES]))
     return kind, draw(addresses), draw(addresses), convert(payload)
