@@ -151,7 +151,9 @@ def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
 
 def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
     # responder a emits one ChallengeMsg and at most one DhPublicMsg, and b
-    # at most one DhPublicMsg, so no branch below acts twice in a run
+    # at most one DhPublicMsg, so no branch below acts twice in a run; the
+    # exhaustive walk in tests/test_protocol.py checks both bounds on every
+    # order of delivery
     a, b = intruder.victim_a, intruder.victim_b
     source = msg.sender
 

@@ -171,6 +171,10 @@ def _prepared(
 
 
 def _check_seed(seed: int) -> None:
+    # random.Random seeds from a bool or a float as from the int it equals,
+    # so True or 1.0 would replay seed 1 under another label
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
@@ -182,7 +186,8 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     other run's entries, then takes links, group and baselines from
     validate, so it raises ConfigError for every configuration that
     validate rejects, and for a negative seed, which random.Random would
-    take as its absolute value."""
+    take as its absolute value. A seed that is not an int raises
+    TypeError."""
     _check_seed(seed)
     e1.cache_clear()
     session_key_from_shared.cache_clear()

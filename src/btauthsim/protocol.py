@@ -9,8 +9,10 @@ Variants:
                is folded into the challenge-response key
 
 The legal steps are data: _TRANSITIONS maps each (phase, message kind) pair
-that a device accepts to its handler. The terminal phases absorb every
-message; any other pair fails the handshake with an AuthFail.
+that a device accepts to its handler, and it is every legal step, because a
+device's phase is all of its progress. A handler checks only the payload it
+is handed. The terminal phases absorb every message; any other pair fails
+the handshake with an AuthFail.
 
 A device holds only values: what its handshake reads, including its own
 challenge and, on dh-improved, its key pair, both drawn when the device is
@@ -145,7 +147,14 @@ class Role(Enum):
 class Phase(Enum):
     IDLE = "Idle"
     DH_EXCHANGE = "DhExchange"
+    # an initiator whose challenge is out takes either message next: the
+    # peer's counter-challenge, which it answers before it has verified the
+    # peer, or the peer's response, which it verifies before it answers
+    AWAIT_EITHER = "AwaitEither"
+    # a responder awaits the first challenge, an initiator that has
+    # verified its peer the counter-challenge
     AWAIT_CHALLENGE = "AwaitChallenge"
+    # only the peer's response
     AWAIT_RESPONSE = "AwaitResponse"
     AWAIT_CONFIRM = "AwaitConfirm"
     DONE = "Done"
@@ -181,8 +190,6 @@ class DeviceState:
     peer: DeviceId | None = field(default=None, init=False)
     phase: Phase = field(default=Phase.IDLE, init=False)
     pending_challenge_received: bytes | None = field(default=None, init=False)
-    answered_peer: bool = field(default=False, init=False)
-    peer_authenticated: bool = field(default=False, init=False)
     dh: DhKeyPair | None = field(default=None, init=False)
 
     @property
@@ -243,7 +250,7 @@ def start(device: DeviceState, peer: DeviceId) -> list[Message]:
         device.phase = Phase.DH_EXCHANGE
     else:
         out.append(_issue_challenge(device))
-        device.phase = Phase.AWAIT_RESPONSE
+        device.phase = Phase.AWAIT_EITHER
     return out
 
 
@@ -253,8 +260,10 @@ def handle(device: DeviceState, msg: Message) -> list[Message]:
     Returns the messages to transmit in response. The terminal phases
     absorb everything silently; otherwise _TRANSITIONS names the handler of
     the pair (phase, message kind), and a pair it lacks fails the handshake
-    with an AuthFail. No handler reads the claimed sender of msg, except
-    that a failure goes to it while the device has no peer yet.
+    with an AuthFail. The table is every legal step: a handler checks only
+    the payload, and fails the handshake only on a payload it rejects. No
+    handler reads the claimed sender of msg, except that a failure goes to
+    it while the device has no peer yet.
     """
     if msg.receiver != device.id:
         raise ProtocolError(f"message for {msg.receiver} delivered to {device.id}")
@@ -270,7 +279,6 @@ def _issue_challenge(device: DeviceState) -> Message:
 
 def _answer(device: DeviceState, challenge: bytes) -> Message:
     sres = e1(device.effective_key, challenge, device.id)
-    device.answered_peer = True
     assert device.peer is not None
     return Message(MsgKind.RESPONSE, device.id, device.peer, sres)
 
@@ -319,14 +327,18 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
     device.effective_key = xor_bytes(device.effective_key, session)
     if device.role is Role.INITIATOR:
         out.append(_issue_challenge(device))
-        device.phase = Phase.AWAIT_RESPONSE
+        device.phase = Phase.AWAIT_EITHER
     else:
         device.phase = Phase.AWAIT_CHALLENGE
     return out
 
 
-def _on_first_challenge(device: DeviceState, msg: Message) -> list[Message]:
+def _on_challenge(device: DeviceState, msg: Message) -> list[Message]:
     device.pending_challenge_received = msg.payload
+    if device.role is Role.INITIATOR:
+        # the peer is verified already; this answer completes our side
+        device.phase = Phase.AWAIT_CONFIRM
+        return [_answer(device, msg.payload)]
     if device.variant is Variant.LEGACY:
         # answer at once, then counter-challenge in the same step
         out = [_answer(device, msg.payload), _issue_challenge(device)]
@@ -338,45 +350,42 @@ def _on_first_challenge(device: DeviceState, msg: Message) -> list[Message]:
 
 
 def _on_counter_challenge(device: DeviceState, msg: Message) -> list[Message]:
-    if device.role is not Role.INITIATOR or device.pending_challenge_received is not None:
-        return _fail(device, msg)
     device.pending_challenge_received = msg.payload
-    out = [_answer(device, msg.payload)]
-    if device.peer_authenticated:
-        device.phase = Phase.AWAIT_CONFIRM
-    return out
+    device.phase = Phase.AWAIT_RESPONSE
+    return [_answer(device, msg.payload)]
+
+
+def _on_early_response(device: DeviceState, msg: Message) -> list[Message]:
+    if msg.payload != e1(device.effective_key, device.challenge, device.peer):
+        return _fail(device, msg)
+    # the peer is verified before its counter-challenge came; await that
+    device.phase = Phase.AWAIT_CHALLENGE
+    return []
 
 
 def _on_response(device: DeviceState, msg: Message) -> list[Message]:
-    if device.peer_authenticated:
-        return _fail(device, msg)
-    assert device.peer is not None
     if msg.payload != e1(device.effective_key, device.challenge, device.peer):
         return _fail(device, msg)
-    device.peer_authenticated = True
-    if device.answered_peer:
-        # our earlier answer plus this verification closes the loop; tell
-        # the peer and finish
-        device.phase = Phase.DONE
-        return [Message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
-    if device.role is Role.RESPONDER:
+    if device.role is Role.RESPONDER and device.variant is not Variant.LEGACY:
         # nested ordering: the withheld answer goes out only now
-        assert device.pending_challenge_received is not None
         out = [_answer(device, device.pending_challenge_received)]
         device.phase = Phase.AWAIT_CONFIRM
         return out
-    # initiator verified before answering the counter-challenge; keep waiting
-    return []
+    # our earlier answer plus this verification closes the loop; tell the
+    # peer and finish
+    device.phase = Phase.DONE
+    return [Message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
 
 
 _TERMINAL = frozenset((Phase.DONE, Phase.FAILED))
 
-# the legal steps: (phase, kind of the delivered message) -> handler
+# every legal step: (phase, kind of the delivered message) -> handler
 _TRANSITIONS = {
     (Phase.IDLE, MsgKind.AUTH_REQUEST): _on_auth_request,
     (Phase.DH_EXCHANGE, MsgKind.DH_PUBLIC): _on_dh_public,
-    (Phase.AWAIT_CHALLENGE, MsgKind.CHALLENGE): _on_first_challenge,
-    (Phase.AWAIT_RESPONSE, MsgKind.CHALLENGE): _on_counter_challenge,
+    (Phase.AWAIT_EITHER, MsgKind.CHALLENGE): _on_counter_challenge,
+    (Phase.AWAIT_EITHER, MsgKind.RESPONSE): _on_early_response,
+    (Phase.AWAIT_CHALLENGE, MsgKind.CHALLENGE): _on_challenge,
     (Phase.AWAIT_RESPONSE, MsgKind.RESPONSE): _on_response,
     (Phase.AWAIT_CONFIRM, MsgKind.AUTH_SUCCESS): _on_auth_success,
     # a peer's AuthFail ends the handshake silently in every live phase

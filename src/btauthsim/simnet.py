@@ -184,30 +184,21 @@ def run(
 
 
 def transcript_rtt(transcript: Transcript, device: DeviceId) -> int | None:
-    """Worst challenge-to-response round trip for one device, reconstructed
-    from delivery times alone (send time = delivery time minus one hop)."""
-    latency = transcript.links.latency_ms
+    """Round trip of the one challenge a device sends, reconstructed from
+    delivery times alone: from its send (the delivery of the device's first
+    ChallengeMsg, minus one hop) to the first ResponseMsg delivered to the
+    device at or after that send. None when either is missing."""
     challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
-    sends = []
-    arrivals = []
     for e in transcript.events:
-        if e.kind is challenge:
-            if e.from_id is device:
-                sends.append(e.time - latency)
-        elif e.kind is response and e.to_id is device:
-            arrivals.append(e.time)
-    worst = None
-    cursor = 0
-    for sent in sends:
-        while cursor < len(arrivals) and arrivals[cursor] < sent:
-            cursor += 1
-        if cursor == len(arrivals):
+        if e.kind is challenge and e.from_id is device:
+            sent = e.time - transcript.links.latency_ms
             break
-        rtt = arrivals[cursor] - sent
-        cursor += 1
-        if worst is None or rtt > worst:
-            worst = rtt
-    return worst
+    else:
+        return None
+    for e in transcript.events:
+        if e.kind is response and e.to_id is device and e.time >= sent:
+            return e.time - sent
+    return None
 
 
 def delay_detector(

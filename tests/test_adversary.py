@@ -20,7 +20,7 @@ from btauthsim.adversary import (
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
 from btauthsim.crypto import DeviceId, DhParams, e1, xor_bytes
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
-from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run
+from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run, transcript_rtt
 
 ADDR_A = DeviceId.from_hex("aa0000000001")
 ADDR_B = DeviceId.from_hex("bb0000000002")
@@ -264,6 +264,12 @@ class TestReflection:
             assert score.attack_success is False
             assert score.integrity is Integrity.BROKEN, f"seed {seed}"
             assert score.confidentiality is Confidentiality.BREACHED, f"seed {seed}"
+            # and the delay detector sees nothing: the challenge C returns
+            # to A is not a send of A's, and no response reaches A, so
+            # neither device has a round trip to measure
+            assert score.detection is Detection.NONE, f"seed {seed}"
+            for device in (ADDR_A, ADDR_B):
+                assert transcript_rtt(result.transcript, device) is None, f"seed {seed}"
 
 
 class BytearrayRelay(IntruderState):

@@ -264,6 +264,12 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
             run_scenario(ScenarioConfig(), -1)
 
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None], ids=repr)
+    def test_run_scenario_rejects_a_seed_that_is_not_an_int(self, seed):
+        # random.Random would take True and 1.0 as seed 1, and None as the clock
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {type(seed).__name__}$"):
+            run_scenario(ScenarioConfig(), seed)
+
     def test_group_checked_once_per_configuration(self, monkeypatch):
         calls = []
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -27,7 +28,9 @@ from btauthsim.protocol import (
     MsgKind,
     Phase,
     ProtocolError,
+    Role,
     Variant,
+    encode_public,
     handle,
     new_device,
     outcome_of,
@@ -72,8 +75,9 @@ def run_honest(variant, **kw):
 
 
 def round_trips(variant):
-    """Each device's worst challenge-to-response round trip, as the network
-    loop's transcript records it for a direct honest run at 10 ms per hop."""
+    """The round trip of each device's challenge to its response, as the
+    network loop's transcript records it for a direct honest run at 10 ms
+    per hop."""
     dev_a, dev_b = honest_pair(variant)
     links = LinkConfig(latency_ms=10)
     transcript, _ = run(dev_a, dev_b, None, links)
@@ -270,7 +274,6 @@ class TestDriverContract:
     def test_fresh_device_state(self):
         dev = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
         assert dev.phase is Phase.IDLE
-        assert not dev.peer_authenticated
         assert dev.dh is None
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -379,8 +382,9 @@ class TestDeterminism:
 LEGAL = {
     (Phase.IDLE, MsgKind.AUTH_REQUEST),
     (Phase.DH_EXCHANGE, MsgKind.DH_PUBLIC),
+    (Phase.AWAIT_EITHER, MsgKind.CHALLENGE),
+    (Phase.AWAIT_EITHER, MsgKind.RESPONSE),
     (Phase.AWAIT_CHALLENGE, MsgKind.CHALLENGE),
-    (Phase.AWAIT_RESPONSE, MsgKind.CHALLENGE),
     (Phase.AWAIT_RESPONSE, MsgKind.RESPONSE),
     (Phase.AWAIT_CONFIRM, MsgKind.AUTH_SUCCESS),
 }
@@ -420,21 +424,47 @@ def snapshot(dev):
     return {f.name: getattr(dev, f.name) for f in dataclasses.fields(dev)}
 
 
-def device_in(phase):
-    """A fresh copy of a device in the given phase."""
+def first_per_role(steps):
+    """A fresh copy of the first of the steps for each role of the
+    receiving device."""
+    firsts = {}
+    for dev, msg in steps:
+        firsts.setdefault(dev.role, (dev, msg))
+    return [(copy.deepcopy(dev), msg) for dev, msg in firsts.values()]
+
+
+def devices_in(phase):
+    """A fresh copy of a device in the given phase for each role that
+    reaches it."""
     if phase is Phase.DONE:
-        return copy.deepcopy(FINALS[0])
+        return [copy.deepcopy(FINALS[0])]
     if phase is Phase.FAILED:
         dev_a, _ = honest_pair(Variant.LEGACY)
         start(dev_a, ADDR_B)
         handle(dev_a, Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_A))
-        return dev_a
-    return copy.deepcopy(next(dev for dev, _ in STEPS if dev.phase is phase))
+        return [dev_a]
+    return [dev for dev, _ in first_per_role((d, m) for d, m in STEPS if d.phase is phase)]
+
+
+# the roles an honest run brings to each live phase; an initiator awaits
+# the counter-challenge after verifying first, and the response after
+# answering first
+ROLES = {
+    Phase.IDLE: {None},
+    Phase.DH_EXCHANGE: {Role.INITIATOR, Role.RESPONDER},
+    Phase.AWAIT_EITHER: {Role.INITIATOR},
+    Phase.AWAIT_CHALLENGE: {Role.INITIATOR, Role.RESPONDER},
+    Phase.AWAIT_RESPONSE: {Role.INITIATOR, Role.RESPONDER},
+    Phase.AWAIT_CONFIRM: {Role.INITIATOR, Role.RESPONDER},
+}
 
 
 class TestTransitionTable:
     def test_honest_runs_step_on_every_legal_pair(self):
         assert {(dev.phase, msg.kind) for dev, msg in STEPS} == LEGAL
+
+    def test_roles_in_each_live_phase(self):
+        assert {phase: {dev.role for dev in devices_in(phase)} for phase in ROLES} == ROLES
 
     def test_a_copy_is_a_snapshot(self):
         # a device holds only values, so a shallow copy steps on its own
@@ -459,29 +489,132 @@ class TestTransitionTable:
     )
     def test_step(self, phase, kind):
         if (phase, kind) in LEGAL:
-            dev, msg = next(
-                (copy.deepcopy(d), m) for d, m in STEPS if (d.phase, m.kind) == (phase, kind)
+            steps = first_per_role(
+                (d, m) for d, m in STEPS if (d.phase, m.kind) == (phase, kind)
             )
-            out = handle(dev, msg)
-            assert MsgKind.AUTH_FAIL not in [m.kind for m in out]
-            assert dev.phase is not Phase.FAILED
+            # every role that reaches the phase steps on the pair
+            assert {dev.role for dev, _ in steps} == ROLES[phase]
+            for dev, msg in steps:
+                out = handle(dev, msg)
+                assert MsgKind.AUTH_FAIL not in [m.kind for m in out]
+                assert dev.phase is not Phase.FAILED
             return
-        dev = device_in(phase)
-        before = snapshot(dev)
-        out = handle(dev, Message(kind, ADDR_C, dev.id, bytes(WIDTH[kind])))
-        if phase in TERMINAL:
-            # absorbed: no field changes
-            assert out == []
-            assert snapshot(dev) == before
-        elif kind is MsgKind.AUTH_FAIL:
-            assert out == []
-            assert dev.phase is Phase.FAILED
-        else:
-            # the peer hears of the failure, or the sender while no peer is set
-            target = ADDR_C if phase is Phase.IDLE else before["peer"]
-            assert target is not None
-            assert out == [Message(MsgKind.AUTH_FAIL, dev.id, target)]
-            assert dev.phase is Phase.FAILED
+        for dev in devices_in(phase):
+            before = snapshot(dev)
+            out = handle(dev, Message(kind, ADDR_C, dev.id, bytes(WIDTH[kind])))
+            if phase in TERMINAL:
+                # absorbed: no field changes
+                assert out == []
+                assert snapshot(dev) == before
+            elif kind is MsgKind.AUTH_FAIL:
+                assert out == []
+                assert dev.phase is Phase.FAILED
+            else:
+                # the peer hears of the failure, or the sender while no
+                # peer is set
+                target = ADDR_C if phase is Phase.IDLE else before["peer"]
+                assert target is not None
+                assert out == [Message(MsgKind.AUTH_FAIL, dev.id, target)]
+                assert dev.phase is Phase.FAILED
+
+
+def walk_inputs(dev, other):
+    """The messages the walk offers dev, built from its current state;
+    other is the honest device it pairs with, and the sender is dev's peer,
+    or other while dev has none."""
+    peer = dev.peer if dev.peer is not None else other.id
+    inputs = [
+        Message(kind, sender, dev.id)
+        for kind in (MsgKind.AUTH_FAIL, MsgKind.AUTH_SUCCESS)
+        for sender in (peer, ADDR_C)
+    ]
+    inputs += [Message(MsgKind.AUTH_REQUEST, peer, dev.id, a.addr) for a in (ADDR_A, ADDR_B, ADDR_C)]
+    inputs += [
+        Message(MsgKind.CHALLENGE, peer, dev.id, c)
+        for c in (dev.challenge, other.challenge, bytes(16))
+    ]
+    answers = [
+        e1(dev.effective_key, dev.challenge, peer),
+        e1(KEY1, dev.challenge, ADDR_A),
+        e1(KEY1, dev.challenge, ADDR_B),
+        bytes(4),
+    ]
+    inputs += [Message(MsgKind.RESPONSE, peer, dev.id, r) for r in answers]
+    if dev.variant is Variant.DH_IMPROVED:
+        publics = [other.dh.s_public, dev.dh.s_public, 1, PARAMS.p - 1, PARAMS.p]
+        inputs += [Message(MsgKind.DH_PUBLIC, peer, dev.id, encode_public(s)) for s in publics]
+    return inputs
+
+
+def walk_starts():
+    """Each device of each variant, idle or just after start toward the
+    other, with the other device and what start emitted."""
+    for variant in Variant:
+        for started in (False, True):
+            dev_a, dev_b = honest_pair(variant)
+            for dev, other in ((dev_a, dev_b), (dev_b, dev_a)):
+                dev = copy.copy(dev)
+                sent = start(dev, other.id) if started else []
+                yield f"{variant.value}/{dev.id.text}/{started}", dev, other, sent
+
+
+def check_path(dev, received, sent):
+    """The safety properties of one path: what dev received and sent on it."""
+    kinds = [m.kind for m in sent]
+    for kind in (MsgKind.CHALLENGE, MsgKind.RESPONSE, MsgKind.DH_PUBLIC):
+        assert kinds.count(kind) <= 1
+    if dev.peer is None:
+        return
+    answer = e1(dev.effective_key, dev.challenge, dev.peer)
+    verified = any(m.kind is MsgKind.RESPONSE and m.payload == answer for m in received)
+    if dev.phase is Phase.DONE:
+        assert MsgKind.RESPONSE in kinds
+        assert verified
+    if MsgKind.RESPONSE in kinds and dev.variant is not Variant.LEGACY and dev.role is Role.RESPONDER:
+        assert verified
+
+
+def walk():
+    """Deliver every input of walk_inputs, in every order, to each start,
+    expanding only devices still short of a terminal outcome. Returns the
+    number of steps and the sha256 of each step's path of input indices,
+    outputs and outcome status."""
+    digest = hashlib.sha256()
+    steps = 0
+    for label, dev, other, sent in walk_starts():
+        stack = [(dev, (), (), tuple(sent))]
+        while stack:
+            dev, path, received, sent = stack.pop()
+            for index, msg in enumerate(walk_inputs(dev, other)):
+                child = copy.copy(dev)
+                out = handle(child, msg)
+                status = outcome_of(child).status
+                steps += 1
+                line = ";".join(
+                    f"{m.kind.value},{m.sender.text},{m.receiver.text},{m.payload.hex()}"
+                    for m in out
+                )
+                digest.update(f"{label}:{path + (index,)}:{line}:{status.value}\n".encode())
+                child_received, child_sent = received + (msg,), sent + tuple(out)
+                check_path(child, child_received, child_sent)
+                if status is AuthStatus.TIMED_OUT:
+                    stack.append((child, path + (index,), child_received, child_sent))
+    return steps, digest.hexdigest()
+
+
+# the walk's step count and digest: any change to what a device emits, or
+# to where it ends, on any input path moves the digest
+EXPECTED_WALK = (4924, "cba83c7bea968b8bb397183a6ac6549c0e828f22dea5230ac28242897fe2d680")
+
+
+class TestExhaustiveWalk:
+    def test_every_input_path_of_one_device(self):
+        # pins each device's input/output behaviour, whatever order the
+        # network delivers in, and checks on every path that it emits at
+        # most one challenge, one response and one public value, finishes
+        # only after answering and receiving the answer to its own
+        # challenge, and, nested, answers as a responder only after that
+        assert walk() == EXPECTED_WALK
 
 
 def enc_key_runs(variant):

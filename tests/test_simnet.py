@@ -325,7 +325,17 @@ def two_pass_rtt(transcript, device):
     return worst
 
 
-# expected worst round trip of (A, B) at the default 10 ms per hop: the
+def hop_transcript(hops, latency_ms):
+    """A transcript of (delivery time, sender, receiver, kind) hops with
+    empty payloads."""
+    events = tuple(
+        TranscriptEvent(seq, time, sender, receiver, kind, b"")
+        for seq, (time, sender, receiver, kind) in enumerate(hops)
+    )
+    return Transcript(events, LinkConfig(latency_ms=latency_ms), 0)
+
+
+# expected round trip of the challenge of A and of B at the default 10 ms per hop: the
 # nested variants make A wait for B's counter-challenge leg too
 DEVICE_RTT = {Variant.LEGACY: (20, 20), Variant.IMPROVED: (40, 20), Variant.DH_IMPROVED: (40, 20)}
 
@@ -369,13 +379,35 @@ class TestRttReconstruction:
     def test_single_pass_matches_two_pass_oracle(self, hops, latency_ms, in_order):
         if in_order:
             hops = sorted(hops, key=lambda hop: hop[0])
-        events = tuple(
-            TranscriptEvent(seq, time, sender, receiver, kind, b"")
-            for seq, (time, sender, receiver, kind) in enumerate(hops)
-        )
-        transcript = Transcript(events, LinkConfig(latency_ms=latency_ms), 0)
+        # each device sends at most one challenge, as every handshake does
+        challengers = set()
+        kept = []
+        for hop in hops:
+            _, sender, _, kind = hop
+            if kind is MsgKind.CHALLENGE:
+                if sender in challengers:
+                    continue
+                challengers.add(sender)
+            kept.append(hop)
+        transcript = hop_transcript(kept, latency_ms)
         for device in (ADDR_A, ADDR_B, ADDR_C):
             assert transcript_rtt(transcript, device) == two_pass_rtt(transcript, device)
+
+    def test_reads_the_first_challenge_only(self):
+        # A's challenges go out at 0 and 40 and the answers arrive at 30
+        # and 100; only the first challenge's round trip counts, where the
+        # oracle takes the worse of the two
+        transcript = hop_transcript(
+            [
+                (10, ADDR_A, ADDR_B, MsgKind.CHALLENGE),
+                (30, ADDR_B, ADDR_A, MsgKind.RESPONSE),
+                (50, ADDR_A, ADDR_B, MsgKind.CHALLENGE),
+                (100, ADDR_B, ADDR_A, MsgKind.RESPONSE),
+            ],
+            10,
+        )
+        assert transcript_rtt(transcript, ADDR_A) == 30
+        assert two_pass_rtt(transcript, ADDR_A) == 60
 
     def test_no_samples_when_no_responses(self):
         _, _, _, transcript, _ = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
