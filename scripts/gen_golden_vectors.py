@@ -12,9 +12,7 @@ import sys
 from pathlib import Path
 
 from btauthsim.crypto import (
-    DeviceId,
     DhParams,
-    Pin,
     combination_link_key,
     e1,
     e1_aco,
@@ -49,7 +47,7 @@ def build_rows() -> list[tuple[str, ...]]:
 
     zero_key = b"\x00" * 16
     zero_rand = b"\x00" * 16
-    zero_addr = DeviceId(b"\x00" * 6)
+    zero_addr = b"\x00" * 6
     sres = e1(zero_key, zero_rand, zero_addr)
     aco = e1_aco(zero_key, zero_rand, zero_addr)
     rows.append(
@@ -57,26 +55,26 @@ def build_rows() -> list[tuple[str, ...]]:
             "e1_all_zero",
             zero_key.hex(),
             zero_rand.hex(),
-            zero_addr.addr.hex(),
+            zero_addr.hex(),
             sres.hex() + aco.hex(),
         )
     )
 
     for name, pin in [("init_key_pin_0000", b"0000"), ("init_key_pin_00000", b"00000")]:
-        key = init_key(Pin(pin), zero_addr, zero_rand)
-        rows.append((name, pin.hex(), zero_addr.addr.hex(), zero_rand.hex(), key.hex()))
+        key = init_key(pin, zero_addr, zero_rand)
+        rows.append((name, pin.hex(), zero_addr.hex(), zero_rand.hex(), key.hex()))
 
     ra, rb = b"\x11" * 16, b"\x22" * 16
-    addr_a = DeviceId.from_hex("aa0000000001")
-    addr_b = DeviceId.from_hex("bb0000000002")
+    addr_a = bytes.fromhex("aa0000000001")
+    addr_b = bytes.fromhex("bb0000000002")
     combined = combination_link_key(ra, addr_a, rb, addr_b)
     rows.append(
         (
             "combination_link_key",
             ra.hex(),
-            addr_a.addr.hex(),
+            addr_a.hex(),
             rb.hex(),
-            addr_b.addr.hex(),
+            addr_b.hex(),
             combined.hex(),
         )
     )

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .crypto import DeviceId, DhKeyPair, DhParams, check_octets, dh_keypair, e1
+from .crypto import DhKeyPair, DhParams, check_octets, dh_keypair, e1
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -73,14 +73,15 @@ class IntruderState:
     the dh variant needs the group parameters (ValueError otherwise).
     It draws from random.Random(rng_seed), when built, only what its mode
     sends: an active one against the dh variant its key pair first, and an
-    originating one then its challenge.
+    originating one then its challenge. id, victim_a and victim_b are
+    6-octet addresses (TypeError, ValueError otherwise).
     """
 
-    id: DeviceId
+    id: bytes
     mode: IntruderMode
     variant: Variant
-    victim_a: DeviceId
-    victim_b: DeviceId
+    victim_a: bytes
+    victim_b: bytes
     rng_seed: int
     dh_params: DhParams | None = None
     dh_own: DhKeyPair | None = field(default=None, init=False)
@@ -89,6 +90,9 @@ class IntruderState:
     held_challenge: Message | None = field(default=None, init=False)
 
     def __post_init__(self):
+        check_octets("id", self.id, 6)
+        check_octets("victim_a", self.victim_a, 6)
+        check_octets("victim_b", self.victim_b, 6)
         forges_publics = (
             self.variant is Variant.DH_IMPROVED and self.mode is not IntruderMode.RELAY_PASSIVE
         )
@@ -120,7 +124,7 @@ def start_attack(intruder: IntruderState) -> list[Message]:
     if intruder.mode is not IntruderMode.ORIGINATE_TO_A:
         return []
     victim, fake = intruder.victim_a, intruder.victim_b
-    out = [Message(MsgKind.AUTH_REQUEST, fake, victim, fake.addr)]
+    out = [Message(MsgKind.AUTH_REQUEST, fake, victim, fake)]
     if intruder.variant is Variant.DH_IMPROVED:
         pair = _own_keypair(intruder)
         out.append(Message(MsgKind.DH_PUBLIC, fake, victim, encode_public(pair.s_public)))
@@ -129,7 +133,7 @@ def start_attack(intruder: IntruderState) -> list[Message]:
     return out
 
 
-def _issue_own_challenge(intruder: IntruderState, victim: DeviceId, fake: DeviceId) -> Message:
+def _issue_own_challenge(intruder: IntruderState, victim: bytes, fake: bytes) -> Message:
     assert intruder.own_challenge is not None
     return Message(MsgKind.CHALLENGE, fake, victim, intruder.own_challenge)
 
@@ -169,7 +173,7 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
             # a's counter-challenge becomes a fresh handshake toward b under
             # a's address; b's own counter-challenge will be dropped, so
             # nothing downstream can ever be answered
-            out = [Message(MsgKind.AUTH_REQUEST, a, b, a.addr)]
+            out = [Message(MsgKind.AUTH_REQUEST, a, b, a)]
             if intruder.variant is Variant.DH_IMPROVED:
                 pair = _own_keypair(intruder)
                 out.append(Message(MsgKind.DH_PUBLIC, a, b, encode_public(pair.s_public)))
@@ -192,7 +196,7 @@ def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
 
 
 def verdict(
-    outcomes: dict[DeviceId, AuthOutcome],
+    outcomes: dict[bytes, AuthOutcome],
     transcript: Transcript,
     detection: Detection,
     link_key: bytes,
@@ -236,9 +240,9 @@ def verdict(
     # devices, the first forged hop, and for each honest device the
     # challenges the intruder delivered to it and the responses it sent
     direct_hops = forged = False
-    emitted: set[tuple[DeviceId, MsgKind, bytes]] = set()
-    delivered: dict[DeviceId, set[bytes]] = {a: set(), b: set()}
-    answered: dict[DeviceId, set[bytes]] = {a: set(), b: set()}
+    emitted: set[tuple[bytes, MsgKind, bytes]] = set()
+    delivered: dict[bytes, set[bytes]] = {a: set(), b: set()}
+    answered: dict[bytes, set[bytes]] = {a: set(), b: set()}
     for event in transcript.events:
         from_id, to_id, kind, payload = event.from_id, event.to_id, event.kind, event.payload
         if from_id in peer:

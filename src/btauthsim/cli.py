@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
-    DeviceId,
     DhParams,
-    Pin,
     combination_link_key,
     e1,
     has_full_order,
@@ -31,13 +29,13 @@ from .simnet import Detection, LinkConfig, Transcript, delay_detector, run, tran
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "ConfigError", "run_scenario", "main"]
 
-ADDR_A = DeviceId.from_hex("aa0000000001")
-ADDR_B = DeviceId.from_hex("bb0000000002")
-ADDR_C = DeviceId.from_hex("cc0000000003")
+ADDR_A = bytes.fromhex("aa0000000001")
+ADDR_B = bytes.fromhex("bb0000000002")
+ADDR_C = bytes.fromhex("cc0000000003")
 
 # pairing needs no user input: the bootstrap key cancels out of the link
 # key, so the factory PIN stands for any PIN
-FACTORY_PIN = Pin(b"0000")
+FACTORY_PIN = b"0000"
 
 # group moduli stay desk-scale: primitive-root validation and the
 # brute-force experiments must stay interactive
@@ -69,14 +67,14 @@ class ScenarioConfig:
 class ScenarioResult:
     seed: int
     transcript: Transcript
-    outcomes: dict[DeviceId, AuthOutcome]
+    outcomes: dict[bytes, AuthOutcome]
     score: AttackVerdict
-    baselines: dict[DeviceId, int]
+    baselines: dict[bytes, int]
     link_key: bytes
 
 
 # links, group (dh-improved only) and per-device baselines of a configuration
-Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[DeviceId, int], ...]]
+Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
 
 
 def validate(config: ScenarioConfig) -> Prepared:
@@ -85,16 +83,25 @@ def validate(config: ScenarioConfig) -> Prepared:
     the originate intruder, the one mode that opens a run itself) and the
     detector threshold are checked here; link timing and the group are
     checked, and a timeout too short for the intruder-free handshake is
-    caught, by _prepared, which caches them per configuration. run_scenario
-    takes its inputs from here, so every check applies to every run. The
-    flags named in each message are those of the command line."""
+    caught, by _prepared, which caches them per configuration; a field of
+    that cache's key that is not exactly an int raises TypeError naming it,
+    since the cache would take 10.0 or True for the int it equals.
+    run_scenario takes its inputs from here, so every check applies to
+    every run. The flags named in each ConfigError message are those of
+    the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
         raise ConfigError("initiator C and the originate intruder mode require each other")
     if not 1 < config.detect_factor < math.inf:
         raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
-    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
+    _check_int("latency_ms", config.latency_ms)
+    _check_int("timeout_ms", config.timeout_ms)
+    group = None
+    if config.variant is Variant.DH_IMPROVED:
+        _check_int("dh_p", config.dh_p)
+        _check_int("dh_alpha", config.dh_alpha)
+        group = (config.dh_p, config.dh_alpha)
     return _prepared(config.variant, config.latency_ms, config.timeout_ms, group)
 
 
@@ -170,11 +177,16 @@ def _prepared(
     return links, params, baselines
 
 
+def _check_int(name: str, value: int) -> None:
+    # a bool or a float equals, and hashes like, the int it stands for
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _check_seed(seed: int) -> None:
     # random.Random seeds from a bool or a float as from the int it equals,
     # so True or 1.0 would replay seed 1 under another label
-    if type(seed) is not int:
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    _check_int("seed", seed)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 

@@ -1,11 +1,11 @@
 """Key material, the keyed mixing function behind E1/E2/E3, and Diffie-Hellman arithmetic.
 
 All operations are pure functions and safe to call from any thread. Octet
-widths follow the Bluetooth wire formats: 48-bit addresses, 128-bit
-challenges and keys, 32-bit signed responses, 96-bit ciphering offset. Every
-octet string a function takes or returns is plain bytes; each function
-checks the type and width of the octets it takes, and check_octets holds
-that check and its messages, which DeviceId and Pin share.
+widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
+octets, 128-bit challenges and keys, 32-bit signed responses, 96-bit
+ciphering offset. Every octet string a function takes or returns, addresses
+and PINs included, is plain bytes; each function checks the type and width
+of the octets it takes, and check_octets holds that check and its messages.
 
 e1 derives only the 32-bit response, from the one lane of the digest that
 the response reads; e1_aco derives the ciphering offset from the full
@@ -23,24 +23,17 @@ e1's check.
 
 Besides those memos and mixhash128's cache of message layouts by input
 length (at most 64 lengths; each entry is the padding tail and the struct
-that reads the whole message), all of which functools.lru_cache guards itself,
-the one shared mutable structure is the table of live device addresses
-behind DeviceId, which keeps one object per address so that addresses
-compare and hash by identity. It holds its objects weakly, and a lock
-guards the path that adds an address to it. Each DhParams also caches a
-table of powers of its generator, built on first use and never mutated
-once built; two threads that race to build it build equal tables.
+that reads the whole message), all of which functools.lru_cache guards
+itself, the one cached structure is the table of powers of its generator
+that each DhParams builds on first use and never mutates once built; two
+threads that race to build it build equal tables.
 """
 
 from dataclasses import dataclass
 import functools
 import struct
-import threading
-import weakref
 
 __all__ = [
-    "DeviceId",
-    "Pin",
     "check_octets",
     "DhParams",
     "DhKeyPair",
@@ -73,69 +66,6 @@ def check_octets(name: str, value: bytes, width: int, max_width: int | None = No
             raise ValueError(f"{name} must be exactly {width} octets, got {len(value)}")
     elif not width <= len(value) <= max_width:
         raise ValueError(f"{name} must be {width} to {max_width} octets, got {len(value)}")
-
-
-# the one live DeviceId of each address; see DeviceId
-_ADDRESSES: "weakref.WeakValueDictionary[bytes, DeviceId]" = weakref.WeakValueDictionary()
-_ADDRESSES_LOCK = threading.Lock()
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class DeviceId:
-    """48-bit hardware address (BD_ADDR). Renders as 12 lowercase hex digits,
-    which text holds, computed once when the address is first constructed.
-
-    There is one live DeviceId per address: constructing an address that is
-    already in use returns the existing object, and copy, deepcopy and
-    pickle give it back too. Equality and hashing are therefore object
-    identity, from object's own slots, which agrees with address equality
-    because no two live objects share an address. The table of live
-    addresses holds them weakly, so an address no one refers to leaves it;
-    the path that adds an address holds a lock, so that threads racing on a
-    new address all get one object. A bytearray address is copied to bytes.
-    """
-
-    __slots__ = ("addr", "text", "__weakref__")
-    addr: bytes
-
-    def __new__(cls, addr: bytes) -> "DeviceId":
-        # only bytes is looked up as it comes: a memoryview hashes and
-        # compares like bytes too, and must still be refused
-        if type(addr) is bytes:
-            known = _ADDRESSES.get(addr)
-            if known is not None:
-                return known
-        elif isinstance(addr, bytearray):
-            addr = bytes(addr)
-        check_octets("DeviceId.addr", addr, 6)
-        candidate = object.__new__(cls)
-        object.__setattr__(candidate, "addr", addr)
-        object.__setattr__(candidate, "text", addr.hex())
-        with _ADDRESSES_LOCK:
-            return _ADDRESSES.setdefault(addr, candidate)
-
-    def __reduce__(self):
-        return DeviceId, (self.addr,)
-
-    def __str__(self) -> str:
-        return self.text
-
-    @classmethod
-    def from_hex(cls, text: str) -> "DeviceId":
-        return cls(bytes.fromhex(text))
-
-
-@dataclass(frozen=True)
-class Pin:
-    """PIN code of 1 to 16 octets, factory value or user-entered; a
-    bytearray is copied to bytes, so that the PIN is immutable and hashable."""
-
-    digits: bytes
-
-    def __post_init__(self):
-        if isinstance(self.digits, bytearray):
-            object.__setattr__(self, "digits", bytes(self.digits))
-        check_octets("Pin.digits", self.digits, 1, 16)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -171,12 +101,16 @@ def mixhash128(data: bytes) -> bytes:
 
     followed by four trailing block steps with m = 0. The digest is the
     little-endian octets of s0 then s1. data may be any bytes-like object;
-    its length is counted in octets, whatever the item size of a view.
+    its length is counted in octets, whatever the item size of a view, and
+    anything that is not a buffer raises TypeError.
 
     The s0 update reads only s0 and the block, never s1, so the first 8
     octets of the digest are the s0 lane alone; e1 runs that lane by itself.
     """
-    data = bytes(data)
+    if type(data) is not bytes:
+        # bytes(data) would take an int as that many zero octets, and a
+        # list of ints as octets; a view copies only a buffer
+        data = bytes(memoryview(data))
     tail, blocks = _layout(len(data))
     s0 = _S0_INIT
     s1 = _S1_INIT
@@ -216,9 +150,9 @@ _SRES = struct.Struct("<I")
 # within a run the memo evicts nothing; typed, so that a view equal to
 # memoised bytes misses and meets the check
 @functools.lru_cache(maxsize=32, typed=True)
-def e1(key: bytes, challenge: bytes, claimant: DeviceId) -> bytes:
+def e1(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
     """Authentication function: the 4-octet response (SRES) to a 16-octet
-    challenge under a 16-octet key.
+    challenge under a 16-octet key, claimed by a 6-octet address.
 
     The response is the first 4 octets of the mixhash128 digest of the tag,
     key, challenge and claimant address, that is the low 32 bits of its
@@ -229,29 +163,33 @@ def e1(key: bytes, challenge: bytes, claimant: DeviceId) -> bytes:
     """
     check_octets("key", key, 16)
     check_octets("challenge", challenge, 16)
+    check_octets("claimant", claimant, 6)
     s0 = _S0_INIT
-    for m in _E1_BLOCKS.unpack(_TAG_AUTH + key + challenge + claimant.addr + _E1_TAIL):
+    for m in _E1_BLOCKS.unpack(_TAG_AUTH + key + challenge + claimant + _E1_TAIL):
         x = s0 ^ m
         s0 = (x << 13 | x >> 51) * _MULT & _MASK64
     return _SRES.pack(s0 & 0xFFFFFFFF)
 
 
-def e1_aco(key: bytes, challenge: bytes, claimant: DeviceId) -> bytes:
+def e1_aco(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
     """The 12-octet ciphering offset (ACO) of the triple that e1 answers:
     the last 12 octets of the same digest, whose first 4 are the response."""
     check_octets("key", key, 16)
     check_octets("challenge", challenge, 16)
-    return mixhash128(_TAG_AUTH + key + challenge + claimant.addr)[4:]
+    check_octets("claimant", claimant, 6)
+    return mixhash128(_TAG_AUTH + key + challenge + claimant)[4:]
 
 
-def init_key(pin: Pin, addr: DeviceId, rand: bytes) -> bytes:
-    """16-octet bootstrap key from PIN, PIN length, hardware address, and a
-    16-octet random number."""
+def init_key(pin: bytes, addr: bytes, rand: bytes) -> bytes:
+    """16-octet bootstrap key from a PIN of 1 to 16 octets, its length, a
+    6-octet hardware address, and a 16-octet random number."""
+    check_octets("pin", pin, 1, 16)
+    check_octets("addr", addr, 6)
     check_octets("rand", rand, 16)
-    return mixhash128(_TAG_INIT_KEY + pin.digits + bytes([len(pin.digits)]) + addr.addr + rand)
+    return mixhash128(_TAG_INIT_KEY + pin + bytes([len(pin)]) + addr + rand)
 
 
-def combination_link_key(rand_a: bytes, addr_a: DeviceId, rand_b: bytes, addr_b: DeviceId) -> bytes:
+def combination_link_key(rand_a: bytes, addr_a: bytes, rand_b: bytes, addr_b: bytes) -> bytes:
     """16-octet XOR combination of the two sides' (16-octet random, address)
     contributions.
 
@@ -259,9 +197,11 @@ def combination_link_key(rand_a: bytes, addr_a: DeviceId, rand_b: bytes, addr_b:
     the all-zero key.
     """
     check_octets("rand_a", rand_a, 16)
+    check_octets("addr_a", addr_a, 6)
     check_octets("rand_b", rand_b, 16)
-    half_a = mixhash128(_TAG_LINK_KEY + rand_a + addr_a.addr)
-    half_b = mixhash128(_TAG_LINK_KEY + rand_b + addr_b.addr)
+    check_octets("addr_b", addr_b, 6)
+    half_a = mixhash128(_TAG_LINK_KEY + rand_a + addr_a)
+    half_b = mixhash128(_TAG_LINK_KEY + rand_b + addr_b)
     return xor_bytes(half_a, half_b)
 
 

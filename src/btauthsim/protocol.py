@@ -23,11 +23,12 @@ round-trip measurement belong to the network loop driving them and to its
 transcript. Each state machine is single-owner: one driving loop mutates it,
 and devices share nothing but messages.
 
-Every octet string is plain bytes: the link key, both challenges and each
-message payload. new_device checks the link key it takes, Message refuses a
-kind that is not a MsgKind, parties that are not DeviceIds and a payload
-that is not bytes of its kind's width, and e1 checks the octets it takes,
-so handlers pass payloads and claimed senders on as they arrive.
+Every octet string is plain bytes: each address, the link key, both
+challenges and each message payload. new_device checks the address and the
+link key it takes, Message refuses a kind that is not a MsgKind, parties
+that are not 6-octet bytes and a payload that is not bytes of its kind's
+width, and e1 checks the octets it takes, so handlers pass payloads and
+claimed senders on as they arrive. Addresses compare by value.
 """
 
 import random
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .crypto import (
-    DeviceId,
     DhKeyPair,
     DhParams,
     check_octets,
@@ -104,23 +104,25 @@ _PAYLOAD_WIDTH = {
 class Message:
     """One protocol message. sender is the claimed originator address; who
     physically transmitted it is the network's business, not the message's.
-    kind is a MsgKind, sender and receiver are distinct DeviceIds, and
-    payload is bytes of the width its kind fixes (TypeError, ValueError)."""
+    kind is a MsgKind, sender and receiver are distinct 6-octet addresses
+    in bytes, and payload is bytes of the width its kind fixes (TypeError,
+    ValueError)."""
 
     kind: MsgKind
-    sender: DeviceId
-    receiver: DeviceId
+    sender: bytes
+    receiver: bytes
     payload: bytes = b""
 
     # dataclass keeps this __init__: it checks first, then stores every
     # field in one step instead of one object.__setattr__ call per field
-    def __init__(self, kind: MsgKind, sender: DeviceId, receiver: DeviceId, payload: bytes = b""):
+    def __init__(self, kind: MsgKind, sender: bytes, receiver: bytes, payload: bytes = b""):
         if not isinstance(kind, MsgKind):
             raise TypeError(f"message kind must be a MsgKind, got {type(kind).__name__}")
-        if not isinstance(sender, DeviceId):
-            raise TypeError(f"message sender must be a DeviceId, got {type(sender).__name__}")
-        if not isinstance(receiver, DeviceId):
-            raise TypeError(f"message receiver must be a DeviceId, got {type(receiver).__name__}")
+        # a well-formed party costs no call
+        if type(sender) is not bytes or len(sender) != 6:
+            check_octets("message sender", sender, 6)
+        if type(receiver) is not bytes or len(receiver) != 6:
+            check_octets("message receiver", receiver, 6)
         if sender == receiver:
             raise ValueError("message sender and receiver must differ")
         if not isinstance(payload, bytes):
@@ -173,12 +175,12 @@ class AuthStatus(Enum):
 @dataclass(frozen=True)
 class AuthOutcome:
     status: AuthStatus
-    authenticated_with: DeviceId | None
+    authenticated_with: bytes | None
 
 
 @dataclass
 class DeviceState:
-    id: DeviceId
+    id: bytes
     variant: Variant
     # effective_key is the one key e1 runs with: the pairing link key, XORed
     # with the session key once a public-value exchange has completed
@@ -187,7 +189,7 @@ class DeviceState:
     challenge: bytes
     dh_params: DhParams | None = None
     role: Role | None = field(default=None, init=False)
-    peer: DeviceId | None = field(default=None, init=False)
+    peer: bytes | None = field(default=None, init=False)
     phase: Phase = field(default=Phase.IDLE, init=False)
     pending_challenge_received: bytes | None = field(default=None, init=False)
     dh: DhKeyPair | None = field(default=None, init=False)
@@ -210,15 +212,17 @@ class DeviceState:
 
 
 def new_device(
-    id: DeviceId,
+    id: bytes,
     variant: Variant,
     link_key: bytes,
     rng_seed: int,
     dh_params: DhParams | None = None,
 ) -> DeviceState:
-    """Fresh idle device holding its 16-octet link key and every random
-    value it may send, drawn from random.Random(rng_seed): on dh-improved
-    its key pair first, then its challenge."""
+    """Fresh idle device of 6-octet address id, holding its 16-octet link
+    key and every random value it may send, drawn from
+    random.Random(rng_seed): on dh-improved its key pair first, then its
+    challenge."""
+    check_octets("id", id, 6)
     check_octets("link_key", link_key, 16)
     rng = random.Random(rng_seed)
     dh = None
@@ -237,14 +241,14 @@ def new_device(
     return device
 
 
-def start(device: DeviceState, peer: DeviceId) -> list[Message]:
+def start(device: DeviceState, peer: bytes) -> list[Message]:
     """Open the handshake toward peer: address announcement plus either the
     first challenge (legacy, improved) or this side's public value."""
     if device.phase is not Phase.IDLE:
         raise ProtocolError("start on a device that already left Idle")
     device.role = Role.INITIATOR
     device.peer = peer
-    out = [Message(MsgKind.AUTH_REQUEST, device.id, peer, device.id.addr)]
+    out = [Message(MsgKind.AUTH_REQUEST, device.id, peer, device.id)]
     if device.variant is Variant.DH_IMPROVED:
         out.append(Message(MsgKind.DH_PUBLIC, device.id, peer, encode_public(device.dh.s_public)))
         device.phase = Phase.DH_EXCHANGE
@@ -266,7 +270,7 @@ def handle(device: DeviceState, msg: Message) -> list[Message]:
     it while the device has no peer yet.
     """
     if msg.receiver != device.id:
-        raise ProtocolError(f"message for {msg.receiver} delivered to {device.id}")
+        raise ProtocolError(f"message for {msg.receiver.hex()} delivered to {device.id.hex()}")
     if device.phase in _TERMINAL:
         return []
     return _TRANSITIONS.get((device.phase, msg.kind), _fail)(device, msg)
@@ -300,8 +304,8 @@ def _on_auth_fail(device: DeviceState, msg: Message) -> list[Message]:
 
 
 def _on_auth_request(device: DeviceState, msg: Message) -> list[Message]:
-    peer = DeviceId(msg.payload)
-    if peer is device.id:  # it could address no message to itself
+    peer = msg.payload
+    if peer == device.id:  # it could address no message to itself
         return _fail(device, msg)
     device.role = Role.RESPONDER
     device.peer = peer

@@ -7,7 +7,8 @@ intruder is registered, the topology is a chain: honest devices have no
 direct link, so every honest transmission physically arrives at the
 intruder, whatever the message claims. The transcript records
 physical transmitter and receiver per hop; claimed identities live inside
-the messages.
+the messages. Addresses are plain bytes and compare by value: equal
+addresses need not be one object.
 """
 
 import math
@@ -15,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .crypto import DeviceId
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -59,15 +59,15 @@ class LinkConfig:
 class TranscriptEvent:
     seq: int
     time: int
-    from_id: DeviceId
-    to_id: DeviceId
+    from_id: bytes
+    to_id: bytes
     kind: MsgKind
     payload: bytes
 
     # dataclass keeps this __init__: it stores every field in one step
     # instead of one object.__setattr__ call per field
     def __init__(
-        self, seq: int, time: int, from_id: DeviceId, to_id: DeviceId, kind: MsgKind, payload: bytes
+        self, seq: int, time: int, from_id: bytes, to_id: bytes, kind: MsgKind, payload: bytes
     ):
         self.__dict__.update(
             seq=seq, time=time, from_id=from_id, to_id=to_id, kind=kind, payload=payload
@@ -83,7 +83,7 @@ _KIND_TEXT = {kind: kind.value for kind in MsgKind}
 # whole transcript is formatted in one comprehension with no call per line.
 def _text_lines(events) -> list[str]:
     return [
-        f"seq={e.seq} t={e.time} from={e.from_id.text} to={e.to_id.text} "
+        f"seq={e.seq} t={e.time} from={e.from_id.hex()} to={e.to_id.hex()} "
         f"kind={_KIND_TEXT[e.kind]} payload={e.payload.hex()}"
         for e in events
     ]
@@ -93,7 +93,7 @@ def _json_lines(events) -> list[str]:
     # every value is an int, a hex string or a MsgKind name, none of which
     # JSON needs to escape; each line is the compact json.dumps
     return [
-        f'{{"seq":{e.seq},"t":{e.time},"from":"{e.from_id.text}","to":"{e.to_id.text}",'
+        f'{{"seq":{e.seq},"t":{e.time},"from":"{e.from_id.hex()}","to":"{e.to_id.hex()}",'
         f'"kind":"{_KIND_TEXT[e.kind]}","payload":"{e.payload.hex()}"}}'
         for e in events
     ]
@@ -123,7 +123,7 @@ def run(
     dev_b: DeviceState,
     intruder,
     links: LinkConfig,
-) -> tuple[Transcript, dict[DeviceId, AuthOutcome]]:
+) -> tuple[Transcript, dict[bytes, AuthOutcome]]:
     """Drive one handshake to quiescence or timeout.
 
     dev_a and dev_b are the honest endpoints; the outcomes come back in that
@@ -134,22 +134,22 @@ def run(
     neither the devices nor the intruder see it. Raises ValueError when the
     intruder addresses a device that is not registered.
     """
-    registry: dict[DeviceId, DeviceState] = {dev_a.id: dev_a, dev_b.id: dev_b}
+    registry: dict[bytes, DeviceState] = {dev_a.id: dev_a, dev_b.id: dev_b}
     intruder_id = intruder.id if intruder is not None else None
 
     latency, timeout = links.latency_ms, links.timeout_ms
-    queue: deque[tuple[int, Message, DeviceId, DeviceId]] = deque()
+    queue: deque[tuple[int, Message, bytes, bytes]] = deque()
 
-    def send(replies: list[Message], sender: DeviceId, now: int) -> None:
+    def send(replies: list[Message], sender: bytes, now: int) -> None:
         """Queue the messages one step emitted, all due one hop after now.
         With an intruder registered, an honest sender's messages physically
         reach the intruder; the intruder's own go to their receivers."""
         due = now + latency
-        if intruder_id is None or sender is intruder_id:
+        if intruder_id is None or sender == intruder_id:
             for msg in replies:
                 physical_to = msg.receiver
-                if physical_to is not intruder_id and physical_to not in registry:
-                    raise ValueError(f"unregistered device referenced: {physical_to}")
+                if physical_to not in registry and physical_to != intruder_id:
+                    raise ValueError(f"unregistered device referenced: {physical_to.hex()}")
                 queue.append((due, msg, sender, physical_to))
         else:
             for msg in replies:
@@ -172,7 +172,7 @@ def run(
         events.append(
             TranscriptEvent(len(events), time, physical_from, physical_to, msg.kind, msg.payload)
         )
-        if physical_to is intruder_id:
+        if physical_to == intruder_id:
             send(intruder.intercept(msg), physical_to, time)
         else:
             send(handle(registry[physical_to], msg), physical_to, time)
@@ -183,20 +183,20 @@ def run(
     return Transcript(events=tuple(events), links=links, end_time=end_time), outcomes
 
 
-def transcript_rtt(transcript: Transcript, device: DeviceId) -> int | None:
+def transcript_rtt(transcript: Transcript, device: bytes) -> int | None:
     """Round trip of the one challenge a device sends, reconstructed from
     delivery times alone: from its send (the delivery of the device's first
     ChallengeMsg, minus one hop) to the first ResponseMsg delivered to the
     device at or after that send. None when either is missing."""
     challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
     for e in transcript.events:
-        if e.kind is challenge and e.from_id is device:
+        if e.kind is challenge and e.from_id == device:
             sent = e.time - transcript.links.latency_ms
             break
     else:
         return None
     for e in transcript.events:
-        if e.kind is response and e.to_id is device and e.time >= sent:
+        if e.kind is response and e.to_id == device and e.time >= sent:
             return e.time - sent
     return None
 
@@ -205,7 +205,7 @@ def delay_detector(
     transcript: Transcript,
     baseline_rtt: int,
     threshold_factor: float,
-    device: DeviceId,
+    device: bytes,
 ) -> Detection:
     """Flag a device whose observed round trip exceeds factor x baseline."""
     if baseline_rtt <= 0:

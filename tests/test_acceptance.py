@@ -42,9 +42,7 @@ from btauthsim.adversary import (
 )
 from btauthsim.cli import ScenarioConfig, run_scenario
 from btauthsim.crypto import (
-    DeviceId,
     DhParams,
-    Pin,
     combination_link_key,
     dh_keypair,
     dh_shared,
@@ -60,9 +58,9 @@ from btauthsim.crypto import (
 from btauthsim.protocol import AuthStatus, MsgKind, Variant, encode_public, new_device
 from btauthsim.simnet import Detection, LinkConfig, run
 
-ADDR_A = DeviceId.from_hex("aa0000000001")
-ADDR_B = DeviceId.from_hex("bb0000000002")
-ADDR_C = DeviceId.from_hex("cc0000000003")
+ADDR_A = bytes.fromhex("aa0000000001")
+ADDR_B = bytes.fromhex("bb0000000002")
+ADDR_C = bytes.fromhex("cc0000000003")
 PARAMS = DhParams(p=2147483647, alpha=7)
 SEEDS = range(100)
 
@@ -312,16 +310,13 @@ def test_criterion_8_reproducibility_and_frozen_vectors():
             assert mixhash128(inputs[0]).hex() == expected, name
             assert ref_mixhash128(inputs[0]).hex() == expected, name
         elif name == "e1_all_zero":
-            args = (inputs[0], inputs[1], DeviceId(inputs[2]))
+            args = (inputs[0], inputs[1], inputs[2])
             assert (e1(*args) + e1_aco(*args)).hex() == expected
         elif name.startswith("init_key_"):
-            out = init_key(Pin(inputs[0]), DeviceId(inputs[1]), inputs[2])
+            out = init_key(inputs[0], inputs[1], inputs[2])
             assert out.hex() == expected
         elif name == "combination_link_key":
-            out = combination_link_key(
-                inputs[0], DeviceId(inputs[1]),
-                inputs[2], DeviceId(inputs[3]),
-            )
+            out = combination_link_key(inputs[0], inputs[1], inputs[2], inputs[3])
             assert out.hex() == expected
         elif name == "encryption_key_all_zero":
             out = encryption_key(inputs[0], inputs[1], inputs[2])

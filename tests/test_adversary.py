@@ -18,13 +18,13 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import DeviceId, DhParams, e1, xor_bytes
+from btauthsim.crypto import DhParams, e1, xor_bytes
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run, transcript_rtt
 
-ADDR_A = DeviceId.from_hex("aa0000000001")
-ADDR_B = DeviceId.from_hex("bb0000000002")
-ADDR_C = DeviceId.from_hex("cc0000000003")
+ADDR_A = bytes.fromhex("aa0000000001")
+ADDR_B = bytes.fromhex("bb0000000002")
+ADDR_C = bytes.fromhex("cc0000000003")
 KEY = bytes(range(16))
 PARAMS = DhParams(p=2147483647, alpha=7)
 # the largest safe prime below 2^47, whose generator is 2
@@ -175,7 +175,7 @@ class TestHonestEmissions:
                     )
                 transcript, _ = run(dev_a, dev_b, intruder, LinkConfig(latency_ms, timeout_ms))
                 for device in (ADDR_A, ADDR_B):
-                    kinds = [e.kind for e in transcript.events if e.from_id is device]
+                    kinds = [e.kind for e in transcript.events if e.from_id == device]
                     assert kinds.count(MsgKind.CHALLENGE) <= 1, (latency_ms, timeout_ms, seed)
                     assert kinds.count(MsgKind.DH_PUBLIC) <= 1, (latency_ms, timeout_ms, seed)
 
@@ -238,7 +238,7 @@ class ReflectingIntruder(IntruderState):
     victim_b's address, and drops every other message."""
 
     def intercept(self, msg):
-        if msg.kind is MsgKind.CHALLENGE and msg.sender is self.victim_a:
+        if msg.kind is MsgKind.CHALLENGE and msg.sender == self.victim_a:
             return [Message(MsgKind.CHALLENGE, self.victim_b, self.victim_a, msg.payload)]
         return []
 
@@ -356,14 +356,14 @@ def answered_credential_confidentiality(transcript, outcomes, link_key):
             e.payload
             for e in transcript.events
             if e.kind is MsgKind.CHALLENGE
-            and e.to_id is claimant
+            and e.to_id == claimant
             and e.from_id not in outcomes
             and len(e.payload) == 16
         }
         sent = {
             e.payload
             for e in transcript.events
-            if e.kind is MsgKind.RESPONSE and e.from_id is claimant and e.to_id not in outcomes
+            if e.kind is MsgKind.RESPONSE and e.from_id == claimant and e.to_id not in outcomes
         }
         for raw in delivered:
             if e1.__wrapped__(link_key, raw, claimant) in sent:
@@ -816,7 +816,7 @@ def knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key):
     for event in transcript.events:
         from_id = event.from_id
         if (
-            from_id is cli.ADDR_C
+            from_id == cli.ADDR_C
             and not forged
             and event.to_id in honest
             and (impersonating.get(event.to_id), event.kind, event.payload) not in emitted
@@ -870,7 +870,7 @@ class TestRecordOnlyJudge:
 
         def recording_intercept(intruder, msg):
             payloads.add(msg.payload)
-            addresses.update((msg.sender.addr, msg.receiver.addr))
+            addresses.update((msg.sender, msg.receiver))
             out = intercept(intruder, msg)
             payloads.update(m.payload for m in out)
             return out

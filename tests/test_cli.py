@@ -17,7 +17,7 @@ from btauthsim.cli import (
     validate,
 )
 from btauthsim.adversary import IntruderMode
-from btauthsim.crypto import DhParams, Pin, encryption_key, has_full_order, is_prime, mixhash128
+from btauthsim.crypto import DhParams, encryption_key, has_full_order, is_prime, mixhash128
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
@@ -270,6 +270,35 @@ class TestConfigErrors:
         with pytest.raises(TypeError, match=f"^seed must be an int, got {type(seed).__name__}$"):
             run_scenario(ScenarioConfig(), seed)
 
+    @pytest.mark.parametrize("value", [True, 10.0, "10", None], ids=repr)
+    @pytest.mark.parametrize("field", ["latency_ms", "timeout_ms", "dh_p", "dh_alpha"])
+    def test_validate_rejects_a_field_that_is_not_an_int(self, field, value):
+        # the per-configuration cache would key True and 10.0 together with
+        # the ints they equal, so the check comes before the cache is read
+        config = ScenarioConfig(variant=Variant.DH_IMPROVED, **{field: value})
+        cli._prepared.cache_clear()
+        message = f"^{field} must be an int, got {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            validate(config)
+        with pytest.raises(TypeError, match=message):
+            run_scenario(config, 0)
+        info = cli._prepared.cache_info()
+        assert info.hits == info.misses == 0
+
+    def test_a_run_depends_on_no_earlier_configuration(self):
+        # a float latency equal to the default once shared its cache entry,
+        # so a later default run printed "t":10.0 and baselines of 20.0
+        cli._prepared.cache_clear()
+        fresh = run_scenario(ScenarioConfig(), 0)
+        cli._prepared.cache_clear()
+        with pytest.raises(TypeError, match="^latency_ms must be an int, got float$"):
+            run_scenario(ScenarioConfig(latency_ms=10.0), 0)
+        after = run_scenario(ScenarioConfig(), 0)
+        assert after.transcript.to_jsonl() == fresh.transcript.to_jsonl()
+        assert '"t":10,' in after.transcript.to_jsonl()
+        assert after.baselines == fresh.baselines
+        assert all(type(rtt) is int for rtt in after.baselines.values())
+
     def test_group_checked_once_per_configuration(self, monkeypatch):
         calls = []
 
@@ -319,7 +348,7 @@ class TestScenarioApi:
         # the pairing mask cancels, so the link key and hence the whole
         # transcript are pin-independent: the factory PIN stands for any
         base = run_scenario(ScenarioConfig(), 0)
-        monkeypatch.setattr(cli, "FACTORY_PIN", Pin(b"123456"))
+        monkeypatch.setattr(cli, "FACTORY_PIN", b"123456")
         other = run_scenario(ScenarioConfig(), 0)
         assert base.link_key == other.link_key
         assert base.transcript.to_text() == other.transcript.to_text()

@@ -1,21 +1,12 @@
 """Key-derivation functions and value-type validation."""
 
-import copy
-import dataclasses
-import gc
-import pickle
-import sys
-import threading
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from btauthsim import crypto
 from btauthsim.crypto import (
-    DeviceId,
     DhParams,
-    Pin,
     check_octets,
     combination_link_key,
     e1,
@@ -25,13 +16,15 @@ from btauthsim.crypto import (
     session_key_from_shared,
     xor_bytes,
 )
-from btauthsim.protocol import Variant, new_device
+from btauthsim.adversary import IntruderMode, IntruderState
+from btauthsim.protocol import Message, MsgKind, Variant, new_device
 
 Z16 = b"\x00" * 16
 ZKEY = b"\x00" * 16
-ZADDR = DeviceId(b"\x00" * 6)
-ADDR_A = DeviceId.from_hex("aa0000000001")
-ADDR_B = DeviceId.from_hex("bb0000000002")
+ZADDR = b"\x00" * 6
+ADDR_A = bytes.fromhex("aa0000000001")
+ADDR_B = bytes.fromhex("bb0000000002")
+ADDR_C = bytes.fromhex("cc0000000003")
 
 EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
     lambda n: st.tuples(st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))
@@ -41,7 +34,7 @@ EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
 class TestValueTypes:
     def test_widths_enforced(self):
         with pytest.raises(ValueError):
-            DeviceId(b"\x00" * 5)
+            e1(ZKEY, Z16, b"\x00" * 5)
         with pytest.raises(ValueError):
             e1(ZKEY, b"\x00" * 15, ZADDR)
         with pytest.raises(ValueError):
@@ -50,55 +43,48 @@ class TestValueTypes:
             new_device(ZADDR, Variant.LEGACY, b"", 0)
 
     def test_pin_length_bounds(self):
-        Pin(b"0")
-        Pin(b"0" * 16)
+        init_key(b"0", ZADDR, Z16)
+        init_key(b"0" * 16, ZADDR, Z16)
         with pytest.raises(ValueError):
-            Pin(b"")
+            init_key(b"", ZADDR, Z16)
         with pytest.raises(ValueError):
-            Pin(b"0" * 17)
-
-    def test_pin_holds_its_digits_as_bytes(self):
-        digits = bytearray(b"0000")
-        pin = Pin(digits)
-        digits.clear()
-        assert pin == Pin(b"0000")
-        assert type(pin.digits) is bytes
-        assert hash(pin) == hash(Pin(b"0000"))
-        assert init_key(pin, ZADDR, Z16) == init_key(Pin(b"0000"), ZADDR, Z16)
-        with pytest.raises(TypeError, match="^Pin.digits must be bytes, got str$"):
-            Pin("0000")  # type: ignore[arg-type]
-        with pytest.raises(ValueError, match="^Pin.digits must be 1 to 16 octets, got 17$"):
-            Pin(bytearray(17))
-
-    def test_device_id_hex_round_trip(self):
-        assert str(ADDR_A) == "aa0000000001"
-        assert DeviceId.from_hex("aa0000000001") == ADDR_A
-
-    def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            Pin(b"0000").digits = b"1234"  # type: ignore[misc]
+            init_key(b"0" * 17, ZADDR, Z16)
 
 
 # (function, its arguments with octets of the right width, and per octet
-# parameter its position and width); each builds one call
+# parameter the name its messages give, its position and width, and for a
+# range its largest width); each builds one call
 OCTET_PARAMETERS = [
-    (e1, (ZKEY, Z16, ADDR_A), {"key": (0, 16), "challenge": (1, 16)}),
-    (e1_aco, (ZKEY, Z16, ADDR_A), {"key": (0, 16), "challenge": (1, 16)}),
-    (init_key, (Pin(b"0000"), ADDR_A, Z16), {"rand": (2, 16)}),
+    (e1, (ZKEY, Z16, ADDR_A), {"key": (0, 16), "challenge": (1, 16), "claimant": (2, 6)}),
+    (e1_aco, (ZKEY, Z16, ADDR_A), {"key": (0, 16), "challenge": (1, 16), "claimant": (2, 6)}),
+    (init_key, (b"0000", ADDR_A, Z16), {"pin": (0, 1, 16), "addr": (1, 6), "rand": (2, 16)}),
     (
         combination_link_key,
         (Z16, ADDR_A, Z16, ADDR_B),
-        {"rand_a": (0, 16), "rand_b": (2, 16)},
+        {"rand_a": (0, 16), "addr_a": (1, 6), "rand_b": (2, 16), "addr_b": (3, 6)},
     ),
     (
         encryption_key,
         (ZKEY, bytes(12), Z16),
         {"key": (0, 16), "aco": (1, 12), "en_rand": (2, 16)},
     ),
-    (new_device, (ADDR_A, Variant.LEGACY, ZKEY, 0), {"link_key": (2, 16)}),
+    (new_device, (ADDR_A, Variant.LEGACY, ZKEY, 0), {"id": (0, 6), "link_key": (2, 16)}),
+    (
+        Message,
+        (MsgKind.AUTH_FAIL, ADDR_A, ADDR_B),
+        {"message sender": (1, 6), "message receiver": (2, 6)},
+    ),
+    (
+        IntruderState,
+        (ADDR_C, IntruderMode.RELAY_PASSIVE, Variant.LEGACY, ADDR_A, ADDR_B, 0),
+        {"id": (0, 6), "victim_a": (3, 6), "victim_b": (4, 6)},
+    ),
 ]
 OCTET_CASES = [
-    pytest.param(function, args, name, *where, id=f"{function.__name__}-{name}")
+    pytest.param(
+        function, args, name, *where, *[None] * (3 - len(where)),
+        id=f"{function.__name__}-{name.split()[-1]}",
+    )
     for function, args, parameters in OCTET_PARAMETERS
     for name, where in parameters.items()
 ]
@@ -109,11 +95,12 @@ def with_argument(args, position, value):
 
 
 class TestOctetArguments:
-    """Each function checks every octet string it takes: bytes of the
-    width it names, else TypeError or ValueError naming the parameter."""
+    """Each function checks every octet string it takes, addresses and PINs
+    included: bytes of the width it names, else TypeError or ValueError
+    naming the parameter."""
 
-    @pytest.mark.parametrize("function,args,name,position,width", OCTET_CASES)
-    def test_takes_bytes_of_its_width(self, function, args, name, position, width):
+    @pytest.mark.parametrize("function,args,name,position,width,max_width", OCTET_CASES)
+    def test_takes_bytes_of_its_width(self, function, args, name, position, width, max_width):
         # this call memoises e1's answer, and the view of the same octets
         # below equals and hashes like them: only a memo keyed by type as
         # well refuses it
@@ -124,8 +111,12 @@ class TestOctetArguments:
             # e1's memo refuses a bytearray itself, as unhashable
             with pytest.raises(TypeError, match=f"^{name} must be bytes, got {type(wrong).__name__}$"):
                 getattr(function, "__wrapped__", function)(*with_argument(args, position, wrong))
-        for length in (0, width - 1, width + 1):
-            with pytest.raises(ValueError, match=f"^{name} must be exactly {width} octets, got {length}$"):
+        if max_width is None:
+            lengths, expected = (0, width - 1, width + 1), f"exactly {width}"
+        else:
+            lengths, expected = (width - 1, max_width + 1), f"{width} to {max_width}"
+        for length in lengths:
+            with pytest.raises(ValueError, match=f"^{name} must be {expected} octets, got {length}$"):
                 function(*with_argument(args, position, bytes(length)))
 
     def test_one_check_holds_the_messages(self):
@@ -137,95 +128,6 @@ class TestOctetArguments:
             check_octets("x", b"", 1, 2)
         check_octets("x", b"ab", 2)
         check_octets("x", b"a", 1, 2)
-
-
-class TestDeviceIdIdentity:
-    @given(st.binary(min_size=6, max_size=6), st.booleans(), st.binary(min_size=6, max_size=6))
-    def test_one_object_per_address(self, raw, mutable, other_raw):
-        addr = DeviceId(bytearray(raw) if mutable else raw)
-        assert addr is DeviceId(bytes(raw))
-        assert type(addr.addr) is bytes and addr.addr == raw
-        assert repr(addr) == f"DeviceId(addr={raw!r})"
-        other = DeviceId(other_raw)
-        assert (addr == other) == (raw == other_raw) == (addr is other)
-        if raw == other_raw:
-            assert hash(addr) == hash(other)
-        assert copy.copy(addr) is addr
-        assert copy.deepcopy(addr) is addr
-        assert copy.deepcopy({addr: [addr]}) == {addr: [addr]}
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(addr, protocol)) is addr
-        with pytest.raises(AttributeError):
-            addr.addr = other_raw  # type: ignore[misc]
-        assert DeviceId(raw).addr == raw
-
-    @given(st.binary(min_size=6, max_size=6), st.booleans())
-    def test_text_is_the_hex_of_the_address(self, raw, mutable):
-        addr = DeviceId(bytearray(raw) if mutable else raw)
-        assert str(addr) == addr.text == raw.hex()
-        for same in (copy.copy(addr), copy.deepcopy(addr)):
-            assert str(same) == raw.hex()
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert str(pickle.loads(pickle.dumps(addr, protocol))) == raw.hex()
-        with pytest.raises(AttributeError):
-            addr.text = "000000000000"  # type: ignore[misc]
-
-    def test_text_of_an_address_rebuilt_from_a_pickle(self):
-        # the address leaves the table before loading, so loading builds it anew
-        raw = b"\xde\xad\xbe\xef\x00\x02"
-        blob = pickle.dumps(DeviceId(raw))
-        gc.collect()
-        assert raw not in crypto._ADDRESSES
-        assert str(pickle.loads(blob)) == "deadbeef0002"
-
-    @given(st.binary(max_size=12).filter(lambda raw: len(raw) != 6), st.booleans())
-    def test_wrong_width_rejected(self, raw, mutable):
-        with pytest.raises(ValueError, match=f"DeviceId.addr must be exactly 6 octets, got {len(raw)}"):
-            DeviceId(bytearray(raw) if mutable else raw)
-
-    @pytest.mark.parametrize("value", ["aa0000000001", 6, None, [0] * 6, memoryview(b"\x00" * 6)])
-    def test_wrong_type_rejected(self, value):
-        with pytest.raises(TypeError, match=f"DeviceId.addr must be bytes, got {type(value).__name__}"):
-            DeviceId(value)
-
-    def test_threads_racing_on_a_new_address_get_one_object(self):
-        # eight threads meet at the barrier before each fresh address; a
-        # short switch interval makes them interleave inside the constructor
-        fresh = [b"\xfe\xed" + k.to_bytes(4, "big") for k in range(200)]
-        gc.collect()
-        assert not any(raw in crypto._ADDRESSES for raw in fresh)
-        start = threading.Barrier(8)
-        made = [[] for _ in range(8)]
-
-        def make(index):
-            for raw in fresh:
-                start.wait(timeout=10)
-                made[index].append(DeviceId(bytearray(raw) if index % 2 else raw))
-
-        threads = [threading.Thread(target=make, args=(index,)) for index in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all(len(addrs) == len(fresh) for addrs in made)
-        for k in range(len(fresh)):
-            assert all(addrs[k] is made[0][k] for addrs in made)
-
-    def test_table_drops_an_address_no_one_holds(self):
-        raw = b"\xde\xad\xbe\xef\x00\x01"
-        gc.collect()
-        assert raw not in crypto._ADDRESSES
-        addr = DeviceId(raw)
-        assert crypto._ADDRESSES[raw] is addr
-        del addr
-        gc.collect()
-        assert raw not in crypto._ADDRESSES
 
 
 class TestE1:
@@ -263,13 +165,13 @@ class TestE1:
         st.binary(min_size=6, max_size=6),
     )
     def test_memo_matches_unmemoised(self, key, chal, addr):
-        args = (key, chal, DeviceId(addr))
+        args = (key, chal, addr)
         expected = e1.__wrapped__(*args)
         assert e1(*args) == expected
-        # a repeat, answered from the memo, and a triple whose address was
-        # built from a bytearray
+        # a repeat, answered from the memo, and a triple whose address is
+        # an equal copy, not the same object
         assert e1(*args) == expected
-        assert e1(key, chal, DeviceId(bytearray(addr))) == expected
+        assert e1(key, chal, bytes(bytearray(addr))) == expected
 
     def test_memo_miss_runs_no_full_digest(self, monkeypatch):
         calls = []
@@ -282,7 +184,7 @@ class TestE1:
         monkeypatch.setattr(crypto, "mixhash128", counting)
         e1.cache_clear()
         args = (ZKEY, b"\x07" * 16, ADDR_B)
-        message = b"\x01" + ZKEY + args[1] + ADDR_B.addr
+        message = b"\x01" + ZKEY + args[1] + ADDR_B
         sres = e1(*args)
         assert calls == []
         assert e1.cache_info().misses == 1 and e1.cache_info().hits == 0
@@ -308,8 +210,8 @@ class TestDerivedOctets:
     def test_derivations_return_plain_octets(self, key, chal, addr, pin, shared):
         # the response, the bootstrap key and the session key are bytes of
         # the width their function fixes, with no value type around them
-        sres = e1(key, chal, DeviceId(addr))
-        bootstrap = init_key(Pin(pin), DeviceId(addr), chal)
+        sres = e1(key, chal, addr)
+        bootstrap = init_key(pin, addr, chal)
         session = session_key_from_shared(shared, DhParams(p=2147483647, alpha=7))
         assert (type(sres), len(sres)) == (bytes, 4)
         assert (type(bootstrap), len(bootstrap)) == (bytes, 16)
@@ -318,25 +220,25 @@ class TestDerivedOctets:
 
 class TestInitKey:
     def test_golden(self):
-        assert init_key(Pin(b"0000"), ZADDR, Z16).hex() == (
+        assert init_key(b"0000", ZADDR, Z16).hex() == (
             "56a8bcbc9e4f35227bcf9c373247871d"
         )
 
     def test_golden_longer_pin(self):
-        assert init_key(Pin(b"00000"), ZADDR, Z16).hex() == (
+        assert init_key(b"00000", ZADDR, Z16).hex() == (
             "2f2ff85e765f352a2b23c6378a92f34a"
         )
 
     def test_pin_length_separates_zero_padded_pins(self):
         # b"0000" and b"0000\x00"-style confusions must not collide; the
         # length octet in the input material guarantees it
-        assert init_key(Pin(b"0000"), ZADDR, Z16) != init_key(Pin(b"00000"), ZADDR, Z16)
+        assert init_key(b"0000", ZADDR, Z16) != init_key(b"00000", ZADDR, Z16)
 
     def test_all_inputs_matter(self):
-        base = init_key(Pin(b"1234"), ADDR_A, Z16)
-        assert base != init_key(Pin(b"1235"), ADDR_A, Z16)
-        assert base != init_key(Pin(b"1234"), ADDR_B, Z16)
-        assert base != init_key(Pin(b"1234"), ADDR_A, b"\x01" * 16)
+        base = init_key(b"1234", ADDR_A, Z16)
+        assert base != init_key(b"1235", ADDR_A, Z16)
+        assert base != init_key(b"1234", ADDR_B, Z16)
+        assert base != init_key(b"1234", ADDR_A, b"\x01" * 16)
 
 
 class TestCombinationLinkKey:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim.crypto import DeviceId, e1, e1_aco, mixhash128
+from btauthsim.crypto import e1, e1_aco, mixhash128
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -95,6 +95,13 @@ def test_every_length_and_buffer_type_matches_reference():
                 assert mixhash128(memoryview(data).cast("H")) == expected, n
 
 
+@pytest.mark.parametrize("data", [3, [0, 1, 2], "abc", None], ids=repr)
+def test_refuses_what_is_not_a_buffer(data):
+    # bytes(3) is three zero octets, and bytes([0, 1, 2]) those octets
+    with pytest.raises(TypeError):
+        mixhash128(data)
+
+
 def test_length_padding_distinguishes_trailing_zeros():
     # the final length block must separate inputs that differ only by
     # zero-padding
@@ -155,7 +162,7 @@ def test_s0_lane_never_reads_s1():
 def test_e1_is_the_digest_split(key, challenge, addr):
     # the response is the first 4 digest octets, the offset the other 12
     digest = ref_mixhash128(b"\x01" + key + challenge + addr)
-    args = (key, challenge, DeviceId(addr))
+    args = (key, challenge, addr)
     assert e1(*args) == digest[:4]
     assert e1.__wrapped__(*args) == digest[:4]
     assert e1_aco(*args) == digest[4:]

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import (
-    DeviceId,
     DhParams,
+    check_octets,
     dh_shared,
     e1,
     e1_aco,
@@ -38,9 +38,9 @@ from btauthsim.protocol import (
 )
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
-ADDR_A = DeviceId.from_hex("aa0000000001")
-ADDR_B = DeviceId.from_hex("bb0000000002")
-ADDR_C = DeviceId.from_hex("cc0000000003")
+ADDR_A = bytes.fromhex("aa0000000001")
+ADDR_B = bytes.fromhex("bb0000000002")
+ADDR_C = bytes.fromhex("cc0000000003")
 KEY1 = bytes(range(16))
 KEY2 = bytes(range(16, 32))
 PARAMS = DhParams(p=2147483647, alpha=7)
@@ -243,7 +243,7 @@ class TestFailures:
     def test_auth_request_announcing_the_receiver_fails(self, variant):
         # the announced address would make the device its own peer
         _, dev_b = honest_pair(variant)
-        forged = Message(MsgKind.AUTH_REQUEST, ADDR_C, ADDR_B, ADDR_B.addr)
+        forged = Message(MsgKind.AUTH_REQUEST, ADDR_C, ADDR_B, ADDR_B)
         assert handle(dev_b, forged) == [Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_C)]
         assert dev_b.phase is Phase.FAILED
         assert dev_b.peer is None
@@ -267,7 +267,7 @@ class TestDriverContract:
 
     def test_misrouted_message_rejected(self):
         dev_a = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
-        msg = Message(MsgKind.AUTH_REQUEST, ADDR_B, DeviceId(b"\xcc" * 6), ADDR_B.addr)
+        msg = Message(MsgKind.AUTH_REQUEST, ADDR_B, b"\xcc" * 6, ADDR_B)
         with pytest.raises(ProtocolError):
             handle(dev_a, msg)
 
@@ -304,19 +304,21 @@ class TestDriverContract:
 
 class TestMessageValidation:
     def test_parties_must_be_device_ids(self):
-        with pytest.raises(TypeError, match="^message sender must be a DeviceId, got str$"):
+        with pytest.raises(TypeError, match="^message sender must be bytes, got str$"):
             Message(MsgKind.AUTH_FAIL, "x", "y")
-        with pytest.raises(TypeError, match="^message receiver must be a DeviceId, got bytes$"):
-            Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B.addr)
+        with pytest.raises(TypeError, match="^message receiver must be bytes, got bytearray$"):
+            Message(MsgKind.AUTH_FAIL, ADDR_A, bytearray(ADDR_B))
+        with pytest.raises(ValueError, match="^message receiver must be exactly 6 octets, got 5$"):
+            Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B[:5])
 
     def test_no_device_is_handed_a_sender_that_is_text(self):
         # an AuthRequest announcing the receiver's own address fails the
         # handshake toward the claimed sender, which must be an address
         claimed = "bb0000000002"
-        with pytest.raises(TypeError, match="^message sender must be a DeviceId, got str$"):
-            Message(MsgKind.AUTH_REQUEST, claimed, ADDR_A, ADDR_A.addr)
-        valid = Message(MsgKind.AUTH_REQUEST, ADDR_B, ADDR_A, ADDR_A.addr)
-        with pytest.raises(TypeError, match="^message sender must be a DeviceId, got str$"):
+        with pytest.raises(TypeError, match="^message sender must be bytes, got str$"):
+            Message(MsgKind.AUTH_REQUEST, claimed, ADDR_A, ADDR_A)
+        valid = Message(MsgKind.AUTH_REQUEST, ADDR_B, ADDR_A, ADDR_A)
+        with pytest.raises(TypeError, match="^message sender must be bytes, got str$"):
             dataclasses.replace(valid, sender=claimed)
         dev = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
         assert handle(dev, valid) == [Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B)]
@@ -528,7 +530,7 @@ def walk_inputs(dev, other):
         for kind in (MsgKind.AUTH_FAIL, MsgKind.AUTH_SUCCESS)
         for sender in (peer, ADDR_C)
     ]
-    inputs += [Message(MsgKind.AUTH_REQUEST, peer, dev.id, a.addr) for a in (ADDR_A, ADDR_B, ADDR_C)]
+    inputs += [Message(MsgKind.AUTH_REQUEST, peer, dev.id, a) for a in (ADDR_A, ADDR_B, ADDR_C)]
     inputs += [
         Message(MsgKind.CHALLENGE, peer, dev.id, c)
         for c in (dev.challenge, other.challenge, bytes(16))
@@ -555,7 +557,7 @@ def walk_starts():
             for dev, other in ((dev_a, dev_b), (dev_b, dev_a)):
                 dev = copy.copy(dev)
                 sent = start(dev, other.id) if started else []
-                yield f"{variant.value}/{dev.id.text}/{started}", dev, other, sent
+                yield f"{variant.value}/{dev.id.hex()}/{started}", dev, other, sent
 
 
 def check_path(dev, received, sent):
@@ -591,7 +593,7 @@ def walk():
                 status = outcome_of(child).status
                 steps += 1
                 line = ";".join(
-                    f"{m.kind.value},{m.sender.text},{m.receiver.text},{m.payload.hex()}"
+                    f"{m.kind.value},{m.sender.hex()},{m.receiver.hex()},{m.payload.hex()}"
                     for m in out
                 )
                 digest.update(f"{label}:{path + (index,)}:{line}:{status.value}\n".encode())
@@ -661,13 +663,13 @@ class TestEncKey:
             challenge = next(
                 e.payload
                 for e in transcript.events
-                if e.kind is MsgKind.CHALLENGE and e.from_id is ADDR_A
+                if e.kind is MsgKind.CHALLENGE and e.from_id == ADDR_A
             )
             for dev in devices:
                 aco = e1_aco(dev.effective_key, challenge, ADDR_B)
                 key = encryption_key(dev.effective_key, aco, challenge)
                 assert dev.enc_key == key
-                peer = ADDR_B if dev.id is ADDR_A else ADDR_A
+                peer = ADDR_B if dev.id == ADDR_A else ADDR_A
                 for kind in MsgKind:
                     assert handle(dev, Message(kind, peer, dev.id, bytes(WIDTH[kind]))) == []
                     assert dev.enc_key == key
@@ -682,17 +684,15 @@ class MessageTwin:
     """Message as a plain frozen dataclass, with the checks Message makes."""
 
     kind: MsgKind
-    sender: DeviceId
-    receiver: DeviceId
+    sender: bytes
+    receiver: bytes
     payload: bytes = b""
 
     def __post_init__(self):
         if not isinstance(self.kind, MsgKind):
             raise TypeError(f"message kind must be a MsgKind, got {type(self.kind).__name__}")
         for role in ("sender", "receiver"):
-            party = getattr(self, role)
-            if not isinstance(party, DeviceId):
-                raise TypeError(f"message {role} must be a DeviceId, got {type(party).__name__}")
+            check_octets(f"message {role}", getattr(self, role), 6)
         if self.sender == self.receiver:
             raise ValueError("message sender and receiver must differ")
         if not isinstance(self.payload, bytes):
@@ -726,10 +726,10 @@ def as_str(raw: bytes) -> str:
 NOT_BYTES = [bytearray, memoryview, as_str, tuple]
 
 
-# kinds and parties that are not a MsgKind or a DeviceId: the text of one,
-# an address's octets or text, and None
+# kinds that are not a MsgKind, the text of one and None, and parties that
+# are not a 6-octet address: its text, a mutable copy, 5 of its octets and None
 NOT_KINDS = ["ChallengeMsg", None]
-NOT_PARTIES = [ADDR_B.addr, ADDR_B.text, None]
+NOT_PARTIES = [ADDR_B.hex(), bytearray(ADDR_B), ADDR_B[:5], None]
 
 
 @st.composite

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_scripts import load_script
+
+from btauthsim import cli, simnet
 from btauthsim.adversary import IntruderMode, IntruderState
-from btauthsim.crypto import DeviceId, DhParams
+from btauthsim.cli import ScenarioConfig, run_scenario
+from btauthsim.crypto import DhParams
 from btauthsim.protocol import AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import (
     Detection,
@@ -21,9 +25,9 @@ from btauthsim.simnet import (
     transcript_rtt,
 )
 
-ADDR_A = DeviceId.from_hex("aa0000000001")
-ADDR_B = DeviceId.from_hex("bb0000000002")
-ADDR_C = DeviceId.from_hex("cc0000000003")
+ADDR_A = bytes.fromhex("aa0000000001")
+ADDR_B = bytes.fromhex("bb0000000002")
+ADDR_C = bytes.fromhex("cc0000000003")
 KEY = bytes(range(16))
 PARAMS = DhParams(p=2147483647, alpha=7)
 LINKS = LinkConfig()
@@ -147,7 +151,7 @@ class TestOpening:
             assert (first.from_id, first.kind, first.payload) == (
                 ADDR_A,
                 MsgKind.AUTH_REQUEST,
-                ADDR_A.addr,
+                ADDR_A,
             )
             assert first.to_id == (ADDR_B if mode is None else ADDR_C)
         if mode in (IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
@@ -156,7 +160,7 @@ class TestOpening:
             assert (relayed.to_id, relayed.kind) == (ADDR_B, MsgKind.AUTH_REQUEST)
 
     def test_intruder_addressing_an_unregistered_device(self):
-        stray = DeviceId.from_hex("dd0000000004")
+        stray = bytes.fromhex("dd0000000004")
 
         class StrayIntruder:
             id = ADDR_C
@@ -195,8 +199,8 @@ class TestSerialization:
             assert list(record) == ["seq", "t", "from", "to", "kind", "payload"]
             assert record["seq"] == event.seq
             assert record["t"] == event.time
-            assert record["from"] == str(event.from_id)
-            assert record["to"] == str(event.to_id)
+            assert record["from"] == event.from_id.hex()
+            assert record["to"] == event.to_id.hex()
             assert record["kind"] == event.kind.value
             assert record["payload"] == event.payload.hex()
 
@@ -209,12 +213,12 @@ class TestSerialization:
         st.binary(max_size=32),
     )
     def test_json_line_matches_json_dumps(self, seq, time, sender, receiver, kind, payload):
-        event = TranscriptEvent(seq, time, DeviceId(sender), DeviceId(receiver), kind, payload)
+        event = TranscriptEvent(seq, time, sender, receiver, kind, payload)
         record = {
             "seq": event.seq,
             "t": event.time,
-            "from": str(event.from_id),
-            "to": str(event.to_id),
+            "from": event.from_id.hex(),
+            "to": event.to_id.hex(),
             "kind": event.kind.value,
             "payload": event.payload.hex(),
         }
@@ -263,8 +267,8 @@ class TranscriptEventTwin:
 
     seq: int
     time: int
-    from_id: DeviceId
-    to_id: DeviceId
+    from_id: bytes
+    to_id: bytes
     kind: MsgKind
     payload: bytes
 
@@ -438,3 +442,54 @@ class TestDelayDetector:
         for factor in (1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 delay_detector(transcript, 20, factor, ADDR_A)
+
+
+# (variant, intruder mode, initiator) of the ten headline scenarios
+HEADLINE = load_script("attack_matrix").SCENARIOS
+
+
+def copy_of(addr: bytes) -> bytes:
+    """An address equal to addr that is a separate object."""
+    copy = bytes(bytearray(addr))
+    assert copy == addr and copy is not addr
+    return copy
+
+
+class TestAddressesCompareByValue:
+    @pytest.mark.parametrize(
+        "variant,mode,initiator",
+        HEADLINE,
+        ids=[ScenarioConfig(variant=v, intruder=m).scenario_name for v, m, _ in HEADLINE],
+    )
+    def test_separate_copies_give_the_same_runs(self, monkeypatch, variant, mode, initiator):
+        # every address a party is built with or handed is its own copy:
+        # each device id, the peer start opens toward, the intruder id, each
+        # victim and each device the detector reads; the calibration run is
+        # built anew with copies too, and read with the shared constants
+        config = ScenarioConfig(variant=variant, intruder=mode, initiator=initiator)
+        expected = [run_scenario(config, seed) for seed in range(5)]
+
+        def copying(module, name, *positions):
+            real = getattr(module, name)
+
+            def with_copies(*args, **kwargs):
+                args = [copy_of(arg) if i in positions else arg for i, arg in enumerate(args)]
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, with_copies)
+
+        copying(cli, "new_device", 0)
+        copying(cli, "IntruderState", 0, 3, 4)
+        copying(simnet, "protocol_start", 1)
+        copying(cli, "delay_detector", 3)
+        cli._prepared.cache_clear()
+        try:
+            for seed, want in enumerate(expected):
+                got = run_scenario(config, seed)
+                assert all(a is not cli.ADDR_A and a is not cli.ADDR_B for a in got.outcomes)
+                assert got.transcript == want.transcript
+                assert got.outcomes == want.outcomes
+                assert got.score == want.score
+                assert got.baselines == want.baselines
+        finally:
+            cli._prepared.cache_clear()
