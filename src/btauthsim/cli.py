@@ -7,7 +7,6 @@ the pairing randomness, so any report line can be reproduced from its
 scenario name and seed alone.
 """
 
-import argparse
 import functools
 import math
 import random
@@ -21,7 +20,7 @@ from .crypto import (
     e1,
     has_full_order,
     init_key,
-    session_key_from_shared,
+    session_key,
     xor_bytes,
 )
 from .protocol import AuthOutcome, DeviceState, Variant, new_device
@@ -81,13 +80,15 @@ def validate(config: ScenarioConfig) -> Prepared:
     """Reject a configuration that cannot run, else return its links, group
     and per-device baselines. The initiator (which must be C exactly for
     the originate intruder, the one mode that opens a run itself) and the
-    detector threshold are checked here; link timing and the group are
-    checked, and a timeout too short for the intruder-free handshake is
-    caught, by _prepared, which caches them per configuration; a field of
-    that cache's key that is not exactly an int raises TypeError naming it,
-    since the cache would take 10.0 or True for the int it equals.
-    run_scenario takes its inputs from here, so every check applies to
-    every run. The flags named in each ConfigError message are those of
+    detector threshold are checked here; link timing (by LinkConfig, which
+    raises TypeError naming a field that is not exactly an int) and the
+    group are checked, and a timeout too short for the intruder-free
+    handshake is caught, by _prepared, which caches them per configuration,
+    keyed by the type of each timing field as well as its value. A group
+    field that is not exactly an int raises TypeError naming it before
+    that cache is read: the cache key holds the group as one tuple, and
+    would take 10.0 or True there for the int it equals. run_scenario
+    takes its inputs from here, so every check applies to every run. The flags named in each ConfigError message are those of
     the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
@@ -95,8 +96,6 @@ def validate(config: ScenarioConfig) -> Prepared:
         raise ConfigError("initiator C and the originate intruder mode require each other")
     if not 1 < config.detect_factor < math.inf:
         raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
-    _check_int("latency_ms", config.latency_ms)
-    _check_int("timeout_ms", config.timeout_ms)
     group = None
     if config.variant is Variant.DH_IMPROVED:
         _check_int("dh_p", config.dh_p)
@@ -146,7 +145,9 @@ def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     return params
 
 
-@functools.cache
+# typed, so that 10.0 or True misses an entry of the int it equals and
+# reaches LinkConfig's check
+@functools.lru_cache(maxsize=None, typed=True)
 def _prepared(
     variant: Variant, latency_ms: int, timeout_ms: int, group: tuple[int, int] | None
 ) -> Prepared:
@@ -194,7 +195,7 @@ def _check_seed(seed: int) -> None:
 def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     """One full run at one seed: the run itself, detection against the
     configuration's cached baselines, and scoring. It first clears the
-    memos of e1 and session_key_from_shared, so the run starts from no
+    memos of e1 and session_key, so the run starts from no
     other run's entries, then takes links, group and baselines from
     validate, so it raises ConfigError for every configuration that
     validate rejects, and for a negative seed, which random.Random would
@@ -202,7 +203,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     TypeError."""
     _check_seed(seed)
     e1.cache_clear()
-    session_key_from_shared.cache_clear()
+    session_key.cache_clear()
     links, params, calibrated = validate(config)
     baselines = dict(calibrated)
     master = random.Random(seed)
@@ -253,7 +254,10 @@ def report_line(config: ScenarioConfig, result: ScenarioResult) -> str:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    # imported here, so that importing the library does not load argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="btauthsim",
         description="Simulate pairing authentication runs and relay attacks.",
@@ -283,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
+def _config_from_args(args) -> ScenarioConfig:
     return ScenarioConfig(
         variant=Variant(args.variant),
         intruder=None if args.intruder == "none" else IntruderMode(args.intruder),

@@ -12,19 +12,22 @@ the response reads; e1_aco derives the ciphering offset from the full
 digest. e1 keeps a small memo of its recent results, because one run
 computes the same (key, challenge, claimant) triple more than once: the
 answering device, the verifying device and the verdict each derive it.
-session_key_from_shared keeps a second memo, because the two devices of a
-dh-improved run that agree on the shared value each derive its key.
-cli.run_scenario clears both memos at the start of every run, so no run
-reuses another run's entries and each run's count of digests computed
-depends only on its scenario and seed. Results are unchanged: both
-functions are pure, and each memo is keyed by each argument's type as
-well as its value, so a view that equals memoised bytes misses and meets
-e1's check.
+session_key keeps a second memo, keyed by the group and the two public
+values, because the two devices of a dh-improved run that see each other's
+public value agree on the key, and the first to derive it pays the
+modular exponentiation for both. cli.run_scenario clears both memos at the
+start of every run, so no run reuses another run's entries and each run's
+count of digests and exponentiations computed depends only on its scenario
+and seed. Results are unchanged: e1 is pure and its memo is keyed by each
+argument's type as well as its value, so a view that equals memoised bytes
+misses and meets e1's check; session_key checks the peer value before any
+lookup, and answers from its memo only what the unmemoised derivation
+gives (see its docstring).
 
 Besides those memos and mixhash128's cache of message layouts by input
 length (at most 64 lengths; each entry is the padding tail and the struct
-that reads the whole message), all of which functools.lru_cache guards
-itself, the one cached structure is the table of powers of its generator
+that reads the whole message), which functools.lru_cache or a lock
+guards, the one cached structure is the table of powers of its generator
 that each DhParams builds on first use and never mutates once built; two
 threads that race to build it build equal tables.
 """
@@ -32,6 +35,7 @@ threads that race to build it build equal tables.
 from dataclasses import dataclass
 import functools
 import struct
+import threading
 
 __all__ = [
     "check_octets",
@@ -50,6 +54,7 @@ __all__ = [
     "dh_keypair",
     "dh_shared",
     "session_key_from_shared",
+    "session_key",
     "xor_bytes",
 ]
 
@@ -301,17 +306,17 @@ class DhParams:
 
     @functools.cached_property
     def alpha_table(self) -> tuple[tuple[int, ...], ...]:
-        """Fixed-base table for dh_keypair: row i holds alpha^(d*16^i) mod p
-        for d = 0..15, one row per hexadecimal digit of p-1. Built by
-        multiplication on first use and never mutated; the cache lives in
-        the instance dictionary, outside the frozen fields, so equality and
-        hashing ignore it."""
+        """Fixed-base table for dh_keypair: row i holds alpha^(d*256^i) mod p
+        for d = 0..255, one row per octet of p-1. Built by multiplication on
+        first use and never mutated; the cache lives in the instance
+        dictionary, outside the frozen fields, so equality and hashing
+        ignore it."""
         p = self.p
         rows = []
         base = self.alpha
-        for _ in range(((p - 1).bit_length() + 3) // 4):
+        for _ in range(((p - 1).bit_length() + 7) // 8):
             row = [1]
-            for _ in range(15):
+            for _ in range(255):
                 row.append(row[-1] * base % p)
             rows.append(tuple(row))
             base = row[-1] * base % p
@@ -343,37 +348,87 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
     """Key pair with public value alpha^r mod p; r must lie in [1, p-1].
 
     alpha^r is the product of one entry of each row of params.alpha_table,
-    the one that each hexadecimal digit of r selects."""
+    the one that each octet of r selects."""
     p = params.p
     if not 1 <= r <= p - 1:
         raise ValueError(f"private exponent must be in [1, p-1], got {r}")
     s_public = 1
     digits = r
     for row in params.alpha_table:
-        s_public = s_public * row[digits & 15] % p
-        digits >>= 4
+        s_public = s_public * row[digits & 255] % p
+        digits >>= 8
     return DhKeyPair(r_private=r, s_public=s_public)
 
 
-def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
-    """Shared secret peer_public^r mod p; both directions agree."""
+def _check_peer_public(params: DhParams, peer_public: int) -> None:
+    if type(peer_public) is not int:
+        raise TypeError(f"peer public value must be an int, got {type(peer_public).__name__}")
     if not 1 <= peer_public <= params.p - 1:
         raise ValueError(f"peer public value must be in [1, p-1], got {peer_public}")
+
+
+def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
+    """Shared secret peer_public^r mod p; both directions agree. Raises
+    TypeError unless peer_public is an int, and ValueError unless it lies
+    in [1, p-1]."""
+    _check_peer_public(params, peer_public)
     return modexp(peer_public, r, params.p)
 
 
-# the scripted scenarios derive at most 2 distinct keys in a run (one per
-# device when the intruder sends its own public), plus 1 of a first run's
-# calibration; typed, as e1's memo is
-@functools.lru_cache(maxsize=8, typed=True)
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
-    """Bind the shared integer and group modulus into a uniform 16-octet key.
-
-    Memoised like e1, so the two devices of a run that agree on the shared
-    value derive its key once; cli.run_scenario calls
-    session_key_from_shared.cache_clear() before each run, and
-    session_key_from_shared.__wrapped__ is the unmemoised function."""
+    """Bind the shared integer and group modulus into a uniform 16-octet key."""
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
     material = _TAG_SESSION + k.to_bytes(16, "big") + params.p.to_bytes(16, "big")
     return mixhash128(material)
+
+
+# (params, lower public, higher public) -> (session key, the pair that
+# derived it); the scripted scenarios derive at most 2 distinct keys in a
+# run (one per device when the intruder sends its own public), plus 1 of a
+# first run's calibration, so within a run the memo evicts nothing
+_SESSION_KEYS: dict[tuple[DhParams, int, int], tuple[bytes, DhKeyPair]] = {}
+_SESSION_KEYS_MAX = 8
+_SESSION_KEYS_LOCK = threading.Lock()
+
+
+def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
+    """The 16-octet session key that own agrees with the holder of
+    peer_public: session_key_from_shared(dh_shared(params, peer_public,
+    own.r_private), params).
+
+    dh_shared's check of the peer value runs on every call, before the memo
+    is read. The memo is keyed by the group and the two public values in
+    ascending order, so the device on the other side, holding the pair of
+    peer_public and handed own.s_public, is answered without a modular
+    exponentiation. That is sound for key pairs from dh_keypair, whose
+    s_public is alpha^r_private: the two sides compute
+    (alpha^b)^a = (alpha^a)^b. An entry derived by a pair with the same
+    public value but another exponent (possible only when alpha does not
+    generate the whole group) is not used: the key is derived again.
+    The memo holds at most 8 entries, oldest first out, under a lock;
+    cli.run_scenario calls session_key.cache_clear() before each run.
+    """
+    _check_peer_public(params, peer_public)
+    mine = own.s_public
+    memo_key = (params, mine, peer_public) if mine < peer_public else (params, peer_public, mine)
+    with _SESSION_KEYS_LOCK:
+        entry = _SESSION_KEYS.get(memo_key)
+    if entry is not None:
+        session, deriver = entry
+        if deriver.s_public != mine or deriver.r_private == own.r_private:
+            return session
+    session = session_key_from_shared(dh_shared(params, peer_public, own.r_private), params)
+    with _SESSION_KEYS_LOCK:
+        if memo_key not in _SESSION_KEYS and len(_SESSION_KEYS) >= _SESSION_KEYS_MAX:
+            del _SESSION_KEYS[next(iter(_SESSION_KEYS))]
+        _SESSION_KEYS[memo_key] = (session, own)
+    return session
+
+
+def _clear_session_keys() -> None:
+    with _SESSION_KEYS_LOCK:
+        _SESSION_KEYS.clear()
+
+
+session_key.cache_clear = _clear_session_keys

@@ -40,11 +40,10 @@ from .crypto import (
     DhParams,
     check_octets,
     dh_keypair,
-    dh_shared,
     e1,
     e1_aco,
     encryption_key,
-    session_key_from_shared,
+    session_key,
     xor_bytes,
 )
 
@@ -323,11 +322,10 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
         assert device.peer is not None
         out.append(Message(MsgKind.DH_PUBLIC, device.id, device.peer, encode_public(device.dh.s_public)))
     try:
-        shared = dh_shared(params, decode_public(msg.payload), device.dh.r_private)
+        session = session_key(params, device.dh, decode_public(msg.payload))
     except ValueError:
         return _fail(device, msg)
     # success leaves DhExchange, so effective_key is still the pairing key
-    session = session_key_from_shared(shared, params)
     device.effective_key = xor_bytes(device.effective_key, session)
     if device.role is Role.INITIATOR:
         out.append(_issue_challenge(device))

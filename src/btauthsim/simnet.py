@@ -49,6 +49,12 @@ class LinkConfig:
     timeout_ms: int = 2000
 
     def __post_init__(self):
+        # a bool or a float equals, and hashes like, the int it stands for,
+        # and would put non-integer times in the transcript
+        for name in ("latency_ms", "timeout_ms"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if self.latency_ms <= 0:
             raise ValueError("latency must be positive")
         if self.timeout_ms <= self.latency_ms:

@@ -17,7 +17,14 @@ from btauthsim.cli import (
     validate,
 )
 from btauthsim.adversary import IntruderMode
-from btauthsim.crypto import DhParams, encryption_key, has_full_order, is_prime, mixhash128
+from btauthsim.crypto import (
+    DhParams,
+    encryption_key,
+    has_full_order,
+    is_prime,
+    mixhash128,
+    modexp,
+)
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
@@ -273,8 +280,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("value", [True, 10.0, "10", None], ids=repr)
     @pytest.mark.parametrize("field", ["latency_ms", "timeout_ms", "dh_p", "dh_alpha"])
     def test_validate_rejects_a_field_that_is_not_an_int(self, field, value):
-        # the per-configuration cache would key True and 10.0 together with
-        # the ints they equal, so the check comes before the cache is read
+        # an untyped per-configuration cache would key True and 10.0
+        # together with the ints they equal: the group is checked before
+        # the cache is read, and link timing by LinkConfig on a miss of
+        # the cache, which keys it by type; no entry is kept either way
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, **{field: value})
         cli._prepared.cache_clear()
         message = f"^{field} must be an int, got {type(value).__name__}$"
@@ -283,7 +292,21 @@ class TestConfigErrors:
         with pytest.raises(TypeError, match=message):
             run_scenario(config, 0)
         info = cli._prepared.cache_info()
-        assert info.hits == info.misses == 0
+        assert info.hits == info.currsize == 0
+        assert info.misses == (2 if field in ("latency_ms", "timeout_ms") else 0)
+
+    @pytest.mark.parametrize("field,value", [("latency_ms", 10), ("timeout_ms", 2000)])
+    @pytest.mark.parametrize("int_first", [True, False], ids=["int-first", "float-first"])
+    def test_the_cache_never_takes_a_float_timing_for_its_int(self, field, value, int_first):
+        cli._prepared.cache_clear()
+        config = ScenarioConfig(**{field: value})
+        if int_first:
+            validate(config)
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got float$"):
+            validate(ScenarioConfig(**{field: float(value)}))
+        links, _, baselines = validate(config)
+        assert type(getattr(links, field)) is int
+        assert all(type(rtt) is int for _, rtt in baselines)
 
     def test_a_run_depends_on_no_earlier_configuration(self):
         # a float latency equal to the default once shared its cache entry,
@@ -443,6 +466,43 @@ class TestScenarioApi:
             run_scenario(config, seed)
             counts.append(sum(data[:1] == session_tag and len(data) == 33 for data in calls))
         assert counts == [derivations] * 4
+
+    @pytest.mark.parametrize("group", [(2**31 - 1, 7), (WIDE_P, 2)], ids=["p31", "wide"])
+    @pytest.mark.parametrize(
+        "mode,exponentiations",
+        [(None, 1), (IntruderMode.RELAY_PASSIVE, 1), (IntruderMode.RELAY_ACTIVE, 2)],
+        ids=["honest", "relay-passive", "relay-active"],
+    )
+    def test_one_modular_exponentiation_per_agreed_key(
+        self, monkeypatch, group, mode, exponentiations
+    ):
+        # the second device to derive an agreed key reads it from the
+        # memo; a relay that substitutes the publics leaves each device its
+        # own key. Each run starts with the memo empty, whatever ran before
+        dh_p, dh_alpha = group
+        modes = [None, IntruderMode.RELAY_PASSIVE, IntruderMode.RELAY_ACTIVE]
+        configs = {
+            other: ScenarioConfig(
+                variant=Variant.DH_IMPROVED, intruder=other, dh_p=dh_p, dh_alpha=dh_alpha
+            )
+            for other in modes
+        }
+        for config in configs.values():
+            validate(config)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return modexp(*args)
+
+        monkeypatch.setattr(crypto, "modexp", counted)
+        counts = []
+        for other in modes:
+            run_scenario(configs[other], 0)
+            calls.clear()
+            run_scenario(configs[mode], 0)
+            counts.append(len(calls))
+        assert counts == [exponentiations] * len(modes)
 
     def test_no_run_derives_an_encryption_key(self, monkeypatch):
         # no report line, transcript or verdict reads a device's enc_key

@@ -1,5 +1,8 @@
 """Key-derivation functions and value-type validation."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +12,13 @@ from btauthsim.crypto import (
     DhParams,
     check_octets,
     combination_link_key,
+    dh_keypair,
+    dh_shared,
     e1,
     e1_aco,
     encryption_key,
     init_key,
+    session_key,
     session_key_from_shared,
     xor_bytes,
 )
@@ -25,6 +31,9 @@ ZADDR = b"\x00" * 6
 ADDR_A = bytes.fromhex("aa0000000001")
 ADDR_B = bytes.fromhex("bb0000000002")
 ADDR_C = bytes.fromhex("cc0000000003")
+
+# the groups the CLI runs: its default, and the largest safe prime below 2^47
+GROUPS = [(2**31 - 1, 7), (140737488353843, 2)]
 
 EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
     lambda n: st.tuples(st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))
@@ -291,23 +300,110 @@ class TestSessionKeyFromShared:
             session_key_from_shared(2, DhParams(29, 2))
         )
 
-    @given(st.integers(min_value=0, max_value=2**31 - 2), st.sampled_from([(23, 5), (2**31 - 1, 7)]))
-    def test_memo_matches_unmemoised(self, k, group):
+    @given(st.sampled_from(GROUPS), st.data())
+    def test_memo_matches_unmemoised(self, group, data):
+        # own against a peer pair whose public is random, own's own, 1 or p - 1,
+        # each side asking first; the second asks the first's memo entry
         params = DhParams(*group)
-        k %= params.p
-        expected = session_key_from_shared.__wrapped__(k, params)
-        assert session_key_from_shared(k, params) == expected
+        p = params.p
+        own = dh_keypair(params, data.draw(st.integers(min_value=1, max_value=p - 1)))
+        peer_exponents = st.sampled_from([own.r_private, p - 1, (p - 1) // 2])
+        peer = dh_keypair(params, data.draw(st.integers(min_value=1, max_value=p - 1) | peer_exponents))
+        expected = session_key_from_shared(dh_shared(params, peer.s_public, own.r_private), params)
+        sides = [(own, peer.s_public), (peer, own.s_public)]
+        if data.draw(st.booleans()):
+            sides.reverse()
+        session_key.cache_clear()
+        for pair, peer_public in sides:
+            assert session_key(params, pair, peer_public) == expected
         # a repeat, answered from the memo, and an equal group built anew
-        assert session_key_from_shared(k, params) is session_key_from_shared(k, params)
-        assert session_key_from_shared(k, DhParams(*group)) == expected
+        assert session_key(params, own, peer.s_public) is session_key(params, own, peer.s_public)
+        assert session_key(DhParams(*group), peer, own.s_public) == expected
 
     def test_memo_is_typed(self):
-        # an int-valued float equals a memoised int, yet misses and meets
-        # the unmemoised function's failure
+        # an int-valued float equals a memoised peer value, yet meets the
+        # check that the unmemoised derivation makes
         params = DhParams(p=23, alpha=5)
-        session_key_from_shared(2, params)
-        with pytest.raises(AttributeError):
-            session_key_from_shared(2.0, params)
+        own = dh_keypair(params, 3)
+        session_key(params, own, 2)
+        with pytest.raises(TypeError, match="^peer public value must be an int, got float$"):
+            session_key(params, own, 2.0)
+        with pytest.raises(TypeError, match="^peer public value must be an int, got float$"):
+            dh_shared(params, 2.0, 3)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=["p31", "wide"])
+    def test_out_of_range_peer_refused_on_every_call(self, group):
+        params = DhParams(*group)
+        p = params.p
+        own, peer = dh_keypair(params, 12345), dh_keypair(params, 67890)
+        session_key.cache_clear()
+        session_key(params, own, peer.s_public)
+        session_key(params, peer, own.s_public)
+        for bad in (0, p, -1, p + peer.s_public, -peer.s_public):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="^peer public value must be in"):
+                    session_key(params, own, bad)
+
+    def test_memo_keeps_the_exponent_of_a_shared_public(self):
+        # 2 has order 11 mod 23, so r = 1 and r = 12 both give the public 2;
+        # the peer 22 lies outside the subgroup of 2, and 22^1 != 22^12
+        params = DhParams(p=23, alpha=2)
+        first, second = dh_keypair(params, 1), dh_keypair(params, 12)
+        assert first.s_public == second.s_public == 2
+        session_key.cache_clear()
+        for pair in (first, second, first):
+            expected = session_key_from_shared(dh_shared(params, 22, pair.r_private), params)
+            assert session_key(params, pair, 22) == expected
+        assert session_key(params, first, 22) != session_key(params, second, 22)
+
+    def test_memo_holds_at_most_eight_keys(self):
+        params = DhParams(*GROUPS[0])
+        own = dh_keypair(params, 99)
+        session_key.cache_clear()
+        for r in range(2, 22):
+            peer = dh_keypair(params, r)
+            expected = session_key_from_shared(dh_shared(params, peer.s_public, 99), params)
+            assert session_key(params, own, peer.s_public) == expected
+            assert len(crypto._SESSION_KEYS) <= 8
+        assert len(crypto._SESSION_KEYS) == 8
+
+    def test_threads_racing_on_the_memo_get_the_unmemoised_keys(self):
+        params = DhParams(*GROUPS[0])
+        pairs = [dh_keypair(params, r) for r in range(2, 14)]
+        expected = {
+            (a.r_private, b.r_private): session_key_from_shared(
+                dh_shared(params, b.s_public, a.r_private), params
+            )
+            for a in pairs
+            for b in pairs
+        }
+        wrong = []
+        errors = []
+
+        def derive(worker):
+            try:
+                for step in range(300):
+                    a, b = pairs[(worker + step) % 12], pairs[(3 * step) % 12]
+                    if session_key(params, a, b.s_public) != expected[a.r_private, b.r_private]:
+                        wrong.append((a, b))
+                    if step % 50 == worker:
+                        session_key.cache_clear()
+            except Exception as err:  # noqa: BLE001 - collected and asserted below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=derive, args=(worker,)) for worker in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert len(crypto._SESSION_KEYS) <= 8
 
     def test_range_enforced(self):
         params = DhParams(p=23, alpha=5)

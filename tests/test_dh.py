@@ -299,7 +299,8 @@ class TestFixedBaseTable:
     def test_edges_and_random_exponents(self, p, alpha):
         params = DhParams(p=p, alpha=alpha)
         rng = random.Random(p)
-        for r in [1, 2, 15, 16, 17, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(500)]:
+        edges = [1, 2, 15, 16, 17, 255, 256, 257, 65535, 65536, p - 2, p - 1]
+        for r in edges + [rng.randrange(1, p) for _ in range(500)]:
             pair = dh_keypair(params, r)
             assert pair.r_private == r
             assert pair.s_public == pow(alpha, r, p), r
@@ -312,10 +313,11 @@ class TestFixedBaseTable:
         assert dh_keypair(params, 12345).s_public == pow(2, 12345, WIDE_P)
         assert params.alpha_table is table
         assert calls == []
-        # one row per hexadecimal digit of p - 1, each alpha^(d * 16^i)
-        assert len(table) == ((WIDE_P - 1).bit_length() + 3) // 4
-        assert all(len(row) == 16 for row in table)
-        assert table[3][5] == pow(2, 5 * 16**3, WIDE_P)
+        # one row per octet of p - 1, each alpha^(d * 256^i)
+        assert len(table) == ((WIDE_P - 1).bit_length() + 7) // 8 == 6
+        assert all(len(row) == 256 for row in table)
+        assert table[3][5] == pow(2, 5 * 256**3, WIDE_P)
+        assert table[5][255] == pow(2, 255 * 256**5, WIDE_P)
         monkeypatch.undo()
         fresh = DhParams(p=WIDE_P, alpha=2)
         assert fresh == params and hash(fresh) == hash(params)

@@ -135,6 +135,13 @@ class TestTimeout:
         with pytest.raises(ValueError):
             LinkConfig(latency_ms=10, timeout_ms=10)
 
+    @pytest.mark.parametrize("value", [True, 10.0, "10", None], ids=repr)
+    @pytest.mark.parametrize("field", ["latency_ms", "timeout_ms"])
+    def test_link_timing_must_be_an_int(self, field, value):
+        # 10.0 would put "t":10.0 in the transcript, and True a 1 ms link
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
+            LinkConfig(**{field: value})
+
 
 class TestOpening:
     @pytest.mark.parametrize("variant", list(Variant))
