@@ -10,22 +10,7 @@ import argparse
 import sys
 import time
 
-from btauthsim.adversary import IntruderMode
-from btauthsim.cli import ScenarioConfig, run_scenario
-from btauthsim.protocol import Variant
-
-SCENARIOS: list[tuple[Variant, IntruderMode | None, str]] = [
-    (Variant.LEGACY, None, "A"),
-    (Variant.IMPROVED, None, "A"),
-    (Variant.DH_IMPROVED, None, "A"),
-    (Variant.LEGACY, IntruderMode.RELAY_ACTIVE, "A"),
-    (Variant.LEGACY, IntruderMode.RELAY_PASSIVE, "A"),
-    (Variant.LEGACY, IntruderMode.ORIGINATE_TO_A, "C"),
-    (Variant.IMPROVED, IntruderMode.RELAY_ACTIVE, "A"),
-    (Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A, "C"),
-    (Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE, "A"),
-    (Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE, "A"),
-]
+from btauthsim.cli import HEADLINE, run_scenario
 
 COLUMNS = ["scenario", "seeds", "success", "integrity", "confidentiality", "detection", "messages"]
 
@@ -47,8 +32,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     rows = []
-    for variant, mode, initiator in SCENARIOS:
-        config = ScenarioConfig(variant=variant, intruder=mode, initiator=initiator)
+    for config in HEADLINE:
         fields: dict[str, list[str]] = {name: [] for name in COLUMNS[2:]}
         for offset in range(args.seeds):
             result = run_scenario(config, args.base_seed + offset)

@@ -1,10 +1,10 @@
 """Man-in-the-middle intruder and attack judgment.
 
-The intruder sits between two victims, playing each victim's peer toward the
-other. It can relay traffic verbatim, relay while substituting its own
-public values, or originate a handshake toward one victim under the other's
-address. It holds only values: the key pair and the challenge its mode
-sends, drawn when it is built, and what its origination holds back. It
+The intruder sits between two victims, A and B, playing each victim's peer
+toward the other. Each intruder mode is a script, a table from what arrives
+to what the intruder sends in answer, and one interpreter runs them all.
+The intruder holds only values: the key pair and the nonce its script
+sends, drawn when it is built, and the one payload a script holds back. It
 keeps no record of what it saw: every hop it sends or receives is in the
 run's transcript, and verdict scores a run from the outcomes and that
 transcript alone.
@@ -62,18 +62,80 @@ class AttackVerdict:
     detection: Detection
 
 
+# A script maps OPEN, the kickoff, and the (kind, victim) of an arriving
+# message, the victim being the one that claims to have sent it, to the
+# actions sent in answer. An action is (kind, claimed sender, receiver,
+# payload source); the source is a victim, standing for its address as the
+# parties do, the ARRIVING or the HELD payload, or C's NONCE or PUBLIC.
+# HOLD, in place of an action, holds the arriving payload. A message that
+# no row names is dropped by an intruder that opens the run, one whose
+# script has an OPEN row, and forwarded by a relay.
+A, B = "A", "B"
+ARRIVING, HELD, NONCE, PUBLIC = "arriving", "held", "nonce", "public"
+OPEN, HOLD = "open", "hold"
+AUTH_REQUEST, CHALLENGE = MsgKind.AUTH_REQUEST, MsgKind.CHALLENGE
+RESPONSE, DH_PUBLIC = MsgKind.RESPONSE, MsgKind.DH_PUBLIC
+
+RELAY_PASSIVE: dict = {}
+
+RELAY_ACTIVE = {
+    (DH_PUBLIC, A): [(DH_PUBLIC, A, B, PUBLIC)],
+    (DH_PUBLIC, B): [(DH_PUBLIC, B, A, PUBLIC)],
+}
+
+# Responder A emits one ChallengeMsg and at most one DhPublicMsg, and B at
+# most one DhPublicMsg, so no row of an originate script fires twice in a
+# run; the exhaustive walk in tests/test_protocol.py checks both bounds on
+# every order of delivery.
+ORIGINATE = {
+    OPEN: [(AUTH_REQUEST, B, A, B), (CHALLENGE, B, A, NONCE)],
+    # A's counter-challenge becomes a fresh handshake toward B under A's
+    # address; B's own counter-challenge is dropped, so nothing downstream
+    # can ever be answered
+    (CHALLENGE, A): [(AUTH_REQUEST, A, B, A), (CHALLENGE, A, B, ARRIVING)],
+    # B's answers go on to A; A's are the harvest, answers to challenges C
+    # chose, and die here, as do confirmations and failures
+    (RESPONSE, B): [(RESPONSE, B, A, ARRIVING)],
+}
+
+ORIGINATE_DH = {
+    **ORIGINATE,
+    OPEN: [(AUTH_REQUEST, B, A, B), (DH_PUBLIC, B, A, PUBLIC)],
+    # A's public answered C's; now the challenge leg can start
+    (DH_PUBLIC, A): [(CHALLENGE, B, A, NONCE)],
+    (CHALLENGE, A): [(AUTH_REQUEST, A, B, A), (DH_PUBLIC, A, B, PUBLIC), HOLD],
+    # B's public answered C's: release A's held counter-challenge
+    (DH_PUBLIC, B): [(CHALLENGE, A, B, HELD)],
+}
+
+# the script of each mode against each variant
+SCRIPTS = {
+    **{(IntruderMode.RELAY_PASSIVE, variant): RELAY_PASSIVE for variant in Variant},
+    **{(IntruderMode.RELAY_ACTIVE, variant): RELAY_ACTIVE for variant in Variant},
+    **{(IntruderMode.ORIGINATE_TO_A, variant): ORIGINATE for variant in Variant},
+    (IntruderMode.ORIGINATE_TO_A, Variant.DH_IMPROVED): ORIGINATE_DH,
+}
+# each script, whether it draws a key pair and whether it draws a nonce,
+# worked out once from the sources it sends
+_PLANS = {
+    (mode, variant): (script, PUBLIC in sent and variant is Variant.DH_IMPROVED, NONCE in sent)
+    for (mode, variant), script in SCRIPTS.items()
+    for sent in [{action[3] for row in script.values() for action in row if action != HOLD}]
+}
+
+
 @dataclass
 class IntruderState:
-    """Outsider intruder between victim_a and victim_b. It holds no link key
-    and keeps no record of the traffic: what it captured is read from the
-    run's transcript by verdict.
+    """Outsider intruder between victim_a, A in its script, and victim_b, B.
+    It holds no link key and keeps no record of the traffic: what it
+    captured is read from the run's transcript by verdict.
 
-    In originate mode the attack direction is fixed: the intruder opens
-    toward victim_a under victim_b's address. An active intruder against
-    the dh variant needs the group parameters (ValueError otherwise).
-    It draws from random.Random(rng_seed), when built, only what its mode
-    sends: an active one against the dh variant its key pair first, and an
-    originating one then its challenge. id, victim_a and victim_b are
+    It runs SCRIPTS[mode, variant], with A and B resolved to addresses once,
+    when it is built; originate opens toward victim_a under victim_b's
+    address. When built, it draws from random.Random(rng_seed) only what its
+    script sends: against the dh variant a key pair first, if the script
+    sends PUBLIC (so it needs the group parameters; ValueError otherwise),
+    then a challenge, if it sends NONCE. id, victim_a and victim_b are
     6-octet addresses (TypeError, ValueError otherwise).
     """
 
@@ -85,26 +147,30 @@ class IntruderState:
     rng_seed: int
     dh_params: DhParams | None = None
     dh_own: DhKeyPair | None = field(default=None, init=False)
-    # origination bookkeeping
     own_challenge: bytes | None = field(default=None, init=False)
-    held_challenge: Message | None = field(default=None, init=False)
+    held: bytes | None = field(default=None, init=False)
+    # the script, the address of each victim and each drawn payload source
+    # are not changed once built, so a copy of the intruder is a snapshot
+    script: dict = field(init=False, repr=False, compare=False)
+    values: dict[str, bytes] = field(init=False, repr=False, compare=False)
+    victim_of: dict[bytes, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_octets("id", self.id, 6)
         check_octets("victim_a", self.victim_a, 6)
         check_octets("victim_b", self.victim_b, 6)
-        forges_publics = (
-            self.variant is Variant.DH_IMPROVED and self.mode is not IntruderMode.RELAY_PASSIVE
-        )
+        self.script, forges_publics, sends_nonce = _PLANS[self.mode, self.variant]
+        self.values = {A: self.victim_a, B: self.victim_b}
+        self.victim_of = {self.victim_a: A, self.victim_b: B}
         if forges_publics and self.dh_params is None:
             raise ValueError("an active intruder against the dh variant needs the group parameters")
-        originates = self.mode is IntruderMode.ORIGINATE_TO_A
-        if forges_publics or originates:
+        if forges_publics or sends_nonce:
             rng = random.Random(self.rng_seed)
             if forges_publics:
                 self.dh_own = dh_keypair(self.dh_params, rng.randrange(1, self.dh_params.p))
-            if originates:
-                self.own_challenge = rng.randbytes(16)
+                self.values[PUBLIC] = encode_public(self.dh_own.s_public)
+            if sends_nonce:
+                self.own_challenge = self.values[NONCE] = rng.randbytes(16)
 
     def intercept(self, msg: Message) -> list[Message]:
         return intercept(self, msg)
@@ -113,86 +179,36 @@ class IntruderState:
         return start_attack(self)
 
 
-def _own_keypair(intruder: IntruderState) -> DhKeyPair:
-    if intruder.dh_own is None:
-        raise ValueError("only an active intruder against the dh variant forges public values")
-    return intruder.dh_own
-
-
 def start_attack(intruder: IntruderState) -> list[Message]:
-    """Kickoff messages; non-empty only for the originating mode."""
-    if intruder.mode is not IntruderMode.ORIGINATE_TO_A:
-        return []
-    victim, fake = intruder.victim_a, intruder.victim_b
-    out = [Message(MsgKind.AUTH_REQUEST, fake, victim, fake)]
-    if intruder.variant is Variant.DH_IMPROVED:
-        pair = _own_keypair(intruder)
-        out.append(Message(MsgKind.DH_PUBLIC, fake, victim, encode_public(pair.s_public)))
-    else:
-        out.append(_issue_own_challenge(intruder, victim, fake))
-    return out
-
-
-def _issue_own_challenge(intruder: IntruderState, victim: bytes, fake: bytes) -> Message:
-    assert intruder.own_challenge is not None
-    return Message(MsgKind.CHALLENGE, fake, victim, intruder.own_challenge)
+    """Kickoff messages: the script's OPEN row, which only originate has."""
+    return _act(intruder, intruder.script.get(OPEN, ()), None)
 
 
 def intercept(intruder: IntruderState, msg: Message) -> list[Message]:
     """React to one message that physically arrived at the intruder."""
-    if intruder.mode is IntruderMode.RELAY_PASSIVE:
-        return [msg]
-    if intruder.mode is IntruderMode.RELAY_ACTIVE:
-        if msg.kind is MsgKind.DH_PUBLIC:
-            pair = _own_keypair(intruder)
-            swapped = Message(
-                MsgKind.DH_PUBLIC, msg.sender, msg.receiver, encode_public(pair.s_public)
-            )
-            return [swapped]
-        return [msg]
-    return _originate_step(intruder, msg)
+    row = intruder.script.get((msg.kind, intruder.victim_of.get(msg.sender)))
+    if row is None:
+        return [] if OPEN in intruder.script else [msg]
+    return _act(intruder, row, msg.payload)
 
 
-def _originate_step(intruder: IntruderState, msg: Message) -> list[Message]:
-    # responder a emits one ChallengeMsg and at most one DhPublicMsg, and b
-    # at most one DhPublicMsg, so no branch below acts twice in a run; the
-    # exhaustive walk in tests/test_protocol.py checks both bounds on every
-    # order of delivery
-    a, b = intruder.victim_a, intruder.victim_b
-    source = msg.sender
-
-    if msg.kind is MsgKind.DH_PUBLIC:
-        if source == a:
-            # a's public answered ours; now the challenge leg can start
-            return [_issue_own_challenge(intruder, a, b)]
-        # b's public answered ours: release a's held counter-challenge
-        return [intruder.held_challenge]
-
-    if msg.kind is MsgKind.CHALLENGE:
-        if source == a:
-            # a's counter-challenge becomes a fresh handshake toward b under
-            # a's address; b's own counter-challenge will be dropped, so
-            # nothing downstream can ever be answered
-            out = [Message(MsgKind.AUTH_REQUEST, a, b, a)]
-            if intruder.variant is Variant.DH_IMPROVED:
-                pair = _own_keypair(intruder)
-                out.append(Message(MsgKind.DH_PUBLIC, a, b, encode_public(pair.s_public)))
-                intruder.held_challenge = msg
-            else:
-                out.append(msg)
-            return out
-        return []
-
-    if msg.kind is MsgKind.RESPONSE:
-        # a's answers are the harvest, answers to challenges we chose; b's
-        # answers go on to a
-        if source == a:
-            return []
-        return [msg]
-
-    # confirmations and failures die here; the stalled victim is left to
-    # its timeout
-    return []
+def _act(intruder: IntruderState, row, arriving: bytes | None) -> list[Message]:
+    values, out = intruder.values, []
+    for action in row:
+        if action == HOLD:
+            intruder.held = arriving
+            continue
+        kind, sender, receiver, source = action
+        if source == ARRIVING:
+            payload = arriving
+        elif source == HELD:
+            payload = intruder.held
+        elif source == PUBLIC and PUBLIC not in values:
+            raise ValueError("only an active intruder against the dh variant forges public values")
+        else:
+            payload = values[source]
+        out.append(Message(kind, values[sender], values[receiver], payload))
+    return out
 
 
 def verdict(

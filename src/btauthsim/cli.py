@@ -26,7 +26,7 @@ from .crypto import (
 from .protocol import AuthOutcome, DeviceState, Variant, new_device
 from .simnet import Detection, LinkConfig, Transcript, delay_detector, run, transcript_rtt
 
-__all__ = ["ScenarioConfig", "ScenarioResult", "ConfigError", "run_scenario", "main"]
+__all__ = ["ScenarioConfig", "HEADLINE", "ScenarioResult", "ConfigError", "run_scenario", "main"]
 
 ADDR_A = bytes.fromhex("aa0000000001")
 ADDR_B = bytes.fromhex("bb0000000002")
@@ -62,6 +62,19 @@ class ScenarioConfig:
         return f"{self.variant.value}+{mode}"
 
 
+# the ten headline scenarios of the attack matrix, in the README's order
+HEADLINE: tuple[ScenarioConfig, ...] = (
+    *(ScenarioConfig(variant) for variant in Variant),
+    ScenarioConfig(Variant.LEGACY, IntruderMode.RELAY_ACTIVE),
+    ScenarioConfig(Variant.LEGACY, IntruderMode.RELAY_PASSIVE),
+    ScenarioConfig(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A, initiator="C"),
+    ScenarioConfig(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE),
+    ScenarioConfig(Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C"),
+    ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE),
+    ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     seed: int
@@ -88,8 +101,9 @@ def validate(config: ScenarioConfig) -> Prepared:
     field that is not exactly an int raises TypeError naming it before
     that cache is read: the cache key holds the group as one tuple, and
     would take 10.0 or True there for the int it equals. run_scenario
-    takes its inputs from here, so every check applies to every run. The flags named in each ConfigError message are those of
-    the command line."""
+    takes its inputs from here, so every check applies to every run. The
+    flags named in each ConfigError message are those of the command
+    line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
@@ -157,13 +171,13 @@ def _prepared(
 
     The link timing and the group (through check_group) are turned into
     their value types here and nowhere else. The baselines are the round
-    trips of an intruder-free companion run, read from its transcript. In an honest run no branch
-    depends on payload octets (responses always verify, and every public
-    value of a keypair is a valid peer value), so the delivery schedule,
-    and with it each round trip, depends on the variant and the link timing
-    alone; one run at a fixed seed calibrates every seed. Raises
-    ConfigError on an invalid link timing or group, and when the timeout
-    cuts that run short of a round trip for either device.
+    trips of an intruder-free companion run, read from its transcript. In
+    an honest run no branch depends on payload octets (responses always
+    verify, and every public value of a keypair is a valid peer value), so
+    the delivery schedule, and with it each round trip, depends on the
+    variant and the link timing alone; one run at a fixed seed calibrates
+    every seed. Raises ConfigError on an invalid link timing or group, and
+    when the timeout cuts that run short of a round trip for either device.
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
     params = None if group is None else check_group(*group)

@@ -288,7 +288,8 @@ def prime_factors(n: int) -> list[int]:
 class DhParams:
     """Public group: prime modulus p and a generator candidate alpha.
 
-    Construction enforces primality, alpha in [2, p-1], and, through
+    Construction enforces that p and alpha are exactly ints (TypeError
+    naming the field otherwise), primality, alpha in [2, p-1], and, through
     is_prime's bound, p < 2^82, so the shared secret always fits the
     16-octet session-key derivation. Whether alpha really generates the
     full group is the caller's check (has_full_order, on the constructed
@@ -299,6 +300,12 @@ class DhParams:
     alpha: int
 
     def __post_init__(self):
+        # a bool or a float equals, and passes the checks below as, the int
+        # it stands for
+        for name in ("p", "alpha"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not 2 <= self.alpha <= self.p - 1:
@@ -345,11 +352,14 @@ class DhKeyPair:
 
 
 def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
-    """Key pair with public value alpha^r mod p; r must lie in [1, p-1].
+    """Key pair with public value alpha^r mod p; r must be an int
+    (TypeError otherwise) in [1, p-1].
 
     alpha^r is the product of one entry of each row of params.alpha_table,
     the one that each octet of r selects."""
     p = params.p
+    if type(r) is not int:
+        raise TypeError(f"r must be an int, got {type(r).__name__}")
     if not 1 <= r <= p - 1:
         raise ValueError(f"private exponent must be in [1, p-1], got {r}")
     s_public = 1

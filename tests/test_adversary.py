@@ -1,5 +1,7 @@
 """Intruder behavior, attack scorecards, and discrete-log cost."""
 
+import copy
+import dataclasses
 import random
 import types
 
@@ -319,20 +321,6 @@ class TestVerdictPlumbing:
             verdict(dict.fromkeys(parties, outcome), transcript, Detection.NONE, KEY)
 
 
-HEADLINE = [
-    (Variant.LEGACY, None),
-    (Variant.IMPROVED, None),
-    (Variant.DH_IMPROVED, None),
-    (Variant.LEGACY, IntruderMode.RELAY_ACTIVE),
-    (Variant.LEGACY, IntruderMode.RELAY_PASSIVE),
-    (Variant.LEGACY, IntruderMode.ORIGINATE_TO_A),
-    (Variant.IMPROVED, IntruderMode.RELAY_ACTIVE),
-    (Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A),
-    (Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE),
-    (Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE),
-]
-
-
 def full_scan_confidentiality(challenges, responses, outcomes, link_key):
     """Every 16-octet item of challenges against every honest claimant, with
     the unmemoised e1 and no early exit, matched among the 4-octet items of
@@ -428,12 +416,9 @@ class TestConfidentialityScan:
             return score
 
         monkeypatch.setattr(cli, "verdict", checked)
-        for variant, mode in HEADLINE:
-            initiator = "C" if mode is IntruderMode.ORIGINATE_TO_A else "A"
-            config = ScenarioConfig(
-                variant=variant,
-                intruder=mode,
-                initiator=initiator,
+        for headline in cli.HEADLINE:
+            config = dataclasses.replace(
+                headline,
                 latency_ms=latency_ms,
                 timeout_ms=timeout_ms,
                 dh_p=dh_p,
@@ -442,7 +427,7 @@ class TestConfidentialityScan:
             for seed in range(20):
                 run_scenario(config, seed)
         # intruder-free runs go through the same judge
-        assert len(judged) == 20 * len(HEADLINE)
+        assert len(judged) == 20 * len(cli.HEADLINE)
         assert set(judged) == set(Confidentiality)
 
     def test_no_captured_response_means_no_scan(self, monkeypatch):
@@ -965,6 +950,69 @@ class TestIntruderRng:
         public = Message(MsgKind.DH_PUBLIC, ADDR_A, ADDR_B, bytes(16))
         with pytest.raises(ValueError, match="forges public values"):
             intruder.intercept(public)
+
+
+class TestScripts:
+    def test_every_row_of_every_script_fires(self, monkeypatch):
+        # over the headline scenarios, and dh-improved+originate, whose
+        # script is the one no headline scenario runs, at seeds 0-19; a row
+        # that ORIGINATE_DH takes from ORIGINATE unchanged is one row, which
+        # fires on legacy (B never answers on dh-improved)
+        acted = []
+        act = adversary._act
+
+        def recording_act(intruder, row, arriving):
+            acted.append(row)
+            return act(intruder, row, arriving)
+
+        monkeypatch.setattr(adversary, "_act", recording_act)
+        dh_originate = ScenarioConfig(
+            Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C"
+        )
+        for config in (*cli.HEADLINE, dh_originate):
+            for seed in range(20):
+                run_scenario(config, seed)
+        fired = {id(row) for row in acted}
+        for (mode, variant), script in adversary.SCRIPTS.items():
+            for key, row in script.items():
+                assert id(row) in fired, (mode.value, variant.value, key)
+
+    @pytest.mark.parametrize("variant", [Variant.LEGACY, Variant.IMPROVED], ids=lambda v: v.value)
+    def test_relay_active_without_public_values_is_a_passive_relay(self, variant):
+        # its only rows are for DhPublicMsg, which neither variant sends
+        active = ScenarioConfig(variant, IntruderMode.RELAY_ACTIVE)
+        passive = ScenarioConfig(variant, IntruderMode.RELAY_PASSIVE)
+        for seed in range(200):
+            got, want = run_scenario(active, seed), run_scenario(passive, seed)
+            assert got.transcript.to_jsonl() == want.transcript.to_jsonl(), f"seed {seed}"
+            assert got.score == want.score, f"seed {seed}"
+
+    def test_originate_holds_a_counter_challenge_until_b_answers_its_public(self):
+        _, _, intruder, transcript, _, _ = attack_run(
+            Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A
+        )
+        hops = [(e.from_id, e.to_id, e.kind) for e in transcript.events]
+        # A's counter-challenge reaches C, then B's public does, and only
+        # then does the counter-challenge go on to B, under A's address
+        hold = hops.index((ADDR_A, ADDR_C, MsgKind.CHALLENGE))
+        release = hops.index((ADDR_C, ADDR_B, MsgKind.CHALLENGE))
+        assert hold < hops.index((ADDR_B, ADDR_C, MsgKind.DH_PUBLIC)) < release
+        held = transcript.events[hold].payload
+        assert transcript.events[release].payload == held
+        assert intruder.held == held
+
+    def test_a_copy_is_a_snapshot(self):
+        # a copy taken before the hold keeps nothing held, and the original
+        # releases what it holds
+        intruder = IntruderState(
+            ADDR_C, IntruderMode.ORIGINATE_TO_A, Variant.DH_IMPROVED, ADDR_A, ADDR_B, 3, PARAMS
+        )
+        before = copy.copy(intruder)
+        counter = Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, bytes(range(16)))
+        intruder.intercept(counter)
+        public = Message(MsgKind.DH_PUBLIC, ADDR_B, ADDR_A, bytes(16))
+        assert intruder.intercept(public) == [counter]
+        assert before.held is None
 
 
 class TestDlogBruteforce:

@@ -34,6 +34,13 @@ def test_gate_digest_matches_expected(name):
     assert digest == workloads.expected_digest(name)
 
 
+def test_workloads_run_the_headline_table():
+    # the benchmark keeps its own copy of the table, with the expected rows
+    assert [(variant, mode, initiator) for variant, mode, initiator, _ in workloads.HEADLINE] == [
+        (config.variant, config.intruder, config.initiator) for config in cli.HEADLINE
+    ]
+
+
 def test_tracer_patch_points_are_on_the_call_path(monkeypatch):
     # spans.py imports its sibling as plain `workloads`
     monkeypatch.setitem(sys.modules, "workloads", workloads)

@@ -236,6 +236,22 @@ class TestDhParams:
         with pytest.raises(ValueError):
             DhParams(p=(1 << 128) + 51, alpha=2)
 
+    @pytest.mark.parametrize(
+        "p,alpha,field,got",
+        [
+            (23, 5.0, "alpha", "float"),
+            (23.0, 5, "p", "float"),
+            (23, True, "alpha", "bool"),
+            (True, 5, "p", "bool"),
+            ("23", 5, "p", "str"),
+        ],
+    )
+    def test_a_field_that_is_not_an_int_is_refused(self, p, alpha, field, got):
+        # each of these equals, or would pass the checks as, a valid group:
+        # alpha=5.0 gave float public values, p=23.0 passed is_prime
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {got}$"):
+            DhParams(p=p, alpha=alpha)
+
 
 class TestKeyAgreement:
     def test_worked_instance(self):
@@ -254,6 +270,12 @@ class TestKeyAgreement:
             dh_keypair(params, 0)
         with pytest.raises(ValueError):
             dh_keypair(params, 23)
+
+    @pytest.mark.parametrize("r,got", [(True, "bool"), (6.0, "float"), ("6", "str")])
+    def test_private_exponent_must_be_an_int(self, r, got):
+        # True would become r_private=True, 6.0 a float exponent
+        with pytest.raises(TypeError, match=f"^r must be an int, got {got}$"):
+            dh_keypair(DhParams(p=23, alpha=5), r)
 
     def test_peer_public_range(self):
         params = DhParams(p=23, alpha=5)

@@ -5,19 +5,18 @@ validate accepts (the short one cuts some intruder runs before they end),
 on 20 seeds, with the dh-improved rows at both p = 2^31-1 and the widest
 group the benchmark runs. The digest is the SHA-256 over the report line,
 the text transcript, the JSONL transcript and the link-key hex of every run,
-so any change to a run's outputs, octet for octet, fails here.
+so any change to a run's outputs, octet for octet, fails here. A second
+sweep, pinned the same way, covers dh-improved+originate, the one intruder
+scenario outside the headline and the only one that holds a message back.
 """
 
+import dataclasses
 import hashlib
 
-from test_scripts import load_script
-
 from btauthsim.adversary import IntruderMode
-from btauthsim.cli import ScenarioConfig, report_line, run_scenario
+from btauthsim.cli import HEADLINE, ScenarioConfig, report_line, run_scenario
 from btauthsim.protocol import Variant
 
-# (variant, intruder mode, initiator) of the ten headline scenarios
-HEADLINE = load_script("attack_matrix").SCENARIOS
 # (latency_ms, timeout_ms); at 3/40 the dh-improved passive relay times out
 TIMINGS = [(10, 2000), (3, 40), (25, 1000)]
 # the default group, then the largest safe prime below 2^47 with generator 2
@@ -26,19 +25,20 @@ SEEDS = range(20)
 
 # computed on the code before octets became plain bytes
 EXPECTED = "f938ec89f76203631eaba83049362809ca513e8c888c4a4317f002083ec12643"
+DH_ORIGINATE = ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C")
+# computed on the code before the intruder modes became scripts
+EXPECTED_DH_ORIGINATE = "79abd52368e07d4b9aaa959f1ad103511479ead8c9c3dc9b1f524550da2bc5fc"
 
 
-def sweep_configs() -> list[ScenarioConfig]:
+def sweep_configs(scenarios=HEADLINE) -> list[ScenarioConfig]:
     configs = []
     for latency_ms, timeout_ms in TIMINGS:
-        for variant, mode, initiator in HEADLINE:
-            groups = GROUPS if variant is Variant.DH_IMPROVED else GROUPS[:1]
+        for scenario in scenarios:
+            groups = GROUPS if scenario.variant is Variant.DH_IMPROVED else GROUPS[:1]
             for dh_p, dh_alpha in groups:
                 configs.append(
-                    ScenarioConfig(
-                        variant=variant,
-                        intruder=mode,
-                        initiator=initiator,
+                    dataclasses.replace(
+                        scenario,
                         latency_ms=latency_ms,
                         timeout_ms=timeout_ms,
                         dh_p=dh_p,
@@ -48,9 +48,9 @@ def sweep_configs() -> list[ScenarioConfig]:
     return configs
 
 
-def sweep_digest() -> str:
+def sweep_digest(configs: list[ScenarioConfig]) -> str:
     digest = hashlib.sha256()
-    for config in sweep_configs():
+    for config in configs:
         for seed in SEEDS:
             result = run_scenario(config, seed)
             for part in (
@@ -79,4 +79,8 @@ def test_the_sweep_covers_what_it_names():
 
 
 def test_sweep_outputs_are_pinned():
-    assert sweep_digest() == EXPECTED
+    assert sweep_digest(sweep_configs()) == EXPECTED
+
+
+def test_dh_originate_outputs_are_pinned():
+    assert sweep_digest(sweep_configs([DH_ORIGINATE])) == EXPECTED_DH_ORIGINATE

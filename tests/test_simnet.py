@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from test_scripts import load_script
-
 from btauthsim import cli, simnet
 from btauthsim.adversary import IntruderMode, IntruderState
-from btauthsim.cli import ScenarioConfig, run_scenario
+from btauthsim.cli import run_scenario
 from btauthsim.crypto import DhParams
 from btauthsim.protocol import AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import (
@@ -451,10 +449,6 @@ class TestDelayDetector:
                 delay_detector(transcript, 20, factor, ADDR_A)
 
 
-# (variant, intruder mode, initiator) of the ten headline scenarios
-HEADLINE = load_script("attack_matrix").SCENARIOS
-
-
 def copy_of(addr: bytes) -> bytes:
     """An address equal to addr that is a separate object."""
     copy = bytes(bytearray(addr))
@@ -463,17 +457,12 @@ def copy_of(addr: bytes) -> bytes:
 
 
 class TestAddressesCompareByValue:
-    @pytest.mark.parametrize(
-        "variant,mode,initiator",
-        HEADLINE,
-        ids=[ScenarioConfig(variant=v, intruder=m).scenario_name for v, m, _ in HEADLINE],
-    )
-    def test_separate_copies_give_the_same_runs(self, monkeypatch, variant, mode, initiator):
+    @pytest.mark.parametrize("config", cli.HEADLINE, ids=lambda config: config.scenario_name)
+    def test_separate_copies_give_the_same_runs(self, monkeypatch, config):
         # every address a party is built with or handed is its own copy:
         # each device id, the peer start opens toward, the intruder id, each
         # victim and each device the detector reads; the calibration run is
         # built anew with copies too, and read with the shared constants
-        config = ScenarioConfig(variant=variant, intruder=mode, initiator=initiator)
         expected = [run_scenario(config, seed) for seed in range(5)]
 
         def copying(module, name, *positions):
