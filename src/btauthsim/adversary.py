@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .crypto import DhKeyPair, DhParams, check_octets, dh_keypair, e1
+from .crypto import DhKeyPair, DhParams, check_octets, check_public, dh_keypair, e1
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -136,7 +136,7 @@ class IntruderState:
     script sends: against the dh variant a key pair first, if the script
     sends PUBLIC (so it needs the group parameters; ValueError otherwise),
     then a challenge, if it sends NONCE. id, victim_a and victim_b are
-    6-octet addresses (TypeError, ValueError otherwise).
+    three distinct 6-octet addresses (TypeError, ValueError otherwise).
     """
 
     id: bytes
@@ -159,6 +159,8 @@ class IntruderState:
         check_octets("id", self.id, 6)
         check_octets("victim_a", self.victim_a, 6)
         check_octets("victim_b", self.victim_b, 6)
+        if len({self.id, self.victim_a, self.victim_b}) < 3:
+            raise ValueError("id, victim_a and victim_b must be distinct addresses")
         self.script, forges_publics, sends_nonce = _PLANS[self.mode, self.variant]
         self.values = {A: self.victim_a, B: self.victim_b}
         self.victim_of = {self.victim_a: A, self.victim_b: B}
@@ -297,8 +299,7 @@ def dlog_bruteforce(params: DhParams, s_public: int) -> tuple[int, int]:
     Cost grows linearly in the recovered exponent, which is the whole point
     measured by the experiment scripts.
     """
-    if not 1 <= s_public <= params.p - 1:
-        raise ValueError(f"public value must be in [1, p-1], got {s_public}")
+    check_public(params, s_public)
     acc = 1
     for r in range(1, params.p):
         acc = acc * params.alpha % params.p

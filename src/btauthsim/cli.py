@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
     DhParams,
+    check_int,
     combination_link_key,
     e1,
     has_full_order,
@@ -91,31 +92,24 @@ Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
 
 def validate(config: ScenarioConfig) -> Prepared:
     """Reject a configuration that cannot run, else return its links, group
-    and per-device baselines. The initiator (which must be C exactly for
-    the originate intruder, the one mode that opens a run itself) and the
-    detector threshold are checked here; link timing (by LinkConfig, which
-    raises TypeError naming a field that is not exactly an int) and the
-    group are checked, and a timeout too short for the intruder-free
-    handshake is caught, by _prepared, which caches them per configuration,
-    keyed by the type of each timing field as well as its value. A group
-    field that is not exactly an int raises TypeError naming it before
-    that cache is read: the cache key holds the group as one tuple, and
-    would take 10.0 or True there for the int it equals. run_scenario
-    takes its inputs from here, so every check applies to every run. The
-    flags named in each ConfigError message are those of the command
-    line."""
+    and per-device baselines. Only the checks across fields are made here:
+    the initiator must be C exactly for the originate intruder, the one
+    mode that opens a run itself, and the detector threshold must be
+    finite and exceed 1. Link timing (by LinkConfig) and the group (by
+    check_group) are checked, and a timeout too short for the
+    intruder-free handshake is caught, by _prepared, which caches them per
+    configuration; a field that is not exactly an int raises TypeError
+    naming it. run_scenario takes its inputs from here, so every check
+    applies to every run. The flags named in each ConfigError message are
+    those of the command line."""
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
         raise ConfigError("initiator C and the originate intruder mode require each other")
     if not 1 < config.detect_factor < math.inf:
         raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
-    group = None
-    if config.variant is Variant.DH_IMPROVED:
-        _check_int("dh_p", config.dh_p)
-        _check_int("dh_alpha", config.dh_alpha)
-        group = (config.dh_p, config.dh_alpha)
-    return _prepared(config.variant, config.latency_ms, config.timeout_ms, group)
+    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else ()
+    return _prepared(config.variant, config.latency_ms, config.timeout_ms, *group)
 
 
 def _construct(flags: str, value_type, *args):
@@ -148,9 +142,12 @@ def _build_devices(
 
 
 def check_group(dh_p: int, dh_alpha: int) -> DhParams:
-    """The group of modulus dh_p and generator dh_alpha; raises ConfigError
-    unless dh_p is a prime below DH_P_CAP and dh_alpha generates its whole
+    """The group of modulus dh_p and generator dh_alpha; raises TypeError
+    naming a field that is not exactly an int, and ConfigError unless dh_p
+    is a prime below DH_P_CAP and dh_alpha generates its whole
     multiplicative group."""
+    check_int("dh_p", dh_p)
+    check_int("dh_alpha", dh_alpha)
     if dh_p >= DH_P_CAP:
         raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
     params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
@@ -160,27 +157,33 @@ def check_group(dh_p: int, dh_alpha: int) -> DhParams:
 
 
 # typed, so that 10.0 or True misses an entry of the int it equals and
-# reaches LinkConfig's check
+# reaches the check of LinkConfig or check_group
 @functools.lru_cache(maxsize=None, typed=True)
 def _prepared(
-    variant: Variant, latency_ms: int, timeout_ms: int, group: tuple[int, int] | None
+    variant: Variant,
+    latency_ms: int,
+    timeout_ms: int,
+    dh_p: int | None = None,
+    dh_alpha: int | None = None,
 ) -> Prepared:
     """Links, group and per-device baselines of one configuration, built
-    and checked once per variant, link timing and group (dh-improved only;
-    the other variants take no group).
+    and checked once per variant, link timing and group. Only dh-improved
+    takes a group; validate passes dh_p and dh_alpha for it alone.
 
-    The link timing and the group (through check_group) are turned into
-    their value types here and nowhere else. The baselines are the round
-    trips of an intruder-free companion run, read from its transcript. In
-    an honest run no branch depends on payload octets (responses always
-    verify, and every public value of a keypair is a valid peer value), so
-    the delivery schedule, and with it each round trip, depends on the
-    variant and the link timing alone; one run at a fixed seed calibrates
-    every seed. Raises ConfigError on an invalid link timing or group, and
-    when the timeout cuts that run short of a round trip for either device.
+    The link timing and the group (through check_group) are checked and
+    turned into their value types here and nowhere else. The baselines are
+    the round trips of an intruder-free companion run, read from its
+    transcript. In an honest run no branch depends on payload octets
+    (responses always verify, and every public value of a keypair is a
+    valid peer value), so the delivery schedule, and with it each round
+    trip, depends on the variant and the link timing alone; one run at a
+    fixed seed calibrates every seed. Raises TypeError naming a field that
+    is not exactly an int, and ConfigError on an invalid link timing or
+    group or when the timeout cuts that run short of a round trip for
+    either device.
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
-    params = None if group is None else check_group(*group)
+    params = check_group(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None
     dev_a, dev_b = _build_devices(variant, bytes(16), 0, 1, params)
     calibration, _ = run(dev_a, dev_b, None, links)
     baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (ADDR_A, ADDR_B))
@@ -192,16 +195,10 @@ def _prepared(
     return links, params, baselines
 
 
-def _check_int(name: str, value: int) -> None:
-    # a bool or a float equals, and hashes like, the int it stands for
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-
-
 def _check_seed(seed: int) -> None:
     # random.Random seeds from a bool or a float as from the int it equals,
     # so True or 1.0 would replay seed 1 under another label
-    _check_int("seed", seed)
+    check_int("seed", seed)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 

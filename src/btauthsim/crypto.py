@@ -5,7 +5,8 @@ widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
 octets, 128-bit challenges and keys, 32-bit signed responses, 96-bit
 ciphering offset. Every octet string a function takes or returns, addresses
 and PINs included, is plain bytes; each function checks the type and width
-of the octets it takes, and check_octets holds that check and its messages.
+of the octets it takes, and check_octets holds that check and its messages,
+as check_int does for exact ints and check_public for a peer's public value.
 
 e1 derives only the 32-bit response, from the one lane of the digest that
 the response reads; e1_aco derives the ciphering offset from the full
@@ -39,6 +40,8 @@ import threading
 
 __all__ = [
     "check_octets",
+    "check_int",
+    "check_public",
     "DhParams",
     "DhKeyPair",
     "mixhash128",
@@ -71,6 +74,13 @@ def check_octets(name: str, value: bytes, width: int, max_width: int | None = No
             raise ValueError(f"{name} must be exactly {width} octets, got {len(value)}")
     elif not width <= len(value) <= max_width:
         raise ValueError(f"{name} must be {width} to {max_width} octets, got {len(value)}")
+
+
+def check_int(name: str, value: int) -> None:
+    """Raise TypeError naming value unless it is exactly an int: a bool or
+    a float equals, hashes like and passes range checks as the int it is."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -300,12 +310,8 @@ class DhParams:
     alpha: int
 
     def __post_init__(self):
-        # a bool or a float equals, and passes the checks below as, the int
-        # it stands for
-        for name in ("p", "alpha"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        check_int("p", self.p)
+        check_int("alpha", self.alpha)
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not 2 <= self.alpha <= self.p - 1:
@@ -358,8 +364,7 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
     alpha^r is the product of one entry of each row of params.alpha_table,
     the one that each octet of r selects."""
     p = params.p
-    if type(r) is not int:
-        raise TypeError(f"r must be an int, got {type(r).__name__}")
+    check_int("r", r)
     if not 1 <= r <= p - 1:
         raise ValueError(f"private exponent must be in [1, p-1], got {r}")
     s_public = 1
@@ -370,18 +375,18 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
     return DhKeyPair(r_private=r, s_public=s_public)
 
 
-def _check_peer_public(params: DhParams, peer_public: int) -> None:
-    if type(peer_public) is not int:
-        raise TypeError(f"peer public value must be an int, got {type(peer_public).__name__}")
-    if not 1 <= peer_public <= params.p - 1:
-        raise ValueError(f"peer public value must be in [1, p-1], got {peer_public}")
+def check_public(params: DhParams, value: int) -> None:
+    """Raise TypeError unless a peer's public value is exactly an int, and
+    ValueError unless it lies in [1, p-1]."""
+    check_int("peer public value", value)
+    if not 1 <= value <= params.p - 1:
+        raise ValueError(f"peer public value must be in [1, p-1], got {value}")
 
 
 def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
     """Shared secret peer_public^r mod p; both directions agree. Raises
-    TypeError unless peer_public is an int, and ValueError unless it lies
-    in [1, p-1]."""
-    _check_peer_public(params, peer_public)
+    as check_public does on a peer_public it refuses."""
+    check_public(params, peer_public)
     return modexp(peer_public, r, params.p)
 
 
@@ -407,19 +412,19 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     peer_public: session_key_from_shared(dh_shared(params, peer_public,
     own.r_private), params).
 
-    dh_shared's check of the peer value runs on every call, before the memo
-    is read. The memo is keyed by the group and the two public values in
-    ascending order, so the device on the other side, holding the pair of
-    peer_public and handed own.s_public, is answered without a modular
-    exponentiation. That is sound for key pairs from dh_keypair, whose
-    s_public is alpha^r_private: the two sides compute
-    (alpha^b)^a = (alpha^a)^b. An entry derived by a pair with the same
-    public value but another exponent (possible only when alpha does not
-    generate the whole group) is not used: the key is derived again.
-    The memo holds at most 8 entries, oldest first out, under a lock;
-    cli.run_scenario calls session_key.cache_clear() before each run.
+    check_public runs on every call, before the memo is read. The memo is
+    keyed by the group and the two public values in ascending order, so the
+    device on the other side, holding the pair of peer_public and handed
+    own.s_public, is answered without a modular exponentiation. That is
+    sound for key pairs from dh_keypair, whose s_public is alpha^r_private:
+    the two sides compute (alpha^b)^a = (alpha^a)^b. An entry derived by a
+    pair with the same public value but another exponent (possible only
+    when alpha does not generate the whole group) is not used: the key is
+    derived again. The memo holds at most 8 entries, oldest first out,
+    under a lock; cli.run_scenario calls session_key.cache_clear() before
+    each run.
     """
-    _check_peer_public(params, peer_public)
+    check_public(params, peer_public)
     mine = own.s_public
     memo_key = (params, mine, peer_public) if mine < peer_public else (params, peer_public, mine)
     with _SESSION_KEYS_LOCK:

@@ -16,8 +16,7 @@ the handshake with an AuthFail.
 
 A device holds only values: what its handshake reads, including its own
 challenge and, on dh-improved, its key pair, both drawn when the device is
-built, so a copy of a device is a snapshot of it. The encryption key of a
-completed handshake is derived from the first leg when read. Devices take no
+built, so a copy of a device is a snapshot of it. Devices take no
 time input and never self-transition on time: delivery times, timeouts and
 round-trip measurement belong to the network loop driving them and to its
 transcript. Each state machine is single-owner: one driving loop mutates it,
@@ -41,8 +40,6 @@ from .crypto import (
     check_octets,
     dh_keypair,
     e1,
-    e1_aco,
-    encryption_key,
     session_key,
     xor_bytes,
 )
@@ -192,22 +189,6 @@ class DeviceState:
     phase: Phase = field(default=Phase.IDLE, init=False)
     pending_challenge_received: bytes | None = field(default=None, init=False)
     dh: DhKeyPair | None = field(default=None, init=False)
-
-    @property
-    def enc_key(self) -> bytes | None:
-        """Encryption key of a Done device, else None, derived on read from
-        the first leg: the challenge the initiator sent and the responder
-        received, and the ciphering offset of e1_aco on it and the
-        responder's address. A Done device absorbs every message, so every
-        read gives the same key."""
-        if self.phase is not Phase.DONE:
-            return None
-        if self.role is Role.INITIATOR:
-            challenge, responder = self.challenge, self.peer
-        else:
-            challenge, responder = self.pending_challenge_received, self.id
-        aco = e1_aco(self.effective_key, challenge, responder)
-        return encryption_key(self.effective_key, aco, challenge)
 
 
 def new_device(

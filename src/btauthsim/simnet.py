@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
+from .crypto import check_int
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -49,12 +50,9 @@ class LinkConfig:
     timeout_ms: int = 2000
 
     def __post_init__(self):
-        # a bool or a float equals, and hashes like, the int it stands for,
-        # and would put non-integer times in the transcript
-        for name in ("latency_ms", "timeout_ms"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        # a bool or a float would put non-integer times in the transcript
+        check_int("latency_ms", self.latency_ms)
+        check_int("timeout_ms", self.timeout_ms)
         if self.latency_ms <= 0:
             raise ValueError("latency must be positive")
         if self.timeout_ms <= self.latency_ms:

@@ -1014,6 +1014,21 @@ class TestScripts:
         assert intruder.intercept(public) == [counter]
         assert before.held is None
 
+    @pytest.mark.parametrize("mode", list(IntruderMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "id_,victim_a,victim_b",
+        [(ADDR_A, ADDR_A, ADDR_B), (ADDR_B, ADDR_A, ADDR_B), (ADDR_C, ADDR_A, ADDR_A)],
+        ids=["id-is-victim-a", "id-is-victim-b", "equal-victims"],
+    )
+    def test_addresses_must_be_distinct(self, mode, id_, victim_a, victim_b):
+        # an intruder under a victim's address received the hops it sent to
+        # that victim, so A's messages bounced until the run timed out
+        with pytest.raises(ValueError, match="^id, victim_a and victim_b must be distinct"):
+            IntruderState(id_, mode, Variant.DH_IMPROVED, victim_a, victim_b, 3, PARAMS)
+        # equal bytes that are distinct objects are still equal addresses
+        with pytest.raises(ValueError, match="^id, victim_a and victim_b must be distinct"):
+            IntruderState(bytes(bytearray(id_)), mode, Variant.LEGACY, victim_a, victim_b, 3)
+
 
 class TestDlogBruteforce:
     P23 = DhParams(p=23, alpha=5)
@@ -1042,3 +1057,8 @@ class TestDlogBruteforce:
             dlog_bruteforce(self.P23, 0)
         with pytest.raises(ValueError):
             dlog_bruteforce(self.P23, 23)
+        # True equals 1 and 1.0 compares as 1: neither is a public value
+        with pytest.raises(TypeError):
+            dlog_bruteforce(self.P23, True)
+        with pytest.raises(TypeError):
+            dlog_bruteforce(self.P23, 1.0)

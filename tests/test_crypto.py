@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from btauthsim import crypto
 from btauthsim.crypto import (
     DhParams,
+    check_int,
     check_octets,
+    check_public,
     combination_link_key,
     dh_keypair,
     dh_shared,
@@ -137,6 +139,30 @@ class TestOctetArguments:
             check_octets("x", b"", 1, 2)
         check_octets("x", b"ab", 2)
         check_octets("x", b"a", 1, 2)
+
+
+class TestIntegerArguments:
+    """check_int is the one check that a value is exactly an int, and
+    check_public the one check of a peer's public value."""
+
+    def test_check_int_holds_the_message(self):
+        for value in (True, 1.0, "1", None):
+            with pytest.raises(TypeError, match=f"^x must be an int, got {type(value).__name__}$"):
+                check_int("x", value)
+        for value in (0, -1, 2**100):
+            check_int("x", value)
+
+    def test_check_public_holds_the_messages(self):
+        params = DhParams(p=23, alpha=5)
+        for value, got in ((True, "bool"), (1.0, "float")):
+            with pytest.raises(TypeError, match=f"^peer public value must be an int, got {got}$"):
+                check_public(params, value)
+        for value in (0, 23, -1):
+            message = rf"^peer public value must be in \[1, p-1\], got {value}$"
+            with pytest.raises(ValueError, match=message):
+                check_public(params, value)
+        check_public(params, 1)
+        check_public(params, 22)
 
 
 class TestE1:

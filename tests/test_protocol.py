@@ -11,14 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import (
     DhParams,
     check_octets,
     dh_shared,
     e1,
-    e1_aco,
-    encryption_key,
     session_key_from_shared,
     xor_bytes,
 )
@@ -105,16 +102,6 @@ class TestLegacyHonest:
 
     def test_round_trip_times(self):
         assert round_trips(Variant.LEGACY) == (20, 20)
-
-    def test_ciphering_key_agreed(self):
-        dev_a, dev_b, _ = run_honest(Variant.LEGACY)
-        assert dev_a.enc_key is not None
-        assert dev_a.enc_key == dev_b.enc_key
-
-    def test_ciphering_key_depends_on_link_key(self):
-        a1, _, _ = run_honest(Variant.LEGACY, key_a=KEY1, key_b=KEY1)
-        a2, _, _ = run_honest(Variant.LEGACY, key_a=KEY2, key_b=KEY2)
-        assert a1.enc_key != a2.enc_key
 
     def test_responder_answers_immediately(self):
         dev_a, dev_b = honest_pair(Variant.LEGACY)
@@ -617,66 +604,6 @@ class TestExhaustiveWalk:
         # only after answering and receiving the answer to its own
         # challenge, and, nested, answers as a responder only after that
         assert walk() == EXPECTED_WALK
-
-
-def enc_key_runs(variant):
-    """(devices, transcript) of honest and intruder runs of one variant
-    over a few seeds."""
-    params = PARAMS if variant is Variant.DH_IMPROVED else None
-    runs = []
-    for seed in range(1, 11):
-        for mode in [None, *IntruderMode]:
-            dev_a, dev_b = honest_pair(variant, seed_a=seed, seed_b=seed + 100)
-            intruder = None
-            if mode is not None:
-                intruder = IntruderState(
-                    ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seed + 200, dh_params=params
-                )
-            transcript, _ = run(dev_a, dev_b, intruder, LinkConfig())
-            runs.append(((dev_a, dev_b), transcript))
-    return runs
-
-
-class TestEncKey:
-    def test_none_short_of_done_and_after_failed(self):
-        # every device before a delivery of an honest run is short of Done
-        assert all(dev.phase is not Phase.DONE and dev.enc_key is None for dev, _ in STEPS)
-        # a device awaiting confirmation holds every input of its key
-        confirming = [copy.deepcopy(d) for d, _ in STEPS if d.phase is Phase.AWAIT_CONFIRM]
-        assert len(confirming) == len(Variant)
-        for dev in confirming:
-            handle(dev, Message(MsgKind.AUTH_FAIL, ADDR_C, dev.id))
-            assert dev.phase is Phase.FAILED
-            assert dev.enc_key is None
-
-    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_derived_from_the_device_and_fixed_once_done(self, variant):
-        both_done = 0
-        for devices, transcript in enc_key_runs(variant):
-            if any(dev.phase is not Phase.DONE for dev in devices):
-                assert all(dev.phase is Phase.DONE or dev.enc_key is None for dev in devices)
-                continue
-            both_done += 1
-            # the first leg, read from the transcript: A's first challenge,
-            # answered by B (a run that ends with both devices Done was
-            # opened by A, since an originate run never does)
-            challenge = next(
-                e.payload
-                for e in transcript.events
-                if e.kind is MsgKind.CHALLENGE and e.from_id == ADDR_A
-            )
-            for dev in devices:
-                aco = e1_aco(dev.effective_key, challenge, ADDR_B)
-                key = encryption_key(dev.effective_key, aco, challenge)
-                assert dev.enc_key == key
-                peer = ADDR_B if dev.id == ADDR_A else ADDR_A
-                for kind in MsgKind:
-                    assert handle(dev, Message(kind, peer, dev.id, bytes(WIDTH[kind]))) == []
-                    assert dev.enc_key == key
-                with pytest.raises(AttributeError):
-                    dev.enc_key = key
-        # the ten honest runs, and intruder runs besides
-        assert both_done > 10
 
 
 @dataclasses.dataclass(frozen=True)
