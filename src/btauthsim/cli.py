@@ -109,7 +109,15 @@ def validate(config: ScenarioConfig) -> Prepared:
     if not 1 < config.detect_factor < math.inf:
         raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
     group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else ()
-    return _prepared(config.variant, config.latency_ms, config.timeout_ms, *group)
+    fields = (config.latency_ms, config.timeout_ms, *group)
+    try:
+        return _prepared(config.variant, *fields)
+    except TypeError:
+        # the cache hashes every argument before _prepared checks any, so
+        # an unhashable field fails there, unnamed
+        for name, value in zip(_PREPARED_FIELDS, fields):
+            check_int(name, value)
+        raise
 
 
 def _construct(flags: str, value_type, *args):
@@ -154,6 +162,10 @@ def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     if not has_full_order(params):
         raise ConfigError(f"dh-alpha {dh_alpha} is not a primitive root of {dh_p}")
     return params
+
+
+# the int fields of a configuration that _prepared takes, in its order
+_PREPARED_FIELDS = ("latency_ms", "timeout_ms", "dh_p", "dh_alpha")
 
 
 # typed, so that 10.0 or True misses an entry of the int it equals and

@@ -15,14 +15,20 @@ computes the same (key, challenge, claimant) triple more than once: the
 answering device, the verifying device and the verdict each derive it.
 session_key keeps a second memo, keyed by the group and the two public
 values, because the two devices of a dh-improved run that see each other's
-public value agree on the key, and the first to derive it pays the
-modular exponentiation for both. cli.run_scenario clears both memos at the
-start of every run, so no run reuses another run's entries and each run's
-count of digests and exponentiations computed depends only on its scenario
-and seed. Results are unchanged: e1 is pure and its memo is keyed by each
+public value agree on the key, and the first to derive it derives it for
+both. dh_keypair records the exponent of each public value it computes in
+a third memo, keyed by the group and the public value, so that session_key
+takes the shared secret with a peer value the run drew from the group's
+fixed-base table, with no modular exponentiation; a peer value with no
+recorded exponent (a forged constant such as 1 or p-1, or a value built by
+hand) goes through modexp. cli.run_scenario clears the three memos at the
+start of every run (session_key.cache_clear empties the second and the
+third), so no run reuses another run's entries and each run's count of
+digests and exponentiations computed depends only on its scenario and
+seed. Results are unchanged: e1 is pure and its memo is keyed by each
 argument's type as well as its value, so a view that equals memoised bytes
 misses and meets e1's check; session_key checks the peer value before any
-lookup, and answers from its memo only what the unmemoised derivation
+lookup, and answers from its memos only what the unmemoised derivation
 gives (see its docstring).
 
 Besides those memos and mixhash128's cache of message layouts by input
@@ -319,11 +325,11 @@ class DhParams:
 
     @functools.cached_property
     def alpha_table(self) -> tuple[tuple[int, ...], ...]:
-        """Fixed-base table for dh_keypair: row i holds alpha^(d*256^i) mod p
-        for d = 0..255, one row per octet of p-1. Built by multiplication on
-        first use and never mutated; the cache lives in the instance
-        dictionary, outside the frozen fields, so equality and hashing
-        ignore it."""
+        """Fixed-base table of _power_of_alpha, which dh_keypair and
+        session_key call: row i holds alpha^(d*256^i) mod p for d = 0..255,
+        one row per octet of p-1. Built by multiplication on first use and
+        never mutated; the cache lives in the instance dictionary, outside
+        the frozen fields, so equality and hashing ignore it."""
         p = self.p
         rows = []
         base = self.alpha
@@ -357,21 +363,49 @@ class DhKeyPair:
     s_public: int
 
 
-def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
-    """Key pair with public value alpha^r mod p; r must be an int
-    (TypeError otherwise) in [1, p-1].
+def _power_of_alpha(params: DhParams, e: int) -> int:
+    """alpha^e mod p for e in [0, p-1]: the product of one entry of each
+    row of params.alpha_table, the one that each octet of e selects."""
+    p = params.p
+    power = 1
+    for row in params.alpha_table:
+        power = power * row[e & 255] % p
+        e >>= 8
+    return power
 
-    alpha^r is the product of one entry of each row of params.alpha_table,
-    the one that each octet of r selects."""
+
+# The two memos of session_key, each at most _MEMO_MAX entries, oldest
+# first out, under one lock, and keyed by the group as its two ints (the
+# hash of a DhParams runs in Python). _SESSION_KEYS: (p, alpha, lower
+# public, higher public) -> (session key, the pair that derived it).
+# _EXPONENTS: (p, alpha, public) -> an exponent r with alpha^r = public, as
+# dh_keypair drew it. A run draws at most 3 key pairs (A, B and the
+# intruder), plus 2 of a first run's calibration, and derives at most 2
+# distinct keys (one per device when the intruder sends its own public),
+# plus 1 of calibration, so within a run neither memo evicts anything.
+_SESSION_KEYS: dict[tuple[int, int, int, int], tuple[bytes, DhKeyPair]] = {}
+_EXPONENTS: dict[tuple[int, int, int], int] = {}
+_MEMO_MAX = 8
+_MEMO_LOCK = threading.Lock()
+
+
+def _remember(memo: dict, key, value) -> None:
+    with _MEMO_LOCK:
+        if len(memo) >= _MEMO_MAX and key not in memo:
+            del memo[next(iter(memo))]
+        memo[key] = value
+
+
+def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
+    """Key pair with public value alpha^r mod p, from params.alpha_table;
+    r must be an int (TypeError otherwise) in [1, p-1]. r is recorded as
+    the exponent of the public value, for session_key to read."""
     p = params.p
     check_int("r", r)
     if not 1 <= r <= p - 1:
         raise ValueError(f"private exponent must be in [1, p-1], got {r}")
-    s_public = 1
-    digits = r
-    for row in params.alpha_table:
-        s_public = s_public * row[digits & 255] % p
-        digits >>= 8
+    s_public = _power_of_alpha(params, r)
+    _remember(_EXPONENTS, (p, params.alpha, s_public), r)
     return DhKeyPair(r_private=r, s_public=s_public)
 
 
@@ -392,19 +426,11 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
 
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
     """Bind the shared integer and group modulus into a uniform 16-octet key."""
+    check_int("shared value", k)
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
     material = _TAG_SESSION + k.to_bytes(16, "big") + params.p.to_bytes(16, "big")
     return mixhash128(material)
-
-
-# (params, lower public, higher public) -> (session key, the pair that
-# derived it); the scripted scenarios derive at most 2 distinct keys in a
-# run (one per device when the intruder sends its own public), plus 1 of a
-# first run's calibration, so within a run the memo evicts nothing
-_SESSION_KEYS: dict[tuple[DhParams, int, int], tuple[bytes, DhKeyPair]] = {}
-_SESSION_KEYS_MAX = 8
-_SESSION_KEYS_LOCK = threading.Lock()
 
 
 def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
@@ -412,38 +438,49 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     peer_public: session_key_from_shared(dh_shared(params, peer_public,
     own.r_private), params).
 
-    check_public runs on every call, before the memo is read. The memo is
-    keyed by the group and the two public values in ascending order, so the
-    device on the other side, holding the pair of peer_public and handed
-    own.s_public, is answered without a modular exponentiation. That is
+    check_public runs on every call, before either memo is read. The key
+    memo is keyed by the group and the two public values in ascending
+    order, so the device on the other side, holding the pair of
+    peer_public and handed own.s_public, is answered from it. That is
     sound for key pairs from dh_keypair, whose s_public is alpha^r_private:
     the two sides compute (alpha^b)^a = (alpha^a)^b. An entry derived by a
     pair with the same public value but another exponent (possible only
     when alpha does not generate the whole group) is not used: the key is
-    derived again. The memo holds at most 8 entries, oldest first out,
-    under a lock; cli.run_scenario calls session_key.cache_clear() before
-    each run.
+    derived again.
+
+    On a miss, a peer_public that dh_keypair recorded as alpha^s is raised
+    to own.r_private as alpha^(s * r_private mod (p-1)), read from the
+    fixed-base table: alpha^(p-1) = 1 for any alpha in [2, p-1] (Fermat),
+    generator or not. Any other peer_public, or a negative r_private, goes
+    through dh_shared and modexp. Both memos hold at most 8 entries, oldest
+    first out, under one lock; cli.run_scenario calls
+    session_key.cache_clear(), which empties both, before each run.
     """
     check_public(params, peer_public)
+    p, alpha = params.p, params.alpha
     mine = own.s_public
-    memo_key = (params, mine, peer_public) if mine < peer_public else (params, peer_public, mine)
-    with _SESSION_KEYS_LOCK:
+    memo_key = (p, alpha, mine, peer_public) if mine < peer_public else (p, alpha, peer_public, mine)
+    with _MEMO_LOCK:
         entry = _SESSION_KEYS.get(memo_key)
+        exponent = _EXPONENTS.get((p, alpha, peer_public))
+    r = own.r_private
     if entry is not None:
         session, deriver = entry
-        if deriver.s_public != mine or deriver.r_private == own.r_private:
+        if deriver.s_public != mine or deriver.r_private == r:
             return session
-    session = session_key_from_shared(dh_shared(params, peer_public, own.r_private), params)
-    with _SESSION_KEYS_LOCK:
-        if memo_key not in _SESSION_KEYS and len(_SESSION_KEYS) >= _SESSION_KEYS_MAX:
-            del _SESSION_KEYS[next(iter(_SESSION_KEYS))]
-        _SESSION_KEYS[memo_key] = (session, own)
+    if exponent is None or r < 0:
+        shared = dh_shared(params, peer_public, r)
+    else:
+        shared = _power_of_alpha(params, exponent * r % (p - 1))
+    session = session_key_from_shared(shared, params)
+    _remember(_SESSION_KEYS, memo_key, (session, own))
     return session
 
 
 def _clear_session_keys() -> None:
-    with _SESSION_KEYS_LOCK:
+    with _MEMO_LOCK:
         _SESSION_KEYS.clear()
+        _EXPONENTS.clear()
 
 
 session_key.cache_clear = _clear_session_keys

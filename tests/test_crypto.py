@@ -1,14 +1,16 @@
 """Key-derivation functions and value-type validation."""
 
+import contextlib
 import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from btauthsim import crypto
 from btauthsim.crypto import (
+    DhKeyPair,
     DhParams,
     check_int,
     check_octets,
@@ -36,6 +38,38 @@ ADDR_C = bytes.fromhex("cc0000000003")
 
 # the groups the CLI runs: its default, and the largest safe prime below 2^47
 GROUPS = [(2**31 - 1, 7), (140737488353843, 2)]
+
+# primes whose tables have 1 to 8 rows, with the CLI's groups
+TABLE_PRIMES = [3, 5, 23, 257, 65537, 2**61 - 1] + [p for p, _ in GROUPS]
+
+
+@st.composite
+def any_group(draw):
+    """A group of TABLE_PRIMES with any alpha in [2, p-1], generator or not."""
+    p = draw(st.sampled_from(TABLE_PRIMES))
+    return DhParams(p, draw(st.integers(min_value=2, max_value=p - 1) | st.just(p - 1)))
+
+
+def exponents(p):
+    return st.integers(min_value=1, max_value=p - 1) | st.sampled_from([1, p - 1, (p - 1) // 2])
+
+
+@contextlib.contextmanager
+def counted_modexp():
+    """The arguments of each crypto.modexp call made inside the block."""
+    calls = []
+    real = crypto.modexp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    crypto.modexp = counted
+    try:
+        yield calls
+    finally:
+        crypto.modexp = real
+
 
 EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
     lambda n: st.tuples(st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))
@@ -437,6 +471,106 @@ class TestSessionKeyFromShared:
             session_key_from_shared(23, params)
         with pytest.raises(ValueError):
             session_key_from_shared(-1, params)
+
+    @pytest.mark.parametrize("shared", [True, 1.0, None], ids=repr)
+    def test_shared_value_must_be_an_int(self, shared):
+        # True derived the key of 1; 1.0 failed on a missing to_bytes
+        message = f"^shared value must be an int, got {type(shared).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            session_key_from_shared(shared, DhParams(p=23, alpha=5))
+
+
+class TestSessionKeyFromTable:
+    """session_key takes the shared secret with a peer public that
+    dh_keypair drew from the group's fixed-base table, and with any other
+    through modexp."""
+
+    @given(any_group(), st.data())
+    def test_a_drawn_peer_public_takes_no_modexp(self, params, data):
+        p = params.p
+        session_key.cache_clear()
+        own = dh_keypair(params, data.draw(exponents(p)))
+        peer = dh_keypair(params, data.draw(exponents(p)))
+        with counted_modexp() as calls:
+            for pair, peer_public in ((own, peer.s_public), (peer, own.s_public)):
+                expected = session_key_from_shared(pow(peer_public, pair.r_private, p), params)
+                assert session_key(params, pair, peer_public) == expected
+        assert calls == []
+
+    @given(any_group(), st.data())
+    def test_a_peer_public_with_no_recorded_exponent_takes_one_modexp(self, params, data):
+        p = params.p
+        session_key.cache_clear()
+        own = dh_keypair(params, data.draw(exponents(p)))
+        peer_public = data.draw(st.sampled_from([1, p - 1]) | st.integers(min_value=1, max_value=p - 1))
+        assume(peer_public != own.s_public)
+        expected = session_key_from_shared(pow(peer_public, own.r_private, p), params)
+        with counted_modexp() as calls:
+            assert session_key(params, own, peer_public) == expected
+        assert calls == [(peer_public, own.r_private, p)]
+
+    def test_a_hand_built_negative_exponent_is_refused_as_dh_shared_refuses_it(self):
+        params = DhParams(p=23, alpha=5)
+        session_key.cache_clear()
+        peer = dh_keypair(params, 3)
+        own = DhKeyPair(r_private=-1, s_public=dh_keypair(params, 22).s_public)
+        with pytest.raises(ValueError, match="^exponent must be non-negative, got -1$"):
+            dh_shared(params, peer.s_public, own.r_private)
+        with pytest.raises(ValueError, match="^exponent must be non-negative, got -1$"):
+            session_key(params, own, peer.s_public)
+
+    @given(
+        st.sampled_from(GROUPS),
+        st.lists(st.integers(min_value=1, max_value=10**6), unique=True, max_size=20),
+    )
+    def test_the_exponent_memo_keeps_the_last_eight_and_clears(self, group, rs):
+        # both groups' alpha is a generator, so distinct exponents below
+        # 10^6 give distinct publics
+        params = DhParams(*group)
+        session_key.cache_clear()
+        assert crypto._EXPONENTS == {}
+        publics = [dh_keypair(params, r).s_public for r in rs]
+        assert list(crypto._EXPONENTS) == [(*group, public) for public in publics[-8:]]
+        assert list(crypto._EXPONENTS.values()) == rs[-8:]
+        if rs:
+            session_key(params, dh_keypair(params, rs[0]), publics[-1])
+        session_key.cache_clear()
+        assert crypto._EXPONENTS == {} and crypto._SESSION_KEYS == {}
+
+    def test_threads_drawing_and_deriving_get_the_unmemoised_keys(self):
+        # each step draws two key pairs, recording both exponents, and
+        # derives their key, while other threads clear both memos
+        params = DhParams(*GROUPS[1])
+        p = params.p
+        wrong = []
+        errors = []
+
+        def derive(worker):
+            try:
+                for step in range(200):
+                    a = dh_keypair(params, 1 + (worker * 7919 + step) % 97)
+                    b = dh_keypair(params, 1 + (step * 104729 + worker) % 89)
+                    expected = session_key_from_shared(pow(b.s_public, a.r_private, p), params)
+                    if session_key(params, a, b.s_public) != expected:
+                        wrong.append((a, b))
+                    if step % 40 == worker:
+                        session_key.cache_clear()
+            except Exception as err:  # noqa: BLE001 - collected and asserted below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=derive, args=(worker,)) for worker in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert len(crypto._EXPONENTS) <= 8 and len(crypto._SESSION_KEYS) <= 8
 
 
 class TestXorBytes:
