@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .crypto import DhKeyPair, DhParams, check_octets, check_public, dh_keypair, e1
+from .crypto import DhKeyPair, DhParams, check_int, check_octets, check_public, dh_keypair, e1
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -42,6 +42,9 @@ class IntruderMode(Enum):
     RELAY_ACTIVE = "relay-active"
     RELAY_PASSIVE = "relay-passive"
     ORIGINATE_TO_A = "originate"
+
+    # identity hash, as for protocol.MsgKind: members are singletons
+    __hash__ = object.__hash__
 
 
 class Integrity(Enum):
@@ -136,7 +139,9 @@ class IntruderState:
     script sends: against the dh variant a key pair first, if the script
     sends PUBLIC (so it needs the group parameters; ValueError otherwise),
     then a challenge, if it sends NONCE. id, victim_a and victim_b are
-    three distinct 6-octet addresses (TypeError, ValueError otherwise).
+    three distinct 6-octet addresses, mode an IntruderMode, variant a
+    Variant and rng_seed a non-negative int, as new_device takes it
+    (TypeError naming the field, or ValueError, otherwise).
     """
 
     id: bytes
@@ -156,11 +161,22 @@ class IntruderState:
     victim_of: dict[bytes, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_octets("id", self.id, 6)
-        check_octets("victim_a", self.victim_a, 6)
-        check_octets("victim_b", self.victim_b, 6)
+        # pre-tested, as in new_device
+        if type(self.id) is not bytes or len(self.id) != 6:
+            check_octets("id", self.id, 6)
+        if type(self.victim_a) is not bytes or len(self.victim_a) != 6:
+            check_octets("victim_a", self.victim_a, 6)
+        if type(self.victim_b) is not bytes or len(self.victim_b) != 6:
+            check_octets("victim_b", self.victim_b, 6)
         if len({self.id, self.victim_a, self.victim_b}) < 3:
             raise ValueError("id, victim_a and victim_b must be distinct addresses")
+        if type(self.mode) is not IntruderMode:
+            raise TypeError(f"mode must be an IntruderMode, got {type(self.mode).__name__}")
+        if type(self.variant) is not Variant:
+            raise TypeError(f"variant must be a Variant, got {type(self.variant).__name__}")
+        check_int("rng_seed", self.rng_seed)
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         self.script, forges_publics, sends_nonce = _PLANS[self.mode, self.variant]
         self.values = {A: self.victim_a, B: self.victim_b}
         self.victim_of = {self.victim_a: A, self.victim_b: B}
@@ -249,10 +265,12 @@ def verdict(
     nothing more. The width check on challenges stays, because a
     hand-built transcript may carry any payload under any kind; a response
     of another width never equals the 4 octets of e1."""
-    check_octets("link_key", link_key, 16)
+    # pre-tested, as in new_device
+    if type(link_key) is not bytes or len(link_key) != 16:
+        check_octets("link_key", link_key, 16)
     a, b = outcomes
     peer = {a: b, b: a}
-    all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
+    all_success = outcomes[a].status is outcomes[b].status is AuthStatus.MUTUAL_SUCCESS
 
     # one pass finds every fact: whether any hop ran between the honest
     # devices, the first forged hop, and for each honest device the
@@ -277,12 +295,18 @@ def verdict(
     attack_success = all_success and not direct_hops and len(transcript.events) > 0
     integrity = Integrity.BROKEN if forged else Integrity.MAINTAINED
 
-    breached = any(
-        e1(link_key, challenge, claimant) in answered[claimant]
-        for claimant in outcomes
-        if answered[claimant]
-        for challenge in sorted(delivered[claimant])
-    )
+    # plain loops, as a generator would cost a frame and a resumption per
+    # step: claimants A then B, challenges ascending, first match stops
+    breached = False
+    for claimant in a, b:
+        responses = answered[claimant]
+        if responses:
+            for challenge in sorted(delivered[claimant]):
+                if e1(link_key, challenge, claimant) in responses:
+                    breached = True
+                    break
+            if breached:
+                break
     confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED
 
     return AttackVerdict(

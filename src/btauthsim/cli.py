@@ -92,16 +92,22 @@ Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
 
 def validate(config: ScenarioConfig) -> Prepared:
     """Reject a configuration that cannot run, else return its links, group
-    and per-device baselines. Only the checks across fields are made here:
-    the initiator must be C exactly for the originate intruder, the one
-    mode that opens a run itself, and the detector threshold must be
-    finite and exceed 1. Link timing (by LinkConfig) and the group (by
-    check_group) are checked, and a timeout too short for the
-    intruder-free handshake is caught, by _prepared, which caches them per
-    configuration; a field that is not exactly an int raises TypeError
-    naming it. run_scenario takes its inputs from here, so every check
-    applies to every run. The flags named in each ConfigError message are
-    those of the command line."""
+    and per-device baselines. Only the intruder's type and the checks
+    across fields are made here: the intruder must be an IntruderMode or
+    None (TypeError naming it), the initiator must be C exactly for the
+    originate intruder, the one mode that opens a run itself, and the
+    detector threshold must be finite and exceed 1. Link timing (by
+    LinkConfig), the group (by check_group) and the variant (by new_device)
+    are checked, and a timeout too short for the intruder-free handshake is
+    caught, by _prepared, which caches them per configuration; a field that
+    is not exactly an int, or a variant that is not a Variant, raises
+    TypeError naming it. run_scenario takes its inputs from here, so every
+    check applies to every run. The flags named in each ConfigError message
+    are those of the command line."""
+    if config.intruder is not None and type(config.intruder) is not IntruderMode:
+        raise TypeError(
+            f"intruder must be an IntruderMode or None, got {type(config.intruder).__name__}"
+        )
     if config.initiator not in ("A", "C"):
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):

@@ -24,7 +24,8 @@ and devices share nothing but messages.
 
 Every octet string is plain bytes: each address, the link key, both
 challenges and each message payload. new_device checks the address and the
-link key it takes, Message refuses a kind that is not a MsgKind, parties
+link key it takes, and that its variant is a Variant and its seed a
+non-negative int, Message refuses a kind that is not a MsgKind, parties
 that are not 6-octet bytes and a payload that is not bytes of its kind's
 width, and e1 checks the octets it takes, so handlers pass payloads and
 claimed senders on as they arrive. Addresses compare by value.
@@ -37,6 +38,7 @@ from enum import Enum
 from .crypto import (
     DhKeyPair,
     DhParams,
+    check_int,
     check_octets,
     dh_keypair,
     e1,
@@ -71,6 +73,9 @@ class Variant(Enum):
     LEGACY = "legacy"
     IMPROVED = "improved"
     DH_IMPROVED = "dh-improved"
+
+    # identity hash, as for MsgKind below
+    __hash__ = object.__hash__
 
 
 class MsgKind(Enum):
@@ -201,9 +206,22 @@ def new_device(
     """Fresh idle device of 6-octet address id, holding its 16-octet link
     key and every random value it may send, drawn from
     random.Random(rng_seed): on dh-improved its key pair first, then its
-    challenge."""
-    check_octets("id", id, 6)
-    check_octets("link_key", link_key, 16)
+    challenge. variant must be a Variant and rng_seed exactly an int
+    (TypeError naming the field otherwise), and rng_seed non-negative
+    (ValueError): random.Random seeds from a bool, a float or a negative
+    int as from the int or the absolute value it stands for."""
+    # a well-formed address and key cost no call, as in Message
+    if type(id) is not bytes or len(id) != 6:
+        check_octets("id", id, 6)
+    if type(link_key) is not bytes or len(link_key) != 16:
+        check_octets("link_key", link_key, 16)
+    # every branch tests the variant by identity, so a string would run
+    # another variant's handshake
+    if type(variant) is not Variant:
+        raise TypeError(f"variant must be a Variant, got {type(variant).__name__}")
+    check_int("rng_seed", rng_seed)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
     rng = random.Random(rng_seed)
     dh = None
     if variant is Variant.DH_IMPROVED:

@@ -181,8 +181,12 @@ def run(
         else:
             send(handle(registry[physical_to], msg), physical_to, time)
 
-    outcomes = {dev_id: outcome_of(dev) for dev_id, dev in registry.items()}
-    finished = all(out.status is not AuthStatus.TIMED_OUT for out in outcomes.values())
+    # a plain loop: a comprehension or a generator would cost a frame per run
+    outcomes = {}
+    finished = True
+    for dev_id, dev in registry.items():
+        outcomes[dev_id] = outcome = outcome_of(dev)
+        finished = finished and outcome.status is not AuthStatus.TIMED_OUT
     end_time = last_time if finished else timeout
     return Transcript(events=tuple(events), links=links, end_time=end_time), outcomes
 

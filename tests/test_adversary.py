@@ -612,6 +612,37 @@ class TestConfidentialityScan:
         assert score.confidentiality is Confidentiality.MAINTAINED
         assert e1_calls == [(KEY, low, ADDR_A), (KEY, high, ADDR_A)]
 
+    def test_the_scan_stops_at_the_first_match(self, monkeypatch):
+        # A answered its lower challenge, and B its own: only A's lower
+        # challenge is hashed, neither A's higher one nor any of B's
+        e1_calls = []
+
+        def counting_e1(*args):
+            e1_calls.append(args)
+            return e1(*args)
+
+        low, high, other = bytes(16), b"\xff" * 16, b"\x07" * 16
+        hops = [
+            (ADDR_C, ADDR_A, MsgKind.CHALLENGE, high),
+            (ADDR_C, ADDR_A, MsgKind.CHALLENGE, low),
+            (ADDR_A, ADDR_C, MsgKind.RESPONSE, e1(KEY, low, ADDR_A)),
+            (ADDR_C, ADDR_B, MsgKind.CHALLENGE, other),
+            (ADDR_B, ADDR_C, MsgKind.RESPONSE, e1(KEY, other, ADDR_B)),
+        ]
+        monkeypatch.setattr(adversary, "e1", counting_e1)
+        transcript = Transcript(
+            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
+            links=LINKS,
+            end_time=len(hops),
+        )
+        outcomes = {
+            ADDR_A: AuthOutcome(AuthStatus.TIMED_OUT, None),
+            ADDR_B: AuthOutcome(AuthStatus.TIMED_OUT, None),
+        }
+        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        assert score.confidentiality is Confidentiality.BREACHED
+        assert e1_calls == [(KEY, low, ADDR_A)]
+
     def test_a_response_to_a_public_value_is_no_credential(self):
         """A transcript that no run can produce: the intruder relays a
         DhPublicMsg whose payload X is then answered, as if a challenge, by
@@ -1028,6 +1059,35 @@ class TestScripts:
         # equal bytes that are distinct objects are still equal addresses
         with pytest.raises(ValueError, match="^id, victim_a and victim_b must be distinct"):
             IntruderState(bytes(bytearray(id_)), mode, Variant.LEGACY, victim_a, victim_b, 3)
+
+    @pytest.mark.parametrize(
+        "field,value,expected",
+        [
+            ("mode", "relay-active", "an IntruderMode"),
+            ("mode", None, "an IntruderMode"),
+            ("variant", "legacy", "a Variant"),
+            ("variant", IntruderMode.RELAY_ACTIVE, "a Variant"),
+        ],
+    )
+    def test_mode_and_variant_must_be_members(self, field, value, expected):
+        # a string mode raised a bare KeyError from the plan table
+        arguments = {"mode": IntruderMode.RELAY_ACTIVE, "variant": Variant.LEGACY, field: value}
+        message = f"^{field} must be {expected}, got {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            IntruderState(ADDR_C, victim_a=ADDR_A, victim_b=ADDR_B, rng_seed=3, **arguments)
+
+    @pytest.mark.parametrize("mode", list(IntruderMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None], ids=repr)
+    def test_seed_must_be_an_int(self, mode, seed):
+        # refused whether or not the script draws: a relay draws nothing
+        message = f"^rng_seed must be an int, got {type(seed).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            IntruderState(ADDR_C, mode, Variant.LEGACY, ADDR_A, ADDR_B, seed)
+
+    @pytest.mark.parametrize("mode", list(IntruderMode), ids=lambda m: m.value)
+    def test_seed_must_be_non_negative(self, mode):
+        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
+            IntruderState(ADDR_C, mode, Variant.LEGACY, ADDR_A, ADDR_B, -1)
 
 
 class TestDlogBruteforce:

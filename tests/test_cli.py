@@ -1,5 +1,7 @@
 """Scenario configuration, report lines, output modes, exit codes."""
 
+import collections
+import enum
 import json
 import math
 import random
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btauthsim import cli, crypto
+from btauthsim import adversary, cli, crypto, protocol
 from btauthsim.cli import (
     ConfigError,
     ScenarioConfig,
@@ -16,7 +18,7 @@ from btauthsim.cli import (
     run_scenario,
     validate,
 )
-from btauthsim.adversary import IntruderMode
+from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import (
     DhParams,
     has_full_order,
@@ -307,6 +309,34 @@ class TestConfigErrors:
         with pytest.raises(TypeError, match=message):
             run_scenario(config, 0)
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (ScenarioConfig(variant="legacy"), "variant must be a Variant, got str"),
+            (ScenarioConfig(variant="dh-improved"), "variant must be a Variant, got str"),
+            (
+                ScenarioConfig(intruder="relay-active"),
+                "intruder must be an IntruderMode or None, got str",
+            ),
+            (
+                ScenarioConfig(intruder="originate", initiator="C"),
+                "intruder must be an IntruderMode or None, got str",
+            ),
+            (
+                ScenarioConfig(intruder=Variant.LEGACY),
+                "intruder must be an IntruderMode or None, got Variant",
+            ),
+        ],
+        ids=["legacy", "dh-improved", "relay-active", "originate", "a-variant"],
+    )
+    def test_validate_refuses_a_variant_or_intruder_of_another_type(self, config, message):
+        # variant "legacy" ran the improved handshake and then failed in
+        # report_line; intruder "relay-active" raised a bare KeyError
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            validate(config)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            run_scenario(config, 0)
+
     @pytest.mark.parametrize("field,value", [("latency_ms", 10), ("timeout_ms", 2000)])
     @pytest.mark.parametrize("int_first", [True, False], ids=["int-first", "float-first"])
     def test_the_cache_never_takes_a_float_timing_for_its_int(self, field, value, int_first):
@@ -521,3 +551,48 @@ class TestScenarioApi:
         validate(config)
         result = run_scenario(config, 11)
         assert result.score.attack_success is False
+
+
+class TestCallBudget:
+    """A valid run makes no call that does no work: every octet string on a
+    run's path passes its caller's inline pre-test, so check_octets is never
+    reached, and the enums that a run hashes (Variant and IntruderMode in
+    the per-configuration cache and the intruder's plan table, MsgKind and
+    Phase in the transition table) hash by identity, not by Enum.__hash__."""
+
+    def test_headline_runs_reach_no_octet_check_and_no_enum_hash(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for module in (crypto, protocol, adversary):
+            name = f"{module.__name__}.check_octets"
+            monkeypatch.setattr(module, "check_octets", counted(name, module.check_octets))
+        monkeypatch.setattr(enum.Enum, "__hash__", counted("Enum.__hash__", enum.Enum.__hash__))
+        for config in cli.HEADLINE:
+            for seed in range(3):
+                run_scenario(config, seed)
+        assert calls == {}
+
+        # the counters see a value that fails a pre-test, and an enum that
+        # keeps Enum's hash
+        with pytest.raises(TypeError):
+            crypto.init_key(b"0", cli.ADDR_A, bytearray(16))
+        with pytest.raises(ValueError):
+            new_device(cli.ADDR_A, Variant.LEGACY, bytes(15), 0)
+        with pytest.raises(ValueError):
+            IntruderState(
+                bytes(5), IntruderMode.RELAY_PASSIVE, Variant.LEGACY, cli.ADDR_A, cli.ADDR_B, 0
+            )
+        hash(protocol.AuthStatus.FAILED)
+        assert calls == {
+            "btauthsim.crypto.check_octets": 1,
+            "btauthsim.protocol.check_octets": 1,
+            "btauthsim.adversary.check_octets": 1,
+            "Enum.__hash__": 1,
+        }

@@ -26,8 +26,9 @@ from btauthsim.crypto import (
     session_key_from_shared,
     xor_bytes,
 )
-from btauthsim.adversary import IntruderMode, IntruderState
-from btauthsim.protocol import Message, MsgKind, Variant, new_device
+from btauthsim.adversary import IntruderMode, IntruderState, verdict
+from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
+from btauthsim.simnet import Detection, LinkConfig, Transcript
 
 Z16 = b"\x00" * 16
 ZKEY = b"\x00" * 16
@@ -124,6 +125,16 @@ OCTET_PARAMETERS = [
         (ADDR_C, IntruderMode.RELAY_PASSIVE, Variant.LEGACY, ADDR_A, ADDR_B, 0),
         {"id": (0, 6), "victim_a": (3, 6), "victim_b": (4, 6)},
     ),
+    (
+        verdict,
+        (
+            {addr: AuthOutcome(AuthStatus.TIMED_OUT, None) for addr in (ADDR_A, ADDR_B)},
+            Transcript((), LinkConfig(), 0),
+            Detection.NONE,
+            ZKEY,
+        ),
+        {"link_key": (3, 16)},
+    ),
 ]
 OCTET_CASES = [
     pytest.param(
@@ -163,6 +174,17 @@ class TestOctetArguments:
         for length in lengths:
             with pytest.raises(ValueError, match=f"^{name} must be {expected} octets, got {length}$"):
                 function(*with_argument(args, position, bytes(length)))
+
+    @pytest.mark.parametrize("function,args,name,position,width,max_width", OCTET_CASES)
+    def test_takes_a_bytes_subclass_of_its_width(
+        self, function, args, name, position, width, max_width
+    ):
+        # a subclass fails the inline pre-test of exact bytes and reaches
+        # check_octets, which accepts it: the pre-test refuses nothing
+        class Octets(bytes):
+            pass
+
+        assert function(*with_argument(args, position, Octets(args[position]))) == function(*args)
 
     def test_one_check_holds_the_messages(self):
         with pytest.raises(TypeError, match="^x must be bytes, got bytearray$"):

@@ -288,6 +288,28 @@ class TestDriverContract:
         c2 = start(two, ADDR_A)[1].payload
         assert c1 == c2
 
+    @pytest.mark.parametrize("variant", ["legacy", "dh-improved", None], ids=repr)
+    def test_variant_must_be_a_variant(self, variant):
+        # every branch tests the variant by identity: "legacy" ran the
+        # improved handshake
+        message = f"^variant must be a Variant, got {type(variant).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            new_device(ADDR_A, variant, KEY1, 1)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None], ids=repr)
+    def test_seed_must_be_an_int(self, seed):
+        # random.Random took True and 1.0 as seed 1, "1" as a text seed
+        message = f"^rng_seed must be an int, got {type(seed).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            new_device(ADDR_A, Variant.LEGACY, KEY1, seed)
+
+    def test_seed_must_be_non_negative(self):
+        # random.Random took -1 as seed 1
+        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
+            new_device(ADDR_A, Variant.LEGACY, KEY1, -1)
+        device = new_device(ADDR_A, Variant.LEGACY, KEY1, 0)
+        assert device.challenge == random.Random(0).randbytes(16)
+
 
 class TestMessageValidation:
     def test_parties_must_be_device_ids(self):
