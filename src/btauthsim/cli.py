@@ -22,20 +22,18 @@ from .crypto import (
     has_full_order,
     init_key,
     session_key,
-    xor_bytes,
 )
-from .protocol import AuthOutcome, DeviceState, Variant, new_device
+from .protocol import AuthOutcome, DeviceState, Variant, check_variant, new_device
 from .simnet import Detection, LinkConfig, Transcript, delay_detector, run, transcript_rtt
 
-__all__ = ["ScenarioConfig", "HEADLINE", "ScenarioResult", "ConfigError", "run_scenario", "main"]
+__all__ = [
+    "ScenarioConfig", "HEADLINE", "ScenarioResult", "ConfigError", "run_scenario", "main",
+    "init_key",  # no run calls it; the benchmark's tracer patches it here
+]
 
 ADDR_A = bytes.fromhex("aa0000000001")
 ADDR_B = bytes.fromhex("bb0000000002")
 ADDR_C = bytes.fromhex("cc0000000003")
-
-# pairing needs no user input: the bootstrap key cancels out of the link
-# key, so the factory PIN stands for any PIN
-FACTORY_PIN = b"0000"
 
 # group moduli stay desk-scale: primitive-root validation and the
 # brute-force experiments must stay interactive
@@ -94,16 +92,15 @@ def validate(config: ScenarioConfig) -> Prepared:
     """Reject a configuration that cannot run, else return its links, group
     and per-device baselines. Only the intruder's type and the checks
     across fields are made here: the intruder must be an IntruderMode or
-    None (TypeError naming it), the initiator must be C exactly for the
-    originate intruder, the one mode that opens a run itself, and the
-    detector threshold must be finite and exceed 1. Link timing (by
-    LinkConfig), the group (by check_group) and the variant (by new_device)
-    are checked, and a timeout too short for the intruder-free handshake is
-    caught, by _prepared, which caches them per configuration; a field that
-    is not exactly an int, or a variant that is not a Variant, raises
-    TypeError naming it. run_scenario takes its inputs from here, so every
-    check applies to every run. The flags named in each ConfigError message
-    are those of the command line."""
+    None, the initiator must be C exactly for the originate intruder, the
+    one mode that opens a run itself, and the detector threshold must be a
+    real number, finite and above 1. Link timing (by LinkConfig), the group
+    (by check_group) and the variant (by check_variant) are checked, and a
+    timeout too short for the intruder-free handshake is caught, by
+    _prepared, which caches them per configuration. A field of the wrong
+    type raises TypeError naming it. run_scenario takes its inputs from
+    here, so every check applies to every run. The flags named in each
+    ConfigError message are those of the command line."""
     if config.intruder is not None and type(config.intruder) is not IntruderMode:
         raise TypeError(
             f"intruder must be an IntruderMode or None, got {type(config.intruder).__name__}"
@@ -112,8 +109,13 @@ def validate(config: ScenarioConfig) -> Prepared:
         raise ConfigError(f"initiator must be A or C, got {config.initiator}")
     if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
         raise ConfigError("initiator C and the originate intruder mode require each other")
-    if not 1 < config.detect_factor < math.inf:
-        raise ConfigError(f"detect-factor must be finite and exceed 1, got {config.detect_factor}")
+    factor = config.detect_factor
+    try:
+        if not 1 < factor < math.inf:
+            raise ConfigError(f"detect-factor must be finite and exceed 1, got {factor}")
+    except TypeError:
+        kind = type(factor).__name__
+        raise TypeError(f"detect_factor must be a real number, got {kind}") from None
     group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else ()
     fields = (config.latency_ms, config.timeout_ms, *group)
     try:
@@ -123,6 +125,7 @@ def validate(config: ScenarioConfig) -> Prepared:
         # an unhashable field fails there, unnamed
         for name, value in zip(_PREPARED_FIELDS, fields):
             check_int(name, value)
+        check_variant(config.variant)
         raise
 
 
@@ -134,17 +137,11 @@ def _construct(flags: str, value_type, *args):
 
 
 def _derive_link_key(master: random.Random) -> bytes:
-    """Pairing phase: both contributions cross the wire masked by the
-    bootstrap key of the factory PIN, which cancels out of the combined
-    result; the link key depends on the contributions alone, whatever the
-    PIN."""
-    pairing_rand = master.randbytes(16)
-    bootstrap = init_key(FACTORY_PIN, ADDR_A, pairing_rand)
-    masked_a = xor_bytes(master.randbytes(16), bootstrap)
-    masked_b = xor_bytes(master.randbytes(16), bootstrap)
-    return combination_link_key(
-        xor_bytes(masked_a, bootstrap), ADDR_A, xor_bytes(masked_b, bootstrap), ADDR_B
-    )
+    """Pairing with no user input: any PIN's bootstrap-key mask (init_key)
+    cancels out of the combined contributions, so no run computes it; the
+    mask's random number is drawn first, so the contributions keep their draws."""
+    master.randbytes(16)
+    return combination_link_key(master.randbytes(16), ADDR_A, master.randbytes(16), ADDR_B)
 
 
 def _build_devices(

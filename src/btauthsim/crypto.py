@@ -7,10 +7,11 @@ ciphering offset. Every octet string a function takes or returns, addresses
 and PINs included, is plain bytes; each function checks the type and width
 of the octets it takes, and check_octets holds that check and its messages,
 as check_int does for exact ints and check_public for a peer's public value.
-The functions every run calls (e1, init_key, combination_link_key) first
-test each octet string inline, exact bytes of the width, so a well-formed
-value costs no call; only a value that fails that test, a bytes subclass
-included, reaches check_octets, which accepts or refuses it.
+The functions every run calls (e1 and combination_link_key; no run calls
+init_key, see cli._derive_link_key) first test each octet string inline,
+exact bytes of the width, so a well-formed value costs no call; only a
+value that fails that test, a bytes subclass included, reaches
+check_octets, which accepts or refuses it.
 
 e1 derives only the 32-bit response, from the one lane of the digest that
 the response reads; e1_aco derives the ciphering offset from the full
@@ -213,13 +214,9 @@ def e1_aco(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
 def init_key(pin: bytes, addr: bytes, rand: bytes) -> bytes:
     """16-octet bootstrap key from a PIN of 1 to 16 octets, its length, a
     6-octet hardware address, and a 16-octet random number."""
-    # pre-tested as in e1
-    if type(pin) is not bytes or not 1 <= len(pin) <= 16:
-        check_octets("pin", pin, 1, 16)
-    if type(addr) is not bytes or len(addr) != 6:
-        check_octets("addr", addr, 6)
-    if type(rand) is not bytes or len(rand) != 16:
-        check_octets("rand", rand, 16)
+    check_octets("pin", pin, 1, 16)
+    check_octets("addr", addr, 6)
+    check_octets("rand", rand, 16)
     return mixhash128(_TAG_INIT_KEY + pin + bytes([len(pin)]) + addr + rand)
 
 

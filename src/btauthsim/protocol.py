@@ -56,6 +56,7 @@ __all__ = [
     "AuthStatus",
     "AuthOutcome",
     "DeviceState",
+    "check_variant",
     "new_device",
     "start",
     "handle",
@@ -196,6 +197,12 @@ class DeviceState:
     dh: DhKeyPair | None = field(default=None, init=False)
 
 
+def check_variant(variant: Variant) -> None:
+    """Raise TypeError unless variant is a Variant, which every branch tests by identity."""
+    if type(variant) is not Variant:
+        raise TypeError(f"variant must be a Variant, got {type(variant).__name__}")
+
+
 def new_device(
     id: bytes,
     variant: Variant,
@@ -215,10 +222,8 @@ def new_device(
         check_octets("id", id, 6)
     if type(link_key) is not bytes or len(link_key) != 16:
         check_octets("link_key", link_key, 16)
-    # every branch tests the variant by identity, so a string would run
-    # another variant's handshake
     if type(variant) is not Variant:
-        raise TypeError(f"variant must be a Variant, got {type(variant).__name__}")
+        check_variant(variant)
     check_int("rng_seed", rng_seed)
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btauthsim import adversary, cli, crypto, protocol
@@ -21,10 +21,13 @@ from btauthsim.cli import (
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import (
     DhParams,
+    combination_link_key,
     has_full_order,
+    init_key,
     is_prime,
     mixhash128,
     modexp,
+    xor_bytes,
 )
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
@@ -222,6 +225,16 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("error: latency-ms/timeout-ms: ")
 
+    @pytest.mark.parametrize("factor", ["x", [1.5], None], ids=repr)
+    def test_validate_names_a_detect_factor_that_is_not_a_number(self, factor):
+        # the bound check compared it with 1 and raised an unnamed TypeError
+        config = ScenarioConfig(detect_factor=factor)
+        message = f"^detect_factor must be a real number, got {type(factor).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            validate(config)
+        with pytest.raises(TypeError, match=message):
+            run_scenario(config, 0)
+
     def test_detect_factor_bound(self, capsys):
         for factor in ("1.0", "nan", "inf"):
             status, _, err = run_main(
@@ -314,6 +327,8 @@ class TestConfigErrors:
         [
             (ScenarioConfig(variant="legacy"), "variant must be a Variant, got str"),
             (ScenarioConfig(variant="dh-improved"), "variant must be a Variant, got str"),
+            # unhashable: the cache raised its own "unhashable type" for it
+            (ScenarioConfig(variant=["legacy"]), "variant must be a Variant, got list"),
             (
                 ScenarioConfig(intruder="relay-active"),
                 "intruder must be an IntruderMode or None, got str",
@@ -327,7 +342,7 @@ class TestConfigErrors:
                 "intruder must be an IntruderMode or None, got Variant",
             ),
         ],
-        ids=["legacy", "dh-improved", "relay-active", "originate", "a-variant"],
+        ids=["legacy", "dh-improved", "list", "relay-active", "originate", "a-variant"],
     )
     def test_validate_refuses_a_variant_or_intruder_of_another_type(self, config, message):
         # variant "legacy" ran the improved handshake and then failed in
@@ -409,14 +424,28 @@ class TestScenarioApi:
         assert status == 0
         assert "messages=8" in out
 
-    def test_custom_pin_changes_nothing_downstream(self, monkeypatch):
-        # the pairing mask cancels, so the link key and hence the whole
-        # transcript are pin-independent: the factory PIN stands for any
-        base = run_scenario(ScenarioConfig(), 0)
-        monkeypatch.setattr(cli, "FACTORY_PIN", b"123456")
-        other = run_scenario(ScenarioConfig(), 0)
-        assert base.link_key == other.link_key
-        assert base.transcript.to_text() == other.transcript.to_text()
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.binary(min_size=1, max_size=16),
+    )
+    @example(0, b"0000")
+    @settings(max_examples=50, deadline=None)
+    def test_custom_pin_changes_nothing_downstream(self, seed, pin):
+        # the masked pairing: both contributions cross the wire masked by
+        # the bootstrap key of the PIN and the pairing random number, and
+        # are unmasked on arrival; the mask cancels, so _derive_link_key
+        # gives the same key, for any PIN, from the same three draws
+        def masked_link_key(master):
+            bootstrap = init_key(pin, cli.ADDR_A, master.randbytes(16))
+            masked_a = xor_bytes(master.randbytes(16), bootstrap)
+            masked_b = xor_bytes(master.randbytes(16), bootstrap)
+            rand_a = xor_bytes(masked_a, bootstrap)
+            rand_b = xor_bytes(masked_b, bootstrap)
+            return combination_link_key(rand_a, cli.ADDR_A, rand_b, cli.ADDR_B)
+
+        master, oracle = random.Random(seed), random.Random(seed)
+        assert cli._derive_link_key(master) == masked_link_key(oracle)
+        assert master.getrandbits(64) == oracle.getrandbits(64)
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=50))
     @settings(max_examples=25, deadline=None)
@@ -558,22 +587,26 @@ class TestCallBudget:
     run's path passes its caller's inline pre-test, so check_octets is never
     reached, and the enums that a run hashes (Variant and IntruderMode in
     the per-configuration cache and the intruder's plan table, MsgKind and
-    Phase in the transition table) hash by identity, not by Enum.__hash__."""
+    Phase in the transition table) hash by identity, not by Enum.__hash__.
+    A run computes only the digests of its keys, and no bootstrap key."""
+
+    @staticmethod
+    def counted(calls, name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
 
     def test_headline_runs_reach_no_octet_check_and_no_enum_hash(self, monkeypatch):
         calls = collections.Counter()
-
-        def counted(name, real):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            return call
-
         for module in (crypto, protocol, adversary):
+            real = module.check_octets
             name = f"{module.__name__}.check_octets"
-            monkeypatch.setattr(module, "check_octets", counted(name, module.check_octets))
-        monkeypatch.setattr(enum.Enum, "__hash__", counted("Enum.__hash__", enum.Enum.__hash__))
+            monkeypatch.setattr(module, "check_octets", self.counted(calls, name, real))
+        monkeypatch.setattr(
+            enum.Enum, "__hash__", self.counted(calls, "Enum.__hash__", enum.Enum.__hash__)
+        )
         for config in cli.HEADLINE:
             for seed in range(3):
                 run_scenario(config, seed)
@@ -582,7 +615,7 @@ class TestCallBudget:
         # the counters see a value that fails a pre-test, and an enum that
         # keeps Enum's hash
         with pytest.raises(TypeError):
-            crypto.init_key(b"0", cli.ADDR_A, bytearray(16))
+            crypto.combination_link_key(bytearray(16), cli.ADDR_A, bytes(16), cli.ADDR_B)
         with pytest.raises(ValueError):
             new_device(cli.ADDR_A, Variant.LEGACY, bytes(15), 0)
         with pytest.raises(ValueError):
@@ -596,3 +629,26 @@ class TestCallBudget:
             "btauthsim.adversary.check_octets": 1,
             "Enum.__hash__": 1,
         }
+
+    def test_headline_runs_compute_no_bootstrap_key(self, monkeypatch):
+        # the link key is the two digests of combination_link_key; a
+        # dh-improved run adds one session-key digest for each key agreed:
+        # one when A and B agree, two under an active relay
+        digests = {config.scenario_name: [2, 2, 2] for config in cli.HEADLINE}
+        digests["dh-improved+none"] = digests["dh-improved+relay-passive"] = [3, 3, 3]
+        digests["dh-improved+relay-active"] = [4, 4, 4]
+        for config in cli.HEADLINE:
+            # the calibration run of a configuration is not any run's work
+            validate(config)
+        calls = collections.Counter()
+        monkeypatch.setattr(crypto, "mixhash128", self.counted(calls, "mixhash128", mixhash128))
+        for module in (crypto, cli):
+            monkeypatch.setattr(module, "init_key", self.counted(calls, "init_key", init_key))
+        counts = {}
+        for config in cli.HEADLINE:
+            for seed in range(3):
+                before = calls["mixhash128"]
+                run_scenario(config, seed)
+                counts.setdefault(config.scenario_name, []).append(calls["mixhash128"] - before)
+        assert counts == digests
+        assert calls["init_key"] == 0
