@@ -10,11 +10,19 @@ run's transcript, and verdict scores a run from the outcomes and that
 transcript alone.
 """
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .crypto import DhKeyPair, DhParams, check_int, check_octets, check_public, dh_keypair, e1
+from .crypto import (
+    DhKeyPair,
+    DhParams,
+    Stream,
+    check_int,
+    check_octets,
+    check_public,
+    dh_keypair,
+    e1,
+)
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -63,6 +71,21 @@ class AttackVerdict:
     integrity: Integrity
     confidentiality: Confidentiality
     detection: Detection
+
+    # one-step __init__, as in protocol.Message
+    def __init__(
+        self,
+        attack_success: bool,
+        integrity: Integrity,
+        confidentiality: Confidentiality,
+        detection: Detection,
+    ):
+        self.__dict__.update(
+            attack_success=attack_success,
+            integrity=integrity,
+            confidentiality=confidentiality,
+            detection=detection,
+        )
 
 
 # A script maps OPEN, the kickoff, and the (kind, victim) of an arriving
@@ -135,13 +158,14 @@ class IntruderState:
 
     It runs SCRIPTS[mode, variant], with A and B resolved to addresses once,
     when it is built; originate opens toward victim_a under victim_b's
-    address. When built, it draws from random.Random(rng_seed) only what its
+    address. When built, it draws from Stream(rng_seed) only what its
     script sends: against the dh variant a key pair first, if the script
     sends PUBLIC (so it needs the group parameters; ValueError otherwise),
     then a challenge, if it sends NONCE. id, victim_a and victim_b are
     three distinct 6-octet addresses, mode an IntruderMode, variant a
-    Variant and rng_seed a non-negative int, as new_device takes it
-    (TypeError naming the field, or ValueError, otherwise).
+    Variant, dh_params a DhParams or None and rng_seed a non-negative int,
+    as new_device takes them (TypeError naming the field, or ValueError,
+    otherwise).
     """
 
     id: bytes
@@ -174,6 +198,9 @@ class IntruderState:
             raise TypeError(f"mode must be an IntruderMode, got {type(self.mode).__name__}")
         if type(self.variant) is not Variant:
             raise TypeError(f"variant must be a Variant, got {type(self.variant).__name__}")
+        if type(self.dh_params) is not DhParams and self.dh_params is not None:
+            kind = type(self.dh_params).__name__
+            raise TypeError(f"dh_params must be a DhParams or None, got {kind}")
         check_int("rng_seed", self.rng_seed)
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
@@ -183,7 +210,7 @@ class IntruderState:
         if forges_publics and self.dh_params is None:
             raise ValueError("an active intruder against the dh variant needs the group parameters")
         if forges_publics or sends_nonce:
-            rng = random.Random(self.rng_seed)
+            rng = Stream(self.rng_seed)
             if forges_publics:
                 self.dh_own = dh_keypair(self.dh_params, rng.randrange(1, self.dh_params.p))
                 self.values[PUBLIC] = encode_public(self.dh_own.s_public)

@@ -9,13 +9,13 @@ scenario name and seed alone.
 
 import functools
 import math
-import random
 import sys
 from dataclasses import dataclass
 
 from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
     DhParams,
+    Stream,
     check_int,
     combination_link_key,
     e1,
@@ -83,6 +83,25 @@ class ScenarioResult:
     baselines: dict[bytes, int]
     link_key: bytes
 
+    # one-step __init__, as in protocol.Message
+    def __init__(
+        self,
+        seed: int,
+        transcript: Transcript,
+        outcomes: dict[bytes, AuthOutcome],
+        score: AttackVerdict,
+        baselines: dict[bytes, int],
+        link_key: bytes,
+    ):
+        self.__dict__.update(
+            seed=seed,
+            transcript=transcript,
+            outcomes=outcomes,
+            score=score,
+            baselines=baselines,
+            link_key=link_key,
+        )
+
 
 # links, group (dh-improved only) and per-device baselines of a configuration
 Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
@@ -136,11 +155,12 @@ def _construct(flags: str, value_type, *args):
         raise ConfigError(f"{flags}: {err}") from None
 
 
-def _derive_link_key(master: random.Random) -> bytes:
+def _derive_link_key(master: Stream) -> bytes:
     """Pairing with no user input: any PIN's bootstrap-key mask (init_key)
     cancels out of the combined contributions, so no run computes it; the
-    mask's random number is drawn first, so the contributions keep their draws."""
-    master.randbytes(16)
+    mask's random number is drawn first, as the 128 bits that randbytes(16)
+    would turn into octets, so the contributions keep their draws."""
+    master.getrandbits(128)
     return combination_link_key(master.randbytes(16), ADDR_A, master.randbytes(16), ADDR_B)
 
 
@@ -232,7 +252,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     session_key.cache_clear()
     links, params, calibrated = validate(config)
     baselines = dict(calibrated)
-    master = random.Random(seed)
+    master = Stream(seed)
     seed_a = master.getrandbits(64)
     seed_b = master.getrandbits(64)
     seed_c = master.getrandbits(64)

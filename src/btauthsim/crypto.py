@@ -1,7 +1,8 @@
 """Key material, the keyed mixing function behind E1/E2/E3, and Diffie-Hellman arithmetic.
 
-All operations are pure functions and safe to call from any thread. Octet
-widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
+Apart from Stream, the seeded random stream each party of a run draws
+from, all operations are pure functions and safe to call from any thread.
+Octet widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
 octets, 128-bit challenges and keys, 32-bit signed responses, 96-bit
 ciphering offset. Every octet string a function takes or returns, addresses
 and PINs included, is plain bytes; each function checks the type and width
@@ -46,6 +47,7 @@ threads that race to build it build equal tables.
 
 from dataclasses import dataclass
 import functools
+import random
 import struct
 import threading
 
@@ -53,6 +55,7 @@ __all__ = [
     "check_octets",
     "check_int",
     "check_public",
+    "Stream",
     "DhParams",
     "DhKeyPair",
     "mixhash128",
@@ -92,6 +95,32 @@ def check_int(name: str, value: int) -> None:
     a float equals, hashes like and passes range checks as the int it is."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+class Stream(random.Random):
+    """The Mersenne Twister stream of a non-negative int seed: the same
+    state, and so the same draws, as random.Random(seed).
+
+    It seeds through the generator's own routine and skips random.Random's
+    seed method, which for an int only tests the seed's type against the
+    other seed types it hashes. It refuses those itself: a seed that is not
+    exactly an int raises TypeError, and a negative one ValueError, since
+    the routine would hash any other object and seed from the absolute
+    value of a negative int.
+    """
+
+    def __init__(self, seed: int):
+        # a valid seed costs no call, as in e1
+        if type(seed) is not int:
+            check_int("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        super(random.Random, self).seed(seed)
+        self.gauss_next = None
+
+    def __reduce__(self):
+        # copy and pickle rebuild from a seed, then restore the state
+        return self.__class__, (0,), self.getstate()
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -376,6 +405,11 @@ class DhKeyPair:
 
     r_private: int
     s_public: int
+
+    # dataclass keeps this __init__: it stores both fields in one step
+    # instead of one object.__setattr__ call per field
+    def __init__(self, r_private: int, s_public: int):
+        self.__dict__.update(r_private=r_private, s_public=s_public)
 
 
 def _power_of_alpha(params: DhParams, e: int) -> int:

@@ -24,20 +24,20 @@ and devices share nothing but messages.
 
 Every octet string is plain bytes: each address, the link key, both
 challenges and each message payload. new_device checks the address and the
-link key it takes, and that its variant is a Variant and its seed a
-non-negative int, Message refuses a kind that is not a MsgKind, parties
-that are not 6-octet bytes and a payload that is not bytes of its kind's
-width, and e1 checks the octets it takes, so handlers pass payloads and
-claimed senders on as they arrive. Addresses compare by value.
+link key it takes, that its variant is a Variant, its group a DhParams or
+None and its seed a non-negative int, Message refuses a kind that is not a
+MsgKind, parties that are not 6-octet bytes and a payload that is not bytes
+of its kind's width, and e1 checks the octets it takes, so handlers pass
+payloads and claimed senders on as they arrive. Addresses compare by value.
 """
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .crypto import (
     DhKeyPair,
     DhParams,
+    Stream,
     check_int,
     check_octets,
     dh_keypair,
@@ -179,6 +179,10 @@ class AuthOutcome:
     status: AuthStatus
     authenticated_with: bytes | None
 
+    # one-step __init__, as in Message
+    def __init__(self, status: AuthStatus, authenticated_with: bytes | None):
+        self.__dict__.update(status=status, authenticated_with=authenticated_with)
+
 
 @dataclass
 class DeviceState:
@@ -211,12 +215,12 @@ def new_device(
     dh_params: DhParams | None = None,
 ) -> DeviceState:
     """Fresh idle device of 6-octet address id, holding its 16-octet link
-    key and every random value it may send, drawn from
-    random.Random(rng_seed): on dh-improved its key pair first, then its
-    challenge. variant must be a Variant and rng_seed exactly an int
+    key and every random value it may send, drawn from Stream(rng_seed):
+    on dh-improved its key pair first, then its challenge. variant must be
+    a Variant, dh_params a DhParams or None, and rng_seed exactly an int
     (TypeError naming the field otherwise), and rng_seed non-negative
-    (ValueError): random.Random seeds from a bool, a float or a negative
-    int as from the int or the absolute value it stands for."""
+    (ValueError), as Stream requires: random.Random would take a bool, a
+    float or a negative int as the int or the absolute value it stands for."""
     # a well-formed address and key cost no call, as in Message
     if type(id) is not bytes or len(id) != 6:
         check_octets("id", id, 6)
@@ -224,10 +228,12 @@ def new_device(
         check_octets("link_key", link_key, 16)
     if type(variant) is not Variant:
         check_variant(variant)
+    if type(dh_params) is not DhParams and dh_params is not None:
+        raise TypeError(f"dh_params must be a DhParams or None, got {type(dh_params).__name__}")
     check_int("rng_seed", rng_seed)
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
-    rng = random.Random(rng_seed)
+    rng = Stream(rng_seed)
     dh = None
     if variant is Variant.DH_IMPROVED:
         if dh_params is None:

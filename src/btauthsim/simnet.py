@@ -115,6 +115,10 @@ class Transcript:
     links: LinkConfig
     end_time: int
 
+    # one-step __init__, as in TranscriptEvent
+    def __init__(self, events: tuple[TranscriptEvent, ...], links: LinkConfig, end_time: int):
+        self.__dict__.update(events=events, links=links, end_time=end_time)
+
     def to_text(self) -> str:
         return _terminated(_text_lines(self.events))
 
@@ -215,11 +219,21 @@ def delay_detector(
     threshold_factor: float,
     device: bytes,
 ) -> Detection:
-    """Flag a device whose observed round trip exceeds factor x baseline."""
+    """Flag a device whose observed round trip exceeds factor x baseline.
+    baseline_rtt must be exactly an int and threshold_factor a real number
+    (TypeError naming it otherwise), the baseline positive and the factor
+    finite and above 1 (ValueError)."""
+    # a valid baseline costs no call, as in protocol.new_device
+    if type(baseline_rtt) is not int:
+        check_int("baseline_rtt", baseline_rtt)
     if baseline_rtt <= 0:
         raise ValueError("baseline rtt must be positive")
-    if not 1 < threshold_factor < math.inf:
-        raise ValueError(f"threshold factor must be finite and exceed 1, got {threshold_factor}")
+    try:
+        if not 1 < threshold_factor < math.inf:
+            raise ValueError(f"threshold factor must be finite and exceed 1, got {threshold_factor}")
+    except TypeError:
+        kind = type(threshold_factor).__name__
+        raise TypeError(f"threshold_factor must be a real number, got {kind}") from None
     observed = transcript_rtt(transcript, device)
     if observed is not None and observed > threshold_factor * baseline_rtt:
         return Detection.DELAY_FLAGGED

@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import random
-import types
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +19,7 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import DhParams, e1, xor_bytes
+from btauthsim.crypto import DhParams, Stream, e1, xor_bytes
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run, transcript_rtt
 
@@ -919,14 +918,14 @@ class TestRecordOnlyJudge:
 
 
 def counted_attack_run(monkeypatch, variant, mode):
-    """attack_run with the intruder's random.Random calls recorded by seed."""
+    """attack_run with the intruder's Stream calls recorded by seed."""
     seeded = []
 
-    def counting_random(seed):
+    def counting_stream(seed):
         seeded.append(seed)
-        return random.Random(seed)
+        return Stream(seed)
 
-    monkeypatch.setattr(adversary, "random", types.SimpleNamespace(Random=counting_random))
+    monkeypatch.setattr(adversary, "Stream", counting_stream)
     return seeded, attack_run(variant, mode)
 
 

@@ -652,3 +652,18 @@ class TestCallBudget:
                 counts.setdefault(config.scenario_name, []).append(calls["mixhash128"] - before)
         assert counts == digests
         assert calls["init_key"] == 0
+
+    def test_headline_runs_seed_no_stream_through_random_seed(self, monkeypatch):
+        # every stream of a run is a Stream, seeded through the generator's
+        # own routine; random.Random(seed) would call random.Random.seed
+        calls = collections.Counter()
+        real = random.Random.seed
+        monkeypatch.setattr(random.Random, "seed", self.counted(calls, "seed", real))
+        for config in cli.HEADLINE:
+            for seed in range(3):
+                run_scenario(config, seed)
+        assert calls == {}
+
+        # the counter sees a stream seeded through that method
+        random.Random(0)
+        assert calls == {"seed": 1}

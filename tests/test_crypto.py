@@ -1,6 +1,9 @@
 """Key-derivation functions and value-type validation."""
 
 import contextlib
+import copy
+import pickle
+import random
 import sys
 import threading
 
@@ -12,6 +15,7 @@ from btauthsim import crypto
 from btauthsim.crypto import (
     DhKeyPair,
     DhParams,
+    Stream,
     check_int,
     check_octets,
     check_public,
@@ -219,6 +223,69 @@ class TestIntegerArguments:
                 check_public(params, value)
         check_public(params, 1)
         check_public(params, 22)
+
+
+class TestGroupArgument:
+    @pytest.mark.parametrize("dh_params", ["x", (23, 5)], ids=["str", "tuple"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda dh_params: new_device(ADDR_A, Variant.DH_IMPROVED, ZKEY, 0, dh_params=dh_params),
+            lambda dh_params: IntruderState(
+                ADDR_C,
+                IntruderMode.RELAY_ACTIVE,
+                Variant.DH_IMPROVED,
+                ADDR_A,
+                ADDR_B,
+                0,
+                dh_params=dh_params,
+            ),
+        ],
+        ids=["new_device", "IntruderState"],
+    )
+    def test_a_group_of_another_type_is_named(self, build, dh_params):
+        kind = type(dh_params).__name__
+        with pytest.raises(TypeError, match=f"^dh_params must be a DhParams or None, got {kind}$"):
+            build(dh_params)
+
+
+# one draw on a stream: (method name, its arguments)
+stream_draws = st.one_of(
+    st.tuples(st.just("getrandbits"), st.tuples(st.integers(1, 300))),
+    st.tuples(st.just("randbytes"), st.tuples(st.integers(0, 40))),
+    st.tuples(
+        st.just("randrange"),
+        st.tuples(st.just(1), st.integers(2, 2**64) | st.integers(2, 2**160)),
+    ),
+)
+
+
+class TestStream:
+    """Stream(seed) is the stream of random.Random(seed), seeded without
+    random.Random.seed, and refuses the seeds that the runs refuse."""
+
+    @given(
+        st.integers(0, 2**64) | st.integers(0, 2**4096),
+        st.lists(stream_draws, max_size=12),
+    )
+    def test_draws_as_random_random(self, seed, draws):
+        stream, oracle = Stream(seed), random.Random(seed)
+        assert stream.getstate() == oracle.getstate()
+        for name, args in draws:
+            assert getattr(stream, name)(*args) == getattr(oracle, name)(*args)
+        assert stream.getstate() == oracle.getstate()
+        for twin in (copy.copy(stream), pickle.loads(pickle.dumps(stream))):
+            assert type(twin) is Stream
+            assert twin.getstate() == stream.getstate()
+
+    @pytest.mark.parametrize(
+        "seed,error",
+        [(True, TypeError), (1.0, TypeError), ("1", TypeError), (-1, ValueError)],
+        ids=["bool", "float", "str", "negative"],
+    )
+    def test_refuses_a_seed_a_run_refuses(self, seed, error):
+        with pytest.raises(error, match="^seed must be"):
+            Stream(seed)
 
 
 class TestE1:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -9,10 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from btauthsim import cli, simnet
-from btauthsim.adversary import IntruderMode, IntruderState
-from btauthsim.cli import run_scenario
-from btauthsim.crypto import DhParams
-from btauthsim.protocol import AuthStatus, Message, MsgKind, Variant, new_device
+from btauthsim.adversary import (
+    AttackVerdict,
+    Confidentiality,
+    Integrity,
+    IntruderMode,
+    IntruderState,
+)
+from btauthsim.cli import ScenarioResult, run_scenario
+from btauthsim.crypto import DhKeyPair, DhParams
+from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import (
     Detection,
     LinkConfig,
@@ -266,46 +273,83 @@ class TestSerialization:
         assert first.to_text() == second.to_text()
 
 
-@dataclasses.dataclass(frozen=True)
-class TranscriptEventTwin:
-    """TranscriptEvent's fields as a plain frozen dataclass."""
-
-    seq: int
-    time: int
-    from_id: bytes
-    to_id: bytes
-    kind: MsgKind
-    payload: bytes
-
-
-FIELDS = ("seq", "time", "from_id", "to_id", "kind", "payload")
+addresses = st.sampled_from([ADDR_A, ADDR_B, ADDR_C])
 event_args = st.tuples(
     st.integers(),
     st.integers(),
-    st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
-    st.sampled_from([ADDR_A, ADDR_B, ADDR_C]),
+    addresses,
+    addresses,
     st.sampled_from(list(MsgKind)),
     st.binary(max_size=20),
 )
+transcript_args = st.tuples(
+    st.lists(event_args.map(lambda args: TranscriptEvent(*args)), max_size=3).map(tuple),
+    st.sampled_from([LINKS, LinkConfig(5, 100)]),
+    st.integers(),
+)
+outcome_args = st.tuples(st.sampled_from(list(AuthStatus)), st.none() | addresses)
+verdict_args = st.tuples(
+    st.booleans(),
+    st.sampled_from(list(Integrity)),
+    st.sampled_from(list(Confidentiality)),
+    st.sampled_from(list(Detection)),
+)
+# the arguments of each record that a run builds with a one-step __init__
+RECORD_ARGS = {
+    TranscriptEvent: event_args,
+    Transcript: transcript_args,
+    AuthOutcome: outcome_args,
+    AttackVerdict: verdict_args,
+    DhKeyPair: st.tuples(st.integers(), st.integers()),
+    ScenarioResult: st.tuples(
+        st.integers(),
+        transcript_args.map(lambda args: Transcript(*args)),
+        st.dictionaries(addresses, outcome_args.map(lambda args: AuthOutcome(*args)), max_size=2),
+        verdict_args.map(lambda args: AttackVerdict(*args)),
+        st.dictionaries(addresses, st.integers(), max_size=2),
+        st.binary(min_size=16, max_size=16),
+    ),
+}
+# each record's fields as a plain frozen dataclass of the same name
+TWINS = {
+    record: dataclasses.make_dataclass(
+        record.__name__, [(f.name, f.type) for f in dataclasses.fields(record)], frozen=True
+    )
+    for record in RECORD_ARGS
+}
+
+
+def hash_or_error(value):
+    """hash(value), or TypeError when a field is unhashable (a dict)."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
 
 
 class TestEventRecord:
-    @given(event_args, event_args)
-    def test_behaves_like_a_plain_frozen_dataclass(self, args, other):
-        event, twin = TranscriptEvent(*args), TranscriptEventTwin(*args)
-        assert [f.name for f in dataclasses.fields(TranscriptEvent)] == list(FIELDS)
-        assert tuple(getattr(event, name) for name in FIELDS) == args
-        assert event == TranscriptEvent(**dict(zip(FIELDS, args)))
-        assert repr(event) == repr(twin).replace("TranscriptEventTwin(", "TranscriptEvent(", 1)
-        assert hash(event) == hash(twin)
-        assert (event == TranscriptEvent(*other)) == (twin == TranscriptEventTwin(*other))
-        for name, value in zip(FIELDS, other):
-            replaced = dataclasses.replace(event, **{name: value})
-            assert repr(replaced) == repr(dataclasses.replace(twin, **{name: value})).replace(
-                "TranscriptEventTwin(", "TranscriptEvent(", 1
-            )
+    """Each record a run builds with a one-step __init__ behaves as the
+    plain frozen dataclass of its fields."""
+
+    @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
+    @given(data=st.data())
+    def test_behaves_like_a_plain_frozen_dataclass(self, record, data):
+        args, other = data.draw(RECORD_ARGS[record]), data.draw(RECORD_ARGS[record])
+        names = [f.name for f in dataclasses.fields(record)]
+        twin_of = TWINS[record]
+        # the one-step __init__ takes the fields in their order, by name too
+        assert list(inspect.signature(record).parameters) == names
+        value, twin = record(*args), twin_of(*args)
+        assert tuple(getattr(value, name) for name in names) == args
+        assert value == record(**dict(zip(names, args)))
+        assert repr(value) == repr(twin)
+        assert hash_or_error(value) == hash_or_error(twin)
+        assert (value == record(*other)) == (twin == twin_of(*other))
+        for name, new in zip(names, other):
+            replaced = dataclasses.replace(value, **{name: new})
+            assert repr(replaced) == repr(dataclasses.replace(twin, **{name: new}))
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(event, name, value)
+                setattr(value, name, new)
 
 
 def two_pass_rtt(transcript, device):
@@ -447,6 +491,21 @@ class TestDelayDetector:
         for factor in (1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 delay_detector(transcript, 20, factor, ADDR_A)
+
+    @pytest.mark.parametrize(
+        "baseline,factor,named",
+        [
+            (True, 1.5, "baseline_rtt must be an int, got bool"),
+            (20.0, 1.5, "baseline_rtt must be an int, got float"),
+            ("x", 1.5, "baseline_rtt must be an int, got str"),
+            (20, "x", "threshold_factor must be a real number, got str"),
+            (20, None, "threshold_factor must be a real number, got NoneType"),
+        ],
+    )
+    def test_refuses_an_argument_of_another_type(self, baseline, factor, named):
+        _, _, transcript, _ = run_direct(Variant.LEGACY)
+        with pytest.raises(TypeError, match=f"^{named}$"):
+            delay_detector(transcript, baseline, factor, ADDR_A)
 
 
 def copy_of(addr: bytes) -> bytes:
