@@ -7,7 +7,7 @@ The intruder holds only values: the key pair and the nonce its script
 sends, drawn when it is built, and the one payload a script holds back. It
 keeps no record of what it saw: every hop it sends or receives is in the
 run's transcript, and verdict scores a run from the outcomes and that
-transcript alone.
+transcript alone, with the detector's baselines and threshold.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +31,7 @@ from .protocol import (
     Variant,
     encode_public,
 )
-from .simnet import Detection, Transcript
+from .simnet import Detection, Transcript, delay_detector
 
 __all__ = [
     "IntruderMode",
@@ -65,7 +65,7 @@ class Confidentiality(Enum):
     BREACHED = "Breached"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AttackVerdict:
     attack_success: bool
     integrity: Integrity
@@ -259,8 +259,9 @@ def _act(intruder: IntruderState, row, arriving: bytes | None) -> list[Message]:
 def verdict(
     outcomes: dict[bytes, AuthOutcome],
     transcript: Transcript,
-    detection: Detection,
     link_key: bytes,
+    baselines: dict[bytes, int],
+    threshold_factor: float,
 ) -> AttackVerdict:
     """Score a run from its record alone. outcomes names the two honest
     devices, each the other's peer (ValueError for any other count); every
@@ -269,6 +270,10 @@ def verdict(
     hop is direct, so nothing is captured. link_key, 16 octets, is judge-side
     knowledge: it identifies which captured challenge-response pairs are
     the victims' real credentials, and is never given to the intruder.
+
+    Detection is flagged when delay_detector flags either honest device
+    against its entry of baselines (ValueError naming baselines when one
+    is missing) at threshold_factor.
 
     Integrity is broken when the intruder delivered to an honest device a
     hop that the other honest device had not emitted before it.
@@ -296,6 +301,13 @@ def verdict(
     if type(link_key) is not bytes or len(link_key) != 16:
         check_octets("link_key", link_key, 16)
     a, b = outcomes
+    if a not in baselines or b not in baselines:
+        raise ValueError("baselines must hold a round trip for each device of outcomes")
+    detection = Detection.NONE
+    for device in a, b:
+        flag = delay_detector(transcript, baselines[device], threshold_factor, device)
+        if flag is Detection.DELAY_FLAGGED:
+            detection = Detection.DELAY_FLAGGED
     peer = {a: b, b: a}
     all_success = outcomes[a].status is outcomes[b].status is AuthStatus.MUTUAL_SUCCESS
 

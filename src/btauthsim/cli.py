@@ -24,11 +24,12 @@ from .crypto import (
     session_key,
 )
 from .protocol import AuthOutcome, DeviceState, Variant, check_variant, new_device
-from .simnet import Detection, LinkConfig, Transcript, delay_detector, run, transcript_rtt
+from .simnet import LinkConfig, Transcript, delay_detector, run, transcript_rtt
 
 __all__ = [
     "ScenarioConfig", "HEADLINE", "ScenarioResult", "ConfigError", "run_scenario", "main",
-    "init_key",  # no run calls it; the benchmark's tracer patches it here
+    # no run calls these from cli; the benchmark's tracer patches them here
+    "init_key", "delay_detector",
 ]
 
 ADDR_A = bytes.fromhex("aa0000000001")
@@ -74,7 +75,7 @@ HEADLINE: tuple[ScenarioConfig, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScenarioResult:
     seed: int
     transcript: Transcript
@@ -239,14 +240,14 @@ def _check_seed(seed: int) -> None:
 
 
 def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
-    """One full run at one seed: the run itself, detection against the
-    configuration's cached baselines, and scoring. It first clears the
-    memos of e1 and session_key, so the run starts from no
-    other run's entries, then takes links, group and baselines from
-    validate, so it raises ConfigError for every configuration that
-    validate rejects, and for a negative seed, which random.Random would
-    take as its absolute value. A seed that is not an int raises
-    TypeError."""
+    """One full run at one seed: the run itself, then its verdict, which
+    judges detection against the configuration's cached baselines and
+    threshold. It first clears the memos of e1 and session_key, so the
+    run starts from no other run's entries, then takes links, group and
+    baselines from validate, so it raises ConfigError for every
+    configuration that validate rejects, and for a negative seed, which
+    random.Random would take as its absolute value. A seed that is not an
+    int raises TypeError."""
     _check_seed(seed)
     e1.cache_clear()
     session_key.cache_clear()
@@ -271,17 +272,11 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
             dh_params=params,
         )
     transcript, outcomes = run(dev_a, dev_b, intruder, links)
-
-    detection = Detection.NONE
-    for device_id in (ADDR_A, ADDR_B):
-        flag = delay_detector(transcript, baselines[device_id], config.detect_factor, device_id)
-        if flag is Detection.DELAY_FLAGGED:
-            detection = Detection.DELAY_FLAGGED
     return ScenarioResult(
         seed=seed,
         transcript=transcript,
         outcomes=outcomes,
-        score=verdict(outcomes, transcript, detection, link_key),
+        score=verdict(outcomes, transcript, link_key, baselines, config.detect_factor),
         baselines=baselines,
         link_key=link_key,
     )

@@ -399,14 +399,14 @@ def has_full_order(params: DhParams) -> bool:
     return all(modexp(alpha, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DhKeyPair:
     """Per-device exchange pair: private exponent and public power."""
 
     r_private: int
     s_public: int
 
-    # dataclass keeps this __init__: it stores both fields in one step
+    # its own __init__ (init=False): it stores both fields in one step
     # instead of one object.__setattr__ call per field
     def __init__(self, r_private: int, s_public: int):
         self.__dict__.update(r_private=r_private, s_public=s_public)

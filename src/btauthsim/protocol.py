@@ -102,7 +102,7 @@ _PAYLOAD_WIDTH = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
     """One protocol message. sender is the claimed originator address; who
     physically transmitted it is the network's business, not the message's.
@@ -115,7 +115,7 @@ class Message:
     receiver: bytes
     payload: bytes = b""
 
-    # dataclass keeps this __init__: it checks first, then stores every
+    # its own __init__ (init=False): it checks first, then stores every
     # field in one step instead of one object.__setattr__ call per field
     def __init__(self, kind: MsgKind, sender: bytes, receiver: bytes, payload: bytes = b""):
         if not isinstance(kind, MsgKind):
@@ -174,7 +174,7 @@ class AuthStatus(Enum):
     TIMED_OUT = "TimedOut"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AuthOutcome:
     status: AuthStatus
     authenticated_with: bytes | None

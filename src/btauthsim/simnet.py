@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .crypto import check_int
+from .crypto import check_int, check_octets
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -59,7 +59,7 @@ class LinkConfig:
             raise ValueError("timeout must exceed the single-hop latency")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TranscriptEvent:
     seq: int
     time: int
@@ -68,7 +68,7 @@ class TranscriptEvent:
     kind: MsgKind
     payload: bytes
 
-    # dataclass keeps this __init__: it stores every field in one step
+    # its own __init__ (init=False): it stores every field in one step
     # instead of one object.__setattr__ call per field
     def __init__(
         self, seq: int, time: int, from_id: bytes, to_id: bytes, kind: MsgKind, payload: bytes
@@ -109,7 +109,7 @@ def _terminated(lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transcript:
     events: tuple[TranscriptEvent, ...]
     links: LinkConfig
@@ -199,7 +199,11 @@ def transcript_rtt(transcript: Transcript, device: bytes) -> int | None:
     """Round trip of the one challenge a device sends, reconstructed from
     delivery times alone: from its send (the delivery of the device's first
     ChallengeMsg, minus one hop) to the first ResponseMsg delivered to the
-    device at or after that send. None when either is missing."""
+    device at or after that send. None when either is missing. device is a
+    6-octet address (TypeError, ValueError otherwise)."""
+    # pre-tested, as in new_device
+    if type(device) is not bytes or len(device) != 6:
+        check_octets("device", device, 6)
     challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
     for e in transcript.events:
         if e.kind is challenge and e.from_id == device:
@@ -222,7 +226,7 @@ def delay_detector(
     """Flag a device whose observed round trip exceeds factor x baseline.
     baseline_rtt must be exactly an int and threshold_factor a real number
     (TypeError naming it otherwise), the baseline positive and the factor
-    finite and above 1 (ValueError)."""
+    finite and above 1 (ValueError); device is checked by transcript_rtt."""
     # a valid baseline costs no call, as in protocol.new_device
     if type(baseline_rtt) is not int:
         check_int("baseline_rtt", baseline_rtt)

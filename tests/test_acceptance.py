@@ -83,7 +83,8 @@ def attack_run(variant, mode, seed, key=None):
         rng_seed=material.getrandbits(64), dh_params=params,
     )
     transcript, outcomes = run(dev_a, dev_b, intruder, LinkConfig())
-    score = verdict(outcomes, transcript, Detection.NONE, key)
+    # any baselines: no caller reads this verdict's detection
+    score = verdict(outcomes, transcript, key, {ADDR_A: 20, ADDR_B: 20}, 1.5)
     return dev_a, dev_b, intruder, transcript, outcomes, score
 
 

@@ -21,7 +21,15 @@ from btauthsim.adversary import (
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
 from btauthsim.crypto import DhParams, Stream, e1, xor_bytes
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
-from btauthsim.simnet import Detection, LinkConfig, Transcript, TranscriptEvent, run, transcript_rtt
+from btauthsim.simnet import (
+    Detection,
+    LinkConfig,
+    Transcript,
+    TranscriptEvent,
+    delay_detector,
+    run,
+    transcript_rtt,
+)
 
 ADDR_A = bytes.fromhex("aa0000000001")
 ADDR_B = bytes.fromhex("bb0000000002")
@@ -31,6 +39,10 @@ PARAMS = DhParams(p=2147483647, alpha=7)
 # the largest safe prime below 2^47, whose generator is 2
 WIDE_P = 140737488353843
 LINKS = LinkConfig()
+# the intruder-free legacy round trip at LINKS, for either device, and the
+# default threshold: a relay that doubles it is flagged
+BASELINES = {ADDR_A: 20, ADDR_B: 20}
+FACTOR = 1.5
 
 
 def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
@@ -41,8 +53,19 @@ def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
         ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seeds[2], dh_params=params
     )
     transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
-    score = verdict(outcomes, transcript, Detection.NONE, key)
+    score = verdict(outcomes, transcript, key, BASELINES, FACTOR)
     return dev_a, dev_b, intruder, transcript, outcomes, score
+
+
+def loop_detection(transcript, baselines, threshold_factor):
+    """Detection as run_scenario once computed it and handed it to the
+    judge: flagged when delay_detector flags A or B."""
+    detection = Detection.NONE
+    for device in (ADDR_A, ADDR_B):
+        flag = delay_detector(transcript, baselines[device], threshold_factor, device)
+        if flag is Detection.DELAY_FLAGGED:
+            detection = Detection.DELAY_FLAGGED
+    return detection
 
 
 def session_of(device, key=KEY):
@@ -298,17 +321,32 @@ class TestWirePayloadsAreBytes:
 
 
 class TestVerdictPlumbing:
-    def test_detection_passthrough(self):
+    @pytest.mark.parametrize(
+        "factor,expected",
+        [(1.5, Detection.DELAY_FLAGGED), (2.0, Detection.NONE)],
+        ids=["flagged-at-1.5", "passed-at-2"],
+    )
+    def test_the_threshold_decides_detection(self, factor, expected):
+        # the relay exactly doubles each round trip, 20 to 40 ms, and the
+        # rule is a strict >
         _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
-        flagged = verdict(outcomes, transcript, Detection.DELAY_FLAGGED, KEY)
-        assert flagged.detection is Detection.DELAY_FLAGGED
+        assert [transcript_rtt(transcript, device) for device in outcomes] == [40, 40]
+        score = verdict(outcomes, transcript, KEY, BASELINES, factor)
+        assert score.detection is expected
+
+    @pytest.mark.parametrize("missing", [ADDR_A, ADDR_B], ids=["A", "B"])
+    def test_baselines_must_cover_both_devices(self, missing):
+        _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        baselines = {device: 20 for device in BASELINES if device != missing}
+        with pytest.raises(ValueError, match="baselines"):
+            verdict(outcomes, transcript, KEY, baselines, FACTOR)
 
     def test_mismatched_keys_defeat_relay(self):
         dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
         dev_b = new_device(ADDR_B, Variant.LEGACY, b"\xff" * 16, 2)
         intruder = IntruderState(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B, 0)
         transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
-        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.attack_success is False
 
     @pytest.mark.parametrize("count", [0, 1, 3])
@@ -317,7 +355,7 @@ class TestVerdictPlumbing:
         parties = [ADDR_A, ADDR_B, ADDR_C][:count]
         outcome = next(iter(outcomes.values()))
         with pytest.raises(ValueError):
-            verdict(dict.fromkeys(parties, outcome), transcript, Detection.NONE, KEY)
+            verdict(dict.fromkeys(parties, outcome), transcript, KEY, BASELINES, FACTOR)
 
 
 def full_scan_confidentiality(challenges, responses, outcomes, link_key):
@@ -403,14 +441,16 @@ class TestConfidentialityScan:
     ):
         # the oracle tries every captured 16-octet item as a challenge,
         # whatever its kind: on every run, leaving out the other kinds
-        # changes no verdict
+        # changes no verdict; and the judge's detection is the one
+        # run_scenario once computed itself
         judged = []
 
-        def checked(outcomes, transcript, detection, link_key):
-            score = verdict(outcomes, transcript, detection, link_key)
+        def checked(outcomes, transcript, link_key, baselines, threshold_factor):
+            score = verdict(outcomes, transcript, link_key, baselines, threshold_factor)
             knowledge = captured(transcript, outcomes)
             expected = full_scan_confidentiality(knowledge, knowledge, outcomes, link_key)
             assert score.confidentiality is expected
+            assert score.detection is loop_detection(transcript, baselines, threshold_factor)
             judged.append(score.confidentiality)
             return score
 
@@ -493,7 +533,7 @@ class TestConfidentialityScan:
             ADDR_B: AuthOutcome(AuthStatus.MUTUAL_SUCCESS, ADDR_A),
         }
         assert captured(transcript, outcomes) == {payload for *_, payload in hops}
-        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is answered_credential_confidentiality(
             transcript, outcomes, KEY
         )
@@ -576,7 +616,7 @@ class TestConfidentialityScan:
         responses = captured_of_kind(transcript, outcomes, MsgKind.RESPONSE)
         blind = full_scan_confidentiality(challenges, responses, outcomes, KEY)
         assert blind is Confidentiality.BREACHED
-        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is expected
 
     def test_challenges_are_tried_in_ascending_order(self, monkeypatch):
@@ -607,7 +647,7 @@ class TestConfidentialityScan:
             ADDR_B: AuthOutcome(AuthStatus.TIMED_OUT, None),
             ADDR_A: AuthOutcome(AuthStatus.TIMED_OUT, None),
         }
-        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is Confidentiality.MAINTAINED
         assert e1_calls == [(KEY, low, ADDR_A), (KEY, high, ADDR_A)]
 
@@ -638,7 +678,7 @@ class TestConfidentialityScan:
             ADDR_A: AuthOutcome(AuthStatus.TIMED_OUT, None),
             ADDR_B: AuthOutcome(AuthStatus.TIMED_OUT, None),
         }
-        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is Confidentiality.BREACHED
         assert e1_calls == [(KEY, low, ADDR_A)]
 
@@ -664,18 +704,18 @@ class TestConfidentialityScan:
         knowledge = captured(transcript, outcomes)
         blind = full_scan_confidentiality(knowledge, knowledge, outcomes, KEY)
         assert blind is Confidentiality.BREACHED
-        score = verdict(outcomes, transcript, Detection.NONE, KEY)
+        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is Confidentiality.MAINTAINED
         assert score.integrity is Integrity.MAINTAINED
 
 
-def two_pass_verdict(outcomes, transcript, detection, link_key):
+def two_pass_verdict(outcomes, transcript, link_key, baselines, threshold_factor):
     """The judge by its record-only definition, one fact per pass: direct
     hops between the honest devices; each hop that another party delivered
     to an honest device, checked against what the other honest device
-    emitted before it; and, for each honest device, the CHALLENGE payloads
+    emitted before it; for each honest device, the CHALLENGE payloads
     another party delivered to it, tried against the RESPONSE payloads it
-    sent another party."""
+    sent another party; and detection by run_scenario's old loop."""
     a, b = outcomes
     other = {a: b, b: a}
     honest = set(outcomes)
@@ -694,7 +734,7 @@ def two_pass_verdict(outcomes, transcript, detection, link_key):
         attack_success=attack_success,
         integrity=integrity,
         confidentiality=answered_credential_confidentiality(transcript, outcomes, link_key),
-        detection=detection,
+        detection=loop_detection(transcript, baselines, threshold_factor),
     )
 
 
@@ -704,6 +744,9 @@ _PAYLOAD = st.one_of(st.sampled_from([b"", b"\x01", b"\x02"]), st.binary(max_siz
 _KIND = st.sampled_from(list(MsgKind))
 _HOP = st.tuples(_PARTY, _PARTY, _KIND, _PAYLOAD)
 _OUTCOME = st.sampled_from(list(AuthStatus))
+# hops fall due at their sequence numbers, so round trips stay small
+_BASELINE = st.integers(min_value=1, max_value=40)
+_FACTOR = st.floats(min_value=1, max_value=10, exclude_min=True)
 
 
 @st.composite
@@ -733,24 +776,28 @@ def _hops(draw):
 
 
 class TestOnePassVerdict:
-    @given(_hops(), _OUTCOME, _OUTCOME, st.booleans(), st.sampled_from(list(Detection)))
+    @given(_hops(), _OUTCOME, _OUTCOME, st.booleans(), _BASELINE, _BASELINE, _FACTOR)
     # every device succeeded, yet one hop ran directly between A and B
     @example(
         [(ADDR_A, ADDR_C, MsgKind.AUTH_REQUEST, b"\x01"), (ADDR_A, ADDR_B, MsgKind.AUTH_SUCCESS, b"")],
         AuthStatus.MUTUAL_SUCCESS,
         AuthStatus.MUTUAL_SUCCESS,
         False,
-        Detection.NONE,
+        20,
+        20,
+        FACTOR,
     )
     # a response to a value that crossed only as a public value
-    @example(ANSWERED_PUBLIC_HOPS, AuthStatus.FAILED, AuthStatus.FAILED, False, Detection.NONE)
+    @example(ANSWERED_PUBLIC_HOPS, AuthStatus.FAILED, AuthStatus.FAILED, False, 20, 20, FACTOR)
     # A's credential, sent by A, to a challenge delivered only to B
     @example(
         [(ADDR_C, ADDR_B, MsgKind.CHALLENGE, _CHALLENGE), (ADDR_A, ADDR_C, MsgKind.RESPONSE, _CREDENTIAL_A)],
         AuthStatus.FAILED,
         AuthStatus.FAILED,
         False,
-        Detection.NONE,
+        20,
+        20,
+        FACTOR,
     )
     # A's credential to a challenge delivered to A, sent only by the intruder
     @example(
@@ -758,7 +805,9 @@ class TestOnePassVerdict:
         AuthStatus.FAILED,
         AuthStatus.FAILED,
         True,
-        Detection.NONE,
+        20,
+        20,
+        FACTOR,
     )
     # A's credential to a challenge delivered to A, sent by A
     @example(
@@ -766,10 +815,34 @@ class TestOnePassVerdict:
         AuthStatus.TIMED_OUT,
         AuthStatus.TIMED_OUT,
         False,
-        Detection.NONE,
+        20,
+        20,
+        FACTOR,
+    )
+    # B's challenge goes out at -10 ms and its response is in at 1 ms: 11 ms
+    # is flagged against 5 ms at factor 2 and not against 6 ms
+    @example(
+        [(ADDR_B, ADDR_C, MsgKind.CHALLENGE, _CHALLENGE), (ADDR_C, ADDR_B, MsgKind.RESPONSE, _CREDENTIAL_A)],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        False,
+        20,
+        5,
+        2.0,
+    )
+    @example(
+        [(ADDR_B, ADDR_C, MsgKind.CHALLENGE, _CHALLENGE), (ADDR_C, ADDR_B, MsgKind.RESPONSE, _CREDENTIAL_A)],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        True,
+        20,
+        6,
+        2.0,
     )
     @settings(deadline=None)
-    def test_agrees_with_the_two_pass_judge(self, hops, status_a, status_b, b_first, detection):
+    def test_agrees_with_the_two_pass_judge(
+        self, hops, status_a, status_b, b_first, baseline_a, baseline_b, factor
+    ):
         transcript = Transcript(
             events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
             links=LINKS,
@@ -781,7 +854,7 @@ class TestOnePassVerdict:
         }
         if b_first:
             outcomes = dict(reversed(outcomes.items()))
-        args = (outcomes, transcript, detection, KEY)
+        args = (outcomes, transcript, KEY, {ADDR_A: baseline_a, ADDR_B: baseline_b}, factor)
         assert verdict(*args) == two_pass_verdict(*args)
 
 
@@ -801,9 +874,9 @@ class TestHonestRunsAreJudged:
             e1_calls.append(args)
             return e1(*args)
 
-        def judging(outcomes, transcript, detection, link_key):
-            score = verdict(outcomes, transcript, detection, link_key)
-            judged.append((detection, score))
+        def judging(outcomes, transcript, link_key, baselines, threshold_factor):
+            score = verdict(outcomes, transcript, link_key, baselines, threshold_factor)
+            judged.append((loop_detection(transcript, baselines, threshold_factor), score))
             return score
 
         monkeypatch.setattr(adversary, "e1", counting_e1)
@@ -818,11 +891,12 @@ class TestHonestRunsAreJudged:
         assert e1_calls == []
 
 
-def knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key):
+def knowledge_set_verdict(knowledge, outcomes, transcript, link_key, baselines, threshold_factor):
     """The judge that verdict replaced, as it scored an intruder run: from
     the intruder's own grow-only record of the payloads it received and
     sent and the addresses on what it received, with the intruder at C
-    impersonating B toward A and A toward B."""
+    impersonating B toward A and A toward B, and detection by
+    run_scenario's old loop."""
     honest = outcomes.keys()
     impersonating = {cli.ADDR_A: cli.ADDR_B, cli.ADDR_B: cli.ADDR_A}
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
@@ -852,7 +926,7 @@ def knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key):
         attack_success=all_success and not direct_hops and len(transcript.events) > 0,
         integrity=Integrity.BROKEN if forged else Integrity.MAINTAINED,
         confidentiality=Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED,
-        detection=detection,
+        detection=loop_detection(transcript, baselines, threshold_factor),
     )
 
 
@@ -906,14 +980,15 @@ class TestRecordOnlyJudge:
             patch.setattr(cli, "verdict", judging)
             result = run_scenario(config, seed)
 
-        [((outcomes, transcript, detection, link_key), score)] = judged
+        [(args, score)] = judged
+        outcomes, transcript, link_key, baselines, factor = args
         assert result.score is score
         assert captured(transcript, outcomes) == payloads
         if mode is None:
-            expected = honest_verdict(detection)
+            expected = honest_verdict(loop_detection(transcript, baselines, factor))
         else:
             knowledge = payloads | addresses
-            expected = knowledge_set_verdict(knowledge, outcomes, transcript, detection, link_key)
+            expected = knowledge_set_verdict(knowledge, *args)
         assert score == expected
 
 

@@ -32,7 +32,7 @@ from btauthsim.crypto import (
 )
 from btauthsim.adversary import IntruderMode, IntruderState, verdict
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
-from btauthsim.simnet import Detection, LinkConfig, Transcript
+from btauthsim.simnet import LinkConfig, Transcript
 
 Z16 = b"\x00" * 16
 ZKEY = b"\x00" * 16
@@ -134,10 +134,11 @@ OCTET_PARAMETERS = [
         (
             {addr: AuthOutcome(AuthStatus.TIMED_OUT, None) for addr in (ADDR_A, ADDR_B)},
             Transcript((), LinkConfig(), 0),
-            Detection.NONE,
             ZKEY,
+            {addr: 20 for addr in (ADDR_A, ADDR_B)},
+            1.5,
         ),
-        {"link_key": (3, 16)},
+        {"link_key": (2, 16)},
     ),
 ]
 OCTET_CASES = [

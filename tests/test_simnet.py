@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from btauthsim import cli, simnet
+from btauthsim import adversary, cli, simnet
 from btauthsim.adversary import (
     AttackVerdict,
     Confidentiality,
@@ -507,6 +507,24 @@ class TestDelayDetector:
         with pytest.raises(TypeError, match=f"^{named}$"):
             delay_detector(transcript, baseline, factor, ADDR_A)
 
+    @pytest.mark.parametrize(
+        "device,error,named",
+        [
+            ("x", TypeError, "device must be bytes, got str"),
+            (ADDR_A.hex(), TypeError, "device must be bytes, got str"),
+            (ADDR_A[:5], ValueError, "device must be exactly 6 octets, got 5"),
+            (bytearray(ADDR_A), TypeError, "device must be bytes, got bytearray"),
+        ],
+        ids=["str", "hex-text", "5-octets", "bytearray"],
+    )
+    def test_refuses_a_device_that_is_no_address(self, device, error, named):
+        # read as no round trip, it would pass for a device never flagged
+        _, _, _, transcript, _ = run_relayed(Variant.LEGACY)
+        with pytest.raises(error, match=f"^{named}$"):
+            transcript_rtt(transcript, device)
+        with pytest.raises(error, match=f"^{named}$"):
+            delay_detector(transcript, 20, 1.5, device)
+
 
 def copy_of(addr: bytes) -> bytes:
     """An address equal to addr that is a separate object."""
@@ -536,7 +554,7 @@ class TestAddressesCompareByValue:
         copying(cli, "new_device", 0)
         copying(cli, "IntruderState", 0, 3, 4)
         copying(simnet, "protocol_start", 1)
-        copying(cli, "delay_detector", 3)
+        copying(adversary, "delay_detector", 3)
         cli._prepared.cache_clear()
         try:
             for seed, want in enumerate(expected):
