@@ -29,6 +29,8 @@ from .protocol import (
     Message,
     MsgKind,
     Variant,
+    check_dh_params,
+    check_variant,
     encode_public,
 )
 from .simnet import Detection, Transcript, delay_detector
@@ -197,10 +199,9 @@ class IntruderState:
         if type(self.mode) is not IntruderMode:
             raise TypeError(f"mode must be an IntruderMode, got {type(self.mode).__name__}")
         if type(self.variant) is not Variant:
-            raise TypeError(f"variant must be a Variant, got {type(self.variant).__name__}")
+            check_variant(self.variant)
         if type(self.dh_params) is not DhParams and self.dh_params is not None:
-            kind = type(self.dh_params).__name__
-            raise TypeError(f"dh_params must be a DhParams or None, got {kind}")
+            check_dh_params(self.dh_params)
         check_int("rng_seed", self.rng_seed)
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
@@ -272,8 +273,9 @@ def verdict(
     the victims' real credentials, and is never given to the intruder.
 
     Detection is flagged when delay_detector flags either honest device
-    against its entry of baselines (ValueError naming baselines when one
-    is missing) at threshold_factor.
+    against its entry of baselines, a dict (TypeError naming baselines
+    otherwise, and ValueError when an entry is missing), at
+    threshold_factor.
 
     Integrity is broken when the intruder delivered to an honest device a
     hop that the other honest device had not emitted before it.
@@ -300,6 +302,8 @@ def verdict(
     # pre-tested, as in new_device
     if type(link_key) is not bytes or len(link_key) != 16:
         check_octets("link_key", link_key, 16)
+    if type(baselines) is not dict:
+        raise TypeError(f"baselines must be a dict, got {type(baselines).__name__}")
     a, b = outcomes
     if a not in baselines or b not in baselines:
         raise ValueError("baselines must hold a round trip for each device of outcomes")

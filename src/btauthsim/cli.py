@@ -118,9 +118,11 @@ def validate(config: ScenarioConfig) -> Prepared:
     (by check_group) and the variant (by check_variant) are checked, and a
     timeout too short for the intruder-free handshake is caught, by
     _prepared, which caches them per configuration. A field of the wrong
-    type raises TypeError naming it. run_scenario takes its inputs from
-    here, so every check applies to every run. The flags named in each
-    ConfigError message are those of the command line."""
+    type raises TypeError naming it, whatever the variant: dh_p and
+    dh_alpha are checked here, as exact ints, for every variant, although
+    only dh-improved reads their values. run_scenario takes its inputs
+    from here, so every check applies to every run. The flags named in
+    each ConfigError message are those of the command line."""
     if config.intruder is not None and type(config.intruder) is not IntruderMode:
         raise TypeError(
             f"intruder must be an IntruderMode or None, got {type(config.intruder).__name__}"
@@ -136,15 +138,19 @@ def validate(config: ScenarioConfig) -> Prepared:
     except TypeError:
         kind = type(factor).__name__
         raise TypeError(f"detect_factor must be a real number, got {kind}") from None
+    # a valid group field costs no call, as in protocol.new_device
+    if type(config.dh_p) is not int:
+        check_int("dh_p", config.dh_p)
+    if type(config.dh_alpha) is not int:
+        check_int("dh_alpha", config.dh_alpha)
     group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else ()
-    fields = (config.latency_ms, config.timeout_ms, *group)
     try:
-        return _prepared(config.variant, *fields)
+        return _prepared(config.variant, config.latency_ms, config.timeout_ms, *group)
     except TypeError:
         # the cache hashes every argument before _prepared checks any, so
         # an unhashable field fails there, unnamed
-        for name, value in zip(_PREPARED_FIELDS, fields):
-            check_int(name, value)
+        check_int("latency_ms", config.latency_ms)
+        check_int("timeout_ms", config.timeout_ms)
         check_variant(config.variant)
         raise
 
@@ -174,12 +180,10 @@ def _build_devices(
 
 
 def check_group(dh_p: int, dh_alpha: int) -> DhParams:
-    """The group of modulus dh_p and generator dh_alpha; raises TypeError
-    naming a field that is not exactly an int, and ConfigError unless dh_p
-    is a prime below DH_P_CAP and dh_alpha generates its whole
-    multiplicative group."""
-    check_int("dh_p", dh_p)
-    check_int("dh_alpha", dh_alpha)
+    """The group of modulus dh_p and generator dh_alpha, two ints (validate
+    checks them for every variant, and scripts/dlog_cost.py takes them
+    typed from argparse); raises ConfigError unless dh_p is a prime below
+    DH_P_CAP and dh_alpha generates its whole multiplicative group."""
     if dh_p >= DH_P_CAP:
         raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
     params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
@@ -188,12 +192,8 @@ def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     return params
 
 
-# the int fields of a configuration that _prepared takes, in its order
-_PREPARED_FIELDS = ("latency_ms", "timeout_ms", "dh_p", "dh_alpha")
-
-
 # typed, so that 10.0 or True misses an entry of the int it equals and
-# reaches the check of LinkConfig or check_group
+# reaches the check of LinkConfig
 @functools.lru_cache(maxsize=None, typed=True)
 def _prepared(
     variant: Variant,
@@ -213,10 +213,10 @@ def _prepared(
     (responses always verify, and every public value of a keypair is a
     valid peer value), so the delivery schedule, and with it each round
     trip, depends on the variant and the link timing alone; one run at a
-    fixed seed calibrates every seed. Raises TypeError naming a field that
-    is not exactly an int, and ConfigError on an invalid link timing or
-    group or when the timeout cuts that run short of a round trip for
-    either device.
+    fixed seed calibrates every seed. Raises TypeError naming a timing
+    field that is not exactly an int, and ConfigError on an invalid link
+    timing or group or when the timeout cuts that run short of a round
+    trip for either device.
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
     params = check_group(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import functools
 import random
 import struct
+import sys
 import threading
 
 __all__ = [
@@ -181,6 +182,13 @@ def mixhash128(data: bytes) -> bytes:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """The octet-wise XOR of a and b: bytes (TypeError naming an operand
+    that is not) of one length (ValueError otherwise)."""
+    # pre-tested as in e1; any length is in check_octets' range
+    if type(a) is not bytes:
+        check_octets("a", a, 0, sys.maxsize)
+    if type(b) is not bytes:
+        check_octets("b", b, 0, sys.maxsize)
     if len(a) != len(b):
         raise ValueError("xor_bytes operands must have equal length")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
@@ -468,8 +476,10 @@ def check_public(params: DhParams, value: int) -> None:
 
 def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
     """Shared secret peer_public^r mod p; both directions agree. Raises
-    as check_public does on a peer_public it refuses."""
+    as check_public does on a peer_public it refuses, TypeError naming r
+    unless it is exactly an int, and ValueError on a negative r."""
     check_public(params, peer_public)
+    check_int("r", r)
     return modexp(peer_public, r, params.p)
 
 

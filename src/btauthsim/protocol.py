@@ -57,6 +57,7 @@ __all__ = [
     "AuthOutcome",
     "DeviceState",
     "check_variant",
+    "check_dh_params",
     "new_device",
     "start",
     "handle",
@@ -127,11 +128,9 @@ class Message:
             check_octets("message receiver", receiver, 6)
         if sender == receiver:
             raise ValueError("message sender and receiver must differ")
-        if not isinstance(payload, bytes):
-            raise TypeError(f"{kind.value} payload must be bytes, got {type(payload).__name__}")
         want = _PAYLOAD_WIDTH[kind]
-        if len(payload) != want:
-            raise ValueError(f"{kind.value} payload must be {want} octets, got {len(payload)}")
+        if type(payload) is not bytes or len(payload) != want:
+            check_octets(f"{kind.value} payload", payload, want)
         self.__dict__.update(kind=kind, sender=sender, receiver=receiver, payload=payload)
 
 
@@ -207,6 +206,12 @@ def check_variant(variant: Variant) -> None:
         raise TypeError(f"variant must be a Variant, got {type(variant).__name__}")
 
 
+def check_dh_params(dh_params: DhParams | None) -> None:
+    """Raise TypeError unless dh_params is a DhParams or None."""
+    if type(dh_params) is not DhParams and dh_params is not None:
+        raise TypeError(f"dh_params must be a DhParams or None, got {type(dh_params).__name__}")
+
+
 def new_device(
     id: bytes,
     variant: Variant,
@@ -229,7 +234,7 @@ def new_device(
     if type(variant) is not Variant:
         check_variant(variant)
     if type(dh_params) is not DhParams and dh_params is not None:
-        raise TypeError(f"dh_params must be a DhParams or None, got {type(dh_params).__name__}")
+        check_dh_params(dh_params)
     check_int("rng_seed", rng_seed)
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")

@@ -1,0 +1,131 @@
+"""Test the contract table: each argument check in SCOPE, replaced by pass
+in a copy of src/, must make tests/test_contracts.py fail.
+
+A check is a check_*(...) statement, or an if whose body is one or is a
+raise of TypeError, ValueError or ConfigError (an if with an else gives
+way to its else). The mutants run one subprocess at a time, pytest -q -x
+on the table. Exit status 1 when a mutant survives that SURVIVORS does
+not list with its reason, or when SURVIVORS lists one that did not.
+Run from the repository root: python tests/contract_mutants.py
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "btauthsim"
+TABLE = "tests/test_contracts.py"
+RAISED = ("TypeError", "ValueError", "ConfigError")
+
+# module -> the functions of the table's entry points and of the checks they call
+SCOPE = {
+    "crypto.py": [
+        "check_octets", "check_int", "Stream.__init__", "xor_bytes", "e1", "e1_aco", "init_key",
+        "combination_link_key", "encryption_key", "DhParams.__post_init__", "dh_keypair",
+        "check_public", "dh_shared", "session_key_from_shared", "session_key",
+    ],
+    "protocol.py": ["Message.__init__", "check_variant", "check_dh_params", "new_device"],
+    "adversary.py": ["IntruderState.__post_init__", "verdict", "dlog_bruteforce"],
+    "simnet.py": ["LinkConfig.__post_init__", "transcript_rtt", "delay_detector"],
+    "cli.py": ["validate", "check_group", "_prepared", "_check_seed", "run_scenario"],
+}
+
+# (module, function, source line of the check) -> the test that pins it: each
+# is a fact across two parameters, which no one-parameter row can break
+SURVIVORS = {
+    ("crypto.py", "xor_bytes", "if len(a) != len(b):"):
+        "TestXorBytes.test_unequal_lengths_rejected",
+    ("protocol.py", "Message.__init__", "if sender == receiver:"):
+        "TestMessageValidation.test_self_addressed_rejected",
+    ("adversary.py", "IntruderState.__post_init__",
+     "if len({self.id, self.victim_a, self.victim_b}) < 3:"):
+        "TestScripts.test_addresses_must_be_distinct",
+    ("adversary.py", "verdict", "if a not in baselines or b not in baselines:"):
+        "TestVerdictPlumbing.test_baselines_must_cover_both_devices",
+}
+
+
+def is_check_call(node: ast.AST) -> bool:
+    call = node.value if isinstance(node, ast.Expr) else None
+    func = call.func if isinstance(call, ast.Call) else None
+    return isinstance(func, ast.Name) and func.id.startswith("check_")
+
+
+def is_check(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.If) and len(node.body) == 1):
+        return is_check_call(node)
+    body = node.body[0]
+    exc = body.exc.func if isinstance(body, ast.Raise) and isinstance(body.exc, ast.Call) else None
+    return is_check_call(body) or isinstance(exc, ast.Name) and exc.id in RAISED
+
+
+def checks(module: str, source: str) -> list[tuple[str, ast.stmt]]:
+    """(function, statement) of each check in the functions SCOPE names."""
+    found = {}
+    for node in ast.parse(source).body:
+        methods = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        found.update((prefix + m.name, m) for m in methods if isinstance(m, ast.FunctionDef))
+    if set(SCOPE[module]) - set(found):
+        raise SystemExit(f"{module}: no function {sorted(set(SCOPE[module]) - set(found))}")
+    return [(name, n) for name in SCOPE[module] for n in ast.walk(found[name]) if is_check(n)]
+
+
+class Drop(ast.NodeTransformer):
+    def __init__(self, target: ast.stmt):
+        self.at = (target.lineno, target.col_offset)
+
+    def generic_visit(self, node):
+        node = super().generic_visit(node)
+        if isinstance(node, ast.stmt) and (node.lineno, node.col_offset) == self.at:
+            return node.orelse if isinstance(node, ast.If) and node.orelse else ast.Pass()
+        return node
+
+
+def table_passes(src: Path) -> bool:
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", TABLE]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode == 0
+
+
+def main() -> int:
+    started, survived = time.monotonic(), {}
+    with tempfile.TemporaryDirectory() as scratch:
+        src = Path(scratch) / "src"
+        shutil.copytree(PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__"))
+        probe = [sys.executable, "-c", "import btauthsim; print(btauthsim.__file__)"]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        where = subprocess.run(probe, env=env, capture_output=True, text=True).stdout
+        if not where.startswith(scratch) or not table_passes(src):
+            raise SystemExit("the table does not import the copy, or fails on it unmutated")
+        total = 0
+        for module in SCOPE:
+            source = (PACKAGE / module).read_text()
+            lines = source.splitlines()
+            for function, node in checks(module, source):
+                total += 1
+                mutant = ast.unparse(Drop(node).visit(ast.parse(source)))
+                (src / "btauthsim" / module).write_text(mutant)
+                key = (module, function, lines[node.lineno - 1].strip())
+                killed = not table_passes(src)
+                status = "killed" if killed else "SURVIVED"
+                print(f"{status:8} {module}:{node.lineno} {function}: {key[2]}", flush=True)
+                if not killed:
+                    survived[key] = SURVIVORS.get(key)
+            (src / "btauthsim" / module).write_text(source)
+    print(f"{total} mutants, {len(survived)} survived, in {time.monotonic() - started:.0f} s")
+    for key, reason in survived.items():
+        print(f"survivor {key}: " + (f"pinned by {reason}" if reason else "NOT LISTED"))
+    for key in SURVIVORS.keys() - survived.keys():
+        print(f"listed, but not a survivor: {key}")
+    return 1 if None in survived.values() or SURVIVORS.keys() - survived.keys() else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -173,10 +173,6 @@ class TestDhRelay:
         shared_key = session_of(dev_a)
         assert shared_key not in captured(transcript, outcomes)
 
-    def test_active_intruder_needs_group_parameters(self):
-        with pytest.raises(ValueError):
-            IntruderState(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED, ADDR_A, ADDR_B, 0)
-
 
 class TestHonestEmissions:
     @pytest.mark.parametrize("mode", [None, *IntruderMode], ids=lambda m: m.value if m else "none")
@@ -315,9 +311,9 @@ class TestWirePayloadsAreBytes:
         )
         with pytest.raises(TypeError, match="^AuthRequest payload must be bytes, got bytearray$") as err:
             run(dev_a, dev_b, intruder, LINKS)
-        # raised by Message, called from the intruder's intercept
+        # raised by Message's check, called from the intruder's intercept
         names = [entry.name for entry in err.traceback]
-        assert names[-1] == "__init__" and "intercept" in names
+        assert names[-2:] == ["__init__", "check_octets"] and "intercept" in names
 
 
 class TestVerdictPlumbing:
@@ -1134,35 +1130,6 @@ class TestScripts:
         with pytest.raises(ValueError, match="^id, victim_a and victim_b must be distinct"):
             IntruderState(bytes(bytearray(id_)), mode, Variant.LEGACY, victim_a, victim_b, 3)
 
-    @pytest.mark.parametrize(
-        "field,value,expected",
-        [
-            ("mode", "relay-active", "an IntruderMode"),
-            ("mode", None, "an IntruderMode"),
-            ("variant", "legacy", "a Variant"),
-            ("variant", IntruderMode.RELAY_ACTIVE, "a Variant"),
-        ],
-    )
-    def test_mode_and_variant_must_be_members(self, field, value, expected):
-        # a string mode raised a bare KeyError from the plan table
-        arguments = {"mode": IntruderMode.RELAY_ACTIVE, "variant": Variant.LEGACY, field: value}
-        message = f"^{field} must be {expected}, got {type(value).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            IntruderState(ADDR_C, victim_a=ADDR_A, victim_b=ADDR_B, rng_seed=3, **arguments)
-
-    @pytest.mark.parametrize("mode", list(IntruderMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("seed", [True, 1.0, "1", None], ids=repr)
-    def test_seed_must_be_an_int(self, mode, seed):
-        # refused whether or not the script draws: a relay draws nothing
-        message = f"^rng_seed must be an int, got {type(seed).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            IntruderState(ADDR_C, mode, Variant.LEGACY, ADDR_A, ADDR_B, seed)
-
-    @pytest.mark.parametrize("mode", list(IntruderMode), ids=lambda m: m.value)
-    def test_seed_must_be_non_negative(self, mode):
-        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
-            IntruderState(ADDR_C, mode, Variant.LEGACY, ADDR_A, ADDR_B, -1)
-
 
 class TestDlogBruteforce:
     P23 = DhParams(p=23, alpha=5)
@@ -1185,14 +1152,3 @@ class TestDlogBruteforce:
         params = DhParams(p=10007, alpha=5)
         s = pow(5, 100, 10007)
         assert dlog_bruteforce(params, s) == (100, 100)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            dlog_bruteforce(self.P23, 0)
-        with pytest.raises(ValueError):
-            dlog_bruteforce(self.P23, 23)
-        # True equals 1 and 1.0 compares as 1: neither is a public value
-        with pytest.raises(TypeError):
-            dlog_bruteforce(self.P23, True)
-        with pytest.raises(TypeError):
-            dlog_bruteforce(self.P23, 1.0)

@@ -193,10 +193,6 @@ class TestDhImprovedHonest:
     def test_round_trip_times(self):
         assert round_trips(Variant.DH_IMPROVED) == (40, 20)
 
-    def test_requires_group_parameters(self):
-        with pytest.raises(ValueError):
-            new_device(ADDR_A, Variant.DH_IMPROVED, KEY1, 1)
-
 
 class TestFailures:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -288,37 +284,12 @@ class TestDriverContract:
         c2 = start(two, ADDR_A)[1].payload
         assert c1 == c2
 
-    @pytest.mark.parametrize("variant", ["legacy", "dh-improved", None], ids=repr)
-    def test_variant_must_be_a_variant(self, variant):
-        # every branch tests the variant by identity: "legacy" ran the
-        # improved handshake
-        message = f"^variant must be a Variant, got {type(variant).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            new_device(ADDR_A, variant, KEY1, 1)
-
-    @pytest.mark.parametrize("seed", [True, 1.0, "1", None], ids=repr)
-    def test_seed_must_be_an_int(self, seed):
-        # random.Random took True and 1.0 as seed 1, "1" as a text seed
-        message = f"^rng_seed must be an int, got {type(seed).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            new_device(ADDR_A, Variant.LEGACY, KEY1, seed)
-
-    def test_seed_must_be_non_negative(self):
-        # random.Random took -1 as seed 1
-        with pytest.raises(ValueError, match="^rng_seed must be non-negative, got -1$"):
-            new_device(ADDR_A, Variant.LEGACY, KEY1, -1)
+    def test_seed_zero_draws_as_random_random(self):
         device = new_device(ADDR_A, Variant.LEGACY, KEY1, 0)
         assert device.challenge == random.Random(0).randbytes(16)
 
 
 class TestMessageValidation:
-    def test_parties_must_be_device_ids(self):
-        with pytest.raises(TypeError, match="^message sender must be bytes, got str$"):
-            Message(MsgKind.AUTH_FAIL, "x", "y")
-        with pytest.raises(TypeError, match="^message receiver must be bytes, got bytearray$"):
-            Message(MsgKind.AUTH_FAIL, ADDR_A, bytearray(ADDR_B))
-        with pytest.raises(ValueError, match="^message receiver must be exactly 6 octets, got 5$"):
-            Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B[:5])
 
     def test_no_device_is_handed_a_sender_that_is_text(self):
         # an AuthRequest announcing the receiver's own address fails the
@@ -331,10 +302,6 @@ class TestMessageValidation:
             dataclasses.replace(valid, sender=claimed)
         dev = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
         assert handle(dev, valid) == [Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B)]
-
-    def test_kind_must_be_a_msg_kind(self):
-        with pytest.raises(TypeError, match="^message kind must be a MsgKind, got str$"):
-            Message("x", ADDR_A, ADDR_B)
 
     def test_payload_width_enforced(self):
         with pytest.raises(ValueError):
@@ -644,15 +611,7 @@ class MessageTwin:
             check_octets(f"message {role}", getattr(self, role), 6)
         if self.sender == self.receiver:
             raise ValueError("message sender and receiver must differ")
-        if not isinstance(self.payload, bytes):
-            raise TypeError(
-                f"{self.kind.value} payload must be bytes, got {type(self.payload).__name__}"
-            )
-        want = WIDTH[self.kind]
-        if len(self.payload) != want:
-            raise ValueError(
-                f"{self.kind.value} payload must be {want} octets, got {len(self.payload)}"
-            )
+        check_octets(f"{self.kind.value} payload", self.payload, WIDTH[self.kind])
 
 
 def build(cls, *args, **kwargs):
@@ -696,13 +655,6 @@ class TestMessageRecord:
         assert [(f.name, f.default) for f in dataclasses.fields(Message)] == [
             (f.name, f.default) for f in dataclasses.fields(MessageTwin)
         ]
-
-    @pytest.mark.parametrize("convert", NOT_BYTES, ids=["bytearray", "memoryview", "str", "tuple"])
-    def test_refuses_a_payload_that_is_not_bytes(self, convert):
-        payload = convert(bytes(16))
-        assert len(payload) == 16
-        with pytest.raises(TypeError, match=f"^ChallengeMsg payload must be bytes, got {type(payload).__name__}$"):
-            Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, payload)
 
     @given(message_args(), message_args())
     @settings(max_examples=300)
