@@ -9,9 +9,9 @@ A row is (entry point, parameter, kind). It meets its kind's extra values
 (wrong widths, range edges, infinity, values listed in also), then the
 thirteen of hostile(); the kind's expect gives each cell's exception type
 and full message, or ACCEPTED, and an accepted value equal to the valid
-one must give the valid call's result. The valid call comes first, so a
-memo holds its entry when an equal value arrives (1.0 after 1, a view
-after bytes). OVERRIDES give the few other cells, each with its reason.
+one must give the valid call's result. Each cell is a test that makes
+the valid call first, so a memo holds its entry when an equal value
+arrives (1.0 after 1, a view after bytes). OVERRIDES give the rest, with reasons.
 
 LEFT_OUT: no outside value reaches these unchecked. The number theory
 takes ints that the rows checked; mixhash128 hashes what its callers
@@ -308,25 +308,33 @@ OVERRIDES = {
 }
 
 
-@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.id)
-def test_row(row):
+def cells(row: Row) -> dict:
+    """A row's values by cell id: its kind's extra values, then hostile()."""
+    extra = {f"{len(v)} octets" if type(v) is bytes else repr(v): v for v in row.kind.extra}
+    return {**extra, **hostile(row.valid[row.param])}
+
+
+@pytest.mark.parametrize("row, cell, value", [
+    pytest.param(row, cell, value, id=f"{row.id}-{cell}")
+    for row in ROWS for cell, value in cells(row).items()
+])
+def test_cell(row, cell, value):
     valid = row.valid[row.param]
     reference = row.call(**row.valid)
-    extra = {f"{len(v)} octets" if type(v) is bytes else repr(v): v for v in row.kind.extra}
-    wrong = []
-    for cell, value in {**extra, **hostile(valid)}.items():
-        override = OVERRIDES.get((row.id, cell))
-        want = override[0] if override else row.kind.expect(row.kind.name or row.param, value)
-        try:
-            result = row.call(**{**row.valid, row.param: value})
-        except Exception as err:  # noqa: BLE001 - each cell names the type it expects
-            got = type(err), str(err)
-        else:
-            same = value != valid or result == reference
-            got = ACCEPTED if same else "another result than the valid value's"
-        if got != want:
-            wrong.append(f"{cell}: expected {want}, got {got}")
-    assert not wrong, "\n".join(wrong)
+    override = OVERRIDES.get((row.id, cell))
+    want = override[0] if override else row.kind.expect(row.kind.name or row.param, value)
+    try:
+        result = row.call(**{**row.valid, row.param: value})
+    except Exception as err:  # noqa: BLE001 - each cell names the type it expects
+        got = type(err), str(err)
+    else:
+        same = value != valid or result == reference
+        got = ACCEPTED if same else "another result than the valid value's"
+    assert got == want
+
+
+def test_every_override_is_a_cell():
+    assert set(OVERRIDES) <= {(row.id, cell) for row in ROWS for cell in cells(row)}
 
 
 LEFT_OUT = {
