@@ -22,6 +22,7 @@ from .crypto import (
     check_public,
     dh_keypair,
     e1,
+    record,
 )
 from .protocol import (
     AuthOutcome,
@@ -67,27 +68,12 @@ class Confidentiality(Enum):
     BREACHED = "Breached"
 
 
-@dataclass(frozen=True, init=False)
+@record
 class AttackVerdict:
     attack_success: bool
     integrity: Integrity
     confidentiality: Confidentiality
     detection: Detection
-
-    # one-step __init__, as in protocol.Message
-    def __init__(
-        self,
-        attack_success: bool,
-        integrity: Integrity,
-        confidentiality: Confidentiality,
-        detection: Detection,
-    ):
-        self.__dict__.update(
-            attack_success=attack_success,
-            integrity=integrity,
-            confidentiality=confidentiality,
-            detection=detection,
-        )
 
 
 # A script maps OPEN, the kickoff, and the (kind, victim) of an arriving

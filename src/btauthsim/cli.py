@@ -21,6 +21,7 @@ from .crypto import (
     e1,
     has_full_order,
     init_key,
+    record,
     session_key,
 )
 from .protocol import AuthOutcome, DeviceState, Variant, check_variant, new_device
@@ -75,7 +76,7 @@ HEADLINE: tuple[ScenarioConfig, ...] = (
 )
 
 
-@dataclass(frozen=True, init=False)
+@record
 class ScenarioResult:
     seed: int
     transcript: Transcript
@@ -84,25 +85,6 @@ class ScenarioResult:
     baselines: dict[bytes, int]
     link_key: bytes
 
-    # one-step __init__, as in protocol.Message
-    def __init__(
-        self,
-        seed: int,
-        transcript: Transcript,
-        outcomes: dict[bytes, AuthOutcome],
-        score: AttackVerdict,
-        baselines: dict[bytes, int],
-        link_key: bytes,
-    ):
-        self.__dict__.update(
-            seed=seed,
-            transcript=transcript,
-            outcomes=outcomes,
-            score=score,
-            baselines=baselines,
-            link_key=link_key,
-        )
-
 
 # links, group (dh-improved only) and per-device baselines of a configuration
 Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
@@ -110,19 +92,19 @@ Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
 
 def validate(config: ScenarioConfig) -> Prepared:
     """Reject a configuration that cannot run, else return its links, group
-    and per-device baselines. Only the intruder's type and the checks
+    and per-device baselines. The types of the fields and the checks
     across fields are made here: the intruder must be an IntruderMode or
-    None, the initiator must be C exactly for the originate intruder, the
-    one mode that opens a run itself, and the detector threshold must be a
-    real number, finite and above 1. Link timing (by LinkConfig), the group
-    (by check_group) and the variant (by check_variant) are checked, and a
-    timeout too short for the intruder-free handshake is caught, by
-    _prepared, which caches them per configuration. A field of the wrong
-    type raises TypeError naming it, whatever the variant: dh_p and
-    dh_alpha are checked here, as exact ints, for every variant, although
-    only dh-improved reads their values. run_scenario takes its inputs
-    from here, so every check applies to every run. The flags named in
-    each ConfigError message are those of the command line."""
+    None, the variant a Variant, and latency_ms, timeout_ms, dh_p and
+    dh_alpha exact ints, whatever the variant, although only dh-improved
+    reads the group (TypeError naming the field otherwise); the initiator
+    must be C exactly for the originate intruder, the one mode that opens a
+    run itself, and the detector threshold must be a real number, finite
+    and above 1. The link timing (by LinkConfig) and the group (by
+    check_group) are checked, and a timeout too short for the
+    intruder-free handshake is caught, by _prepared, which caches them per
+    configuration. run_scenario takes its inputs from here, so every check
+    applies to every run. The flags named in each ConfigError message are
+    those of the command line."""
     if config.intruder is not None and type(config.intruder) is not IntruderMode:
         raise TypeError(
             f"intruder must be an IntruderMode or None, got {type(config.intruder).__name__}"
@@ -138,21 +120,20 @@ def validate(config: ScenarioConfig) -> Prepared:
     except TypeError:
         kind = type(factor).__name__
         raise TypeError(f"detect_factor must be a real number, got {kind}") from None
-    # a valid group field costs no call, as in protocol.new_device
+    # a valid field costs no call, as in protocol.new_device; the cache hashes
+    # only checked fields, so none meets the entry of an int it equals
     if type(config.dh_p) is not int:
         check_int("dh_p", config.dh_p)
     if type(config.dh_alpha) is not int:
         check_int("dh_alpha", config.dh_alpha)
-    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else ()
-    try:
-        return _prepared(config.variant, config.latency_ms, config.timeout_ms, *group)
-    except TypeError:
-        # the cache hashes every argument before _prepared checks any, so
-        # an unhashable field fails there, unnamed
+    if type(config.latency_ms) is not int:
         check_int("latency_ms", config.latency_ms)
+    if type(config.timeout_ms) is not int:
         check_int("timeout_ms", config.timeout_ms)
+    if type(config.variant) is not Variant:
         check_variant(config.variant)
-        raise
+    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else ()
+    return _prepared(config.variant, config.latency_ms, config.timeout_ms, *group)
 
 
 def _construct(flags: str, value_type, *args):
@@ -192,9 +173,7 @@ def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     return params
 
 
-# typed, so that 10.0 or True misses an entry of the int it equals and
-# reaches the check of LinkConfig
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _prepared(
     variant: Variant,
     latency_ms: int,
@@ -213,10 +192,10 @@ def _prepared(
     (responses always verify, and every public value of a keypair is a
     valid peer value), so the delivery schedule, and with it each round
     trip, depends on the variant and the link timing alone; one run at a
-    fixed seed calibrates every seed. Raises TypeError naming a timing
-    field that is not exactly an int, and ConfigError on an invalid link
-    timing or group or when the timeout cuts that run short of a round
-    trip for either device.
+    fixed seed calibrates every seed. validate checks the type of every
+    argument first, so the cache is keyed by value alone. Raises
+    ConfigError on an invalid link timing or group or when the timeout
+    cuts that run short of a round trip for either device.
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
     params = check_group(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None

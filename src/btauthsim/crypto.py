@@ -8,6 +8,9 @@ ciphering offset. Every octet string a function takes or returns, addresses
 and PINs included, is plain bytes; each function checks the type and width
 of the octets it takes, and check_octets holds that check and its messages,
 as check_int does for exact ints and check_public for a peer's public value.
+record, beside them, makes the frozen records that a run builds (a
+transcript event per hop, the transcript, the outcomes, the key pairs, the
+verdict and the result), whose __init__ stores every field in one step.
 The functions every run calls (e1 and combination_link_key; no run calls
 init_key, see cli._derive_link_key) first test each octet string inline,
 exact bytes of the width, so a well-formed value costs no call; only a
@@ -98,6 +101,25 @@ def check_int(name: str, value: int) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def record(cls: type) -> type:
+    """cls as a frozen dataclass whose __init__ takes every field, in order,
+    and stores all of them in one self.__dict__.update rather than one
+    object.__setattr__ per field; a field with a default is a TypeError.
+    The __init__ goes in first, and dataclass reads it for the docstring."""
+    names = list(cls.__annotations__)
+    for name in names:
+        if name in cls.__dict__:
+            raise TypeError(f"record {cls.__name__} takes no default, got one for {name}")
+    namespace: dict = {}
+    stores = ", ".join(f"{name}={name}" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n    self.__dict__.update({stores})", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**cls.__annotations__, "return": None}
+    cls.__init__ = init
+    return dataclass(frozen=True, init=False)(cls)
+
+
 class Stream(random.Random):
     """The Mersenne Twister stream of a non-negative int seed: the same
     state, and so the same draws, as random.Random(seed).
@@ -158,7 +180,7 @@ def mixhash128(data: bytes) -> bytes:
     followed by four trailing block steps with m = 0. The digest is the
     little-endian octets of s0 then s1. data may be any bytes-like object;
     its length is counted in octets, whatever the item size of a view, and
-    anything that is not a buffer raises TypeError.
+    anything that is not a buffer raises TypeError naming data.
 
     The s0 update reads only s0 and the block, never s1, so the first 8
     octets of the digest are the s0 lane alone; e1 runs that lane by itself.
@@ -166,7 +188,11 @@ def mixhash128(data: bytes) -> bytes:
     if type(data) is not bytes:
         # bytes(data) would take an int as that many zero octets, and a
         # list of ints as octets; a view copies only a buffer
-        data = bytes(memoryview(data))
+        try:
+            data = bytes(memoryview(data))
+        except TypeError:
+            kind = type(data).__name__
+            raise TypeError(f"data must be a bytes-like object, got {kind}") from None
     tail, blocks = _layout(len(data))
     s0 = _S0_INIT
     s1 = _S1_INIT
@@ -407,17 +433,12 @@ def has_full_order(params: DhParams) -> bool:
     return all(modexp(alpha, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
 
 
-@dataclass(frozen=True, init=False)
+@record
 class DhKeyPair:
     """Per-device exchange pair: private exponent and public power."""
 
     r_private: int
     s_public: int
-
-    # its own __init__ (init=False): it stores both fields in one step
-    # instead of one object.__setattr__ call per field
-    def __init__(self, r_private: int, s_public: int):
-        self.__dict__.update(r_private=r_private, s_public=s_public)
 
 
 def _power_of_alpha(params: DhParams, e: int) -> int:

@@ -42,6 +42,7 @@ from .crypto import (
     check_octets,
     dh_keypair,
     e1,
+    record,
     session_key,
     xor_bytes,
 )
@@ -173,14 +174,10 @@ class AuthStatus(Enum):
     TIMED_OUT = "TimedOut"
 
 
-@dataclass(frozen=True, init=False)
+@record
 class AuthOutcome:
     status: AuthStatus
     authenticated_with: bytes | None
-
-    # one-step __init__, as in Message
-    def __init__(self, status: AuthStatus, authenticated_with: bytes | None):
-        self.__dict__.update(status=status, authenticated_with=authenticated_with)
 
 
 @dataclass
@@ -196,6 +193,7 @@ class DeviceState:
     role: Role | None = field(default=None, init=False)
     peer: bytes | None = field(default=None, init=False)
     phase: Phase = field(default=Phase.IDLE, init=False)
+    # the challenge a nested responder answers once its own is answered
     pending_challenge_received: bytes | None = field(default=None, init=False)
     dh: DhKeyPair | None = field(default=None, init=False)
 
@@ -351,7 +349,6 @@ def _on_dh_public(device: DeviceState, msg: Message) -> list[Message]:
 
 
 def _on_challenge(device: DeviceState, msg: Message) -> list[Message]:
-    device.pending_challenge_received = msg.payload
     if device.role is Role.INITIATOR:
         # the peer is verified already; this answer completes our side
         device.phase = Phase.AWAIT_CONFIRM
@@ -361,13 +358,13 @@ def _on_challenge(device: DeviceState, msg: Message) -> list[Message]:
         out = [_answer(device, msg.payload), _issue_challenge(device)]
     else:
         # withhold the answer until our own challenge has been answered
+        device.pending_challenge_received = msg.payload
         out = [_issue_challenge(device)]
     device.phase = Phase.AWAIT_RESPONSE
     return out
 
 
 def _on_counter_challenge(device: DeviceState, msg: Message) -> list[Message]:
-    device.pending_challenge_received = msg.payload
     device.phase = Phase.AWAIT_RESPONSE
     return [_answer(device, msg.payload)]
 

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .crypto import check_int, check_octets
+from .crypto import check_int, check_octets, record
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -59,7 +59,7 @@ class LinkConfig:
             raise ValueError("timeout must exceed the single-hop latency")
 
 
-@dataclass(frozen=True, init=False)
+@record
 class TranscriptEvent:
     seq: int
     time: int
@@ -67,15 +67,6 @@ class TranscriptEvent:
     to_id: bytes
     kind: MsgKind
     payload: bytes
-
-    # its own __init__ (init=False): it stores every field in one step
-    # instead of one object.__setattr__ call per field
-    def __init__(
-        self, seq: int, time: int, from_id: bytes, to_id: bytes, kind: MsgKind, payload: bytes
-    ):
-        self.__dict__.update(
-            seq=seq, time=time, from_id=from_id, to_id=to_id, kind=kind, payload=payload
-        )
 
 
 # the text of each message kind, read once here rather than through the
@@ -109,15 +100,11 @@ def _terminated(lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True, init=False)
+@record
 class Transcript:
     events: tuple[TranscriptEvent, ...]
     links: LinkConfig
     end_time: int
-
-    # one-step __init__, as in TranscriptEvent
-    def __init__(self, events: tuple[TranscriptEvent, ...], links: LinkConfig, end_time: int):
-        self.__dict__.update(events=events, links=links, end_time=end_time)
 
     def to_text(self) -> str:
         return _terminated(_text_lines(self.events))

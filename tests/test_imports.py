@@ -5,6 +5,10 @@ program module exports is bound at its top level.
 A deletion that leaves an import, a constant, a helper or an export behind
 fails here. A name listed in the module's ``__all__`` counts as read, since
 the module exports it.
+
+No function of the package but ``protocol.Message.__init__``, which checks
+its fields before it stores them, reads ``self.__dict__``: every other
+record stores its fields through ``crypto.record``.
 """
 
 import ast
@@ -85,6 +89,28 @@ def unbound_exports(source: str) -> list[str]:
     return sorted(exported(tree) - bound)
 
 
+def dict_readers(source: str) -> list[str]:
+    """The qualified names of the functions that read self.__dict__."""
+    readers = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "__dict__"
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    for n in ast.walk(child)
+                ):
+                    readers.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return readers
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
@@ -98,6 +124,27 @@ def test_every_private_name_is_read(path):
 @pytest.mark.parametrize("path", PROGRAM, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_exported_name_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def test_one_function_stores_a_record_by_hand():
+    package = sorted(ROOT.glob("src/btauthsim/*.py"))
+    readers = [f"{path.stem}.{name}" for path in package for name in dict_readers(path.read_text())]
+    assert readers == ["protocol.Message.__init__"]
+
+
+@pytest.mark.parametrize(
+    "source,readers",
+    [
+        ("def f(self):\n    self.__dict__.update(a=1)\n", ["f"]),
+        ("class C:\n    def __init__(self):\n        d = self.__dict__\n", ["C.__init__"]),
+        ("class C:\n    class D:\n        def g(self):\n            self.__dict__\n", ["C.D.g"]),
+        ("def f(self):\n    def g():\n        self.__dict__\n", ["f", "f.g"]),
+        ("def f(other):\n    other.__dict__\n", []),
+        ("exec('def f(self):\\n    self.__dict__')\n", []),
+    ],
+)
+def test_the_dict_check_itself(source, readers):
+    assert dict_readers(source) == readers
 
 
 def test_modules_are_found():

@@ -95,10 +95,11 @@ def test_every_length_and_buffer_type_matches_reference():
                 assert mixhash128(memoryview(data).cast("H")) == expected, n
 
 
-@pytest.mark.parametrize("data", [3, [0, 1, 2], "abc", None], ids=repr)
+@pytest.mark.parametrize("data", [3, [0, 1, 2], "abc", None, True], ids=repr)
 def test_refuses_what_is_not_a_buffer(data):
     # bytes(3) is three zero octets, and bytes([0, 1, 2]) those octets
-    with pytest.raises(TypeError):
+    message = f"^data must be a bytes-like object, got {type(data).__name__}$"
+    with pytest.raises(TypeError, match=message):
         mixhash128(data)
 
 
