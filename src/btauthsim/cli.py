@@ -46,8 +46,23 @@ class ConfigError(Exception):
     """Invalid scenario configuration; maps to exit status 2."""
 
 
+# links, group (dh-improved only) and per-device baselines of a configuration
+Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A configuration that can run; construction refuses any other. The
+    intruder must be an IntruderMode or None, the variant a Variant, and
+    latency_ms, timeout_ms, dh_p and dh_alpha exact ints, whatever the
+    variant, although only dh-improved reads the group (TypeError naming
+    the field otherwise). The initiator must be C exactly for the
+    originate intruder, the one mode that opens a run itself, and the
+    detector threshold a real number, finite and above 1. _prepared checks
+    the link timing (by LinkConfig) and the group (by check_group), and
+    catches a timeout too short for the intruder-free handshake, once per
+    configuration. ConfigError messages name the command line's flags."""
+
     variant: Variant = Variant.LEGACY
     intruder: IntruderMode | None = None
     initiator: str = "A"
@@ -57,23 +72,40 @@ class ScenarioConfig:
     dh_p: int = 2147483647
     dh_alpha: int = 7
 
+    def __post_init__(self):
+        if self.intruder is not None and type(self.intruder) is not IntruderMode:
+            raise TypeError(
+                f"intruder must be an IntruderMode or None, got {type(self.intruder).__name__}"
+            )
+        if self.initiator not in ("A", "C"):
+            raise ConfigError(f"initiator must be A or C, got {self.initiator}")
+        if (self.initiator == "C") != (self.intruder is IntruderMode.ORIGINATE_TO_A):
+            raise ConfigError("initiator C and the originate intruder mode require each other")
+        factor = self.detect_factor
+        try:
+            if not 1 < factor < math.inf:
+                raise ConfigError(f"detect-factor must be finite and exceed 1, got {factor}")
+        except TypeError:
+            kind = type(factor).__name__
+            raise TypeError(f"detect_factor must be a real number, got {kind}") from None
+        # the cache is keyed by value, so True or 10.0 must not reach the int's entry
+        check_int("dh_p", self.dh_p)
+        check_int("dh_alpha", self.dh_alpha)
+        check_int("latency_ms", self.latency_ms)
+        check_int("timeout_ms", self.timeout_ms)
+        check_variant(self.variant)
+        self.prepared  # link timing, group and calibration, checked once per configuration
+
+    @property
+    def prepared(self) -> Prepared:
+        """Links, group and per-device baselines, from the cache of _prepared."""
+        group = (self.dh_p, self.dh_alpha) if self.variant is Variant.DH_IMPROVED else ()
+        return _prepared(self.variant, self.latency_ms, self.timeout_ms, *group)
+
     @property
     def scenario_name(self) -> str:
         mode = self.intruder.value if self.intruder is not None else "none"
         return f"{self.variant.value}+{mode}"
-
-
-# the ten headline scenarios of the attack matrix, in the README's order
-HEADLINE: tuple[ScenarioConfig, ...] = (
-    *(ScenarioConfig(variant) for variant in Variant),
-    ScenarioConfig(Variant.LEGACY, IntruderMode.RELAY_ACTIVE),
-    ScenarioConfig(Variant.LEGACY, IntruderMode.RELAY_PASSIVE),
-    ScenarioConfig(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A, initiator="C"),
-    ScenarioConfig(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE),
-    ScenarioConfig(Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C"),
-    ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE),
-    ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE),
-)
 
 
 @record
@@ -86,54 +118,9 @@ class ScenarioResult:
     link_key: bytes
 
 
-# links, group (dh-improved only) and per-device baselines of a configuration
-Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
-
-
 def validate(config: ScenarioConfig) -> Prepared:
-    """Reject a configuration that cannot run, else return its links, group
-    and per-device baselines. The types of the fields and the checks
-    across fields are made here: the intruder must be an IntruderMode or
-    None, the variant a Variant, and latency_ms, timeout_ms, dh_p and
-    dh_alpha exact ints, whatever the variant, although only dh-improved
-    reads the group (TypeError naming the field otherwise); the initiator
-    must be C exactly for the originate intruder, the one mode that opens a
-    run itself, and the detector threshold must be a real number, finite
-    and above 1. The link timing (by LinkConfig) and the group (by
-    check_group) are checked, and a timeout too short for the
-    intruder-free handshake is caught, by _prepared, which caches them per
-    configuration. run_scenario takes its inputs from here, so every check
-    applies to every run. The flags named in each ConfigError message are
-    those of the command line."""
-    if config.intruder is not None and type(config.intruder) is not IntruderMode:
-        raise TypeError(
-            f"intruder must be an IntruderMode or None, got {type(config.intruder).__name__}"
-        )
-    if config.initiator not in ("A", "C"):
-        raise ConfigError(f"initiator must be A or C, got {config.initiator}")
-    if (config.initiator == "C") != (config.intruder is IntruderMode.ORIGINATE_TO_A):
-        raise ConfigError("initiator C and the originate intruder mode require each other")
-    factor = config.detect_factor
-    try:
-        if not 1 < factor < math.inf:
-            raise ConfigError(f"detect-factor must be finite and exceed 1, got {factor}")
-    except TypeError:
-        kind = type(factor).__name__
-        raise TypeError(f"detect_factor must be a real number, got {kind}") from None
-    # a valid field costs no call, as in protocol.new_device; the cache hashes
-    # only checked fields, so none meets the entry of an int it equals
-    if type(config.dh_p) is not int:
-        check_int("dh_p", config.dh_p)
-    if type(config.dh_alpha) is not int:
-        check_int("dh_alpha", config.dh_alpha)
-    if type(config.latency_ms) is not int:
-        check_int("latency_ms", config.latency_ms)
-    if type(config.timeout_ms) is not int:
-        check_int("timeout_ms", config.timeout_ms)
-    if type(config.variant) is not Variant:
-        check_variant(config.variant)
-    group = (config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else ()
-    return _prepared(config.variant, config.latency_ms, config.timeout_ms, *group)
+    """The links, group and baselines of a configuration, which construction checked."""
+    return config.prepared
 
 
 def _construct(flags: str, value_type, *args):
@@ -161,9 +148,9 @@ def _build_devices(
 
 
 def check_group(dh_p: int, dh_alpha: int) -> DhParams:
-    """The group of modulus dh_p and generator dh_alpha, two ints (validate
-    checks them for every variant, and scripts/dlog_cost.py takes them
-    typed from argparse); raises ConfigError unless dh_p is a prime below
+    """The group of modulus dh_p and generator dh_alpha, two ints (each
+    ScenarioConfig checks them, and scripts/dlog_cost.py takes them typed
+    from argparse); raises ConfigError unless dh_p is a prime below
     DH_P_CAP and dh_alpha generates its whole multiplicative group."""
     if dh_p >= DH_P_CAP:
         raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
@@ -183,7 +170,7 @@ def _prepared(
 ) -> Prepared:
     """Links, group and per-device baselines of one configuration, built
     and checked once per variant, link timing and group. Only dh-improved
-    takes a group; validate passes dh_p and dh_alpha for it alone.
+    takes a group; ScenarioConfig passes dh_p and dh_alpha for it alone.
 
     The link timing and the group (through check_group) are checked and
     turned into their value types here and nowhere else. The baselines are
@@ -192,8 +179,8 @@ def _prepared(
     (responses always verify, and every public value of a keypair is a
     valid peer value), so the delivery schedule, and with it each round
     trip, depends on the variant and the link timing alone; one run at a
-    fixed seed calibrates every seed. validate checks the type of every
-    argument first, so the cache is keyed by value alone. Raises
+    fixed seed calibrates every seed. ScenarioConfig checks the type of
+    every argument first, so the cache is keyed by value alone. Raises
     ConfigError on an invalid link timing or group or when the timeout
     cuts that run short of a round trip for either device.
     """
@@ -210,6 +197,19 @@ def _prepared(
     return links, params, baselines
 
 
+# the ten headline scenarios of the attack matrix, in the README's order
+HEADLINE: tuple[ScenarioConfig, ...] = (
+    *(ScenarioConfig(variant) for variant in Variant),
+    ScenarioConfig(Variant.LEGACY, IntruderMode.RELAY_ACTIVE),
+    ScenarioConfig(Variant.LEGACY, IntruderMode.RELAY_PASSIVE),
+    ScenarioConfig(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A, initiator="C"),
+    ScenarioConfig(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE),
+    ScenarioConfig(Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C"),
+    ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE),
+    ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE),
+)
+
+
 def _check_seed(seed: int) -> None:
     # random.Random seeds from a bool or a float as from the int it equals,
     # so True or 1.0 would replay seed 1 under another label
@@ -223,14 +223,13 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     judges detection against the configuration's cached baselines and
     threshold. It first clears the memos of e1 and session_key, so the
     run starts from no other run's entries, then takes links, group and
-    baselines from validate, so it raises ConfigError for every
-    configuration that validate rejects, and for a negative seed, which
-    random.Random would take as its absolute value. A seed that is not an
-    int raises TypeError."""
+    baselines from the configuration, which construction checked. It
+    raises ConfigError for a negative seed, which random.Random would take
+    as its absolute value, and TypeError for a seed that is not an int."""
     _check_seed(seed)
     e1.cache_clear()
     session_key.cache_clear()
-    links, params, calibrated = validate(config)
+    links, params, calibrated = config.prepared
     baselines = dict(calibrated)
     master = Stream(seed)
     seed_a = master.getrandbits(64)
@@ -322,12 +321,11 @@ def _config_from_args(args) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
         _check_seed(args.seed)
         if args.seeds_count < 1:
             raise ConfigError(f"seeds-count must be at least 1, got {args.seeds_count}")
-        validate(config)
+        config = _config_from_args(args)
         sink = open(args.out, "w") if args.out else sys.stdout
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

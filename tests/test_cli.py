@@ -10,13 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btauthsim import adversary, cli, crypto, protocol
-from btauthsim.cli import (
-    ConfigError,
-    ScenarioConfig,
-    main,
-    run_scenario,
-    validate,
-)
+from btauthsim.cli import ConfigError, ScenarioConfig, main, run_scenario
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import (
     DhParams,
@@ -246,24 +240,22 @@ class TestConfigErrors:
                 main(argv)
             assert exc.value.code == 2
 
-    def test_run_scenario_checks_what_validate_checks(self):
+    def test_scenario_config_checks_across_fields(self):
         # the check across fields; tests/test_contracts.py has each field's
         with pytest.raises(ConfigError):
-            run_scenario(ScenarioConfig(intruder=IntruderMode.ORIGINATE_TO_A), 0)
+            ScenarioConfig(intruder=IntruderMode.ORIGINATE_TO_A)
 
     @pytest.mark.parametrize("value", [True, 10.0, "10", None], ids=repr)
     @pytest.mark.parametrize("field", ["latency_ms", "timeout_ms", "dh_p", "dh_alpha"])
     def test_validate_rejects_a_field_that_is_not_an_int(self, field, value):
         # the per-configuration cache is keyed by value alone, so it would
         # answer True and 10.0 from the entry of the int they equal: every
-        # field is refused before the cache is asked, and no entry is kept
-        config = ScenarioConfig(variant=Variant.DH_IMPROVED, **{field: value})
+        # field is refused at construction, before the cache is asked, and
+        # no entry is kept
         cli._prepared.cache_clear()
         message = f"^{field} must be an int, got {type(value).__name__}$"
         with pytest.raises(TypeError, match=message):
-            validate(config)
-        with pytest.raises(TypeError, match=message):
-            run_scenario(config, 0)
+            ScenarioConfig(variant=Variant.DH_IMPROVED, **{field: value})
         info = cli._prepared.cache_info()
         assert info.hits == info.currsize == 0
         assert info.misses == 0
@@ -272,12 +264,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize("int_first", [True, False], ids=["int-first", "float-first"])
     def test_the_cache_never_takes_a_float_timing_for_its_int(self, field, value, int_first):
         cli._prepared.cache_clear()
-        config = ScenarioConfig(**{field: value})
         if int_first:
-            validate(config)
+            ScenarioConfig(**{field: value})
         with pytest.raises(TypeError, match=f"^{field} must be an int, got float$"):
-            validate(ScenarioConfig(**{field: float(value)}))
-        links, _, baselines = validate(config)
+            ScenarioConfig(**{field: float(value)})
+        links, _, baselines = ScenarioConfig(**{field: value}).prepared
         assert type(getattr(links, field)) is int
         assert all(type(rtt) is int for _, rtt in baselines)
 
@@ -305,9 +296,7 @@ class TestConfigErrors:
         cli._prepared.cache_clear()
         monkeypatch.setattr(cli, "has_full_order", counted)
         for mode in (None, IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
-            config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
-            validate(config)
-            run_scenario(config, 0)
+            run_scenario(ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode), 0)
         assert calls == [(7, 2**31 - 1)]
 
     def test_wide_group_primality_tests(self, monkeypatch):
@@ -323,9 +312,8 @@ class TestConfigErrors:
         cli._prepared.cache_clear()
         monkeypatch.setattr(crypto, "is_prime", counted)
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, dh_p=WIDE_P, dh_alpha=2)
-        validate(config)
         assert calls == [WIDE_P, (WIDE_P - 1) // 2]
-        validate(config)
+        config.prepared
         assert len(calls) == 2
 
 
@@ -412,7 +400,6 @@ class TestScenarioApi:
         # a run's digest count is a function of its scenario and seed, not
         # of the runs before it
         config = ScenarioConfig(variant=variant, intruder=mode)
-        validate(config)
         calls = []
 
         def counted(data):
@@ -438,7 +425,6 @@ class TestScenarioApi:
         # the publics leaves each device its own. A seed rerun after other
         # runs derives as often as the first time: the memo starts empty
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
-        validate(config)
         session_tag = b"\x05"
         calls = []
 
@@ -472,8 +458,6 @@ class TestScenarioApi:
             )
             for other in modes
         }
-        for config in configs.values():
-            validate(config)
         calls = []
 
         def counted(*args):
@@ -493,7 +477,6 @@ class TestScenarioApi:
         config = ScenarioConfig(
             variant=Variant.IMPROVED, intruder=IntruderMode.ORIGINATE_TO_A, initiator="C"
         )
-        validate(config)
         result = run_scenario(config, 11)
         assert result.score.attack_success is False
 
@@ -555,7 +538,7 @@ class TestCallBudget:
         digests["dh-improved+relay-active"] = [4, 4, 4]
         for config in cli.HEADLINE:
             # the calibration run of a configuration is not any run's work
-            validate(config)
+            config.prepared
         calls = collections.Counter()
         monkeypatch.setattr(crypto, "mixhash128", self.counted(calls, "mixhash128", mixhash128))
         for module in (crypto, cli):

@@ -18,9 +18,11 @@ takes ints that the rows checked; mixhash128 hashes what its callers
 built (tests/test_mixhash.py pins what it refuses); encode_public,
 decode_public, the drivers and main take checked or argparse-typed
 values; the check_* functions are what every row reaches; records, enums
-and exceptions check nothing. A record read at once (outcomes, a
-transcript, a group, a key pair) fails at its first field read, so only
-dh_params, which new_device and IntruderState store unread, is a row.
+and exceptions check nothing. ScenarioConfig checks itself when built,
+and each validate and run_scenario cell builds one. A record read at
+once (outcomes, a transcript, a group, a key pair) fails at its first
+field read, so only dh_params, which new_device and IntruderState store
+unread, is a row.
 """
 
 import math

@@ -1,7 +1,7 @@
 """The outputs of a fixed sweep of runs, pinned by one digest.
 
 The sweep covers the ten headline scenarios at three link timings that
-validate accepts (the short one cuts some intruder runs before they end),
+ScenarioConfig accepts (the short one cuts some intruder runs before they end),
 on 20 seeds, with the dh-improved rows at both p = 2^31-1 and the widest
 group the benchmark runs. The digest is the SHA-256 over the report line,
 the text transcript, the JSONL transcript and the link-key hex of every run,

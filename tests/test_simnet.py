@@ -472,6 +472,14 @@ class TestRttReconstruction:
         _, _, _, transcript, _ = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
         assert transcript_rtt(transcript, ADDR_A) is None
 
+    def test_a_response_at_the_send_instant_counts(self):
+        # A's challenge is delivered one hop after 0, so it was sent at 0,
+        # and a response reaches A at 0: at or after the send, so it counts
+        transcript = hop_transcript(
+            [(0, ADDR_B, ADDR_A, MsgKind.RESPONSE), (10, ADDR_A, ADDR_B, MsgKind.CHALLENGE)], 10
+        )
+        assert transcript_rtt(transcript, ADDR_A) == 0
+
 
 class TestDelayDetector:
     def test_direct_not_flagged(self):
