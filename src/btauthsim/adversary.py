@@ -17,9 +17,9 @@ from .crypto import (
     DhKeyPair,
     DhParams,
     Stream,
-    check_int,
     check_octets,
     check_public,
+    check_type,
     dh_keypair,
     e1,
     record,
@@ -30,8 +30,6 @@ from .protocol import (
     Message,
     MsgKind,
     Variant,
-    check_dh_params,
-    check_variant,
     encode_public,
 )
 from .simnet import Detection, Transcript, delay_detector
@@ -183,12 +181,12 @@ class IntruderState:
         if len({self.id, self.victim_a, self.victim_b}) < 3:
             raise ValueError("id, victim_a and victim_b must be distinct addresses")
         if type(self.mode) is not IntruderMode:
-            raise TypeError(f"mode must be an IntruderMode, got {type(self.mode).__name__}")
+            check_type("mode", self.mode, IntruderMode)
         if type(self.variant) is not Variant:
-            check_variant(self.variant)
+            check_type("variant", self.variant, Variant)
         if type(self.dh_params) is not DhParams and self.dh_params is not None:
-            check_dh_params(self.dh_params)
-        check_int("rng_seed", self.rng_seed)
+            check_type("dh_params", self.dh_params, DhParams, none=True)
+        check_type("rng_seed", self.rng_seed, int)
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         self.script, forges_publics, sends_nonce = _PLANS[self.mode, self.variant]
@@ -289,7 +287,7 @@ def verdict(
     if type(link_key) is not bytes or len(link_key) != 16:
         check_octets("link_key", link_key, 16)
     if type(baselines) is not dict:
-        raise TypeError(f"baselines must be a dict, got {type(baselines).__name__}")
+        check_type("baselines", baselines, dict)
     a, b = outcomes
     if a not in baselines or b not in baselines:
         raise ValueError("baselines must hold a round trip for each device of outcomes")

@@ -16,7 +16,7 @@ from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
     DhParams,
     Stream,
-    check_int,
+    check_type,
     combination_link_key,
     e1,
     has_full_order,
@@ -24,7 +24,7 @@ from .crypto import (
     record,
     session_key,
 )
-from .protocol import AuthOutcome, DeviceState, Variant, check_variant, new_device
+from .protocol import AuthOutcome, DeviceState, Variant, new_device
 from .simnet import LinkConfig, Transcript, delay_detector, run, transcript_rtt
 
 __all__ = [
@@ -74,9 +74,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.intruder is not None and type(self.intruder) is not IntruderMode:
-            raise TypeError(
-                f"intruder must be an IntruderMode or None, got {type(self.intruder).__name__}"
-            )
+            check_type("intruder", self.intruder, IntruderMode, none=True)
         if self.initiator not in ("A", "C"):
             raise ConfigError(f"initiator must be A or C, got {self.initiator}")
         if (self.initiator == "C") != (self.intruder is IntruderMode.ORIGINATE_TO_A):
@@ -89,11 +87,11 @@ class ScenarioConfig:
             kind = type(factor).__name__
             raise TypeError(f"detect_factor must be a real number, got {kind}") from None
         # the cache is keyed by value, so True or 10.0 must not reach the int's entry
-        check_int("dh_p", self.dh_p)
-        check_int("dh_alpha", self.dh_alpha)
-        check_int("latency_ms", self.latency_ms)
-        check_int("timeout_ms", self.timeout_ms)
-        check_variant(self.variant)
+        check_type("dh_p", self.dh_p, int)
+        check_type("dh_alpha", self.dh_alpha, int)
+        check_type("latency_ms", self.latency_ms, int)
+        check_type("timeout_ms", self.timeout_ms, int)
+        check_type("variant", self.variant, Variant)
         self.prepared  # link timing, group and calibration, checked once per configuration
 
     @property
@@ -213,7 +211,7 @@ HEADLINE: tuple[ScenarioConfig, ...] = (
 def _check_seed(seed: int) -> None:
     # random.Random seeds from a bool or a float as from the int it equals,
     # so True or 1.0 would replay seed 1 under another label
-    check_int("seed", seed)
+    check_type("seed", seed, int)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 

@@ -57,7 +57,7 @@ import threading
 
 __all__ = [
     "check_octets",
-    "check_int",
+    "check_type",
     "check_public",
     "Stream",
     "DhParams",
@@ -94,11 +94,15 @@ def check_octets(name: str, value: bytes, width: int, max_width: int | None = No
         raise ValueError(f"{name} must be {width} to {max_width} octets, got {len(value)}")
 
 
-def check_int(name: str, value: int) -> None:
-    """Raise TypeError naming value unless it is exactly an int: a bool or
-    a float equals, hashes like and passes range checks as the int it is."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+def check_type(name: str, value, kind: type, none: bool = False) -> None:
+    """Raise TypeError naming value unless its type is exactly kind, or it
+    is None where none is set: a bool or a float equals, hashes like and
+    passes range checks as the int it is."""
+    if type(value) is not kind and not (none and value is None):
+        raise TypeError(
+            f"{name} must be {'an' if kind.__name__[0] in 'aeiouAEIOU' else 'a'} {kind.__name__}"
+            f"{' or None' if none else ''}, got {type(value).__name__}"
+        )
 
 
 def record(cls: type) -> type:
@@ -135,7 +139,7 @@ class Stream(random.Random):
     def __init__(self, seed: int):
         # a valid seed costs no call, as in e1
         if type(seed) is not int:
-            check_int("seed", seed)
+            check_type("seed", seed, int)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         super(random.Random, self).seed(seed)
@@ -394,8 +398,8 @@ class DhParams:
     alpha: int
 
     def __post_init__(self):
-        check_int("p", self.p)
-        check_int("alpha", self.alpha)
+        check_type("p", self.p, int)
+        check_type("alpha", self.alpha, int)
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not 2 <= self.alpha <= self.p - 1:
@@ -479,7 +483,7 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
     r must be an int (TypeError otherwise) in [1, p-1]. r is recorded as
     the exponent of the public value, for session_key to read."""
     p = params.p
-    check_int("r", r)
+    check_type("r", r, int)
     if not 1 <= r <= p - 1:
         raise ValueError(f"private exponent must be in [1, p-1], got {r}")
     s_public = _power_of_alpha(params, r)
@@ -490,7 +494,7 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
 def check_public(params: DhParams, value: int) -> None:
     """Raise TypeError unless a peer's public value is exactly an int, and
     ValueError unless it lies in [1, p-1]."""
-    check_int("peer public value", value)
+    check_type("peer public value", value, int)
     if not 1 <= value <= params.p - 1:
         raise ValueError(f"peer public value must be in [1, p-1], got {value}")
 
@@ -500,13 +504,13 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
     as check_public does on a peer_public it refuses, TypeError naming r
     unless it is exactly an int, and ValueError on a negative r."""
     check_public(params, peer_public)
-    check_int("r", r)
+    check_type("r", r, int)
     return modexp(peer_public, r, params.p)
 
 
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
     """Bind the shared integer and group modulus into a uniform 16-octet key."""
-    check_int("shared value", k)
+    check_type("shared value", k, int)
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
     material = _TAG_SESSION + k.to_bytes(16, "big") + params.p.to_bytes(16, "big")

@@ -38,8 +38,8 @@ from .crypto import (
     DhKeyPair,
     DhParams,
     Stream,
-    check_int,
     check_octets,
+    check_type,
     dh_keypair,
     e1,
     record,
@@ -57,8 +57,6 @@ __all__ = [
     "AuthStatus",
     "AuthOutcome",
     "DeviceState",
-    "check_variant",
-    "check_dh_params",
     "new_device",
     "start",
     "handle",
@@ -120,8 +118,8 @@ class Message:
     # its own __init__ (init=False): it checks first, then stores every
     # field in one step instead of one object.__setattr__ call per field
     def __init__(self, kind: MsgKind, sender: bytes, receiver: bytes, payload: bytes = b""):
-        if not isinstance(kind, MsgKind):
-            raise TypeError(f"message kind must be a MsgKind, got {type(kind).__name__}")
+        if type(kind) is not MsgKind:
+            check_type("message kind", kind, MsgKind)
         # a well-formed party costs no call
         if type(sender) is not bytes or len(sender) != 6:
             check_octets("message sender", sender, 6)
@@ -198,18 +196,6 @@ class DeviceState:
     dh: DhKeyPair | None = field(default=None, init=False)
 
 
-def check_variant(variant: Variant) -> None:
-    """Raise TypeError unless variant is a Variant, which every branch tests by identity."""
-    if type(variant) is not Variant:
-        raise TypeError(f"variant must be a Variant, got {type(variant).__name__}")
-
-
-def check_dh_params(dh_params: DhParams | None) -> None:
-    """Raise TypeError unless dh_params is a DhParams or None."""
-    if type(dh_params) is not DhParams and dh_params is not None:
-        raise TypeError(f"dh_params must be a DhParams or None, got {type(dh_params).__name__}")
-
-
 def new_device(
     id: bytes,
     variant: Variant,
@@ -229,11 +215,12 @@ def new_device(
         check_octets("id", id, 6)
     if type(link_key) is not bytes or len(link_key) != 16:
         check_octets("link_key", link_key, 16)
+    # every branch tests the variant by identity
     if type(variant) is not Variant:
-        check_variant(variant)
+        check_type("variant", variant, Variant)
     if type(dh_params) is not DhParams and dh_params is not None:
-        check_dh_params(dh_params)
-    check_int("rng_seed", rng_seed)
+        check_type("dh_params", dh_params, DhParams, none=True)
+    check_type("rng_seed", rng_seed, int)
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
     rng = Stream(rng_seed)

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .crypto import check_int, check_octets, record
+from .crypto import check_octets, check_type, record
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -51,8 +51,8 @@ class LinkConfig:
 
     def __post_init__(self):
         # a bool or a float would put non-integer times in the transcript
-        check_int("latency_ms", self.latency_ms)
-        check_int("timeout_ms", self.timeout_ms)
+        check_type("latency_ms", self.latency_ms, int)
+        check_type("timeout_ms", self.timeout_ms, int)
         if self.latency_ms <= 0:
             raise ValueError("latency must be positive")
         if self.timeout_ms <= self.latency_ms:
@@ -216,7 +216,7 @@ def delay_detector(
     finite and above 1 (ValueError); device is checked by transcript_rtt."""
     # a valid baseline costs no call, as in protocol.new_device
     if type(baseline_rtt) is not int:
-        check_int("baseline_rtt", baseline_rtt)
+        check_type("baseline_rtt", baseline_rtt, int)
     if baseline_rtt <= 0:
         raise ValueError("baseline rtt must be positive")
     try:

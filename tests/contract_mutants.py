@@ -27,11 +27,11 @@ RAISED = ("TypeError", "ValueError", "ConfigError")
 # module -> the functions of the table's entry points and of the checks they call
 SCOPE = {
     "crypto.py": [
-        "check_octets", "check_int", "Stream.__init__", "xor_bytes", "e1", "e1_aco", "init_key",
+        "check_octets", "check_type", "Stream.__init__", "xor_bytes", "e1", "e1_aco", "init_key",
         "combination_link_key", "encryption_key", "DhParams.__post_init__", "dh_keypair",
         "check_public", "dh_shared", "session_key_from_shared", "session_key",
     ],
-    "protocol.py": ["Message.__init__", "check_variant", "check_dh_params", "new_device"],
+    "protocol.py": ["Message.__init__", "new_device"],
     "adversary.py": ["IntruderState.__post_init__", "verdict", "dlog_bruteforce"],
     "simnet.py": ["LinkConfig.__post_init__", "transcript_rtt", "delay_detector"],
     "cli.py": [

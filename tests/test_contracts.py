@@ -342,9 +342,8 @@ def test_every_override_is_a_cell():
 LEFT_OUT = {
     "modexp", "is_prime", "prime_factors", "has_full_order", "mixhash128", "encode_public",
     "decode_public", "start", "handle", "outcome_of", "run", "intercept", "start_attack", "main",
-    "check_int", "check_octets", "check_variant", "check_dh_params", "DhKeyPair", "AuthOutcome",
-    "DeviceState", "TranscriptEvent", "Transcript", "AttackVerdict", "ScenarioConfig",
-    "ScenarioResult", "HEADLINE",
+    "check_type", "check_octets", "DhKeyPair", "AuthOutcome", "DeviceState", "TranscriptEvent",
+    "Transcript", "AttackVerdict", "ScenarioConfig", "ScenarioResult", "HEADLINE",
 }
 
 
