@@ -7,7 +7,8 @@ octets, 128-bit challenges and keys, 32-bit signed responses, 96-bit
 ciphering offset. Every octet string a function takes or returns, addresses
 and PINs included, is plain bytes; each function checks the type and width
 of the octets it takes, and check_octets holds that check and its messages,
-as check_int does for exact ints and check_public for a peer's public value.
+as check_type does for a value that must be exactly of one type (an int, an
+enum, a record) and check_public for a peer's public value.
 record, beside them, makes the frozen records that a run builds (a
 transcript event per hop, the transcript, the outcomes, the key pairs, the
 verdict and the result), whose __init__ stores every field in one step.
@@ -480,8 +481,12 @@ def _remember(memo: dict, key, value) -> None:
 
 def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
     """Key pair with public value alpha^r mod p, from params.alpha_table;
-    r must be an int (TypeError otherwise) in [1, p-1]. r is recorded as
-    the exponent of the public value, for session_key to read."""
+    params must be a DhParams and r an int (TypeError naming them
+    otherwise) in [1, p-1]. r is recorded as the exponent of the public
+    value, for session_key to read."""
+    # a valid group costs no call, as in e1
+    if type(params) is not DhParams:
+        check_type("params", params, DhParams)
     p = params.p
     check_type("r", r, int)
     if not 1 <= r <= p - 1:
@@ -492,8 +497,10 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
 
 
 def check_public(params: DhParams, value: int) -> None:
-    """Raise TypeError unless a peer's public value is exactly an int, and
-    ValueError unless it lies in [1, p-1]."""
+    """Raise TypeError unless params is a DhParams and a peer's public
+    value exactly an int, and ValueError unless the value lies in [1, p-1]."""
+    if type(params) is not DhParams:
+        check_type("params", params, DhParams)
     check_type("peer public value", value, int)
     if not 1 <= value <= params.p - 1:
         raise ValueError(f"peer public value must be in [1, p-1], got {value}")
@@ -509,8 +516,11 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
 
 
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
-    """Bind the shared integer and group modulus into a uniform 16-octet key."""
+    """Bind the shared integer and group modulus into a uniform 16-octet
+    key; k must be an int and params a DhParams (TypeError otherwise)."""
     check_type("shared value", k, int)
+    if type(params) is not DhParams:
+        check_type("params", params, DhParams)
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
     material = _TAG_SESSION + k.to_bytes(16, "big") + params.p.to_bytes(16, "big")
@@ -522,10 +532,11 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     peer_public: session_key_from_shared(dh_shared(params, peer_public,
     own.r_private), params).
 
-    check_public runs on every call, before either memo is read. The key
-    memo is keyed by the group and the two public values in ascending
-    order, so the device on the other side, holding the pair of
-    peer_public and handed own.s_public, is answered from it. That is
+    check_public runs on every call, before either memo is read, and own
+    must be a DhKeyPair (TypeError otherwise). The key memo is keyed by
+    the group and the two public values in ascending order, so the
+    device on the other side, holding the pair of peer_public and handed
+    own.s_public, is answered from it. That is
     sound for key pairs from dh_keypair, whose s_public is alpha^r_private:
     the two sides compute (alpha^b)^a = (alpha^a)^b. An entry derived by a
     pair with the same public value but another exponent (possible only
@@ -541,6 +552,8 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     session_key.cache_clear(), which empties both, before each run.
     """
     check_public(params, peer_public)
+    if type(own) is not DhKeyPair:
+        check_type("own", own, DhKeyPair)
     p, alpha = params.p, params.alpha
     mine = own.s_public
     memo_key = (p, alpha, mine, peer_public) if mine < peer_public else (p, alpha, peer_public, mine)

@@ -186,9 +186,12 @@ def transcript_rtt(transcript: Transcript, device: bytes) -> int | None:
     """Round trip of the one challenge a device sends, reconstructed from
     delivery times alone: from its send (the delivery of the device's first
     ChallengeMsg, minus one hop) to the first ResponseMsg delivered to the
-    device at or after that send. None when either is missing. device is a
-    6-octet address (TypeError, ValueError otherwise)."""
+    device at or after that send. None when either is missing. transcript
+    is a Transcript and device a 6-octet address (TypeError, ValueError
+    otherwise)."""
     # pre-tested, as in new_device
+    if type(transcript) is not Transcript:
+        check_type("transcript", transcript, Transcript)
     if type(device) is not bytes or len(device) != 6:
         check_octets("device", device, 6)
     challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE

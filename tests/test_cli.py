@@ -487,7 +487,9 @@ class TestCallBudget:
     reached, and the enums that a run hashes (Variant and IntruderMode in
     the per-configuration cache and the intruder's plan table, MsgKind and
     Phase in the transition table) hash by identity, not by Enum.__hash__.
-    A run computes only the digests of its keys, and no bootstrap key."""
+    A run computes only the digests of its keys, and no bootstrap key, and
+    each scenario derives a fixed count of responses and seeds a fixed
+    count of streams, whatever the seed."""
 
     @staticmethod
     def counted(calls, name, real):
@@ -551,6 +553,29 @@ class TestCallBudget:
                 counts.setdefault(config.scenario_name, []).append(calls["mixhash128"] - before)
         assert counts == digests
         assert calls["init_key"] == 0
+
+    def test_headline_runs_derive_and_seed_a_fixed_count(self, monkeypatch):
+        # (e1 derivations, Stream seedings) of a run: a stream for the run,
+        # one for each device and one for an intruder whose script draws
+        budget = {config.scenario_name: (2, 3) for config in cli.HEADLINE}
+        budget["legacy+originate"] = (2, 4)
+        budget["improved+originate"] = (0, 4)
+        budget["dh-improved+relay-active"] = (3, 4)
+        budget["dh-improved+relay-passive"] = (4, 3)
+        for config in cli.HEADLINE:
+            # as above: the calibration run is not any run's work
+            config.prepared
+        calls = collections.Counter()
+        real = crypto.Stream.__init__
+        monkeypatch.setattr(crypto.Stream, "__init__", self.counted(calls, "Stream", real))
+        counts = {}
+        for config in cli.HEADLINE:
+            for seed in range(3):
+                before = calls["Stream"]
+                run_scenario(config, seed)
+                derived = crypto.e1.cache_info().misses
+                counts.setdefault(config.scenario_name, []).append((derived, calls["Stream"] - before))
+        assert counts == {name: [pair] * 3 for name, pair in budget.items()}
 
     def test_headline_runs_seed_no_stream_through_random_seed(self, monkeypatch):
         # every stream of a run is a Stream, seeded through the generator's

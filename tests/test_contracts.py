@@ -19,10 +19,9 @@ built (tests/test_mixhash.py pins what it refuses); encode_public,
 decode_public, the drivers and main take checked or argparse-typed
 values; the check_* functions are what every row reaches; records, enums
 and exceptions check nothing. ScenarioConfig checks itself when built,
-and each validate and run_scenario cell builds one. A record read at
-once (outcomes, a transcript, a group, a key pair) fails at its first
-field read, so only dh_params, which new_device and IntruderState store
-unread, is a row.
+and each validate and run_scenario cell builds one. verdict's outcomes
+fail at their first read, the unpacking of the two devices; every record
+a call takes (a group, a key pair, a transcript) is a row.
 """
 
 import math
@@ -119,7 +118,7 @@ def threshold(message: str, error: type = ValueError) -> Kind:
 
 
 def instance(cls: type, none: bool = False, name=None, also=()) -> Kind:
-    """Exactly of type cls (an enum, DhParams or dict), or None if none."""
+    """Exactly of type cls (an enum, a record or dict), or None if none."""
     article = "an" if cls.__name__[0] in "AEIOU" else "a"
     wanted = f"{article} {cls.__name__}{' or None' * none}"
 
@@ -186,6 +185,9 @@ INTRUDER = dict(id=ADDR_C, mode=IntruderMode.RELAY_PASSIVE, variant=Variant.LEGA
 ACTIVE_DH = dict(mode=IntruderMode.RELAY_ACTIVE, variant=Variant.DH_IMPROVED, dh_params=P23)
 THRESHOLD = threshold("threshold factor must be finite and exceed 1, got {}")
 DH_PARAMS = instance(DhParams, none=True, also=((23, 5),))
+# a record meets the tuple of its fields too
+PARAMS = instance(DhParams, also=((23, 5),))
+TRANSCRIPT = instance(Transcript, also=(((), LinkConfig(), 0),))
 
 # per valid configuration, the id suffix of its rows and the kind of each field
 FIELDS = [
@@ -226,17 +228,21 @@ ROWS = [
     *table("Stream", crypto.Stream, dict(seed=1), seed=seed("seed")),
     *table("DhParams", DhParams, dict(p=23, alpha=5),
            p=integer(), alpha=integer(2, 22, "alpha must be in [2, p-1], got {}")),
-    *table("dh_keypair", crypto.dh_keypair, dict(params=P23, r=6), r=in_group("private exponent")),
+    *table("dh_keypair", crypto.dh_keypair, dict(params=P23, r=6), r=in_group("private exponent"),
+           params=PARAMS),
     *table("dh_shared", crypto.dh_shared, dict(params=P23, peer_public=19, r=6),
-           peer_public=PUBLIC, r=integer(0, message="exponent must be non-negative, got {}")),
+           peer_public=PUBLIC, r=integer(0, message="exponent must be non-negative, got {}"),
+           params=PARAMS),
     # the valid peer is 1, so True and 1.0 arrive while the memo holds its key
     *table("session_key", crypto.session_key,
-           dict(params=P23, own=crypto.dh_keypair(P23, 6), peer_public=1), peer_public=PUBLIC),
+           dict(params=P23, own=crypto.dh_keypair(P23, 6), peer_public=1), peer_public=PUBLIC,
+           params=PARAMS, own=instance(crypto.DhKeyPair, also=((6, 8),))),
     *table("session_key_from_shared", crypto.session_key_from_shared, dict(k=2, params=P23),
-           k=in_group("shared value", low=0, name="shared value")),
-    *table("check_public", crypto.check_public, dict(params=P23, value=19), value=PUBLIC),
+           k=in_group("shared value", low=0, name="shared value"), params=PARAMS),
+    *table("check_public", crypto.check_public, dict(params=P23, value=19), value=PUBLIC,
+           params=PARAMS),
     *table("dlog_bruteforce", adversary.dlog_bruteforce, dict(params=P23, s_public=8),
-           s_public=PUBLIC),
+           s_public=PUBLIC, params=PARAMS),
     *table("Message", Message,
            dict(kind=MsgKind.CHALLENGE, sender=ADDR_A, receiver=ADDR_B, payload=NONCE),
            kind=instance(MsgKind, name="message kind"), sender=octets(6, name="message sender"),
@@ -256,16 +262,16 @@ ROWS = [
     *table("verdict", adversary.verdict, dict(
         outcomes=dict.fromkeys((ADDR_A, ADDR_B), AuthOutcome(AuthStatus.TIMED_OUT, None)),
         transcript=EMPTY, link_key=KEY, baselines={ADDR_A: 20, ADDR_B: 20}, threshold_factor=1.5,
-    ), link_key=KEY16, baselines=instance(dict), threshold_factor=THRESHOLD),
+    ), link_key=KEY16, baselines=instance(dict), threshold_factor=THRESHOLD, transcript=TRANSCRIPT),
     *table("LinkConfig", LinkConfig, dict(latency_ms=10, timeout_ms=2000),
            latency_ms=integer(1, 1999, "latency must be positive", above=TIMING),
            timeout_ms=integer(11, message=TIMING)),
     *table("transcript_rtt", simnet.transcript_rtt, dict(transcript=EMPTY, device=ADDR_A),
-           device=ADDR),
+           device=ADDR, transcript=TRANSCRIPT),
     *table("delay_detector", simnet.delay_detector,
            dict(transcript=EMPTY, baseline_rtt=20, threshold_factor=1.5, device=ADDR_A),
            baseline_rtt=integer(1, message="baseline rtt must be positive"),
-           threshold_factor=THRESHOLD, device=ADDR),
+           threshold_factor=THRESHOLD, device=ADDR, transcript=TRANSCRIPT),
     *(row for entry, call in (("validate", validate_fields), ("run_scenario", run_fields))
       for base, suffix, kinds in FIELDS
       for row in table(entry, call, config(base, kinds), suffix, **kinds)),
