@@ -186,7 +186,8 @@ class IntruderState:
             check_type("variant", self.variant, Variant)
         if type(self.dh_params) is not DhParams and self.dh_params is not None:
             check_type("dh_params", self.dh_params, DhParams, none=True)
-        check_type("rng_seed", self.rng_seed, int)
+        if type(self.rng_seed) is not int:
+            check_type("rng_seed", self.rng_seed, int)
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         self.script, forges_publics, sends_nonce = _PLANS[self.mode, self.variant]
@@ -248,11 +249,12 @@ def verdict(
     baselines: dict[bytes, int],
     threshold_factor: float,
 ) -> AttackVerdict:
-    """Score a run from its record alone. outcomes names the two honest
-    devices, each the other's peer (ValueError for any other count); every
-    other party in the transcript is the intruder, which captured the
-    payload of every hop it sent or received. In an intruder-free run every
-    hop is direct, so nothing is captured. link_key, 16 octets, is judge-side
+    """Score a run from its record alone. outcomes is a dict of the 6-octet
+    addresses of the two honest devices, each the other's peer, to their
+    AuthOutcomes (TypeError or ValueError naming it otherwise); every other
+    party in the transcript is the intruder, which captured the payload of
+    every hop it sent or received. In an intruder-free run every hop is
+    direct, so nothing is captured. link_key, 16 octets, is judge-side
     knowledge: it identifies which captured challenge-response pairs are
     the victims' real credentials, and is never given to the intruder.
 
@@ -288,6 +290,15 @@ def verdict(
         check_octets("link_key", link_key, 16)
     if type(baselines) is not dict:
         check_type("baselines", baselines, dict)
+    if type(outcomes) is not dict:
+        check_type("outcomes", outcomes, dict)
+    if len(outcomes) != 2:
+        raise ValueError(f"outcomes must hold exactly 2 devices, got {len(outcomes)}")
+    for device, outcome in outcomes.items():
+        if type(device) is not bytes or len(device) != 6:
+            check_octets("outcomes key", device, 6)
+        if type(outcome) is not AuthOutcome:
+            check_type("outcomes value", outcome, AuthOutcome)
     a, b = outcomes
     if a not in baselines or b not in baselines:
         raise ValueError("baselines must hold a round trip for each device of outcomes")

@@ -211,7 +211,8 @@ HEADLINE: tuple[ScenarioConfig, ...] = (
 def _check_seed(seed: int) -> None:
     # random.Random seeds from a bool or a float as from the int it equals,
     # so True or 1.0 would replay seed 1 under another label
-    check_type("seed", seed, int)
+    if type(seed) is not int:
+        check_type("seed", seed, int)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 

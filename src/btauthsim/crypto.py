@@ -23,23 +23,19 @@ the response reads; e1_aco derives the ciphering offset from the full
 digest. e1 keeps a small memo of its recent results, because one run
 computes the same (key, challenge, claimant) triple more than once: the
 answering device, the verifying device and the verdict each derive it.
-session_key keeps a second memo, keyed by the group and the two public
-values, because the two devices of a dh-improved run that see each other's
-public value agree on the key, and the first to derive it derives it for
-both. dh_keypair records the exponent of each public value it computes in
-a third memo, keyed by the group and the public value, so that session_key
-takes the shared secret with a peer value the run drew from the group's
-fixed-base table, with no modular exponentiation; a peer value with no
-recorded exponent (a forged constant such as 1 or p-1, or a value built by
-hand) goes through modexp. cli.run_scenario clears the three memos at the
-start of every run (session_key.cache_clear empties the second and the
-third), so no run reuses another run's entries and each run's count of
-digests and exponentiations computed depends only on its scenario and
-seed. Results are unchanged: e1 is pure and its memo is keyed by each
-argument's type as well as its value, so a view that equals memoised bytes
-misses and meets e1's check; session_key checks the peer value before any
-lookup, and answers from its memos only what the unmemoised derivation
-gives (see its docstring).
+session_key memoises the key by the shared value and the modulus: the two
+devices of a dh-improved run that see each other's public value reach the
+same shared value, and the second pays no digest. dh_keypair records the
+exponent of each public value it computes, by group and public value, so
+session_key raises a peer value the run drew through the group's
+fixed-base table, with no modular exponentiation; any other peer value (a
+forged 1 or p-1, or one built by hand) goes through modexp. Both memos
+cache pure functions and the record only picks the route to the shared
+value, so none changes a result; e1's memo is keyed by each argument's
+type too, so a view equal to memoised bytes misses and meets e1's check.
+cli.run_scenario clears them before every run (session_key.cache_clear
+empties the key memo and the record), so each run's count of digests and
+exponentiations depends only on its scenario and seed.
 
 Besides those memos and mixhash128's cache of message layouts by input
 length (at most 64 lengths; each entry is the padding tail and the struct
@@ -457,26 +453,14 @@ def _power_of_alpha(params: DhParams, e: int) -> int:
     return power
 
 
-# The two memos of session_key, each at most _MEMO_MAX entries, oldest
-# first out, under one lock, and keyed by the group as its two ints (the
-# hash of a DhParams runs in Python). _SESSION_KEYS: (p, alpha, lower
-# public, higher public) -> (session key, the pair that derived it).
-# _EXPONENTS: (p, alpha, public) -> an exponent r with alpha^r = public, as
-# dh_keypair drew it. A run draws at most 3 key pairs (A, B and the
-# intruder), plus 2 of a first run's calibration, and derives at most 2
-# distinct keys (one per device when the intruder sends its own public),
-# plus 1 of calibration, so within a run neither memo evicts anything.
-_SESSION_KEYS: dict[tuple[int, int, int, int], tuple[bytes, DhKeyPair]] = {}
+# _EXPONENTS: (p, alpha, public) -> an r that dh_keypair drew with
+# alpha^r = public, keyed by the group's two ints (a DhParams hashes in
+# Python); at most _MEMO_MAX entries, oldest first out, written under
+# _MEMO_LOCK. A run draws at most 3 key pairs (A, B and the intruder), plus
+# 2 of a first run's calibration, so within a run it evicts nothing.
 _EXPONENTS: dict[tuple[int, int, int], int] = {}
 _MEMO_MAX = 8
 _MEMO_LOCK = threading.Lock()
-
-
-def _remember(memo: dict, key, value) -> None:
-    with _MEMO_LOCK:
-        if len(memo) >= _MEMO_MAX and key not in memo:
-            del memo[next(iter(memo))]
-        memo[key] = value
 
 
 def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
@@ -484,15 +468,20 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
     params must be a DhParams and r an int (TypeError naming them
     otherwise) in [1, p-1]. r is recorded as the exponent of the public
     value, for session_key to read."""
-    # a valid group costs no call, as in e1
+    # a valid group and exponent cost no call, as in e1
     if type(params) is not DhParams:
         check_type("params", params, DhParams)
+    if type(r) is not int:
+        check_type("r", r, int)
     p = params.p
-    check_type("r", r, int)
     if not 1 <= r <= p - 1:
         raise ValueError(f"private exponent must be in [1, p-1], got {r}")
     s_public = _power_of_alpha(params, r)
-    _remember(_EXPONENTS, (p, params.alpha, s_public), r)
+    key = (p, params.alpha, s_public)
+    with _MEMO_LOCK:
+        if len(_EXPONENTS) >= _MEMO_MAX and key not in _EXPONENTS:
+            del _EXPONENTS[next(iter(_EXPONENTS))]
+        _EXPONENTS[key] = r
     return DhKeyPair(r_private=r, s_public=s_public)
 
 
@@ -501,7 +490,8 @@ def check_public(params: DhParams, value: int) -> None:
     value exactly an int, and ValueError unless the value lies in [1, p-1]."""
     if type(params) is not DhParams:
         check_type("params", params, DhParams)
-    check_type("peer public value", value, int)
+    if type(value) is not int:
+        check_type("peer public value", value, int)
     if not 1 <= value <= params.p - 1:
         raise ValueError(f"peer public value must be in [1, p-1], got {value}")
 
@@ -515,69 +505,59 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
     return modexp(peer_public, r, params.p)
 
 
+# a run derives at most 2 distinct keys (one per device when the intruder
+# sends its own public), plus 1 of a first run's calibration, so within a
+# run the memo evicts nothing
+@functools.lru_cache(maxsize=_MEMO_MAX)
+def _session_key_of(k: int, p: int) -> bytes:
+    return mixhash128(_TAG_SESSION + k.to_bytes(16, "big") + p.to_bytes(16, "big"))
+
+
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
     """Bind the shared integer and group modulus into a uniform 16-octet
     key; k must be an int and params a DhParams (TypeError otherwise)."""
-    check_type("shared value", k, int)
+    if type(k) is not int:
+        check_type("shared value", k, int)
     if type(params) is not DhParams:
         check_type("params", params, DhParams)
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
-    material = _TAG_SESSION + k.to_bytes(16, "big") + params.p.to_bytes(16, "big")
-    return mixhash128(material)
+    return _session_key_of(k, params.p)
 
 
 def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     """The 16-octet session key that own agrees with the holder of
     peer_public: session_key_from_shared(dh_shared(params, peer_public,
-    own.r_private), params).
+    own.r_private), params). check_public runs on every call, and own
+    must be a DhKeyPair (TypeError otherwise).
 
-    check_public runs on every call, before either memo is read, and own
-    must be a DhKeyPair (TypeError otherwise). The key memo is keyed by
-    the group and the two public values in ascending order, so the
-    device on the other side, holding the pair of peer_public and handed
-    own.s_public, is answered from it. That is
-    sound for key pairs from dh_keypair, whose s_public is alpha^r_private:
-    the two sides compute (alpha^b)^a = (alpha^a)^b. An entry derived by a
-    pair with the same public value but another exponent (possible only
-    when alpha does not generate the whole group) is not used: the key is
-    derived again.
-
-    On a miss, a peer_public that dh_keypair recorded as alpha^s is raised
-    to own.r_private as alpha^(s * r_private mod (p-1)), read from the
+    A peer_public that dh_keypair recorded as alpha^s is raised to
+    own.r_private as alpha^(s * r_private mod (p-1)), read from the
     fixed-base table: alpha^(p-1) = 1 for any alpha in [2, p-1] (Fermat),
     generator or not. Any other peer_public, or a negative r_private, goes
-    through dh_shared and modexp. Both memos hold at most 8 entries, oldest
-    first out, under one lock; cli.run_scenario calls
-    session_key.cache_clear(), which empties both, before each run.
+    through dh_shared and modexp. The key is memoised by the shared value
+    and p, so the device on the other side, which reaches the same shared
+    value, pays no digest. Both memos hold at most 8 entries, oldest first
+    out; cli.run_scenario calls session_key.cache_clear(), which empties
+    both, before each run.
     """
     check_public(params, peer_public)
     if type(own) is not DhKeyPair:
         check_type("own", own, DhKeyPair)
-    p, alpha = params.p, params.alpha
-    mine = own.s_public
-    memo_key = (p, alpha, mine, peer_public) if mine < peer_public else (p, alpha, peer_public, mine)
-    with _MEMO_LOCK:
-        entry = _SESSION_KEYS.get(memo_key)
-        exponent = _EXPONENTS.get((p, alpha, peer_public))
+    p = params.p
     r = own.r_private
-    if entry is not None:
-        session, deriver = entry
-        if deriver.s_public != mine or deriver.r_private == r:
-            return session
+    exponent = _EXPONENTS.get((p, params.alpha, peer_public))
     if exponent is None or r < 0:
         shared = dh_shared(params, peer_public, r)
     else:
         shared = _power_of_alpha(params, exponent * r % (p - 1))
-    session = session_key_from_shared(shared, params)
-    _remember(_SESSION_KEYS, memo_key, (session, own))
-    return session
+    return _session_key_of(shared, p)
 
 
 def _clear_session_keys() -> None:
     with _MEMO_LOCK:
-        _SESSION_KEYS.clear()
         _EXPONENTS.clear()
+    _session_key_of.cache_clear()
 
 
 session_key.cache_clear = _clear_session_keys

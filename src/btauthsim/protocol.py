@@ -220,7 +220,8 @@ def new_device(
         check_type("variant", variant, Variant)
     if type(dh_params) is not DhParams and dh_params is not None:
         check_type("dh_params", dh_params, DhParams, none=True)
-    check_type("rng_seed", rng_seed, int)
+    if type(rng_seed) is not int:
+        check_type("rng_seed", rng_seed, int)
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
     rng = Stream(rng_seed)

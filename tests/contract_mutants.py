@@ -1,12 +1,13 @@
 """Test the contract table: each argument check in SCOPE, replaced by pass
 in a copy of src/, must make tests/test_contracts.py fail.
 
-A check is a check_*(...) statement, or an if whose body is one or is a
+A check is a check_*(...) statement, an if whose body is one or is a
 raise of TypeError, ValueError or ConfigError (an if with an else gives
-way to its else); the one statement of an if with no else is not a check
-of its own. The mutants run one subprocess at a time, pytest -q -x
-on the table. Exit status 1 when a mutant survives that SURVIVORS does
-not list with its reason, or when SURVIVORS lists one that did not.
+way to its else), or an if with no else whose body ends in such a raise;
+the one statement of an if with no else is not a check of its own. The
+mutants run one subprocess at a time, pytest -q -x on the table. Exit
+status 1 when a mutant survives that SURVIVORS does not list with its
+reason, or when SURVIVORS lists one that did not.
 Run from the repository root: python tests/contract_mutants.py
 """
 
@@ -60,12 +61,17 @@ def is_check_call(node: ast.AST) -> bool:
     return isinstance(func, ast.Name) and func.id.startswith("check_")
 
 
+def raises(node: ast.AST) -> bool:
+    exc = node.exc.func if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) else None
+    return isinstance(exc, ast.Name) and exc.id in RAISED
+
+
 def is_check(node: ast.AST) -> bool:
-    if not (isinstance(node, ast.If) and len(node.body) == 1):
+    if not isinstance(node, ast.If):
         return is_check_call(node)
-    body = node.body[0]
-    exc = body.exc.func if isinstance(body, ast.Raise) and isinstance(body.exc, ast.Call) else None
-    return is_check_call(body) or isinstance(exc, ast.Name) and exc.id in RAISED
+    if len(node.body) == 1:
+        return is_check_call(node.body[0]) or raises(node.body[0])
+    return not node.orelse and raises(node.body[-1])
 
 
 def checks(module: str, source: str) -> list[tuple[str, ast.stmt]]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from btauthsim import adversary, cli, crypto, protocol
+from btauthsim import adversary, cli, crypto, protocol, simnet
 from btauthsim.cli import ConfigError, ScenarioConfig, main, run_scenario
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import (
@@ -482,11 +482,12 @@ class TestScenarioApi:
 
 
 class TestCallBudget:
-    """A valid run makes no call that does no work: every octet string on a
-    run's path passes its caller's inline pre-test, so check_octets is never
-    reached, and the enums that a run hashes (Variant and IntruderMode in
-    the per-configuration cache and the intruder's plan table, MsgKind and
-    Phase in the transition table) hash by identity, not by Enum.__hash__.
+    """A valid run makes no call that does no work: every octet string and
+    every typed value on a run's path passes its caller's inline pre-test,
+    so neither check_octets nor check_type is reached, and the enums that a
+    run hashes (Variant and IntruderMode in the per-configuration cache and
+    the intruder's plan table, MsgKind and Phase in the transition table)
+    hash by identity, not by Enum.__hash__.
     A run computes only the digests of its keys, and no bootstrap key, and
     each scenario derives a fixed count of responses and seeds a fixed
     count of streams, whatever the seed."""
@@ -505,6 +506,11 @@ class TestCallBudget:
             real = module.check_octets
             name = f"{module.__name__}.check_octets"
             monkeypatch.setattr(module, "check_octets", self.counted(calls, name, real))
+        check_type = crypto.check_type
+        typed = (crypto, protocol, adversary, simnet, cli)
+        for module in typed:
+            name = f"{module.__name__}.check_type"
+            monkeypatch.setattr(module, "check_type", self.counted(calls, name, check_type))
         monkeypatch.setattr(
             enum.Enum, "__hash__", self.counted(calls, "Enum.__hash__", enum.Enum.__hash__)
         )
@@ -524,11 +530,25 @@ class TestCallBudget:
                 bytes(5), IntruderMode.RELAY_PASSIVE, Variant.LEGACY, cli.ADDR_A, cli.ADDR_B, 0
             )
         hash(protocol.AuthStatus.FAILED)
+        with pytest.raises(TypeError):
+            # the group that the runs above cached, built with no count
+            crypto.dh_keypair(cli.HEADLINE[-1].prepared[1], 1.0)
+        with pytest.raises(TypeError):
+            new_device(cli.ADDR_A, Variant.LEGACY, bytes(16), True)
+        with pytest.raises(TypeError):
+            IntruderState(
+                bytes(6), IntruderMode.RELAY_PASSIVE, Variant.LEGACY, cli.ADDR_A, cli.ADDR_B, 0.0
+            )
+        with pytest.raises(TypeError):
+            transcript_rtt(None, cli.ADDR_A)
+        with pytest.raises(TypeError):
+            run_scenario(cli.HEADLINE[0], True)
         assert calls == {
             "btauthsim.crypto.check_octets": 1,
             "btauthsim.protocol.check_octets": 1,
             "btauthsim.adversary.check_octets": 1,
             "Enum.__hash__": 1,
+            **{f"{module.__name__}.check_type": 1 for module in typed},
         }
 
     def test_headline_runs_compute_no_bootstrap_key(self, monkeypatch):

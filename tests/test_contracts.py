@@ -19,9 +19,8 @@ built (tests/test_mixhash.py pins what it refuses); encode_public,
 decode_public, the drivers and main take checked or argparse-typed
 values; the check_* functions are what every row reaches; records, enums
 and exceptions check nothing. ScenarioConfig checks itself when built,
-and each validate and run_scenario cell builds one. verdict's outcomes
-fail at their first read, the unpacking of the two devices; every record
-a call takes (a group, a key pair, a transcript) is a row.
+and each validate and run_scenario cell builds one. Every record a call
+takes (a group, a key pair, a transcript) is a row.
 """
 
 import math
@@ -64,8 +63,8 @@ def type_error(name: str, expected: str, value) -> tuple:
 
 
 # expect(name, value) gives a value's outcome; extra: the values that rows
-# of this kind meet before the hostile ones; name: what the messages call
-# the parameter, when not its own name
+# of this kind meet before the hostile ones, or a dict of them by cell id;
+# name: what the messages call the parameter, when not its own name
 Kind = namedtuple("Kind", "expect extra name")
 
 
@@ -140,6 +139,25 @@ def choice(*values: str) -> Kind:
     return Kind(expect, (), None)
 
 
+def outcomes(also=()) -> Kind:
+    """Exactly a dict of two devices, each a 6-octet address of an
+    AuthOutcome; its items are checked in order, key then value."""
+
+    def expect(name, value):
+        if type(value) is not dict:
+            return type_error(name, "a dict", value)
+        if len(value) != 2:
+            return ValueError, f"{name} must hold exactly 2 devices, got {len(value)}"
+        for device, outcome in value.items():
+            if (refused := ADDR.expect(f"{name} key", device)) is not ACCEPTED:
+                return refused
+            if type(outcome) is not AuthOutcome:
+                return type_error(f"{name} value", "an AuthOutcome", outcome)
+        return ACCEPTED
+
+    return Kind(expect, also, None)
+
+
 Row = namedtuple("Row", "id call valid param kind")
 
 
@@ -188,6 +206,17 @@ DH_PARAMS = instance(DhParams, none=True, also=((23, 5),))
 # a record meets the tuple of its fields too
 PARAMS = instance(DhParams, also=((23, 5),))
 TRANSCRIPT = instance(Transcript, also=(((), LinkConfig(), 0),))
+TIMED_OUT = AuthOutcome(AuthStatus.TIMED_OUT, None)
+OUTCOMES = outcomes(also={
+    "0 devices": {}, "1 device": {ADDR_A: TIMED_OUT},
+    "3 devices": dict.fromkeys((ADDR_A, ADDR_B, ADDR_C), TIMED_OUT),
+    "int keys": {1: TIMED_OUT, 2: TIMED_OUT},
+    "5-octet key": {ADDR_A: TIMED_OUT, ADDR_B[:5]: TIMED_OUT},
+    "str values": {ADDR_A: "x", ADDR_B: "y"},
+    # a record meets the tuple of its fields too
+    "tuple value": {ADDR_A: TIMED_OUT, ADDR_B: (AuthStatus.TIMED_OUT, None)},
+    "the devices alone": (ADDR_A, ADDR_B),
+})
 
 # per valid configuration, the id suffix of its rows and the kind of each field
 FIELDS = [
@@ -260,9 +289,10 @@ ROWS = [
       dict(INTRUDER, mode=mode), f"-{mode.value}", rng_seed=seed("rng_seed"))),
     *table("IntruderState", IntruderState, INTRUDER | ACTIVE_DH, dh_params=DH_PARAMS),
     *table("verdict", adversary.verdict, dict(
-        outcomes=dict.fromkeys((ADDR_A, ADDR_B), AuthOutcome(AuthStatus.TIMED_OUT, None)),
-        transcript=EMPTY, link_key=KEY, baselines={ADDR_A: 20, ADDR_B: 20}, threshold_factor=1.5,
-    ), link_key=KEY16, baselines=instance(dict), threshold_factor=THRESHOLD, transcript=TRANSCRIPT),
+        outcomes=dict.fromkeys((ADDR_A, ADDR_B), TIMED_OUT), transcript=EMPTY, link_key=KEY,
+        baselines={ADDR_A: 20, ADDR_B: 20}, threshold_factor=1.5,
+    ), link_key=KEY16, baselines=instance(dict), threshold_factor=THRESHOLD, transcript=TRANSCRIPT,
+           outcomes=OUTCOMES),
     *table("LinkConfig", LinkConfig, dict(latency_ms=10, timeout_ms=2000),
            latency_ms=integer(1, 1999, "latency must be positive", above=TIMING),
            timeout_ms=integer(11, message=TIMING)),
@@ -318,7 +348,9 @@ OVERRIDES = {
 
 def cells(row: Row) -> dict:
     """A row's values by cell id: its kind's extra values, then hostile()."""
-    extra = {f"{len(v)} octets" if type(v) is bytes else repr(v): v for v in row.kind.extra}
+    extra = row.kind.extra
+    if type(extra) is not dict:
+        extra = {f"{len(v)} octets" if type(v) is bytes else repr(v): v for v in extra}
     return {**extra, **hostile(row.valid[row.param])}
 
 

@@ -310,6 +310,23 @@ class TestSessionKeyFromShared:
             assert session_key(params, pair, 22) == expected
         assert session_key(params, first, 22) != session_key(params, second, 22)
 
+    def test_every_pair_of_a_small_group_gets_the_unmemoised_key(self):
+        # p = 23 under every alpha, generators and not: each ordered pair of
+        # exponents derives its key both ways, then against the forged
+        # peers 1 and 22, with the memos warm from every call before
+        p = 23
+        session_key.cache_clear()
+        for alpha in range(2, p):
+            params = DhParams(p, alpha)
+            keys = [session_key_from_shared(k, params) for k in range(p)]
+            for a in range(1, p):
+                for b in range(1, p):
+                    own, peer = dh_keypair(params, a), dh_keypair(params, b)
+                    sides = ((own, peer.s_public), (peer, own.s_public), (own, 1), (own, 22))
+                    for pair, peer_public in sides:
+                        expected = keys[pow(peer_public, pair.r_private, p)]
+                        assert session_key(params, pair, peer_public) == expected
+
     def test_memo_holds_at_most_eight_keys(self):
         params = DhParams(*GROUPS[0])
         own = dh_keypair(params, 99)
@@ -318,8 +335,8 @@ class TestSessionKeyFromShared:
             peer = dh_keypair(params, r)
             expected = session_key_from_shared(dh_shared(params, peer.s_public, 99), params)
             assert session_key(params, own, peer.s_public) == expected
-            assert len(crypto._SESSION_KEYS) <= 8
-        assert len(crypto._SESSION_KEYS) == 8
+            assert crypto._session_key_of.cache_info().currsize <= 8
+        assert crypto._session_key_of.cache_info().currsize == 8
 
     def test_threads_racing_on_the_memo_get_the_unmemoised_keys(self):
         params = DhParams(*GROUPS[0])
@@ -357,7 +374,7 @@ class TestSessionKeyFromShared:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and wrong == []
-        assert len(crypto._SESSION_KEYS) <= 8
+        assert crypto._session_key_of.cache_info().currsize <= 8
 
 
 class TestSessionKeyFromTable:
@@ -415,7 +432,7 @@ class TestSessionKeyFromTable:
         if rs:
             session_key(params, dh_keypair(params, rs[0]), publics[-1])
         session_key.cache_clear()
-        assert crypto._EXPONENTS == {} and crypto._SESSION_KEYS == {}
+        assert crypto._EXPONENTS == {} and crypto._session_key_of.cache_info().currsize == 0
 
     def test_threads_drawing_and_deriving_get_the_unmemoised_keys(self):
         # each step draws two key pairs, recording both exponents, and
@@ -450,7 +467,7 @@ class TestSessionKeyFromTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and wrong == []
-        assert len(crypto._EXPONENTS) <= 8 and len(crypto._SESSION_KEYS) <= 8
+        assert len(crypto._EXPONENTS) <= 8 and crypto._session_key_of.cache_info().currsize <= 8
 
 
 class TestXorBytes:
