@@ -1,0 +1,90 @@
+"""The harness the test modules share: the three-party cast, the default
+group and links, the party builders, the intruder's view of a run, and a
+call recorder.
+
+tests/test_imports.py refuses a test module that binds at its top level a
+name defined here, so each of these has one definition.
+"""
+
+import contextlib
+
+from btauthsim.adversary import IntruderState
+from btauthsim.crypto import DhParams, xor_bytes
+from btauthsim.protocol import Variant, new_device
+from btauthsim.simnet import LinkConfig, Transcript, TranscriptEvent
+
+# honest A and B, and the intruder C
+ADDR_A = bytes.fromhex("aa0000000001")
+ADDR_B = bytes.fromhex("bb0000000002")
+ADDR_C = bytes.fromhex("cc0000000003")
+KEY = bytes(range(16))
+# the CLI's default group: 7 generates the group mod 2^31 - 1
+PARAMS = DhParams(2**31 - 1, 7)
+# the largest safe prime below 2^47, whose generator is 2
+WIDE_P = 140737488353843
+LINKS = LinkConfig()
+
+
+def group_of(variant):
+    """The group a party of the variant is built with: PARAMS for
+    dh-improved, None otherwise."""
+    return PARAMS if variant is Variant.DH_IMPROVED else None
+
+
+def pair(variant, seed_a=1, seed_b=2, key_a=KEY, key_b=KEY):
+    """Honest devices A and B of the variant."""
+    params = group_of(variant)
+    return (
+        new_device(ADDR_A, variant, key_a, seed_a, dh_params=params),
+        new_device(ADDR_B, variant, key_b, seed_b, dh_params=params),
+    )
+
+
+def intruder(mode, variant, seed_c=3):
+    """Intruder C of the mode between A and B."""
+    return IntruderState(
+        ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seed_c, dh_params=group_of(variant)
+    )
+
+
+def session_of(device, key=KEY):
+    """A dh-improved device's session key: its working key XOR the pairing key."""
+    return xor_bytes(device.effective_key, key)
+
+
+def captured(transcript, outcomes):
+    """The payloads of every hop that a party outside outcomes sent or
+    received: what the intruder of the run saw."""
+    return {
+        e.payload for e in transcript.events if e.from_id not in outcomes or e.to_id not in outcomes
+    }
+
+
+def transcript_of(hops):
+    """A transcript of (sender, receiver, kind, payload) hops at LINKS, the
+    hop of sequence number n delivered at time n."""
+    return Transcript(
+        events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
+        links=LINKS,
+        end_time=len(hops),
+    )
+
+
+@contextlib.contextmanager
+def recorded(module, name):
+    """The positional arguments of each call of module.name made inside
+    the block, a tuple per call; each call goes on to the function. It
+    patches the module itself, not through pytest's monkeypatch fixture,
+    so it works inside Hypothesis tests too."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    setattr(module, name, recording)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, real)

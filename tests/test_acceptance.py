@@ -30,13 +30,13 @@ import statistics
 import time
 from pathlib import Path
 
+from support import ADDR_A, ADDR_B, ADDR_C, LINKS, PARAMS, captured, intruder, pair, session_of
 from test_mixhash import ref_mixhash128
 
 from btauthsim.adversary import (
     Confidentiality,
     Integrity,
     IntruderMode,
-    IntruderState,
     dlog_bruteforce,
     verdict,
 )
@@ -53,15 +53,10 @@ from btauthsim.crypto import (
     mixhash128,
     modexp,
     session_key_from_shared,
-    xor_bytes,
 )
-from btauthsim.protocol import AuthStatus, MsgKind, Variant, encode_public, new_device
-from btauthsim.simnet import Detection, LinkConfig, run
+from btauthsim.protocol import AuthStatus, MsgKind, Variant, encode_public
+from btauthsim.simnet import Detection, run
 
-ADDR_A = bytes.fromhex("aa0000000001")
-ADDR_B = bytes.fromhex("bb0000000002")
-ADDR_C = bytes.fromhex("cc0000000003")
-PARAMS = DhParams(p=2147483647, alpha=7)
 SEEDS = range(100)
 
 VECTORS = Path(__file__).parent / "vectors" / "golden_vectors.txt"
@@ -75,30 +70,13 @@ def attack_run(variant, mode, seed, key=None):
     """One intruder run outside the CLI wrapper, exposing all actor state."""
     material = random.Random(seed)
     key = key if key is not None else material.randbytes(16)
-    params = PARAMS if variant is Variant.DH_IMPROVED else None
-    dev_a = new_device(ADDR_A, variant, key, material.getrandbits(64), dh_params=params)
-    dev_b = new_device(ADDR_B, variant, key, material.getrandbits(64), dh_params=params)
-    intruder = IntruderState(
-        ADDR_C, mode, variant, ADDR_A, ADDR_B,
-        rng_seed=material.getrandbits(64), dh_params=params,
-    )
-    transcript, outcomes = run(dev_a, dev_b, intruder, LinkConfig())
+    seed_a, seed_b = material.getrandbits(64), material.getrandbits(64)
+    dev_a, dev_b = pair(variant, seed_a, seed_b, key, key)
+    dev_c = intruder(mode, variant, material.getrandbits(64))
+    transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
     # any baselines: no caller reads this verdict's detection
     score = verdict(outcomes, transcript, key, {ADDR_A: 20, ADDR_B: 20}, 1.5)
-    return dev_a, dev_b, intruder, transcript, outcomes, score
-
-
-def session_of(device, key):
-    """A dh-improved device's session key: its working key XOR the pairing key."""
-    return xor_bytes(device.effective_key, key)
-
-
-def captured(transcript, outcomes):
-    """The payloads of every hop that a party outside outcomes sent or
-    received: what the intruder of the run saw."""
-    return {
-        e.payload for e in transcript.events if e.from_id not in outcomes or e.to_id not in outcomes
-    }
+    return dev_a, dev_b, dev_c, transcript, outcomes, score
 
 
 # relay interleaving for the legacy scheme: every hop touches the intruder,

@@ -8,6 +8,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from support import (
+    ADDR_A,
+    ADDR_B,
+    ADDR_C,
+    KEY,
+    LINKS,
+    PARAMS,
+    WIDE_P,
+    captured,
+    intruder,
+    pair,
+    recorded,
+    session_of,
+    transcript_of,
+)
+
 from btauthsim import adversary, cli
 from btauthsim.adversary import (
     AttackVerdict,
@@ -19,26 +35,10 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import DhParams, Stream, e1, xor_bytes
-from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
-from btauthsim.simnet import (
-    Detection,
-    LinkConfig,
-    Transcript,
-    TranscriptEvent,
-    delay_detector,
-    run,
-    transcript_rtt,
-)
+from btauthsim.crypto import DhParams, e1
+from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant
+from btauthsim.simnet import Detection, LinkConfig, delay_detector, run, transcript_rtt
 
-ADDR_A = bytes.fromhex("aa0000000001")
-ADDR_B = bytes.fromhex("bb0000000002")
-ADDR_C = bytes.fromhex("cc0000000003")
-KEY = bytes(range(16))
-PARAMS = DhParams(p=2147483647, alpha=7)
-# the largest safe prime below 2^47, whose generator is 2
-WIDE_P = 140737488353843
-LINKS = LinkConfig()
 # the intruder-free legacy round trip at LINKS, for either device, and the
 # default threshold: a relay that doubles it is flagged
 BASELINES = {ADDR_A: 20, ADDR_B: 20}
@@ -46,15 +46,11 @@ FACTOR = 1.5
 
 
 def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
-    params = PARAMS if variant is Variant.DH_IMPROVED else None
-    dev_a = new_device(ADDR_A, variant, key, seeds[0], dh_params=params)
-    dev_b = new_device(ADDR_B, variant, key, seeds[1], dh_params=params)
-    intruder = IntruderState(
-        ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seeds[2], dh_params=params
-    )
-    transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
+    dev_a, dev_b = pair(variant, seeds[0], seeds[1], key, key)
+    dev_c = intruder(mode, variant, seeds[2])
+    transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
     score = verdict(outcomes, transcript, key, BASELINES, FACTOR)
-    return dev_a, dev_b, intruder, transcript, outcomes, score
+    return dev_a, dev_b, dev_c, transcript, outcomes, score
 
 
 def loop_detection(transcript, baselines, threshold_factor):
@@ -66,19 +62,6 @@ def loop_detection(transcript, baselines, threshold_factor):
         if flag is Detection.DELAY_FLAGGED:
             detection = Detection.DELAY_FLAGGED
     return detection
-
-
-def session_of(device, key=KEY):
-    """A dh-improved device's session key: its working key XOR the pairing key."""
-    return xor_bytes(device.effective_key, key)
-
-
-def captured(transcript, outcomes):
-    """The payloads of every hop that a party outside outcomes sent or
-    received: what the intruder of the run saw."""
-    return {
-        e.payload for e in transcript.events if e.from_id not in outcomes or e.to_id not in outcomes
-    }
 
 
 class TestLegacyRelay:
@@ -115,9 +98,7 @@ class TestImprovedCaseOriginate:
 
 class TestImprovedCaseRelay:
     def test_split_verdict(self):
-        _, _, intruder, _, outcomes, score = attack_run(
-            Variant.IMPROVED, IntruderMode.RELAY_ACTIVE
-        )
+        _, _, _, _, outcomes, score = attack_run(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE)
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
         assert score.attack_success is True
         assert score.integrity is Integrity.MAINTAINED
@@ -181,19 +162,12 @@ class TestHonestEmissions:
         # the originate intruder forwards or forges at most once per
         # message an honest device emits, because each emits at most one
         # ChallengeMsg and at most one DhPublicMsg in a run
-        params = PARAMS if variant is Variant.DH_IMPROVED else None
         timings = [(10, 2000), (1, 2000), (25, 400), (10, 45), (7, 30), (3, 7), (2, 5), (1, 2)]
         for latency_ms, timeout_ms in timings:
             for seed in range(8):
-                dev_a = new_device(ADDR_A, variant, KEY, 3 * seed, dh_params=params)
-                dev_b = new_device(ADDR_B, variant, KEY, 3 * seed + 1, dh_params=params)
-                intruder = None
-                if mode is not None:
-                    intruder = IntruderState(
-                        ADDR_C, mode, variant, ADDR_A, ADDR_B,
-                        rng_seed=3 * seed + 2, dh_params=params,
-                    )
-                transcript, _ = run(dev_a, dev_b, intruder, LinkConfig(latency_ms, timeout_ms))
+                dev_a, dev_b = pair(variant, 3 * seed, 3 * seed + 1)
+                dev_c = None if mode is None else intruder(mode, variant, 3 * seed + 2)
+                transcript, _ = run(dev_a, dev_b, dev_c, LinkConfig(latency_ms, timeout_ms))
                 for device in (ADDR_A, ADDR_B):
                     kinds = [e.kind for e in transcript.events if e.from_id == device]
                     assert kinds.count(MsgKind.CHALLENGE) <= 1, (latency_ms, timeout_ms, seed)
@@ -208,10 +182,8 @@ class TestLegacyOriginate:
         assert score.attack_success is False
 
     def test_chosen_challenge_harvest(self):
-        _, _, intruder, transcript, _, score = attack_run(
-            Variant.LEGACY, IntruderMode.ORIGINATE_TO_A
-        )
-        assert intruder.own_challenge is not None
+        _, _, dev_c, transcript, _, score = attack_run(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A)
+        assert dev_c.own_challenge is not None
         # a's answer to c's own challenge reaches c and goes no further
         events = transcript.events
         answer = next(
@@ -304,13 +276,12 @@ class TestWirePayloadsAreBytes:
     def test_a_relay_of_bytearray_payloads_fails_at_its_own_message(self):
         # were it let through, both victims would finish and the judge
         # would meet an unhashable payload
-        dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
-        dev_b = new_device(ADDR_B, Variant.LEGACY, KEY, 2)
-        intruder = BytearrayRelay(
+        dev_a, dev_b = pair(Variant.LEGACY)
+        relay = BytearrayRelay(
             ADDR_C, IntruderMode.RELAY_PASSIVE, Variant.LEGACY, ADDR_A, ADDR_B, rng_seed=3
         )
         with pytest.raises(TypeError, match="^AuthRequest payload must be bytes, got bytearray$") as err:
-            run(dev_a, dev_b, intruder, LINKS)
+            run(dev_a, dev_b, relay, LINKS)
         # raised by Message's check, called from the intruder's intercept
         names = [entry.name for entry in err.traceback]
         assert names[-2:] == ["__init__", "check_octets"] and "intercept" in names
@@ -338,10 +309,9 @@ class TestVerdictPlumbing:
             verdict(outcomes, transcript, KEY, baselines, FACTOR)
 
     def test_mismatched_keys_defeat_relay(self):
-        dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
-        dev_b = new_device(ADDR_B, Variant.LEGACY, b"\xff" * 16, 2)
-        intruder = IntruderState(ADDR_C, IntruderMode.RELAY_ACTIVE, Variant.LEGACY, ADDR_A, ADDR_B, 0)
-        transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
+        dev_a, dev_b = pair(Variant.LEGACY, key_b=b"\xff" * 16)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.LEGACY, seed_c=0)
+        transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
         score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.attack_success is False
 
@@ -466,23 +436,18 @@ class TestConfidentialityScan:
         assert set(judged) == set(Confidentiality)
 
     def test_no_captured_response_means_no_scan(self, monkeypatch):
-        e1_calls = []
         knowledges = []
-
-        def counting_e1(*args):
-            e1_calls.append(args)
-            return e1(*args)
 
         def judged(outcomes, transcript, *args):
             knowledges.append(captured(transcript, outcomes))
             return verdict(outcomes, transcript, *args)
 
-        monkeypatch.setattr(adversary, "e1", counting_e1)
         monkeypatch.setattr(cli, "verdict", judged)
         config = ScenarioConfig(
             variant=Variant.IMPROVED, intruder=IntruderMode.ORIGINATE_TO_A, initiator="C"
         )
-        scores = [run_scenario(config, seed).score for seed in range(20)]
+        with recorded(adversary, "e1") as e1_calls:
+            scores = [run_scenario(config, seed).score for seed in range(20)]
         assert len(knowledges) == 20
         assert not any(len(item) == 4 for knowledge in knowledges for item in knowledge)
         assert all(score.confidentiality is Confidentiality.MAINTAINED for score in scores)
@@ -519,11 +484,7 @@ class TestConfidentialityScan:
         for index, claimant, route in answered:
             raw = challenges[index % len(challenges)][0]
             hops.append((*route, MsgKind.RESPONSE, e1(KEY, raw, claimant)))
-        transcript = Transcript(
-            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
-            links=LINKS,
-            end_time=len(hops),
-        )
+        transcript = transcript_of(hops)
         outcomes = {
             ADDR_A: AuthOutcome(AuthStatus.MUTUAL_SUCCESS, ADDR_B),
             ADDR_B: AuthOutcome(AuthStatus.MUTUAL_SUCCESS, ADDR_A),
@@ -541,22 +502,15 @@ class TestConfidentialityScan:
             for mode, calls in [(IntruderMode.RELAY_ACTIVE, 1), (IntruderMode.RELAY_PASSIVE, 2)]
         ],
     )
-    def test_dh_public_values_are_not_tried_as_challenges(self, monkeypatch, mode, calls):
+    def test_dh_public_values_are_not_tried_as_challenges(self, mode, calls):
         # no relayed dh-improved run verifies under the link key, so the scan
         # runs in full, one call for each challenge a device answered: on
         # relay-active only A answers (B's check of A's answer fails, so B
         # withholds its own), on relay-passive both do
-        e1_calls = []
-
-        def counting_e1(*args):
-            e1_calls.append(args)
-            return e1(*args)
-
-        monkeypatch.setattr(adversary, "e1", counting_e1)
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
         for seed in range(10):
-            e1_calls.clear()
-            result = run_scenario(config, seed)
+            with recorded(adversary, "e1") as e1_calls:
+                result = run_scenario(config, seed)
             events = result.transcript.events
             delivered = {e.to_id: e.payload for e in events if e.kind is MsgKind.CHALLENGE}
             answering = {e.from_id for e in events if e.kind is MsgKind.RESPONSE}
@@ -596,14 +550,7 @@ class TestConfidentialityScan:
         # the claimant-blind scan of every captured challenge against every
         # captured response breaches on all three
         payloads = (_CHALLENGE, _CREDENTIAL_A)
-        transcript = Transcript(
-            events=tuple(
-                TranscriptEvent(seq, seq, *hop, payload)
-                for seq, (hop, payload) in enumerate(zip(hops, payloads))
-            ),
-            links=LINKS,
-            end_time=2,
-        )
+        transcript = transcript_of([(*hop, payload) for hop, payload in zip(hops, payloads)])
         outcomes = {
             ADDR_A: AuthOutcome(AuthStatus.FAILED, None),
             ADDR_B: AuthOutcome(AuthStatus.FAILED, None),
@@ -615,18 +562,11 @@ class TestConfidentialityScan:
         score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is expected
 
-    def test_challenges_are_tried_in_ascending_order(self, monkeypatch):
+    def test_challenges_are_tried_in_ascending_order(self):
         # two challenges delivered to A, A answering neither, and one to B,
         # which sent no response: the scan hashes A's two, smaller first,
         # whatever order the hash seed gives the set that holds them (under
         # PYTHONHASHSEED=12345, Python 3.11, that set yields the larger first)
-        e1_calls = []
-
-        def counting_e1(*args):
-            e1_calls.append(args)
-            return e1(*args)
-
-        monkeypatch.setattr(adversary, "e1", counting_e1)
         low, high, other = bytes(16), b"\xff" * 16, b"\x07" * 16
         hops = [
             (ADDR_C, ADDR_A, MsgKind.CHALLENGE, high),
@@ -634,28 +574,19 @@ class TestConfidentialityScan:
             (ADDR_C, ADDR_A, MsgKind.CHALLENGE, low),
             (ADDR_A, ADDR_C, MsgKind.RESPONSE, b"\x00" * 4),
         ]
-        transcript = Transcript(
-            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
-            links=LINKS,
-            end_time=len(hops),
-        )
+        transcript = transcript_of(hops)
         outcomes = {
             ADDR_B: AuthOutcome(AuthStatus.TIMED_OUT, None),
             ADDR_A: AuthOutcome(AuthStatus.TIMED_OUT, None),
         }
-        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
+        with recorded(adversary, "e1") as e1_calls:
+            score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is Confidentiality.MAINTAINED
         assert e1_calls == [(KEY, low, ADDR_A), (KEY, high, ADDR_A)]
 
-    def test_the_scan_stops_at_the_first_match(self, monkeypatch):
+    def test_the_scan_stops_at_the_first_match(self):
         # A answered its lower challenge, and B its own: only A's lower
         # challenge is hashed, neither A's higher one nor any of B's
-        e1_calls = []
-
-        def counting_e1(*args):
-            e1_calls.append(args)
-            return e1(*args)
-
         low, high, other = bytes(16), b"\xff" * 16, b"\x07" * 16
         hops = [
             (ADDR_C, ADDR_A, MsgKind.CHALLENGE, high),
@@ -664,17 +595,13 @@ class TestConfidentialityScan:
             (ADDR_C, ADDR_B, MsgKind.CHALLENGE, other),
             (ADDR_B, ADDR_C, MsgKind.RESPONSE, e1(KEY, other, ADDR_B)),
         ]
-        monkeypatch.setattr(adversary, "e1", counting_e1)
-        transcript = Transcript(
-            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
-            links=LINKS,
-            end_time=len(hops),
-        )
+        transcript = transcript_of(hops)
         outcomes = {
             ADDR_A: AuthOutcome(AuthStatus.TIMED_OUT, None),
             ADDR_B: AuthOutcome(AuthStatus.TIMED_OUT, None),
         }
-        score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
+        with recorded(adversary, "e1") as e1_calls:
+            score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.confidentiality is Confidentiality.BREACHED
         assert e1_calls == [(KEY, low, ADDR_A)]
 
@@ -688,11 +615,7 @@ class TestConfidentialityScan:
         crossed as one, so the pair is no credential the intruder saw and
         the judge does not try X; the kind-blind scan would."""
         hops = ANSWERED_PUBLIC_HOPS
-        transcript = Transcript(
-            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
-            links=LINKS,
-            end_time=len(hops),
-        )
+        transcript = transcript_of(hops)
         outcomes = {
             ADDR_A: AuthOutcome(AuthStatus.FAILED, ADDR_B),
             ADDR_B: AuthOutcome(AuthStatus.FAILED, ADDR_A),
@@ -839,11 +762,7 @@ class TestOnePassVerdict:
     def test_agrees_with_the_two_pass_judge(
         self, hops, status_a, status_b, b_first, baseline_a, baseline_b, factor
     ):
-        transcript = Transcript(
-            events=tuple(TranscriptEvent(seq, seq, *hop) for seq, hop in enumerate(hops)),
-            links=LINKS,
-            end_time=len(hops),
-        )
+        transcript = transcript_of(hops)
         outcomes = {
             ADDR_A: AuthOutcome(status_a, ADDR_B),
             ADDR_B: AuthOutcome(status_b, ADDR_A),
@@ -863,27 +782,22 @@ def honest_verdict(detection):
 class TestHonestRunsAreJudged:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_one_verdict_and_no_scan(self, monkeypatch, variant):
-        e1_calls = []
         judged = []
-
-        def counting_e1(*args):
-            e1_calls.append(args)
-            return e1(*args)
 
         def judging(outcomes, transcript, link_key, baselines, threshold_factor):
             score = verdict(outcomes, transcript, link_key, baselines, threshold_factor)
             judged.append((loop_detection(transcript, baselines, threshold_factor), score))
             return score
 
-        monkeypatch.setattr(adversary, "e1", counting_e1)
         monkeypatch.setattr(cli, "verdict", judging)
         config = ScenarioConfig(variant=variant)
-        for seed in range(20):
-            result = run_scenario(config, seed)
-            assert len(judged) == 1, f"seed {seed}"
-            detection, score = judged.pop()
-            assert result.score is score
-            assert score == honest_verdict(detection), f"seed {seed}"
+        with recorded(adversary, "e1") as e1_calls:
+            for seed in range(20):
+                result = run_scenario(config, seed)
+                assert len(judged) == 1, f"seed {seed}"
+                detection, score = judged.pop()
+                assert result.score is score
+                assert score == honest_verdict(detection), f"seed {seed}"
         assert e1_calls == []
 
 
@@ -952,15 +866,15 @@ class TestRecordOnlyJudge:
         payloads, addresses, judged = set(), set(), []
         intercept, start_attack = adversary.intercept, adversary.start_attack
 
-        def recording_intercept(intruder, msg):
+        def recording_intercept(dev_c, msg):
             payloads.add(msg.payload)
             addresses.update((msg.sender, msg.receiver))
-            out = intercept(intruder, msg)
+            out = intercept(dev_c, msg)
             payloads.update(m.payload for m in out)
             return out
 
-        def recording_start_attack(intruder):
-            out = start_attack(intruder)
+        def recording_start_attack(dev_c):
+            out = start_attack(dev_c)
             payloads.update(m.payload for m in out)
             return out
 
@@ -987,18 +901,6 @@ class TestRecordOnlyJudge:
         assert score == expected
 
 
-def counted_attack_run(monkeypatch, variant, mode):
-    """attack_run with the intruder's Stream calls recorded by seed."""
-    seeded = []
-
-    def counting_stream(seed):
-        seeded.append(seed)
-        return Stream(seed)
-
-    monkeypatch.setattr(adversary, "Stream", counting_stream)
-    return seeded, attack_run(variant, mode)
-
-
 class TestIntruderRng:
     @pytest.mark.parametrize(
         "variant,mode",
@@ -1006,25 +908,25 @@ class TestIntruderRng:
         + [(variant, IntruderMode.RELAY_ACTIVE) for variant in (Variant.LEGACY, Variant.IMPROVED)],
         ids=lambda v: v.value,
     )
-    def test_a_relay_that_never_draws_never_seeds(self, monkeypatch, variant, mode):
-        seeded, (_, _, intruder, _, _, _) = counted_attack_run(monkeypatch, variant, mode)
+    def test_a_relay_that_never_draws_never_seeds(self, variant, mode):
+        with recorded(adversary, "Stream") as seeded:
+            _, _, dev_c, _, _, _ = attack_run(variant, mode)
         assert seeded == []
-        assert intruder.dh_own is None
-        assert intruder.own_challenge is None
+        assert dev_c.dh_own is None
+        assert dev_c.own_challenge is None
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_originate_draws_follow_the_seeded_stream(self, monkeypatch, variant):
-        seeded, (_, _, intruder, transcript, _, _) = counted_attack_run(
-            monkeypatch, variant, IntruderMode.ORIGINATE_TO_A
-        )
-        assert seeded == [3]
+    def test_originate_draws_follow_the_seeded_stream(self, variant):
+        with recorded(adversary, "Stream") as seeded:
+            _, _, dev_c, transcript, _, _ = attack_run(variant, IntruderMode.ORIGINATE_TO_A)
+        assert seeded == [(3,)]
         stream = random.Random(3)
         if variant is Variant.DH_IMPROVED:
-            assert intruder.dh_own.r_private == stream.randrange(1, PARAMS.p)
+            assert dev_c.dh_own.r_private == stream.randrange(1, PARAMS.p)
         else:
-            assert intruder.dh_own is None
+            assert dev_c.dh_own is None
         challenge = stream.randbytes(16)
-        assert intruder.own_challenge == challenge
+        assert dev_c.own_challenge == challenge
         sent = [
             e.payload
             for e in transcript.events
@@ -1032,47 +934,39 @@ class TestIntruderRng:
         ]
         assert sent[0] == challenge
 
-    def test_relay_active_keypair_follows_the_seeded_stream(self, monkeypatch):
-        seeded, (_, _, intruder, _, _, _) = counted_attack_run(
-            monkeypatch, Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE
-        )
-        assert seeded == [3]
-        assert intruder.dh_own.r_private == random.Random(3).randrange(1, PARAMS.p)
-        assert intruder.own_challenge is None
+    def test_relay_active_keypair_follows_the_seeded_stream(self):
+        with recorded(adversary, "Stream") as seeded:
+            _, _, dev_c, _, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
+        assert seeded == [(3,)]
+        assert dev_c.dh_own.r_private == random.Random(3).randrange(1, PARAMS.p)
+        assert dev_c.own_challenge is None
 
     @pytest.mark.parametrize("variant", [Variant.LEGACY, Variant.IMPROVED], ids=lambda v: v.value)
     def test_no_public_value_to_forge_outside_the_dh_variant(self, variant):
         # the group parameters alone give an intruder against these
         # variants no key pair: it drew none when it was built
-        intruder = IntruderState(
+        dev_c = IntruderState(
             ADDR_C, IntruderMode.RELAY_ACTIVE, variant, ADDR_A, ADDR_B, rng_seed=3, dh_params=PARAMS
         )
         public = Message(MsgKind.DH_PUBLIC, ADDR_A, ADDR_B, bytes(16))
         with pytest.raises(ValueError, match="forges public values"):
-            intruder.intercept(public)
+            dev_c.intercept(public)
 
 
 class TestScripts:
-    def test_every_row_of_every_script_fires(self, monkeypatch):
+    def test_every_row_of_every_script_fires(self):
         # over the headline scenarios, and dh-improved+originate, whose
         # script is the one no headline scenario runs, at seeds 0-19; a row
         # that ORIGINATE_DH takes from ORIGINATE unchanged is one row, which
         # fires on legacy (B never answers on dh-improved)
-        acted = []
-        act = adversary._act
-
-        def recording_act(intruder, row, arriving):
-            acted.append(row)
-            return act(intruder, row, arriving)
-
-        monkeypatch.setattr(adversary, "_act", recording_act)
         dh_originate = ScenarioConfig(
             Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C"
         )
-        for config in (*cli.HEADLINE, dh_originate):
-            for seed in range(20):
-                run_scenario(config, seed)
-        fired = {id(row) for row in acted}
+        with recorded(adversary, "_act") as acted:
+            for config in (*cli.HEADLINE, dh_originate):
+                for seed in range(20):
+                    run_scenario(config, seed)
+        fired = {id(row) for _, row, _ in acted}
         for (mode, variant), script in adversary.SCRIPTS.items():
             for key, row in script.items():
                 assert id(row) in fired, (mode.value, variant.value, key)
@@ -1088,9 +982,7 @@ class TestScripts:
             assert got.score == want.score, f"seed {seed}"
 
     def test_originate_holds_a_counter_challenge_until_b_answers_its_public(self):
-        _, _, intruder, transcript, _, _ = attack_run(
-            Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A
-        )
+        _, _, dev_c, transcript, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A)
         hops = [(e.from_id, e.to_id, e.kind) for e in transcript.events]
         # A's counter-challenge reaches C, then B's public does, and only
         # then does the counter-challenge go on to B, under A's address
@@ -1099,19 +991,17 @@ class TestScripts:
         assert hold < hops.index((ADDR_B, ADDR_C, MsgKind.DH_PUBLIC)) < release
         held = transcript.events[hold].payload
         assert transcript.events[release].payload == held
-        assert intruder.held == held
+        assert dev_c.held == held
 
     def test_a_copy_is_a_snapshot(self):
         # a copy taken before the hold keeps nothing held, and the original
         # releases what it holds
-        intruder = IntruderState(
-            ADDR_C, IntruderMode.ORIGINATE_TO_A, Variant.DH_IMPROVED, ADDR_A, ADDR_B, 3, PARAMS
-        )
-        before = copy.copy(intruder)
+        dev_c = intruder(IntruderMode.ORIGINATE_TO_A, Variant.DH_IMPROVED)
+        before = copy.copy(dev_c)
         counter = Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, bytes(range(16)))
-        intruder.intercept(counter)
+        dev_c.intercept(counter)
         public = Message(MsgKind.DH_PUBLIC, ADDR_B, ADDR_A, bytes(16))
-        assert intruder.intercept(public) == [counter]
+        assert dev_c.intercept(public) == [counter]
         assert before.held is None
 
     @pytest.mark.parametrize("mode", list(IntruderMode), ids=lambda m: m.value)

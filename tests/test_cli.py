@@ -9,27 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from support import PARAMS, WIDE_P, recorded
+
 from btauthsim import adversary, cli, crypto, protocol, simnet
 from btauthsim.cli import ConfigError, ScenarioConfig, main, run_scenario
 from btauthsim.adversary import IntruderMode, IntruderState
-from btauthsim.crypto import (
-    DhParams,
-    combination_link_key,
-    has_full_order,
-    init_key,
-    is_prime,
-    mixhash128,
-    modexp,
-    xor_bytes,
-)
+from btauthsim.crypto import DhParams, combination_link_key, init_key, mixhash128, xor_bytes
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, run, transcript_rtt
 
 # hops of the intruder-free handshake, first send to last delivery
 HANDSHAKE_HOPS = {Variant.LEGACY: 4, Variant.IMPROVED: 5, Variant.DH_IMPROVED: 7}
-
-# largest safe prime below 2^47; 2 generates its group
-WIDE_P = 140737488353843
 
 
 def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
@@ -286,34 +276,22 @@ class TestConfigErrors:
         assert after.baselines == fresh.baselines
         assert all(type(rtt) is int for rtt in after.baselines.values())
 
-    def test_group_checked_once_per_configuration(self, monkeypatch):
-        calls = []
-
-        def counted(params):
-            calls.append((params.alpha, params.p))
-            return has_full_order(params)
-
+    def test_group_checked_once_per_configuration(self):
         cli._prepared.cache_clear()
-        monkeypatch.setattr(cli, "has_full_order", counted)
-        for mode in (None, IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
-            run_scenario(ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode), 0)
-        assert calls == [(7, 2**31 - 1)]
+        with recorded(cli, "has_full_order") as calls:
+            for mode in (None, IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
+                run_scenario(ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode), 0)
+        assert calls == [(PARAMS,)]
 
-    def test_wide_group_primality_tests(self, monkeypatch):
+    def test_wide_group_primality_tests(self):
         # one Miller-Rabin pass on p, by DhParams, and one inside the
         # generator check's factorisation of p - 1 = 2q, on q; none on a
         # cached repeat
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return is_prime(n)
-
         cli._prepared.cache_clear()
-        monkeypatch.setattr(crypto, "is_prime", counted)
-        config = ScenarioConfig(variant=Variant.DH_IMPROVED, dh_p=WIDE_P, dh_alpha=2)
-        assert calls == [WIDE_P, (WIDE_P - 1) // 2]
-        config.prepared
+        with recorded(crypto, "is_prime") as calls:
+            config = ScenarioConfig(variant=Variant.DH_IMPROVED, dh_p=WIDE_P, dh_alpha=2)
+            assert calls == [(WIDE_P,), ((WIDE_P - 1) // 2,)]
+            config.prepared
         assert len(calls) == 2
 
 
@@ -396,21 +374,14 @@ class TestScenarioApi:
         ],
         ids=["legacy-passive", "improved-active", "dh-passive"],
     )
-    def test_e1_memo_carries_nothing_between_runs(self, monkeypatch, variant, mode):
+    def test_e1_memo_carries_nothing_between_runs(self, variant, mode):
         # a run's digest count is a function of its scenario and seed, not
         # of the runs before it
         config = ScenarioConfig(variant=variant, intruder=mode)
-        calls = []
-
-        def counted(data):
-            calls.append(data)
-            return mixhash128(data)
-
-        monkeypatch.setattr(crypto, "mixhash128", counted)
         counts = []
         for seed in (5, 6, 5):
-            calls.clear()
-            run_scenario(config, seed)
+            with recorded(crypto, "mixhash128") as calls:
+                run_scenario(config, seed)
             counts.append(len(calls))
         assert counts[0] == counts[2]
 
@@ -419,25 +390,18 @@ class TestScenarioApi:
         [(None, 1), (IntruderMode.RELAY_PASSIVE, 1), (IntruderMode.RELAY_ACTIVE, 2)],
         ids=["honest", "relay-passive", "relay-active"],
     )
-    def test_one_session_key_derivation_per_shared_value(self, monkeypatch, mode, derivations):
+    def test_one_session_key_derivation_per_shared_value(self, mode, derivations):
         # both devices of an honest or passively relayed run agree on the
         # shared value and derive its key once; a relay that substitutes
         # the publics leaves each device its own. A seed rerun after other
         # runs derives as often as the first time: the memo starts empty
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
         session_tag = b"\x05"
-        calls = []
-
-        def counted(data):
-            calls.append(data)
-            return mixhash128(data)
-
-        monkeypatch.setattr(crypto, "mixhash128", counted)
         counts = []
         for seed in (0, 1, 2, 0):
-            calls.clear()
-            run_scenario(config, seed)
-            counts.append(sum(data[:1] == session_tag and len(data) == 33 for data in calls))
+            with recorded(crypto, "mixhash128") as calls:
+                run_scenario(config, seed)
+            counts.append(sum(data[:1] == session_tag and len(data) == 33 for (data,) in calls))
         assert counts == [derivations] * 4
 
     @pytest.mark.parametrize("group", [(2**31 - 1, 7), (WIDE_P, 2)], ids=["p31", "wide"])
@@ -445,7 +409,7 @@ class TestScenarioApi:
         "mode", [None, IntruderMode.RELAY_PASSIVE, IntruderMode.RELAY_ACTIVE],
         ids=["honest", "relay-passive", "relay-active"],
     )
-    def test_no_modular_exponentiation_for_an_agreed_key(self, monkeypatch, group, mode):
+    def test_no_modular_exponentiation_for_an_agreed_key(self, group, mode):
         # every public value that reaches a device was drawn in the run, A's
         # and B's by new_device and the active relay's by IntruderState, so
         # each key comes from the fixed-base table. Each run starts with the
@@ -458,18 +422,11 @@ class TestScenarioApi:
             )
             for other in modes
         }
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return modexp(*args)
-
-        monkeypatch.setattr(crypto, "modexp", counted)
         counts = []
         for other in modes:
             run_scenario(configs[other], 0)
-            calls.clear()
-            run_scenario(configs[mode], 0)
+            with recorded(crypto, "modexp") as calls:
+                run_scenario(configs[mode], 0)
             counts.append(len(calls))
         assert counts == [0] * len(modes)
 

@@ -29,6 +29,8 @@ from enum import Enum
 
 import pytest
 
+from support import ADDR_A, ADDR_B, ADDR_C, KEY, LINKS
+
 from btauthsim import adversary, cli, crypto, protocol, simnet
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.cli import ConfigError, ScenarioConfig
@@ -36,10 +38,7 @@ from btauthsim.crypto import DhParams
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
 from btauthsim.simnet import LinkConfig, Transcript
 
-ADDR_A = bytes.fromhex("aa0000000001")
-ADDR_B = bytes.fromhex("bb0000000002")
-ADDR_C = bytes.fromhex("cc0000000003")
-KEY, NONCE = bytes(range(16)), bytes(range(16, 32))
+NONCE = bytes(range(16, 32))
 P23 = DhParams(p=23, alpha=5)
 ACCEPTED = "accepted"
 Text, Octets, Count = (type(name, (base,), {}) for name, base in
@@ -196,7 +195,7 @@ TIMING = "timeout must exceed the single-hop latency"
 LINK, GROUP = "latency-ms/timeout-ms: ", "dh-p/dh-alpha: "
 E1 = dict(key=KEY, challenge=NONCE, claimant=ADDR_A)
 E1_KINDS = dict(key=KEY16, challenge=KEY16, claimant=ADDR)
-EMPTY = Transcript((), LinkConfig(), 0)
+EMPTY = Transcript((), LINKS, 0)
 DEVICE = dict(id=ADDR_A, variant=Variant.LEGACY, link_key=KEY, rng_seed=1)
 INTRUDER = dict(id=ADDR_C, mode=IntruderMode.RELAY_PASSIVE, variant=Variant.LEGACY,
                 victim_a=ADDR_A, victim_b=ADDR_B, rng_seed=3)
@@ -205,7 +204,7 @@ THRESHOLD = threshold("threshold factor must be finite and exceed 1, got {}")
 DH_PARAMS = instance(DhParams, none=True, also=((23, 5),))
 # a record meets the tuple of its fields too
 PARAMS = instance(DhParams, also=((23, 5),))
-TRANSCRIPT = instance(Transcript, also=(((), LinkConfig(), 0),))
+TRANSCRIPT = instance(Transcript, also=(((), LINKS, 0),))
 TIMED_OUT = AuthOutcome(AuthStatus.TIMED_OUT, None)
 OUTCOMES = outcomes(also={
     "0 devices": {}, "1 device": {ADDR_A: TIMED_OUT},

@@ -1,6 +1,5 @@
 """Key-derivation functions, the random stream and the Diffie-Hellman key memos."""
 
-import contextlib
 import copy
 import pickle
 import random
@@ -10,6 +9,8 @@ import threading
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+
+from support import ADDR_A, ADDR_B, PARAMS, WIDE_P, recorded
 
 from btauthsim import crypto
 from btauthsim.crypto import (
@@ -31,11 +32,9 @@ from btauthsim.crypto import (
 Z16 = b"\x00" * 16
 ZKEY = b"\x00" * 16
 ZADDR = b"\x00" * 6
-ADDR_A = bytes.fromhex("aa0000000001")
-ADDR_B = bytes.fromhex("bb0000000002")
 
 # the groups the CLI runs: its default, and the largest safe prime below 2^47
-GROUPS = [(2**31 - 1, 7), (140737488353843, 2)]
+GROUPS = [(PARAMS.p, PARAMS.alpha), (WIDE_P, 2)]
 
 # primes whose tables have 1 to 8 rows, with the CLI's groups
 TABLE_PRIMES = [3, 5, 23, 257, 65537, 2**61 - 1] + [p for p, _ in GROUPS]
@@ -50,23 +49,6 @@ def any_group(draw):
 
 def exponents(p):
     return st.integers(min_value=1, max_value=p - 1) | st.sampled_from([1, p - 1, (p - 1) // 2])
-
-
-@contextlib.contextmanager
-def counted_modexp():
-    """The arguments of each crypto.modexp call made inside the block."""
-    calls = []
-    real = crypto.modexp
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    crypto.modexp = counted
-    try:
-        yield calls
-    finally:
-        crypto.modexp = real
 
 
 EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
@@ -147,30 +129,23 @@ class TestE1:
         assert e1(*args) == expected
         assert e1(key, chal, bytes(bytearray(addr))) == expected
 
-    def test_memo_miss_runs_no_full_digest(self, monkeypatch):
-        calls = []
-        real = crypto.mixhash128
-
-        def counting(data):
-            calls.append(data)
-            return real(data)
-
-        monkeypatch.setattr(crypto, "mixhash128", counting)
+    def test_memo_miss_runs_no_full_digest(self):
         e1.cache_clear()
         args = (ZKEY, b"\x07" * 16, ADDR_B)
         message = b"\x01" + ZKEY + args[1] + ADDR_B
-        sres = e1(*args)
-        assert calls == []
-        assert e1.cache_info().misses == 1 and e1.cache_info().hits == 0
-        # a repeat is answered from the memo
-        assert e1(*args) is sres
-        assert e1.cache_info().misses == 1 and e1.cache_info().hits == 1
-        assert calls == []
-        # the offset takes the full digest, once, through the module name;
-        # the response is the first 4 octets of that same digest
-        aco = e1_aco(*args)
-        assert calls == [message]
-        assert sres + aco == real(message)
+        with recorded(crypto, "mixhash128") as calls:
+            sres = e1(*args)
+            assert calls == []
+            assert e1.cache_info().misses == 1 and e1.cache_info().hits == 0
+            # a repeat is answered from the memo
+            assert e1(*args) is sres
+            assert e1.cache_info().misses == 1 and e1.cache_info().hits == 1
+            assert calls == []
+            # the offset takes the full digest, once, through the module name;
+            # the response is the first 4 octets of that same digest
+            aco = e1_aco(*args)
+        assert calls == [(message,)]
+        assert sres + aco == crypto.mixhash128(message)
 
 
 class TestDerivedOctets:
@@ -186,7 +161,7 @@ class TestDerivedOctets:
         # the width their function fixes, with no value type around them
         sres = e1(key, chal, addr)
         bootstrap = init_key(pin, addr, chal)
-        session = session_key_from_shared(shared, DhParams(p=2147483647, alpha=7))
+        session = session_key_from_shared(shared, PARAMS)
         assert (type(sres), len(sres)) == (bytes, 4)
         assert (type(bootstrap), len(bootstrap)) == (bytes, 16)
         assert (type(session), len(session)) == (bytes, 16)
@@ -388,7 +363,7 @@ class TestSessionKeyFromTable:
         session_key.cache_clear()
         own = dh_keypair(params, data.draw(exponents(p)))
         peer = dh_keypair(params, data.draw(exponents(p)))
-        with counted_modexp() as calls:
+        with recorded(crypto, "modexp") as calls:
             for pair, peer_public in ((own, peer.s_public), (peer, own.s_public)):
                 expected = session_key_from_shared(pow(peer_public, pair.r_private, p), params)
                 assert session_key(params, pair, peer_public) == expected
@@ -402,7 +377,7 @@ class TestSessionKeyFromTable:
         peer_public = data.draw(st.sampled_from([1, p - 1]) | st.integers(min_value=1, max_value=p - 1))
         assume(peer_public != own.s_public)
         expected = session_key_from_shared(pow(peer_public, own.r_private, p), params)
-        with counted_modexp() as calls:
+        with recorded(crypto, "modexp") as calls:
             assert session_key(params, own, peer_public) == expected
         assert calls == [(peer_public, own.r_private, p)]
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import PARAMS, WIDE_P
+
 from btauthsim import crypto
 from btauthsim.crypto import (
     DhParams,
@@ -19,9 +21,6 @@ from btauthsim.crypto import (
 )
 
 SMALL_PRIMES = [5, 7, 11, 13, 23, 97, 101, 499, 997, 2003, 4999, 7919, 10007]
-
-# largest safe prime below 2^47: WIDE_P - 1 = 2 * q with q prime
-WIDE_P = 140737488353843
 
 
 def naive_modexp(base: int, exponent: int, modulus: int) -> int:
@@ -207,7 +206,7 @@ class TestPrimitiveRoot:
     def test_factored_check_handles_large_modulus(self):
         # enumeration would walk 2^31 - 2 steps here; the factored check is
         # instant
-        assert has_full_order(DhParams(p=2147483647, alpha=7))
+        assert has_full_order(PARAMS)
         assert not has_full_order(DhParams(p=2147483647, alpha=2))
         assert has_full_order(DhParams(p=WIDE_P, alpha=2))
 

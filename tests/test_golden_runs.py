@@ -13,6 +13,8 @@ scenario outside the headline and the only one that holds a message back.
 import dataclasses
 import hashlib
 
+from support import PARAMS, WIDE_P
+
 from btauthsim.adversary import IntruderMode
 from btauthsim.cli import HEADLINE, ScenarioConfig, report_line, run_scenario
 from btauthsim.protocol import Variant
@@ -20,7 +22,7 @@ from btauthsim.protocol import Variant
 # (latency_ms, timeout_ms); at 3/40 the dh-improved passive relay times out
 TIMINGS = [(10, 2000), (3, 40), (25, 1000)]
 # the default group, then the largest safe prime below 2^47 with generator 2
-GROUPS = [(2147483647, 7), (140737488353843, 2)]
+GROUPS = [(PARAMS.p, PARAMS.alpha), (WIDE_P, 2)]
 SEEDS = range(20)
 
 # computed on the code before octets became plain bytes

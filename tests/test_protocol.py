@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import ADDR_A, ADDR_B, ADDR_C, KEY, LINKS, PARAMS, pair
+
 from btauthsim.crypto import (
-    DhParams,
     check_octets,
     dh_shared,
     e1,
@@ -33,58 +34,32 @@ from btauthsim.protocol import (
     outcome_of,
     start,
 )
-from btauthsim.simnet import LinkConfig, run, transcript_rtt
+from btauthsim.simnet import run, transcript_rtt
 
-ADDR_A = bytes.fromhex("aa0000000001")
-ADDR_B = bytes.fromhex("bb0000000002")
-ADDR_C = bytes.fromhex("cc0000000003")
-KEY1 = bytes(range(16))
 KEY2 = bytes(range(16, 32))
-PARAMS = DhParams(p=2147483647, alpha=7)
-
-
-def pump(devices, first_msgs, latency=10):
-    """Drive directly linked devices with in-order uniform-latency delivery.
-
-    Returns the delivery log as (time, message) pairs.
-    """
-    queue = deque((latency, m) for m in first_msgs)
-    log = []
-    while queue:
-        t, msg = queue.popleft()
-        log.append((t, msg))
-        for out in handle(devices[msg.receiver], msg):
-            queue.append((t + latency, out))
-    return log
-
-
-def honest_pair(variant, seed_a=1, seed_b=2, key_a=KEY1, key_b=KEY1):
-    params = PARAMS if variant is Variant.DH_IMPROVED else None
-    dev_a = new_device(ADDR_A, variant, key_a, seed_a, dh_params=params)
-    dev_b = new_device(ADDR_B, variant, key_b, seed_b, dh_params=params)
-    return dev_a, dev_b
 
 
 def run_honest(variant, **kw):
-    dev_a, dev_b = honest_pair(variant, **kw)
-    log = pump({ADDR_A: dev_a, ADDR_B: dev_b}, start(dev_a, ADDR_B))
-    return dev_a, dev_b, log
+    """An intruder-free run of the pair at LINKS: the devices, and the
+    transcript's events in delivery order."""
+    dev_a, dev_b = pair(variant, **kw)
+    transcript, _ = run(dev_a, dev_b, None, LINKS)
+    return dev_a, dev_b, transcript.events
 
 
 def round_trips(variant):
     """The round trip of each device's challenge to its response, as the
     network loop's transcript records it for a direct honest run at 10 ms
     per hop."""
-    dev_a, dev_b = honest_pair(variant)
-    links = LinkConfig(latency_ms=10)
-    transcript, _ = run(dev_a, dev_b, None, links)
+    dev_a, dev_b = pair(variant)
+    transcript, _ = run(dev_a, dev_b, None, LINKS)
     return transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B)
 
 
 class TestLegacyHonest:
     def test_flow_and_outcome(self):
         dev_a, dev_b, log = run_honest(Variant.LEGACY)
-        kinds = [m.kind for _, m in log]
+        kinds = [e.kind for e in log]
         assert kinds == [
             MsgKind.AUTH_REQUEST,
             MsgKind.CHALLENGE,
@@ -93,7 +68,7 @@ class TestLegacyHonest:
             MsgKind.RESPONSE,
             MsgKind.AUTH_SUCCESS,
         ]
-        assert log[-1][0] == 40
+        assert log[-1].time == 40
         for dev in (dev_a, dev_b):
             out = outcome_of(dev)
             assert out.status is AuthStatus.MUTUAL_SUCCESS
@@ -104,7 +79,7 @@ class TestLegacyHonest:
         assert round_trips(Variant.LEGACY) == (20, 20)
 
     def test_responder_answers_immediately(self):
-        dev_a, dev_b = honest_pair(Variant.LEGACY)
+        dev_a, dev_b = pair(Variant.LEGACY)
         first = start(dev_a, ADDR_B)
         assert handle(dev_b, first[0]) == []
         replies = handle(dev_b, first[1])
@@ -114,7 +89,7 @@ class TestLegacyHonest:
 class TestImprovedHonest:
     def test_flow_and_outcome(self):
         dev_a, dev_b, log = run_honest(Variant.IMPROVED)
-        kinds = [m.kind for _, m in log]
+        kinds = [e.kind for e in log]
         assert kinds == [
             MsgKind.AUTH_REQUEST,
             MsgKind.CHALLENGE,
@@ -123,25 +98,24 @@ class TestImprovedHonest:
             MsgKind.RESPONSE,
             MsgKind.AUTH_SUCCESS,
         ]
-        assert log[-1][0] == 50
+        assert log[-1].time == 50
         assert outcome_of(dev_a).status is AuthStatus.MUTUAL_SUCCESS
         assert outcome_of(dev_b).status is AuthStatus.MUTUAL_SUCCESS
 
     def test_responder_response_strictly_after_initiator_response(self):
         _, _, log = run_honest(Variant.IMPROVED)
-        responses = [i for i, (_, m) in enumerate(log) if m.kind is MsgKind.RESPONSE]
-        senders = [log[i][1].sender for i in responses]
+        senders = [e.from_id for e in log if e.kind is MsgKind.RESPONSE]
         assert senders == [ADDR_A, ADDR_B]
 
     def test_responder_withholds_on_first_challenge(self):
-        dev_a, dev_b = honest_pair(Variant.IMPROVED)
+        dev_a, dev_b = pair(Variant.IMPROVED)
         first = start(dev_a, ADDR_B)
         handle(dev_b, first[0])
         replies = handle(dev_b, first[1])
         assert [m.kind for m in replies] == [MsgKind.CHALLENGE]
 
     def test_withheld_answer_released_by_valid_response(self):
-        dev_a, dev_b = honest_pair(Variant.IMPROVED)
+        dev_a, dev_b = pair(Variant.IMPROVED)
         first = start(dev_a, ADDR_B)
         handle(dev_b, first[0])
         (counter,) = handle(dev_b, first[1])
@@ -149,7 +123,7 @@ class TestImprovedHonest:
         assert answer.kind is MsgKind.RESPONSE
         released = handle(dev_b, answer)
         assert [m.kind for m in released] == [MsgKind.RESPONSE]
-        expected = e1(KEY1, first[1].payload, ADDR_B)
+        expected = e1(KEY, first[1].payload, ADDR_B)
         assert released[0].payload == expected
 
     def test_round_trip_times(self):
@@ -159,7 +133,7 @@ class TestImprovedHonest:
 class TestDhImprovedHonest:
     def test_flow_and_outcome(self):
         dev_a, dev_b, log = run_honest(Variant.DH_IMPROVED)
-        kinds = [m.kind for _, m in log]
+        kinds = [e.kind for e in log]
         assert kinds == [
             MsgKind.AUTH_REQUEST,
             MsgKind.DH_PUBLIC,
@@ -170,23 +144,23 @@ class TestDhImprovedHonest:
             MsgKind.RESPONSE,
             MsgKind.AUTH_SUCCESS,
         ]
-        assert log[-1][0] == 70
+        assert log[-1].time == 70
         assert outcome_of(dev_a).status is AuthStatus.MUTUAL_SUCCESS
         assert outcome_of(dev_b).status is AuthStatus.MUTUAL_SUCCESS
 
     def test_session_keys_agree_and_shift_the_auth_key(self):
         dev_a, dev_b, _ = run_honest(Variant.DH_IMPROVED)
         # a session key is the working key XOR the pairing key
-        session_a = xor_bytes(dev_a.effective_key, KEY1)
+        session_a = xor_bytes(dev_a.effective_key, KEY)
         shared = dh_shared(PARAMS, dev_b.dh.s_public, dev_a.dh.r_private)
         assert session_a == session_key_from_shared(shared, PARAMS)
-        assert session_a == xor_bytes(dev_b.effective_key, KEY1)
+        assert session_a == xor_bytes(dev_b.effective_key, KEY)
         assert dev_a.effective_key == dev_b.effective_key
-        assert dev_a.effective_key != KEY1
+        assert dev_a.effective_key != KEY
 
     def test_public_values_in_group_range(self):
         _, _, log = run_honest(Variant.DH_IMPROVED)
-        publics = [int.from_bytes(m.payload, "big") for _, m in log if m.kind is MsgKind.DH_PUBLIC]
+        publics = [int.from_bytes(e.payload, "big") for e in log if e.kind is MsgKind.DH_PUBLIC]
         assert len(publics) == 2
         assert all(1 <= s <= PARAMS.p - 1 for s in publics)
 
@@ -197,12 +171,12 @@ class TestDhImprovedHonest:
 class TestFailures:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_mismatched_link_keys_fail(self, variant):
-        dev_a, dev_b, _ = run_honest(variant, key_a=KEY1, key_b=KEY2)
+        dev_a, dev_b, _ = run_honest(variant, key_a=KEY, key_b=KEY2)
         assert outcome_of(dev_a).status is AuthStatus.FAILED
         assert outcome_of(dev_b).status is AuthStatus.FAILED
 
     def test_wrong_response_rejected(self):
-        dev_a, dev_b = honest_pair(Variant.LEGACY)
+        dev_a, dev_b = pair(Variant.LEGACY)
         start(dev_a, ADDR_B)
         forged = Message(MsgKind.RESPONSE, ADDR_B, ADDR_A, b"\x00\x00\x00\x00")
         out = handle(dev_a, forged)
@@ -210,14 +184,14 @@ class TestFailures:
         assert dev_a.phase is Phase.FAILED
 
     def test_illegal_kind_in_phase(self):
-        dev_b = new_device(ADDR_B, Variant.LEGACY, KEY1, 2)
+        dev_b = new_device(ADDR_B, Variant.LEGACY, KEY, 2)
         stray = Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, b"\x00" * 16)
         out = handle(dev_b, stray)
         assert [m.kind for m in out] == [MsgKind.AUTH_FAIL]
         assert dev_b.phase is Phase.FAILED
 
     def test_auth_fail_is_terminal_and_silent(self):
-        dev_a, dev_b = honest_pair(Variant.LEGACY)
+        dev_a, dev_b = pair(Variant.LEGACY)
         start(dev_a, ADDR_B)
         assert handle(dev_a, Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_A)) == []
         assert dev_a.phase is Phase.FAILED
@@ -225,7 +199,7 @@ class TestFailures:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_auth_request_announcing_the_receiver_fails(self, variant):
         # the announced address would make the device its own peer
-        _, dev_b = honest_pair(variant)
+        _, dev_b = pair(variant)
         forged = Message(MsgKind.AUTH_REQUEST, ADDR_C, ADDR_B, ADDR_B)
         assert handle(dev_b, forged) == [Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_C)]
         assert dev_b.phase is Phase.FAILED
@@ -243,25 +217,25 @@ class TestFailures:
 
 class TestDriverContract:
     def test_start_twice_rejected(self):
-        dev_a = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
+        dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
         start(dev_a, ADDR_B)
         with pytest.raises(ProtocolError):
             start(dev_a, ADDR_B)
 
     def test_misrouted_message_rejected(self):
-        dev_a = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
+        dev_a = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
         msg = Message(MsgKind.AUTH_REQUEST, ADDR_B, b"\xcc" * 6, ADDR_B)
         with pytest.raises(ProtocolError):
             handle(dev_a, msg)
 
     def test_fresh_device_state(self):
-        dev = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
+        dev = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
         assert dev.phase is Phase.IDLE
         assert dev.dh is None
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_draws_the_key_pair_then_the_challenge(self, variant):
-        dev_a, dev_b = honest_pair(variant, seed_a=5, seed_b=6)
+        dev_a, dev_b = pair(variant, seed_a=5, seed_b=6)
         for dev, seed in ((dev_a, 5), (dev_b, 6)):
             stream = random.Random(seed)
             if variant is Variant.DH_IMPROVED:
@@ -270,22 +244,23 @@ class TestDriverContract:
                 assert dev.dh is None
             assert dev.challenge == stream.randbytes(16)
         # and each sends the challenge it was built with
-        devices = {ADDR_A: dev_a, ADDR_B: dev_b}
-        sent = [m for _, m in pump(devices, start(dev_a, ADDR_B)) if m.kind is MsgKind.CHALLENGE]
-        assert sent == [
-            Message(MsgKind.CHALLENGE, ADDR_A, ADDR_B, dev_a.challenge),
-            Message(MsgKind.CHALLENGE, ADDR_B, ADDR_A, dev_b.challenge),
+        transcript, _ = run(dev_a, dev_b, None, LINKS)
+        sent = [
+            (e.from_id, e.to_id, e.payload)
+            for e in transcript.events
+            if e.kind is MsgKind.CHALLENGE
         ]
+        assert sent == [(ADDR_A, ADDR_B, dev_a.challenge), (ADDR_B, ADDR_A, dev_b.challenge)]
 
     def test_same_seed_same_first_challenge(self):
-        one = new_device(ADDR_A, Variant.LEGACY, KEY1, 42)
-        two = new_device(ADDR_B, Variant.LEGACY, KEY1, 42)
+        one = new_device(ADDR_A, Variant.LEGACY, KEY, 42)
+        two = new_device(ADDR_B, Variant.LEGACY, KEY, 42)
         c1 = start(one, ADDR_B)[1].payload
         c2 = start(two, ADDR_A)[1].payload
         assert c1 == c2
 
     def test_seed_zero_draws_as_random_random(self):
-        device = new_device(ADDR_A, Variant.LEGACY, KEY1, 0)
+        device = new_device(ADDR_A, Variant.LEGACY, KEY, 0)
         assert device.challenge == random.Random(0).randbytes(16)
 
 
@@ -300,7 +275,7 @@ class TestMessageValidation:
         valid = Message(MsgKind.AUTH_REQUEST, ADDR_B, ADDR_A, ADDR_A)
         with pytest.raises(TypeError, match="^message sender must be bytes, got str$"):
             dataclasses.replace(valid, sender=claimed)
-        dev = new_device(ADDR_A, Variant.LEGACY, KEY1, 1)
+        dev = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
         assert handle(dev, valid) == [Message(MsgKind.AUTH_FAIL, ADDR_A, ADDR_B)]
 
     def test_payload_width_enforced(self):
@@ -321,8 +296,8 @@ class TestDeterminism:
     def test_identical_seeds_identical_logs(self, variant):
         _, _, log1 = run_honest(variant, seed_a=7, seed_b=9)
         _, _, log2 = run_honest(variant, seed_a=7, seed_b=9)
-        assert [(t, m.kind, m.sender, m.receiver, m.payload) for t, m in log1] == (
-            [(t, m.kind, m.sender, m.receiver, m.payload) for t, m in log2]
+        assert [(e.time, e.kind, e.from_id, e.to_id, e.payload) for e in log1] == (
+            [(e.time, e.kind, e.from_id, e.to_id, e.payload) for e in log2]
         )
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**32))
@@ -345,10 +320,10 @@ class TestDeterminism:
             _, _, log = run_honest(variant, seed_a=seed, seed_b=seed + 1)
             first_responder_resp = None
             first_initiator_resp = None
-            for i, (_, m) in enumerate(log):
-                if m.kind is MsgKind.RESPONSE and m.sender == ADDR_B:
+            for i, e in enumerate(log):
+                if e.kind is MsgKind.RESPONSE and e.from_id == ADDR_B:
                     first_responder_resp = first_responder_resp or i
-                if m.kind is MsgKind.RESPONSE and m.sender == ADDR_A:
+                if e.kind is MsgKind.RESPONSE and e.from_id == ADDR_A:
                     first_initiator_resp = first_initiator_resp or i
             assert first_initiator_resp is not None
             assert first_responder_resp is not None
@@ -383,7 +358,7 @@ def honest_steps():
     steps = []
     finals = []
     for variant in Variant:
-        dev_a, dev_b = honest_pair(variant)
+        dev_a, dev_b = pair(variant)
         devices = {ADDR_A: dev_a, ADDR_B: dev_b}
         queue = deque(start(dev_a, ADDR_B))
         while queue:
@@ -417,7 +392,7 @@ def devices_in(phase):
     if phase is Phase.DONE:
         return [copy.deepcopy(FINALS[0])]
     if phase is Phase.FAILED:
-        dev_a, _ = honest_pair(Variant.LEGACY)
+        dev_a, _ = pair(Variant.LEGACY)
         start(dev_a, ADDR_B)
         handle(dev_a, Message(MsgKind.AUTH_FAIL, ADDR_B, ADDR_A))
         return [dev_a]
@@ -513,8 +488,8 @@ def walk_inputs(dev, other):
     ]
     answers = [
         e1(dev.effective_key, dev.challenge, peer),
-        e1(KEY1, dev.challenge, ADDR_A),
-        e1(KEY1, dev.challenge, ADDR_B),
+        e1(KEY, dev.challenge, ADDR_A),
+        e1(KEY, dev.challenge, ADDR_B),
         bytes(4),
     ]
     inputs += [Message(MsgKind.RESPONSE, peer, dev.id, r) for r in answers]
@@ -529,7 +504,7 @@ def walk_starts():
     other, with the other device and what start emitted."""
     for variant in Variant:
         for started in (False, True):
-            dev_a, dev_b = honest_pair(variant)
+            dev_a, dev_b = pair(variant)
             for dev, other in ((dev_a, dev_b), (dev_b, dev_a)):
                 dev = copy.copy(dev)
                 sent = start(dev, other.id) if started else []

@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from support import ADDR_A, ADDR_B, ADDR_C, LINKS, intruder, pair
+
 from btauthsim import adversary, cli, crypto, simnet
 from btauthsim.adversary import (
     AttackVerdict,
     Confidentiality,
     Integrity,
     IntruderMode,
-    IntruderState,
 )
 from btauthsim.cli import ScenarioResult, run_scenario
-from btauthsim.crypto import DhKeyPair, DhParams
-from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, new_device
+from btauthsim.crypto import DhKeyPair
+from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant
 from btauthsim.simnet import (
     Detection,
     LinkConfig,
@@ -30,38 +31,18 @@ from btauthsim.simnet import (
     transcript_rtt,
 )
 
-ADDR_A = bytes.fromhex("aa0000000001")
-ADDR_B = bytes.fromhex("bb0000000002")
-ADDR_C = bytes.fromhex("cc0000000003")
-KEY = bytes(range(16))
-PARAMS = DhParams(p=2147483647, alpha=7)
-LINKS = LinkConfig()
-
-
-def build_pair(variant, seed_a=1, seed_b=2, key_a=KEY, key_b=KEY):
-    params = PARAMS if variant is Variant.DH_IMPROVED else None
-    return (
-        new_device(ADDR_A, variant, key_a, seed_a, dh_params=params),
-        new_device(ADDR_B, variant, key_b, seed_b, dh_params=params),
-    )
-
-
-def build_intruder(mode, variant, seed_c=3):
-    params = PARAMS if variant is Variant.DH_IMPROVED else None
-    return IntruderState(ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seed_c, dh_params=params)
-
 
 def run_direct(variant, links=LINKS, **kw):
-    dev_a, dev_b = build_pair(variant, **kw)
+    dev_a, dev_b = pair(variant, **kw)
     transcript, outcomes = run(dev_a, dev_b, None, links)
     return dev_a, dev_b, transcript, outcomes
 
 
 def run_relayed(variant, mode=IntruderMode.RELAY_ACTIVE, links=LINKS, **kw):
-    dev_a, dev_b = build_pair(variant, **kw)
-    intruder = build_intruder(mode, variant)
-    transcript, outcomes = run(dev_a, dev_b, intruder, links)
-    return dev_a, dev_b, intruder, transcript, outcomes
+    dev_a, dev_b = pair(variant, **kw)
+    dev_c = intruder(mode, variant)
+    transcript, outcomes = run(dev_a, dev_b, dev_c, links)
+    return dev_a, dev_b, dev_c, transcript, outcomes
 
 
 class TestDirectRuns:
@@ -139,9 +120,9 @@ class TestOpening:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("mode", [None, *IntruderMode], ids=lambda m: getattr(m, "value", "none"))
     def test_originate_alone_opens_with_the_intruder(self, variant, mode):
-        dev_a, dev_b = build_pair(variant)
-        intruder = None if mode is None else build_intruder(mode, variant)
-        transcript, outcomes = run(dev_a, dev_b, intruder, LINKS)
+        dev_a, dev_b = pair(variant)
+        dev_c = None if mode is None else intruder(mode, variant)
+        transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
         assert list(outcomes) == [ADDR_A, ADDR_B]
         first = transcript.events[0]
         if mode is IntruderMode.ORIGINATE_TO_A:
@@ -170,7 +151,7 @@ class TestOpening:
             def intercept(self, msg):
                 return [Message(msg.kind, msg.sender, stray, msg.payload)]
 
-        dev_a, dev_b = build_pair(Variant.LEGACY)
+        dev_a, dev_b = pair(Variant.LEGACY)
         with pytest.raises(ValueError, match="unregistered device referenced"):
             run(dev_a, dev_b, StrayIntruder(), LINKS)
 
