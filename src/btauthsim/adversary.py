@@ -3,18 +3,17 @@
 The intruder sits between two victims, A and B, playing each victim's peer
 toward the other. Each intruder mode is a script, a table from what arrives
 to what the intruder sends in answer, and one interpreter runs them all.
-The intruder holds only values: the key pair and the nonce its script
-sends, drawn when it is built, and the one payload a script holds back. It
-keeps no record of what it saw: every hop it sends or receives is in the
-run's transcript, and verdict scores a run from the outcomes and that
-transcript alone, with the detector's baselines and threshold.
+The intruder holds only values: the public value and the nonce its
+script sends, drawn when it is built, and the one payload a script holds
+back. It keeps no record of what it saw: every hop it sends or receives
+is in the run's transcript, and verdict scores a run from the outcomes
+and that transcript alone, with the detector's baselines and threshold.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .crypto import (
-    DhKeyPair,
     DhParams,
     Stream,
     check_octets,
@@ -161,8 +160,6 @@ class IntruderState:
     victim_b: bytes
     rng_seed: int
     dh_params: DhParams | None = None
-    dh_own: DhKeyPair | None = field(default=None, init=False)
-    own_challenge: bytes | None = field(default=None, init=False)
     held: bytes | None = field(default=None, init=False)
     # the script, the address of each victim and each drawn payload source
     # are not changed once built, so a copy of the intruder is a snapshot
@@ -198,10 +195,10 @@ class IntruderState:
         if forges_publics or sends_nonce:
             rng = Stream(self.rng_seed)
             if forges_publics:
-                self.dh_own = dh_keypair(self.dh_params, rng.randrange(1, self.dh_params.p))
-                self.values[PUBLIC] = encode_public(self.dh_own.s_public)
+                own = dh_keypair(self.dh_params, rng.randrange(1, self.dh_params.p))
+                self.values[PUBLIC] = encode_public(own.s_public)
             if sends_nonce:
-                self.own_challenge = self.values[NONCE] = rng.randbytes(16)
+                self.values[NONCE] = rng.randbytes(16)
 
     def intercept(self, msg: Message) -> list[Message]:
         return intercept(self, msg)

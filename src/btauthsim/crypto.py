@@ -529,7 +529,8 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     """The 16-octet session key that own agrees with the holder of
     peer_public: session_key_from_shared(dh_shared(params, peer_public,
     own.r_private), params). check_public runs on every call, and own
-    must be a DhKeyPair (TypeError otherwise).
+    must be a DhKeyPair whose r_private is an int (TypeError naming it
+    otherwise), whichever route the peer value takes.
 
     A peer_public that dh_keypair recorded as alpha^s is raised to
     own.r_private as alpha^(s * r_private mod (p-1)), read from the
@@ -544,8 +545,10 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     check_public(params, peer_public)
     if type(own) is not DhKeyPair:
         check_type("own", own, DhKeyPair)
-    p = params.p
     r = own.r_private
+    if type(r) is not int:
+        check_type("own.r_private", r, int)
+    p = params.p
     exponent = _EXPONENTS.get((p, params.alpha, peer_public))
     if exponent is None or r < 0:
         shared = dh_shared(params, peer_public, r)

@@ -74,43 +74,29 @@ class TranscriptEvent:
 _KIND_TEXT = {kind: kind.value for kind in MsgKind}
 
 
-# Each line format is defined once, over a sequence of events, so that a
-# whole transcript is formatted in one comprehension with no call per line.
-def _text_lines(events) -> list[str]:
-    return [
-        f"seq={e.seq} t={e.time} from={e.from_id.hex()} to={e.to_id.hex()} "
-        f"kind={_KIND_TEXT[e.kind]} payload={e.payload.hex()}"
-        for e in events
-    ]
-
-
-def _json_lines(events) -> list[str]:
-    # every value is an int, a hex string or a MsgKind name, none of which
-    # JSON needs to escape; each line is the compact json.dumps
-    return [
-        f'{{"seq":{e.seq},"t":{e.time},"from":"{e.from_id.hex()}","to":"{e.to_id.hex()}",'
-        f'"kind":"{_KIND_TEXT[e.kind]}","payload":"{e.payload.hex()}"}}'
-        for e in events
-    ]
-
-
-def _terminated(lines: list[str]) -> str:
-    """The lines, each ended by a newline, joined in one step."""
-    lines.append("")
-    return "\n".join(lines)
-
-
 @record
 class Transcript:
     events: tuple[TranscriptEvent, ...]
     links: LinkConfig
     end_time: int
 
+    # Each format is one comprehension over the events, each line ended by
+    # a newline and the lines joined in one step, with no call per line.
     def to_text(self) -> str:
-        return _terminated(_text_lines(self.events))
+        return "".join([
+            f"seq={e.seq} t={e.time} from={e.from_id.hex()} to={e.to_id.hex()} "
+            f"kind={_KIND_TEXT[e.kind]} payload={e.payload.hex()}\n"
+            for e in self.events
+        ])
 
     def to_jsonl(self) -> str:
-        return _terminated(_json_lines(self.events))
+        # every value is an int, a hex string or a MsgKind name, none of which
+        # JSON needs to escape; each line is the compact json.dumps
+        return "".join([
+            f'{{"seq":{e.seq},"t":{e.time},"from":"{e.from_id.hex()}","to":"{e.to_id.hex()}",'
+            f'"kind":"{_KIND_TEXT[e.kind]}","payload":"{e.payload.hex()}"}}\n'
+            for e in self.events
+        ])
 
 
 def run(

@@ -26,6 +26,8 @@ from support import (
 
 from btauthsim import adversary, cli
 from btauthsim.adversary import (
+    NONCE,
+    PUBLIC,
     AttackVerdict,
     Confidentiality,
     Integrity,
@@ -35,8 +37,8 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import DhParams, e1
-from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant
+from btauthsim.crypto import DhParams, dh_keypair, e1
+from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, encode_public
 from btauthsim.simnet import Detection, LinkConfig, delay_detector, run, transcript_rtt
 
 # the intruder-free legacy round trip at LINKS, for either device, and the
@@ -183,7 +185,7 @@ class TestLegacyOriginate:
 
     def test_chosen_challenge_harvest(self):
         _, _, dev_c, transcript, _, score = attack_run(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A)
-        assert dev_c.own_challenge is not None
+        assert NONCE in dev_c.values
         # a's answer to c's own challenge reaches c and goes no further
         events = transcript.events
         answer = next(
@@ -912,21 +914,24 @@ class TestIntruderRng:
         with recorded(adversary, "Stream") as seeded:
             _, _, dev_c, _, _, _ = attack_run(variant, mode)
         assert seeded == []
-        assert dev_c.dh_own is None
-        assert dev_c.own_challenge is None
+        assert PUBLIC not in dev_c.values
+        assert NONCE not in dev_c.values
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_originate_draws_follow_the_seeded_stream(self, variant):
+        # alpha 7 generates the group mod 2^31 - 1, so each public value
+        # names one exponent
         with recorded(adversary, "Stream") as seeded:
             _, _, dev_c, transcript, _, _ = attack_run(variant, IntruderMode.ORIGINATE_TO_A)
         assert seeded == [(3,)]
         stream = random.Random(3)
         if variant is Variant.DH_IMPROVED:
-            assert dev_c.dh_own.r_private == stream.randrange(1, PARAMS.p)
+            drawn = dh_keypair(PARAMS, stream.randrange(1, PARAMS.p))
+            assert dev_c.values[PUBLIC] == encode_public(drawn.s_public)
         else:
-            assert dev_c.dh_own is None
+            assert PUBLIC not in dev_c.values
         challenge = stream.randbytes(16)
-        assert dev_c.own_challenge == challenge
+        assert dev_c.values[NONCE] == challenge
         sent = [
             e.payload
             for e in transcript.events
@@ -938,8 +943,9 @@ class TestIntruderRng:
         with recorded(adversary, "Stream") as seeded:
             _, _, dev_c, _, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
         assert seeded == [(3,)]
-        assert dev_c.dh_own.r_private == random.Random(3).randrange(1, PARAMS.p)
-        assert dev_c.own_challenge is None
+        drawn = dh_keypair(PARAMS, random.Random(3).randrange(1, PARAMS.p))
+        assert dev_c.values[PUBLIC] == encode_public(drawn.s_public)
+        assert NONCE not in dev_c.values
 
     @pytest.mark.parametrize("variant", [Variant.LEGACY, Variant.IMPROVED], ids=lambda v: v.value)
     def test_no_public_value_to_forge_outside_the_dh_variant(self, variant):

@@ -203,7 +203,7 @@ ACTIVE_DH = dict(mode=IntruderMode.RELAY_ACTIVE, variant=Variant.DH_IMPROVED, dh
 THRESHOLD = threshold("threshold factor must be finite and exceed 1, got {}")
 DH_PARAMS = instance(DhParams, none=True, also=((23, 5),))
 # a record meets the tuple of its fields too
-PARAMS = instance(DhParams, also=((23, 5),))
+PARAMS_KIND = instance(DhParams, also=((23, 5),))
 TRANSCRIPT = instance(Transcript, also=(((), LINKS, 0),))
 TIMED_OUT = AuthOutcome(AuthStatus.TIMED_OUT, None)
 OUTCOMES = outcomes(also={
@@ -257,20 +257,20 @@ ROWS = [
     *table("DhParams", DhParams, dict(p=23, alpha=5),
            p=integer(), alpha=integer(2, 22, "alpha must be in [2, p-1], got {}")),
     *table("dh_keypair", crypto.dh_keypair, dict(params=P23, r=6), r=in_group("private exponent"),
-           params=PARAMS),
+           params=PARAMS_KIND),
     *table("dh_shared", crypto.dh_shared, dict(params=P23, peer_public=19, r=6),
            peer_public=PUBLIC, r=integer(0, message="exponent must be non-negative, got {}"),
-           params=PARAMS),
+           params=PARAMS_KIND),
     # the valid peer is 1, so True and 1.0 arrive while the memo holds its key
     *table("session_key", crypto.session_key,
            dict(params=P23, own=crypto.dh_keypair(P23, 6), peer_public=1), peer_public=PUBLIC,
-           params=PARAMS, own=instance(crypto.DhKeyPair, also=((6, 8),))),
+           params=PARAMS_KIND, own=instance(crypto.DhKeyPair, also=((6, 8),))),
     *table("session_key_from_shared", crypto.session_key_from_shared, dict(k=2, params=P23),
-           k=in_group("shared value", low=0, name="shared value"), params=PARAMS),
+           k=in_group("shared value", low=0, name="shared value"), params=PARAMS_KIND),
     *table("check_public", crypto.check_public, dict(params=P23, value=19), value=PUBLIC,
-           params=PARAMS),
+           params=PARAMS_KIND),
     *table("dlog_bruteforce", adversary.dlog_bruteforce, dict(params=P23, s_public=8),
-           s_public=PUBLIC, params=PARAMS),
+           s_public=PUBLIC, params=PARAMS_KIND),
     *table("Message", Message,
            dict(kind=MsgKind.CHALLENGE, sender=ADDR_A, receiver=ADDR_B, payload=NONCE),
            kind=instance(MsgKind, name="message kind"), sender=octets(6, name="message sender"),
@@ -370,6 +370,19 @@ def test_cell(row, cell, value):
         same = value != valid or result == reference
         got = ACCEPTED if same else "another result than the valid value's"
     assert got == want
+
+
+# session_key reads one field of own, r_private, on either route to the
+# shared value: the fixed-base table for a peer value that dh_keypair drew,
+# dh_shared for any other; a row meets whole values only
+@pytest.mark.parametrize("drawn", [True, False], ids=["drawn peer", "undrawn peer"])
+@pytest.mark.parametrize("r", [2.0, "x"], ids=["float r_private", "str r_private"])
+def test_session_key_own_field_cell(r, drawn):
+    crypto.session_key.cache_clear()
+    peer = crypto.dh_keypair(P23, 3).s_public if drawn else 1
+    with pytest.raises(TypeError) as err:
+        crypto.session_key(P23, crypto.DhKeyPair(r, 1), peer)
+    assert str(err.value) == f"own.r_private must be an int, got {type(r).__name__}"
 
 
 def test_every_override_is_a_cell():

@@ -6,6 +6,9 @@ A deletion that leaves an import, a constant, a helper or an export behind
 fails here. A name listed in the module's ``__all__`` counts as read, since
 the module exports it.
 
+No test module binds at its top level a name that tests/support.py
+defines: the harness the tests share has one copy, which they import.
+
 No function of the package but ``protocol.Message.__init__``, which checks
 its fields before it stores them, reads ``self.__dict__``: every other
 record stores its fields through ``crypto.record``.
@@ -19,6 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = sorted([*ROOT.glob("src/btauthsim/*.py"), *ROOT.glob("scripts/*.py")])
 MODULES = sorted([*PROGRAM, *ROOT.glob("tests/*.py")])
+SUPPORT = ROOT / "tests" / "support.py"
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -126,6 +130,16 @@ def test_every_exported_name_is_bound(path):
     assert unbound_exports(path.read_text()) == []
 
 
+def test_no_test_module_rebinds_a_support_name():
+    shared = set(defined_names(ast.parse(SUPPORT.read_text())))
+    rebound = {
+        path.name: sorted(shared.intersection(defined_names(ast.parse(path.read_text()))))
+        for path in ROOT.glob("tests/*.py")
+        if path != SUPPORT
+    }
+    assert {name: names for name, names in rebound.items() if names} == {}
+
+
 def test_one_function_stores_a_record_by_hand():
     package = sorted(ROOT.glob("src/btauthsim/*.py"))
     readers = [f"{path.stem}.{name}" for path in package for name in dict_readers(path.read_text())]
@@ -149,7 +163,7 @@ def test_the_dict_check_itself(source, readers):
 
 def test_modules_are_found():
     names = {path.name for path in MODULES}
-    assert {"adversary.py", "cli.py", "attack_matrix.py", "test_imports.py"} <= names
+    assert {"adversary.py", "cli.py", "attack_matrix.py", "test_imports.py", "support.py"} <= names
 
 
 @pytest.mark.parametrize(
