@@ -1,17 +1,20 @@
 """The harness the test modules share: the three-party cast, the default
-group and links, the party builders, the intruder's view of a run, and a
-call recorder.
+group and links, the party builders, the one run builder, the intruder's
+view of a run, and a call recorder.
 
 tests/test_imports.py refuses a test module that binds at its top level a
-name defined here, so each of these has one definition.
+name defined here, so each of these has one definition, and a test module
+other than this one that reaches simnet.run: every run a test drives goes
+through run_of.
 """
 
 import contextlib
+import copy
 
 from btauthsim.adversary import IntruderState
 from btauthsim.crypto import DhParams, xor_bytes
 from btauthsim.protocol import Variant, new_device
-from btauthsim.simnet import LinkConfig, Transcript, TranscriptEvent
+from btauthsim.simnet import LinkConfig, Transcript, TranscriptEvent, run
 
 # honest A and B, and the intruder C
 ADDR_A = bytes.fromhex("aa0000000001")
@@ -25,15 +28,15 @@ WIDE_P = 140737488353843
 LINKS = LinkConfig()
 
 
-def group_of(variant):
-    """The group a party of the variant is built with: PARAMS for
+def group_of(variant, group=PARAMS):
+    """The group a party of the variant is built with: group for
     dh-improved, None otherwise."""
-    return PARAMS if variant is Variant.DH_IMPROVED else None
+    return group if variant is Variant.DH_IMPROVED else None
 
 
-def pair(variant, seed_a=1, seed_b=2, key_a=KEY, key_b=KEY):
-    """Honest devices A and B of the variant."""
-    params = group_of(variant)
+def pair(variant, seed_a=1, seed_b=2, key_a=KEY, key_b=KEY, group=PARAMS):
+    """Honest devices A and B of the variant, in group if dh-improved."""
+    params = group_of(variant, group)
     return (
         new_device(ADDR_A, variant, key_a, seed_a, dh_params=params),
         new_device(ADDR_B, variant, key_b, seed_b, dh_params=params),
@@ -41,10 +44,21 @@ def pair(variant, seed_a=1, seed_b=2, key_a=KEY, key_b=KEY):
 
 
 def intruder(mode, variant, seed_c=3):
-    """Intruder C of the mode between A and B."""
+    """Intruder C of the mode between A and B; None for no mode."""
+    if mode is None:
+        return None
     return IntruderState(
         ADDR_C, mode, variant, ADDR_A, ADDR_B, rng_seed=seed_c, dh_params=group_of(variant)
     )
+
+
+def run_of(variant, c=None, *, seeds=(1, 2), key_a=KEY, key_b=KEY, group=PARAMS, links=LINKS):
+    """One run through simnet.run of the pair that pair builds from seeds,
+    the keys and group, with intruder c (any object simnet.run takes, or
+    None) at links: (A, B, the transcript, the outcomes)."""
+    dev_a, dev_b = pair(variant, *seeds, key_a, key_b, group)
+    transcript, outcomes = run(dev_a, dev_b, c, links)
+    return dev_a, dev_b, transcript, outcomes
 
 
 def session_of(device, key=KEY):
@@ -71,16 +85,17 @@ def transcript_of(hops):
 
 
 @contextlib.contextmanager
-def recorded(module, name):
+def recorded(module, name, deep=False):
     """The positional arguments of each call of module.name made inside
-    the block, a tuple per call; each call goes on to the function. It
-    patches the module itself, not through pytest's monkeypatch fixture,
-    so it works inside Hypothesis tests too."""
+    the block, a tuple per call, deep copies taken before the call if deep;
+    each call goes on to the function. It patches the module itself, not
+    through pytest's monkeypatch fixture, so it works inside Hypothesis
+    tests too."""
     calls = []
     real = getattr(module, name)
 
     def recording(*args):
-        calls.append(args)
+        calls.append(copy.deepcopy(args) if deep else args)
         return real(*args)
 
     setattr(module, name, recording)

@@ -30,7 +30,7 @@ import statistics
 import time
 from pathlib import Path
 
-from support import ADDR_A, ADDR_B, ADDR_C, LINKS, PARAMS, captured, intruder, pair, session_of
+from support import ADDR_A, ADDR_B, ADDR_C, PARAMS, captured, intruder, run_of, session_of
 from test_mixhash import ref_mixhash128
 
 from btauthsim.adversary import (
@@ -55,7 +55,7 @@ from btauthsim.crypto import (
     session_key_from_shared,
 )
 from btauthsim.protocol import AuthStatus, MsgKind, Variant, encode_public
-from btauthsim.simnet import Detection, run
+from btauthsim.simnet import Detection
 
 SEEDS = range(100)
 
@@ -70,10 +70,9 @@ def attack_run(variant, mode, seed, key=None):
     """One intruder run outside the CLI wrapper, exposing all actor state."""
     material = random.Random(seed)
     key = key if key is not None else material.randbytes(16)
-    seed_a, seed_b = material.getrandbits(64), material.getrandbits(64)
-    dev_a, dev_b = pair(variant, seed_a, seed_b, key, key)
+    seeds = material.getrandbits(64), material.getrandbits(64)
     dev_c = intruder(mode, variant, material.getrandbits(64))
-    transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
+    dev_a, dev_b, transcript, outcomes = run_of(variant, dev_c, seeds=seeds, key_a=key, key_b=key)
     # any baselines: no caller reads this verdict's detection
     score = verdict(outcomes, transcript, key, {ADDR_A: 20, ADDR_B: 20}, 1.5)
     return dev_a, dev_b, dev_c, transcript, outcomes, score

@@ -13,13 +13,12 @@ from support import (
     ADDR_B,
     ADDR_C,
     KEY,
-    LINKS,
     PARAMS,
     WIDE_P,
     captured,
     intruder,
-    pair,
     recorded,
+    run_of,
     session_of,
     transcript_of,
 )
@@ -39,7 +38,7 @@ from btauthsim.adversary import (
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
 from btauthsim.crypto import DhParams, dh_keypair, e1
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, encode_public
-from btauthsim.simnet import Detection, LinkConfig, delay_detector, run, transcript_rtt
+from btauthsim.simnet import Detection, LinkConfig, delay_detector, transcript_rtt
 
 # the intruder-free legacy round trip at LINKS, for either device, and the
 # default threshold: a relay that doubles it is flagged
@@ -48,9 +47,10 @@ FACTOR = 1.5
 
 
 def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
-    dev_a, dev_b = pair(variant, seeds[0], seeds[1], key, key)
     dev_c = intruder(mode, variant, seeds[2])
-    transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
+    dev_a, dev_b, transcript, outcomes = run_of(
+        variant, dev_c, seeds=seeds[:2], key_a=key, key_b=key
+    )
     score = verdict(outcomes, transcript, key, BASELINES, FACTOR)
     return dev_a, dev_b, dev_c, transcript, outcomes, score
 
@@ -167,9 +167,9 @@ class TestHonestEmissions:
         timings = [(10, 2000), (1, 2000), (25, 400), (10, 45), (7, 30), (3, 7), (2, 5), (1, 2)]
         for latency_ms, timeout_ms in timings:
             for seed in range(8):
-                dev_a, dev_b = pair(variant, 3 * seed, 3 * seed + 1)
-                dev_c = None if mode is None else intruder(mode, variant, 3 * seed + 2)
-                transcript, _ = run(dev_a, dev_b, dev_c, LinkConfig(latency_ms, timeout_ms))
+                seeds, links = (3 * seed, 3 * seed + 1), LinkConfig(latency_ms, timeout_ms)
+                dev_c = intruder(mode, variant, 3 * seed + 2)
+                _, _, transcript, _ = run_of(variant, dev_c, seeds=seeds, links=links)
                 for device in (ADDR_A, ADDR_B):
                     kinds = [e.kind for e in transcript.events if e.from_id == device]
                     assert kinds.count(MsgKind.CHALLENGE) <= 1, (latency_ms, timeout_ms, seed)
@@ -278,12 +278,11 @@ class TestWirePayloadsAreBytes:
     def test_a_relay_of_bytearray_payloads_fails_at_its_own_message(self):
         # were it let through, both victims would finish and the judge
         # would meet an unhashable payload
-        dev_a, dev_b = pair(Variant.LEGACY)
         relay = BytearrayRelay(
             ADDR_C, IntruderMode.RELAY_PASSIVE, Variant.LEGACY, ADDR_A, ADDR_B, rng_seed=3
         )
         with pytest.raises(TypeError, match="^AuthRequest payload must be bytes, got bytearray$") as err:
-            run(dev_a, dev_b, relay, LINKS)
+            run_of(Variant.LEGACY, relay)
         # raised by Message's check, called from the intruder's intercept
         names = [entry.name for entry in err.traceback]
         assert names[-2:] == ["__init__", "check_octets"] and "intercept" in names
@@ -311,9 +310,8 @@ class TestVerdictPlumbing:
             verdict(outcomes, transcript, KEY, baselines, FACTOR)
 
     def test_mismatched_keys_defeat_relay(self):
-        dev_a, dev_b = pair(Variant.LEGACY, key_b=b"\xff" * 16)
         dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.LEGACY, seed_c=0)
-        transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
+        _, _, transcript, outcomes = run_of(Variant.LEGACY, dev_c, key_b=b"\xff" * 16)
         score = verdict(outcomes, transcript, KEY, BASELINES, FACTOR)
         assert score.attack_success is False
 

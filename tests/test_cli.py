@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import PARAMS, WIDE_P, recorded
+from support import PARAMS, WIDE_P, recorded, run_of
 
 from btauthsim import adversary, cli, crypto, protocol, simnet
 from btauthsim.cli import ConfigError, ScenarioConfig, main, run_scenario
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.crypto import DhParams, combination_link_key, init_key, mixhash128, xor_bytes
 from btauthsim.protocol import Variant, new_device
-from btauthsim.simnet import LinkConfig, run, transcript_rtt
+from btauthsim.simnet import LinkConfig, transcript_rtt
 
 # hops of the intruder-free handshake, first send to last delivery
 HANDSHAKE_HOPS = {Variant.LEGACY: 4, Variant.IMPROVED: 5, Variant.DH_IMPROVED: 7}
@@ -26,18 +26,18 @@ def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
     """Per-seed calibration: an intruder-free companion run of devices built
     from the seed's own draws, read with transcript_rtt."""
     master = random.Random(seed)
-    seed_a = master.getrandbits(64)
-    seed_b = master.getrandbits(64)
+    seeds = master.getrandbits(64), master.getrandbits(64)
     master.getrandbits(64)  # the intruder's stream
     link_key = cli._derive_link_key(master)
-    params = (
-        DhParams(config.dh_p, config.dh_alpha) if config.variant is Variant.DH_IMPROVED else None
+    _, _, transcript, outcomes = run_of(
+        config.variant,
+        seeds=seeds,
+        key_a=link_key,
+        key_b=link_key,
+        group=DhParams(config.dh_p, config.dh_alpha),
+        links=LinkConfig(config.latency_ms, config.timeout_ms),
     )
-    dev_a = new_device(cli.ADDR_A, config.variant, link_key, seed_a, dh_params=params)
-    dev_b = new_device(cli.ADDR_B, config.variant, link_key, seed_b, dh_params=params)
-    links = LinkConfig(config.latency_ms, config.timeout_ms)
-    transcript, _ = run(dev_a, dev_b, None, links)
-    return {dev: transcript_rtt(transcript, dev) for dev in (cli.ADDR_A, cli.ADDR_B)}
+    return {dev: transcript_rtt(transcript, dev) for dev in outcomes}
 
 
 def run_main(capsys, *argv):

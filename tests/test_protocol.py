@@ -5,14 +5,14 @@ import dataclasses
 import hashlib
 import itertools
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import ADDR_A, ADDR_B, ADDR_C, KEY, LINKS, PARAMS, pair
+from support import ADDR_A, ADDR_B, ADDR_C, KEY, PARAMS, pair, recorded, run_of
 
+from btauthsim import simnet
 from btauthsim.crypto import (
     check_octets,
     dh_shared,
@@ -34,32 +34,15 @@ from btauthsim.protocol import (
     outcome_of,
     start,
 )
-from btauthsim.simnet import run, transcript_rtt
+from btauthsim.simnet import transcript_rtt
 
 KEY2 = bytes(range(16, 32))
 
 
-def run_honest(variant, **kw):
-    """An intruder-free run of the pair at LINKS: the devices, and the
-    transcript's events in delivery order."""
-    dev_a, dev_b = pair(variant, **kw)
-    transcript, _ = run(dev_a, dev_b, None, LINKS)
-    return dev_a, dev_b, transcript.events
-
-
-def round_trips(variant):
-    """The round trip of each device's challenge to its response, as the
-    network loop's transcript records it for a direct honest run at 10 ms
-    per hop."""
-    dev_a, dev_b = pair(variant)
-    transcript, _ = run(dev_a, dev_b, None, LINKS)
-    return transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B)
-
-
 class TestLegacyHonest:
     def test_flow_and_outcome(self):
-        dev_a, dev_b, log = run_honest(Variant.LEGACY)
-        kinds = [e.kind for e in log]
+        dev_a, dev_b, transcript, _ = run_of(Variant.LEGACY)
+        kinds = [e.kind for e in transcript.events]
         assert kinds == [
             MsgKind.AUTH_REQUEST,
             MsgKind.CHALLENGE,
@@ -68,7 +51,7 @@ class TestLegacyHonest:
             MsgKind.RESPONSE,
             MsgKind.AUTH_SUCCESS,
         ]
-        assert log[-1].time == 40
+        assert transcript.events[-1].time == 40
         for dev in (dev_a, dev_b):
             out = outcome_of(dev)
             assert out.status is AuthStatus.MUTUAL_SUCCESS
@@ -76,7 +59,8 @@ class TestLegacyHonest:
         assert outcome_of(dev_b).authenticated_with == ADDR_A
 
     def test_round_trip_times(self):
-        assert round_trips(Variant.LEGACY) == (20, 20)
+        _, _, transcript, outcomes = run_of(Variant.LEGACY)
+        assert [transcript_rtt(transcript, device) for device in outcomes] == [20, 20]
 
     def test_responder_answers_immediately(self):
         dev_a, dev_b = pair(Variant.LEGACY)
@@ -88,8 +72,8 @@ class TestLegacyHonest:
 
 class TestImprovedHonest:
     def test_flow_and_outcome(self):
-        dev_a, dev_b, log = run_honest(Variant.IMPROVED)
-        kinds = [e.kind for e in log]
+        dev_a, dev_b, transcript, _ = run_of(Variant.IMPROVED)
+        kinds = [e.kind for e in transcript.events]
         assert kinds == [
             MsgKind.AUTH_REQUEST,
             MsgKind.CHALLENGE,
@@ -98,13 +82,13 @@ class TestImprovedHonest:
             MsgKind.RESPONSE,
             MsgKind.AUTH_SUCCESS,
         ]
-        assert log[-1].time == 50
+        assert transcript.events[-1].time == 50
         assert outcome_of(dev_a).status is AuthStatus.MUTUAL_SUCCESS
         assert outcome_of(dev_b).status is AuthStatus.MUTUAL_SUCCESS
 
     def test_responder_response_strictly_after_initiator_response(self):
-        _, _, log = run_honest(Variant.IMPROVED)
-        senders = [e.from_id for e in log if e.kind is MsgKind.RESPONSE]
+        _, _, transcript, _ = run_of(Variant.IMPROVED)
+        senders = [e.from_id for e in transcript.events if e.kind is MsgKind.RESPONSE]
         assert senders == [ADDR_A, ADDR_B]
 
     def test_responder_withholds_on_first_challenge(self):
@@ -127,13 +111,14 @@ class TestImprovedHonest:
         assert released[0].payload == expected
 
     def test_round_trip_times(self):
-        assert round_trips(Variant.IMPROVED) == (40, 20)
+        _, _, transcript, outcomes = run_of(Variant.IMPROVED)
+        assert [transcript_rtt(transcript, device) for device in outcomes] == [40, 20]
 
 
 class TestDhImprovedHonest:
     def test_flow_and_outcome(self):
-        dev_a, dev_b, log = run_honest(Variant.DH_IMPROVED)
-        kinds = [e.kind for e in log]
+        dev_a, dev_b, transcript, _ = run_of(Variant.DH_IMPROVED)
+        kinds = [e.kind for e in transcript.events]
         assert kinds == [
             MsgKind.AUTH_REQUEST,
             MsgKind.DH_PUBLIC,
@@ -144,12 +129,12 @@ class TestDhImprovedHonest:
             MsgKind.RESPONSE,
             MsgKind.AUTH_SUCCESS,
         ]
-        assert log[-1].time == 70
+        assert transcript.events[-1].time == 70
         assert outcome_of(dev_a).status is AuthStatus.MUTUAL_SUCCESS
         assert outcome_of(dev_b).status is AuthStatus.MUTUAL_SUCCESS
 
     def test_session_keys_agree_and_shift_the_auth_key(self):
-        dev_a, dev_b, _ = run_honest(Variant.DH_IMPROVED)
+        dev_a, dev_b, _, _ = run_of(Variant.DH_IMPROVED)
         # a session key is the working key XOR the pairing key
         session_a = xor_bytes(dev_a.effective_key, KEY)
         shared = dh_shared(PARAMS, dev_b.dh.s_public, dev_a.dh.r_private)
@@ -159,19 +144,24 @@ class TestDhImprovedHonest:
         assert dev_a.effective_key != KEY
 
     def test_public_values_in_group_range(self):
-        _, _, log = run_honest(Variant.DH_IMPROVED)
-        publics = [int.from_bytes(e.payload, "big") for e in log if e.kind is MsgKind.DH_PUBLIC]
+        _, _, transcript, _ = run_of(Variant.DH_IMPROVED)
+        publics = [
+            int.from_bytes(e.payload, "big")
+            for e in transcript.events
+            if e.kind is MsgKind.DH_PUBLIC
+        ]
         assert len(publics) == 2
         assert all(1 <= s <= PARAMS.p - 1 for s in publics)
 
     def test_round_trip_times(self):
-        assert round_trips(Variant.DH_IMPROVED) == (40, 20)
+        _, _, transcript, outcomes = run_of(Variant.DH_IMPROVED)
+        assert [transcript_rtt(transcript, device) for device in outcomes] == [40, 20]
 
 
 class TestFailures:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_mismatched_link_keys_fail(self, variant):
-        dev_a, dev_b, _ = run_honest(variant, key_a=KEY, key_b=KEY2)
+        dev_a, dev_b, _, _ = run_of(variant, key_a=KEY, key_b=KEY2)
         assert outcome_of(dev_a).status is AuthStatus.FAILED
         assert outcome_of(dev_b).status is AuthStatus.FAILED
 
@@ -209,7 +199,7 @@ class TestFailures:
         assert handle(dev_b, follow) == []
 
     def test_terminal_phases_absorb(self):
-        dev_a, _, _ = run_honest(Variant.LEGACY)
+        dev_a, _, _, _ = run_of(Variant.LEGACY)
         stray = Message(MsgKind.CHALLENGE, ADDR_B, ADDR_A, b"\x07" * 16)
         assert handle(dev_a, stray) == []
         assert dev_a.phase is Phase.DONE
@@ -235,7 +225,7 @@ class TestDriverContract:
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_draws_the_key_pair_then_the_challenge(self, variant):
-        dev_a, dev_b = pair(variant, seed_a=5, seed_b=6)
+        dev_a, dev_b, transcript, _ = run_of(variant, seeds=(5, 6))
         for dev, seed in ((dev_a, 5), (dev_b, 6)):
             stream = random.Random(seed)
             if variant is Variant.DH_IMPROVED:
@@ -243,8 +233,7 @@ class TestDriverContract:
             else:
                 assert dev.dh is None
             assert dev.challenge == stream.randbytes(16)
-        # and each sends the challenge it was built with
-        transcript, _ = run(dev_a, dev_b, None, LINKS)
+        # and each sent the challenge it was built with
         sent = [
             (e.from_id, e.to_id, e.payload)
             for e in transcript.events
@@ -294,10 +283,10 @@ class TestMessageValidation:
 class TestDeterminism:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_identical_seeds_identical_logs(self, variant):
-        _, _, log1 = run_honest(variant, seed_a=7, seed_b=9)
-        _, _, log2 = run_honest(variant, seed_a=7, seed_b=9)
-        assert [(e.time, e.kind, e.from_id, e.to_id, e.payload) for e in log1] == (
-            [(e.time, e.kind, e.from_id, e.to_id, e.payload) for e in log2]
+        _, _, first, _ = run_of(variant, seeds=(7, 9))
+        _, _, second, _ = run_of(variant, seeds=(7, 9))
+        assert [(e.time, e.kind, e.from_id, e.to_id, e.payload) for e in first.events] == (
+            [(e.time, e.kind, e.from_id, e.to_id, e.payload) for e in second.events]
         )
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**32))
@@ -308,19 +297,19 @@ class TestDeterminism:
             (Variant.IMPROVED, 6),
             (Variant.DH_IMPROVED, 8),
         ]:
-            dev_a, dev_b, log = run_honest(variant, seed_a=seed_a, seed_b=seed_b)
+            dev_a, dev_b, transcript, _ = run_of(variant, seeds=(seed_a, seed_b))
             assert outcome_of(dev_a).status is AuthStatus.MUTUAL_SUCCESS
             assert outcome_of(dev_b).status is AuthStatus.MUTUAL_SUCCESS
-            assert len(log) == expected_len
+            assert len(transcript.events) == expected_len
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=25, deadline=None)
     def test_nested_ordering_invariant(self, seed):
         for variant in (Variant.IMPROVED, Variant.DH_IMPROVED):
-            _, _, log = run_honest(variant, seed_a=seed, seed_b=seed + 1)
+            _, _, transcript, _ = run_of(variant, seeds=(seed, seed + 1))
             first_responder_resp = None
             first_initiator_resp = None
-            for i, e in enumerate(log):
+            for i, e in enumerate(transcript.events):
                 if e.kind is MsgKind.RESPONSE and e.from_id == ADDR_B:
                     first_responder_resp = first_responder_resp or i
                 if e.kind is MsgKind.RESPONSE and e.from_id == ADDR_A:
@@ -355,17 +344,11 @@ WIDTH = {
 def honest_steps():
     """Every delivery of an honest run of each variant, as (a copy of the
     receiving device just before it, the message), and the final devices."""
-    steps = []
     finals = []
-    for variant in Variant:
-        dev_a, dev_b = pair(variant)
-        devices = {ADDR_A: dev_a, ADDR_B: dev_b}
-        queue = deque(start(dev_a, ADDR_B))
-        while queue:
-            msg = queue.popleft()
-            steps.append((copy.deepcopy(devices[msg.receiver]), msg))
-            queue.extend(handle(devices[msg.receiver], msg))
-        finals += [dev_a, dev_b]
+    with recorded(simnet, "handle", deep=True) as steps:
+        for variant in Variant:
+            dev_a, dev_b, _, _ = run_of(variant)
+            finals += [dev_a, dev_b]
     return steps, finals
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import ADDR_A, ADDR_B, ADDR_C, LINKS, intruder, pair
+from support import ADDR_A, ADDR_B, ADDR_C, LINKS, intruder, run_of
 
 from btauthsim import adversary, cli, crypto, simnet
 from btauthsim.adversary import (
@@ -27,27 +27,13 @@ from btauthsim.simnet import (
     Transcript,
     TranscriptEvent,
     delay_detector,
-    run,
     transcript_rtt,
 )
 
 
-def run_direct(variant, links=LINKS, **kw):
-    dev_a, dev_b = pair(variant, **kw)
-    transcript, outcomes = run(dev_a, dev_b, None, links)
-    return dev_a, dev_b, transcript, outcomes
-
-
-def run_relayed(variant, mode=IntruderMode.RELAY_ACTIVE, links=LINKS, **kw):
-    dev_a, dev_b = pair(variant, **kw)
-    dev_c = intruder(mode, variant)
-    transcript, outcomes = run(dev_a, dev_b, dev_c, links)
-    return dev_a, dev_b, dev_c, transcript, outcomes
-
-
 class TestDirectRuns:
     def test_legacy_timeline(self):
-        _, _, transcript, outcomes = run_direct(Variant.LEGACY)
+        _, _, transcript, outcomes = run_of(Variant.LEGACY)
         assert [e.kind for e in transcript.events] == [
             MsgKind.AUTH_REQUEST,
             MsgKind.CHALLENGE,
@@ -61,13 +47,13 @@ class TestDirectRuns:
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
 
     def test_seq_dense_and_time_monotone(self):
-        _, _, transcript, _ = run_direct(Variant.DH_IMPROVED)
+        _, _, transcript, _ = run_of(Variant.DH_IMPROVED)
         assert [e.seq for e in transcript.events] == list(range(len(transcript.events)))
         times = [e.time for e in transcript.events]
         assert times == sorted(times)
 
     def test_physical_endpoints_match_claims_without_intruder(self):
-        _, _, transcript, _ = run_direct(Variant.IMPROVED)
+        _, _, transcript, _ = run_of(Variant.IMPROVED)
         assert {(e.from_id, e.to_id) for e in transcript.events} <= {
             (ADDR_A, ADDR_B),
             (ADDR_B, ADDR_A),
@@ -76,7 +62,8 @@ class TestDirectRuns:
 
 class TestRelayedRuns:
     def test_legacy_relay_hop_pattern(self):
-        _, _, _, transcript, outcomes = run_relayed(Variant.LEGACY)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.LEGACY)
+        _, _, transcript, outcomes = run_of(Variant.LEGACY, dev_c)
         assert len(transcript.events) == 12
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
         # chain topology: every hop touches the intruder
@@ -88,18 +75,21 @@ class TestRelayedRuns:
         )
 
     def test_legacy_relay_timeline_doubles(self):
-        _, _, _, transcript, _ = run_relayed(Variant.LEGACY)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.LEGACY)
+        _, _, transcript, _ = run_of(Variant.LEGACY, dev_c)
         assert transcript.events[-1].time == 80
         assert transcript.events[-1].kind is MsgKind.AUTH_SUCCESS
 
     def test_relay_preserves_payloads(self):
-        _, _, _, transcript, _ = run_relayed(Variant.IMPROVED)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.IMPROVED)
+        _, _, transcript, _ = run_of(Variant.IMPROVED, dev_c)
         inbound = [(e.kind, e.payload) for e in transcript.events if e.to_id == ADDR_C]
         outbound = [(e.kind, e.payload) for e in transcript.events if e.from_id == ADDR_C]
         assert outbound == inbound
 
     def test_originate_deadlock(self):
-        _, _, _, transcript, outcomes = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
+        dev_c = intruder(IntruderMode.ORIGINATE_TO_A, Variant.IMPROVED)
+        _, _, transcript, outcomes = run_of(Variant.IMPROVED, dev_c)
         assert len(transcript.events) == 6
         assert not any(e.kind is MsgKind.RESPONSE for e in transcript.events)
         assert all(o.status is AuthStatus.TIMED_OUT for o in outcomes.values())
@@ -109,7 +99,7 @@ class TestRelayedRuns:
 class TestTimeout:
     def test_short_timeout_cuts_run(self):
         links = LinkConfig(latency_ms=10, timeout_ms=25)
-        _, _, transcript, outcomes = run_direct(Variant.LEGACY, links=links)
+        _, _, transcript, outcomes = run_of(Variant.LEGACY, links=links)
         assert all(e.time <= 25 for e in transcript.events)
         assert len(transcript.events) == 4
         assert all(o.status is AuthStatus.TIMED_OUT for o in outcomes.values())
@@ -120,9 +110,7 @@ class TestOpening:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("mode", [None, *IntruderMode], ids=lambda m: getattr(m, "value", "none"))
     def test_originate_alone_opens_with_the_intruder(self, variant, mode):
-        dev_a, dev_b = pair(variant)
-        dev_c = None if mode is None else intruder(mode, variant)
-        transcript, outcomes = run(dev_a, dev_b, dev_c, LINKS)
+        _, _, transcript, outcomes = run_of(variant, intruder(mode, variant))
         assert list(outcomes) == [ADDR_A, ADDR_B]
         first = transcript.events[0]
         if mode is IntruderMode.ORIGINATE_TO_A:
@@ -151,14 +139,13 @@ class TestOpening:
             def intercept(self, msg):
                 return [Message(msg.kind, msg.sender, stray, msg.payload)]
 
-        dev_a, dev_b = pair(Variant.LEGACY)
         with pytest.raises(ValueError, match="unregistered device referenced"):
-            run(dev_a, dev_b, StrayIntruder(), LINKS)
+            run_of(Variant.LEGACY, StrayIntruder())
 
 
 class TestSerialization:
     def test_text_line_format(self):
-        _, _, transcript, _ = run_direct(Variant.LEGACY)
+        _, _, transcript, _ = run_of(Variant.LEGACY)
         first = transcript.to_text().splitlines()[0]
         assert first == (
             "seq=0 t=10 from=aa0000000001 to=bb0000000002 "
@@ -166,12 +153,12 @@ class TestSerialization:
         )
 
     def test_empty_payload_serializes_empty(self):
-        _, _, transcript, _ = run_direct(Variant.LEGACY)
+        _, _, transcript, _ = run_of(Variant.LEGACY)
         last = transcript.to_text().splitlines()[-1]
         assert last.endswith("kind=AuthSuccess payload=")
 
     def test_jsonl_round_trip(self):
-        _, _, transcript, _ = run_direct(Variant.IMPROVED)
+        _, _, transcript, _ = run_of(Variant.IMPROVED)
         lines = transcript.to_jsonl().splitlines()
         assert len(lines) == len(transcript.events)
         for line, event in zip(lines, transcript.events):
@@ -228,16 +215,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_identical_runs_identical_transcripts(self, variant):
-        _, _, first, _ = run_direct(variant, seed_a=11, seed_b=12)
-        _, _, second, _ = run_direct(variant, seed_a=11, seed_b=12)
+        _, _, first, _ = run_of(variant, seeds=(11, 12))
+        _, _, second, _ = run_of(variant, seeds=(11, 12))
         assert first.to_text() == second.to_text()
         assert hashlib.sha256(first.to_jsonl().encode()).digest() == (
             hashlib.sha256(second.to_jsonl().encode()).digest()
         )
 
     def test_relayed_runs_deterministic_too(self):
-        _, _, _, first, _ = run_relayed(Variant.DH_IMPROVED)
-        _, _, _, second, _ = run_relayed(Variant.DH_IMPROVED)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED)
+        _, _, first, _ = run_of(Variant.DH_IMPROVED, dev_c)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED)
+        _, _, second, _ = run_of(Variant.DH_IMPROVED, dev_c)
         assert first.to_text() == second.to_text()
 
 
@@ -383,7 +372,7 @@ DEVICE_RTT = {Variant.LEGACY: (20, 20), Variant.IMPROVED: (40, 20), Variant.DH_I
 class TestRttReconstruction:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_matches_device_estimates_direct(self, variant):
-        _, _, transcript, _ = run_direct(variant)
+        _, _, transcript, _ = run_of(variant)
         rtts = (transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B))
         assert rtts == DEVICE_RTT[variant]
 
@@ -393,13 +382,14 @@ class TestRttReconstruction:
         mode = IntruderMode.RELAY_PASSIVE if variant is Variant.DH_IMPROVED else (
             IntruderMode.RELAY_ACTIVE
         )
-        _, _, _, transcript, _ = run_relayed(variant, mode=mode)
+        _, _, transcript, _ = run_of(variant, intruder(mode, variant))
         rtts = (transcript_rtt(transcript, ADDR_A), transcript_rtt(transcript, ADDR_B))
         assert rtts == tuple(2 * rtt for rtt in DEVICE_RTT[variant])
 
     def test_relay_doubles_observed_rtt(self):
-        _, _, direct, _ = run_direct(Variant.LEGACY)
-        _, _, _, relayed, _ = run_relayed(Variant.LEGACY)
+        _, _, direct, _ = run_of(Variant.LEGACY)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.LEGACY)
+        _, _, relayed, _ = run_of(Variant.LEGACY, dev_c)
         assert transcript_rtt(direct, ADDR_A) == 20
         assert transcript_rtt(relayed, ADDR_A) == 40
 
@@ -450,7 +440,8 @@ class TestRttReconstruction:
         assert two_pass_rtt(transcript, ADDR_A) == 60
 
     def test_no_samples_when_no_responses(self):
-        _, _, _, transcript, _ = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
+        dev_c = intruder(IntruderMode.ORIGINATE_TO_A, Variant.IMPROVED)
+        _, _, transcript, _ = run_of(Variant.IMPROVED, dev_c)
         assert transcript_rtt(transcript, ADDR_A) is None
 
     def test_a_response_at_the_send_instant_counts(self):
@@ -464,19 +455,22 @@ class TestRttReconstruction:
 
 class TestDelayDetector:
     def test_direct_not_flagged(self):
-        _, _, transcript, _ = run_direct(Variant.LEGACY)
+        _, _, transcript, _ = run_of(Variant.LEGACY)
         assert delay_detector(transcript, 20, 1.5, ADDR_A) is Detection.NONE
 
     def test_relay_flagged(self):
-        _, _, _, transcript, _ = run_relayed(Variant.LEGACY)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.LEGACY)
+        _, _, transcript, _ = run_of(Variant.LEGACY, dev_c)
         assert delay_detector(transcript, 20, 1.5, ADDR_A) is Detection.DELAY_FLAGGED
 
     def test_loose_factor_misses_relay(self):
-        _, _, _, transcript, _ = run_relayed(Variant.LEGACY)
+        dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.LEGACY)
+        _, _, transcript, _ = run_of(Variant.LEGACY, dev_c)
         assert delay_detector(transcript, 20, 3.0, ADDR_A) is Detection.NONE
 
     def test_no_samples_not_flagged(self):
-        _, _, _, transcript, _ = run_relayed(Variant.IMPROVED, mode=IntruderMode.ORIGINATE_TO_A)
+        dev_c = intruder(IntruderMode.ORIGINATE_TO_A, Variant.IMPROVED)
+        _, _, transcript, _ = run_of(Variant.IMPROVED, dev_c)
         assert delay_detector(transcript, 20, 1.5, ADDR_A) is Detection.NONE
 
 
