@@ -4,8 +4,9 @@ in a copy of src/, must make tests/test_contracts.py fail.
 A check is a check_*(...) statement, an if whose body is one or is a
 raise of TypeError, ValueError or ConfigError (an if with an else gives
 way to its else), or an if with no else whose body ends in such a raise;
-the one statement of an if with no else is not a check of its own. The
-mutants run one subprocess at a time, pytest -q -x on the table. Exit
+the one statement of an if with no else is not a check of its own. Each
+mutant runs pytest -q -x on the table in a subprocess, one at a time per
+CPU, each worker on its own copy of src/; the lines come in mutant order. Exit
 status 1 when a mutant survives that SURVIVORS does not list with its
 reason, or when SURVIVORS lists one that did not.
 Run from the repository root: python tests/contract_mutants.py
@@ -13,11 +14,13 @@ Run from the repository root: python tests/contract_mutants.py
 
 import ast
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,32 +111,51 @@ def table_passes(src: Path) -> bool:
     return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode == 0
 
 
+def sound(src: Path) -> bool:
+    """Whether the table imports the package from src and passes on it."""
+    probe = [sys.executable, "-c", "import btauthsim; print(btauthsim.__file__)"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    where = subprocess.run(probe, env=env, capture_output=True, text=True).stdout
+    return where.startswith(str(src)) and table_passes(src)
+
+
 def main() -> int:
     started, survived = time.monotonic(), {}
-    with tempfile.TemporaryDirectory() as scratch:
-        src = Path(scratch) / "src"
-        shutil.copytree(PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__"))
-        probe = [sys.executable, "-c", "import btauthsim; print(btauthsim.__file__)"]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        where = subprocess.run(probe, env=env, capture_output=True, text=True).stdout
-        if not where.startswith(scratch) or not table_passes(src):
-            raise SystemExit("the table does not import the copy, or fails on it unmutated")
-        total = 0
-        for module in SCOPE:
-            source = (PACKAGE / module).read_text()
-            lines = source.splitlines()
-            for function, node in checks(module, source):
-                total += 1
-                mutant = ast.unparse(Drop(node).visit(ast.parse(source)))
-                (src / "btauthsim" / module).write_text(mutant)
-                key = (module, function, lines[node.lineno - 1].strip())
-                killed = not table_passes(src)
-                status = "killed" if killed else "SURVIVED"
-                print(f"{status:8} {module}:{node.lineno} {function}: {key[2]}", flush=True)
-                if not killed:
-                    survived[key] = SURVIVORS.get(key)
-            (src / "btauthsim" / module).write_text(source)
-    print(f"{total} mutants, {len(survived)} survived, in {time.monotonic() - started:.0f} s")
+    mutants = [
+        (module, source, function, node)
+        for module in SCOPE
+        for source in [(PACKAGE / module).read_text()]
+        for function, node in checks(module, source)
+    ]
+    workers = os.cpu_count() or 1
+    with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(workers) as pool:
+        # one copy of src/ per worker, each taken by one mutant at a time
+        srcs = [Path(scratch) / str(n) / "src" for n in range(workers)]
+        copies = queue.SimpleQueue()
+        for src in srcs:
+            shutil.copytree(PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__"))
+            copies.put(src)
+
+        def killed(mutant) -> bool:
+            module, source, _, node = mutant
+            src = copies.get()
+            target = src / "btauthsim" / module
+            try:
+                target.write_text(ast.unparse(Drop(node).visit(ast.parse(source))))
+                return not table_passes(src)
+            finally:
+                target.write_text(source)
+                copies.put(src)
+
+        if not all(pool.map(sound, srcs)):
+            raise SystemExit("the table does not import a copy, or fails on it unmutated")
+        for (module, source, function, node), dead in zip(mutants, pool.map(killed, mutants)):
+            key = (module, function, source.splitlines()[node.lineno - 1].strip())
+            status = "killed" if dead else "SURVIVED"
+            print(f"{status:8} {module}:{node.lineno} {function}: {key[2]}", flush=True)
+            if not dead:
+                survived[key] = SURVIVORS.get(key)
+    print(f"{len(mutants)} mutants, {len(survived)} survived, in {time.monotonic() - started:.0f} s")
     for key, reason in survived.items():
         print(f"survivor {key}: " + (f"pinned by {reason}" if reason else "NOT LISTED"))
     for key in SURVIVORS.keys() - survived.keys():

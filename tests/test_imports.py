@@ -7,7 +7,9 @@ fails here. A name listed in the module's ``__all__`` counts as read, since
 the module exports it.
 
 No test module binds at its top level a name that tests/support.py
-defines: the harness the tests share has one copy, which they import.
+defines: the harness the tests share has one copy, which they import. And
+no test module but tests/support.py reaches simnet.run, by name or as
+simnet.run: every run a test drives goes through support.run_of.
 
 No function of the package but ``protocol.Message.__init__``, which checks
 its fields before it stores them, reads ``self.__dict__``: every other
@@ -23,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = sorted([*ROOT.glob("src/btauthsim/*.py"), *ROOT.glob("scripts/*.py")])
 MODULES = sorted([*PROGRAM, *ROOT.glob("tests/*.py")])
 SUPPORT = ROOT / "tests" / "support.py"
+SIMNET = "btauthsim.simnet"
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -93,6 +96,19 @@ def unbound_exports(source: str) -> list[str]:
     return sorted(exported(tree) - bound)
 
 
+def run_references(source: str) -> list[int]:
+    """The lines on which the module imports run from btauthsim.simnet, or
+    reads run as an attribute of simnet or of btauthsim.simnet."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and node.module == SIMNET
+            and "run" in [alias.name for alias in node.names])
+        or (isinstance(node, ast.Attribute) and node.attr == "run"
+            and ast.unparse(node.value) in ("simnet", SIMNET))
+    )
+
+
 def dict_readers(source: str) -> list[str]:
     """The qualified names of the functions that read self.__dict__."""
     readers = []
@@ -138,6 +154,25 @@ def test_no_test_module_rebinds_a_support_name():
         if path != SUPPORT
     }
     assert {name: names for name, names in rebound.items() if names} == {}
+
+
+def test_only_support_drives_a_run():
+    drivers = {path.name for path in ROOT.glob("tests/*.py") if run_references(path.read_text())}
+    assert drivers == {SUPPORT.name}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from btauthsim.simnet import LinkConfig, run as go\ngo(a, b, None, links)\n", [1]),
+        ("from btauthsim import simnet\nsimnet.run(a, b, None, links)\n", [2]),
+        ("import btauthsim.simnet\nf = btauthsim.simnet.run\n", [2]),
+        ("def f():\n    from btauthsim import simnet\n    return simnet.run\n", [3]),
+        ("from btauthsim.simnet import transcript_rtt\nsimnet.handle\nsubprocess.run([])\n", []),
+    ],
+)
+def test_the_run_check_itself(source, lines):
+    assert run_references(source) == lines
 
 
 def test_one_function_stores_a_record_by_hand():
