@@ -5,10 +5,10 @@ A check is a check_*(...) statement, an if whose body is one or is a
 raise of TypeError, ValueError or ConfigError (an if with an else gives
 way to its else), or an if with no else whose body ends in such a raise;
 the one statement of an if with no else is not a check of its own. Each
-mutant runs pytest -q -x on the table in a subprocess, one at a time per
-CPU, each worker on its own copy of src/; the lines come in mutant order. Exit
-status 1 when a mutant survives that SURVIVORS does not list with its
-reason, or when SURVIVORS lists one that did not.
+mutant runs pytest -q -x on the table in a subprocess, one per CPU at a
+time, each worker on its own copy of src/; the lines print in mutant
+order. Exit status 1 when a mutant survives that SURVIVORS does not list
+with its reason, or when SURVIVORS lists one that did not.
 Run from the repository root: python tests/contract_mutants.py
 """
 
