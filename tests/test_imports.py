@@ -157,8 +157,8 @@ def test_no_test_module_rebinds_a_support_name():
 
 
 def test_only_support_drives_a_run():
-    drivers = {path.name for path in ROOT.glob("tests/*.py") if run_references(path.read_text())}
-    assert drivers == {SUPPORT.name}
+    callers = {path.name for path in ROOT.glob("tests/*.py") if run_references(path.read_text())}
+    assert callers == {SUPPORT.name}
 
 
 @pytest.mark.parametrize(
