@@ -22,6 +22,22 @@ from btauthsim.cli import ConfigError, check_group
 from btauthsim.crypto import dh_keypair
 
 
+def measure(params, trials: int, seed: int) -> tuple[list[int], float]:
+    """The scan's iteration count for each of trials exponents drawn from
+    random.Random(seed), and the seconds the scans took. Raises
+    RuntimeError if a scan recovers another exponent than was drawn."""
+    rng = random.Random(seed)
+    costs = []
+    started = time.perf_counter()
+    for _ in range(trials):
+        r = rng.randrange(1, params.p)
+        recovered, iterations = dlog_bruteforce(params, dh_keypair(params, r).s_public)
+        if recovered != r:
+            raise RuntimeError(f"recovered {recovered}, expected {r}")
+        costs.append(iterations)
+    return costs, time.perf_counter() - started
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dh-p", type=int, default=10007)
@@ -42,18 +58,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         parser.error(str(err))
 
-    rng = random.Random(args.seed)
-
-    costs = []
-    started = time.perf_counter()
-    for _ in range(args.trials):
-        r = rng.randrange(1, params.p)
-        pair = dh_keypair(params, r)
-        recovered, iterations = dlog_bruteforce(params, pair.s_public)
-        assert recovered == r, f"recovered {recovered}, expected {r}"
-        costs.append(iterations)
-    elapsed = time.perf_counter() - started
-
+    costs, elapsed = measure(params, args.trials, args.seed)
     expected = (params.p - 1) / 2
     mean = statistics.fmean(costs)
     per_iter = elapsed / sum(costs)

@@ -1,6 +1,6 @@
 """The harness the test modules share: the three-party cast, the default
 group and links, the party builders, the one run builder, the intruder's
-view of a run, and a call recorder.
+view of a run, a call recorder and the loader of scripts/.
 
 tests/test_imports.py refuses a test module that binds at its top level a
 name defined here, so each of these has one definition, and a test module
@@ -10,6 +10,8 @@ through run_of.
 
 import contextlib
 import copy
+import importlib.util
+from pathlib import Path
 
 from btauthsim.adversary import IntruderState
 from btauthsim.crypto import DhParams, xor_bytes
@@ -103,3 +105,12 @@ def recorded(module, name, deep=False):
         yield calls
     finally:
         setattr(module, name, real)
+
+
+def load_script(name):
+    """scripts/<name>.py, executed afresh as a module of that name."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -30,27 +30,21 @@ import statistics
 import time
 from pathlib import Path
 
-from support import ADDR_A, ADDR_B, ADDR_C, PARAMS, captured, intruder, run_of, session_of
+from support import ADDR_A, ADDR_B, ADDR_C, PARAMS, captured, intruder, load_script, run_of, session_of
 from test_mixhash import ref_mixhash128
 
 from btauthsim.adversary import (
     Confidentiality,
     Integrity,
     IntruderMode,
-    dlog_bruteforce,
     verdict,
 )
 from btauthsim.cli import ScenarioConfig, run_scenario
 from btauthsim.crypto import (
     DhParams,
-    combination_link_key,
     dh_keypair,
     dh_shared,
     e1,
-    e1_aco,
-    encryption_key,
-    init_key,
-    mixhash128,
     modexp,
     session_key_from_shared,
 )
@@ -218,15 +212,7 @@ def test_criterion_5_key_agreement_exactness():
 
 def test_criterion_6_dlog_cost_tracks_group_size():
     params = DhParams(p=10007, alpha=5)
-    rng = random.Random(0xC057)
-    started = time.perf_counter()
-    costs = []
-    for _ in range(200):
-        r = rng.randrange(1, params.p)
-        recovered, iterations = dlog_bruteforce(params, dh_keypair(params, r).s_public)
-        assert recovered == r
-        costs.append(iterations)
-    elapsed = time.perf_counter() - started
+    costs, elapsed = load_script("dlog_cost").measure(params, 200, 0xC057)
     mean = statistics.fmean(costs)
     expected = (params.p - 1) / 2
     assert abs(mean - expected) <= 0.10 * expected, f"mean {mean:.1f} vs {expected:.1f}"
@@ -273,40 +259,14 @@ def test_criterion_8_reproducibility_and_frozen_vectors():
         assert digest_a == digest_b
         assert first.to_jsonl() == second.to_jsonl()
 
-    # both digest implementations, written independently, match the frozen file
-    rows = [
-        line.strip().split(",")
-        for line in VECTORS.read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    assert len(rows) == 12
-    checked = 0
-    for name, *fields in rows:
-        inputs = [bytes.fromhex(f) for f in fields[:-1]]
-        expected = fields[-1]
-        if name.startswith("mixhash_"):
-            assert mixhash128(inputs[0]).hex() == expected, name
-            assert ref_mixhash128(inputs[0]).hex() == expected, name
-        elif name == "e1_all_zero":
-            args = (inputs[0], inputs[1], inputs[2])
-            assert (e1(*args) + e1_aco(*args)).hex() == expected
-        elif name.startswith("init_key_"):
-            out = init_key(inputs[0], inputs[1], inputs[2])
-            assert out.hex() == expected
-        elif name == "combination_link_key":
-            out = combination_link_key(inputs[0], inputs[1], inputs[2], inputs[3])
-            assert out.hex() == expected
-        elif name == "encryption_key_all_zero":
-            out = encryption_key(inputs[0], inputs[1], inputs[2])
-            assert out.hex() == expected
-        elif name == "session_key_k2_p23":
-            k = int.from_bytes(inputs[0], "big")
-            p = int.from_bytes(inputs[1], "big")
-            out = session_key_from_shared(k, DhParams(p=p, alpha=5))
-            assert out.hex() == expected
-        else:
-            raise AssertionError(f"unrecognized vector row {name!r}")
-        checked += 1
-    assert checked == 12
-    _report(8, "identical seeds hash-equal; both digest implementations match "
-               "all 12 frozen vectors")
+    # the frozen file is what the generator writes, and the reference
+    # digest, written independently, agrees with each of its mixhash rows
+    vectors = load_script("gen_golden_vectors")
+    rows = vectors.build_rows()
+    assert VECTORS.read_text() == vectors.render(rows)
+    mixhash_rows = [row for row in rows if row[0].startswith("mixhash_")]
+    for name, data, expected in mixhash_rows:
+        assert ref_mixhash128(bytes.fromhex(data)).hex() == expected, name
+    _report(8, f"identical seeds hash-equal; the frozen file equals the generator's "
+               f"{len(rows)} vectors, and the reference digest matches its "
+               f"{len(mixhash_rows)} mixhash rows")

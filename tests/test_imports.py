@@ -11,6 +11,9 @@ defines: the harness the tests share has one copy, which they import. And
 no test module but tests/support.py reaches simnet.run, by name or as
 simnet.run: every run a test drives goes through support.run_of.
 
+No script under scripts/ has an assert statement: python -O strips it,
+so a script's check raises instead.
+
 No function of the package but ``protocol.Message.__init__``, which checks
 its fields before it stores them, reads ``self.__dict__``: every other
 record stores its fields through ``crypto.record``.
@@ -22,7 +25,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-PROGRAM = sorted([*ROOT.glob("src/btauthsim/*.py"), *ROOT.glob("scripts/*.py")])
+SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
+PROGRAM = sorted([*ROOT.glob("src/btauthsim/*.py"), *SCRIPTS])
 MODULES = sorted([*PROGRAM, *ROOT.glob("tests/*.py")])
 SUPPORT = ROOT / "tests" / "support.py"
 SIMNET = "btauthsim.simnet"
@@ -109,6 +113,11 @@ def run_references(source: str) -> list[int]:
     )
 
 
+def assert_lines(source: str) -> list[int]:
+    """The lines of the module's assert statements."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
 def dict_readers(source: str) -> list[str]:
     """The qualified names of the functions that read self.__dict__."""
     readers = []
@@ -173,6 +182,16 @@ def test_only_support_drives_a_run():
 )
 def test_the_run_check_itself(source, lines):
     assert run_references(source) == lines
+
+
+def test_no_script_check_rests_on_an_assert():
+    asserts = {path.name: assert_lines(path.read_text()) for path in SCRIPTS}
+    assert {name: lines for name, lines in asserts.items() if lines} == {}
+
+
+def test_the_assert_check_itself():
+    source = "assert x\ndef f():\n    if not x:\n        raise ValueError\n    assert y, 'y'\n"
+    assert assert_lines(source) == [1, 5]
 
 
 def test_one_function_stores_a_record_by_hand():

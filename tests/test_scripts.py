@@ -1,6 +1,5 @@
 """The scripts' documented output."""
 
-import importlib.util
 import os
 import re
 import shlex
@@ -10,17 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from support import load_script
+
 from btauthsim import cli
 from btauthsim.cli import DH_P_CAP
+from btauthsim.crypto import DhParams
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def readme_block(after: str) -> list[str]:
@@ -80,6 +75,16 @@ def test_dlog_cost_recovers_every_exponent(capsys):
     assert status == 0
     assert "trials: 20, all exponents recovered exactly" in out
     assert re.search(r"^mean iterations: [\d.]+ \(expected ~5003\.0, ratio [\d.]+\)$", out, re.M)
+
+
+def test_dlog_cost_measure_refuses_a_wrong_recovery():
+    # a raise rather than an assert, so python -O keeps the check
+    script = load_script("dlog_cost")
+    # 0 is never drawn, so every recovery is wrong; the module is this
+    # test's own copy, so nothing needs restoring
+    script.dlog_bruteforce = lambda params, public: (0, 1)
+    with pytest.raises(RuntimeError, match="recovered 0, expected"):
+        script.measure(DhParams(10007, 5), 20, 0)
 
 
 @pytest.mark.parametrize(
