@@ -10,7 +10,7 @@ is in the run's transcript, and verdict scores a run from the outcomes
 and that transcript alone, with the detector's baselines and threshold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 
 from .crypto import (
@@ -22,6 +22,7 @@ from .crypto import (
     dh_keypair,
     e1,
     record,
+    value_class,
 )
 from .protocol import (
     AuthOutcome,
@@ -135,7 +136,7 @@ _PLANS = {
 }
 
 
-@dataclass
+@value_class
 class IntruderState:
     """Outsider intruder between victim_a, A in its script, and victim_b, B.
     It holds no link key and keeps no record of the traffic: what it

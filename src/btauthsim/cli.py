@@ -10,7 +10,6 @@ scenario name and seed alone.
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
@@ -23,6 +22,7 @@ from .crypto import (
     init_key,
     record,
     session_key,
+    value_class,
 )
 from .protocol import AuthOutcome, DeviceState, Variant, new_device
 from .simnet import LinkConfig, Transcript, delay_detector, run, transcript_rtt
@@ -50,7 +50,7 @@ class ConfigError(Exception):
 Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ScenarioConfig:
     """A configuration that can run; construction refuses any other. The
     intruder must be an IntruderMode or None, the variant a Variant, and

@@ -9,9 +9,16 @@ and PINs included, is plain bytes; each function checks the type and width
 of the octets it takes, and check_octets holds that check and its messages,
 as check_type does for a value that must be exactly of one type (an int, an
 enum, a record) and check_public for a peer's public value.
-record, beside them, makes the frozen records that a run builds (a
-transcript event per hop, the transcript, the outcomes, the key pairs, the
-verdict and the result), whose __init__ stores every field in one step.
+value_class, beside them, makes each value class of the package:
+dataclass still writes its fields, __match_args__ and any __init__ it
+generates (with a frozen class's __setattr__ and __delattr__, which that
+__init__ steps around), and every other method (__repr__, __eq__,
+__hash__, and a frozen record's __setattr__ and __delattr__) is a closure
+over the field names, whose code compiles once, with this module, rather
+than being generated and exec'd for each class at import. record makes
+the frozen records that a run builds (a transcript event per hop, the
+transcript, the outcomes, the key pairs, the verdict and the result)
+through value_class, with an __init__ that stores every field in one step.
 The functions every run calls (e1 and combination_link_key; no run calls
 init_key, see cli._derive_link_key) first test each octet string inline,
 exact bytes of the width, so a well-formed value costs no call; only a
@@ -45,7 +52,7 @@ that each DhParams builds on first use and never mutates once built; two
 threads that race to build it build equal tables.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 import functools
 import random
 import struct
@@ -102,11 +109,77 @@ def check_type(name: str, value, kind: type, none: bool = False) -> None:
         )
 
 
+def value_class(cls: type | None = None, /, *, frozen: bool = False, init: bool = True):
+    """cls as a dataclass, frozen if frozen is set, whose __init__ dataclass
+    writes if init is set; used bare or called, as dataclass is.
+
+    dataclass builds the fields, __match_args__ and that __init__, with
+    the __setattr__ and __delattr__ of a frozen class it writes one for.
+    The other methods are closures over the field names, one code object
+    each for every class: __repr__ shows the fields whose repr flag is
+    set, __eq__ compares the fields whose compare flag is set, in order,
+    with those of another instance of the same class (NotImplemented
+    otherwise), and __hash__ hashes the tuple of the fields that dataclass
+    would hash. A frozen class with its own __init__ shares a __setattr__
+    and __delattr__ that raise FrozenInstanceError as dataclass's do, and
+    a mutable class is unhashable. A class that defines one of these
+    methods itself is a TypeError. The repr has no guard against a value
+    that contains itself, which no field of the package holds.
+    """
+    if cls is None:
+        return functools.partial(value_class, frozen=frozen, init=init)
+    cls = dataclass(cls, init=init, repr=False, eq=False, frozen=frozen and init)
+    own = fields(cls)
+    names = tuple(f.name for f in own)
+    shown = [f.name for f in own if f.repr]
+    compared = [f.name for f in own if f.compare]
+    hashed = [f.name for f in own if (f.compare if f.hash is None else f.hash)]
+
+    def __repr__(self):
+        shows = ", ".join([f"{name}={getattr(self, name)!r}" for name in shown])
+        return f"{self.__class__.__qualname__}({shows})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            mine = [getattr(self, name) for name in compared]
+            return mine == [getattr(other, name) for name in compared]
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in hashed))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    methods = [__repr__, __eq__]
+    if not frozen:
+        cls.__hash__ = None
+    else:
+        methods.append(__hash__)
+        if not init:
+            methods += [__setattr__, __delattr__]
+    for method in methods:
+        if method.__name__ in cls.__dict__:
+            raise TypeError(f"value class {cls.__name__} defines its own {method.__name__}")
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
 def record(cls: type) -> type:
-    """cls as a frozen dataclass whose __init__ takes every field, in order,
-    and stores all of them in one self.__dict__.update rather than one
-    object.__setattr__ per field; a field with a default is a TypeError.
-    The __init__ goes in first, and dataclass reads it for the docstring."""
+    """cls as a frozen value_class whose __init__ takes every field, in
+    order, and stores all of them in one self.__dict__.update rather than
+    one object.__setattr__ per field; a field with a default is a
+    TypeError. That __init__ is the one method generated and exec'd for
+    each record; value_class shares the rest. It goes in first, and
+    dataclass reads it for the docstring."""
     names = list(cls.__annotations__)
     for name in names:
         if name in cls.__dict__:
@@ -118,7 +191,7 @@ def record(cls: type) -> type:
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**cls.__annotations__, "return": None}
     cls.__init__ = init
-    return dataclass(frozen=True, init=False)(cls)
+    return value_class(cls, frozen=True, init=False)
 
 
 class Stream(random.Random):
@@ -379,7 +452,7 @@ def prime_factors(n: int) -> list[int]:
     return factors
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class DhParams:
     """Public group: prime modulus p and a generator candidate alpha.
 

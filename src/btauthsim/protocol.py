@@ -31,7 +31,7 @@ of its kind's width, and e1 checks the octets it takes, so handlers pass
 payloads and claimed senders on as they arrive. Addresses compare by value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 
 from .crypto import (
@@ -44,6 +44,7 @@ from .crypto import (
     e1,
     record,
     session_key,
+    value_class,
     xor_bytes,
 )
 
@@ -102,7 +103,7 @@ _PAYLOAD_WIDTH = {
 }
 
 
-@dataclass(frozen=True, init=False)
+@value_class(frozen=True, init=False)
 class Message:
     """One protocol message. sender is the claimed originator address; who
     physically transmitted it is the network's business, not the message's.
@@ -178,7 +179,7 @@ class AuthOutcome:
     authenticated_with: bytes | None
 
 
-@dataclass
+@value_class
 class DeviceState:
     id: bytes
     variant: Variant

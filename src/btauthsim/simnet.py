@@ -13,10 +13,9 @@ addresses need not be one object.
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
-from .crypto import check_octets, check_type, record
+from .crypto import check_octets, check_type, record, value_class
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -44,7 +43,7 @@ class Detection(Enum):
     DELAY_FLAGGED = "DelayFlagged"
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class LinkConfig:
     latency_ms: int = 10
     timeout_ms: int = 2000

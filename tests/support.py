@@ -1,6 +1,6 @@
 """The harness the test modules share: the three-party cast, the default
 group and links, the party builders, the one run builder, the intruder's
-view of a run, a call recorder and the loader of scripts/.
+view of a run, a call recorder and the loader of scripts/ and perfbench/.
 
 tests/test_imports.py refuses a test module that binds at its top level a
 name defined here, so each of these has one definition, and a test module
@@ -107,10 +107,11 @@ def recorded(module, name, deep=False):
         setattr(module, name, real)
 
 
-def load_script(name):
-    """scripts/<name>.py, executed afresh as a module of that name."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
+def load_script(name, directory="scripts", module=None):
+    """<directory>/<name>.py of the repository, executed afresh as a module
+    named module, or name if module is None."""
+    path = Path(__file__).resolve().parent.parent / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(module or name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -2,29 +2,19 @@
 tests: any drift in report lines, transcripts or verdict rows, and any
 rename of a name the tracer wraps, fails here without a benchmark run."""
 
-import importlib.util
 import io
 import sys
-from pathlib import Path
 
 import pytest
+
+from support import load_script
 
 from btauthsim import cli
 from btauthsim.adversary import IntruderMode
 from btauthsim.cli import ScenarioConfig
 from btauthsim.protocol import Variant
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(module_name: str, filename: str):
-    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / filename)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load("perfbench_workloads", "workloads.py")
+workloads = load_script("workloads", "perfbench", "perfbench_workloads")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -44,7 +34,7 @@ def test_workloads_run_the_headline_table():
 def test_tracer_patch_points_are_on_the_call_path(monkeypatch):
     # spans.py imports its sibling as plain `workloads`
     monkeypatch.setitem(sys.modules, "workloads", workloads)
-    spans = _load("perfbench_spans", "spans.py")
+    spans = load_script("spans", "perfbench", "perfbench_spans")
     originals = [(module, attr, getattr(module, attr)) for module, attr, _ in spans.POINTS]
     # one validated dh-improved relay run written as JSONL reaches every point
     config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=IntruderMode.RELAY_ACTIVE)

@@ -17,19 +17,31 @@ so a script's check raises instead.
 No function of the package but ``protocol.Message.__init__``, which checks
 its fields before it stores them, reads ``self.__dict__``: every other
 record stores its fields through ``crypto.record``.
+
+No module of the package but ``crypto`` applies ``dataclasses.dataclass``
+or ``make_dataclass``, and every value class of the package runs the
+``__repr__``, ``__eq__`` and ``__hash__`` code of ``crypto.value_class``:
+a new class brings back no per-class generated methods.
 """
 
 import ast
+import dataclasses
+import importlib
+import types
 from pathlib import Path
 
 import pytest
 
+from btauthsim import crypto
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
-PROGRAM = sorted([*ROOT.glob("src/btauthsim/*.py"), *SCRIPTS])
+PACKAGE = sorted(ROOT.glob("src/btauthsim/*.py"))
+PROGRAM = sorted([*PACKAGE, *SCRIPTS])
 MODULES = sorted([*PROGRAM, *ROOT.glob("tests/*.py")])
 SUPPORT = ROOT / "tests" / "support.py"
 SIMNET = "btauthsim.simnet"
+MAKERS = {"dataclass", "make_dataclass"}
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -118,6 +130,19 @@ def assert_lines(source: str) -> list[int]:
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
 
 
+def dataclass_lines(source: str) -> list[int]:
+    """The lines on which the module imports dataclass or make_dataclass
+    from dataclasses, or reads either as an attribute of dataclasses."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            and MAKERS & {alias.name for alias in node.names})
+        or (isinstance(node, ast.Attribute) and node.attr in MAKERS
+            and ast.unparse(node.value) == "dataclasses")
+    )
+
+
 def dict_readers(source: str) -> list[str]:
     """The qualified names of the functions that read self.__dict__."""
     readers = []
@@ -195,8 +220,7 @@ def test_the_assert_check_itself():
 
 
 def test_one_function_stores_a_record_by_hand():
-    package = sorted(ROOT.glob("src/btauthsim/*.py"))
-    readers = [f"{path.stem}.{name}" for path in package for name in dict_readers(path.read_text())]
+    readers = [f"{path.stem}.{name}" for path in PACKAGE for name in dict_readers(path.read_text())]
     assert readers == ["protocol.Message.__init__"]
 
 
@@ -213,6 +237,48 @@ def test_one_function_stores_a_record_by_hand():
 )
 def test_the_dict_check_itself(source, readers):
     assert dict_readers(source) == readers
+
+
+def test_only_crypto_makes_a_dataclass():
+    makers = {path.stem for path in PACKAGE if dataclass_lines(path.read_text())}
+    assert makers == {"crypto"}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from dataclasses import dataclass\n@dataclass\nclass C:\n    a: int\n", [1]),
+        ("from dataclasses import field, dataclass as d\n", [1]),
+        ("import dataclasses\nC = dataclasses.make_dataclass('C', ['a'])\n", [2]),
+        ("from dataclasses import field, fields\nfrom .crypto import value_class\n", []),
+    ],
+)
+def test_the_dataclass_check_itself(source, lines):
+    assert dataclass_lines(source) == lines
+
+
+def test_every_value_class_runs_the_shared_methods():
+    shared = {
+        code.co_name: code
+        for code in crypto.value_class.__code__.co_consts
+        if isinstance(code, types.CodeType)
+    }
+    modules = [importlib.import_module(f"btauthsim.{path.stem}") for path in PACKAGE]
+    classes = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+    }
+    assert sorted(cls.__name__ for cls in classes) == [
+        "AttackVerdict", "AuthOutcome", "DeviceState", "DhKeyPair", "DhParams", "IntruderState",
+        "LinkConfig", "Message", "ScenarioConfig", "ScenarioResult", "Transcript",
+        "TranscriptEvent",
+    ]
+    for cls in classes:
+        assert cls.__repr__.__code__ is shared["__repr__"], cls
+        assert cls.__eq__.__code__ is shared["__eq__"], cls
+        assert cls.__hash__ is None or cls.__hash__.__code__ is shared["__hash__"], cls
 
 
 def test_modules_are_found():

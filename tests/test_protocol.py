@@ -638,3 +638,5 @@ class TestMessageRecord:
                 assert values(replaced) == values(replaced_twin)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(msg, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(msg, name)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import ADDR_A, ADDR_B, ADDR_C, LINKS, intruder, run_of
+from support import ADDR_A, ADDR_B, ADDR_C, LINKS, PARAMS, WIDE_P, intruder, run_of
 
 from btauthsim import adversary, cli, crypto, simnet
 from btauthsim.adversary import (
@@ -17,10 +17,11 @@ from btauthsim.adversary import (
     Confidentiality,
     Integrity,
     IntruderMode,
+    IntruderState,
 )
-from btauthsim.cli import ScenarioResult, run_scenario
-from btauthsim.crypto import DhKeyPair
-from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant
+from btauthsim.cli import ScenarioConfig, ScenarioResult, run_scenario
+from btauthsim.crypto import DhKeyPair, DhParams
+from btauthsim.protocol import AuthOutcome, AuthStatus, DeviceState, Message, MsgKind, Variant
 from btauthsim.simnet import (
     Detection,
     LinkConfig,
@@ -307,6 +308,8 @@ class TestEventRecord:
             assert repr(replaced) == repr(dataclasses.replace(twin, **{name: new}))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, name, new)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
 
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
     def test_signature_is_the_plain_dataclass_one(self, record):
@@ -326,6 +329,135 @@ class TestEventRecord:
             class Defaulted:
                 a: int
                 b: int = 0
+
+
+keys = st.binary(min_size=16, max_size=16)
+# the arguments of each value class whose __init__ dataclass writes; the
+# ones that construction refuses, too
+VALUE_ARGS = {
+    ScenarioConfig: st.tuples(
+        st.sampled_from(list(Variant)),
+        st.sampled_from([None, *IntruderMode]),
+        st.sampled_from(["A", "C"]),
+        st.sampled_from([5, 10]),
+        st.sampled_from([30, 2000]),
+        st.floats(min_value=1, max_value=10, exclude_min=True),
+        st.sampled_from([2**31 - 1, WIDE_P]),
+        st.sampled_from([2, 7]),
+    ),
+    LinkConfig: st.tuples(st.integers(0, 50), st.integers(0, 100)),
+    DhParams: st.sampled_from([5, 10007, 2**31 - 1, WIDE_P]).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(2, p - 1))
+    ),
+    DeviceState: st.tuples(
+        addresses, st.sampled_from(list(Variant)), keys, keys, st.sampled_from([None, PARAMS])
+    ),
+    IntruderState: st.tuples(
+        st.permutations([ADDR_A, ADDR_B, ADDR_C]),
+        st.sampled_from(list(IntruderMode)),
+        st.sampled_from(list(Variant)),
+        st.integers(0, 2**32),
+        st.sampled_from([None, PARAMS]),
+    ).map(lambda t: (t[0][0], t[1], t[2], t[0][1], t[0][2], t[3], t[4])),
+}
+FROZEN = {ScenarioConfig: True, LinkConfig: True, DhParams: True, DeviceState: False, IntruderState: False}
+
+
+def plain_twin(cls):
+    """The plain dataclass of cls's fields, with their defaults and flags,
+    frozen as cls is, holding every other name that cls's body defines
+    (its __post_init__, properties and methods)."""
+    namespace = {
+        name: value
+        for name, value in vars(cls).items()
+        if name == "__post_init__" or not name.startswith("__")
+    }
+    specs = [
+        (f.name, f.type, dataclasses.field(
+            default=f.default, default_factory=f.default_factory,
+            init=f.init, repr=f.repr, hash=f.hash, compare=f.compare,
+        ))
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=FROZEN[cls])
+
+
+VALUE_TWINS = {cls: plain_twin(cls) for cls in VALUE_ARGS}
+
+
+def outcome(call, *args, **kwargs):
+    """call's result, or the type and message of the error it raised."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+class TestValueClass:
+    """Each value class whose __init__ dataclass writes, made by
+    crypto.value_class, behaves as the plain dataclass of its fields."""
+
+    @pytest.mark.parametrize("cls", list(VALUE_ARGS), ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    def test_behaves_like_the_plain_dataclass(self, cls, data):
+        args, other = data.draw(VALUE_ARGS[cls]), data.draw(VALUE_ARGS[cls])
+        twin_of = VALUE_TWINS[cls]
+        value, twin = outcome(cls, *args), outcome(twin_of, *args)
+        if isinstance(twin, str):
+            # the same __post_init__ refuses the same arguments
+            assert value == twin
+            return
+        assert repr(value) == repr(twin)
+        assert value == cls(*args)
+        assert value.__eq__(twin) is NotImplemented
+        # the hash, or the TypeError of an unhashable mutable value
+        assert outcome(hash, value) == outcome(hash, twin)
+        assert (value == outcome(cls, *other)) == (twin == outcome(twin_of, *other))
+        fields = dataclasses.fields(cls)
+        for name, new in zip([f.name for f in fields if f.init], other):
+            replaced = outcome(dataclasses.replace, value, **{name: new})
+            assert repr(replaced) == repr(outcome(dataclasses.replace, twin, **{name: new}))
+        source = outcome(cls, *other)
+        for name in [f.name for f in fields]:
+            if FROZEN[cls]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, name)
+            elif not isinstance(source, str):
+                # a mutable value shows and compares as its twin after the same stores
+                setattr(value, name, getattr(source, name))
+                setattr(twin, name, getattr(source, name))
+                assert repr(value) == repr(twin)
+                assert (value == cls(*args)) == (twin == twin_of(*args))
+
+    def test_the_intruders_plan_is_out_of_repr_and_eq(self):
+        relay = intruder(IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED)
+        emptied = intruder(IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED)
+        emptied.script = emptied.values = emptied.victim_of = {}
+        assert relay.values != emptied.values
+        assert relay == emptied
+        assert repr(relay) == repr(emptied)
+        assert not [name for name in ("script", "values", "victim_of") if f"{name}=" in repr(relay)]
+
+    def test_refuses_a_method_of_its_own(self):
+        with pytest.raises(TypeError, match="^value class Shown defines its own __repr__$"):
+
+            @crypto.value_class
+            class Shown:
+                a: int
+
+                def __repr__(self):
+                    return "a"
+
+    def test_the_group_table_is_out_of_repr_and_eq(self):
+        # alpha_table caches in the instance dict, outside the fields
+        built, fresh = DhParams(WIDE_P, 2), DhParams(WIDE_P, 2)
+        built.alpha_table
+        assert "alpha_table" in vars(built) and "alpha_table" not in vars(fresh)
+        assert built == fresh
+        assert hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh) == f"DhParams(p={WIDE_P}, alpha=2)"
 
 
 def two_pass_rtt(transcript, device):
