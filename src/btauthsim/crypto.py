@@ -120,11 +120,13 @@ def value_class(cls: type | None = None, /, *, frozen: bool = False, init: bool 
     set, __eq__ compares the fields whose compare flag is set, in order,
     with those of another instance of the same class (NotImplemented
     otherwise), and __hash__ hashes the tuple of the fields that dataclass
-    would hash. A frozen class with its own __init__ shares a __setattr__
-    and __delattr__ that raise FrozenInstanceError as dataclass's do, and
-    a mutable class is unhashable. A class that defines one of these
-    methods itself is a TypeError. The repr has no guard against a value
-    that contains itself, which no field of the package holds.
+    would hash. A mutable class is unhashable. A frozen class with its
+    own __init__ shares a __setattr__ and __delattr__ that raise
+    FrozenInstanceError as dataclass's do; dataclass is not told it is
+    frozen, so its __dataclass_params__.frozen reads False. A class that
+    defines one of these methods itself is a TypeError. The repr has no
+    guard against a value that contains itself, which no field of the
+    package holds.
     """
     if cls is None:
         return functools.partial(value_class, frozen=frozen, init=init)
