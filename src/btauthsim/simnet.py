@@ -107,12 +107,13 @@ def run(
     """Drive one handshake to quiescence or timeout.
 
     dev_a and dev_b are the honest endpoints; the outcomes come back in that
-    order. intruder (optional) is any object with an id, an
-    intercept(msg) -> [Message] method, and a start_attack() -> [Message]
-    method. The run opens with the intruder's kickoff when that is
-    non-empty, else with dev_a's request toward dev_b. Time lives only here:
-    neither the devices nor the intruder see it. Raises ValueError when the
-    intruder addresses a device that is not registered.
+    order. intruder (optional) is any object with the loop's whole intruder
+    interface: an id, an opening, the sequence of Messages it sends before
+    anything arrives, and an intercept(msg) -> [Message] method. The run
+    opens with the intruder's opening when that is non-empty, else with
+    dev_a's request toward dev_b. Time lives only here: neither the devices
+    nor the intruder see it. Raises ValueError when the intruder addresses
+    a device that is not registered, in its opening or in a reply.
     """
     registry: dict[bytes, DeviceState] = {dev_a.id: dev_a, dev_b.id: dev_b}
     intruder_id = intruder.id if intruder is not None else None
@@ -135,9 +136,8 @@ def run(
             for msg in replies:
                 queue.append((due, msg, sender, intruder_id))
 
-    kickoff = intruder.start_attack() if intruder is not None else None
-    if kickoff:
-        send(kickoff, intruder_id, 0)
+    if intruder is not None and intruder.opening:
+        send(intruder.opening, intruder_id, 0)
     else:
         send(protocol_start(dev_a, dev_b.id), dev_a.id, 0)
 

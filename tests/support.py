@@ -1,6 +1,7 @@
 """The harness the test modules share: the three-party cast, the default
-group and links, the party builders, the one run builder, the intruder's
-view of a run, a call recorder and the loader of scripts/ and perfbench/.
+group and links, the party builders, the one run builder and the one
+attacked-run builder, the intruder's view of a run, a call recorder and the
+loader of scripts/ and perfbench/.
 
 tests/test_imports.py refuses a test module that binds at its top level a
 name defined here, so each of these has one definition, and a test module
@@ -13,7 +14,7 @@ import copy
 import importlib.util
 from pathlib import Path
 
-from btauthsim.adversary import IntruderState
+from btauthsim.adversary import IntruderState, verdict
 from btauthsim.crypto import DhParams, xor_bytes
 from btauthsim.protocol import Variant, new_device
 from btauthsim.simnet import LinkConfig, Transcript, TranscriptEvent, run
@@ -28,6 +29,10 @@ PARAMS = DhParams(2**31 - 1, 7)
 # the largest safe prime below 2^47, whose generator is 2
 WIDE_P = 140737488353843
 LINKS = LinkConfig()
+# the intruder-free legacy round trip at LINKS, for either device, and the
+# default threshold: a relay that doubles it is flagged
+BASELINES = {ADDR_A: 20, ADDR_B: 20}
+FACTOR = 1.5
 
 
 def group_of(variant, group=PARAMS):
@@ -57,10 +62,23 @@ def intruder(mode, variant, seed_c=3):
 def run_of(variant, c=None, *, seeds=(1, 2), key_a=KEY, key_b=KEY, group=PARAMS, links=LINKS):
     """One run through simnet.run of the pair that pair builds from seeds,
     the keys and group, with intruder c (any object simnet.run takes, or
-    None) at links: (A, B, the transcript, the outcomes)."""
+    None, and which opens the run when its opening is not empty) at links:
+    (A, B, the transcript, the outcomes)."""
     dev_a, dev_b = pair(variant, *seeds, key_a, key_b, group)
     transcript, outcomes = run(dev_a, dev_b, c, links)
     return dev_a, dev_b, transcript, outcomes
+
+
+def attacked(variant, mode, seeds=(1, 2, 3), key=KEY):
+    """One run of A and B, both holding key, with intruder C of the mode,
+    seeded by seeds in that order, and its verdict at BASELINES and FACTOR:
+    (A, B, C, the transcript, the outcomes, the verdict)."""
+    dev_c = intruder(mode, variant, seeds[2])
+    dev_a, dev_b, transcript, outcomes = run_of(
+        variant, dev_c, seeds=seeds[:2], key_a=key, key_b=key
+    )
+    score = verdict(outcomes, transcript, key, BASELINES, FACTOR)
+    return dev_a, dev_b, dev_c, transcript, outcomes, score
 
 
 def session_of(device, key=KEY):

@@ -30,15 +30,10 @@ import statistics
 import time
 from pathlib import Path
 
-from support import ADDR_A, ADDR_B, ADDR_C, PARAMS, captured, intruder, load_script, run_of, session_of
+from support import ADDR_A, ADDR_B, ADDR_C, PARAMS, attacked, captured, load_script, session_of
 from test_mixhash import ref_mixhash128
 
-from btauthsim.adversary import (
-    Confidentiality,
-    Integrity,
-    IntruderMode,
-    verdict,
-)
+from btauthsim.adversary import Confidentiality, Integrity, IntruderMode
 from btauthsim.cli import ScenarioConfig, run_scenario
 from btauthsim.crypto import (
     DhParams,
@@ -61,15 +56,14 @@ def _report(n: int, text: str) -> None:
 
 
 def attack_run(variant, mode, seed, key=None):
-    """One intruder run outside the CLI wrapper, exposing all actor state."""
+    """One intruder run outside the CLI wrapper, exposing all actor state,
+    its pairing key (unless key is given) and the seeds of A, B and C drawn
+    in that order from random.Random(seed). No caller reads its verdict's
+    detection."""
     material = random.Random(seed)
     key = key if key is not None else material.randbytes(16)
-    seeds = material.getrandbits(64), material.getrandbits(64)
-    dev_c = intruder(mode, variant, material.getrandbits(64))
-    dev_a, dev_b, transcript, outcomes = run_of(variant, dev_c, seeds=seeds, key_a=key, key_b=key)
-    # any baselines: no caller reads this verdict's detection
-    score = verdict(outcomes, transcript, key, {ADDR_A: 20, ADDR_B: 20}, 1.5)
-    return dev_a, dev_b, dev_c, transcript, outcomes, score
+    seeds = material.getrandbits(64), material.getrandbits(64), material.getrandbits(64)
+    return attacked(variant, mode, seeds, key)
 
 
 # relay interleaving for the legacy scheme: every hop touches the intruder,

@@ -12,9 +12,12 @@ from support import (
     ADDR_A,
     ADDR_B,
     ADDR_C,
+    BASELINES,
+    FACTOR,
     KEY,
     PARAMS,
     WIDE_P,
+    attacked,
     captured,
     intruder,
     recorded,
@@ -40,19 +43,15 @@ from btauthsim.crypto import DhParams, dh_keypair, e1
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, encode_public
 from btauthsim.simnet import Detection, LinkConfig, delay_detector, transcript_rtt
 
-# the intruder-free legacy round trip at LINKS, for either device, and the
-# default threshold: a relay that doubles it is flagged
-BASELINES = {ADDR_A: 20, ADDR_B: 20}
-FACTOR = 1.5
+def keeping(built):
+    """IntruderState, appending each intruder it builds to built: the
+    stand-in for cli.IntruderState that keeps what run_scenario builds."""
 
+    def build(*args, **kwargs):
+        built.append(IntruderState(*args, **kwargs))
+        return built[-1]
 
-def attack_run(variant, mode, seeds=(1, 2, 3), key=KEY):
-    dev_c = intruder(mode, variant, seeds[2])
-    dev_a, dev_b, transcript, outcomes = run_of(
-        variant, dev_c, seeds=seeds[:2], key_a=key, key_b=key
-    )
-    score = verdict(outcomes, transcript, key, BASELINES, FACTOR)
-    return dev_a, dev_b, dev_c, transcript, outcomes, score
+    return build
 
 
 def loop_detection(transcript, baselines, threshold_factor):
@@ -68,16 +67,16 @@ def loop_detection(transcript, baselines, threshold_factor):
 
 class TestLegacyRelay:
     def test_full_attack_succeeds(self):
-        _, _, _, _, outcomes, score = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        _, _, _, _, outcomes, score = attacked(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
         assert score.attack_success is True
 
     def test_relay_is_verbatim_so_integrity_holds(self):
-        _, _, _, _, _, score = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        _, _, _, _, _, score = attacked(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
         assert score.integrity is Integrity.MAINTAINED
 
     def test_plaintext_pairs_captured(self):
-        _, _, _, transcript, outcomes, score = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, outcomes, score = attacked(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
         assert score.confidentiality is Confidentiality.BREACHED
         # both challenge payloads crossed the intruder
         challenges = [k for k in captured(transcript, outcomes) if len(k) == 16]
@@ -86,7 +85,7 @@ class TestLegacyRelay:
 
 class TestImprovedCaseOriginate:
     def test_deadlock_blocks_the_attack(self):
-        _, _, _, transcript, outcomes, score = attack_run(
+        _, _, _, transcript, outcomes, score = attacked(
             Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A
         )
         assert score.attack_success is False
@@ -94,20 +93,20 @@ class TestImprovedCaseOriginate:
         assert not any(e.kind is MsgKind.RESPONSE for e in transcript.events)
 
     def test_nothing_confidential_leaks(self):
-        _, _, _, _, _, score = attack_run(Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A)
+        _, _, _, _, _, score = attacked(Variant.IMPROVED, IntruderMode.ORIGINATE_TO_A)
         assert score.confidentiality is Confidentiality.MAINTAINED
 
 
 class TestImprovedCaseRelay:
     def test_split_verdict(self):
-        _, _, _, _, outcomes, score = attack_run(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE)
+        _, _, _, _, outcomes, score = attacked(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE)
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
         assert score.attack_success is True
         assert score.integrity is Integrity.MAINTAINED
         assert score.confidentiality is Confidentiality.BREACHED
 
     def test_both_pairs_in_knowledge(self):
-        _, _, _, transcript, outcomes, _ = attack_run(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, outcomes, _ = attacked(Variant.IMPROVED, IntruderMode.RELAY_ACTIVE)
         knowledge = captured(transcript, outcomes)
         challenges = [e.payload for e in transcript.events if e.kind is MsgKind.CHALLENGE]
         responses = [e.payload for e in transcript.events if e.kind is MsgKind.RESPONSE]
@@ -124,20 +123,20 @@ class TestImprovedCaseRelay:
 
 class TestDhRelay:
     def test_substitution_breaks_the_handshake(self):
-        _, _, _, _, outcomes, score = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
+        _, _, _, _, outcomes, score = attacked(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
         assert all(o.status is AuthStatus.FAILED for o in outcomes.values())
         assert score.attack_success is False
         assert score.integrity is Integrity.BROKEN
 
     def test_substituted_publics_differ_from_originals(self):
-        _, _, _, transcript, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, _, _ = attacked(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
         into_c = [e.payload for e in transcript.events if e.kind is MsgKind.DH_PUBLIC and e.to_id == ADDR_C]
         out_of_c = [e.payload for e in transcript.events if e.kind is MsgKind.DH_PUBLIC and e.from_id == ADDR_C]
         assert len(into_c) == 2 and len(out_of_c) == 2
         assert set(into_c).isdisjoint(out_of_c)
 
     def test_passive_relay_cannot_breach(self):
-        dev_a, dev_b, _, transcript, outcomes, score = attack_run(
+        dev_a, dev_b, _, transcript, outcomes, score = attacked(
             Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE
         )
         assert all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())
@@ -148,7 +147,7 @@ class TestDhRelay:
         assert session_of(dev_b) not in knowledge
 
     def test_shared_secret_never_observed(self):
-        dev_a, _, _, transcript, outcomes, _ = attack_run(
+        dev_a, _, _, transcript, outcomes, _ = attacked(
             Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE
         )
         # reconstruct the shared integer from the honest side and check the
@@ -178,13 +177,13 @@ class TestHonestEmissions:
 
 class TestLegacyOriginate:
     def test_one_sided_fooling(self):
-        _, _, _, _, outcomes, score = attack_run(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A)
+        _, _, _, _, outcomes, score = attacked(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A)
         assert outcomes[ADDR_A].status is AuthStatus.MUTUAL_SUCCESS
         assert outcomes[ADDR_B].status is AuthStatus.TIMED_OUT
         assert score.attack_success is False
 
     def test_chosen_challenge_harvest(self):
-        _, _, dev_c, transcript, _, score = attack_run(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A)
+        _, _, dev_c, transcript, _, score = attacked(Variant.LEGACY, IntruderMode.ORIGINATE_TO_A)
         assert NONCE in dev_c.values
         # a's answer to c's own challenge reaches c and goes no further
         events = transcript.events
@@ -198,7 +197,7 @@ class TestLegacyOriginate:
 
 class TestDhOriginate:
     def test_deadlock_again(self):
-        _, _, _, transcript, outcomes, score = attack_run(
+        _, _, _, transcript, outcomes, score = attacked(
             Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A
         )
         assert all(o.status is AuthStatus.TIMED_OUT for o in outcomes.values())
@@ -218,7 +217,7 @@ class TestNoForgedResponses:
         ids=["legacy-relay", "improved-relay", "legacy-originate", "dh-passive"],
     )
     def test_every_emitted_response_was_observed_first(self, variant, mode):
-        _, _, _, transcript, _, _ = attack_run(variant, mode)
+        _, _, _, transcript, _, _ = attacked(variant, mode)
         seen = set()
         for event in transcript.events:
             if event.kind is MsgKind.RESPONSE and event.from_id == ADDR_C:
@@ -297,14 +296,14 @@ class TestVerdictPlumbing:
     def test_the_threshold_decides_detection(self, factor, expected):
         # the relay exactly doubles each round trip, 20 to 40 ms, and the
         # rule is a strict >
-        _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, outcomes, _ = attacked(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
         assert [transcript_rtt(transcript, device) for device in outcomes] == [40, 40]
         score = verdict(outcomes, transcript, KEY, BASELINES, factor)
         assert score.detection is expected
 
     @pytest.mark.parametrize("missing", [ADDR_A, ADDR_B], ids=["A", "B"])
     def test_baselines_must_cover_both_devices(self, missing):
-        _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, outcomes, _ = attacked(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
         baselines = {device: 20 for device in BASELINES if device != missing}
         with pytest.raises(ValueError, match="baselines"):
             verdict(outcomes, transcript, KEY, baselines, FACTOR)
@@ -317,7 +316,7 @@ class TestVerdictPlumbing:
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_outcomes_must_name_two_devices(self, count):
-        _, _, _, transcript, outcomes, _ = attack_run(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
+        _, _, _, transcript, outcomes, _ = attacked(Variant.LEGACY, IntruderMode.RELAY_ACTIVE)
         parties = [ADDR_A, ADDR_B, ADDR_C][:count]
         outcome = next(iter(outcomes.values()))
         with pytest.raises(ValueError):
@@ -863,18 +862,13 @@ class TestRecordOnlyJudge:
         except ConfigError:
             assume(False)
 
-        payloads, addresses, judged = set(), set(), []
-        intercept, start_attack = adversary.intercept, adversary.start_attack
+        payloads, addresses, judged, built = set(), set(), [], []
+        intercept = adversary.intercept
 
         def recording_intercept(dev_c, msg):
             payloads.add(msg.payload)
             addresses.update((msg.sender, msg.receiver))
             out = intercept(dev_c, msg)
-            payloads.update(m.payload for m in out)
-            return out
-
-        def recording_start_attack(dev_c):
-            out = start_attack(dev_c)
             payloads.update(m.payload for m in out)
             return out
 
@@ -885,9 +879,12 @@ class TestRecordOnlyJudge:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(adversary, "intercept", recording_intercept)
-            patch.setattr(adversary, "start_attack", recording_start_attack)
+            patch.setattr(cli, "IntruderState", keeping(built))
             patch.setattr(cli, "verdict", judging)
             result = run_scenario(config, seed)
+        # what C sent first: the opening it was built with
+        for dev_c in built:
+            payloads.update(m.payload for m in dev_c.opening)
 
         [(args, score)] = judged
         outcomes, transcript, link_key, baselines, factor = args
@@ -910,7 +907,7 @@ class TestIntruderRng:
     )
     def test_a_relay_that_never_draws_never_seeds(self, variant, mode):
         with recorded(adversary, "Stream") as seeded:
-            _, _, dev_c, _, _, _ = attack_run(variant, mode)
+            _, _, dev_c, _, _, _ = attacked(variant, mode)
         assert seeded == []
         assert PUBLIC not in dev_c.values
         assert NONCE not in dev_c.values
@@ -920,7 +917,7 @@ class TestIntruderRng:
         # alpha 7 generates the group mod 2^31 - 1, so each public value
         # names one exponent
         with recorded(adversary, "Stream") as seeded:
-            _, _, dev_c, transcript, _, _ = attack_run(variant, IntruderMode.ORIGINATE_TO_A)
+            _, _, dev_c, transcript, _, _ = attacked(variant, IntruderMode.ORIGINATE_TO_A)
         assert seeded == [(3,)]
         stream = random.Random(3)
         if variant is Variant.DH_IMPROVED:
@@ -939,7 +936,7 @@ class TestIntruderRng:
 
     def test_relay_active_keypair_follows_the_seeded_stream(self):
         with recorded(adversary, "Stream") as seeded:
-            _, _, dev_c, _, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
+            _, _, dev_c, _, _, _ = attacked(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
         assert seeded == [(3,)]
         drawn = dh_keypair(PARAMS, random.Random(3).randrange(1, PARAMS.p))
         assert dev_c.values[PUBLIC] == encode_public(drawn.s_public)
@@ -975,6 +972,26 @@ class TestScripts:
             for key, row in script.items():
                 assert id(row) in fired, (mode.value, variant.value, key)
 
+    def test_the_opening_is_built_with_the_intruder_and_sent_first(self, monkeypatch):
+        # the hops C sends before anything reaches it, all delivered at
+        # t = L, are its opening as it was built, and a relay has none
+        for mode, variant in adversary.SCRIPTS:
+            originate = mode is IntruderMode.ORIGINATE_TO_A
+            config = ScenarioConfig(variant, mode, initiator="C" if originate else "A")
+            for seed in range(20):
+                built = []
+                monkeypatch.setattr(cli, "IntruderState", keeping(built))
+                result = run_scenario(config, seed)
+                [dev_c] = built
+                opening = [(m.kind, m.receiver, m.payload) for m in dev_c.opening]
+                sent_first = [
+                    (e.kind, e.to_id, e.payload)
+                    for e in result.transcript.events
+                    if e.from_id == ADDR_C and e.time == config.latency_ms
+                ]
+                assert opening == sent_first, (mode.value, variant.value, seed)
+                assert bool(dev_c.opening) is originate, (mode.value, variant.value, seed)
+
     @pytest.mark.parametrize("variant", [Variant.LEGACY, Variant.IMPROVED], ids=lambda v: v.value)
     def test_relay_active_without_public_values_is_a_passive_relay(self, variant):
         # its only rows are for DhPublicMsg, which neither variant sends
@@ -986,7 +1003,7 @@ class TestScripts:
             assert got.score == want.score, f"seed {seed}"
 
     def test_originate_holds_a_counter_challenge_until_b_answers_its_public(self):
-        _, _, dev_c, transcript, _, _ = attack_run(Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A)
+        _, _, dev_c, transcript, _, _ = attacked(Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A)
         hops = [(e.from_id, e.to_id, e.kind) for e in transcript.events]
         # A's counter-challenge reaches C, then B's public does, and only
         # then does the counter-challenge go on to B, under A's address

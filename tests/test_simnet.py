@@ -133,15 +133,26 @@ class TestOpening:
 
         class StrayIntruder:
             id = ADDR_C
-
-            def start_attack(self):
-                return []
+            opening = ()
 
             def intercept(self, msg):
                 return [Message(msg.kind, msg.sender, stray, msg.payload)]
 
         with pytest.raises(ValueError, match="unregistered device referenced"):
             run_of(Variant.LEGACY, StrayIntruder())
+
+    def test_intruder_opening_toward_an_unregistered_device(self):
+        stray = bytes.fromhex("dd0000000004")
+
+        class StrayOpener:
+            id = ADDR_C
+            opening = (Message(MsgKind.AUTH_REQUEST, ADDR_B, stray, ADDR_B),)
+
+            def intercept(self, msg):
+                return []
+
+        with pytest.raises(ValueError, match="unregistered device referenced"):
+            run_of(Variant.LEGACY, StrayOpener())
 
 
 class TestSerialization:
@@ -268,13 +279,6 @@ RECORD_ARGS = {
         st.binary(min_size=16, max_size=16),
     ),
 }
-# each record's fields as a plain frozen dataclass of the same name
-TWINS = {
-    record: dataclasses.make_dataclass(
-        record.__name__, [(f.name, f.type) for f in dataclasses.fields(record)], frozen=True
-    )
-    for record in RECORD_ARGS
-}
 
 
 def hash_or_error(value):
@@ -294,7 +298,7 @@ class TestEventRecord:
     def test_behaves_like_a_plain_frozen_dataclass(self, record, data):
         args, other = data.draw(RECORD_ARGS[record]), data.draw(RECORD_ARGS[record])
         names = [f.name for f in dataclasses.fields(record)]
-        twin_of = TWINS[record]
+        twin_of = VALUE_TWINS[record]
         # the one-step __init__ takes the fields in their order, by name too
         assert list(inspect.signature(record).parameters) == names
         value, twin = record(*args), twin_of(*args)
@@ -314,7 +318,7 @@ class TestEventRecord:
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
     def test_signature_is_the_plain_dataclass_one(self, record):
         # names, annotations and no defaults, as dataclass would write them
-        assert inspect.signature(record) == inspect.signature(TWINS[record])
+        assert inspect.signature(record) == inspect.signature(VALUE_TWINS[record])
 
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
     def test_init_stores_every_field_in_one_call(self, record):
@@ -360,7 +364,11 @@ VALUE_ARGS = {
         st.sampled_from([None, PARAMS]),
     ).map(lambda t: (t[0][0], t[1], t[2], t[0][1], t[0][2], t[3], t[4])),
 }
-FROZEN = {ScenarioConfig: True, LinkConfig: True, DhParams: True, DeviceState: False, IntruderState: False}
+# whether each value class is frozen: every record is
+FROZEN = {
+    **dict.fromkeys(RECORD_ARGS, True),
+    ScenarioConfig: True, LinkConfig: True, DhParams: True, DeviceState: False, IntruderState: False,
+}
 
 
 def plain_twin(cls):
@@ -382,7 +390,7 @@ def plain_twin(cls):
     return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=FROZEN[cls])
 
 
-VALUE_TWINS = {cls: plain_twin(cls) for cls in VALUE_ARGS}
+VALUE_TWINS = {cls: plain_twin(cls) for cls in FROZEN}
 
 
 def outcome(call, *args, **kwargs):
@@ -432,13 +440,18 @@ class TestValueClass:
                 assert (value == cls(*args)) == (twin == twin_of(*args))
 
     def test_the_intruders_plan_is_out_of_repr_and_eq(self):
-        relay = intruder(IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED)
-        emptied = intruder(IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED)
+        # originate, whose opening is not empty, against dh-improved, where
+        # it draws both a public value and a nonce
+        built = intruder(IntruderMode.ORIGINATE_TO_A, Variant.DH_IMPROVED)
+        emptied = intruder(IntruderMode.ORIGINATE_TO_A, Variant.DH_IMPROVED)
         emptied.script = emptied.values = emptied.victim_of = {}
-        assert relay.values != emptied.values
-        assert relay == emptied
-        assert repr(relay) == repr(emptied)
-        assert not [name for name in ("script", "values", "victim_of") if f"{name}=" in repr(relay)]
+        emptied.opening = ()
+        assert built.values != emptied.values
+        assert built.opening != emptied.opening
+        assert built == emptied
+        assert repr(built) == repr(emptied)
+        plan = ("script", "values", "victim_of", "opening")
+        assert not [name for name in plan if f"{name}=" in repr(built)]
 
     def test_refuses_a_method_of_its_own(self):
         with pytest.raises(TypeError, match="^value class Shown defines its own __repr__$"):
