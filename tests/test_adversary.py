@@ -43,6 +43,7 @@ from btauthsim.crypto import DhParams, dh_keypair, e1
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, encode_public
 from btauthsim.simnet import Detection, LinkConfig, delay_detector, transcript_rtt
 
+
 def keeping(built):
     """IntruderState, appending each intruder it builds to built: the
     stand-in for cli.IntruderState that keeps what run_scenario builds."""
