@@ -67,10 +67,28 @@ class Confidentiality(Enum):
 
 @record
 class AttackVerdict:
+    """The score of one run, as verdict judges it from the run's record:
+    whether both devices authenticated with every hop through the intruder,
+    and the run's integrity, confidentiality and detection."""
+
     attack_success: bool
     integrity: Integrity
     confidentiality: Confidentiality
     detection: Detection
+
+    def __init__(
+        self,
+        attack_success: bool,
+        integrity: Integrity,
+        confidentiality: Confidentiality,
+        detection: Detection,
+    ) -> None:
+        self.__dict__.update(
+            attack_success=attack_success,
+            integrity=integrity,
+            confidentiality=confidentiality,
+            detection=detection,
+        )
 
 
 # A script maps OPEN, the opening C sends before anything arrives, and the
@@ -169,6 +187,25 @@ class IntruderState:
     values: dict[str, bytes] = field(init=False, repr=False, compare=False)
     victim_of: dict[bytes, str] = field(init=False, repr=False, compare=False)
     opening: tuple[Message, ...] = field(init=False, repr=False, compare=False)
+
+    def __init__(
+        self,
+        id: bytes,
+        mode: IntruderMode,
+        variant: Variant,
+        victim_a: bytes,
+        victim_b: bytes,
+        rng_seed: int,
+        dh_params: DhParams | None = None,
+    ) -> None:
+        self.id = id
+        self.mode = mode
+        self.variant = variant
+        self.victim_a = victim_a
+        self.victim_b = victim_b
+        self.rng_seed = rng_seed
+        self.dh_params = dh_params
+        self.__post_init__()
 
     def __post_init__(self):
         # pre-tested, as in new_device

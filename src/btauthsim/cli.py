@@ -72,6 +72,29 @@ class ScenarioConfig:
     dh_p: int = 2147483647
     dh_alpha: int = 7
 
+    def __init__(
+        self,
+        variant: Variant = Variant.LEGACY,
+        intruder: IntruderMode | None = None,
+        initiator: str = "A",
+        latency_ms: int = 10,
+        timeout_ms: int = 2000,
+        detect_factor: float = 1.5,
+        dh_p: int = 2147483647,
+        dh_alpha: int = 7,
+    ) -> None:
+        self.__dict__.update(
+            variant=variant,
+            intruder=intruder,
+            initiator=initiator,
+            latency_ms=latency_ms,
+            timeout_ms=timeout_ms,
+            detect_factor=detect_factor,
+            dh_p=dh_p,
+            dh_alpha=dh_alpha,
+        )
+        self.__post_init__()
+
     def __post_init__(self):
         if self.intruder is not None and type(self.intruder) is not IntruderMode:
             check_type("intruder", self.intruder, IntruderMode, none=True)
@@ -108,12 +131,34 @@ class ScenarioConfig:
 
 @record
 class ScenarioResult:
+    """One run of run_scenario: its seed, transcript and outcomes, the
+    verdict on them, the baselines it was judged against and the link key
+    the two devices shared."""
+
     seed: int
     transcript: Transcript
     outcomes: dict[bytes, AuthOutcome]
     score: AttackVerdict
     baselines: dict[bytes, int]
     link_key: bytes
+
+    def __init__(
+        self,
+        seed: int,
+        transcript: Transcript,
+        outcomes: dict[bytes, AuthOutcome],
+        score: AttackVerdict,
+        baselines: dict[bytes, int],
+        link_key: bytes,
+    ) -> None:
+        self.__dict__.update(
+            seed=seed,
+            transcript=transcript,
+            outcomes=outcomes,
+            score=score,
+            baselines=baselines,
+            link_key=link_key,
+        )
 
 
 def validate(config: ScenarioConfig) -> Prepared:

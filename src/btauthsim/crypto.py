@@ -10,15 +10,15 @@ of the octets it takes, and check_octets holds that check and its messages,
 as check_type does for a value that must be exactly of one type (an int, an
 enum, a record) and check_public for a peer's public value.
 value_class, beside them, makes each value class of the package:
-dataclass still writes its fields, __match_args__ and any __init__ it
-generates (with a frozen class's __setattr__ and __delattr__, which that
-__init__ steps around), and every other method (__repr__, __eq__,
-__hash__, and a frozen record's __setattr__ and __delattr__) is a closure
-over the field names, whose code compiles once, with this module, rather
-than being generated and exec'd for each class at import. record makes
-the frozen records that a run builds (a transcript event per hop, the
-transcript, the outcomes, the key pairs, the verdict and the result)
-through value_class, with an __init__ that stores every field in one step.
+dataclass writes only its fields, their class defaults and
+__match_args__; each class writes its own __init__ and docstring in its
+body; and every other method (__repr__, __eq__, __hash__, and a frozen
+class's __setattr__ and __delattr__) is a closure over the field names,
+whose code compiles once, with this module. So no source is generated and
+exec'd for any class at import. record makes the frozen records that a
+run builds (a transcript event per hop, the transcript, the outcomes, the
+key pairs, the verdict and the result) through value_class; the __init__
+of each stores every field in one step.
 The functions every run calls (e1 and combination_link_key; no run calls
 init_key, see cli._derive_link_key) first test each octet string inline,
 exact bytes of the width, so a well-formed value costs no call; only a
@@ -109,28 +109,28 @@ def check_type(name: str, value, kind: type, none: bool = False) -> None:
         )
 
 
-def value_class(cls: type | None = None, /, *, frozen: bool = False, init: bool = True):
-    """cls as a dataclass, frozen if frozen is set, whose __init__ dataclass
-    writes if init is set; used bare or called, as dataclass is.
+def value_class(cls: type | None = None, /, *, frozen: bool = False):
+    """cls as a dataclass, frozen if frozen is set, with the __init__ that
+    its own body writes; used bare or called, as dataclass is.
 
-    dataclass builds the fields, __match_args__ and that __init__, with
-    the __setattr__ and __delattr__ of a frozen class it writes one for.
-    The other methods are closures over the field names, one code object
-    each for every class: __repr__ shows the fields whose repr flag is
-    set, __eq__ compares the fields whose compare flag is set, in order,
-    with those of another instance of the same class (NotImplemented
-    otherwise), and __hash__ hashes the tuple of the fields that dataclass
-    would hash. A mutable class is unhashable. A frozen class with its
-    own __init__ shares a __setattr__ and __delattr__ that raise
-    FrozenInstanceError as dataclass's do; dataclass is not told it is
-    frozen, so its __dataclass_params__.frozen reads False. A class that
-    defines one of these methods itself is a TypeError. The repr has no
-    guard against a value that contains itself, which no field of the
-    package holds.
+    dataclass builds only the fields, their class defaults and
+    __match_args__, and writes no method. Each other method is a closure
+    over the field names, one code object each for every class: __repr__
+    shows the fields whose repr flag is set, __eq__ compares the fields
+    whose compare flag is set, in order, with those of another instance of
+    the same class (NotImplemented otherwise), and __hash__ hashes the
+    tuple of the fields that dataclass would hash. A mutable class is
+    unhashable. A frozen class shares a __setattr__ and __delattr__ that
+    raise FrozenInstanceError as dataclass's do, so its __init__ stores
+    its fields through self.__dict__; dataclass is not told it is frozen,
+    so its __dataclass_params__.frozen reads False. A class that defines
+    one of these methods itself, or that defines no __init__ of its own,
+    is a TypeError. The repr has no guard against a value that contains
+    itself, which no field of the package holds.
     """
     if cls is None:
-        return functools.partial(value_class, frozen=frozen, init=init)
-    cls = dataclass(cls, init=init, repr=False, eq=False, frozen=frozen and init)
+        return functools.partial(value_class, frozen=frozen)
+    cls = dataclass(cls, init=False, repr=False, eq=False)
     own = fields(cls)
     names = tuple(f.name for f in own)
     shown = [f.name for f in own if f.repr]
@@ -164,36 +164,26 @@ def value_class(cls: type | None = None, /, *, frozen: bool = False, init: bool 
     if not frozen:
         cls.__hash__ = None
     else:
-        methods.append(__hash__)
-        if not init:
-            methods += [__setattr__, __delattr__]
+        methods += [__hash__, __setattr__, __delattr__]
     for method in methods:
         if method.__name__ in cls.__dict__:
             raise TypeError(f"value class {cls.__name__} defines its own {method.__name__}")
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    if "__init__" not in cls.__dict__:
+        raise TypeError(f"value class {cls.__name__} defines no __init__ of its own")
     return cls
 
 
 def record(cls: type) -> type:
-    """cls as a frozen value_class whose __init__ takes every field, in
-    order, and stores all of them in one self.__dict__.update rather than
-    one object.__setattr__ per field; a field with a default is a
-    TypeError. That __init__ is the one method generated and exec'd for
-    each record; value_class shares the rest. It goes in first, and
-    dataclass reads it for the docstring."""
-    names = list(cls.__annotations__)
-    for name in names:
+    """cls as a frozen value_class whose fields take no default (a
+    TypeError otherwise). Its __init__ takes every field, in order, and
+    stores all of them in one self.__dict__.update rather than one
+    object.__setattr__ per field."""
+    for name in cls.__annotations__:
         if name in cls.__dict__:
             raise TypeError(f"record {cls.__name__} takes no default, got one for {name}")
-    namespace: dict = {}
-    stores = ", ".join(f"{name}={name}" for name in names)
-    exec(f"def __init__(self, {', '.join(names)}):\n    self.__dict__.update({stores})", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {**cls.__annotations__, "return": None}
-    cls.__init__ = init
-    return value_class(cls, frozen=True, init=False)
+    return value_class(cls, frozen=True)
 
 
 class Stream(random.Random):
@@ -311,9 +301,9 @@ _SRES = struct.Struct("<I")
 
 
 # the scripted scenarios derive at most 4 distinct triples in a run
-# (dh-improved relay-passive), plus 2 of a first run's calibration, so
-# within a run the memo evicts nothing; typed, so that a view equal to
-# memoised bytes misses and meets the check
+# (dh-improved relay-passive), and cli.run_scenario clears the memo before
+# each run, so within a run it evicts nothing; typed, so that a view equal
+# to memoised bytes misses and meets the check
 @functools.lru_cache(maxsize=32, typed=True)
 def e1(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
     """Authentication function: the 4-octet response (SRES) to a 16-octet
@@ -469,6 +459,10 @@ class DhParams:
     p: int
     alpha: int
 
+    def __init__(self, p: int, alpha: int) -> None:
+        self.__dict__.update(p=p, alpha=alpha)
+        self.__post_init__()
+
     def __post_init__(self):
         check_type("p", self.p, int)
         check_type("alpha", self.alpha, int)
@@ -516,6 +510,9 @@ class DhKeyPair:
     r_private: int
     s_public: int
 
+    def __init__(self, r_private: int, s_public: int) -> None:
+        self.__dict__.update(r_private=r_private, s_public=s_public)
+
 
 def _power_of_alpha(params: DhParams, e: int) -> int:
     """alpha^e mod p for e in [0, p-1]: the product of one entry of each
@@ -531,8 +528,9 @@ def _power_of_alpha(params: DhParams, e: int) -> int:
 # _EXPONENTS: (p, alpha, public) -> an r that dh_keypair drew with
 # alpha^r = public, keyed by the group's two ints (a DhParams hashes in
 # Python); at most _MEMO_MAX entries, oldest first out, written under
-# _MEMO_LOCK. A run draws at most 3 key pairs (A, B and the intruder), plus
-# 2 of a first run's calibration, so within a run it evicts nothing.
+# _MEMO_LOCK. A run draws at most 3 key pairs (A, B and the intruder), and
+# cli.run_scenario empties the record before each run, so within a run it
+# evicts nothing.
 _EXPONENTS: dict[tuple[int, int, int], int] = {}
 _MEMO_MAX = 8
 _MEMO_LOCK = threading.Lock()
@@ -581,8 +579,8 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
 
 
 # a run derives at most 2 distinct keys (one per device when the intruder
-# sends its own public), plus 1 of a first run's calibration, so within a
-# run the memo evicts nothing
+# sends its own public), and cli.run_scenario clears the memo before each
+# run, so within a run it evicts nothing
 @functools.lru_cache(maxsize=_MEMO_MAX)
 def _session_key_of(k: int, p: int) -> bytes:
     return mixhash128(_TAG_SESSION + k.to_bytes(16, "big") + p.to_bytes(16, "big"))

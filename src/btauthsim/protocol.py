@@ -103,7 +103,7 @@ _PAYLOAD_WIDTH = {
 }
 
 
-@value_class(frozen=True, init=False)
+@value_class(frozen=True)
 class Message:
     """One protocol message. sender is the claimed originator address; who
     physically transmitted it is the network's business, not the message's.
@@ -116,8 +116,8 @@ class Message:
     receiver: bytes
     payload: bytes = b""
 
-    # its own __init__ (init=False): it checks first, then stores every
-    # field in one step instead of one object.__setattr__ call per field
+    # it checks first, then stores every field in one step instead of one
+    # object.__setattr__ call per field
     def __init__(self, kind: MsgKind, sender: bytes, receiver: bytes, payload: bytes = b""):
         if type(kind) is not MsgKind:
             check_type("message kind", kind, MsgKind)
@@ -175,12 +175,21 @@ class AuthStatus(Enum):
 
 @record
 class AuthOutcome:
+    """How a device's handshake ended, and the peer address it
+    authenticated, or None when it did not succeed."""
+
     status: AuthStatus
     authenticated_with: bytes | None
+
+    def __init__(self, status: AuthStatus, authenticated_with: bytes | None) -> None:
+        self.__dict__.update(status=status, authenticated_with=authenticated_with)
 
 
 @value_class
 class DeviceState:
+    """One honest device's handshake state, which handle advances in
+    place; new_device builds it, checked, with every value it may send."""
+
     id: bytes
     variant: Variant
     # effective_key is the one key e1 runs with: the pairing link key, XORed
@@ -195,6 +204,20 @@ class DeviceState:
     # the challenge a nested responder answers once its own is answered
     pending_challenge_received: bytes | None = field(default=None, init=False)
     dh: DhKeyPair | None = field(default=None, init=False)
+
+    def __init__(
+        self,
+        id: bytes,
+        variant: Variant,
+        effective_key: bytes,
+        challenge: bytes,
+        dh_params: DhParams | None = None,
+    ) -> None:
+        self.id = id
+        self.variant = variant
+        self.effective_key = effective_key
+        self.challenge = challenge
+        self.dh_params = dh_params
 
 
 def new_device(

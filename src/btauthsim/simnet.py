@@ -45,8 +45,17 @@ class Detection(Enum):
 
 @value_class(frozen=True)
 class LinkConfig:
+    """The timing of every hop of a run, in milliseconds: each message
+    arrives latency_ms after it is sent, and none is delivered after
+    timeout_ms. Both must be exactly ints (TypeError naming the field),
+    latency_ms positive and timeout_ms above it (ValueError)."""
+
     latency_ms: int = 10
     timeout_ms: int = 2000
+
+    def __init__(self, latency_ms: int = 10, timeout_ms: int = 2000) -> None:
+        self.__dict__.update(latency_ms=latency_ms, timeout_ms=timeout_ms)
+        self.__post_init__()
 
     def __post_init__(self):
         # a bool or a float would put non-integer times in the transcript
@@ -60,12 +69,22 @@ class LinkConfig:
 
 @record
 class TranscriptEvent:
+    """The seq-th delivery of a run, at time: the physical hop from from_id
+    to to_id of a message of kind with its payload."""
+
     seq: int
     time: int
     from_id: bytes
     to_id: bytes
     kind: MsgKind
     payload: bytes
+
+    def __init__(
+        self, seq: int, time: int, from_id: bytes, to_id: bytes, kind: MsgKind, payload: bytes
+    ) -> None:
+        self.__dict__.update(
+            seq=seq, time=time, from_id=from_id, to_id=to_id, kind=kind, payload=payload
+        )
 
 
 # the text of each message kind, read once here rather than through the
@@ -75,9 +94,17 @@ _KIND_TEXT = {kind: kind.value for kind in MsgKind}
 
 @record
 class Transcript:
+    """Every delivery of a run in order, the links it ran on, and end_time:
+    the time of the last delivery, or the timeout when a device timed out."""
+
     events: tuple[TranscriptEvent, ...]
     links: LinkConfig
     end_time: int
+
+    def __init__(
+        self, events: tuple[TranscriptEvent, ...], links: LinkConfig, end_time: int
+    ) -> None:
+        self.__dict__.update(events=events, links=links, end_time=end_time)
 
     # Each format is one comprehension over the events, each line ended by
     # a newline and the lines joined in one step, with no call per line.

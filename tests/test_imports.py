@@ -14,19 +14,25 @@ simnet.run: every run a test drives goes through support.run_of.
 No script under scripts/ has an assert statement: python -O strips it,
 so a script's check raises instead.
 
-No function of the package but ``protocol.Message.__init__``, which checks
-its fields before it stores them, reads ``self.__dict__``: every other
-record stores its fields through ``crypto.record``.
+No function of the package but the ``__init__`` of a frozen value class
+reads ``self.__dict__``: each stores its fields there in one step, past the
+frozen ``__setattr__``.
 
 No module of the package but ``crypto`` applies ``dataclasses.dataclass``
 or ``make_dataclass``, and every value class of the package runs the
 ``__repr__``, ``__eq__`` and ``__hash__`` code of ``crypto.value_class``:
-a new class brings back no per-class generated methods.
+a new class brings back no per-class generated methods. Nor does any
+function in a value class's body come from source generated at import:
+each class writes its own ``__init__`` and its own docstring, so
+``dataclass`` neither execs an ``__init__`` nor calls ``inspect.signature``
+to write a docstring, and ``value_class`` refuses a class without an
+``__init__`` of its own.
 """
 
 import ast
 import dataclasses
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -143,6 +149,17 @@ def dataclass_lines(source: str) -> list[int]:
     )
 
 
+def generated_methods(cls: type) -> list[str]:
+    """The names of the functions in cls's body whose code was not compiled
+    from the file of the module they belong to: source generated and exec'd."""
+    return sorted(
+        name
+        for name, value in vars(cls).items()
+        if isinstance(value, types.FunctionType)
+        and value.__code__.co_filename != getattr(sys.modules.get(value.__module__), "__file__", "")
+    )
+
+
 def dict_readers(source: str) -> list[str]:
     """The qualified names of the functions that read self.__dict__."""
     readers = []
@@ -221,7 +238,13 @@ def test_the_assert_check_itself():
 
 def test_one_function_stores_a_record_by_hand():
     readers = [f"{path.stem}.{name}" for path in PACKAGE for name in dict_readers(path.read_text())]
-    assert readers == ["protocol.Message.__init__"]
+    assert readers == [
+        "adversary.AttackVerdict.__init__", "cli.ScenarioConfig.__init__",
+        "cli.ScenarioResult.__init__", "crypto.DhParams.__init__", "crypto.DhKeyPair.__init__",
+        "protocol.Message.__init__", "protocol.AuthOutcome.__init__",
+        "simnet.LinkConfig.__init__", "simnet.TranscriptEvent.__init__",
+        "simnet.Transcript.__init__",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -257,28 +280,77 @@ def test_the_dataclass_check_itself(source, lines):
     assert dataclass_lines(source) == lines
 
 
+VALUE_CLASSES = sorted(
+    {
+        value
+        for path in PACKAGE
+        for value in vars(importlib.import_module(f"btauthsim.{path.stem}")).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+    },
+    key=lambda cls: cls.__name__,
+)
+
+
 def test_every_value_class_runs_the_shared_methods():
     shared = {
         code.co_name: code
         for code in crypto.value_class.__code__.co_consts
         if isinstance(code, types.CodeType)
     }
-    modules = [importlib.import_module(f"btauthsim.{path.stem}") for path in PACKAGE]
-    classes = {
-        value
-        for module in modules
-        for value in vars(module).values()
-        if isinstance(value, type) and dataclasses.is_dataclass(value)
-    }
-    assert sorted(cls.__name__ for cls in classes) == [
+    assert sorted(cls.__name__ for cls in VALUE_CLASSES) == [
         "AttackVerdict", "AuthOutcome", "DeviceState", "DhKeyPair", "DhParams", "IntruderState",
         "LinkConfig", "Message", "ScenarioConfig", "ScenarioResult", "Transcript",
         "TranscriptEvent",
     ]
-    for cls in classes:
+    for cls in VALUE_CLASSES:
         assert cls.__repr__.__code__ is shared["__repr__"], cls
         assert cls.__eq__.__code__ is shared["__eq__"], cls
         assert cls.__hash__ is None or cls.__hash__.__code__ is shared["__hash__"], cls
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_value_class_writes_its_own_methods(cls):
+    assert generated_methods(cls) == []
+    assert "__init__" in vars(cls)
+    # a docstring in the body: dataclass would write one from inspect.signature
+    tree = ast.parse(Path(sys.modules[cls.__module__].__file__).read_text())
+    (node,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls.__name__
+    ]
+    assert ast.get_docstring(node)
+    assert cls.__doc__ == node.body[0].value.value
+
+
+@pytest.mark.parametrize(
+    "make", [crypto.value_class, crypto.value_class(frozen=True), crypto.record],
+    ids=["value_class", "frozen", "record"],
+)
+def test_a_value_class_needs_an_init_of_its_own(make):
+    class Bare:
+        """Fields and no __init__."""
+
+        a: int
+
+    with pytest.raises(TypeError, match="^value class Bare defines no __init__ of its own$"):
+        make(Bare)
+
+
+def test_the_generated_check_itself():
+    namespace: dict = {"__name__": __name__}
+    exec("def f(self):\n    pass\n", namespace)
+
+    class Written:
+        f = namespace["f"]
+
+        def g(self):
+            pass
+
+    @dataclasses.dataclass
+    class Made:
+        a: int
+
+    assert generated_methods(Written) == ["f"]
+    assert generated_methods(Made) == ["__eq__", "__init__", "__repr__"]
 
 
 def test_modules_are_found():

@@ -336,8 +336,8 @@ class TestEventRecord:
 
 
 keys = st.binary(min_size=16, max_size=16)
-# the arguments of each value class whose __init__ dataclass writes; the
-# ones that construction refuses, too
+# the arguments of each value class that is not a record; the ones that
+# construction refuses, too
 VALUE_ARGS = {
     ScenarioConfig: st.tuples(
         st.sampled_from(list(Variant)),
@@ -402,8 +402,13 @@ def outcome(call, *args, **kwargs):
 
 
 class TestValueClass:
-    """Each value class whose __init__ dataclass writes, made by
-    crypto.value_class, behaves as the plain dataclass of its fields."""
+    """Each value class made by crypto.value_class that is not a record
+    behaves as the plain dataclass of its fields."""
+
+    @pytest.mark.parametrize("cls", list(VALUE_ARGS), ids=lambda cls: cls.__name__)
+    def test_signature_is_the_plain_dataclass_one(self, cls):
+        # names, order, annotations and defaults, as dataclass would write them
+        assert inspect.signature(cls) == inspect.signature(VALUE_TWINS[cls])
 
     @pytest.mark.parametrize("cls", list(VALUE_ARGS), ids=lambda cls: cls.__name__)
     @given(data=st.data())
