@@ -177,9 +177,9 @@ def value_class(cls: type | None = None, /, *, frozen: bool = False):
 
 def record(cls: type) -> type:
     """cls as a frozen value_class whose fields take no default (a
-    TypeError otherwise). Its __init__ takes every field, in order, and
-    stores all of them in one self.__dict__.update rather than one
-    object.__setattr__ per field."""
+    TypeError otherwise). The __init__ that each record writes takes every
+    field, in order, and stores all of them in one self.__dict__.update
+    rather than one object.__setattr__ per field."""
     for name in cls.__annotations__:
         if name in cls.__dict__:
             raise TypeError(f"record {cls.__name__} takes no default, got one for {name}")
