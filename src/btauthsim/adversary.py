@@ -198,6 +198,7 @@ class IntruderState:
         rng_seed: int,
         dh_params: DhParams | None = None,
     ) -> None:
+        # as under dataclass, held reads its class default until first stored
         self.id = id
         self.mode = mode
         self.variant = variant

@@ -213,6 +213,8 @@ class DeviceState:
         challenge: bytes,
         dh_params: DhParams | None = None,
     ) -> None:
+        # as under dataclass, an init=False field reads its class default
+        # until handle first stores it
         self.id = id
         self.variant = variant
         self.effective_key = effective_key

@@ -421,6 +421,9 @@ class TestValueClass:
             assert value == twin
             return
         assert repr(value) == repr(twin)
+        # the same instance attributes, stored in the same order: like
+        # dataclass, __init__ leaves an init=False default on the class
+        assert list(vars(value).items()) == list(vars(twin).items())
         assert value == cls(*args)
         assert value.__eq__(twin) is NotImplemented
         # the hash, or the TypeError of an unhashable mutable value
