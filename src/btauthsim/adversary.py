@@ -12,6 +12,7 @@ and that transcript alone, with the detector's baselines and threshold.
 
 from dataclasses import field
 from enum import Enum
+import functools
 
 from .crypto import (
     DhParams,
@@ -59,10 +60,16 @@ class Integrity(Enum):
     MAINTAINED = "Maintained"
     BROKEN = "Broken"
 
+    # identity hash, as for IntruderMode: a key of _verdict
+    __hash__ = object.__hash__
+
 
 class Confidentiality(Enum):
     MAINTAINED = "Maintained"
     BREACHED = "Breached"
+
+    # identity hash, as for IntruderMode: a key of _verdict
+    __hash__ = object.__hash__
 
 
 @record
@@ -89,6 +96,11 @@ class AttackVerdict:
             confidentiality=confidentiality,
             detection=detection,
         )
+
+
+# each of the 16 verdicts a run can produce, built once and shared by the
+# runs that reach it, as protocol interns its outcomes
+_verdict = functools.lru_cache(maxsize=16, typed=True)(AttackVerdict)
 
 
 # A script maps OPEN, the opening C sends before anything arrives, and the
@@ -382,12 +394,7 @@ def verdict(
                 break
     confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED
 
-    return AttackVerdict(
-        attack_success=attack_success,
-        integrity=integrity,
-        confidentiality=confidentiality,
-        detection=detection,
-    )
+    return _verdict(attack_success, integrity, confidentiality, detection)
 
 
 def dlog_bruteforce(params: DhParams, s_public: int) -> tuple[int, int]:

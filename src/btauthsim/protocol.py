@@ -29,9 +29,19 @@ None and its seed a non-negative int, Message refuses a kind that is not a
 MsgKind, parties that are not 6-octet bytes and a payload that is not bytes
 of its kind's width, and e1 checks the octets it takes, so handlers pass
 payloads and claimed senders on as they arrive. Addresses compare by value.
+
+Runs share the frozen values that their inputs fix. The fields of an
+AuthRequest, AuthSuccess or AuthFail are fixed by its kind and two
+parties, and those of an AuthOutcome by its status and peer; each comes
+from a bounded, typed lru_cache over its class, as adversary.verdict's
+AttackVerdict does, so each distinct value is built and checked once.
+The cache stores no exception, so a bad argument raises the
+constructor's own error on every call; start checks that its peer is
+bytes before the cache hashes it.
 """
 
 from dataclasses import field
+import functools
 from enum import Enum
 
 from .crypto import (
@@ -134,6 +144,11 @@ class Message:
         self.__dict__.update(kind=kind, sender=sender, receiver=receiver, payload=payload)
 
 
+# the messages whose every field their kind and parties fix, each built
+# and checked once; called positionally, so each value has one key
+_control_message = functools.lru_cache(maxsize=64, typed=True)(Message)
+
+
 def encode_public(value: int) -> bytes:
     return value.to_bytes(16, "big")
 
@@ -172,6 +187,9 @@ class AuthStatus(Enum):
     FAILED = "Failed"
     TIMED_OUT = "TimedOut"
 
+    # identity hash, as for MsgKind: a key of _outcome
+    __hash__ = object.__hash__
+
 
 @record
 class AuthOutcome:
@@ -183,6 +201,10 @@ class AuthOutcome:
 
     def __init__(self, status: AuthStatus, authenticated_with: bytes | None) -> None:
         self.__dict__.update(status=status, authenticated_with=authenticated_with)
+
+
+# every outcome a device can end with, built once, as _control_message
+_outcome = functools.lru_cache(maxsize=64, typed=True)(AuthOutcome)
 
 
 @value_class
@@ -269,12 +291,17 @@ def new_device(
 
 def start(device: DeviceState, peer: bytes) -> list[Message]:
     """Open the handshake toward peer: address announcement plus either the
-    first challenge (legacy, improved) or this side's public value."""
+    first challenge (legacy, improved) or this side's public value. peer is
+    the announcement's receiver, checked as Message checks it."""
     if device.phase is not Phase.IDLE:
         raise ProtocolError("start on a device that already left Idle")
+    # the interned message hashes peer, so a value that is not bytes meets
+    # Message's own check first
+    if type(peer) is not bytes:
+        check_octets("message receiver", peer, 6)
     device.role = Role.INITIATOR
     device.peer = peer
-    out = [Message(MsgKind.AUTH_REQUEST, device.id, peer, device.id)]
+    out = [_control_message(MsgKind.AUTH_REQUEST, device.id, peer, device.id)]
     if device.variant is Variant.DH_IMPROVED:
         out.append(Message(MsgKind.DH_PUBLIC, device.id, peer, encode_public(device.dh.s_public)))
         device.phase = Phase.DH_EXCHANGE
@@ -316,7 +343,7 @@ def _answer(device: DeviceState, challenge: bytes) -> Message:
 def _fail(device: DeviceState, msg: Message) -> list[Message]:
     device.phase = Phase.FAILED
     target = device.peer if device.peer is not None else msg.sender
-    return [Message(MsgKind.AUTH_FAIL, device.id, target)]
+    return [_control_message(MsgKind.AUTH_FAIL, device.id, target)]
 
 
 def _on_auth_success(device: DeviceState, msg: Message) -> list[Message]:
@@ -402,7 +429,7 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
     # our earlier answer plus this verification closes the loop; tell the
     # peer and finish
     device.phase = Phase.DONE
-    return [Message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
+    return [_control_message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
 
 
 _TERMINAL = frozenset((Phase.DONE, Phase.FAILED))
@@ -424,12 +451,7 @@ _TRANSITIONS = {
 def outcome_of(device: DeviceState) -> AuthOutcome:
     """Summarize a device's terminal result after its driving loop stopped."""
     if device.phase is Phase.DONE:
-        status = AuthStatus.MUTUAL_SUCCESS
-    elif device.phase is Phase.FAILED:
-        status = AuthStatus.FAILED
-    else:
-        status = AuthStatus.TIMED_OUT
-    return AuthOutcome(
-        status=status,
-        authenticated_with=device.peer if status is AuthStatus.MUTUAL_SUCCESS else None,
-    )
+        return _outcome(AuthStatus.MUTUAL_SUCCESS, device.peer)
+    if device.phase is Phase.FAILED:
+        return _outcome(AuthStatus.FAILED, None)
+    return _outcome(AuthStatus.TIMED_OUT, None)

@@ -42,6 +42,9 @@ class Detection(Enum):
     NONE = "None"
     DELAY_FLAGGED = "DelayFlagged"
 
+    # identity hash, as for protocol.MsgKind: a key of adversary._verdict
+    __hash__ = object.__hash__
+
 
 @value_class(frozen=True)
 class LinkConfig:

@@ -441,13 +441,15 @@ class TestScenarioApi:
 class TestCallBudget:
     """A valid run makes no call that does no work: every octet string and
     every typed value on a run's path passes its caller's inline pre-test,
-    so neither check_octets nor check_type is reached, and the enums that a
-    run hashes (Variant and IntruderMode in the per-configuration cache and
-    the intruder's plan table, MsgKind and Phase in the transition table)
-    hash by identity, not by Enum.__hash__.
+    so neither check_octets nor check_type is reached, and the eight enums
+    that a run hashes hash by identity, not by Enum.__hash__: Variant and
+    IntruderMode in the per-configuration cache and the intruder's plan
+    table, MsgKind and Phase in the transition table, MsgKind, AuthStatus,
+    Integrity, Confidentiality and Detection in the keys of the interned
+    messages, outcomes and verdicts.
     A run computes only the digests of its keys, and no bootstrap key, and
-    each scenario derives a fixed count of responses and seeds a fixed
-    count of streams, whatever the seed."""
+    each scenario derives a fixed count of responses, seeds a fixed count
+    of streams and builds a fixed count of messages, whatever the seed."""
 
     @staticmethod
     def counted(calls, name, real):
@@ -486,7 +488,7 @@ class TestCallBudget:
             IntruderState(
                 bytes(5), IntruderMode.RELAY_PASSIVE, Variant.LEGACY, cli.ADDR_A, cli.ADDR_B, 0
             )
-        hash(protocol.AuthStatus.FAILED)
+        hash(protocol.Role.INITIATOR)
         with pytest.raises(TypeError):
             # the group that the runs above cached, built with no count
             crypto.dh_keypair(cli.HEADLINE[-1].prepared[1], 1.0)
@@ -553,6 +555,31 @@ class TestCallBudget:
                 derived = crypto.e1.cache_info().misses
                 counts.setdefault(config.scenario_name, []).append((derived, calls["Stream"] - before))
         assert counts == {name: [pair] * 3 for name, pair in budget.items()}
+
+    def test_headline_runs_build_a_fixed_count_of_values(self, monkeypatch):
+        # Message constructions of a run, once one run of its configuration
+        # has interned its AuthRequest, AuthSuccess, AuthFail, outcomes and
+        # verdict: the challenges, responses and public values it sends, and
+        # whatever an intruder forges or opens with
+        budget = {config.scenario_name: 4 for config in cli.HEADLINE}
+        budget["dh-improved+none"] = budget["dh-improved+relay-passive"] = 6
+        budget["improved+originate"] = 6
+        budget["dh-improved+relay-active"] = 7
+        budget["legacy+originate"] = 9
+        for config in cli.HEADLINE:
+            run_scenario(config, 0)
+        calls = collections.Counter()
+        for cls in (protocol.Message, protocol.AuthOutcome, adversary.AttackVerdict):
+            counted = self.counted(calls, cls.__name__, cls.__init__)
+            monkeypatch.setattr(cls, "__init__", counted)
+        counts = {}
+        for config in cli.HEADLINE:
+            for seed in range(3):
+                before = calls["Message"]
+                run_scenario(config, seed)
+                counts.setdefault(config.scenario_name, []).append(calls["Message"] - before)
+        assert counts == {name: [count] * 3 for name, count in budget.items()}
+        assert calls["AuthOutcome"] == calls["AttackVerdict"] == 0
 
     def test_headline_runs_seed_no_stream_through_random_seed(self, monkeypatch):
         # every stream of a run is a Stream, seeded through the generator's

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from support import ADDR_A, ADDR_B, ADDR_C, KEY, PARAMS, pair, recorded, run_of
 
-from btauthsim import simnet
+from btauthsim import adversary, protocol, simnet
+from btauthsim.adversary import AttackVerdict, Confidentiality, Integrity
 from btauthsim.crypto import (
     check_octets,
     dh_shared,
@@ -21,6 +22,7 @@ from btauthsim.crypto import (
     xor_bytes,
 )
 from btauthsim.protocol import (
+    AuthOutcome,
     AuthStatus,
     Message,
     MsgKind,
@@ -34,7 +36,7 @@ from btauthsim.protocol import (
     outcome_of,
     start,
 )
-from btauthsim.simnet import transcript_rtt
+from btauthsim.simnet import Detection, transcript_rtt
 
 KEY2 = bytes(range(16, 32))
 
@@ -640,3 +642,98 @@ class TestMessageRecord:
                 setattr(msg, name, value)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(msg, name)
+
+
+def distinct_addresses(n: int) -> list[tuple[bytes, bytes]]:
+    """n distinct pairs of distinct 6-octet addresses."""
+    return [((2 * i).to_bytes(6, "big"), (2 * i + 1).to_bytes(6, "big")) for i in range(n)]
+
+
+# each interned constructor: the class it interns, valid arguments, bad
+# ones (each hashable, as every argument a run hands it is), and the
+# arguments it takes for a pair of addresses; a record checks none of its
+# fields, so any value keys an entry of its own, and a wrong count of
+# arguments is its one error
+INTERNED = {
+    "message": (
+        protocol._control_message,
+        Message,
+        [
+            (MsgKind.AUTH_REQUEST, ADDR_A, ADDR_B, ADDR_A),
+            (MsgKind.AUTH_SUCCESS, ADDR_B, ADDR_A),
+            (MsgKind.AUTH_FAIL, ADDR_A, ADDR_C),
+        ],
+        [
+            ("AuthFail", ADDR_A, ADDR_B),
+            (MsgKind.AUTH_FAIL, ADDR_A.hex(), ADDR_B),
+            (MsgKind.AUTH_FAIL, ADDR_A, ADDR_B[:5]),
+            (MsgKind.AUTH_FAIL, ADDR_A, ADDR_A),
+            (MsgKind.AUTH_REQUEST, ADDR_A, ADDR_B),
+            (MsgKind.AUTH_SUCCESS, ADDR_A, ADDR_B, ADDR_A),
+            (MsgKind.AUTH_FAIL, ADDR_A),
+        ],
+        lambda a, b: (MsgKind.AUTH_FAIL, a, b),
+    ),
+    "outcome": (
+        protocol._outcome,
+        AuthOutcome,
+        [(AuthStatus.MUTUAL_SUCCESS, ADDR_B), (AuthStatus.FAILED, None)],
+        [(AuthStatus.FAILED,), (AuthStatus.FAILED, None, None)],
+        lambda a, b: (AuthStatus.MUTUAL_SUCCESS, a),
+    ),
+    "verdict": (
+        adversary._verdict,
+        AttackVerdict,
+        [
+            (True, Integrity.MAINTAINED, Confidentiality.BREACHED, Detection.DELAY_FLAGGED),
+            (False, Integrity.BROKEN, Confidentiality.MAINTAINED, Detection.NONE),
+        ],
+        [(True, Integrity.MAINTAINED, Confidentiality.BREACHED), ()],
+        lambda a, b: (False, a, b, Detection.NONE),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INTERNED)
+class TestInternedValues:
+    """The messages, outcomes and verdicts that runs share are the values
+    their plain constructors build, one object per value, with the same
+    errors, and their caches stay within their bounds."""
+
+    def test_equals_a_fresh_construction(self, name):
+        interned, cls, valid, _, _ = INTERNED[name]
+        for args in valid:
+            value, fresh = interned(*args), cls(*args)
+            assert type(value) is cls
+            assert value == fresh
+            assert list(vars(value).items()) == list(vars(fresh).items())
+
+    def test_a_repeated_call_returns_the_same_object(self, name):
+        interned, _, valid, _, _ = INTERNED[name]
+        for args in valid:
+            assert interned(*args) is interned(*args)
+
+    def test_bad_arguments_raise_the_constructors_error_and_cache_nothing(self, name):
+        interned, cls, _, bad, _ = INTERNED[name]
+        for args in bad:
+            before = interned.cache_info().currsize
+            error = build(cls, *args)
+            assert isinstance(error, str), args
+            assert build(interned, *args) == error
+            assert interned.cache_info().currsize == before
+
+    def test_more_values_than_maxsize_stay_at_maxsize(self, name):
+        interned, _, _, _, args_of = INTERNED[name]
+        maxsize = interned.cache_info().maxsize
+        for a, b in distinct_addresses(maxsize + 5):
+            interned(*args_of(a, b))
+        assert interned.cache_info().currsize == maxsize
+
+
+def test_start_refuses_a_peer_that_is_not_bytes_as_message_does():
+    # the interned AuthRequest hashes its receiver, so start checks it first
+    for peer in (bytearray(ADDR_B), memoryview(ADDR_B), ADDR_B.hex(), None):
+        dev = new_device(ADDR_A, Variant.LEGACY, KEY, 1)
+        error = build(Message, MsgKind.AUTH_REQUEST, ADDR_A, peer, ADDR_A)
+        assert isinstance(error, str)
+        assert build(start, dev, peer) == error
