@@ -41,8 +41,8 @@ bytes before the cache hashes it.
 """
 
 from dataclasses import field
-import functools
 from enum import Enum
+import functools
 
 from .crypto import (
     DhKeyPair,
