@@ -22,7 +22,6 @@ from .crypto import (
     check_type,
     dh_keypair,
     e1,
-    record,
     value_class,
 )
 from .protocol import (
@@ -72,7 +71,7 @@ class Confidentiality(Enum):
     __hash__ = object.__hash__
 
 
-@record
+@value_class(frozen=True)
 class AttackVerdict:
     """The score of one run, as verdict judges it from the run's record:
     whether both devices authenticated with every hop through the intruder,
@@ -210,6 +209,28 @@ class IntruderState:
         rng_seed: int,
         dh_params: DhParams | None = None,
     ) -> None:
+        # pre-tested, as in new_device
+        if type(id) is not bytes or len(id) != 6:
+            check_octets("id", id, 6)
+        if type(victim_a) is not bytes or len(victim_a) != 6:
+            check_octets("victim_a", victim_a, 6)
+        if type(victim_b) is not bytes or len(victim_b) != 6:
+            check_octets("victim_b", victim_b, 6)
+        if len({id, victim_a, victim_b}) < 3:
+            raise ValueError("id, victim_a and victim_b must be distinct addresses")
+        if type(mode) is not IntruderMode:
+            check_type("mode", mode, IntruderMode)
+        if type(variant) is not Variant:
+            check_type("variant", variant, Variant)
+        if type(dh_params) is not DhParams and dh_params is not None:
+            check_type("dh_params", dh_params, DhParams, none=True)
+        if type(rng_seed) is not int:
+            check_type("rng_seed", rng_seed, int)
+        if rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+        script, forges_publics, sends_nonce = _PLANS[mode, variant]
+        if forges_publics and dh_params is None:
+            raise ValueError("an active intruder against the dh variant needs the group parameters")
         # as under dataclass, held reads its class default until first stored
         self.id = id
         self.mode = mode
@@ -218,41 +239,17 @@ class IntruderState:
         self.victim_b = victim_b
         self.rng_seed = rng_seed
         self.dh_params = dh_params
-        self.__post_init__()
-
-    def __post_init__(self):
-        # pre-tested, as in new_device
-        if type(self.id) is not bytes or len(self.id) != 6:
-            check_octets("id", self.id, 6)
-        if type(self.victim_a) is not bytes or len(self.victim_a) != 6:
-            check_octets("victim_a", self.victim_a, 6)
-        if type(self.victim_b) is not bytes or len(self.victim_b) != 6:
-            check_octets("victim_b", self.victim_b, 6)
-        if len({self.id, self.victim_a, self.victim_b}) < 3:
-            raise ValueError("id, victim_a and victim_b must be distinct addresses")
-        if type(self.mode) is not IntruderMode:
-            check_type("mode", self.mode, IntruderMode)
-        if type(self.variant) is not Variant:
-            check_type("variant", self.variant, Variant)
-        if type(self.dh_params) is not DhParams and self.dh_params is not None:
-            check_type("dh_params", self.dh_params, DhParams, none=True)
-        if type(self.rng_seed) is not int:
-            check_type("rng_seed", self.rng_seed, int)
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        self.script, forges_publics, sends_nonce = _PLANS[self.mode, self.variant]
-        self.values = {A: self.victim_a, B: self.victim_b}
-        self.victim_of = {self.victim_a: A, self.victim_b: B}
-        if forges_publics and self.dh_params is None:
-            raise ValueError("an active intruder against the dh variant needs the group parameters")
+        self.script = script
+        self.values = {A: victim_a, B: victim_b}
+        self.victim_of = {victim_a: A, victim_b: B}
         if forges_publics or sends_nonce:
-            rng = Stream(self.rng_seed)
+            rng = Stream(rng_seed)
             if forges_publics:
-                own = dh_keypair(self.dh_params, rng.randrange(1, self.dh_params.p))
+                own = dh_keypair(dh_params, rng.randrange(1, dh_params.p))
                 self.values[PUBLIC] = encode_public(own.s_public)
             if sends_nonce:
                 self.values[NONCE] = rng.randbytes(16)
-        self.opening = tuple(_act(self, self.script.get(OPEN, ()), None))
+        self.opening = tuple(_act(self, script.get(OPEN, ()), None))
 
     # a forwarder only because perfbench's tracer patches the module-level
     # adversary.intercept; it goes when that patch point moves here

@@ -20,7 +20,6 @@ from .crypto import (
     e1,
     has_full_order,
     init_key,
-    record,
     session_key,
     value_class,
 )
@@ -83,6 +82,24 @@ class ScenarioConfig:
         dh_p: int = 2147483647,
         dh_alpha: int = 7,
     ) -> None:
+        if intruder is not None and type(intruder) is not IntruderMode:
+            check_type("intruder", intruder, IntruderMode, none=True)
+        if initiator not in ("A", "C"):
+            raise ConfigError(f"initiator must be A or C, got {initiator}")
+        if (initiator == "C") != (intruder is IntruderMode.ORIGINATE_TO_A):
+            raise ConfigError("initiator C and the originate intruder mode require each other")
+        try:
+            if not 1 < detect_factor < math.inf:
+                raise ConfigError(f"detect-factor must be finite and exceed 1, got {detect_factor}")
+        except TypeError:
+            kind = type(detect_factor).__name__
+            raise TypeError(f"detect_factor must be a real number, got {kind}") from None
+        # the cache is keyed by value, so True or 10.0 must not reach the int's entry
+        check_type("dh_p", dh_p, int)
+        check_type("dh_alpha", dh_alpha, int)
+        check_type("latency_ms", latency_ms, int)
+        check_type("timeout_ms", timeout_ms, int)
+        check_type("variant", variant, Variant)
         self.__dict__.update(
             variant=variant,
             intruder=intruder,
@@ -93,28 +110,6 @@ class ScenarioConfig:
             dh_p=dh_p,
             dh_alpha=dh_alpha,
         )
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.intruder is not None and type(self.intruder) is not IntruderMode:
-            check_type("intruder", self.intruder, IntruderMode, none=True)
-        if self.initiator not in ("A", "C"):
-            raise ConfigError(f"initiator must be A or C, got {self.initiator}")
-        if (self.initiator == "C") != (self.intruder is IntruderMode.ORIGINATE_TO_A):
-            raise ConfigError("initiator C and the originate intruder mode require each other")
-        factor = self.detect_factor
-        try:
-            if not 1 < factor < math.inf:
-                raise ConfigError(f"detect-factor must be finite and exceed 1, got {factor}")
-        except TypeError:
-            kind = type(factor).__name__
-            raise TypeError(f"detect_factor must be a real number, got {kind}") from None
-        # the cache is keyed by value, so True or 10.0 must not reach the int's entry
-        check_type("dh_p", self.dh_p, int)
-        check_type("dh_alpha", self.dh_alpha, int)
-        check_type("latency_ms", self.latency_ms, int)
-        check_type("timeout_ms", self.timeout_ms, int)
-        check_type("variant", self.variant, Variant)
         self.prepared  # link timing, group and calibration, checked once per configuration
 
     @property
@@ -129,7 +124,7 @@ class ScenarioConfig:
         return f"{self.variant.value}+{mode}"
 
 
-@record
+@value_class(frozen=True)
 class ScenarioResult:
     """One run of run_scenario: its seed, transcript and outcomes, the
     verdict on them, the baselines it was judged against and the link key

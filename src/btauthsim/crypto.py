@@ -8,17 +8,16 @@ ciphering offset. Every octet string a function takes or returns, addresses
 and PINs included, is plain bytes; each function checks the type and width
 of the octets it takes, and check_octets holds that check and its messages,
 as check_type does for a value that must be exactly of one type (an int, an
-enum, a record) and check_public for a peer's public value.
+enum, a value class) and check_public for a peer's public value.
 value_class, beside them, makes each value class of the package:
 dataclass writes only its fields, their class defaults and
 __match_args__; each class writes its own __init__ and docstring in its
 body; and every other method (__repr__, __eq__, __hash__, and a frozen
 class's __setattr__ and __delattr__) is a closure over the field names,
 whose code compiles once, with this module. So no source is generated and
-exec'd for any class at import. record makes the frozen records that a
-run builds (a transcript event per hop, the transcript, the outcomes, the
-key pairs, the verdict and the result) through value_class; the __init__
-of each stores every field in one step.
+exec'd for any class at import. Each __init__ checks its arguments, if
+it checks any, before it stores them; a frozen class stores every field
+in one self.__dict__.update.
 The functions every run calls (e1 and combination_link_key; no run calls
 init_key, see cli._derive_link_key) first test each octet string inline,
 exact bytes of the width, so a well-formed value costs no call; only a
@@ -173,17 +172,6 @@ def value_class(cls: type | None = None, /, *, frozen: bool = False):
     if "__init__" not in cls.__dict__:
         raise TypeError(f"value class {cls.__name__} defines no __init__ of its own")
     return cls
-
-
-def record(cls: type) -> type:
-    """cls as a frozen value_class whose fields take no default (a
-    TypeError otherwise). The __init__ that each record writes takes every
-    field, in order, and stores all of them in one self.__dict__.update
-    rather than one object.__setattr__ per field."""
-    for name in cls.__annotations__:
-        if name in cls.__dict__:
-            raise TypeError(f"record {cls.__name__} takes no default, got one for {name}")
-    return value_class(cls, frozen=True)
 
 
 class Stream(random.Random):
@@ -460,16 +448,13 @@ class DhParams:
     alpha: int
 
     def __init__(self, p: int, alpha: int) -> None:
+        check_type("p", p, int)
+        check_type("alpha", alpha, int)
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if not 2 <= alpha <= p - 1:
+            raise ValueError(f"alpha must be in [2, p-1], got {alpha}")
         self.__dict__.update(p=p, alpha=alpha)
-        self.__post_init__()
-
-    def __post_init__(self):
-        check_type("p", self.p, int)
-        check_type("alpha", self.alpha, int)
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if not 2 <= self.alpha <= self.p - 1:
-            raise ValueError(f"alpha must be in [2, p-1], got {self.alpha}")
 
     @functools.cached_property
     def alpha_table(self) -> tuple[tuple[int, ...], ...]:
@@ -503,7 +488,7 @@ def has_full_order(params: DhParams) -> bool:
     return all(modexp(alpha, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
 
 
-@record
+@value_class(frozen=True)
 class DhKeyPair:
     """Per-device exchange pair: private exponent and public power."""
 
@@ -609,11 +594,12 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     own.r_private as alpha^(s * r_private mod (p-1)), read from the
     fixed-base table: alpha^(p-1) = 1 for any alpha in [2, p-1] (Fermat),
     generator or not. Any other peer_public, or a negative r_private, goes
-    through dh_shared and modexp. The key is memoised by the shared value
-    and p, so the device on the other side, which reaches the same shared
-    value, pays no digest. Both memos hold at most 8 entries, oldest first
-    out; cli.run_scenario calls session_key.cache_clear(), which empties
-    both, before each run.
+    straight to modexp, which refuses a negative exponent: both were
+    checked above, as dh_shared would check them. The key is memoised by
+    the shared value and p, so the device on the other side, which
+    reaches the same shared value, pays no digest. Both memos hold at most
+    8 entries, oldest first out; cli.run_scenario calls
+    session_key.cache_clear(), which empties both, before each run.
     """
     check_public(params, peer_public)
     if type(own) is not DhKeyPair:
@@ -624,7 +610,7 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     p = params.p
     exponent = _EXPONENTS.get((p, params.alpha, peer_public))
     if exponent is None or r < 0:
-        shared = dh_shared(params, peer_public, r)
+        shared = modexp(peer_public, r, p)
     else:
         shared = _power_of_alpha(params, exponent * r % (p - 1))
     return _session_key_of(shared, p)

@@ -52,7 +52,6 @@ from .crypto import (
     check_type,
     dh_keypair,
     e1,
-    record,
     session_key,
     value_class,
     xor_bytes,
@@ -191,7 +190,7 @@ class AuthStatus(Enum):
     __hash__ = object.__hash__
 
 
-@record
+@value_class(frozen=True)
 class AuthOutcome:
     """How a device's handshake ended, and the peer address it
     authenticated, or None when it did not succeed."""

@@ -15,7 +15,7 @@ import math
 from collections import deque
 from enum import Enum
 
-from .crypto import check_octets, check_type, record, value_class
+from .crypto import check_octets, check_type, value_class
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -57,20 +57,17 @@ class LinkConfig:
     timeout_ms: int = 2000
 
     def __init__(self, latency_ms: int = 10, timeout_ms: int = 2000) -> None:
-        self.__dict__.update(latency_ms=latency_ms, timeout_ms=timeout_ms)
-        self.__post_init__()
-
-    def __post_init__(self):
         # a bool or a float would put non-integer times in the transcript
-        check_type("latency_ms", self.latency_ms, int)
-        check_type("timeout_ms", self.timeout_ms, int)
-        if self.latency_ms <= 0:
+        check_type("latency_ms", latency_ms, int)
+        check_type("timeout_ms", timeout_ms, int)
+        if latency_ms <= 0:
             raise ValueError("latency must be positive")
-        if self.timeout_ms <= self.latency_ms:
+        if timeout_ms <= latency_ms:
             raise ValueError("timeout must exceed the single-hop latency")
+        self.__dict__.update(latency_ms=latency_ms, timeout_ms=timeout_ms)
 
 
-@record
+@value_class(frozen=True)
 class TranscriptEvent:
     """The seq-th delivery of a run, at time: the physical hop from from_id
     to to_id of a message of kind with its payload."""
@@ -95,7 +92,7 @@ class TranscriptEvent:
 _KIND_TEXT = {kind: kind.value for kind in MsgKind}
 
 
-@record
+@value_class(frozen=True)
 class Transcript:
     """Every delivery of a run in order, the links it ran on, and end_time:
     the time of the last delivery, or the timeout when a device timed out."""

@@ -32,14 +32,14 @@ RAISED = ("TypeError", "ValueError", "ConfigError")
 SCOPE = {
     "crypto.py": [
         "check_octets", "check_type", "Stream.__init__", "xor_bytes", "e1", "e1_aco", "init_key",
-        "combination_link_key", "encryption_key", "DhParams.__post_init__", "dh_keypair",
+        "combination_link_key", "encryption_key", "DhParams.__init__", "dh_keypair",
         "check_public", "dh_shared", "session_key_from_shared", "session_key",
     ],
     "protocol.py": ["Message.__init__", "new_device"],
-    "adversary.py": ["IntruderState.__post_init__", "verdict", "dlog_bruteforce"],
-    "simnet.py": ["LinkConfig.__post_init__", "transcript_rtt", "delay_detector"],
+    "adversary.py": ["IntruderState.__init__", "verdict", "dlog_bruteforce"],
+    "simnet.py": ["LinkConfig.__init__", "transcript_rtt", "delay_detector"],
     "cli.py": [
-        "ScenarioConfig.__post_init__", "check_group", "_prepared", "_check_seed", "run_scenario",
+        "ScenarioConfig.__init__", "check_group", "_prepared", "_check_seed", "run_scenario",
     ],
 }
 
@@ -50,8 +50,7 @@ SURVIVORS = {
         "TestXorBytes.test_unequal_lengths_rejected",
     ("protocol.py", "Message.__init__", "if sender == receiver:"):
         "TestMessageValidation.test_self_addressed_rejected",
-    ("adversary.py", "IntruderState.__post_init__",
-     "if len({self.id, self.victim_a, self.victim_b}) < 3:"):
+    ("adversary.py", "IntruderState.__init__", "if len({id, victim_a, victim_b}) < 3:"):
         "TestScripts.test_addresses_must_be_distinct",
     ("adversary.py", "verdict", "if a not in baselines or b not in baselines:"):
         "TestVerdictPlumbing.test_baselines_must_cover_both_devices",

@@ -374,7 +374,7 @@ def test_cell(row, cell, value):
 
 # session_key reads one field of own, r_private, on either route to the
 # shared value: the fixed-base table for a peer value that dh_keypair drew,
-# dh_shared for any other; a row meets whole values only
+# modexp for any other; a row meets whole values only
 @pytest.mark.parametrize("drawn", [True, False], ids=["drawn peer", "undrawn peer"])
 @pytest.mark.parametrize("r", [2.0, "x"], ids=["float r_private", "str r_private"])
 def test_session_key_own_field_cell(r, drawn):
