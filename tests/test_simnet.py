@@ -317,7 +317,8 @@ class TestEventRecord:
 
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
     def test_signature_is_the_plain_dataclass_one(self, record):
-        # names, annotations and no defaults, as dataclass would write them
+        # names, annotations and defaults (the six records declare none), as
+        # dataclass would write them
         assert inspect.signature(record) == inspect.signature(VALUE_TWINS[record])
 
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
@@ -368,10 +369,19 @@ def plain_twin(cls):
     frozen as cls is, holding every other name that cls's body defines
     (its properties and methods). Its __post_init__ runs cls.__init__ on
     a bare instance of cls with the twin's arguments, so the twin refuses
-    what cls refuses, then copies onto the twin the init=False fields that
-    cls.__init__ stored, in the order it stored them."""
+    what cls refuses, then copies onto the twin the derived fields that
+    cls.__init__ stored, in the order it stored them. A derived field is
+    an init=False field with no default: one with a default stays on the
+    class, as dataclass leaves it, so an __init__ that stores it differs
+    from its twin."""
     own = dataclasses.fields(cls)
-    derived = {f.name for f in own if not f.init}
+    derived = {
+        f.name
+        for f in own
+        if not f.init
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    }
 
     def __post_init__(twin):
         built = object.__new__(cls)
