@@ -11,11 +11,11 @@ and that transcript alone, with the detector's baselines and threshold.
 """
 
 from dataclasses import field
-from enum import Enum
 import functools
 
 from .crypto import (
     DhParams,
+    IdentityEnum,
     Stream,
     check_octets,
     check_public,
@@ -46,29 +46,20 @@ __all__ = [
 ]
 
 
-class IntruderMode(Enum):
+class IntruderMode(IdentityEnum):
     RELAY_ACTIVE = "relay-active"
     RELAY_PASSIVE = "relay-passive"
     ORIGINATE_TO_A = "originate"
 
-    # identity hash, as for protocol.MsgKind: members are singletons
-    __hash__ = object.__hash__
 
-
-class Integrity(Enum):
+class Integrity(IdentityEnum):
     MAINTAINED = "Maintained"
     BROKEN = "Broken"
 
-    # identity hash, as for IntruderMode: a key of _verdict
-    __hash__ = object.__hash__
 
-
-class Confidentiality(Enum):
+class Confidentiality(IdentityEnum):
     MAINTAINED = "Maintained"
     BREACHED = "Breached"
-
-    # identity hash, as for IntruderMode: a key of _verdict
-    __hash__ = object.__hash__
 
 
 @value_class(frozen=True)

@@ -329,7 +329,6 @@ def _build_parser():
         choices=["none"] + [m.value for m in IntruderMode],
         default="none",
     )
-    parser.add_argument("--initiator", choices=["A", "C"], default=defaults.initiator)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seeds-count", type=int, default=1)
     parser.add_argument("--latency-ms", type=int, default=defaults.latency_ms)
@@ -346,10 +345,12 @@ def _build_parser():
 
 
 def _config_from_args(args) -> ScenarioConfig:
+    intruder = None if args.intruder == "none" else IntruderMode(args.intruder)
     return ScenarioConfig(
         variant=Variant(args.variant),
-        intruder=None if args.intruder == "none" else IntruderMode(args.intruder),
-        initiator=args.initiator,
+        intruder=intruder,
+        # the originate intruder opens the run itself, so C initiates it
+        initiator="C" if intruder is IntruderMode.ORIGINATE_TO_A else "A",
         latency_ms=args.latency_ms,
         timeout_ms=args.timeout_ms,
         detect_factor=args.detect_factor,

@@ -17,7 +17,9 @@ class's __setattr__ and __delattr__) is a closure over the field names,
 whose code compiles once, with this module. So no source is generated and
 exec'd for any class at import. Each __init__ checks its arguments, if
 it checks any, before it stores them; a frozen class stores every field
-in one self.__dict__.update.
+in one self.__dict__.update. IdentityEnum, beside value_class, is the
+base of every enum of the package, and gives each member the identity
+hash.
 The functions every run calls (e1 and combination_link_key; no run calls
 init_key, see cli._derive_link_key) first test each octet string inline,
 exact bytes of the width, so a well-formed value costs no call; only a
@@ -52,6 +54,7 @@ threads that race to build it build equal tables.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, fields
+from enum import Enum
 import functools
 import random
 import struct
@@ -62,6 +65,7 @@ __all__ = [
     "check_octets",
     "check_type",
     "check_public",
+    "IdentityEnum",
     "Stream",
     "DhParams",
     "DhKeyPair",
@@ -172,6 +176,18 @@ def value_class(cls: type | None = None, /, *, frozen: bool = False):
     if "__init__" not in cls.__dict__:
         raise TypeError(f"value class {cls.__name__} defines no __init__ of its own")
     return cls
+
+
+class IdentityEnum(Enum):
+    """The base of every enum of the package, with no members of its own.
+
+    Members are singletons compared by identity, so the identity hash
+    agrees with equality and, unlike Enum's hash of the member's name,
+    costs no Python-level call: a member is a cheap key of a dict or of
+    a functools.lru_cache.
+    """
+
+    __hash__ = object.__hash__
 
 
 class Stream(random.Random):

@@ -41,12 +41,12 @@ bytes before the cache hashes it.
 """
 
 from dataclasses import field
-from enum import Enum
 import functools
 
 from .crypto import (
     DhKeyPair,
     DhParams,
+    IdentityEnum,
     Stream,
     check_octets,
     check_type,
@@ -80,26 +80,19 @@ class ProtocolError(Exception):
     """Driver misuse of a state machine (not a wire-data failure)."""
 
 
-class Variant(Enum):
+class Variant(IdentityEnum):
     LEGACY = "legacy"
     IMPROVED = "improved"
     DH_IMPROVED = "dh-improved"
 
-    # identity hash, as for MsgKind below
-    __hash__ = object.__hash__
 
-
-class MsgKind(Enum):
+class MsgKind(IdentityEnum):
     AUTH_REQUEST = "AuthRequest"
     CHALLENGE = "ChallengeMsg"
     RESPONSE = "ResponseMsg"
     DH_PUBLIC = "DhPublicMsg"
     AUTH_SUCCESS = "AuthSuccess"
     AUTH_FAIL = "AuthFail"
-
-    # members are singletons that compare by identity, so the identity hash
-    # agrees with equality and costs no Python-level call
-    __hash__ = object.__hash__
 
 
 _PAYLOAD_WIDTH = {
@@ -127,7 +120,9 @@ class Message:
 
     # it checks first, then stores every field in one step instead of one
     # object.__setattr__ call per field
-    def __init__(self, kind: MsgKind, sender: bytes, receiver: bytes, payload: bytes = b""):
+    def __init__(
+        self, kind: MsgKind, sender: bytes, receiver: bytes, payload: bytes = b""
+    ) -> None:
         if type(kind) is not MsgKind:
             check_type("message kind", kind, MsgKind)
         # a well-formed party costs no call
@@ -156,12 +151,12 @@ def decode_public(payload: bytes) -> int:
     return int.from_bytes(payload, "big")
 
 
-class Role(Enum):
+class Role(IdentityEnum):
     INITIATOR = "Initiator"
     RESPONDER = "Responder"
 
 
-class Phase(Enum):
+class Phase(IdentityEnum):
     IDLE = "Idle"
     DH_EXCHANGE = "DhExchange"
     # an initiator whose challenge is out takes either message next: the
@@ -177,17 +172,11 @@ class Phase(Enum):
     DONE = "Done"
     FAILED = "Failed"
 
-    # identity hash, as for MsgKind
-    __hash__ = object.__hash__
 
-
-class AuthStatus(Enum):
+class AuthStatus(IdentityEnum):
     MUTUAL_SUCCESS = "MutualSuccess"
     FAILED = "Failed"
     TIMED_OUT = "TimedOut"
-
-    # identity hash, as for MsgKind: a key of _outcome
-    __hash__ = object.__hash__
 
 
 @value_class(frozen=True)

@@ -13,9 +13,8 @@ addresses need not be one object.
 
 import math
 from collections import deque
-from enum import Enum
 
-from .crypto import check_octets, check_type, value_class
+from .crypto import IdentityEnum, check_octets, check_type, value_class
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -38,12 +37,9 @@ __all__ = [
 ]
 
 
-class Detection(Enum):
+class Detection(IdentityEnum):
     NONE = "None"
     DELAY_FLAGGED = "DelayFlagged"
-
-    # identity hash, as for protocol.MsgKind: a key of adversary._verdict
-    __hash__ = object.__hash__
 
 
 @value_class(frozen=True)

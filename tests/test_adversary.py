@@ -266,6 +266,48 @@ class TestReflection:
                 assert transcript_rtt(result.transcript, device) is None, f"seed {seed}"
 
 
+def report(config, seed):
+    """The verdict columns of a run and its count of messages."""
+    result = run_scenario(config, seed)
+    score = result.score
+    return (
+        score.attack_success,
+        score.integrity,
+        score.confidentiality,
+        score.detection,
+        len(result.transcript.events),
+    )
+
+
+# the rows that a 2000 ms timeout cuts short at 250 ms a hop, as they read
+SLOW_ROWS = {
+    "improved+relay-active": (
+        False, Integrity.MAINTAINED, Confidentiality.BREACHED, Detection.DELAY_FLAGGED, 10
+    ),
+    "dh-improved+relay-active": (
+        False, Integrity.BROKEN, Confidentiality.MAINTAINED, Detection.NONE, 10
+    ),
+    "dh-improved+relay-passive": (
+        False, Integrity.MAINTAINED, Confidentiality.MAINTAINED, Detection.NONE, 10
+    ),
+}
+
+
+class TestTimeoutLimit:
+    def test_a_slow_link_cuts_three_relayed_runs_short(self):
+        # a known limit, pinned as it reads: ScenarioConfig accepts 250 ms
+        # a hop with the default 2000 ms timeout, since the intruder-free
+        # handshake completes within it, but on the nested variants A's
+        # relayed round trip takes 8L = 2000 ms, so the timeout cuts three
+        # relayed runs short; every other headline row reads as at 10 ms
+        for config in cli.HEADLINE:
+            slow = dataclasses.replace(config, latency_ms=250)
+            assert slow.timeout_ms == 2000
+            for seed in range(20):
+                expected = SLOW_ROWS.get(config.scenario_name) or report(config, seed)
+                assert report(slow, seed) == expected, f"{config.scenario_name} seed {seed}"
+
+
 class BytearrayRelay(IntruderState):
     """A passive relay that re-sends each payload as a bytearray."""
 

@@ -71,9 +71,9 @@ class TestReportLines:
             assert "messages=12" in line
 
     def test_case1_originate(self, capsys):
-        status, out, _ = run_main(
-            capsys, "--variant", "improved", "--intruder", "originate", "--initiator", "C"
-        )
+        # the originate intruder opens the run itself: the command line
+        # makes C the initiator, with no flag for it
+        status, out, _ = run_main(capsys, "--variant", "improved", "--intruder", "originate")
         assert status == 0
         assert "attack_success=false" in out
         assert "detection=None" in out
@@ -135,18 +135,27 @@ class TestTranscriptOutput:
 
 class TestConfigErrors:
     def test_initiator_c_needs_originate(self, capsys):
-        # and the reverse: the originate intruder opens the run itself, so
-        # with A opening it the run is no attack the mode defines
+        # the command line takes no initiator: it makes C the initiator
+        # exactly for the originate intruder, so --initiator is an unknown
+        # flag (ScenarioConfig still refuses a mismatch, see test_contracts)
         for argv in (
             ["--initiator", "C"],
             ["--intruder", "relay-active", "--initiator", "C"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "unrecognized arguments: --initiator C" in err
+        for argv in (
             ["--variant", "legacy", "--intruder", "originate"],
             ["--variant", "dh-improved", "--intruder", "originate"],
         ):
             status, out, err = run_main(capsys, *argv)
-            assert status == 2, argv
-            assert out == ""
-            assert "originate" in err
+            assert status == 0, argv
+            assert err == ""
+            assert out.startswith(f"scenario={argv[1]}+originate seed=0 attack_success=false ")
 
     def test_nonprime_group_modulus(self, capsys):
         status, _, err = run_main(capsys, "--variant", "dh-improved", "--dh-p", "10")
@@ -441,12 +450,13 @@ class TestScenarioApi:
 class TestCallBudget:
     """A valid run makes no call that does no work: every octet string and
     every typed value on a run's path passes its caller's inline pre-test,
-    so neither check_octets nor check_type is reached, and the eight enums
-    that a run hashes hash by identity, not by Enum.__hash__: Variant and
-    IntruderMode in the per-configuration cache and the intruder's plan
-    table, MsgKind and Phase in the transition table, MsgKind, AuthStatus,
-    Integrity, Confidentiality and Detection in the keys of the interned
-    messages, outcomes and verdicts.
+    so neither check_octets nor check_type is reached, and no enum hash
+    runs Enum.__hash__: every enum of the package derives from
+    crypto.IdentityEnum and hashes by identity, among them the eight a run
+    hashes (Variant and IntruderMode in the per-configuration cache and the
+    intruder's plan table, MsgKind and Phase in the transition table,
+    MsgKind, AuthStatus, Integrity, Confidentiality and Detection in the
+    keys of the interned messages, outcomes and verdicts).
     A run computes only the digests of its keys, and no bootstrap key, and
     each scenario derives a fixed count of responses, seeds a fixed count
     of streams and builds a fixed count of messages, whatever the seed."""
@@ -460,6 +470,8 @@ class TestCallBudget:
         return call
 
     def test_headline_runs_reach_no_octet_check_and_no_enum_hash(self, monkeypatch):
+        # no enum of the package keeps Enum's hash; this one does
+        Plain = enum.Enum("Plain", "ONE")
         calls = collections.Counter()
         for module in (crypto, protocol, adversary):
             real = module.check_octets
@@ -478,8 +490,7 @@ class TestCallBudget:
                 run_scenario(config, seed)
         assert calls == {}
 
-        # the counters see a value that fails a pre-test, and an enum that
-        # keeps Enum's hash
+        # the counters see a value that fails a pre-test, and a plain enum
         with pytest.raises(TypeError):
             crypto.combination_link_key(bytearray(16), cli.ADDR_A, bytes(16), cli.ADDR_B)
         with pytest.raises(ValueError):
@@ -488,7 +499,7 @@ class TestCallBudget:
             IntruderState(
                 bytes(5), IntruderMode.RELAY_PASSIVE, Variant.LEGACY, cli.ADDR_A, cli.ADDR_B, 0
             )
-        hash(protocol.Role.INITIATOR)
+        hash(Plain.ONE)
         with pytest.raises(TypeError):
             # the group that the runs above cached, built with no count
             crypto.dh_keypair(cli.HEADLINE[-1].prepared[1], 1.0)

@@ -27,10 +27,15 @@ each class writes its own ``__init__`` and its own docstring, so
 ``dataclass`` neither execs an ``__init__`` nor calls ``inspect.signature``
 to write a docstring, and ``value_class`` refuses a class without an
 ``__init__`` of its own.
+
+Every enum of the package derives from ``crypto.IdentityEnum``, and none
+but that base defines ``__hash__``: the rule that a member hashes by
+identity is declared once.
 """
 
 import ast
 import dataclasses
+import enum
 import importlib
 import inspect
 import sys
@@ -354,6 +359,57 @@ def test_the_generated_check_itself():
 
     assert generated_methods(Written) == ["f"]
     assert generated_methods(Made) == ["__eq__", "__init__", "__repr__"]
+
+
+ENUMS = sorted(
+    {
+        value
+        for path in PACKAGE
+        for value in vars(importlib.import_module(f"btauthsim.{path.stem}")).values()
+        if isinstance(value, type) and issubclass(value, enum.Enum)
+        and value.__module__.startswith("btauthsim.")
+    },
+    key=lambda cls: cls.__name__,
+)
+
+
+def enum_faults(classes, base: type) -> list[str]:
+    """The names of the enums among classes, base aside, that do not derive
+    from base or whose body defines __hash__."""
+    return [
+        cls.__name__
+        for cls in classes
+        if issubclass(cls, enum.Enum)
+        and cls is not base
+        and (not issubclass(cls, base) or "__hash__" in vars(cls))
+    ]
+
+
+def test_every_enum_hashes_by_identity():
+    assert [cls.__name__ for cls in ENUMS] == [
+        "AuthStatus", "Confidentiality", "Detection", "IdentityEnum", "Integrity",
+        "IntruderMode", "MsgKind", "Phase", "Role", "Variant",
+    ]
+    assert enum_faults(ENUMS, crypto.IdentityEnum) == []
+    assert vars(crypto.IdentityEnum)["__hash__"] is object.__hash__
+    assert all(cls.__hash__ is object.__hash__ for cls in ENUMS)
+
+
+def test_the_enum_check_itself():
+    class Base(enum.Enum):
+        __hash__ = object.__hash__
+
+    class Plain(enum.Enum):
+        ONE = 1
+
+    class Derived(Base):
+        ONE = 1
+
+    class Restated(Base):
+        ONE = 1
+        __hash__ = object.__hash__
+
+    assert enum_faults([Base, Plain, Derived, Restated, int], Base) == ["Plain", "Restated"]
 
 
 def test_modules_are_found():

@@ -332,6 +332,12 @@ keys = st.binary(min_size=16, max_size=16)
 # the arguments of each value class that is not a record; the ones that
 # construction refuses, too
 VALUE_ARGS = {
+    Message: st.tuples(
+        st.sampled_from(list(MsgKind)),
+        addresses,
+        addresses,
+        st.sampled_from([b"", bytes(4), bytes(6), bytes(16)]),
+    ),
     ScenarioConfig: st.tuples(
         st.sampled_from(list(Variant)),
         st.sampled_from([None, *IntruderMode]),
@@ -360,7 +366,8 @@ VALUE_ARGS = {
 # whether each value class is frozen: every record is
 FROZEN = {
     **dict.fromkeys(RECORD_ARGS, True),
-    ScenarioConfig: True, LinkConfig: True, DhParams: True, DeviceState: False, IntruderState: False,
+    Message: True, ScenarioConfig: True, LinkConfig: True, DhParams: True, DeviceState: False,
+    IntruderState: False,
 }
 
 
