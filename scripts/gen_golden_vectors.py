@@ -78,6 +78,19 @@ def build_rows() -> list[tuple[str, ...]]:
             combined.hex(),
         )
     )
+    # all-ones contributions carry out of every 64-bit lane of the digest
+    ones = b"\xff" * 16
+    combined = combination_link_key(ones, addr_a, ones, addr_b)
+    rows.append(
+        (
+            "combination_link_key_all_ff",
+            ones.hex(),
+            addr_a.hex(),
+            ones.hex(),
+            addr_b.hex(),
+            combined.hex(),
+        )
+    )
 
     zero_aco = b"\x00" * 12
     enc = encryption_key(zero_key, zero_aco, zero_rand)

@@ -30,6 +30,7 @@ from .protocol import (
     Message,
     MsgKind,
     Variant,
+    _control_message,
     encode_public,
 )
 from .simnet import Detection, Transcript, delay_detector
@@ -273,7 +274,11 @@ def _act(intruder: IntruderState, row, arriving: bytes | None) -> list[Message]:
             raise ValueError("only an active intruder against the dh variant forges public values")
         else:
             payload = values[source]
-        out.append(Message(kind, values[sender], values[receiver], payload))
+        if kind is AUTH_REQUEST:
+            # its kind and parties fix every field, as in protocol.start
+            out.append(_control_message(kind, values[sender], values[receiver], payload))
+        else:
+            out.append(Message(kind, values[sender], values[receiver], payload))
     return out
 
 

@@ -28,9 +28,12 @@ check_octets, which accepts or refuses it.
 
 e1 derives only the 32-bit response, from the one lane of the digest that
 the response reads; e1_aco derives the ciphering offset from the full
-digest. e1 keeps a small memo of its recent results, because one run
-computes the same (key, challenge, claimant) triple more than once: the
-answering device, the verifying device and the verdict each derive it.
+digest. combination_link_key runs the digests of its two contributions
+in one two-lane pass over packed ints, and mixhash128, the one-message
+digest, is the reference for it. e1 keeps a small memo of its recent
+results, because one run computes the same (key, challenge, claimant)
+triple more than once: the answering device, the verifying device and the
+verdict each derive it.
 session_key memoises the key by the shared value and the modulus: the two
 devices of a dh-improved run that see each other's public value reach the
 same shared value, and the second pays no digest. dh_keypair records the
@@ -353,12 +356,30 @@ def init_key(pin: bytes, addr: bytes, rand: bytes) -> bytes:
     return mixhash128(_TAG_INIT_KEY + pin + bytes([len(pin)]) + addr + rand)
 
 
+# combination_link_key runs the digests of both contributions at once: each
+# state int holds half A's 64-bit lane in its low bits and half B's 192 bits
+# higher. A lane's largest intermediate value, the rotated lane times _MULT,
+# is below 2^141 < 2^192, so nothing one half computes reaches the other;
+# _LINK_LOW13 keeps x >> 51 from bringing half B's low bits into the gap
+# before the multiply, and _LINK_MASK keeps 64 bits of each lane. A message
+# of tag, random and address is 23 octets: three data blocks, the 0x80 octet
+# last, then the length block and the four zero blocks of mixhash128.
+_LINK_MASK = _MASK64 | _MASK64 << 192
+_LINK_LOW13 = 0x1FFF | 0x1FFF << 192
+_LINK_S0 = _S0_INIT | _S0_INIT << 192
+_LINK_S1 = _S1_INIT | _S1_INIT << 192
+_LINK_TAIL = (23 | 23 << 192, 0, 0, 0, 0)
+_LINK_HALVES = struct.Struct("<6Q")
+
+
 def combination_link_key(rand_a: bytes, addr_a: bytes, rand_b: bytes, addr_b: bytes) -> bytes:
     """16-octet XOR combination of the two sides' (16-octet random, address)
-    contributions.
+    contributions: the XOR of mixhash128(tag + rand_a + addr_a) and
+    mixhash128(tag + rand_b + addr_b).
 
     Symmetric in the two contribution pairs; equal contributions cancel to
-    the all-zero key.
+    the all-zero key. Both digests run in one two-lane pass (see the
+    _LINK_* constants), with mixhash128 as its reference.
     """
     # pre-tested as in e1
     if type(rand_a) is not bytes or len(rand_a) != 16:
@@ -369,9 +390,18 @@ def combination_link_key(rand_a: bytes, addr_a: bytes, rand_b: bytes, addr_b: by
         check_octets("rand_b", rand_b, 16)
     if type(addr_b) is not bytes or len(addr_b) != 6:
         check_octets("addr_b", addr_b, 6)
-    half_a = mixhash128(_TAG_LINK_KEY + rand_a + addr_a)
-    half_b = mixhash128(_TAG_LINK_KEY + rand_b + addr_b)
-    return xor_bytes(half_a, half_b)
+    a0, a1, a2, b0, b1, b2 = _LINK_HALVES.unpack(
+        _TAG_LINK_KEY + rand_a + addr_a + b"\x80" + _TAG_LINK_KEY + rand_b + addr_b + b"\x80"
+    )
+    s0 = _LINK_S0
+    s1 = _LINK_S1
+    for m in (a0 | b0 << 192, a1 | b1 << 192, a2 | b2 << 192, *_LINK_TAIL):
+        x = s0 ^ m
+        # as in mixhash128, with x >> 51 cut to the 13 bits that the
+        # rotation brings down within each lane
+        s0 = (x << 13 | x >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+        s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    return _DIGEST.pack((s0 ^ s0 >> 192) & _MASK64, (s1 ^ s1 >> 192) & _MASK64)
 
 
 def encryption_key(key: bytes, aco: bytes, en_rand: bytes) -> bytes:

@@ -35,6 +35,7 @@ AuthRequest, AuthSuccess or AuthFail are fixed by its kind and two
 parties, and those of an AuthOutcome by its status and peer; each comes
 from a bounded, typed lru_cache over its class, as adversary.verdict's
 AttackVerdict does, so each distinct value is built and checked once.
+The intruder's AuthRequests come from the same cache as start's.
 The cache stores no exception, so a bad argument raises the
 constructor's own error on every call; start checks that its peer is
 bytes before the cache hashes it.

@@ -522,25 +522,30 @@ class TestCallBudget:
         }
 
     def test_headline_runs_compute_no_bootstrap_key(self, monkeypatch):
-        # the link key is the two digests of combination_link_key; a
-        # dh-improved run adds one session-key digest for each key agreed:
-        # one when A and B agree, two under an active relay
-        digests = {config.scenario_name: [2, 2, 2] for config in cli.HEADLINE}
-        digests["dh-improved+none"] = digests["dh-improved+relay-passive"] = [3, 3, 3]
-        digests["dh-improved+relay-active"] = [4, 4, 4]
+        # every run computes the link key once, and combination_link_key
+        # runs both of its digests itself, so mixhash128 digests only
+        # session keys: one in a dh-improved run whose devices agree, two
+        # under an active relay
+        digests = {config.scenario_name: [0, 0, 0] for config in cli.HEADLINE}
+        digests["dh-improved+none"] = digests["dh-improved+relay-passive"] = [1, 1, 1]
+        digests["dh-improved+relay-active"] = [2, 2, 2]
         for config in cli.HEADLINE:
             # the calibration run of a configuration is not any run's work
             config.prepared
         calls = collections.Counter()
         monkeypatch.setattr(crypto, "mixhash128", self.counted(calls, "mixhash128", mixhash128))
+        link_key = self.counted(calls, "combination_link_key", combination_link_key)
+        monkeypatch.setattr(cli, "combination_link_key", link_key)
         for module in (crypto, cli):
             monkeypatch.setattr(module, "init_key", self.counted(calls, "init_key", init_key))
         counts = {}
         for config in cli.HEADLINE:
             for seed in range(3):
-                before = calls["mixhash128"]
+                before = calls["mixhash128"], calls["combination_link_key"]
                 run_scenario(config, seed)
-                counts.setdefault(config.scenario_name, []).append(calls["mixhash128"] - before)
+                digested = calls["mixhash128"] - before[0]
+                assert calls["combination_link_key"] - before[1] == 1
+                counts.setdefault(config.scenario_name, []).append(digested)
         assert counts == digests
         assert calls["init_key"] == 0
 
@@ -569,14 +574,14 @@ class TestCallBudget:
 
     def test_headline_runs_build_a_fixed_count_of_values(self, monkeypatch):
         # Message constructions of a run, once one run of its configuration
-        # has interned its AuthRequest, AuthSuccess, AuthFail, outcomes and
-        # verdict: the challenges, responses and public values it sends, and
-        # whatever an intruder forges or opens with
+        # has interned its AuthRequests (an intruder's too), AuthSuccess,
+        # AuthFail, outcomes and verdict: the challenges, responses and
+        # public values it sends, and the other messages an intruder forges
+        # or opens with
         budget = {config.scenario_name: 4 for config in cli.HEADLINE}
         budget["dh-improved+none"] = budget["dh-improved+relay-passive"] = 6
-        budget["improved+originate"] = 6
         budget["dh-improved+relay-active"] = 7
-        budget["legacy+originate"] = 9
+        budget["legacy+originate"] = 7
         for config in cli.HEADLINE:
             run_scenario(config, 0)
         calls = collections.Counter()

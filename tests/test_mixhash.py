@@ -10,10 +10,12 @@ import array
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from btauthsim.crypto import e1, e1_aco, mixhash128
+from support import ADDR_A, ADDR_B
+
+from btauthsim.crypto import combination_link_key, e1, e1_aco, mixhash128
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -167,3 +169,25 @@ def test_e1_is_the_digest_split(key, challenge, addr):
     assert e1(*args) == digest[:4]
     assert e1.__wrapped__(*args) == digest[:4]
     assert e1_aco(*args) == digest[4:]
+
+
+RAND = st.binary(min_size=16, max_size=16)
+ADDR = st.binary(min_size=6, max_size=6)
+ONES, ZEROS = b"\xff" * 16, bytes(16)
+
+
+# all-0x00 and all-0xFF contributions carry out of every lane, into the gap
+# between the two halves of the packed state; equal ones give the zero key
+@given(RAND, ADDR, RAND, ADDR)
+@example(ZEROS, ADDR_A, ZEROS, ADDR_B)
+@example(ONES, ADDR_A, ONES, ADDR_B)
+@example(ONES, b"\xff" * 6, ZEROS, bytes(6))
+@example(ONES, ADDR_A, ONES, ADDR_A)
+@settings(max_examples=300)
+def test_link_key_is_the_xor_of_two_reference_digests(rand_a, addr_a, rand_b, addr_b):
+    half_a = ref_mixhash128(b"\x03" + rand_a + addr_a)
+    half_b = ref_mixhash128(b"\x03" + rand_b + addr_b)
+    expected = bytes(x ^ y for x, y in zip(half_a, half_b))
+    assert combination_link_key(rand_a, addr_a, rand_b, addr_b) == expected
+    if (rand_a, addr_a) == (rand_b, addr_b):
+        assert expected == bytes(16)
