@@ -4,19 +4,19 @@
 Each row is ``name,input_hex...,output_hex`` with a variable number of
 input fields; the last field is always the output. Integer inputs are
 recorded as 16-octet big-endian strings. Run with ``--check`` to verify
-the committed file without rewriting it.
+the committed file without rewriting it; a stale file is reported with a
+diff of the committed lines against the generated ones.
 """
 
 import argparse
+import difflib
 import sys
 from pathlib import Path
 
+from btauthsim import crypto
 from btauthsim.crypto import (
     DhParams,
     combination_link_key,
-    e1,
-    e1_aco,
-    encryption_key,
     init_key,
     mixhash128,
     session_key_from_shared,
@@ -32,89 +32,40 @@ HEADER = """\
 """
 
 
-def build_rows() -> list[tuple[str, ...]]:
-    rows: list[tuple[str, ...]] = []
+ZERO16, ZERO6, ONES = bytes(16), bytes(6), b"\xff" * 16
+ADDR_A, ADDR_B = bytes.fromhex("aa0000000001"), bytes.fromhex("bb0000000002")
 
-    for name, data in [
-        ("mixhash_empty", b""),
-        ("mixhash_single_zero", b"\x00"),
-        ("mixhash_single_one", b"\x01"),
-        ("mixhash_ascii_abc", b"abc"),
-        ("mixhash_bytes_0_7", bytes(range(8))),
-        ("mixhash_bytes_0_15", bytes(range(16))),
-    ]:
-        rows.append((name, data.hex(), mixhash128(data).hex()))
-
-    zero_key = b"\x00" * 16
-    zero_rand = b"\x00" * 16
-    zero_addr = b"\x00" * 6
-    sres = e1(zero_key, zero_rand, zero_addr)
-    aco = e1_aco(zero_key, zero_rand, zero_addr)
-    rows.append(
-        (
-            "e1_all_zero",
-            zero_key.hex(),
-            zero_rand.hex(),
-            zero_addr.hex(),
-            sres.hex() + aco.hex(),
-        )
-    )
-
-    for name, pin in [("init_key_pin_0000", b"0000"), ("init_key_pin_00000", b"00000")]:
-        key = init_key(pin, zero_addr, zero_rand)
-        rows.append((name, pin.hex(), zero_addr.hex(), zero_rand.hex(), key.hex()))
-
-    ra, rb = b"\x11" * 16, b"\x22" * 16
-    addr_a = bytes.fromhex("aa0000000001")
-    addr_b = bytes.fromhex("bb0000000002")
-    combined = combination_link_key(ra, addr_a, rb, addr_b)
-    rows.append(
-        (
-            "combination_link_key",
-            ra.hex(),
-            addr_a.hex(),
-            rb.hex(),
-            addr_b.hex(),
-            combined.hex(),
-        )
-    )
+# (name, function, *inputs): each row is the inputs and the function's output
+ROWS = [
+    ("mixhash_empty", mixhash128, b""),
+    ("mixhash_single_zero", mixhash128, b"\x00"),
+    ("mixhash_single_one", mixhash128, b"\x01"),
+    ("mixhash_ascii_abc", mixhash128, b"abc"),
+    ("mixhash_bytes_0_7", mixhash128, bytes(range(8))),
+    ("mixhash_bytes_0_15", mixhash128, bytes(range(16))),
+    # the full digest of e1's message (key, challenge, claimant): e1's
+    # response is its first 4 octets
+    ("e1_all_zero", lambda *triple: mixhash128(crypto._TAG_AUTH + b"".join(triple)),
+     ZERO16, ZERO16, ZERO6),
+    ("init_key_pin_0000", init_key, b"0000", ZERO6, ZERO16),
+    ("init_key_pin_00000", init_key, b"00000", ZERO6, ZERO16),
+    ("combination_link_key", combination_link_key, b"\x11" * 16, ADDR_A, b"\x22" * 16, ADDR_B),
     # all-ones contributions carry out of every 64-bit lane of the digest
-    ones = b"\xff" * 16
-    combined = combination_link_key(ones, addr_a, ones, addr_b)
-    rows.append(
-        (
-            "combination_link_key_all_ff",
-            ones.hex(),
-            addr_a.hex(),
-            ones.hex(),
-            addr_b.hex(),
-            combined.hex(),
-        )
-    )
+    ("combination_link_key_all_ff", combination_link_key, ONES, ADDR_A, ONES, ADDR_B),
+    # the key reads the shared value and the modulus, not the generator
+    ("session_key_k2_p23", lambda k, p: session_key_from_shared(k, DhParams(p=p, alpha=5)), 2, 23),
+]
 
-    zero_aco = b"\x00" * 12
-    enc = encryption_key(zero_key, zero_aco, zero_rand)
-    rows.append(
-        (
-            "encryption_key_all_zero",
-            zero_key.hex(),
-            zero_aco.hex(),
-            zero_rand.hex(),
-            enc.hex(),
-        )
-    )
 
-    params = DhParams(p=23, alpha=5)
-    session = session_key_from_shared(2, params)
-    rows.append(
-        (
-            "session_key_k2_p23",
-            (2).to_bytes(16, "big").hex(),
-            (23).to_bytes(16, "big").hex(),
-            session.hex(),
-        )
-    )
-    return rows
+def hex_field(value: bytes | int) -> str:
+    return (value.to_bytes(16, "big") if isinstance(value, int) else value).hex()
+
+
+def build_rows() -> list[tuple[str, ...]]:
+    return [
+        (name, *map(hex_field, inputs), function(*inputs).hex())
+        for name, function, *inputs in ROWS
+    ]
 
 
 def render(rows: list[tuple[str, ...]]) -> str:
@@ -132,7 +83,13 @@ def main(argv=None) -> int:
         if not args.path.exists():
             print(f"missing: {args.path}", file=sys.stderr)
             return 1
-        if args.path.read_text() != content:
+        committed = args.path.read_text()
+        if committed != content:
+            for line in difflib.unified_diff(
+                committed.splitlines(), content.splitlines(), str(args.path), "generated",
+                lineterm="",
+            ):
+                print(line, file=sys.stderr)
             print(f"stale: {args.path}", file=sys.stderr)
             return 1
         print(f"ok: {args.path}")

@@ -9,6 +9,7 @@ scenario name and seed alone.
 
 import functools
 import math
+import os
 import sys
 
 from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
@@ -382,6 +383,14 @@ def main(argv=None) -> int:
                 )
                 sink.write(text)
             sink.write(report_line(config, result) + "\n")
+        sink.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: as the signal module's SIGPIPE note
+        # does, send what is still buffered to devnull and exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sink.fileno())
+        os.close(devnull)
+        return 1
     finally:
         if sink is not sys.stdout:
             sink.close()

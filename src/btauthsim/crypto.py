@@ -1,12 +1,12 @@
-"""Key material, the keyed mixing function behind E1/E2/E3, and Diffie-Hellman arithmetic.
+"""Key material, the keyed mixing function behind E1 and E2, and Diffie-Hellman arithmetic.
 
 Apart from Stream, the seeded random stream each party of a run draws
 from, all operations are pure functions and safe to call from any thread.
 Octet widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
-octets, 128-bit challenges and keys, 32-bit signed responses, 96-bit
-ciphering offset. Every octet string a function takes or returns, addresses
-and PINs included, is plain bytes; each function checks the type and width
-of the octets it takes, and check_octets holds that check and its messages,
+octets, 128-bit challenges and keys, and 32-bit signed responses. Every
+octet string a function takes or returns, addresses and PINs included, is
+plain bytes; each function checks the type and width of the octets it
+takes, and check_octets holds that check and its messages,
 as check_type does for a value that must be exactly of one type (an int, an
 enum, a value class) and check_public for a peer's public value.
 value_class, beside them, makes each value class of the package:
@@ -26,14 +26,14 @@ exact bytes of the width, so a well-formed value costs no call; only a
 value that fails that test, a bytes subclass included, reaches
 check_octets, which accepts or refuses it.
 
-e1 derives only the 32-bit response, from the one lane of the digest that
-the response reads; e1_aco derives the ciphering offset from the full
-digest. combination_link_key runs the digests of its two contributions
-in one two-lane pass over packed ints, and mixhash128, the one-message
-digest, is the reference for it. e1 keeps a small memo of its recent
-results, because one run computes the same (key, challenge, claimant)
-triple more than once: the answering device, the verifying device and the
-verdict each derive it.
+e1 derives the 32-bit response from the one lane of the digest that the
+response reads, and combination_link_key runs the digests of its two
+contributions in one two-lane pass over packed ints. mixhash128, the
+one-message digest, is the reference for both, and derives init_key's
+bootstrap key and the session key itself. e1 keeps a small memo of its
+recent results, because one run computes the same (key, challenge,
+claimant) triple more than once: the answering device, the verifying
+device and the verdict each derive it.
 session_key memoises the key by the shared value and the modulus: the two
 devices of a dh-improved run that see each other's public value reach the
 same shared value, and the second pays no digest. dh_keypair records the
@@ -74,10 +74,8 @@ __all__ = [
     "DhKeyPair",
     "mixhash128",
     "e1",
-    "e1_aco",
     "init_key",
     "combination_link_key",
-    "encryption_key",
     "modexp",
     "is_prime",
     "prime_factors",
@@ -293,12 +291,11 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-# Domain-separation tags keep the authentication, link-key, encryption-key,
+# Domain-separation tags keep the authentication, bootstrap-key, link-key
 # and session-key uses of the one mixing function disjoint.
 _TAG_AUTH = b"\x01"
 _TAG_INIT_KEY = b"\x02"
 _TAG_LINK_KEY = b"\x03"
-_TAG_ENC_KEY = b"\x04"
 _TAG_SESSION = b"\x05"
 
 
@@ -336,15 +333,6 @@ def e1(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
         x = s0 ^ m
         s0 = (x << 13 | x >> 51) * _MULT & _MASK64
     return _SRES.pack(s0 & 0xFFFFFFFF)
-
-
-def e1_aco(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
-    """The 12-octet ciphering offset (ACO) of the triple that e1 answers:
-    the last 12 octets of the same digest, whose first 4 are the response."""
-    check_octets("key", key, 16)
-    check_octets("challenge", challenge, 16)
-    check_octets("claimant", claimant, 6)
-    return mixhash128(_TAG_AUTH + key + challenge + claimant)[4:]
 
 
 def init_key(pin: bytes, addr: bytes, rand: bytes) -> bytes:
@@ -402,15 +390,6 @@ def combination_link_key(rand_a: bytes, addr_a: bytes, rand_b: bytes, addr_b: by
         s0 = (x << 13 | x >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
         s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
     return _DIGEST.pack((s0 ^ s0 >> 192) & _MASK64, (s1 ^ s1 >> 192) & _MASK64)
-
-
-def encryption_key(key: bytes, aco: bytes, en_rand: bytes) -> bytes:
-    """16-octet encryption key derived from the 16-octet link key, the
-    12-octet ciphering offset, and a 16-octet random."""
-    check_octets("key", key, 16)
-    check_octets("aco", aco, 12)
-    check_octets("en_rand", en_rand, 16)
-    return mixhash128(_TAG_ENC_KEY + key + aco + en_rand)
 
 
 def modexp(base: int, exponent: int, modulus: int) -> int:

@@ -3,7 +3,11 @@
 import collections
 import enum
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +135,22 @@ class TestTranscriptOutput:
         content = path.read_text().splitlines()
         assert len(content) == 2
         assert all(line.startswith("scenario=legacy+none") for line in content)
+
+    def test_a_closed_pipe_ends_the_run_quietly(self):
+        # as `btauthsim --seeds-count 20000 | head -1`: the reader takes one
+        # line and closes the pipe long before the last run
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "btauthsim.cli", "--seeds-count", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        ) as child:
+            assert child.stdout.readline().startswith("scenario=legacy+none seed=0 ")
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert err == ""
+        assert child.returncode == 1
 
 
 class TestConfigErrors:

@@ -244,14 +244,11 @@ FIELDS = [
 ROWS = [
     *table("e1", crypto.e1, E1, **E1_KINDS),
     *table("e1.__wrapped__", crypto.e1.__wrapped__, E1, **E1_KINDS),
-    *table("e1_aco", crypto.e1_aco, E1, **E1_KINDS),
     *table("init_key", crypto.init_key, dict(pin=b"0000", addr=ADDR_A, rand=NONCE),
            pin=octets(1, 16), addr=ADDR, rand=KEY16),
     *table("combination_link_key", crypto.combination_link_key,
            dict(rand_a=KEY, addr_a=ADDR_A, rand_b=NONCE, addr_b=ADDR_B),
            rand_a=KEY16, addr_a=ADDR, rand_b=KEY16, addr_b=ADDR),
-    *table("encryption_key", crypto.encryption_key, dict(key=KEY, aco=bytes(12), en_rand=NONCE),
-           key=KEY16, aco=octets(12), en_rand=KEY16),
     *table("xor_bytes", crypto.xor_bytes, dict(a=KEY, b=NONCE), a=octets(), b=octets()),
     *table("Stream", crypto.Stream, dict(seed=1), seed=seed("seed")),
     *table("DhParams", DhParams, dict(p=23, alpha=5),

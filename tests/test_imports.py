@@ -31,6 +31,12 @@ to write a docstring, and ``value_class`` refuses a class without an
 Every enum of the package derives from ``crypto.IdentityEnum``, and none
 but that base defines ``__hash__``: the rule that a member hashes by
 identity is declared once.
+
+Every name that ``crypto`` exports is read by the package or by a script
+that measures it (attack_matrix.py, dlog_cost.py), outside its own
+definition, or has its reason in UNREAD_EXPORTS: a function that no run,
+judge or analysis reaches is retired, not kept for its own tests.
+gen_golden_vectors.py is no reader, since it pins whatever exists.
 """
 
 import ast
@@ -54,6 +60,16 @@ MODULES = sorted([*PROGRAM, *ROOT.glob("tests/*.py")])
 SUPPORT = ROOT / "tests" / "support.py"
 SIMNET = "btauthsim.simnet"
 MAKERS = {"dataclass", "make_dataclass"}
+CRYPTO_READERS = [
+    *PACKAGE, ROOT / "scripts" / "attack_matrix.py", ROOT / "scripts" / "dlog_cost.py",
+]
+# the names crypto exports that no reader reads, each with its reason
+UNREAD_EXPORTS = {
+    "dh_shared": "the session-key tests compare session_key against it",
+    "session_key_from_shared": "the session-key tests compare session_key against it",
+    "init_key": "perfbench/spans.py patches cli.init_key, and PIN pairing would put it on a "
+                "run's path",
+}
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -153,6 +169,26 @@ def dataclass_lines(source: str) -> list[int]:
         or (isinstance(node, ast.Attribute) and node.attr in MAKERS
             and ast.unparse(node.value) == "dataclasses")
     )
+
+
+def outside_reads(source: str) -> set[str]:
+    """The names the module reads, outside the top-level def or class that
+    binds the name; setting an attribute of a name does not read it."""
+    reads = set()
+    for top in ast.parse(source).body:
+        nodes = list(ast.walk(top))
+        set_on = {
+            id(node.value)
+            for node in nodes
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+        }
+        reads |= {
+            node.id
+            for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and id(node) not in set_on and node.id != getattr(top, "name", None)
+        }
+    return reads
 
 
 def generated_methods(cls: type) -> list[str]:
@@ -410,6 +446,31 @@ def test_the_enum_check_itself():
         __hash__ = object.__hash__
 
     assert enum_faults([Base, Plain, Derived, Restated, int], Base) == ["Plain", "Restated"]
+
+
+def test_every_crypto_export_is_read():
+    read = set().union(*(outside_reads(path.read_text()) for path in CRYPTO_READERS))
+    unread = set(crypto.__all__) - read
+    assert sorted(unread - UNREAD_EXPORTS.keys()) == []
+    # and a reason goes once a reader reads its name
+    assert sorted(UNREAD_EXPORTS.keys() - unread) == []
+
+
+@pytest.mark.parametrize(
+    "source,reads",
+    [
+        ("def f():\n    pass\ndef g():\n    return f()\n", {"f"}),
+        ("def f():\n    return f\n", set()),
+        ("class C:\n    def m(self):\n        return C()\n", set()),
+        ("from .crypto import e1\ndef f(a):\n    return e1(a)\n", {"e1", "a"}),
+        ("from .crypto import init_key\n__all__ = ['init_key']\n", set()),
+        ("def f():\n    pass\nf.cache_clear = g\n", {"g"}),
+        ("from btauthsim import crypto\ncrypto.e1(k)\n", {"crypto", "k"}),
+        ("def g():\n    return f()\ndef f():\n    return f\n", {"f"}),
+    ],
+)
+def test_the_export_read_check_itself(source, reads):
+    assert outside_reads(source) == reads
 
 
 def test_modules_are_found():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from support import ADDR_A, ADDR_B
 
-from btauthsim.crypto import combination_link_key, e1, e1_aco, mixhash128
+from btauthsim.crypto import combination_link_key, e1, mixhash128
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -163,12 +163,11 @@ def test_s0_lane_never_reads_s1():
 )
 @settings(max_examples=300)
 def test_e1_is_the_digest_split(key, challenge, addr):
-    # the response is the first 4 digest octets, the offset the other 12
+    # the response is the first 4 digest octets
     digest = ref_mixhash128(b"\x01" + key + challenge + addr)
     args = (key, challenge, addr)
     assert e1(*args) == digest[:4]
     assert e1.__wrapped__(*args) == digest[:4]
-    assert e1_aco(*args) == digest[4:]
 
 
 RAND = st.binary(min_size=16, max_size=16)

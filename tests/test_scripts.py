@@ -119,3 +119,42 @@ def test_dlog_cost_rejects_a_modulus_at_or_above_the_cap(dh_p):
     assert done.returncode == 2
     assert done.stdout == ""
     assert f"dh-p must be below 2^48, got {dh_p}" in done.stderr
+
+
+def test_golden_vectors_check_accepts_the_generated_file(tmp_path, capsys):
+    script = load_script("gen_golden_vectors")
+    path = tmp_path / "golden_vectors.txt"
+    path.write_text(script.render(script.build_rows()))
+    assert script.main(["--check", "--path", str(path)]) == 0
+    assert capsys.readouterr() == (f"ok: {path}\n", "")
+
+
+def test_golden_vectors_check_names_the_rows_that_moved(tmp_path, capsys):
+    script = load_script("gen_golden_vectors")
+    rows = script.build_rows()
+    # the first row's output changed, and the last row gone
+    name, data, digest = rows[0]
+    stale = script.render([(name, data, "00" * 16), *rows[1:-1]])
+    path = tmp_path / "golden_vectors.txt"
+    path.write_text(stale)
+    assert script.main(["--check", "--path", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[:2] == [f"--- {path}", "+++ generated"]
+    # between the file names and the stale line, the hunk's changed lines
+    assert [line for line in lines[2:-1] if line[0] in "-+"] == [
+        f"-{name},{data},{'00' * 16}",
+        f"+{name},{data},{digest}",
+        "+" + ",".join(rows[-1]),
+    ]
+    assert lines[-1] == f"stale: {path}"
+    # a check rewrites nothing
+    assert path.read_text() == stale
+
+
+def test_golden_vectors_check_reports_a_missing_file(tmp_path, capsys):
+    path = tmp_path / "golden_vectors.txt"
+    assert load_script("gen_golden_vectors").main(["--check", "--path", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"missing: {path}\n")
+    assert not path.exists()
