@@ -10,6 +10,7 @@ is in the run's transcript, and verdict scores a run from the outcomes
 and that transcript alone, with the detector's baselines and threshold.
 """
 
+from collections import namedtuple
 from dataclasses import field
 import functools
 
@@ -63,30 +64,14 @@ class Confidentiality(IdentityEnum):
     BREACHED = "Breached"
 
 
-@value_class(frozen=True)
-class AttackVerdict:
+class AttackVerdict(
+    namedtuple("AttackVerdict", "attack_success integrity confidentiality detection")
+):
     """The score of one run, as verdict judges it from the run's record:
     whether both devices authenticated with every hop through the intruder,
     and the run's integrity, confidentiality and detection."""
 
-    attack_success: bool
-    integrity: Integrity
-    confidentiality: Confidentiality
-    detection: Detection
-
-    def __init__(
-        self,
-        attack_success: bool,
-        integrity: Integrity,
-        confidentiality: Confidentiality,
-        detection: Detection,
-    ) -> None:
-        self.__dict__.update(
-            attack_success=attack_success,
-            integrity=integrity,
-            confidentiality=confidentiality,
-            detection=detection,
-        )
+    __slots__ = ()
 
 
 # each of the 16 verdicts a run can produce, built once and shared by the

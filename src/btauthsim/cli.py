@@ -7,12 +7,13 @@ the pairing randomness, so any report line can be reproduced from its
 scenario name and seed alone.
 """
 
+from collections import namedtuple
 import functools
 import math
 import os
 import sys
 
-from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
+from .adversary import IntruderMode, IntruderState, verdict
 from .crypto import (
     DhParams,
     Stream,
@@ -24,8 +25,8 @@ from .crypto import (
     session_key,
     value_class,
 )
-from .protocol import AuthOutcome, DeviceState, Variant, new_device
-from .simnet import LinkConfig, Transcript, delay_detector, run, transcript_rtt
+from .protocol import DeviceState, Variant, new_device
+from .simnet import LinkConfig, delay_detector, run, transcript_rtt
 
 __all__ = [
     "ScenarioConfig", "HEADLINE", "ScenarioResult", "ConfigError", "run_scenario", "main",
@@ -125,36 +126,14 @@ class ScenarioConfig:
         return f"{self.variant.value}+{mode}"
 
 
-@value_class(frozen=True)
-class ScenarioResult:
+class ScenarioResult(
+    namedtuple("ScenarioResult", "seed transcript outcomes score baselines link_key")
+):
     """One run of run_scenario: its seed, transcript and outcomes, the
     verdict on them, the baselines it was judged against and the link key
     the two devices shared."""
 
-    seed: int
-    transcript: Transcript
-    outcomes: dict[bytes, AuthOutcome]
-    score: AttackVerdict
-    baselines: dict[bytes, int]
-    link_key: bytes
-
-    def __init__(
-        self,
-        seed: int,
-        transcript: Transcript,
-        outcomes: dict[bytes, AuthOutcome],
-        score: AttackVerdict,
-        baselines: dict[bytes, int],
-        link_key: bytes,
-    ) -> None:
-        self.__dict__.update(
-            seed=seed,
-            transcript=transcript,
-            outcomes=outcomes,
-            score=score,
-            baselines=baselines,
-            link_key=link_key,
-        )
+    __slots__ = ()
 
 
 def validate(config: ScenarioConfig) -> Prepared:

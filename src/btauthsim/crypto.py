@@ -8,18 +8,21 @@ octet string a function takes or returns, addresses and PINs included, is
 plain bytes; each function checks the type and width of the octets it
 takes, and check_octets holds that check and its messages,
 as check_type does for a value that must be exactly of one type (an int, an
-enum, a value class) and check_public for a peer's public value.
-value_class, beside them, makes each value class of the package:
+enum, a value class, a record) and check_public for a peer's public value.
+value_class, beside them, makes each value class of the package, the
+values that check their arguments or change in place:
 dataclass writes only its fields, their class defaults and
 __match_args__; each class writes its own __init__ and docstring in its
 body; and every other method (__repr__, __eq__, __hash__, and a frozen
 class's __setattr__ and __delattr__) is a closure over the field names,
 whose code compiles once, with this module. So no source is generated and
-exec'd for any class at import. Each __init__ checks its arguments, if
+exec'd for any value class at import. Each __init__ checks its arguments, if
 it checks any, before it stores them; a frozen class stores every field
-in one self.__dict__.update. IdentityEnum, beside value_class, is the
-base of every enum of the package, and gives each member the identity
-hash.
+in one self.__dict__.update. The records, the frozen values that check
+nothing (DhKeyPair here), are instead subclasses of a
+collections.namedtuple class, which builds, shows, compares and hashes
+them. IdentityEnum, beside value_class, is the base of every enum of the
+package, and gives each member the identity hash.
 The functions every run calls (e1 and combination_link_key; no run calls
 init_key, see cli._derive_link_key) first test each octet string inline,
 exact bytes of the width, so a well-formed value costs no call; only a
@@ -56,6 +59,7 @@ that each DhParams builds on first use and never mutates once built; two
 threads that race to build it build equal tables.
 """
 
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 import functools
@@ -513,15 +517,10 @@ def has_full_order(params: DhParams) -> bool:
     return all(modexp(alpha, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
 
 
-@value_class(frozen=True)
-class DhKeyPair:
+class DhKeyPair(namedtuple("DhKeyPair", "r_private s_public")):
     """Per-device exchange pair: private exponent and public power."""
 
-    r_private: int
-    s_public: int
-
-    def __init__(self, r_private: int, s_public: int) -> None:
-        self.__dict__.update(r_private=r_private, s_public=s_public)
+    __slots__ = ()
 
 
 def _power_of_alpha(params: DhParams, e: int) -> int:

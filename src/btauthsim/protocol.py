@@ -41,6 +41,7 @@ constructor's own error on every call; start checks that its peer is
 bytes before the cache hashes it.
 """
 
+from collections import namedtuple
 from dataclasses import field
 import functools
 
@@ -180,16 +181,11 @@ class AuthStatus(IdentityEnum):
     TIMED_OUT = "TimedOut"
 
 
-@value_class(frozen=True)
-class AuthOutcome:
+class AuthOutcome(namedtuple("AuthOutcome", "status authenticated_with")):
     """How a device's handshake ended, and the peer address it
     authenticated, or None when it did not succeed."""
 
-    status: AuthStatus
-    authenticated_with: bytes | None
-
-    def __init__(self, status: AuthStatus, authenticated_with: bytes | None) -> None:
-        self.__dict__.update(status=status, authenticated_with=authenticated_with)
+    __slots__ = ()
 
 
 # every outcome a device can end with, built once, as _control_message

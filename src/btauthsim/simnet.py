@@ -12,7 +12,7 @@ addresses need not be one object.
 """
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 
 from .crypto import IdentityEnum, check_octets, check_type, value_class
 from .protocol import (
@@ -63,24 +63,17 @@ class LinkConfig:
         self.__dict__.update(latency_ms=latency_ms, timeout_ms=timeout_ms)
 
 
-@value_class(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(namedtuple("TranscriptEvent", "seq time from_id to_id kind payload")):
     """The seq-th delivery of a run, at time: the physical hop from from_id
     to to_id of a message of kind with its payload."""
 
-    seq: int
-    time: int
-    from_id: bytes
-    to_id: bytes
-    kind: MsgKind
-    payload: bytes
+    __slots__ = ()
 
-    def __init__(
-        self, seq: int, time: int, from_id: bytes, to_id: bytes, kind: MsgKind, payload: bytes
-    ) -> None:
-        self.__dict__.update(
-            seq=seq, time=time, from_id=from_id, to_id=to_id, kind=kind, payload=payload
-        )
+
+# what TranscriptEvent's own __new__ does, tuple.__new__ of the class and its
+# fields in order, called directly: run builds an event per delivered hop,
+# and this saves that __new__'s Python frame on each
+_new_tuple = tuple.__new__
 
 
 # the text of each message kind, read once here rather than through the
@@ -88,19 +81,11 @@ class TranscriptEvent:
 _KIND_TEXT = {kind: kind.value for kind in MsgKind}
 
 
-@value_class(frozen=True)
-class Transcript:
+class Transcript(namedtuple("Transcript", "events links end_time")):
     """Every delivery of a run in order, the links it ran on, and end_time:
     the time of the last delivery, or the timeout when a device timed out."""
 
-    events: tuple[TranscriptEvent, ...]
-    links: LinkConfig
-    end_time: int
-
-    def __init__(
-        self, events: tuple[TranscriptEvent, ...], links: LinkConfig, end_time: int
-    ) -> None:
-        self.__dict__.update(events=events, links=links, end_time=end_time)
+    __slots__ = ()
 
     # Each format is one comprehension over the events, each line ended by
     # a newline and the lines joined in one step, with no call per line.
@@ -173,7 +158,10 @@ def run(
             break
         last_time = time
         events.append(
-            TranscriptEvent(len(events), time, physical_from, physical_to, msg.kind, msg.payload)
+            _new_tuple(
+                TranscriptEvent,
+                (len(events), time, physical_from, physical_to, msg.kind, msg.payload),
+            )
         )
         if physical_to == intruder_id:
             send(intruder.intercept(msg), physical_to, time)

@@ -605,9 +605,11 @@ class TestCallBudget:
         for config in cli.HEADLINE:
             run_scenario(config, 0)
         calls = collections.Counter()
-        for cls in (protocol.Message, protocol.AuthOutcome, adversary.AttackVerdict):
-            counted = self.counted(calls, cls.__name__, cls.__init__)
-            monkeypatch.setattr(cls, "__init__", counted)
+        counted = self.counted(calls, "Message", protocol.Message.__init__)
+        monkeypatch.setattr(protocol.Message, "__init__", counted)
+        # the records have no __init__ of their own: each is built by its __new__
+        for cls in (protocol.AuthOutcome, adversary.AttackVerdict):
+            monkeypatch.setattr(cls, "__new__", self.counted(calls, cls.__name__, cls.__new__))
         counts = {}
         for config in cli.HEADLINE:
             for seed in range(3):
@@ -616,6 +618,11 @@ class TestCallBudget:
                 counts.setdefault(config.scenario_name, []).append(calls["Message"] - before)
         assert counts == {name: [count] * 3 for name, count in budget.items()}
         assert calls["AuthOutcome"] == calls["AttackVerdict"] == 0
+
+        # the counters see a record built past its cache
+        protocol.AuthOutcome(protocol.AuthStatus.FAILED, None)
+        adversary.AttackVerdict(False, None, None, None)
+        assert calls["AuthOutcome"] == calls["AttackVerdict"] == 1
 
     def test_headline_runs_seed_no_stream_through_random_seed(self, monkeypatch):
         # every stream of a run is a Stream, seeded through the generator's

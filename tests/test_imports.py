@@ -18,10 +18,25 @@ No function of the package but the ``__init__`` of a frozen value class
 reads ``self.__dict__``: each stores its fields there in one step, past the
 frozen ``__setattr__``.
 
+Every class of the package that holds fields is a value class or a record.
+A record is a direct subclass of a ``collections.namedtuple`` class, with
+``__slots__ = ()`` and none of ``__init__``, ``__new__``, ``__eq__``,
+``__hash__``, ``__repr__`` or ``__setattr__`` in its body: the tuple of its
+fields is all it stores, and it is built, shown, compared and hashed as
+that tuple's namedtuple.
+
+No module of the package imports ``typing``, which it needs nothing from:
+imported after the package, ``typing`` takes 2.3 to 3.7 ms of self time
+(``python -S -X importtime``, Python 3.11.7 on a 2-CPU Linux host), against
+about 22 ms for the whole set-up of a benchmark workload (``perfbench``'s
+``host.setup_s`` on matrix), and a record made by ``typing.NamedTuple``
+would import it.
+
 No module of the package but ``crypto`` applies ``dataclasses.dataclass``
 or ``make_dataclass``, and every value class of the package runs the
 ``__repr__``, ``__eq__`` and ``__hash__`` code of ``crypto.value_class``:
-a new class brings back no per-class generated methods. Nor does any
+a new value class brings back no per-class generated methods (a record's
+namedtuple evals one ``__new__``, the one method it generates). Nor does any
 function in a value class's body come from source generated at import:
 each class writes its own ``__init__`` and its own docstring, so
 ``dataclass`` neither execs an ``__init__`` nor calls ``inspect.signature``
@@ -40,6 +55,7 @@ gen_golden_vectors.py is no reader, since it pins whatever exists.
 """
 
 import ast
+import collections
 import dataclasses
 import enum
 import importlib
@@ -224,6 +240,48 @@ def dict_readers(source: str) -> list[str]:
     return readers
 
 
+def typing_lines(source: str) -> list[int]:
+    """The lines on which the module imports typing or a submodule of it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import)
+            and "typing" in [alias.name.partition(".")[0] for alias in node.names])
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.partition(".")[0] == "typing")
+    )
+
+
+# a record's class body holds none of these: the namedtuple's are its own
+RECORD_OWN = {"__init__", "__new__", "__eq__", "__hash__", "__repr__", "__setattr__"}
+# _make's code is one constant of collections.namedtuple, shared by every class it makes
+NAMEDTUPLE_MAKE = vars(collections.namedtuple("Probe", ""))["_make"].__func__.__code__
+
+
+def is_namedtuple(cls: type) -> bool:
+    """Whether collections.namedtuple made cls."""
+    make = vars(cls).get("_make")
+    return isinstance(make, classmethod) and make.__func__.__code__ is NAMEDTUPLE_MAKE
+
+
+def record_faults(classes) -> list[str]:
+    """The names of the classes among classes that hold fields, declared in
+    the body or stored in a tuple, and are neither a value class (a
+    dataclass) nor a record: a direct subclass of a namedtuple class, with
+    __slots__ = () and no name of RECORD_OWN in its body."""
+    return [
+        cls.__name__
+        for cls in classes
+        if (issubclass(cls, tuple) or "__annotations__" in vars(cls))
+        and not dataclasses.is_dataclass(cls)
+        and not (
+            len(cls.__bases__) == 1 and is_namedtuple(cls.__bases__[0])
+            and vars(cls).get("__slots__") == ()
+            and not RECORD_OWN & vars(cls).keys()
+        )
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
@@ -281,11 +339,8 @@ def test_the_assert_check_itself():
 def test_one_function_stores_a_record_by_hand():
     readers = [f"{path.stem}.{name}" for path in PACKAGE for name in dict_readers(path.read_text())]
     assert readers == [
-        "adversary.AttackVerdict.__init__", "cli.ScenarioConfig.__init__",
-        "cli.ScenarioResult.__init__", "crypto.DhParams.__init__", "crypto.DhKeyPair.__init__",
-        "protocol.Message.__init__", "protocol.AuthOutcome.__init__",
-        "simnet.LinkConfig.__init__", "simnet.TranscriptEvent.__init__",
-        "simnet.Transcript.__init__",
+        "cli.ScenarioConfig.__init__", "crypto.DhParams.__init__", "protocol.Message.__init__",
+        "simnet.LinkConfig.__init__",
     ]
 
 
@@ -322,15 +377,91 @@ def test_the_dataclass_check_itself(source, lines):
     assert dataclass_lines(source) == lines
 
 
-VALUE_CLASSES = sorted(
+def test_no_package_module_imports_typing():
+    importers = {path.name: typing_lines(path.read_text()) for path in PACKAGE}
+    assert {name: lines for name, lines in importers.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import typing\n", [1]),
+        ("import os, typing as t\n", [1]),
+        ("from typing import NamedTuple\n", [1]),
+        ("def f():\n    from typing import Any\n", [2]),
+        ("import typing_extensions\nfrom .typing import x\nfrom collections import abc\n", []),
+    ],
+)
+def test_the_typing_check_itself(source, lines):
+    assert typing_lines(source) == lines
+
+
+PACKAGE_CLASSES = sorted(
     {
         value
         for path in PACKAGE
         for value in vars(importlib.import_module(f"btauthsim.{path.stem}")).values()
-        if isinstance(value, type) and dataclasses.is_dataclass(value)
+        if isinstance(value, type) and value.__module__.startswith("btauthsim.")
     },
     key=lambda cls: cls.__name__,
 )
+
+
+def test_every_class_with_fields_is_a_value_class_or_a_record():
+    records = [cls.__name__ for cls in PACKAGE_CLASSES if is_namedtuple(cls.__bases__[0])]
+    assert records == [
+        "AttackVerdict", "AuthOutcome", "DhKeyPair", "ScenarioResult", "Transcript",
+        "TranscriptEvent",
+    ]
+    assert record_faults(PACKAGE_CLASSES) == []
+
+
+def test_the_record_check_itself():
+    Pair = collections.namedtuple("Pair", "a b")
+
+    class Record(Pair):
+        __slots__ = ()
+
+        def total(self):
+            return self.a + self.b
+
+    class Unslotted(Pair):
+        pass
+
+    class Nested(Record):
+        __slots__ = ()
+
+    class Initialised(Pair):
+        __slots__ = ()
+
+        def __init__(self, a, b):
+            pass
+
+    class Shown(Pair):
+        __slots__ = ()
+        __repr__ = tuple.__repr__
+
+    class Made(tuple):
+        __slots__ = ()
+        _make = Pair._make
+
+    class Annotated:
+        a: int
+
+    @dataclasses.dataclass
+    class Value:
+        a: int
+
+    class Bare:
+        pass
+
+    classes = [Record, Pair, Unslotted, Nested, Initialised, Shown, Made, Annotated, Value, Bare]
+    assert record_faults(classes) == [
+        "Pair", "Unslotted", "Nested", "Initialised", "Shown", "Made", "Annotated",
+    ]
+
+
+VALUE_CLASSES = [cls for cls in PACKAGE_CLASSES if dataclasses.is_dataclass(cls)]
 
 
 def test_every_value_class_runs_the_shared_methods():
@@ -340,9 +471,7 @@ def test_every_value_class_runs_the_shared_methods():
         if isinstance(code, types.CodeType)
     }
     assert sorted(cls.__name__ for cls in VALUE_CLASSES) == [
-        "AttackVerdict", "AuthOutcome", "DeviceState", "DhKeyPair", "DhParams", "IntruderState",
-        "LinkConfig", "Message", "ScenarioConfig", "ScenarioResult", "Transcript",
-        "TranscriptEvent",
+        "DeviceState", "DhParams", "IntruderState", "LinkConfig", "Message", "ScenarioConfig",
     ]
     for cls in VALUE_CLASSES:
         assert cls.__repr__.__code__ is shared["__repr__"], cls
@@ -397,16 +526,7 @@ def test_the_generated_check_itself():
     assert generated_methods(Made) == ["__eq__", "__init__", "__repr__"]
 
 
-ENUMS = sorted(
-    {
-        value
-        for path in PACKAGE
-        for value in vars(importlib.import_module(f"btauthsim.{path.stem}")).values()
-        if isinstance(value, type) and issubclass(value, enum.Enum)
-        and value.__module__.startswith("btauthsim.")
-    },
-    key=lambda cls: cls.__name__,
-)
+ENUMS = [cls for cls in PACKAGE_CLASSES if issubclass(cls, enum.Enum)]
 
 
 def enum_faults(classes, base: type) -> list[str]:

@@ -1,9 +1,12 @@
 """Event loop, routing topology, transcripts, timeout, delay detection."""
 
+import collections
+import copy
 import dataclasses
 import hashlib
 import inspect
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -289,48 +292,85 @@ def hash_or_error(value):
         return TypeError
 
 
+# the fields of each record, in order
+RECORD_FIELDS = {
+    TranscriptEvent: ("seq", "time", "from_id", "to_id", "kind", "payload"),
+    Transcript: ("events", "links", "end_time"),
+    AuthOutcome: ("status", "authenticated_with"),
+    AttackVerdict: ("attack_success", "integrity", "confidentiality", "detection"),
+    DhKeyPair: ("r_private", "s_public"),
+    ScenarioResult: ("seed", "transcript", "outcomes", "score", "baselines", "link_key"),
+}
+# the plain namedtuple of each record's fields
+RECORD_TWINS = {
+    record: collections.namedtuple(record.__name__, names)
+    for record, names in RECORD_FIELDS.items()
+}
+
+
 class TestEventRecord:
-    """Each record, a frozen value class whose __init__ stores its fields
-    unchecked, behaves as the plain frozen dataclass of its fields."""
+    """Each record, a collections.namedtuple subclass whose constructor
+    checks nothing, behaves as the plain namedtuple of its fields."""
 
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
     @given(data=st.data())
-    def test_behaves_like_a_plain_frozen_dataclass(self, record, data):
+    def test_behaves_like_a_plain_namedtuple(self, record, data):
         args, other = data.draw(RECORD_ARGS[record]), data.draw(RECORD_ARGS[record])
-        names = [f.name for f in dataclasses.fields(record)]
-        twin_of = VALUE_TWINS[record]
-        # the one-step __init__ takes the fields in their order, by name too
-        assert list(inspect.signature(record).parameters) == names
+        names = RECORD_FIELDS[record]
+        twin_of = RECORD_TWINS[record]
+        assert record._fields == names
         value, twin = record(*args), twin_of(*args)
         assert tuple(getattr(value, name) for name in names) == args
-        assert value == record(**dict(zip(names, args)))
+        # a record is the tuple of its fields, built by position or by name
+        assert value == args == record(**dict(zip(names, args)))
         assert repr(value) == repr(twin)
-        assert hash_or_error(value) == hash_or_error(twin)
+        # the repr names every field, and the hash is that of the tuple of
+        # the fields, which fixes the order of a set of records
+        shown = ", ".join(f"{name}={field!r}" for name, field in zip(names, args))
+        assert repr(value) == f"{record.__name__}({shown})"
+        assert hash_or_error(value) == hash_or_error(twin) == hash_or_error(args)
         assert (value == record(*other)) == (twin == twin_of(*other))
         for name, new in zip(names, other):
-            replaced = dataclasses.replace(value, **{name: new})
-            assert repr(replaced) == repr(dataclasses.replace(twin, **{name: new}))
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            replaced = value._replace(**{name: new})
+            assert type(replaced) is record
+            assert repr(replaced) == repr(twin._replace(**{name: new}))
+            with pytest.raises(AttributeError):
                 setattr(value, name, new)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 delattr(value, name)
+        # no instance dict: no other name can be stored either
+        with pytest.raises(AttributeError):
+            value.extra = None
 
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
-    def test_signature_is_the_plain_dataclass_one(self, record):
-        # names, annotations and defaults (the six records declare none), as
-        # dataclass would write them
-        assert inspect.signature(record) == inspect.signature(VALUE_TWINS[record])
+    def test_signature_is_the_plain_namedtuple_one(self, record):
+        # the field names in order, with no annotations and no defaults
+        assert inspect.signature(record) == inspect.signature(RECORD_TWINS[record])
 
     @pytest.mark.parametrize("record", list(RECORD_ARGS), ids=lambda record: record.__name__)
-    def test_init_stores_every_field_in_one_call(self, record):
-        # one self.__dict__.update, not one object.__setattr__ per field:
-        # that costs a matrix run about 6% of its runs per second
-        assert record.__init__.__code__.co_names == ("__dict__", "update")
+    def test_defines_no_init_or_new_of_its_own(self, record):
+        # construction is the namedtuple's __new__, one tuple.__new__ of the
+        # fields, and no __init__ runs after it
+        assert "__init__" not in vars(record) and "__new__" not in vars(record)
+        assert record.__init__ is object.__init__
+
+    def test_headline_runs_build_plain_events_and_copyable_results(self):
+        # simnet.run builds each event with tuple.__new__, past the
+        # record's own __new__: the same value that __new__ builds
+        for config in cli.HEADLINE:
+            for seed in range(3):
+                result = run_scenario(config, seed)
+                for e in result.transcript.events:
+                    assert type(e) is TranscriptEvent
+                    assert e == TranscriptEvent(*e)
+                for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+                    assert type(copied) is ScenarioResult
+                    assert copied == result
+                    assert repr(copied) == repr(result)
 
 
 keys = st.binary(min_size=16, max_size=16)
-# the arguments of each value class that is not a record; the ones that
-# construction refuses, too
+# the arguments of each value class; the ones that construction refuses, too
 VALUE_ARGS = {
     Message: st.tuples(
         st.sampled_from(list(MsgKind)),
@@ -363,9 +403,8 @@ VALUE_ARGS = {
         st.sampled_from([None, PARAMS]),
     ).map(lambda t: (t[0][0], t[1], t[2], t[0][1], t[0][2], t[3], t[4])),
 }
-# whether each value class is frozen: every record is
+# whether each value class is frozen
 FROZEN = {
-    **dict.fromkeys(RECORD_ARGS, True),
     Message: True, ScenarioConfig: True, LinkConfig: True, DhParams: True, DeviceState: False,
     IntruderState: False,
 }
@@ -421,8 +460,8 @@ def outcome(call, *args, **kwargs):
 
 
 class TestValueClass:
-    """Each value class made by crypto.value_class that is not a record
-    behaves as the plain dataclass of its fields."""
+    """Each value class, made by crypto.value_class, behaves as the plain
+    dataclass of its fields."""
 
     @pytest.mark.parametrize("cls", list(VALUE_ARGS), ids=lambda cls: cls.__name__)
     def test_signature_is_the_plain_dataclass_one(self, cls):
