@@ -34,7 +34,7 @@ from .protocol import (
     _control_message,
     encode_public,
 )
-from .simnet import Detection, Transcript, delay_detector
+from .simnet import Detection, Transcript, _detection, _one_pass
 
 __all__ = [
     "IntruderMode",
@@ -283,10 +283,12 @@ def verdict(
     knowledge: it identifies which captured challenge-response pairs are
     the victims' real credentials, and is never given to the intruder.
 
-    Detection is flagged when delay_detector flags either honest device
-    against its entry of baselines, a dict (TypeError naming baselines
-    otherwise, and ValueError when an entry is missing), at
-    threshold_factor.
+    One pass over the events (simnet._one_pass) reads every fact below
+    and both honest devices' round trips, as transcript_rtt reads them.
+    Detection is flagged by delay_detector's rule and checks, when either
+    round trip exceeds threshold_factor x the device's entry of baselines,
+    a dict (TypeError naming baselines otherwise, and ValueError when an
+    entry is missing).
 
     Integrity is broken when the intruder delivered to an honest device a
     hop that the other honest device had not emitted before it.
@@ -327,34 +329,13 @@ def verdict(
     a, b = outcomes
     if a not in baselines or b not in baselines:
         raise ValueError("baselines must hold a round trip for each device of outcomes")
-    detection = Detection.NONE
-    for device in a, b:
-        flag = delay_detector(transcript, baselines[device], threshold_factor, device)
-        if flag is Detection.DELAY_FLAGGED:
-            detection = Detection.DELAY_FLAGGED
-    peer = {a: b, b: a}
+    if type(transcript) is not Transcript:
+        check_type("transcript", transcript, Transcript)
+    rtt_a, rtt_b, direct_hops, forged, delivered, answered = _one_pass(transcript, a, b)
+    detection = _detection(rtt_a, baselines[a], threshold_factor)
+    if _detection(rtt_b, baselines[b], threshold_factor) is Detection.DELAY_FLAGGED:
+        detection = Detection.DELAY_FLAGGED
     all_success = outcomes[a].status is outcomes[b].status is AuthStatus.MUTUAL_SUCCESS
-
-    # one pass finds every fact: whether any hop ran between the honest
-    # devices, the first forged hop, and for each honest device the
-    # challenges the intruder delivered to it and the responses it sent
-    direct_hops = forged = False
-    emitted: set[tuple[bytes, MsgKind, bytes]] = set()
-    delivered: dict[bytes, set[bytes]] = {a: set(), b: set()}
-    answered: dict[bytes, set[bytes]] = {a: set(), b: set()}
-    for event in transcript.events:
-        from_id, to_id, kind, payload = event.from_id, event.to_id, event.kind, event.payload
-        if from_id in peer:
-            emitted.add((from_id, kind, payload))
-            if to_id in peer:
-                direct_hops = True
-            elif kind is MsgKind.RESPONSE:
-                answered[from_id].add(payload)
-        elif to_id in peer:
-            if not forged and (peer[to_id], kind, payload) not in emitted:
-                forged = True
-            if kind is MsgKind.CHALLENGE and len(payload) == 16:
-                delivered[to_id].add(payload)
     attack_success = all_success and not direct_hops and len(transcript.events) > 0
     integrity = Integrity.BROKEN if forged else Integrity.MAINTAINED
 

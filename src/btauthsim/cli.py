@@ -363,12 +363,17 @@ def main(argv=None) -> int:
                 sink.write(text)
             sink.write(report_line(config, result) + "\n")
         sink.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe: as the signal module's SIGPIPE note
-        # does, send what is still buffered to devnull and exit 1
+    except OSError as err:
+        # the reader closed the pipe, or the output failed (a full disk,
+        # say): as the signal module's SIGPIPE note does, send what is still
+        # buffered to devnull, so that neither close nor the interpreter's
+        # last flush of stdout raises again, and exit 1; a closed pipe is
+        # the reader's choice, so it alone prints nothing
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sink.fileno())
         os.close(devnull)
+        if not isinstance(err, BrokenPipeError):
+            print(f"error: {err}", file=sys.stderr)
         return 1
     finally:
         if sink is not sys.stdout:

@@ -178,41 +178,86 @@ def run(
     return Transcript(events=tuple(events), links=links, end_time=end_time), outcomes
 
 
+def _one_pass(transcript: Transcript, a: bytes, b: bytes) -> tuple:
+    """Everything the judge reads of a run, in one pass over the events:
+    the round trips of devices a and b, whether any hop ran directly
+    between them, whether a party other than a and b delivered either of
+    them a hop that the other had not emitted before it (a forged hop),
+    and for each of a and b the ChallengeMsg payloads of 16 octets such a
+    party delivered to it and the ResponseMsg payloads it sent such a
+    party, each a dict of sets by device. a may equal b.
+
+    A device's round trip runs from its send (the delivery of its first
+    ChallengeMsg, minus one hop) to the first ResponseMsg delivered to it
+    at or after that send, in list order, a response listed before the
+    challenge included; None when either is missing. The caller checks
+    the arguments."""
+    latency = transcript.links.latency_ms
+    peer = {a: b, b: a}
+    # the times of the responses delivered to a device before its first
+    # challenge, while that challenge is unseen (a tuple, as such a response
+    # is rare); then the challenge's send time, until a response meets it
+    early: dict[bytes, tuple[int, ...]] = {a: (), b: ()}
+    sent: dict[bytes, int] = {}
+    rtt: dict[bytes, int | None] = {a: None, b: None}
+    # each device's hops, kept as the events themselves
+    emitted: dict[bytes, list[TranscriptEvent]] = {a: [], b: []}
+    delivered: dict[bytes, set[bytes]] = {a: set(), b: set()}
+    answered: dict[bytes, set[bytes]] = {a: set(), b: set()}
+    challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
+    direct_hops = forged = False
+    for event in transcript.events:
+        _, time, from_id, to_id, kind, payload = event
+        if kind is response:
+            if to_id in sent:
+                if time >= sent[to_id]:
+                    rtt[to_id] = time - sent.pop(to_id)
+            elif to_id in early:
+                early[to_id] += (time,)
+        elif kind is challenge and from_id in early:
+            start = sent[from_id] = time - latency
+            for arrived in early.pop(from_id):
+                if arrived >= start:
+                    rtt[from_id] = arrived - sent.pop(from_id)
+                    break
+        if from_id in peer:
+            emitted[from_id].append(event)
+            if to_id in peer:
+                direct_hops = True
+            elif kind is response:
+                answered[from_id].add(payload)
+        elif to_id in peer:
+            if not forged:
+                for hop in emitted[peer[to_id]]:
+                    if hop[4] is kind and hop[5] == payload:
+                        break
+                else:
+                    forged = True
+            if kind is challenge and len(payload) == 16:
+                delivered[to_id].add(payload)
+    return rtt[a], rtt[b], direct_hops, forged, delivered, answered
+
+
 def transcript_rtt(transcript: Transcript, device: bytes) -> int | None:
     """Round trip of the one challenge a device sends, reconstructed from
     delivery times alone: from its send (the delivery of the device's first
     ChallengeMsg, minus one hop) to the first ResponseMsg delivered to the
-    device at or after that send. None when either is missing. transcript
-    is a Transcript and device a 6-octet address (TypeError, ValueError
-    otherwise)."""
+    device at or after that send, wherever it is listed. None when either
+    is missing. transcript is a Transcript and device a 6-octet address
+    (TypeError, ValueError otherwise). The judge reads both honest
+    devices' round trips in the same pass, _one_pass."""
     # pre-tested, as in new_device
     if type(transcript) is not Transcript:
         check_type("transcript", transcript, Transcript)
     if type(device) is not bytes or len(device) != 6:
         check_octets("device", device, 6)
-    challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
-    for e in transcript.events:
-        if e.kind is challenge and e.from_id == device:
-            sent = e.time - transcript.links.latency_ms
-            break
-    else:
-        return None
-    for e in transcript.events:
-        if e.kind is response and e.to_id == device and e.time >= sent:
-            return e.time - sent
-    return None
+    return _one_pass(transcript, device, device)[0]
 
 
-def delay_detector(
-    transcript: Transcript,
-    baseline_rtt: int,
-    threshold_factor: float,
-    device: bytes,
-) -> Detection:
-    """Flag a device whose observed round trip exceeds factor x baseline.
-    baseline_rtt must be exactly an int and threshold_factor a real number
-    (TypeError naming it otherwise), the baseline positive and the factor
-    finite and above 1 (ValueError); device is checked by transcript_rtt."""
+def _detection(observed: int | None, baseline_rtt: int, threshold_factor: float) -> Detection:
+    """The detector's rule, which the judge applies too: flagged when the
+    observed round trip exceeds threshold_factor x baseline_rtt, after the
+    detector's checks of both."""
     # a valid baseline costs no call, as in protocol.new_device
     if type(baseline_rtt) is not int:
         check_type("baseline_rtt", baseline_rtt, int)
@@ -224,7 +269,20 @@ def delay_detector(
     except TypeError:
         kind = type(threshold_factor).__name__
         raise TypeError(f"threshold_factor must be a real number, got {kind}") from None
-    observed = transcript_rtt(transcript, device)
     if observed is not None and observed > threshold_factor * baseline_rtt:
         return Detection.DELAY_FLAGGED
     return Detection.NONE
+
+
+def delay_detector(
+    transcript: Transcript,
+    baseline_rtt: int,
+    threshold_factor: float,
+    device: bytes,
+) -> Detection:
+    """Flag a device whose observed round trip, by transcript_rtt, exceeds
+    factor x baseline. transcript and device are checked by transcript_rtt;
+    then baseline_rtt must be exactly an int and threshold_factor a real
+    number (TypeError naming it otherwise), the baseline positive and the
+    factor finite and above 1 (ValueError)."""
+    return _detection(transcript_rtt(transcript, device), baseline_rtt, threshold_factor)

@@ -37,7 +37,7 @@ SCOPE = {
     ],
     "protocol.py": ["Message.__init__", "new_device"],
     "adversary.py": ["IntruderState.__init__", "verdict", "dlog_bruteforce"],
-    "simnet.py": ["LinkConfig.__init__", "transcript_rtt", "delay_detector"],
+    "simnet.py": ["LinkConfig.__init__", "transcript_rtt", "_detection", "delay_detector"],
     "cli.py": [
         "ScenarioConfig.__init__", "check_group", "_prepared", "_check_seed", "run_scenario",
     ],

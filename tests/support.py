@@ -1,7 +1,7 @@
 """The harness the test modules share: the three-party cast, the default
 group and links, the party builders, the one run builder and the one
-attacked-run builder, the intruder's view of a run, a call recorder and the
-loader of scripts/ and perfbench/.
+attacked-run builder, the intruder's view of a run, a round-trip oracle, a
+call recorder and the loader of scripts/ and perfbench/.
 
 tests/test_imports.py refuses a test module that binds at its top level a
 name defined here, so each of these has one definition, and a test module
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from btauthsim.adversary import IntruderState, verdict
 from btauthsim.crypto import DhParams, xor_bytes
-from btauthsim.protocol import Variant, new_device
+from btauthsim.protocol import MsgKind, Variant, new_device
 from btauthsim.simnet import LinkConfig, Transcript, TranscriptEvent, run
 
 # honest A and B, and the intruder C
@@ -102,6 +102,28 @@ def transcript_of(hops):
         links=LINKS,
         end_time=len(hops),
     )
+
+
+def oracle_rtt(transcript, device):
+    """A device's round trip by transcript_rtt's documented rule, written
+    as two scans with no code of its own in common: the send of the
+    device's first ChallengeMsg (its delivery less one hop), then the first
+    ResponseMsg delivered to the device at or after that send, in list
+    order. None when either is missing."""
+    latency = transcript.links.latency_ms
+    sends = [
+        e.time - latency
+        for e in transcript.events
+        if e.kind is MsgKind.CHALLENGE and e.from_id == device
+    ]
+    if not sends:
+        return None
+    arrivals = [
+        e.time
+        for e in transcript.events
+        if e.kind is MsgKind.RESPONSE and e.to_id == device and e.time >= sends[0]
+    ]
+    return arrivals[0] - sends[0] if arrivals else None
 
 
 @contextlib.contextmanager

@@ -20,6 +20,7 @@ from support import (
     attacked,
     captured,
     intruder,
+    oracle_rtt,
     recorded,
     run_of,
     session_of,
@@ -39,9 +40,9 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import DhParams, dh_keypair, e1
+from btauthsim.crypto import DhParams, dh_keypair, e1, session_key_from_shared
 from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, encode_public
-from btauthsim.simnet import Detection, LinkConfig, delay_detector, transcript_rtt
+from btauthsim.simnet import Detection, LinkConfig, transcript_rtt
 
 
 def keeping(built):
@@ -56,14 +57,14 @@ def keeping(built):
 
 
 def loop_detection(transcript, baselines, threshold_factor):
-    """Detection as run_scenario once computed it and handed it to the
-    judge: flagged when delay_detector flags A or B."""
-    detection = Detection.NONE
+    """Detection by the detector's rule, written out over the oracle's
+    round trips: flagged when A's or B's exceeds threshold_factor x its
+    baseline."""
     for device in (ADDR_A, ADDR_B):
-        flag = delay_detector(transcript, baselines[device], threshold_factor, device)
-        if flag is Detection.DELAY_FLAGGED:
-            detection = Detection.DELAY_FLAGGED
-    return detection
+        rtt = oracle_rtt(transcript, device)
+        if rtt is not None and rtt > threshold_factor * baselines[device]:
+            return Detection.DELAY_FLAGGED
+    return Detection.NONE
 
 
 class TestLegacyRelay:
@@ -155,6 +156,47 @@ class TestDhRelay:
         # intruder never saw any encoding of it
         shared_key = session_of(dev_a)
         assert shared_key not in captured(transcript, outcomes)
+
+
+class TestSmallOrderPublicValue:
+    """A known hole, pinned as it stands: the relay-active intruder against
+    dh-improved forwards a forged public value of small order, 1 or p-1,
+    which check_public accepts, so each victim's shared value is that value
+    raised to its own exponent, a constant the intruder knows. The verdict
+    shows no harm: confidentiality reads Maintained. ROADMAP item 2 (close
+    the small-subgroup hole) flips these assertions on purpose. Seeds 0-19
+    each seed A and B with 2 x seed and 2 x seed + 1, and C with seed."""
+
+    @staticmethod
+    def forged_runs(public):
+        """Each seed's (A, B, transcript, verdict) when C forges public,
+        judged against the intruder-free round trips."""
+        _, _, calibration, _ = run_of(Variant.DH_IMPROVED)
+        baselines = {device: transcript_rtt(calibration, device) for device in (ADDR_A, ADDR_B)}
+        for seed in range(20):
+            dev_c = intruder(IntruderMode.RELAY_ACTIVE, Variant.DH_IMPROVED, seed)
+            dev_c.values[PUBLIC] = encode_public(public)
+            dev_a, dev_b, transcript, outcomes = run_of(
+                Variant.DH_IMPROVED, dev_c, seeds=(2 * seed, 2 * seed + 1)
+            )
+            yield seed, dev_a, dev_b, transcript, verdict(outcomes, transcript, KEY, baselines, FACTOR)
+
+    def test_public_value_one_wins_every_run(self):
+        won = AttackVerdict(True, Integrity.BROKEN, Confidentiality.MAINTAINED, Detection.DELAY_FLAGGED)
+        constant = session_key_from_shared(1, PARAMS)
+        for seed, dev_a, dev_b, transcript, score in self.forged_runs(1):
+            assert score == won, f"seed {seed}"
+            assert len(transcript.events) == 16, f"seed {seed}"
+            assert session_of(dev_a) == session_of(dev_b) == constant, f"seed {seed}"
+
+    def test_public_value_p_minus_1_wins_when_the_exponents_share_parity(self):
+        p = PARAMS.p
+        for seed, dev_a, dev_b, _, score in self.forged_runs(p - 1):
+            r_a, r_b = dev_a.dh.r_private, dev_b.dh.r_private
+            assert score.attack_success is (r_a % 2 == r_b % 2), f"seed {seed}"
+            for device, r in ((dev_a, r_a), (dev_b, r_b)):
+                shared = 1 if r % 2 == 0 else p - 1
+                assert session_of(device) == session_key_from_shared(shared, PARAMS), f"seed {seed}"
 
 
 class TestHonestEmissions:
@@ -431,6 +473,11 @@ ANSWERED_PUBLIC_HOPS = [
 # a challenge and A's credential over it, e1(KEY, c, A)
 _CHALLENGE = bytes(range(32, 48))
 _CREDENTIAL_A = e1(KEY, _CHALLENGE, ADDR_A)
+# A's challenge delivered at 1 ms, after a response to A delivered at 0 ms
+EARLY_RESPONSE_HOPS = [
+    (ADDR_C, ADDR_A, MsgKind.RESPONSE, _CREDENTIAL_A),
+    (ADDR_A, ADDR_C, MsgKind.CHALLENGE, _CHALLENGE),
+]
 
 
 class TestConfidentialityScan:
@@ -676,7 +723,8 @@ def two_pass_verdict(outcomes, transcript, link_key, baselines, threshold_factor
     to an honest device, checked against what the other honest device
     emitted before it; for each honest device, the CHALLENGE payloads
     another party delivered to it, tried against the RESPONSE payloads it
-    sent another party; and detection by run_scenario's old loop."""
+    sent another party; and detection by loop_detection, the detector's
+    rule over the round-trip oracle."""
     a, b = outcomes
     other = {a: b, b: a}
     honest = set(outcomes)
@@ -800,6 +848,67 @@ class TestOnePassVerdict:
         6,
         2.0,
     )
+    # B emitted the payload as a challenge, and C delivers it to A as a
+    # response: a hop B never emitted, so integrity is broken
+    @example(
+        [(ADDR_B, ADDR_C, MsgKind.CHALLENGE, b"\x01"), (ADDR_C, ADDR_A, MsgKind.RESPONSE, b"\x01")],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        False,
+        20,
+        20,
+        FACTOR,
+    )
+    # a response to A listed before A's first challenge, yet at or after
+    # its send: the challenge is delivered at 1 ms, so sent at -9 ms, and
+    # the response at 0 ms gives 9 ms, flagged against 5 ms at factor 1.5
+    # and not against 6 ms
+    @example(EARLY_RESPONSE_HOPS, AuthStatus.FAILED, AuthStatus.FAILED, False, 5, 20, 1.5)
+    @example(EARLY_RESPONSE_HOPS, AuthStatus.FAILED, AuthStatus.FAILED, False, 6, 20, 1.5)
+    # a response to A listed before A's challenge and before its send at
+    # 1 ms does not count; the one at 12 ms does: 11 ms, over 7 x 1.5
+    @example(
+        [
+            (ADDR_C, ADDR_A, MsgKind.RESPONSE, b"\x01"),
+            *[(ADDR_C, ADDR_B, MsgKind.AUTH_REQUEST, ADDR_A)] * 10,
+            (ADDR_A, ADDR_C, MsgKind.CHALLENGE, _CHALLENGE),
+            (ADDR_C, ADDR_A, MsgKind.RESPONSE, _CREDENTIAL_A),
+        ],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        False,
+        7,
+        20,
+        1.5,
+    )
+    # A's second challenge, sent at -6 ms, is ignored: the round trip runs
+    # from the first, sent at -10 ms, to the response at 5 ms, 15 ms, over
+    # 8 x 1.5, where the second's 11 ms is not
+    @example(
+        [
+            (ADDR_A, ADDR_C, MsgKind.CHALLENGE, _CHALLENGE),
+            *[(ADDR_C, ADDR_B, MsgKind.AUTH_REQUEST, ADDR_A)] * 3,
+            (ADDR_A, ADDR_C, MsgKind.CHALLENGE, bytes(16)),
+            (ADDR_C, ADDR_A, MsgKind.RESPONSE, _CREDENTIAL_A),
+        ],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        False,
+        8,
+        20,
+        1.5,
+    )
+    # a response to A, which sent no challenge: no round trip, so nothing
+    # is flagged, however low the baseline
+    @example(
+        [(ADDR_C, ADDR_A, MsgKind.RESPONSE, _CREDENTIAL_A)],
+        AuthStatus.FAILED,
+        AuthStatus.FAILED,
+        False,
+        1,
+        1,
+        1.01,
+    )
     @settings(deadline=None)
     def test_agrees_with_the_two_pass_judge(
         self, hops, status_a, status_b, b_first, baseline_a, baseline_b, factor
@@ -848,7 +957,7 @@ def knowledge_set_verdict(knowledge, outcomes, transcript, link_key, baselines, 
     the intruder's own grow-only record of the payloads it received and
     sent and the addresses on what it received, with the intruder at C
     impersonating B toward A and A toward B, and detection by
-    run_scenario's old loop."""
+    loop_detection."""
     honest = outcomes.keys()
     impersonating = {cli.ADDR_A: cli.ADDR_B, cli.ADDR_B: cli.ADDR_A}
     all_success = all(o.status is AuthStatus.MUTUAL_SUCCESS for o in outcomes.values())

@@ -2,6 +2,7 @@
 
 import collections
 import enum
+import errno
 import json
 import os
 import random
@@ -42,6 +43,21 @@ def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
         links=LinkConfig(config.latency_ms, config.timeout_ms),
     )
     return {dev: transcript_rtt(transcript, dev) for dev in outcomes}
+
+
+# the command line in a child process, and the device that refuses every
+# write for want of space, with the error it gives
+CLI = [sys.executable, "-m", "btauthsim.cli"]
+FULL = "/dev/full"
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def cli_env() -> dict:
+    """The environment of a child that imports the package under test."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_main(capsys, *argv):
@@ -139,17 +155,35 @@ class TestTranscriptOutput:
     def test_a_closed_pipe_ends_the_run_quietly(self):
         # as `btauthsim --seeds-count 20000 | head -1`: the reader takes one
         # line and closes the pipe long before the last run
-        src = Path(cli.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         with subprocess.Popen(
-            [sys.executable, "-m", "btauthsim.cli", "--seeds-count", "20000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            [*CLI, "--seeds-count", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
         ) as child:
             assert child.stdout.readline().startswith("scenario=legacy+none seed=0 ")
             child.stdout.close()
             _, err = child.communicate(timeout=60)
         assert err == ""
+        assert child.returncode == 1
+
+    @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+    def test_a_full_out_file_ends_the_run_with_one_error_line(self):
+        # as `btauthsim --out /dev/full`: the flush fails, and so would the
+        # close after it
+        child = subprocess.run(
+            [*CLI, "--out", FULL], capture_output=True, text=True, env=cli_env(), timeout=60
+        )
+        assert child.stderr == f"error: {NO_SPACE}\n"
+        assert child.returncode == 1
+
+    @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+    def test_a_full_stdout_ends_the_run_with_one_error_line(self):
+        # as `btauthsim > /dev/full`: the write fails, and so would the
+        # interpreter's last flush of stdout
+        with open(FULL, "w") as full:
+            child = subprocess.run(
+                CLI, stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60
+            )
+        assert child.stderr == f"error: {NO_SPACE}\n"
         assert child.returncode == 1
 
 

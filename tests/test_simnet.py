@@ -9,12 +9,12 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from support import ADDR_A, ADDR_B, ADDR_C, LINKS, PARAMS, WIDE_P, intruder, run_of
+from support import ADDR_A, ADDR_B, ADDR_C, LINKS, PARAMS, WIDE_P, intruder, oracle_rtt, run_of
 
-from btauthsim import adversary, cli, crypto, simnet
+from btauthsim import cli, crypto, simnet
 from btauthsim.adversary import (
     AttackVerdict,
     Confidentiality,
@@ -617,6 +617,8 @@ class TestRttReconstruction:
         st.integers(min_value=1, max_value=20),
         st.booleans(),
     )
+    # a response listed after A's challenge, delivered at the send instant
+    @example([(20, ADDR_A, ADDR_B, MsgKind.CHALLENGE), (10, ADDR_B, ADDR_A, MsgKind.RESPONSE)], 10, False)
     def test_single_pass_matches_two_pass_oracle(self, hops, latency_ms, in_order):
         if in_order:
             hops = sorted(hops, key=lambda hop: hop[0])
@@ -633,6 +635,12 @@ class TestRttReconstruction:
         transcript = hop_transcript(kept, latency_ms)
         for device in (ADDR_A, ADDR_B, ADDR_C):
             assert transcript_rtt(transcript, device) == two_pass_rtt(transcript, device)
+        # and on every hop, a device's later challenges among them, against
+        # the rule itself: the first challenge's send, then the first
+        # response at or after it
+        transcript = hop_transcript(hops, latency_ms)
+        for device in (ADDR_A, ADDR_B, ADDR_C):
+            assert transcript_rtt(transcript, device) == oracle_rtt(transcript, device)
 
     def test_reads_the_first_challenge_only(self):
         # A's challenges go out at 0 and 40 and the answers arrive at 30
@@ -662,6 +670,20 @@ class TestRttReconstruction:
             [(0, ADDR_B, ADDR_A, MsgKind.RESPONSE), (10, ADDR_A, ADDR_B, MsgKind.CHALLENGE)], 10
         )
         assert transcript_rtt(transcript, ADDR_A) == 0
+
+    def test_an_earlier_response_before_the_send_does_not_count(self):
+        # A's challenge is delivered at 30, so sent at 20; the response
+        # listed before it reaches A at 15, before the send, and the one
+        # at 50 is the first at or after it
+        transcript = hop_transcript(
+            [
+                (15, ADDR_B, ADDR_A, MsgKind.RESPONSE),
+                (30, ADDR_A, ADDR_B, MsgKind.CHALLENGE),
+                (50, ADDR_B, ADDR_A, MsgKind.RESPONSE),
+            ],
+            10,
+        )
+        assert transcript_rtt(transcript, ADDR_A) == 30
 
 
 class TestDelayDetector:
@@ -697,8 +719,9 @@ class TestAddressesCompareByValue:
     def test_separate_copies_give_the_same_runs(self, monkeypatch, config):
         # every address a party is built with or handed is its own copy:
         # each device id, the peer start opens toward, the intruder id, each
-        # victim and each device the detector reads; the calibration run is
-        # built anew with copies too, and read with the shared constants
+        # victim and each device whose calibration round trip is read; the
+        # calibration run is built anew with copies too, and the judge reads
+        # the devices of the outcomes, the copies the devices were built with
         expected = [run_scenario(config, seed) for seed in range(5)]
 
         def copying(module, name, *positions):
@@ -713,7 +736,7 @@ class TestAddressesCompareByValue:
         copying(cli, "new_device", 0)
         copying(cli, "IntruderState", 0, 3, 4)
         copying(simnet, "protocol_start", 1)
-        copying(adversary, "delay_detector", 3)
+        copying(cli, "transcript_rtt", 1)
         cli._prepared.cache_clear()
         try:
             for seed, want in enumerate(expected):
