@@ -8,6 +8,7 @@ scenario name and seed alone.
 """
 
 from collections import namedtuple
+from dataclasses import field
 import functools
 import math
 import os
@@ -25,8 +26,8 @@ from .crypto import (
     session_key,
     value_class,
 )
-from .protocol import DeviceState, Variant, new_device
-from .simnet import LinkConfig, delay_detector, run, transcript_rtt
+from .protocol import Variant, new_device
+from .simnet import LinkConfig, _new_tuple, delay_detector, run, transcript_rtt
 
 __all__ = [
     "ScenarioConfig", "HEADLINE", "ScenarioResult", "ConfigError", "run_scenario", "main",
@@ -62,7 +63,12 @@ class ScenarioConfig:
     detector threshold a real number, finite and above 1. _prepared checks
     the link timing (by LinkConfig) and the group (by check_group), and
     catches a timeout too short for the intruder-free handshake, once per
-    configuration. ConfigError messages name the command line's flags."""
+    configuration. ConfigError messages name the command line's flags.
+
+    prepared, derived when the configuration is built, holds the links,
+    the group (dh-improved only) and the per-device baselines from
+    _prepared's cache; it is stored with the fields, so a run reads it as
+    one attribute. It takes no part in repr, equality or hashing."""
 
     variant: Variant = Variant.LEGACY
     intruder: IntruderMode | None = None
@@ -72,6 +78,7 @@ class ScenarioConfig:
     detect_factor: float = 1.5
     dh_p: int = 2147483647
     dh_alpha: int = 7
+    prepared: Prepared = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -102,6 +109,9 @@ class ScenarioConfig:
         check_type("latency_ms", latency_ms, int)
         check_type("timeout_ms", timeout_ms, int)
         check_type("variant", variant, Variant)
+        # link timing, group and calibration, checked once per configuration
+        group = (dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else ()
+        prepared = _prepared(variant, latency_ms, timeout_ms, *group)
         self.__dict__.update(
             variant=variant,
             intruder=intruder,
@@ -111,14 +121,8 @@ class ScenarioConfig:
             detect_factor=detect_factor,
             dh_p=dh_p,
             dh_alpha=dh_alpha,
+            prepared=prepared,
         )
-        self.prepared  # link timing, group and calibration, checked once per configuration
-
-    @property
-    def prepared(self) -> Prepared:
-        """Links, group and per-device baselines, from the cache of _prepared."""
-        group = (self.dh_p, self.dh_alpha) if self.variant is Variant.DH_IMPROVED else ()
-        return _prepared(self.variant, self.latency_ms, self.timeout_ms, *group)
 
     @property
     def scenario_name(self) -> str:
@@ -151,18 +155,16 @@ def _construct(flags: str, value_type, *args):
 def _derive_link_key(master: Stream) -> bytes:
     """Pairing with no user input: any PIN's bootstrap-key mask (init_key)
     cancels out of the combined contributions, so no run computes it; the
-    mask's random number is drawn first, as the 128 bits that randbytes(16)
-    would turn into octets, so the contributions keep their draws."""
+    mask's random number is still drawn first, so the contributions keep
+    their draws. Each of the three is one getrandbits(128) call, and each
+    contribution its 16 little-endian octets, as random.Random's
+    randbytes(16) would give them, from a master stream seeded once (3.10
+    used to seed each stream twice); ROADMAP item 14's specified stream,
+    which would re-freeze these octets, is still open."""
     master.getrandbits(128)
-    return combination_link_key(master.randbytes(16), ADDR_A, master.randbytes(16), ADDR_B)
-
-
-def _build_devices(
-    variant: Variant, link_key: bytes, seed_a: int, seed_b: int, params: DhParams | None
-) -> tuple[DeviceState, DeviceState]:
-    dev_a = new_device(ADDR_A, variant, link_key, seed_a, dh_params=params)
-    dev_b = new_device(ADDR_B, variant, link_key, seed_b, dh_params=params)
-    return dev_a, dev_b
+    rand_a = master.getrandbits(128).to_bytes(16, "little")
+    rand_b = master.getrandbits(128).to_bytes(16, "little")
+    return combination_link_key(rand_a, ADDR_A, rand_b, ADDR_B)
 
 
 def check_group(dh_p: int, dh_alpha: int) -> DhParams:
@@ -204,7 +206,8 @@ def _prepared(
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
     params = check_group(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None
-    dev_a, dev_b = _build_devices(variant, bytes(16), 0, 1, params)
+    dev_a = new_device(ADDR_A, variant, bytes(16), 0, params)
+    dev_b = new_device(ADDR_B, variant, bytes(16), 1, params)
     calibration, _ = run(dev_a, dev_b, None, links)
     baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (ADDR_A, ADDR_B))
     if any(baseline is None for _, baseline in baselines):
@@ -256,27 +259,16 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     seed_c = master.getrandbits(64)
     link_key = _derive_link_key(master)
 
-    dev_a, dev_b = _build_devices(config.variant, link_key, seed_a, seed_b, params)
+    variant = config.variant
+    dev_a = new_device(ADDR_A, variant, link_key, seed_a, params)
+    dev_b = new_device(ADDR_B, variant, link_key, seed_b, params)
     intruder = None
     if config.intruder is not None:
-        intruder = IntruderState(
-            ADDR_C,
-            config.intruder,
-            config.variant,
-            ADDR_A,
-            ADDR_B,
-            rng_seed=seed_c,
-            dh_params=params,
-        )
+        intruder = IntruderState(ADDR_C, config.intruder, variant, ADDR_A, ADDR_B, seed_c, params)
     transcript, outcomes = run(dev_a, dev_b, intruder, links)
-    return ScenarioResult(
-        seed=seed,
-        transcript=transcript,
-        outcomes=outcomes,
-        score=verdict(outcomes, transcript, link_key, baselines, config.detect_factor),
-        baselines=baselines,
-        link_key=link_key,
-    )
+    score = verdict(outcomes, transcript, link_key, baselines, config.detect_factor)
+    # as simnet.run builds its records: ScenarioResult's own __new__, less its frame
+    return _new_tuple(ScenarioResult, (seed, transcript, outcomes, score, baselines, link_key))
 
 
 def report_line(config: ScenarioConfig, result: ScenarioResult) -> str:

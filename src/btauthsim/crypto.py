@@ -2,6 +2,17 @@
 
 Apart from Stream, the seeded random stream each party of a run draws
 from, all operations are pure functions and safe to call from any thread.
+Stream is a _random.Random, the C Mersenne Twister under random.Random,
+seeded once by the C routine behind random.Random(seed) (a random.Random
+subclass was seeded twice on Python 3.10), and every value a run draws is
+one getrandbits call on it: a 64-bit seed is getrandbits(64), a 16-octet
+value getrandbits(128).to_bytes(16, "little"), which is how random.Random
+defines randbytes(16), and a private exponent draw_exponent's 1 + r,
+which is how it defines randrange(1, p). So every draw equals
+random.Random(seed)'s without random.py's Python-level methods, and no
+module of the package imports random. A stream that rests on no CPython
+routine at all (every draw from SHAKE-128) would change every seeded
+octet, and is still open (ROADMAP item 14).
 Octet widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
 octets, 128-bit challenges and keys, and 32-bit signed responses. Every
 octet string a function takes or returns, addresses and PINs included, is
@@ -63,7 +74,7 @@ from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 import functools
-import random
+import _random
 import struct
 import sys
 import threading
@@ -74,6 +85,7 @@ __all__ = [
     "check_public",
     "IdentityEnum",
     "Stream",
+    "draw_exponent",
     "DhParams",
     "DhKeyPair",
     "mixhash128",
@@ -195,30 +207,50 @@ class IdentityEnum(Enum):
     __hash__ = object.__hash__
 
 
-class Stream(random.Random):
-    """The Mersenne Twister stream of a non-negative int seed: the same
-    state, and so the same draws, as random.Random(seed).
+# before Python 3.11 _random.Random's __new__ seeds from its argument;
+# from 3.11 on its C __init__ does, and __new__ only allocates
+_SEEDED_BY_NEW = sys.version_info < (3, 11)
+_new_random = _random.Random.__new__
+_seed = _random.Random.seed
 
-    It seeds through the generator's own routine and skips random.Random's
-    seed method, which for an int only tests the seed's type against the
-    other seed types it hashes. It refuses those itself: a seed that is not
-    exactly an int raises TypeError, and a negative one ValueError, since
-    the routine would hash any other object and seed from the absolute
-    value of a negative int.
+
+class Stream(_random.Random):
+    """The Mersenne Twister stream of a non-negative int seed: the same
+    state, and so the same getrandbits draws, as random.Random(seed).
+
+    It is a _random.Random with no instance dict, seeded once by the C
+    routine that random.Random.seed hands an int to; a random.Random
+    subclass seeded twice on 3.10, once in __new__ and again in __init__.
+    It refuses what random.Random would take as another seed: a seed that
+    is not exactly an int raises TypeError, and a negative one ValueError,
+    since the routine would hash any other object and seed from the
+    absolute value of a negative int. getstate returns the generator's
+    state alone, without random.Random's version and gauss_next.
     """
 
-    def __init__(self, seed: int):
+    __slots__ = ()
+
+    def __new__(cls, seed: int):
         # a valid seed costs no call, as in e1
         if type(seed) is not int:
             check_type("seed", seed, int)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        super(random.Random, self).seed(seed)
-        self.gauss_next = None
+        stream = _new_random(cls, seed)
+        if not _SEEDED_BY_NEW:
+            _seed(stream, seed)
+        return stream
+
+    # the stream is whole when __new__ returns: object's initialiser takes
+    # the seed, by keyword too, and does nothing, where _random.Random's
+    # would seed again on 3.11+ and refuse a keyword
+    __init__ = object.__init__
 
     def __reduce__(self):
         # copy and pickle rebuild from a seed, then restore the state
         return self.__class__, (0,), self.getstate()
+
+    __setstate__ = _random.Random.setstate
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -521,6 +553,19 @@ class DhKeyPair(namedtuple("DhKeyPair", "r_private s_public")):
     """Per-device exchange pair: private exponent and public power."""
 
     __slots__ = ()
+
+
+def draw_exponent(stream: Stream, p: int) -> int:
+    """A private exponent in [1, p-1], drawn from stream as
+    random.Random.randrange(1, p) draws it: 1 + r, where r is
+    getrandbits((p-1).bit_length()), drawn again until it is below p-1.
+    p is a group's modulus, at least 3 (DhParams checks it)."""
+    below = p - 1
+    width = below.bit_length()
+    r = stream.getrandbits(width)
+    while r >= below:
+        r = stream.getrandbits(width)
+    return 1 + r
 
 
 def _power_of_alpha(params: DhParams, e: int) -> int:

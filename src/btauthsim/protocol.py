@@ -53,6 +53,7 @@ from .crypto import (
     check_octets,
     check_type,
     dh_keypair,
+    draw_exponent,
     e1,
     session_key,
     value_class,
@@ -238,8 +239,13 @@ def new_device(
 ) -> DeviceState:
     """Fresh idle device of 6-octet address id, holding its 16-octet link
     key and every random value it may send, drawn from Stream(rng_seed):
-    on dh-improved its key pair first, then its challenge. variant must be
-    a Variant, dh_params a DhParams or None, and rng_seed exactly an int
+    on dh-improved its key pair's exponent first (draw_exponent), then its
+    challenge, getrandbits(128) as 16 little-endian octets, the octets
+    random.Random(rng_seed).randbytes(16) would give. The stream is seeded
+    once on every Python version (3.10 used to seed each stream twice), and
+    its draws rest on CPython's generator until ROADMAP item 14's specified
+    stream re-freezes every seeded octet. variant must be a Variant,
+    dh_params a DhParams or None, and rng_seed exactly an int
     (TypeError naming the field otherwise), and rng_seed non-negative
     (ValueError), as Stream requires: random.Random would take a bool, a
     float or a negative int as the int or the absolute value it stands for."""
@@ -262,14 +268,9 @@ def new_device(
     if variant is Variant.DH_IMPROVED:
         if dh_params is None:
             raise ValueError("dh-improved devices need group parameters")
-        dh = dh_keypair(dh_params, rng.randrange(1, dh_params.p))
-    device = DeviceState(
-        id=id,
-        variant=variant,
-        effective_key=link_key,
-        challenge=rng.randbytes(16),
-        dh_params=dh_params,
-    )
+        dh = dh_keypair(dh_params, draw_exponent(rng, dh_params.p))
+    challenge = rng.getrandbits(128).to_bytes(16, "little")
+    device = DeviceState(id, variant, link_key, challenge, dh_params)
     device.dh = dh
     return device
 

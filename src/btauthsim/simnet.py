@@ -70,9 +70,9 @@ class TranscriptEvent(namedtuple("TranscriptEvent", "seq time from_id to_id kind
     __slots__ = ()
 
 
-# what TranscriptEvent's own __new__ does, tuple.__new__ of the class and its
-# fields in order, called directly: run builds an event per delivered hop,
-# and this saves that __new__'s Python frame on each
+# what a record's own __new__ does, tuple.__new__ of the class and its
+# fields in order, called directly: run builds an event per delivered hop
+# and a Transcript per run, and this saves that __new__'s Python frame on each
 _new_tuple = tuple.__new__
 
 
@@ -175,7 +175,7 @@ def run(
         outcomes[dev_id] = outcome = outcome_of(dev)
         finished = finished and outcome.status is not AuthStatus.TIMED_OUT
     end_time = last_time if finished else timeout
-    return Transcript(events=tuple(events), links=links, end_time=end_time), outcomes
+    return _new_tuple(Transcript, (tuple(events), links, end_time)), outcomes
 
 
 def _one_pass(transcript: Transcript, a: bytes, b: bytes) -> tuple:

@@ -36,15 +36,17 @@ def test_tracer_patch_points_are_on_the_call_path(monkeypatch):
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     spans = load_script("spans", "perfbench", "perfbench_spans")
     originals = [(module, attr, getattr(module, attr)) for module, attr, _ in spans.POINTS]
-    # one validated dh-improved relay run written as JSONL reaches every point
-    config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=IntruderMode.RELAY_ACTIVE)
-    workload = workloads.Workload("jsonl", (config,), (), serialise=True)
+    # one dh-improved relay run, its configuration built and validated
+    # under the tracer (building it checks the group and calibrates), and
+    # written as JSONL, reaches every point
     tracer = spans.Tracer()
     cli._prepared.cache_clear()
     tracer.install()
     try:
         for module, attr, original in originals:
             assert getattr(module, attr) is not original, attr
+        config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=IntruderMode.RELAY_ACTIVE)
+        workload = workloads.Workload("jsonl", (config,), (), serialise=True)
         workloads.validate(config)
         workloads.step(workload, config, 0, io.StringIO())
     finally:

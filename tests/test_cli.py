@@ -527,7 +527,7 @@ class TestCallBudget:
         # no enum of the package keeps Enum's hash; this one does
         Plain = enum.Enum("Plain", "ONE")
         calls = collections.Counter()
-        for module in (crypto, protocol, adversary):
+        for module in (crypto, protocol, adversary, simnet):
             real = module.check_octets
             name = f"{module.__name__}.check_octets"
             monkeypatch.setattr(module, "check_octets", self.counted(calls, name, real))
@@ -566,11 +566,14 @@ class TestCallBudget:
         with pytest.raises(TypeError):
             transcript_rtt(None, cli.ADDR_A)
         with pytest.raises(TypeError):
+            transcript_rtt(run_scenario(cli.HEADLINE[0], 0).transcript, bytearray(cli.ADDR_A))
+        with pytest.raises(TypeError):
             run_scenario(cli.HEADLINE[0], True)
         assert calls == {
             "btauthsim.crypto.check_octets": 1,
             "btauthsim.protocol.check_octets": 1,
             "btauthsim.adversary.check_octets": 1,
+            "btauthsim.simnet.check_octets": 1,
             "Enum.__hash__": 1,
             **{f"{module.__name__}.check_type": 1 for module in typed},
         }
@@ -615,8 +618,9 @@ class TestCallBudget:
             # as above: the calibration run is not any run's work
             config.prepared
         calls = collections.Counter()
-        real = crypto.Stream.__init__
-        monkeypatch.setattr(crypto.Stream, "__init__", self.counted(calls, "Stream", real))
+        # Stream checks its seed and seeds in __new__
+        real = crypto.Stream.__new__
+        monkeypatch.setattr(crypto.Stream, "__new__", self.counted(calls, "Stream", real))
         counts = {}
         for config in cli.HEADLINE:
             for seed in range(3):

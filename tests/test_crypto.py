@@ -1,13 +1,14 @@
 """Key-derivation functions, the random stream and the Diffie-Hellman key memos."""
 
 import copy
+import _random
 import pickle
 import random
 import sys
 import threading
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from support import ADDR_A, ADDR_B, PARAMS, WIDE_P, recorded
@@ -54,34 +55,78 @@ EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
 )
 
 
-# one draw on a stream: (method name, its arguments)
+# one draw the package makes on a stream, named for the random.Random
+# method that draws the same value: (name, its width or modulus)
 stream_draws = st.one_of(
-    st.tuples(st.just("getrandbits"), st.tuples(st.integers(1, 300))),
-    st.tuples(st.just("randbytes"), st.tuples(st.integers(0, 40))),
-    st.tuples(
-        st.just("randrange"),
-        st.tuples(st.just(1), st.integers(2, 2**64) | st.integers(2, 2**160)),
-    ),
+    st.tuples(st.just("getrandbits"), st.integers(1, 300)),
+    st.tuples(st.just("randbytes"), st.just(16)),
+    st.tuples(st.just("randrange"), st.integers(3, 2**64) | st.integers(3, 2**160)),
 )
 
 
-class TestStream:
-    """Stream(seed) is the stream of random.Random(seed), seeded without
-    random.Random.seed."""
+def package_draw(stream, name, arg):
+    """The value the package draws from stream for that random.Random draw."""
+    if name == "getrandbits":
+        return stream.getrandbits(arg)
+    if name == "randbytes":
+        return stream.getrandbits(128).to_bytes(16, "little")
+    return crypto.draw_exponent(stream, arg)
 
-    @given(
-        st.integers(0, 2**64) | st.integers(0, 2**4096),
-        st.lists(stream_draws, max_size=12),
-    )
+
+def oracle_draw(oracle, name, arg):
+    return oracle.randrange(1, arg) if name == "randrange" else getattr(oracle, name)(arg)
+
+
+def generator_state(oracle):
+    # random.Random's state is (version, the generator's state, gauss_next)
+    return _random.Random.getstate(oracle)
+
+
+class TestStream:
+    """Stream(seed) is the generator of random.Random(seed), seeded once
+    without random.Random.seed, and every value the package draws from it
+    equals the matching random.Random draw."""
+
+    # rejection is likeliest where p - 1 is a power of two: getrandbits
+    # then draws one bit more than p - 2 needs, and refuses half its values
+    @given(st.integers(0, 2**64) | st.integers(0, 2**4096), st.lists(stream_draws, max_size=12))
+    @example(0, [("randrange", 3)] * 4)
+    @example(1, [("randrange", 5)] * 4)
+    @example(2, [("randrange", 17)] * 4)
+    @example(3, [("randrange", 257)] * 4)
+    @example(2**64, [("randrange", 65537)] * 4)
     def test_draws_as_random_random(self, seed, draws):
         stream, oracle = Stream(seed), random.Random(seed)
-        assert stream.getstate() == oracle.getstate()
-        for name, args in draws:
-            assert getattr(stream, name)(*args) == getattr(oracle, name)(*args)
-        assert stream.getstate() == oracle.getstate()
-        for twin in (copy.copy(stream), pickle.loads(pickle.dumps(stream))):
-            assert type(twin) is Stream
-            assert twin.getstate() == stream.getstate()
+        assert stream.getstate() == generator_state(oracle)
+        for name, arg in draws:
+            assert package_draw(stream, name, arg) == oracle_draw(oracle, name, arg)
+            assert stream.getstate() == generator_state(oracle)
+            for twin in (copy.copy(stream), pickle.loads(pickle.dumps(stream))):
+                assert type(twin) is Stream
+                assert twin.getstate() == stream.getstate()
+
+    def test_examples_reach_the_rejection(self):
+        # a stream has no instance dict to patch, so a subclass counts
+        class Counted(Stream):
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
+
+        # each example above redraws at least once
+        for seed, p in [(0, 3), (1, 5), (2, 17), (3, 257), (2**64, 65537)]:
+            stream = Counted(seed)
+            stream.calls = 0
+            for _ in range(4):
+                crypto.draw_exponent(stream, p)
+            assert stream.calls > 4, p
+
+    def test_seeds_once_with_no_instance_dict(self):
+        # before 3.11 _random.Random's __new__ seeds from the seed it is given
+        with recorded(crypto, "_seed") as seeded:
+            stream = Stream(seed=5)
+        assert seeded == ([] if sys.version_info < (3, 11) else [(stream, 5)])
+        assert stream.getstate() == generator_state(random.Random(5))
+        assert not hasattr(stream, "__dict__")
 
 
 class TestE1:

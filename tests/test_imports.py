@@ -32,6 +32,12 @@ about 22 ms for the whole set-up of a benchmark workload (``perfbench``'s
 ``host.setup_s`` on matrix), and a record made by ``typing.NamedTuple``
 would import it.
 
+Nor does any module of the package import ``random``: a run's draws rest
+only on ``_random``'s seeding of an int and on ``getrandbits``
+(``crypto.Stream``), not on ``random.py``'s Python-level methods, which
+another Python version may define otherwise and which cost a Python frame
+per draw; the tests keep ``random.Random`` as the oracle each draw equals.
+
 No module of the package but ``crypto`` applies ``dataclasses.dataclass``
 or ``make_dataclass``, and every value class of the package runs the
 ``__repr__``, ``__eq__`` and ``__hash__`` code of ``crypto.value_class``:
@@ -240,15 +246,15 @@ def dict_readers(source: str) -> list[str]:
     return readers
 
 
-def typing_lines(source: str) -> list[int]:
-    """The lines on which the module imports typing or a submodule of it."""
+def import_lines(source: str, module: str) -> list[int]:
+    """The lines on which the source imports module or a submodule of it."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if (isinstance(node, ast.Import)
-            and "typing" in [alias.name.partition(".")[0] for alias in node.names])
+            and module in [alias.name.partition(".")[0] for alias in node.names])
         or (isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.partition(".")[0] == "typing")
+            and node.module.partition(".")[0] == module)
     )
 
 
@@ -377,9 +383,18 @@ def test_the_dataclass_check_itself(source, lines):
     assert dataclass_lines(source) == lines
 
 
+def importers(module: str) -> dict[str, list[int]]:
+    """The package modules that import module, with the lines that do."""
+    lines = {path.name: import_lines(path.read_text(), module) for path in PACKAGE}
+    return {name: found for name, found in lines.items() if found}
+
+
 def test_no_package_module_imports_typing():
-    importers = {path.name: typing_lines(path.read_text()) for path in PACKAGE}
-    assert {name: lines for name, lines in importers.items() if lines} == {}
+    assert importers("typing") == {}
+
+
+def test_no_package_module_imports_random():
+    assert importers("random") == {}
 
 
 @pytest.mark.parametrize(
@@ -393,7 +408,19 @@ def test_no_package_module_imports_typing():
     ],
 )
 def test_the_typing_check_itself(source, lines):
-    assert typing_lines(source) == lines
+    assert import_lines(source, "typing") == lines
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import random\n", [1]),
+        ("from random import Random\n", [1]),
+        ("import _random\nfrom .random import x\nimport randomness\n", []),
+    ],
+)
+def test_the_random_check_itself(source, lines):
+    assert import_lines(source, "random") == lines
 
 
 PACKAGE_CLASSES = sorted(
