@@ -23,6 +23,7 @@ from .crypto import (
     check_type,
     dh_keypair,
     draw_exponent,
+    draw_octets,
     e1,
     value_class,
 )
@@ -151,13 +152,9 @@ class IntruderState:
     It runs SCRIPTS[mode, variant], with A and B resolved to addresses once,
     when it is built. When built, it draws from Stream(rng_seed) only what
     its script sends, as new_device draws: against the dh variant a key
-    pair's exponent first (draw_exponent), if the script sends PUBLIC (so
-    it needs the group parameters; ValueError otherwise), then a challenge,
-    getrandbits(128) as 16 little-endian octets, if it sends NONCE. Each
-    is one getrandbits call on a stream seeded once (3.10 used to seed
-    each stream twice), and equals what random.Random(rng_seed) would
-    draw, randrange(1, p) or randbytes(16), until ROADMAP item 14's
-    specified stream re-freezes every seeded octet. Last it puts together
+    pair (draw_exponent) first, if the script sends PUBLIC (so it needs
+    the group parameters; ValueError otherwise), then a challenge
+    (draw_octets), if it sends NONCE. Last it puts together
     opening, the messages of the script's OPEN row, with which simnet.run
     opens the run: originate's open toward victim_a under victim_b's
     address, and a relay's is empty. id, victim_a and victim_b are
@@ -231,7 +228,7 @@ class IntruderState:
                 own = dh_keypair(dh_params, draw_exponent(rng, dh_params.p))
                 self.values[PUBLIC] = encode_public(own.s_public)
             if sends_nonce:
-                self.values[NONCE] = rng.getrandbits(128).to_bytes(16, "little")
+                self.values[NONCE] = draw_octets(rng)
         self.opening = tuple(_act(self, script.get(OPEN, ()), None))
 
     # a forwarder only because perfbench's tracer patches the module-level

@@ -20,6 +20,7 @@ from .crypto import (
     Stream,
     check_type,
     combination_link_key,
+    draw_octets,
     e1,
     has_full_order,
     init_key,
@@ -156,14 +157,10 @@ def _derive_link_key(master: Stream) -> bytes:
     """Pairing with no user input: any PIN's bootstrap-key mask (init_key)
     cancels out of the combined contributions, so no run computes it; the
     mask's random number is still drawn first, so the contributions keep
-    their draws. Each of the three is one getrandbits(128) call, and each
-    contribution its 16 little-endian octets, as random.Random's
-    randbytes(16) would give them, from a master stream seeded once (3.10
-    used to seed each stream twice); ROADMAP item 14's specified stream,
-    which would re-freeze these octets, is still open."""
-    master.getrandbits(128)
-    rand_a = master.getrandbits(128).to_bytes(16, "little")
-    rand_b = master.getrandbits(128).to_bytes(16, "little")
+    their draws. Each of the three is one draw_octets."""
+    draw_octets(master)
+    rand_a = draw_octets(master)
+    rand_b = draw_octets(master)
     return combination_link_key(rand_a, ADDR_A, rand_b, ADDR_B)
 
 

@@ -3,16 +3,11 @@
 Apart from Stream, the seeded random stream each party of a run draws
 from, all operations are pure functions and safe to call from any thread.
 Stream is a _random.Random, the C Mersenne Twister under random.Random,
-seeded once by the C routine behind random.Random(seed) (a random.Random
-subclass was seeded twice on Python 3.10), and every value a run draws is
-one getrandbits call on it: a 64-bit seed is getrandbits(64), a 16-octet
-value getrandbits(128).to_bytes(16, "little"), which is how random.Random
-defines randbytes(16), and a private exponent draw_exponent's 1 + r,
-which is how it defines randrange(1, p). So every draw equals
-random.Random(seed)'s without random.py's Python-level methods, and no
-module of the package imports random. A stream that rests on no CPython
-routine at all (every draw from SHAKE-128) would change every seeded
-octet, and is still open (ROADMAP item 14).
+seeded by the C routine behind random.Random(seed), and every value a run
+draws is one getrandbits call on it: a 64-bit seed is getrandbits(64),
+and draw_octets and draw_exponent draw a 16-octet value and a private
+exponent. Each equals the matching random.Random(seed) draw, and no module
+of the package imports random.
 Octet widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
 octets, 128-bit challenges and keys, and 32-bit signed responses. Every
 octet string a function takes or returns, addresses and PINs included, is
@@ -85,6 +80,7 @@ __all__ = [
     "check_public",
     "IdentityEnum",
     "Stream",
+    "draw_octets",
     "draw_exponent",
     "DhParams",
     "DhKeyPair",
@@ -207,9 +203,6 @@ class IdentityEnum(Enum):
     __hash__ = object.__hash__
 
 
-# before Python 3.11 _random.Random's __new__ seeds from its argument;
-# from 3.11 on its C __init__ does, and __new__ only allocates
-_SEEDED_BY_NEW = sys.version_info < (3, 11)
 _new_random = _random.Random.__new__
 _seed = _random.Random.seed
 
@@ -218,13 +211,12 @@ class Stream(_random.Random):
     """The Mersenne Twister stream of a non-negative int seed: the same
     state, and so the same getrandbits draws, as random.Random(seed).
 
-    It is a _random.Random with no instance dict, seeded once by the C
-    routine that random.Random.seed hands an int to; a random.Random
-    subclass seeded twice on 3.10, once in __new__ and again in __init__.
-    It refuses what random.Random would take as another seed: a seed that
-    is not exactly an int raises TypeError, and a negative one ValueError,
-    since the routine would hash any other object and seed from the
-    absolute value of a negative int. getstate returns the generator's
+    It is a _random.Random with no instance dict, seeded by the C routine
+    that random.Random.seed hands an int to. It refuses what random.Random
+    would take as another seed: a seed that is not exactly an int raises
+    TypeError, and a negative one ValueError, since the routine would hash
+    any other object and seed from the absolute value of a negative int.
+    getstate returns the generator's
     state alone, without random.Random's version and gauss_next.
     """
 
@@ -236,9 +228,10 @@ class Stream(_random.Random):
             check_type("seed", seed, int)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
+        # before 3.11 _random.Random's __new__ seeds from seed as well;
+        # from 3.11 on it only allocates
         stream = _new_random(cls, seed)
-        if not _SEEDED_BY_NEW:
-            _seed(stream, seed)
+        _seed(stream, seed)
         return stream
 
     # the stream is whole when __new__ returns: object's initialiser takes
@@ -553,6 +546,12 @@ class DhKeyPair(namedtuple("DhKeyPair", "r_private s_public")):
     """Per-device exchange pair: private exponent and public power."""
 
     __slots__ = ()
+
+
+def draw_octets(stream: Stream) -> bytes:
+    """A 16-octet value drawn from stream as random.Random.randbytes(16)
+    draws it: getrandbits(128) as 16 little-endian octets."""
+    return stream.getrandbits(128).to_bytes(16, "little")
 
 
 def draw_exponent(stream: Stream, p: int) -> int:

@@ -54,6 +54,7 @@ from .crypto import (
     check_type,
     dh_keypair,
     draw_exponent,
+    draw_octets,
     e1,
     session_key,
     value_class,
@@ -239,12 +240,8 @@ def new_device(
 ) -> DeviceState:
     """Fresh idle device of 6-octet address id, holding its 16-octet link
     key and every random value it may send, drawn from Stream(rng_seed):
-    on dh-improved its key pair's exponent first (draw_exponent), then its
-    challenge, getrandbits(128) as 16 little-endian octets, the octets
-    random.Random(rng_seed).randbytes(16) would give. The stream is seeded
-    once on every Python version (3.10 used to seed each stream twice), and
-    its draws rest on CPython's generator until ROADMAP item 14's specified
-    stream re-freezes every seeded octet. variant must be a Variant,
+    on dh-improved its key pair (draw_exponent) first, then its challenge
+    (draw_octets). variant must be a Variant,
     dh_params a DhParams or None, and rng_seed exactly an int
     (TypeError naming the field otherwise), and rng_seed non-negative
     (ValueError), as Stream requires: random.Random would take a bool, a
@@ -269,8 +266,7 @@ def new_device(
         if dh_params is None:
             raise ValueError("dh-improved devices need group parameters")
         dh = dh_keypair(dh_params, draw_exponent(rng, dh_params.p))
-    challenge = rng.getrandbits(128).to_bytes(16, "little")
-    device = DeviceState(id, variant, link_key, challenge, dh_params)
+    device = DeviceState(id, variant, link_key, draw_octets(rng), dh_params)
     device.dh = dh
     return device
 

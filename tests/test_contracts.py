@@ -14,8 +14,9 @@ the valid call first, so a memo holds its entry when an equal value
 arrives (1.0 after 1, a view after bytes). OVERRIDES give the rest, with reasons.
 
 LEFT_OUT: no outside value reaches these unchecked. The number theory
-takes ints that the rows checked, and draw_exponent a stream and a
-group's modulus that new_device and IntruderState checked; mixhash128 hashes what its callers
+takes ints that the rows checked, draw_octets a stream and draw_exponent
+a stream and a group's modulus, each built from values that new_device,
+IntruderState or run_scenario checked; mixhash128 hashes what its callers
 built (tests/test_mixhash.py pins what it refuses); encode_public,
 decode_public, the drivers and main take checked or argparse-typed
 values; the check_* functions are what every row reaches; records, enums
@@ -388,8 +389,8 @@ def test_every_override_is_a_cell():
 
 
 LEFT_OUT = {
-    "modexp", "is_prime", "prime_factors", "has_full_order", "draw_exponent", "mixhash128",
-    "encode_public",
+    "modexp", "is_prime", "prime_factors", "has_full_order", "draw_octets", "draw_exponent",
+    "mixhash128", "encode_public",
     "decode_public", "start", "handle", "outcome_of", "run", "intercept", "main",
     "check_type", "check_octets", "DhKeyPair", "AuthOutcome", "DeviceState", "TranscriptEvent",
     "Transcript", "AttackVerdict", "ScenarioConfig", "ScenarioResult", "HEADLINE",

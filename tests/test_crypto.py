@@ -69,7 +69,7 @@ def package_draw(stream, name, arg):
     if name == "getrandbits":
         return stream.getrandbits(arg)
     if name == "randbytes":
-        return stream.getrandbits(128).to_bytes(16, "little")
+        return crypto.draw_octets(stream)
     return crypto.draw_exponent(stream, arg)
 
 
@@ -120,11 +120,10 @@ class TestStream:
                 crypto.draw_exponent(stream, p)
             assert stream.calls > 4, p
 
-    def test_seeds_once_with_no_instance_dict(self):
-        # before 3.11 _random.Random's __new__ seeds from the seed it is given
+    def test_seeds_from_the_int_with_no_instance_dict(self):
         with recorded(crypto, "_seed") as seeded:
             stream = Stream(seed=5)
-        assert seeded == ([] if sys.version_info < (3, 11) else [(stream, 5)])
+        assert seeded == [(stream, 5)]
         assert stream.getstate() == generator_state(random.Random(5))
         assert not hasattr(stream, "__dict__")
 

@@ -12,7 +12,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from support import ADDR_A, ADDR_B, ADDR_C, LINKS, PARAMS, WIDE_P, intruder, oracle_rtt, run_of
+from support import (
+    ADDR_A,
+    ADDR_B,
+    ADDR_C,
+    LINKS,
+    PARAMS,
+    WIDE_P,
+    intruder,
+    oracle_rtt,
+    recorded,
+    run_of,
+)
 
 from btauthsim import cli, crypto, simnet
 from btauthsim.adversary import (
@@ -720,8 +731,9 @@ class TestAddressesCompareByValue:
         # every address a party is built with or handed is its own copy:
         # each device id, the peer start opens toward, the intruder id, each
         # victim and each device whose calibration round trip is read; the
-        # calibration run is built anew with copies too, and the judge reads
-        # the devices of the outcomes, the copies the devices were built with
+        # calibration run is built anew with copies too, by building an
+        # equal configuration under the copies, and the judge reads the
+        # devices of the outcomes, the copies the devices were built with
         expected = [run_scenario(config, seed) for seed in range(5)]
 
         def copying(module, name, *positions):
@@ -739,8 +751,14 @@ class TestAddressesCompareByValue:
         copying(cli, "transcript_rtt", 1)
         cli._prepared.cache_clear()
         try:
+            with recorded(simnet, "_one_pass") as calibration:
+                fresh = dataclasses.replace(config)
+            assert fresh == config and fresh.prepared is not config.prepared
+            assert calibration
+            for _, a, b in calibration:
+                assert a is b and a is not cli.ADDR_A and a is not cli.ADDR_B
             for seed, want in enumerate(expected):
-                got = run_scenario(config, seed)
+                got = run_scenario(fresh, seed)
                 assert all(a is not cli.ADDR_A and a is not cli.ADDR_B for a in got.outcomes)
                 assert got.transcript == want.transcript
                 assert got.outcomes == want.outcomes
