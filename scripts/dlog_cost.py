@@ -12,25 +12,24 @@ hardening, so the script prints both the measurement and the projection.
 """
 
 import argparse
-import random
 import statistics
 import sys
 import time
 
 from btauthsim.adversary import dlog_bruteforce
 from btauthsim.cli import ConfigError, check_group
-from btauthsim.crypto import dh_keypair
+from btauthsim.crypto import Stream, dh_keypair, draw_exponent
 
 
 def measure(params, trials: int, seed: int) -> tuple[list[int], float]:
     """The scan's iteration count for each of trials exponents drawn from
-    random.Random(seed), and the seconds the scans took. Raises
+    Stream(seed) by draw_exponent, and the seconds the scans took. Raises
     RuntimeError if a scan recovers another exponent than was drawn."""
-    rng = random.Random(seed)
+    rng = Stream(seed)
     costs = []
     started = time.perf_counter()
     for _ in range(trials):
-        r = rng.randrange(1, params.p)
+        r = draw_exponent(rng, params.p)
         recovered, iterations = dlog_bruteforce(params, dh_keypair(params, r).s_public)
         if recovered != r:
             raise RuntimeError(f"recovered {recovered}, expected {r}")
@@ -47,7 +46,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
-    # random.Random takes |seed|, so a negative seed would replay another's trials
+    # a usage error here, where Stream would raise ValueError
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
     # the scan is linear in the exponent, so it keeps to the simulator's

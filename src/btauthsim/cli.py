@@ -19,12 +19,11 @@ from .crypto import (
     DhParams,
     Stream,
     check_type,
+    clear_memos,
     combination_link_key,
     draw_octets,
-    e1,
     has_full_order,
     init_key,
-    session_key,
     value_class,
 )
 from .protocol import Variant, new_device
@@ -240,14 +239,13 @@ def _check_seed(seed: int) -> None:
 def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     """One full run at one seed: the run itself, then its verdict, which
     judges detection against the configuration's cached baselines and
-    threshold. It first clears the memos of e1 and session_key, so the
-    run starts from no other run's entries, then takes links, group and
-    baselines from the configuration, which construction checked. It
-    raises ConfigError for a negative seed, which random.Random would take
-    as its absolute value, and TypeError for a seed that is not an int."""
+    threshold. It first clears crypto's memos, so the run starts from no
+    other run's entries, then takes links, group and baselines from the
+    configuration, which construction checked. It raises ConfigError for a
+    negative seed, which random.Random would take as its absolute value,
+    and TypeError for a seed that is not an int."""
     _check_seed(seed)
-    e1.cache_clear()
-    session_key.cache_clear()
+    clear_memos()
     links, params, calibrated = config.prepared
     baselines = dict(calibrated)
     master = Stream(seed)

@@ -1,18 +1,18 @@
 """Key material, the keyed mixing function behind E1 and E2, and Diffie-Hellman arithmetic.
 
-Apart from Stream, the seeded random stream each party of a run draws
-from, all operations are pure functions and safe to call from any thread.
-Stream is a _random.Random, the C Mersenne Twister under random.Random,
-seeded by the C routine behind random.Random(seed), and every value a run
+Apart from the seeded random stream each party of a run draws from, all
+operations are pure functions and safe to call from any thread.
+Stream(seed) checks its seed and returns _random.Random(seed), the C
+Mersenne Twister under random.Random, seeded once, and every value a run
 draws is one getrandbits call on it: a 64-bit seed is getrandbits(64),
 and draw_octets and draw_exponent draw a 16-octet value and a private
 exponent. Each equals the matching random.Random(seed) draw, and no module
 of the package imports random.
 Octet widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
 octets, 128-bit challenges and keys, and 32-bit signed responses. Every
-octet string a function takes or returns, addresses and PINs included, is
-plain bytes; each function checks the type and width of the octets it
-takes, and check_octets holds that check and its messages,
+octet string a function takes or returns, addresses, PINs and mixhash128's
+data included, is plain bytes; each function checks the type and width of
+the octets it takes, and check_octets holds that check and its messages,
 as check_type does for a value that must be exactly of one type (an int, an
 enum, a value class, a record) and check_public for a peer's public value.
 value_class, beside them, makes each value class of the package, the
@@ -53,9 +53,9 @@ forged 1 or p-1, or one built by hand) goes through modexp. Both memos
 cache pure functions and the record only picks the route to the shared
 value, so none changes a result; e1's memo is keyed by each argument's
 type too, so a view equal to memoised bytes misses and meets e1's check.
-cli.run_scenario clears them before every run (session_key.cache_clear
-empties the key memo and the record), so each run's count of digests and
-exponentiations depends only on its scenario and seed.
+clear_memos empties all three, and cli.run_scenario calls it before every
+run, so each run's count of digests and exponentiations depends only on
+its scenario and seed.
 
 Besides those memos and mixhash128's cache of message layouts by input
 length (at most 64 lengths; each entry is the padding tail and the struct
@@ -96,6 +96,7 @@ __all__ = [
     "dh_shared",
     "session_key_from_shared",
     "session_key",
+    "clear_memos",
     "xor_bytes",
 ]
 
@@ -203,47 +204,24 @@ class IdentityEnum(Enum):
     __hash__ = object.__hash__
 
 
-_new_random = _random.Random.__new__
-_seed = _random.Random.seed
+def Stream(seed: int) -> _random.Random:
+    """The Mersenne Twister stream of a non-negative int seed: a
+    _random.Random, seeded once by the C routine that random.Random.seed
+    hands an int to, so it has the same state, and draws the same
+    getrandbits, as random.Random(seed).
 
-
-class Stream(_random.Random):
-    """The Mersenne Twister stream of a non-negative int seed: the same
-    state, and so the same getrandbits draws, as random.Random(seed).
-
-    It is a _random.Random with no instance dict, seeded by the C routine
-    that random.Random.seed hands an int to. It refuses what random.Random
-    would take as another seed: a seed that is not exactly an int raises
-    TypeError, and a negative one ValueError, since the routine would hash
-    any other object and seed from the absolute value of a negative int.
-    getstate returns the generator's
+    It refuses what random.Random would take as another seed: a seed that
+    is not exactly an int raises TypeError, and a negative one ValueError,
+    since the routine would hash any other object and seed from the
+    absolute value of a negative int. getstate returns the generator's
     state alone, without random.Random's version and gauss_next.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, seed: int):
-        # a valid seed costs no call, as in e1
-        if type(seed) is not int:
-            check_type("seed", seed, int)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        # before 3.11 _random.Random's __new__ seeds from seed as well;
-        # from 3.11 on it only allocates
-        stream = _new_random(cls, seed)
-        _seed(stream, seed)
-        return stream
-
-    # the stream is whole when __new__ returns: object's initialiser takes
-    # the seed, by keyword too, and does nothing, where _random.Random's
-    # would seed again on 3.11+ and refuse a keyword
-    __init__ = object.__init__
-
-    def __reduce__(self):
-        # copy and pickle rebuild from a seed, then restore the state
-        return self.__class__, (0,), self.getstate()
-
-    __setstate__ = _random.Random.setstate
+    # a valid seed costs no call, as in e1
+    if type(seed) is not int:
+        check_type("seed", seed, int)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return _random.Random(seed)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -278,21 +256,15 @@ def mixhash128(data: bytes) -> bytes:
         s1 = (s1 + s0) ^ rotl64(s1, 32)
 
     followed by four trailing block steps with m = 0. The digest is the
-    little-endian octets of s0 then s1. data may be any bytes-like object;
-    its length is counted in octets, whatever the item size of a view, and
-    anything that is not a buffer raises TypeError naming data.
+    little-endian octets of s0 then s1. data must be bytes, of any length
+    (TypeError naming it otherwise).
 
     The s0 update reads only s0 and the block, never s1, so the first 8
     octets of the digest are the s0 lane alone; e1 runs that lane by itself.
     """
+    # pre-tested as in e1; any length is in check_octets' range
     if type(data) is not bytes:
-        # bytes(data) would take an int as that many zero octets, and a
-        # list of ints as octets; a view copies only a buffer
-        try:
-            data = bytes(memoryview(data))
-        except TypeError:
-            kind = type(data).__name__
-            raise TypeError(f"data must be a bytes-like object, got {kind}") from None
+        check_octets("data", data, 0, sys.maxsize)
     tail, blocks = _layout(len(data))
     s0 = _S0_INIT
     s1 = _S1_INIT
@@ -334,7 +306,7 @@ _SRES = struct.Struct("<I")
 
 
 # the scripted scenarios derive at most 4 distinct triples in a run
-# (dh-improved relay-passive), and cli.run_scenario clears the memo before
+# (dh-improved relay-passive), and clear_memos empties the memo before
 # each run, so within a run it evicts nothing; typed, so that a view equal
 # to memoised bytes misses and meets the check
 @functools.lru_cache(maxsize=32, typed=True)
@@ -346,8 +318,8 @@ def e1(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
     key, challenge and claimant address, that is the low 32 bits of its
     final s0 lane, so e1 runs that lane alone. Results are memoised, least
     recently used first out, for the triples of the current run, and the
-    octets are checked on a miss; cli.run_scenario calls e1.cache_clear()
-    before each run, and e1.__wrapped__ is the unmemoised function.
+    octets are checked on a miss; clear_memos empties the memo before
+    each run, and e1.__wrapped__ is the unmemoised function.
     """
     # a well-formed argument costs no call: only one that fails the inline
     # pre-test reaches check_octets, which decides and words the error
@@ -548,13 +520,13 @@ class DhKeyPair(namedtuple("DhKeyPair", "r_private s_public")):
     __slots__ = ()
 
 
-def draw_octets(stream: Stream) -> bytes:
+def draw_octets(stream: _random.Random) -> bytes:
     """A 16-octet value drawn from stream as random.Random.randbytes(16)
     draws it: getrandbits(128) as 16 little-endian octets."""
     return stream.getrandbits(128).to_bytes(16, "little")
 
 
-def draw_exponent(stream: Stream, p: int) -> int:
+def draw_exponent(stream: _random.Random, p: int) -> int:
     """A private exponent in [1, p-1], drawn from stream as
     random.Random.randrange(1, p) draws it: 1 + r, where r is
     getrandbits((p-1).bit_length()), drawn again until it is below p-1.
@@ -582,7 +554,7 @@ def _power_of_alpha(params: DhParams, e: int) -> int:
 # alpha^r = public, keyed by the group's two ints (a DhParams hashes in
 # Python); at most _MEMO_MAX entries, oldest first out, written under
 # _MEMO_LOCK. A run draws at most 3 key pairs (A, B and the intruder), and
-# cli.run_scenario empties the record before each run, so within a run it
+# clear_memos empties the record before each run, so within a run it
 # evicts nothing.
 _EXPONENTS: dict[tuple[int, int, int], int] = {}
 _MEMO_MAX = 8
@@ -632,7 +604,7 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
 
 
 # a run derives at most 2 distinct keys (one per device when the intruder
-# sends its own public), and cli.run_scenario clears the memo before each
+# sends its own public), and clear_memos empties the memo before each
 # run, so within a run it evicts nothing
 @functools.lru_cache(maxsize=_MEMO_MAX)
 def _session_key_of(k: int, p: int) -> bytes:
@@ -666,8 +638,7 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     checked above, as dh_shared would check them. The key is memoised by
     the shared value and p, so the device on the other side, which
     reaches the same shared value, pays no digest. Both memos hold at most
-    8 entries, oldest first out; cli.run_scenario calls
-    session_key.cache_clear(), which empties both, before each run.
+    8 entries, oldest first out; clear_memos empties both before each run.
     """
     check_public(params, peer_public)
     if type(own) is not DhKeyPair:
@@ -684,10 +655,10 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     return _session_key_of(shared, p)
 
 
-def _clear_session_keys() -> None:
+def clear_memos() -> None:
+    """Empty the memos of e1 and session_key and the exponents that
+    dh_keypair recorded; cli.run_scenario calls it before each run."""
+    e1.cache_clear()
     with _MEMO_LOCK:
         _EXPONENTS.clear()
     _session_key_of.cache_clear()
-
-
-session_key.cache_clear = _clear_session_keys

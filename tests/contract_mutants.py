@@ -31,7 +31,7 @@ RAISED = ("TypeError", "ValueError", "ConfigError")
 # module -> the functions of the table's entry points and of the checks they call
 SCOPE = {
     "crypto.py": [
-        "check_octets", "check_type", "Stream.__new__", "xor_bytes", "e1", "init_key",
+        "check_octets", "check_type", "Stream", "xor_bytes", "mixhash128", "e1", "init_key",
         "combination_link_key", "DhParams.__init__", "dh_keypair",
         "check_public", "dh_shared", "session_key_from_shared", "session_key",
     ],

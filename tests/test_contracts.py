@@ -16,11 +16,10 @@ arrives (1.0 after 1, a view after bytes). OVERRIDES give the rest, with reasons
 LEFT_OUT: no outside value reaches these unchecked. The number theory
 takes ints that the rows checked, draw_octets a stream and draw_exponent
 a stream and a group's modulus, each built from values that new_device,
-IntruderState or run_scenario checked; mixhash128 hashes what its callers
-built (tests/test_mixhash.py pins what it refuses); encode_public,
-decode_public, the drivers and main take checked or argparse-typed
-values; the check_* functions are what every row reaches; records, enums
-and exceptions check nothing. ScenarioConfig checks itself when built,
+IntruderState or run_scenario checked; clear_memos takes no argument;
+encode_public, decode_public, the drivers and main take checked or
+argparse-typed values; the check_* functions are what every row reaches;
+records, enums and exceptions check nothing. ScenarioConfig checks itself when built,
 and each validate and run_scenario cell builds one. Every record a call
 takes (a group, a key pair, a transcript) is a row.
 """
@@ -252,6 +251,7 @@ ROWS = [
            dict(rand_a=KEY, addr_a=ADDR_A, rand_b=NONCE, addr_b=ADDR_B),
            rand_a=KEY16, addr_a=ADDR, rand_b=KEY16, addr_b=ADDR),
     *table("xor_bytes", crypto.xor_bytes, dict(a=KEY, b=NONCE), a=octets(), b=octets()),
+    *table("mixhash128", crypto.mixhash128, dict(data=NONCE), data=octets()),
     *table("Stream", crypto.Stream, dict(seed=1), seed=seed("seed")),
     *table("DhParams", DhParams, dict(p=23, alpha=5),
            p=integer(), alpha=integer(2, 22, "alpha must be in [2, p-1], got {}")),
@@ -377,7 +377,7 @@ def test_cell(row, cell, value):
 @pytest.mark.parametrize("drawn", [True, False], ids=["drawn peer", "undrawn peer"])
 @pytest.mark.parametrize("r", [2.0, "x"], ids=["float r_private", "str r_private"])
 def test_session_key_own_field_cell(r, drawn):
-    crypto.session_key.cache_clear()
+    crypto.clear_memos()
     peer = crypto.dh_keypair(P23, 3).s_public if drawn else 1
     with pytest.raises(TypeError) as err:
         crypto.session_key(P23, crypto.DhKeyPair(r, 1), peer)
@@ -390,7 +390,7 @@ def test_every_override_is_a_cell():
 
 LEFT_OUT = {
     "modexp", "is_prime", "prime_factors", "has_full_order", "draw_octets", "draw_exponent",
-    "mixhash128", "encode_public",
+    "clear_memos", "encode_public",
     "decode_public", "start", "handle", "outcome_of", "run", "intercept", "main",
     "check_type", "check_octets", "DhKeyPair", "AuthOutcome", "DeviceState", "TranscriptEvent",
     "Transcript", "AttackVerdict", "ScenarioConfig", "ScenarioResult", "HEADLINE",

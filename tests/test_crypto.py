@@ -1,11 +1,10 @@
 """Key-derivation functions, the random stream and the Diffie-Hellman key memos."""
 
-import copy
 import _random
-import pickle
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given
@@ -83,9 +82,9 @@ def generator_state(oracle):
 
 
 class TestStream:
-    """Stream(seed) is the generator of random.Random(seed), seeded once
-    without random.Random.seed, and every value the package draws from it
-    equals the matching random.Random draw."""
+    """Stream(seed) is _random.Random(seed), the generator of
+    random.Random(seed), built once without random.Random.seed, and every
+    value the package draws from it equals the matching random.Random draw."""
 
     # rejection is likeliest where p - 1 is a power of two: getrandbits
     # then draws one bit more than p - 2 needs, and refuses half its values
@@ -97,17 +96,15 @@ class TestStream:
     @example(2**64, [("randrange", 65537)] * 4)
     def test_draws_as_random_random(self, seed, draws):
         stream, oracle = Stream(seed), random.Random(seed)
+        assert type(stream) is _random.Random
         assert stream.getstate() == generator_state(oracle)
         for name, arg in draws:
             assert package_draw(stream, name, arg) == oracle_draw(oracle, name, arg)
             assert stream.getstate() == generator_state(oracle)
-            for twin in (copy.copy(stream), pickle.loads(pickle.dumps(stream))):
-                assert type(twin) is Stream
-                assert twin.getstate() == stream.getstate()
 
     def test_examples_reach_the_rejection(self):
         # a stream has no instance dict to patch, so a subclass counts
-        class Counted(Stream):
+        class Counted(_random.Random):
             def getrandbits(self, k):
                 self.calls += 1
                 return super().getrandbits(k)
@@ -120,10 +117,14 @@ class TestStream:
                 crypto.draw_exponent(stream, p)
             assert stream.calls > 4, p
 
-    def test_seeds_from_the_int_with_no_instance_dict(self):
-        with recorded(crypto, "_seed") as seeded:
+    def test_seeds_from_the_int_with_no_instance_dict(self, monkeypatch):
+        # one construction, which seeds once on every version: in __new__
+        # before 3.11, in __init__ from 3.11 on
+        monkeypatch.setattr(crypto, "_random", SimpleNamespace(Random=_random.Random))
+        with recorded(crypto._random, "Random") as built:
             stream = Stream(seed=5)
-        assert seeded == [(stream, 5)]
+        assert built == [(5,)]
+        assert type(stream) is _random.Random
         assert stream.getstate() == generator_state(random.Random(5))
         assert not hasattr(stream, "__dict__")
 
@@ -282,7 +283,7 @@ class TestSessionKeyFromShared:
         sides = [(own, peer.s_public), (peer, own.s_public)]
         if data.draw(st.booleans()):
             sides.reverse()
-        session_key.cache_clear()
+        crypto.clear_memos()
         for pair, peer_public in sides:
             assert session_key(params, pair, peer_public) == expected
         # a repeat, answered from the memo, and an equal group built anew
@@ -294,7 +295,7 @@ class TestSessionKeyFromShared:
         params = DhParams(*group)
         p = params.p
         own, peer = dh_keypair(params, 12345), dh_keypair(params, 67890)
-        session_key.cache_clear()
+        crypto.clear_memos()
         session_key(params, own, peer.s_public)
         session_key(params, peer, own.s_public)
         for bad in (0, p, -1, p + peer.s_public, -peer.s_public):
@@ -308,7 +309,7 @@ class TestSessionKeyFromShared:
         params = DhParams(p=23, alpha=2)
         first, second = dh_keypair(params, 1), dh_keypair(params, 12)
         assert first.s_public == second.s_public == 2
-        session_key.cache_clear()
+        crypto.clear_memos()
         for pair in (first, second, first):
             expected = session_key_from_shared(dh_shared(params, 22, pair.r_private), params)
             assert session_key(params, pair, 22) == expected
@@ -319,7 +320,7 @@ class TestSessionKeyFromShared:
         # exponents derives its key both ways, then against the forged
         # peers 1 and 22, with the memos warm from every call before
         p = 23
-        session_key.cache_clear()
+        crypto.clear_memos()
         for alpha in range(2, p):
             params = DhParams(p, alpha)
             keys = [session_key_from_shared(k, params) for k in range(p)]
@@ -334,7 +335,7 @@ class TestSessionKeyFromShared:
     def test_memo_holds_at_most_eight_keys(self):
         params = DhParams(*GROUPS[0])
         own = dh_keypair(params, 99)
-        session_key.cache_clear()
+        crypto.clear_memos()
         for r in range(2, 22):
             peer = dh_keypair(params, r)
             expected = session_key_from_shared(dh_shared(params, peer.s_public, 99), params)
@@ -362,7 +363,7 @@ class TestSessionKeyFromShared:
                     if session_key(params, a, b.s_public) != expected[a.r_private, b.r_private]:
                         wrong.append((a, b))
                     if step % 50 == worker:
-                        session_key.cache_clear()
+                        crypto.clear_memos()
             except Exception as err:  # noqa: BLE001 - collected and asserted below
                 errors.append(err)
 
@@ -389,7 +390,7 @@ class TestSessionKeyFromTable:
     @given(any_group(), st.data())
     def test_a_drawn_peer_public_takes_no_modexp(self, params, data):
         p = params.p
-        session_key.cache_clear()
+        crypto.clear_memos()
         own = dh_keypair(params, data.draw(exponents(p)))
         peer = dh_keypair(params, data.draw(exponents(p)))
         with recorded(crypto, "modexp") as calls:
@@ -401,7 +402,7 @@ class TestSessionKeyFromTable:
     @given(any_group(), st.data())
     def test_a_peer_public_with_no_recorded_exponent_takes_one_modexp(self, params, data):
         p = params.p
-        session_key.cache_clear()
+        crypto.clear_memos()
         own = dh_keypair(params, data.draw(exponents(p)))
         peer_public = data.draw(st.sampled_from([1, p - 1]) | st.integers(min_value=1, max_value=p - 1))
         assume(peer_public != own.s_public)
@@ -412,7 +413,7 @@ class TestSessionKeyFromTable:
 
     def test_a_hand_built_negative_exponent_is_refused_as_dh_shared_refuses_it(self):
         params = DhParams(p=23, alpha=5)
-        session_key.cache_clear()
+        crypto.clear_memos()
         peer = dh_keypair(params, 3)
         own = DhKeyPair(r_private=-1, s_public=dh_keypair(params, 22).s_public)
         with pytest.raises(ValueError, match="^exponent must be non-negative, got -1$"):
@@ -428,14 +429,14 @@ class TestSessionKeyFromTable:
         # both groups' alpha is a generator, so distinct exponents below
         # 10^6 give distinct publics
         params = DhParams(*group)
-        session_key.cache_clear()
+        crypto.clear_memos()
         assert crypto._EXPONENTS == {}
         publics = [dh_keypair(params, r).s_public for r in rs]
         assert list(crypto._EXPONENTS) == [(*group, public) for public in publics[-8:]]
         assert list(crypto._EXPONENTS.values()) == rs[-8:]
         if rs:
             session_key(params, dh_keypair(params, rs[0]), publics[-1])
-        session_key.cache_clear()
+        crypto.clear_memos()
         assert crypto._EXPONENTS == {} and crypto._session_key_of.cache_info().currsize == 0
 
     def test_threads_drawing_and_deriving_get_the_unmemoised_keys(self):
@@ -455,7 +456,7 @@ class TestSessionKeyFromTable:
                     if session_key(params, a, b.s_public) != expected:
                         wrong.append((a, b))
                     if step % 40 == worker:
-                        session_key.cache_clear()
+                        crypto.clear_memos()
             except Exception as err:  # noqa: BLE001 - collected and asserted below
                 errors.append(err)
 

@@ -87,6 +87,12 @@ def test_dlog_cost_measure_refuses_a_wrong_recovery():
         script.measure(DhParams(10007, 5), 20, 0)
 
 
+def test_dlog_cost_measure_draws_fixed_exponents():
+    # the exponents drawn from seed 0, pinned by the scan costs that recover them
+    costs, _ = load_script("dlog_cost").measure(cli.check_group(10007, 5), 5, 0)
+    assert costs == [6312, 6891, 664, 4243, 8377]
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
