@@ -436,8 +436,10 @@ class TestSessionKeyFromTable:
         assert list(crypto._EXPONENTS.values()) == rs[-8:]
         if rs:
             session_key(params, dh_keypair(params, rs[0]), publics[-1])
+        e1(ZKEY, Z16, ADDR_A)
         crypto.clear_memos()
         assert crypto._EXPONENTS == {} and crypto._session_key_of.cache_info().currsize == 0
+        assert e1.cache_info().currsize == 0
 
     def test_threads_drawing_and_deriving_get_the_unmemoised_keys(self):
         # each step draws two key pairs, recording both exponents, and
