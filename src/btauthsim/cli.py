@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .adversary import IntruderMode, IntruderState, verdict
+from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
 from .crypto import (
     DhParams,
     Stream,
@@ -124,8 +124,11 @@ class ScenarioConfig:
             prepared=prepared,
         )
 
-    @property
+    @functools.cached_property
     def scenario_name(self) -> str:
+        """The variant and intruder mode, as report_line writes them: built
+        on first use and kept in the instance dictionary, outside the
+        fields, so equality and hashing ignore it."""
         mode = self.intruder.value if self.intruder is not None else "none"
         return f"{self.variant.value}+{mode}"
 
@@ -266,16 +269,27 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     return _new_tuple(ScenarioResult, (seed, transcript, outcomes, score, baselines, link_key))
 
 
-def report_line(config: ScenarioConfig, result: ScenarioResult) -> str:
-    score = result.score
+# The four verdict fields of a report line as text, built once for each of
+# the 16 verdicts that adversary interns. Typed, so that a plain tuple
+# equal to a verdict misses and raises AttributeError, as it would unmemoised.
+@functools.lru_cache(maxsize=16, typed=True)
+def _score_text(score: AttackVerdict) -> str:
     return (
-        f"scenario={config.scenario_name} "
-        f"seed={result.seed} "
         f"attack_success={'true' if score.attack_success else 'false'} "
         f"integrity={score.integrity.value} "
         f"confidentiality={score.confidentiality.value} "
-        f"detection={score.detection.value} "
-        f"messages={len(result.transcript.events)}"
+        f"detection={score.detection.value}"
+    )
+
+
+def report_line(config: ScenarioConfig, result: ScenarioResult) -> str:
+    """The run's report: scenario name, seed, the four verdict fields and
+    the number of delivered messages. The name and the verdict text are
+    each built once (scenario_name and _score_text) and reused by every run
+    that reaches them."""
+    return (
+        f"scenario={config.scenario_name} seed={result.seed} "
+        f"{_score_text(result.score)} messages={len(result.transcript.events)}"
     )
 
 

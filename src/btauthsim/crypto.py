@@ -37,9 +37,10 @@ check_octets, which accepts or refuses it.
 
 e1 derives the 32-bit response from the one lane of the digest that the
 response reads, and combination_link_key runs the digests of its two
-contributions in one two-lane pass over packed ints. mixhash128, the
-one-message digest, is the reference for both, and derives init_key's
-bootstrap key and the session key itself. e1 keeps a small memo of its
+contributions in one two-lane pass over packed ints, each written out
+block by block with no loop. mixhash128, the one-message digest, is the
+reference for both, and derives init_key's bootstrap key and the session
+key itself. e1 keeps a small memo of its
 recent results, because one run computes the same (key, challenge,
 claimant) triple more than once: the answering device, the verifying
 device and the verdict each derive it.
@@ -300,8 +301,9 @@ _TAG_LINK_KEY = b"\x03"
 _TAG_SESSION = b"\x05"
 
 
-# the e1 message is the tag, key, challenge and claimant address, 39 octets
-_E1_TAIL, _E1_BLOCKS = _layout(39)
+# the e1 message is the tag, key, challenge and claimant address, 39
+# octets: with the 0x80 octet, five data blocks
+_E1_DATA = struct.Struct("<5Q")
 _SRES = struct.Struct("<I")
 
 
@@ -329,10 +331,25 @@ def e1(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
         check_octets("challenge", challenge, 16)
     if type(claimant) is not bytes or len(claimant) != 6:
         check_octets("claimant", claimant, 6)
-    s0 = _S0_INIT
-    for m in _E1_BLOCKS.unpack(_TAG_AUTH + key + challenge + claimant + _E1_TAIL):
-        x = s0 ^ m
-        s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    m0, m1, m2, m3, m4 = _E1_DATA.unpack(b"".join((_TAG_AUTH, key, challenge, claimant, b"\x80")))
+    # mixhash128's s0 step, written out for each block: the five data
+    # blocks, the length block (39) and the four zero blocks
+    x = _S0_INIT ^ m0
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    x = s0 ^ m1
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    x = s0 ^ m2
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    x = s0 ^ m3
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    x = s0 ^ m4
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    x = s0 ^ 39
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
     return _SRES.pack(s0 & 0xFFFFFFFF)
 
 
@@ -357,7 +374,7 @@ _LINK_MASK = _MASK64 | _MASK64 << 192
 _LINK_LOW13 = 0x1FFF | 0x1FFF << 192
 _LINK_S0 = _S0_INIT | _S0_INIT << 192
 _LINK_S1 = _S1_INIT | _S1_INIT << 192
-_LINK_TAIL = (23 | 23 << 192, 0, 0, 0, 0)
+_LINK_LENGTH = 23 | 23 << 192
 _LINK_HALVES = struct.Struct("<6Q")
 
 
@@ -380,16 +397,32 @@ def combination_link_key(rand_a: bytes, addr_a: bytes, rand_b: bytes, addr_b: by
     if type(addr_b) is not bytes or len(addr_b) != 6:
         check_octets("addr_b", addr_b, 6)
     a0, a1, a2, b0, b1, b2 = _LINK_HALVES.unpack(
-        _TAG_LINK_KEY + rand_a + addr_a + b"\x80" + _TAG_LINK_KEY + rand_b + addr_b + b"\x80"
+        b"".join((_TAG_LINK_KEY, rand_a, addr_a, b"\x80", _TAG_LINK_KEY, rand_b, addr_b, b"\x80"))
     )
-    s0 = _LINK_S0
+    # mixhash128's step, written out for each block: the three data blocks,
+    # the length block and the four zero blocks; x >> 51 is cut to the 13
+    # bits that the rotation brings down within each lane
     s1 = _LINK_S1
-    for m in (a0 | b0 << 192, a1 | b1 << 192, a2 | b2 << 192, *_LINK_TAIL):
-        x = s0 ^ m
-        # as in mixhash128, with x >> 51 cut to the 13 bits that the
-        # rotation brings down within each lane
-        s0 = (x << 13 | x >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
-        s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    x = _LINK_S0 ^ (a0 | b0 << 192)
+    s0 = (x << 13 | x >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    x = s0 ^ (a1 | b1 << 192)
+    s0 = (x << 13 | x >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    x = s0 ^ (a2 | b2 << 192)
+    s0 = (x << 13 | x >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    x = s0 ^ _LINK_LENGTH
+    s0 = (x << 13 | x >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    s0 = (s0 << 13 | s0 >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    s0 = (s0 << 13 | s0 >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    s0 = (s0 << 13 | s0 >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
+    s0 = (s0 << 13 | s0 >> 51 & _LINK_LOW13) * _MULT & _LINK_MASK
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _LINK_MASK
     return _DIGEST.pack((s0 ^ s0 >> 192) & _MASK64, (s1 ^ s1 >> 192) & _MASK64)
 
 

@@ -11,6 +11,7 @@ the messages. Addresses are plain bytes and compare by value: equal
 addresses need not be one object.
 """
 
+import functools
 import math
 from collections import deque, namedtuple
 
@@ -76,33 +77,51 @@ class TranscriptEvent(namedtuple("TranscriptEvent", "seq time from_id to_id kind
 _new_tuple = tuple.__new__
 
 
-# the text of each message kind, read once here rather than through the
-# enum's value property on every line
-_KIND_TEXT = {kind: kind.value for kind in MsgKind}
+# The text of a line up to its payload's hex, built once per hop: a
+# configuration's runs deliver the same (seq, time, from, to, kind) hops at
+# every seed, so each head is formatted once and then shared. 256 entries
+# hold the 67 distinct heads of the ten headline scenarios with room to
+# spare. Typed, so that a time 10.0 or a seq True, which equal and hash as
+# the ints 10 and 1, print as themselves, not as the int's cached head.
+@functools.lru_cache(maxsize=256, typed=True)
+def _text_head(seq: int, time: int, from_id: bytes, to_id: bytes, kind: MsgKind) -> str:
+    return f"seq={seq} t={time} from={from_id.hex()} to={to_id.hex()} kind={kind.value} payload="
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _jsonl_head(seq: int, time: int, from_id: bytes, to_id: bytes, kind: MsgKind) -> str:
+    # every value is an int, a hex string or a MsgKind name, none of which
+    # JSON needs to escape; each line is the compact json.dumps
+    return (
+        f'{{"seq":{seq},"t":{time},"from":"{from_id.hex()}","to":"{to_id.hex()}",'
+        f'"kind":"{kind.value}","payload":"'
+    )
 
 
 class Transcript(namedtuple("Transcript", "events links end_time")):
     """Every delivery of a run in order, the links it ran on, and end_time:
-    the time of the last delivery, or the timeout when a device timed out."""
+    the time of the last delivery, or the timeout when a device timed out.
+
+    to_text and to_jsonl write each event as one line: its head, the text
+    before the payload, from the cache of _text_head or _jsonl_head, then
+    the payload's hex. The addresses are cache keys, so an unhashable one
+    (a bytearray) raises TypeError; every transcript a run builds holds
+    bytes."""
 
     __slots__ = ()
 
-    # Each format is one comprehension over the events, each line ended by
-    # a newline and the lines joined in one step, with no call per line.
+    # Each format is one comprehension over the unpacked events, whose
+    # lines are joined in one step.
     def to_text(self) -> str:
         return "".join([
-            f"seq={e.seq} t={e.time} from={e.from_id.hex()} to={e.to_id.hex()} "
-            f"kind={_KIND_TEXT[e.kind]} payload={e.payload.hex()}\n"
-            for e in self.events
+            f"{_text_head(seq, time, from_id, to_id, kind)}{payload.hex()}\n"
+            for seq, time, from_id, to_id, kind, payload in self.events
         ])
 
     def to_jsonl(self) -> str:
-        # every value is an int, a hex string or a MsgKind name, none of which
-        # JSON needs to escape; each line is the compact json.dumps
         return "".join([
-            f'{{"seq":{e.seq},"t":{e.time},"from":"{e.from_id.hex()}","to":"{e.to_id.hex()}",'
-            f'"kind":"{_KIND_TEXT[e.kind]}","payload":"{e.payload.hex()}"}}\n'
-            for e in self.events
+            f'{_jsonl_head(seq, time, from_id, to_id, kind)}{payload.hex()}"}}\n'
+            for seq, time, from_id, to_id, kind, payload in self.events
         ])
 
 

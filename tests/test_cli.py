@@ -3,6 +3,7 @@
 import collections
 import enum
 import errno
+import itertools
 import json
 import os
 import random
@@ -18,10 +19,10 @@ from support import PARAMS, WIDE_P, recorded, run_of
 
 from btauthsim import adversary, cli, crypto, protocol, simnet
 from btauthsim.cli import ConfigError, ScenarioConfig, main, run_scenario
-from btauthsim.adversary import IntruderMode, IntruderState
+from btauthsim.adversary import AttackVerdict, Confidentiality, Integrity, IntruderMode, IntruderState
 from btauthsim.crypto import DhParams, combination_link_key, init_key, mixhash128, xor_bytes
 from btauthsim.protocol import Variant, new_device
-from btauthsim.simnet import LinkConfig, transcript_rtt
+from btauthsim.simnet import Detection, LinkConfig, transcript_rtt
 
 # hops of the intruder-free handshake, first send to last delivery
 HANDSHAKE_HOPS = {Variant.LEGACY: 4, Variant.IMPROVED: 5, Variant.DH_IMPROVED: 7}
@@ -124,6 +125,54 @@ class TestReportLines:
         one = run_scenario(config, 0).transcript.to_text()
         two = run_scenario(config, 1).transcript.to_text()
         assert one != two
+
+    @pytest.mark.parametrize(
+        "score",
+        [
+            AttackVerdict(*fields)
+            for fields in itertools.product(
+                [False, True], list(Integrity), list(Confidentiality), list(Detection)
+            )
+        ],
+        ids=lambda score: "-".join(str(getattr(f, "value", f)) for f in score),
+    )
+    def test_every_verdict_reports_its_enum_values(self, score):
+        # each of the 16 verdicts, whose text report_line caches
+        config = cli.HEADLINE[3]
+        result = run_scenario(config, 7)._replace(score=score)
+        success, integrity, confidentiality, detection = score
+        for _ in range(2):
+            assert cli.report_line(config, result) == (
+                f"scenario={config.variant.value}+{config.intruder.value} seed=7 "
+                f"attack_success={str(success).lower()} integrity={integrity.value} "
+                f"confidentiality={confidentiality.value} detection={detection.value} "
+                f"messages={len(result.transcript.events)}"
+            )
+
+    def test_a_plain_tuple_score_is_refused_as_before(self):
+        # equal to a cached verdict, but of another type, so it misses the
+        # cache and fails on its first field read
+        config = cli.HEADLINE[0]
+        result = run_scenario(config, 0)
+        cli.report_line(config, result)
+        with pytest.raises(AttributeError, match="attack_success"):
+            cli.report_line(config, result._replace(score=tuple(result.score)))
+
+    def test_scenario_names_of_the_headline(self):
+        names = [config.scenario_name for config in cli.HEADLINE]
+        assert names == [
+            "legacy+none", "improved+none", "dh-improved+none",
+            "legacy+relay-active", "legacy+relay-passive", "legacy+originate",
+            "improved+relay-active", "improved+originate",
+            "dh-improved+relay-active", "dh-improved+relay-passive",
+        ]
+        # kept in the instance dictionary, outside the fields
+        for config in cli.HEADLINE:
+            fresh = ScenarioConfig(config.variant, config.intruder, config.initiator)
+            assert "scenario_name" in vars(config) and "scenario_name" not in vars(fresh)
+            assert config == fresh and hash(config) == hash(fresh)
+            assert repr(config) == repr(fresh)
+            assert fresh.scenario_name == config.scenario_name
 
 
 class TestTranscriptOutput:

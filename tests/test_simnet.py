@@ -169,6 +169,28 @@ class TestOpening:
             run_of(Variant.LEGACY, StrayOpener())
 
 
+def text_line(event: TranscriptEvent) -> str:
+    """A text transcript line as the format defines it, field by field."""
+    seq, time, sender, receiver, kind, payload = event
+    return (
+        f"seq={seq} t={time} from={sender.hex()} to={receiver.hex()} "
+        f"kind={kind.value} payload={payload.hex()}"
+    )
+
+
+def json_record(event: TranscriptEvent) -> dict:
+    """The record of a JSONL transcript line, field by field."""
+    seq, time, sender, receiver, kind, payload = event
+    return {
+        "seq": seq,
+        "t": time,
+        "from": sender.hex(),
+        "to": receiver.hex(),
+        "kind": kind.value,
+        "payload": payload.hex(),
+    }
+
+
 class TestSerialization:
     def test_text_line_format(self):
         _, _, transcript, _ = run_of(Variant.LEGACY)
@@ -207,17 +229,72 @@ class TestSerialization:
     )
     def test_json_line_matches_json_dumps(self, seq, time, sender, receiver, kind, payload):
         event = TranscriptEvent(seq, time, sender, receiver, kind, payload)
-        record = {
-            "seq": event.seq,
-            "t": event.time,
-            "from": event.from_id.hex(),
-            "to": event.to_id.hex(),
-            "kind": event.kind.value,
-            "payload": event.payload.hex(),
-        }
+        record = json_record(event)
         [line] = Transcript(events=(event,), links=LINKS, end_time=0).to_jsonl().splitlines()
         assert line == json.dumps(record, separators=(",", ":"))
         assert json.loads(line) == record
+
+    @given(
+        st.integers(),
+        st.integers(),
+        st.binary(min_size=6, max_size=6),
+        st.binary(min_size=6, max_size=6),
+        st.sampled_from(list(MsgKind)),
+        st.binary(max_size=32),
+    )
+    def test_text_line_matches_its_format(self, seq, time, sender, receiver, kind, payload):
+        event = TranscriptEvent(seq, time, sender, receiver, kind, payload)
+        [line] = Transcript(events=(event,), links=LINKS, end_time=0).to_text().splitlines()
+        assert line == text_line(event)
+
+    @pytest.mark.parametrize("cached,other", [(10, 10.0), (1, True)], ids=["time", "seq"])
+    def test_a_head_is_keyed_by_type(self, cached, other):
+        # 10.0 and True equal and hash as the ints 10 and 1, but print as
+        # themselves, whichever was rendered first
+        for seq, time in [(cached, 20), (other, 20), (0, cached), (0, other)]:
+            event = TranscriptEvent(seq, time, ADDR_A, ADDR_B, MsgKind.CHALLENGE, b"\x01")
+            transcript = Transcript(events=(event,), links=LINKS, end_time=0)
+            assert transcript.to_text() == text_line(event) + "\n"
+            assert transcript.to_jsonl() == (
+                f'{{"seq":{seq},"t":{time},"from":"{ADDR_A.hex()}","to":"{ADDR_B.hex()}",'
+                f'"kind":"ChallengeMsg","payload":"01"}}\n'
+            )
+
+    def test_more_heads_than_the_cache_holds(self):
+        events = tuple(
+            TranscriptEvent(seq, 10 * seq, ADDR_A, ADDR_C, MsgKind.RESPONSE, bytes([seq % 256]))
+            for seq in range(300)
+        )
+        transcript = Transcript(events=events, links=LINKS, end_time=0)
+        first = transcript.to_jsonl()
+        for line, event in zip(first.splitlines(), events, strict=True):
+            assert line == json.dumps(json_record(event), separators=(",", ":"))
+        assert transcript.to_jsonl() == first
+        assert transcript.to_text() == transcript.to_text()
+
+    def test_headline_heads_repeat_at_every_seed(self):
+        # after one round, every hop head of the ten headline scenarios is
+        # cached: each scenario delivers the same hops at every seed
+        heads = {}
+        for seed, config in enumerate(cli.HEADLINE):
+            transcript = run_scenario(config, seed).transcript
+            transcript.to_jsonl()
+            heads[config] = {event[:5] for event in transcript.events}
+        misses = simnet._jsonl_head.cache_info().misses
+        for seed in range(10, 210):
+            config = cli.HEADLINE[seed % len(cli.HEADLINE)]
+            transcript = run_scenario(config, seed).transcript
+            transcript.to_jsonl()
+            heads[config].update(event[:5] for event in transcript.events)
+            assert len(heads[config]) == len(transcript.events), config.scenario_name
+        assert simnet._jsonl_head.cache_info().misses == misses
+
+    def test_an_unhashable_address_is_refused(self):
+        event = TranscriptEvent(0, 10, bytearray(ADDR_A), ADDR_B, MsgKind.AUTH_REQUEST, b"")
+        transcript = Transcript(events=(event,), links=LINKS, end_time=0)
+        for serialise in (transcript.to_text, transcript.to_jsonl):
+            with pytest.raises(TypeError, match="unhashable type: 'bytearray'"):
+                serialise()
 
     @given(
         st.lists(
