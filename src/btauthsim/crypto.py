@@ -33,14 +33,16 @@ The functions every run calls (e1 and combination_link_key; no run calls
 init_key, see cli._derive_link_key) first test each octet string inline,
 exact bytes of the width, so a well-formed value costs no call; only a
 value that fails that test, a bytes subclass included, reaches
-check_octets, which accepts or refuses it.
+check_octets, which accepts or refuses it. session_key tests a peer's
+public value inline in the same way, and check_public words its refusal.
 
 e1 derives the 32-bit response from the one lane of the digest that the
-response reads, and combination_link_key runs the digests of its two
-contributions in one two-lane pass over packed ints, each written out
-block by block with no loop. mixhash128, the one-message digest, is the
-reference for both, and derives init_key's bootstrap key and the session
-key itself. e1 keeps a small memo of its
+response reads, combination_link_key runs the digests of its two
+contributions in one two-lane pass over packed ints, and the session key
+runs both lanes of its one 33-octet digest, each written out block by
+block with no loop. mixhash128, the one-message digest, is the reference
+for all three, and derives only init_key's bootstrap key, which no run
+computes: no run reaches mixhash128. e1 keeps a small memo of its
 recent results, because one run computes the same (key, challenge,
 claimant) triple more than once: the answering device, the verifying
 device and the verdict each derive it.
@@ -299,11 +301,15 @@ _TAG_AUTH = b"\x01"
 _TAG_INIT_KEY = b"\x02"
 _TAG_LINK_KEY = b"\x03"
 _TAG_SESSION = b"\x05"
+# what follows the 33-octet session-key message in its five data blocks
+_SESSION_PAD = b"\x80" + bytes(6)
 
 
 # the e1 message is the tag, key, challenge and claimant address, 39
-# octets: with the 0x80 octet, five data blocks
-_E1_DATA = struct.Struct("<5Q")
+# octets, and the session-key message the tag, shared value and modulus,
+# 33 octets: either, with the 0x80 octet and its zero octets, is five data
+# blocks
+_FIVE_BLOCKS = struct.Struct("<5Q")
 _SRES = struct.Struct("<I")
 
 
@@ -331,7 +337,7 @@ def e1(key: bytes, challenge: bytes, claimant: bytes) -> bytes:
         check_octets("challenge", challenge, 16)
     if type(claimant) is not bytes or len(claimant) != 6:
         check_octets("claimant", claimant, 6)
-    m0, m1, m2, m3, m4 = _E1_DATA.unpack(b"".join((_TAG_AUTH, key, challenge, claimant, b"\x80")))
+    m0, m1, m2, m3, m4 = _FIVE_BLOCKS.unpack(b"".join((_TAG_AUTH, key, challenge, claimant, b"\x80")))
     # mixhash128's s0 step, written out for each block: the five data
     # blocks, the length block (39) and the four zero blocks
     x = _S0_INIT ^ m0
@@ -613,7 +619,8 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
         if len(_EXPONENTS) >= _MEMO_MAX and key not in _EXPONENTS:
             del _EXPONENTS[next(iter(_EXPONENTS))]
         _EXPONENTS[key] = r
-    return DhKeyPair(r_private=r, s_public=s_public)
+    # one tuple.__new__ call, as simnet builds its records
+    return tuple.__new__(DhKeyPair, (r, s_public))
 
 
 def check_public(params: DhParams, value: int) -> None:
@@ -641,7 +648,40 @@ def dh_shared(params: DhParams, peer_public: int, r: int) -> int:
 # run, so within a run it evicts nothing
 @functools.lru_cache(maxsize=_MEMO_MAX)
 def _session_key_of(k: int, p: int) -> bytes:
-    return mixhash128(_TAG_SESSION + k.to_bytes(16, "big") + p.to_bytes(16, "big"))
+    """mixhash128 of the tag, then k and p as 16 big-endian octets each."""
+    m0, m1, m2, m3, m4 = _FIVE_BLOCKS.unpack(
+        b"".join((_TAG_SESSION, k.to_bytes(16, "big"), p.to_bytes(16, "big"), _SESSION_PAD))
+    )
+    # mixhash128's step, both lanes written out for each block: the five
+    # data blocks, the length block (33) and the four zero blocks
+    s1 = _S1_INIT
+    x = _S0_INIT ^ m0
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    x = s0 ^ m1
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    x = s0 ^ m2
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    x = s0 ^ m3
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    x = s0 ^ m4
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    x = s0 ^ 33
+    s0 = (x << 13 | x >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    s0 = (s0 << 13 | s0 >> 51) * _MULT & _MASK64
+    s1 = ((s1 + s0) ^ (s1 << 32 | s1 >> 32)) & _MASK64
+    return _DIGEST.pack(s0, s1)
 
 
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
@@ -659,7 +699,8 @@ def session_key_from_shared(k: int, params: DhParams) -> bytes:
 def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     """The 16-octet session key that own agrees with the holder of
     peer_public: session_key_from_shared(dh_shared(params, peer_public,
-    own.r_private), params). check_public runs on every call, and own
+    own.r_private), params). The peer value is checked on every call, by
+    an inline test that reaches check_public only when it fails, and own
     must be a DhKeyPair whose r_private is an int (TypeError naming it
     otherwise), whichever route the peer value takes.
 
@@ -673,7 +714,11 @@ def session_key(params: DhParams, own: DhKeyPair, peer_public: int) -> bytes:
     reaches the same shared value, pays no digest. Both memos hold at most
     8 entries, oldest first out; clear_memos empties both before each run.
     """
-    check_public(params, peer_public)
+    # a valid peer value costs no call, as in e1
+    if not (
+        type(params) is DhParams and type(peer_public) is int and 0 < peer_public < params.p
+    ):
+        check_public(params, peer_public)
     if type(own) is not DhKeyPair:
         check_type("own", own, DhKeyPair)
     r = own.r_private

@@ -1,8 +1,11 @@
 """Deterministic discrete-event network for driving handshake runs.
 
-Every hop takes the same fixed latency, so each message falls due one hop
-after the delivery that caused it, never before anything already queued:
-delivery is first in, first out, in the order messages were sent. When an
+Every hop takes the same fixed latency, so each message falls due exactly
+one hop after the delivery that caused it, never before anything already
+queued: run delivers in waves, each wave the messages that the steps of
+the last one sent, in the order sent, one time step and one timeout check
+per wave, which is first in, first out in the order messages were sent
+(a calendar queue with only the current bucket and the next). When an
 intruder is registered, the topology is a chain: honest devices have no
 direct link, so every honest transmission physically arrives at the
 intruder, whatever the message claims. The transcript records
@@ -13,7 +16,7 @@ addresses need not be one object.
 
 import functools
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .crypto import IdentityEnum, check_octets, check_type, value_class
 from .protocol import (
@@ -144,48 +147,55 @@ def run(
     """
     registry: dict[bytes, DeviceState] = {dev_a.id: dev_a, dev_b.id: dev_b}
     intruder_id = intruder.id if intruder is not None else None
-
     latency, timeout = links.latency_ms, links.timeout_ms
-    queue: deque[tuple[int, Message, bytes, bytes]] = deque()
 
-    def send(replies: list[Message], sender: bytes, now: int) -> None:
-        """Queue the messages one step emitted, all due one hop after now.
-        With an intruder registered, an honest sender's messages physically
-        reach the intruder; the intruder's own go to their receivers."""
-        due = now + latency
-        if intruder_id is None or sender == intruder_id:
-            for msg in replies:
-                physical_to = msg.receiver
-                if physical_to not in registry and physical_to != intruder_id:
-                    raise ValueError(f"unregistered device referenced: {physical_to.hex()}")
-                queue.append((due, msg, sender, physical_to))
-        else:
-            for msg in replies:
-                queue.append((due, msg, sender, intruder_id))
-
+    # the wave due at time: (message, physical sender, physical receiver)
+    # in the order sent. With an intruder registered, an honest sender's
+    # messages physically reach the intruder; the intruder's own go to
+    # their receivers, which must be registered.
+    wave: list[tuple[Message, bytes, bytes]]
     if intruder is not None and intruder.opening:
-        send(intruder.opening, intruder_id, 0)
+        wave = [(msg, intruder_id, msg.receiver) for msg in intruder.opening]
     else:
-        send(protocol_start(dev_a, dev_b.id), dev_a.id, 0)
+        wave = [
+            (msg, dev_a.id, msg.receiver if intruder is None else intruder_id)
+            for msg in protocol_start(dev_a, dev_b.id)
+        ]
+    for _, _, physical_to in wave:
+        if physical_to not in registry and physical_to != intruder_id:
+            raise ValueError(f"unregistered device referenced: {physical_to.hex()}")
 
     events: list[TranscriptEvent] = []
-    last_time = 0
-    while queue:
-        time, msg, physical_from, physical_to = queue.popleft()
+    time = last_time = 0
+    while wave:
+        # every message a step sends falls due one hop later, in the next wave
+        time += latency
         if time > timeout:
             last_time = timeout
             break
         last_time = time
-        events.append(
-            _new_tuple(
-                TranscriptEvent,
-                (len(events), time, physical_from, physical_to, msg.kind, msg.payload),
+        upcoming = []
+        for msg, physical_from, physical_to in wave:
+            events.append(
+                _new_tuple(
+                    TranscriptEvent,
+                    (len(events), time, physical_from, physical_to, msg.kind, msg.payload),
+                )
             )
-        )
-        if physical_to == intruder_id:
-            send(intruder.intercept(msg), physical_to, time)
-        else:
-            send(handle(registry[physical_to], msg), physical_to, time)
+            if physical_to == intruder_id:
+                replies = intruder.intercept(msg)
+            else:
+                replies = handle(registry[physical_to], msg)
+                if intruder_id is not None:
+                    for reply in replies:
+                        upcoming.append((reply, physical_to, intruder_id))
+                    continue
+            for reply in replies:
+                receiver = reply.receiver
+                if receiver not in registry and receiver != intruder_id:
+                    raise ValueError(f"unregistered device referenced: {receiver.hex()}")
+                upcoming.append((reply, physical_to, receiver))
+        wave = upcoming
 
     # a plain loop: a comprehension or a generator would cost a frame per run
     outcomes = {}

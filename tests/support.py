@@ -1,7 +1,8 @@
 """The harness the test modules share: the three-party cast, the default
 group and links, the party builders, the one run builder and the one
 attacked-run builder, the intruder's view of a run, a round-trip oracle, a
-call recorder and the loader of scripts/ and perfbench/.
+reference event loop, a call recorder and the loader of scripts/ and
+perfbench/.
 
 tests/test_imports.py refuses a test module that binds at its top level a
 name defined here, so each of these has one definition, and a test module
@@ -11,12 +12,14 @@ through run_of.
 
 import contextlib
 import copy
+import heapq
 import importlib.util
+import itertools
 from pathlib import Path
 
 from btauthsim.adversary import IntruderState, verdict
 from btauthsim.crypto import DhParams, xor_bytes
-from btauthsim.protocol import MsgKind, Variant, new_device
+from btauthsim.protocol import AuthStatus, MsgKind, Variant, handle, new_device, outcome_of, start
 from btauthsim.simnet import LinkConfig, Transcript, TranscriptEvent, run
 
 # honest A and B, and the intruder C
@@ -124,6 +127,42 @@ def oracle_rtt(transcript, device):
         if e.kind is MsgKind.RESPONSE and e.to_id == device and e.time >= sends[0]
     ]
     return arrivals[0] - sends[0] if arrivals else None
+
+
+def reference_run(dev_a, dev_b, intruder, links):
+    """simnet.run's contract as one priority queue of (due, order, message,
+    physical sender, physical receiver): each message falls due one hop
+    after the step that sent it, and the earliest due, first sent among
+    equals, is delivered next, until the queue empties or a due time passes
+    the timeout. With intruder C registered, an honest sender's messages
+    reach C, and C's own reach their receivers, which must be registered."""
+    registry = {dev_a.id: dev_a, dev_b.id: dev_b}
+    c = intruder.id if intruder is not None else None
+    queue, order = [], itertools.count()
+
+    def send(replies, sender, now):
+        for msg in replies:
+            to = msg.receiver if c is None or sender == c else c
+            if to not in registry and to != c:
+                raise ValueError(f"unregistered device referenced: {to.hex()}")
+            heapq.heappush(queue, (now + links.latency_ms, next(order), msg, sender, to))
+
+    if intruder is not None and intruder.opening:
+        send(intruder.opening, c, 0)
+    else:
+        send(start(dev_a, dev_b.id), dev_a.id, 0)
+    events, last = [], 0
+    while queue:
+        due, _, msg, sender, to = heapq.heappop(queue)
+        if due > links.timeout_ms:
+            last = links.timeout_ms
+            break
+        last = due
+        events.append(TranscriptEvent(len(events), due, sender, to, msg.kind, msg.payload))
+        send(intruder.intercept(msg) if to == c else handle(registry[to], msg), to, due)
+    outcomes = {dev_id: outcome_of(dev) for dev_id, dev in registry.items()}
+    timed_out = any(outcome.status is AuthStatus.TIMED_OUT for outcome in outcomes.values())
+    return Transcript(tuple(events), links, links.timeout_ms if timed_out else last), outcomes
 
 
 @contextlib.contextmanager

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import random
 
 import pytest
@@ -40,8 +41,23 @@ from btauthsim.adversary import (
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
-from btauthsim.crypto import DhParams, dh_keypair, e1, session_key_from_shared
-from btauthsim.protocol import AuthOutcome, AuthStatus, Message, MsgKind, Variant, encode_public
+from btauthsim.crypto import (
+    DhParams,
+    dh_keypair,
+    e1,
+    prime_factors,
+    session_key_from_shared,
+    xor_bytes,
+)
+from btauthsim.protocol import (
+    AuthOutcome,
+    AuthStatus,
+    Message,
+    MsgKind,
+    Variant,
+    decode_public,
+    encode_public,
+)
 from btauthsim.simnet import Detection, LinkConfig, transcript_rtt
 
 
@@ -197,6 +213,92 @@ class TestSmallOrderPublicValue:
             for device, r in ((dev_a, r_a), (dev_b, r_b)):
                 shared = 1 if r % 2 == 0 else p - 1
                 assert session_of(device) == session_key_from_shared(shared, PARAMS), f"seed {seed}"
+
+
+def pohlig_hellman(params, public):
+    """The exponent x in [0, p-2] with alpha^x = public mod p, for a
+    generator alpha, and the group operations spent: Pohlig-Hellman over
+    crypto.prime_factors(p - 1), one base-q digit of x mod q^k at a time,
+    each digit by baby-step giant-step in the subgroup of prime order q,
+    the residues joined by the Chinese remainder theorem. A multiplication
+    mod p is one operation, and an exponentiation twice its exponent's
+    bits, as square-and-multiply spends at most."""
+    p, alpha = params.p, params.alpha
+    n = p - 1
+    ops = 0
+
+    def power(base, e):
+        nonlocal ops
+        ops += 2 * e.bit_length()
+        return pow(base, e, p)
+
+    x, modulus = 0, 1
+    for q in prime_factors(n):
+        k = 0
+        while n % q ** (k + 1) == 0:
+            k += 1
+        gamma = power(alpha, n // q)
+        m = math.isqrt(q - 1) + 1
+        baby, step = {}, 1
+        for j in range(m):
+            baby[step] = j
+            step = step * gamma % p
+            ops += 1
+        giant = power(gamma, -m % q)
+        residue = 0
+        for i in range(k):
+            h = power(public * power(alpha, n - residue) % p, n // q ** (i + 1))
+            ops += 1
+            for t in range(m):
+                if h in baby:
+                    break
+                h = h * giant % p
+                ops += 1
+            else:
+                raise AssertionError(f"no digit of x mod {q}^{k}")
+            residue += (t * m + baby[h]) * q**i
+        qk = q**k
+        x += modulus * ((residue - x) * pow(modulus, -1, qk) % qk)
+        modulus *= qk
+    return x, ops
+
+
+class TestPassivePohligHellman:
+    """A known hole, pinned as it stands: at the default group, p - 1 =
+    2 x 3^2 x 7 x 11 x 31 x 151 x 331 has only small prime factors, so
+    Pohlig-Hellman recovers A's exponent from the public values that a
+    dh-improved+relay-passive transcript carries, within GROUP_OPS group
+    operations where a linear scan may take p - 2 = 2^31 - 3. With the link
+    key, which the intruder of ROADMAP item 16 holds, that is the session
+    key both victims work with, yet confidentiality reads Maintained.
+    ROADMAP items 2 (a prime-order subgroup, which removes the smooth
+    order) and 13 (price each dh verdict by this attack) flip these
+    assertions on purpose. Seeds 0-19 each seed A and B with 2 x seed and
+    2 x seed + 1, and C with seed."""
+
+    # eight digits (of 2, 3 twice, 7, 11, 31, 151 and 331), each at most
+    # two exponentiations of 31 bits, one multiplication and 19 giant
+    # steps; each of the seven primes at most two more exponentiations and
+    # 19 baby steps: under 2,200 in all. The twenty seeds take at most 1,457
+    GROUP_OPS = 2**12
+
+    def test_the_session_key_falls_to_the_smooth_group_order(self):
+        for seed in range(20):
+            dev_a, dev_b, _, transcript, outcomes, score = attacked(
+                Variant.DH_IMPROVED, IntruderMode.RELAY_PASSIVE, seeds=(2 * seed, 2 * seed + 1, seed)
+            )
+            publics = {
+                e.from_id: decode_public(e.payload)
+                for e in transcript.events
+                if e.kind is MsgKind.DH_PUBLIC and e.from_id in outcomes
+            }
+            x, ops = pohlig_hellman(PARAMS, publics[ADDR_A])
+            assert ops <= self.GROUP_OPS, f"seed {seed}"
+            assert x == dev_a.dh.r_private % (PARAMS.p - 1), f"seed {seed}"
+            shared = pow(publics[ADDR_B], x, PARAMS.p)
+            session = session_key_from_shared(shared, PARAMS)
+            assert xor_bytes(session, KEY) == dev_a.effective_key == dev_b.effective_key, f"seed {seed}"
+            assert score.confidentiality is Confidentiality.MAINTAINED, f"seed {seed}"
 
 
 class TestHonestEmissions:

@@ -54,10 +54,12 @@ def test_tracer_patch_points_are_on_the_call_path(monkeypatch):
     for module, attr, original in originals:
         assert getattr(module, attr) is original, attr
     summary = tracer.summary(-1, tracer.run + 1)
-    # no run computes a bootstrap key, and the judge, not cli, calls the
-    # delay detector: the tracer still patches both names in cli, and those
-    # two points alone are never reached
+    # no run computes a bootstrap key, the judge, not cli, calls the delay
+    # detector, and every digest a run takes is written out in its caller:
+    # the tracer still patches those three names, and those three points
+    # alone are never reached
     assert [name for name in spans.NAMES if summary.spans.get(name, (0,))[0] == 0] == [
         "crypto.init_key",
         "simnet.delay_detector",
+        "crypto.mixhash128",
     ]

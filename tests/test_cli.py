@@ -488,14 +488,15 @@ class TestScenarioApi:
     )
     def test_e1_memo_carries_nothing_between_runs(self, variant, mode):
         # a run's digest count is a function of its scenario and seed, not
-        # of the runs before it
+        # of the runs before it; run_scenario clears the memos, and with
+        # them their counts of misses, before each run
         config = ScenarioConfig(variant=variant, intruder=mode)
         counts = []
         for seed in (5, 6, 5):
-            with recorded(crypto, "mixhash128") as calls:
-                run_scenario(config, seed)
-            counts.append(len(calls))
+            run_scenario(config, seed)
+            counts.append((crypto.e1.cache_info().misses, crypto._session_key_of.cache_info().misses))
         assert counts[0] == counts[2]
+        assert counts[0][0] > 0
 
     @pytest.mark.parametrize(
         "mode,derivations",
@@ -506,15 +507,15 @@ class TestScenarioApi:
         # both devices of an honest or passively relayed run agree on the
         # shared value and derive its key once; a relay that substitutes
         # the publics leaves each device its own. A seed rerun after other
-        # runs derives as often as the first time: the memo starts empty
+        # runs derives as often as the first time: the memo starts empty,
+        # and every derivation is a miss of the memo
         config = ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode)
-        session_tag = b"\x05"
         counts = []
         for seed in (0, 1, 2, 0):
-            with recorded(crypto, "mixhash128") as calls:
-                run_scenario(config, seed)
-            counts.append(sum(data[:1] == session_tag and len(data) == 33 for (data,) in calls))
-        assert counts == [derivations] * 4
+            run_scenario(config, seed)
+            info = crypto._session_key_of.cache_info()
+            counts.append((info.misses, info.hits))
+        assert counts == [(derivations, 2 - derivations)] * 4
 
     @pytest.mark.parametrize("group", [(2**31 - 1, 7), (WIDE_P, 2)], ids=["p31", "wide"])
     @pytest.mark.parametrize(
@@ -629,9 +630,10 @@ class TestCallBudget:
 
     def test_headline_runs_compute_no_bootstrap_key(self, monkeypatch):
         # every run computes the link key once, and combination_link_key
-        # runs both of its digests itself, so mixhash128 digests only
-        # session keys: one in a dh-improved run whose devices agree, two
-        # under an active relay
+        # runs both of its digests itself, as the session-key memo runs
+        # each of its own on a miss, so no run reaches mixhash128. The
+        # session digests: one in a dh-improved run whose devices agree,
+        # two under an active relay
         digests = {config.scenario_name: [0, 0, 0] for config in cli.HEADLINE}
         digests["dh-improved+none"] = digests["dh-improved+relay-passive"] = [1, 1, 1]
         digests["dh-improved+relay-active"] = [2, 2, 2]
@@ -647,13 +649,13 @@ class TestCallBudget:
         counts = {}
         for config in cli.HEADLINE:
             for seed in range(3):
-                before = calls["mixhash128"], calls["combination_link_key"]
+                before = calls["combination_link_key"]
                 run_scenario(config, seed)
-                digested = calls["mixhash128"] - before[0]
-                assert calls["combination_link_key"] - before[1] == 1
+                digested = crypto._session_key_of.cache_info().misses
+                assert calls["combination_link_key"] - before == 1
                 counts.setdefault(config.scenario_name, []).append(digested)
         assert counts == digests
-        assert calls["init_key"] == 0
+        assert calls["init_key"] == calls["mixhash128"] == 0
 
     def test_headline_runs_derive_and_seed_a_fixed_count(self, monkeypatch):
         # (e1 derivations, Stream seedings) of a run: a stream for the run,

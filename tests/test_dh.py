@@ -275,6 +275,23 @@ class TestFixedBaseTable:
             assert pair.r_private == r
             assert pair.s_public == pow(alpha, r, p), r
 
+    # 4 rows at 2^31 - 1, 6 at the dh-wide prime, and 2 at 257, where
+    # p - 1 = 256 sets one bit of the top row
+    @pytest.mark.parametrize(
+        "params,rows",
+        [(PARAMS, 4), (DhParams(WIDE_P, 2), 6), (DhParams(257, 3), 2)],
+        ids=["p31", "wide", "p257"],
+    )
+    @given(drawn=st.integers(min_value=0, max_value=WIDE_P - 1))
+    def test_power_of_alpha_is_pow(self, params, rows, drawn):
+        # every exponent the table serves, 0 and p - 1 included: a session
+        # key raises alpha to a product mod p - 1. Each group, and so its
+        # table, is built once for all the examples
+        p, alpha = params.p, params.alpha
+        assert len(params.alpha_table) == rows
+        for e in (0, 1, p - 2, p - 1, drawn % p):
+            assert crypto._power_of_alpha(params, e) == pow(alpha, e, p), e
+
     def test_built_once_without_modexp_and_ignored_by_equality(self, monkeypatch):
         params = DhParams(p=WIDE_P, alpha=2)
         calls = []

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import ADDR_A, ADDR_B
+from support import ADDR_A, ADDR_B, WIDE_P
 
-from btauthsim.crypto import combination_link_key, e1, mixhash128
+from btauthsim import crypto
+from btauthsim.crypto import combination_link_key, e1, is_prime, mixhash128
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -188,3 +189,32 @@ def test_link_key_is_the_xor_of_two_reference_digests(rand_a, addr_a, rand_b, ad
     assert combination_link_key(rand_a, addr_a, rand_b, addr_b) == expected
     if (rand_a, addr_a) == (rand_b, addr_b):
         assert expected == bytes(16)
+
+
+def prime_at_or_below(n: int) -> int:
+    """The largest prime at most n, for n >= 2."""
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+# every prime that is_prime decides, so every modulus a DhParams takes:
+# below psi_13, itself below 2^82; and a shared value in [0, p-1]
+PRIME_AND_SHARED = (
+    st.integers(min_value=2, max_value=crypto._MR_EXACT_BELOW - 1)
+    .map(prime_at_or_below)
+    .flatmap(lambda p: st.tuples(st.just(p), st.integers(min_value=0, max_value=p - 1)))
+)
+
+
+@given(PRIME_AND_SHARED)
+@example((2**31 - 1, 0))
+@example((2**31 - 1, 1))
+@example((2**31 - 1, 2**31 - 2))
+@example((WIDE_P, 0))
+@example((WIDE_P, 1))
+@example((WIDE_P, WIDE_P - 1))
+def test_session_digest_is_the_reference_digest(prime_and_shared):
+    p, k = prime_and_shared
+    expected = ref_mixhash128(b"\x05" + k.to_bytes(16, "big") + p.to_bytes(16, "big"))
+    assert crypto._session_key_of.__wrapped__(k, p) == expected

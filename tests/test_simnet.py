@@ -21,7 +21,9 @@ from support import (
     WIDE_P,
     intruder,
     oracle_rtt,
+    pair,
     recorded,
+    reference_run,
     run_of,
 )
 
@@ -119,6 +121,68 @@ class TestTimeout:
         assert len(transcript.events) == 4
         assert all(o.status is AuthStatus.TIMED_OUT for o in outcomes.values())
         assert transcript.end_time == 25
+
+
+# a latency and a timeout above it
+TIMINGS = st.integers(min_value=1, max_value=50).flatmap(
+    lambda latency: st.tuples(st.just(latency), st.integers(latency + 1, 16 * latency))
+)
+
+
+class TestWaveLoop:
+    """simnet.run delivers a run in waves, every message a wave's steps send
+    falling due one hop later; support.reference_run keeps one priority
+    queue of due times instead. Both give the same transcript, outcomes and
+    end time, and raise on the same unregistered address (TestOpening)."""
+
+    CONFIGS = [
+        *cli.HEADLINE,
+        ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C"),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.scenario_name)
+    def test_scenario_runs_match_the_reference_loop(self, config, monkeypatch):
+        for seed in range(10):
+            result = run_scenario(config, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "run", reference_run)
+                reference = run_scenario(config, seed)
+            assert reference.transcript == result.transcript, seed
+            assert reference.outcomes == result.outcomes, seed
+
+    # at latency 10 the third wave falls due at 30: a timeout of 30
+    # delivers it, and one of 29 ends the run at 29 without it
+    @given(
+        st.sampled_from(list(Variant)),
+        st.sampled_from([None, *IntruderMode]),
+        TIMINGS,
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @example(Variant.LEGACY, None, (10, 30), 0)
+    @example(Variant.LEGACY, None, (10, 29), 0)
+    @example(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE, (10, 30), 0)
+    @example(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE, (10, 29), 0)
+    def test_any_timing_matches_the_reference_loop(self, variant, mode, timing, seed):
+        links = LinkConfig(*timing)
+        seeds = (3 * seed, 3 * seed + 1, 3 * seed + 2)
+        _, _, transcript, outcomes = run_of(
+            variant, intruder(mode, variant, seeds[2]), seeds=seeds[:2], links=links
+        )
+        dev_a, dev_b = pair(variant, *seeds[:2])
+        expected = reference_run(dev_a, dev_b, intruder(mode, variant, seeds[2]), links)
+        assert (transcript, outcomes) == expected
+
+    # the third wave is A's response, which completes B
+    @pytest.mark.parametrize(
+        "timeout,times,b_status",
+        [(30, [10, 20, 30], AuthStatus.MUTUAL_SUCCESS), (29, [10, 20], AuthStatus.TIMED_OUT)],
+    )
+    def test_a_wave_falls_due_one_hop_after_the_last(self, timeout, times, b_status):
+        links = LinkConfig(latency_ms=10, timeout_ms=timeout)
+        _, _, transcript, outcomes = run_of(Variant.LEGACY, links=links)
+        assert sorted({e.time for e in transcript.events}) == times
+        assert transcript.end_time == timeout
+        assert [outcomes[ADDR_A].status, outcomes[ADDR_B].status] == [AuthStatus.TIMED_OUT, b_status]
 
 
 class TestOpening:
