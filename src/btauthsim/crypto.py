@@ -580,13 +580,14 @@ def draw_exponent(stream: _random.Random, p: int) -> int:
 
 def _power_of_alpha(params: DhParams, e: int) -> int:
     """alpha^e mod p for e in [0, p-1]: the product of one entry of each
-    row of params.alpha_table, the one that each octet of e selects."""
-    p = params.p
+    row of params.alpha_table, the one that each octet of e selects,
+    reduced mod p once. The product of at most 11 entries below p < 2^82
+    stays below 2^902, a few machine words."""
     power = 1
     for row in params.alpha_table:
-        power = power * row[e & 255] % p
+        power *= row[e & 255]
         e >>= 8
-    return power
+    return power % params.p
 
 
 # _EXPONENTS: (p, alpha, public) -> an r that dh_keypair drew with

@@ -494,7 +494,8 @@ class TestScenarioApi:
         counts = []
         for seed in (5, 6, 5):
             run_scenario(config, seed)
-            counts.append((crypto.e1.cache_info().misses, crypto._session_key_of.cache_info().misses))
+            memos = crypto.e1, crypto._session_key_of
+            counts.append(tuple(memo.cache_info().misses for memo in memos))
         assert counts[0] == counts[2]
         assert counts[0][0] > 0
 
