@@ -133,7 +133,7 @@ class TestWaveLoop:
     """simnet.run delivers a run in waves, every message a wave's steps send
     falling due one hop later; support.reference_run keeps one priority
     queue of due times instead. Both give the same transcript, outcomes and
-    end time, and raise on the same unregistered address (TestOpening)."""
+    end time."""
 
     CONFIGS = [
         *cli.HEADLINE,
