@@ -12,7 +12,6 @@ and that transcript alone, with the detector's baselines and threshold.
 
 from collections import namedtuple
 from dataclasses import field
-import functools
 
 from .crypto import (
     DhParams,
@@ -74,11 +73,6 @@ class AttackVerdict(
     and the run's integrity, confidentiality and detection."""
 
     __slots__ = ()
-
-
-# each of the 16 verdicts a run can produce, built once and shared by the
-# runs that reach it, as protocol interns its outcomes
-_verdict = functools.lru_cache(maxsize=16, typed=True)(AttackVerdict)
 
 
 # A script maps OPEN, the opening C sends before anything arrives, and the
@@ -356,7 +350,8 @@ def verdict(
                 break
     confidentiality = Confidentiality.BREACHED if breached else Confidentiality.MAINTAINED
 
-    return _verdict(attack_success, integrity, confidentiality, detection)
+    # one tuple.__new__ call, as simnet builds its records
+    return tuple.__new__(AttackVerdict, (attack_success, integrity, confidentiality, detection))
 
 
 def dlog_bruteforce(params: DhParams, s_public: int) -> tuple[int, int]:

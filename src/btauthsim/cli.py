@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .adversary import AttackVerdict, IntruderMode, IntruderState, verdict
+from .adversary import IntruderMode, IntruderState, verdict
 from .crypto import (
     DhParams,
     Stream,
@@ -166,11 +166,15 @@ def _derive_link_key(master: Stream) -> bytes:
     return combination_link_key(rand_a, ADDR_A, rand_b, ADDR_B)
 
 
+# one checked group, with its one fixed-base table, per (p, alpha); the
+# cache stores no exception, so a refused group is refused on every call
+@functools.lru_cache(maxsize=None, typed=True)
 def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     """The group of modulus dh_p and generator dh_alpha, two ints (each
     ScenarioConfig checks them, and scripts/dlog_cost.py takes them typed
-    from argparse); raises ConfigError unless dh_p is a prime below
-    DH_P_CAP and dh_alpha generates its whole multiplicative group."""
+    from argparse), built and checked once; raises ConfigError unless dh_p
+    is a prime below DH_P_CAP and dh_alpha generates its whole
+    multiplicative group."""
     if dh_p >= DH_P_CAP:
         raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
     params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
@@ -188,8 +192,9 @@ def _prepared(
     dh_alpha: int | None = None,
 ) -> Prepared:
     """Links, group and per-device baselines of one configuration, built
-    and checked once per variant, link timing and group. Only dh-improved
-    takes a group; ScenarioConfig passes dh_p and dh_alpha for it alone.
+    and checked once per variant, link timing and group, the group once
+    per (p, alpha) through check_group's memo. Only dh-improved takes a
+    group; ScenarioConfig passes dh_p and dh_alpha for it alone.
 
     The link timing and the group (through check_group) are checked and
     turned into their value types here and nowhere else. The baselines are
@@ -269,27 +274,17 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     return _new_tuple(ScenarioResult, (seed, transcript, outcomes, score, baselines, link_key))
 
 
-# The four verdict fields of a report line as text, built once for each of
-# the 16 verdicts that adversary interns. Typed, so that a plain tuple
-# equal to a verdict misses and raises AttributeError, as it would unmemoised.
-@functools.lru_cache(maxsize=16, typed=True)
-def _score_text(score: AttackVerdict) -> str:
+def report_line(config: ScenarioConfig, result: ScenarioResult) -> str:
+    """The run's report: scenario name, seed, the four verdict fields and
+    the number of delivered messages. The name is built once per
+    configuration (scenario_name)."""
+    score = result.score
     return (
+        f"scenario={config.scenario_name} seed={result.seed} "
         f"attack_success={'true' if score.attack_success else 'false'} "
         f"integrity={score.integrity.value} "
         f"confidentiality={score.confidentiality.value} "
-        f"detection={score.detection.value}"
-    )
-
-
-def report_line(config: ScenarioConfig, result: ScenarioResult) -> str:
-    """The run's report: scenario name, seed, the four verdict fields and
-    the number of delivered messages. The name and the verdict text are
-    each built once (scenario_name and _score_text) and reused by every run
-    that reaches them."""
-    return (
-        f"scenario={config.scenario_name} seed={result.seed} "
-        f"{_score_text(result.score)} messages={len(result.transcript.events)}"
+        f"detection={score.detection.value} messages={len(result.transcript.events)}"
     )
 
 

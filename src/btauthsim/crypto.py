@@ -60,12 +60,10 @@ clear_memos empties all three, and cli.run_scenario calls it before every
 run, so each run's count of digests and exponentiations depends only on
 its scenario and seed.
 
-Besides those memos and mixhash128's cache of message layouts by input
-length (at most 64 lengths; each entry is the padding tail and the struct
-that reads the whole message), which functools.lru_cache or a lock
-guards, the one cached structure is the table of powers of its generator
-that each DhParams builds on first use and never mutates once built; two
-threads that race to build it build equal tables.
+Besides those memos, which functools.lru_cache or a lock guards, the one
+cached structure is the table of powers of its generator that each
+DhParams builds on first use and never mutates once built; two threads
+that race to build it build equal tables.
 """
 
 from collections import namedtuple
@@ -231,18 +229,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = 0x9E3779B97F4A7C15
 _S0_INIT = 0x736F6D6570736575
 _S1_INIT = 0x646F72616E646F6D
-# the length block, then the four trailing all-zero blocks
-_LENGTH_AND_TAIL = struct.Struct("<5Q")
 _DIGEST = struct.Struct("<QQ")
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(n: int) -> tuple[bytes, struct.Struct]:
-    """What follows an input of n octets (the 0x80 octet, the zero octets
-    up to a multiple of 8, the length block and the four zero blocks), and
-    the struct that reads the whole message as little-endian u64 blocks."""
-    tail = b"\x80" + bytes(-(n + 1) % 8) + _LENGTH_AND_TAIL.pack(n, 0, 0, 0, 0)
-    return tail, struct.Struct(f"<{(n + len(tail)) // 8}Q")
 
 
 def mixhash128(data: bytes) -> bytes:
@@ -268,10 +255,12 @@ def mixhash128(data: bytes) -> bytes:
     # pre-tested as in e1; any length is in check_octets' range
     if type(data) is not bytes:
         check_octets("data", data, 0, sys.maxsize)
-    tail, blocks = _layout(len(data))
+    n = len(data)
+    # the padded message, then the four zero blocks
+    padded = data + b"\x80" + bytes(-(n + 1) % 8) + n.to_bytes(8, "little") + bytes(32)
     s0 = _S0_INIT
     s1 = _S1_INIT
-    for m in blocks.unpack(data + tail):
+    for (m,) in struct.iter_unpack("<Q", padded):
         x = s0 ^ m
         # rotl64(x, 13) is x << 13 | x >> 51 taken mod 2^64; the bits that
         # x << 13 sets above bit 63 only add multiples of 2^64 to the

@@ -30,15 +30,14 @@ MsgKind, parties that are not 6-octet bytes and a payload that is not bytes
 of its kind's width, and e1 checks the octets it takes, so handlers pass
 payloads and claimed senders on as they arrive. Addresses compare by value.
 
-Runs share the frozen values that their inputs fix. The fields of an
+Runs share the messages that their inputs fix. The fields of an
 AuthRequest, AuthSuccess or AuthFail are fixed by its kind and two
-parties, and those of an AuthOutcome by its status and peer; each comes
-from a bounded, typed lru_cache over its class, as adversary.verdict's
-AttackVerdict does, so each distinct value is built and checked once.
+parties; each comes from a bounded, typed lru_cache over Message,
+_control_message, so each distinct message is built and checked once.
 The intruder's AuthRequests come from the same cache as start's.
-The cache stores no exception, so a bad argument raises the
-constructor's own error on every call; start checks that its peer is
-bytes before the cache hashes it.
+The cache stores no exception, so a bad argument raises Message's own
+error on every call; start checks that its peer is bytes before the
+cache hashes it.
 """
 
 from collections import namedtuple
@@ -188,10 +187,6 @@ class AuthOutcome(namedtuple("AuthOutcome", "status authenticated_with")):
     authenticated, or None when it did not succeed."""
 
     __slots__ = ()
-
-
-# every outcome a device can end with, built once, as _control_message
-_outcome = functools.lru_cache(maxsize=64, typed=True)(AuthOutcome)
 
 
 @value_class
@@ -432,8 +427,9 @@ _TRANSITIONS = {
 
 def outcome_of(device: DeviceState) -> AuthOutcome:
     """Summarize a device's terminal result after its driving loop stopped."""
+    # one tuple.__new__ call, as simnet builds its records
     if device.phase is Phase.DONE:
-        return _outcome(AuthStatus.MUTUAL_SUCCESS, device.peer)
+        return tuple.__new__(AuthOutcome, (AuthStatus.MUTUAL_SUCCESS, device.peer))
     if device.phase is Phase.FAILED:
-        return _outcome(AuthStatus.FAILED, None)
-    return _outcome(AuthStatus.TIMED_OUT, None)
+        return tuple.__new__(AuthOutcome, (AuthStatus.FAILED, None))
+    return tuple.__new__(AuthOutcome, (AuthStatus.TIMED_OUT, None))

@@ -137,7 +137,7 @@ class TestReportLines:
         ids=lambda score: "-".join(str(getattr(f, "value", f)) for f in score),
     )
     def test_every_verdict_reports_its_enum_values(self, score):
-        # each of the 16 verdicts, whose text report_line caches
+        # each of the 16 verdicts, reported twice
         config = cli.HEADLINE[3]
         result = run_scenario(config, 7)._replace(score=score)
         success, integrity, confidentiality, detection = score
@@ -150,8 +150,8 @@ class TestReportLines:
             )
 
     def test_a_plain_tuple_score_is_refused_as_before(self):
-        # equal to a cached verdict, but of another type, so it misses the
-        # cache and fails on its first field read
+        # equal to a verdict, but with no field names, so report_line
+        # fails on its first field read
         config = cli.HEADLINE[0]
         result = run_scenario(config, 0)
         cli.report_line(config, result)
@@ -389,17 +389,28 @@ class TestConfigErrors:
         assert all(type(rtt) is int for rtt in after.baselines.values())
 
     def test_group_checked_once_per_configuration(self):
+        # once per group: configurations that differ in link timing too
+        # share check_group's one DhParams
         cli._prepared.cache_clear()
+        cli.check_group.cache_clear()
+        groups = set()
         with recorded(cli, "has_full_order") as calls:
-            for mode in (None, IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
-                run_scenario(ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode), 0)
+            for latency_ms in (10, 20):
+                for mode in (None, IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
+                    config = ScenarioConfig(
+                        variant=Variant.DH_IMPROVED, intruder=mode, latency_ms=latency_ms
+                    )
+                    run_scenario(config, 0)
+                    groups.add(id(config.prepared[1]))
         assert calls == [(PARAMS,)]
+        assert len(groups) == 1
 
     def test_wide_group_primality_tests(self):
         # one Miller-Rabin pass on p, by DhParams, and one inside the
         # generator check's factorisation of p - 1 = 2q, on q; none on a
         # cached repeat
         cli._prepared.cache_clear()
+        cli.check_group.cache_clear()
         with recorded(crypto, "is_prime") as calls:
             config = ScenarioConfig(variant=Variant.DH_IMPROVED, dh_p=WIDE_P, dh_alpha=2)
             assert calls == [(WIDE_P,), ((WIDE_P - 1) // 2,)]
@@ -557,11 +568,10 @@ class TestCallBudget:
     every typed value on a run's path passes its caller's inline pre-test,
     so neither check_octets nor check_type is reached, and no enum hash
     runs Enum.__hash__: every enum of the package derives from
-    crypto.IdentityEnum and hashes by identity, among them the eight a run
-    hashes (Variant and IntruderMode in the per-configuration cache and the
-    intruder's plan table, MsgKind and Phase in the transition table,
-    MsgKind, AuthStatus, Integrity, Confidentiality and Detection in the
-    keys of the interned messages, outcomes and verdicts).
+    crypto.IdentityEnum and hashes by identity, among them the four a run
+    hashes (Variant and IntruderMode in the intruder's plan table, MsgKind
+    and Phase in the transition table, and MsgKind in the keys of the
+    interned messages).
     A run computes only the digests of its keys, and no bootstrap key, and
     each scenario derives a fixed count of responses, seeds a fixed count
     of streams and builds a fixed count of messages, whatever the seed."""
@@ -684,10 +694,9 @@ class TestCallBudget:
 
     def test_headline_runs_build_a_fixed_count_of_values(self, monkeypatch):
         # Message constructions of a run, once one run of its configuration
-        # has interned its AuthRequests (an intruder's too), AuthSuccess,
-        # AuthFail, outcomes and verdict: the challenges, responses and
-        # public values it sends, and the other messages an intruder forges
-        # or opens with
+        # has interned its AuthRequests (an intruder's too), AuthSuccess and
+        # AuthFail: the challenges, responses and public values it sends,
+        # and the other messages an intruder forges or opens with
         budget = {config.scenario_name: 4 for config in cli.HEADLINE}
         budget["dh-improved+none"] = budget["dh-improved+relay-passive"] = 6
         budget["dh-improved+relay-active"] = 7
@@ -697,7 +706,8 @@ class TestCallBudget:
         calls = collections.Counter()
         counted = self.counted(calls, "Message", protocol.Message.__init__)
         monkeypatch.setattr(protocol.Message, "__init__", counted)
-        # the records have no __init__ of their own: each is built by its __new__
+        # the records have no __init__ of their own, and a run builds each
+        # in one tuple.__new__ call, past the class's own __new__
         for cls in (protocol.AuthOutcome, adversary.AttackVerdict):
             monkeypatch.setattr(cls, "__new__", self.counted(calls, cls.__name__, cls.__new__))
         counts = {}
@@ -709,7 +719,7 @@ class TestCallBudget:
         assert counts == {name: [count] * 3 for name, count in budget.items()}
         assert calls["AuthOutcome"] == calls["AttackVerdict"] == 0
 
-        # the counters see a record built past its cache
+        # the counters see a record built through its class
         protocol.AuthOutcome(protocol.AuthStatus.FAILED, None)
         adversary.AttackVerdict(False, None, None, None)
         assert calls["AuthOutcome"] == calls["AttackVerdict"] == 1

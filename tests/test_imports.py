@@ -58,6 +58,11 @@ that measures it (attack_matrix.py, dlog_cost.py), outside its own
 definition, or has its reason in UNREAD_EXPORTS: a function that no run,
 judge or analysis reaches is retired, not kept for its own tests.
 gen_golden_vectors.py is no reader, since it pins whatever exists.
+
+Every ``functools.lru_cache``, ``cache`` and ``cached_property`` of the
+package is named in the first column of README's fast-path ledger, and
+every name there exists: a cache stays only with the measurement that
+justifies it, and a row goes with the code it names.
 """
 
 import ast
@@ -66,6 +71,7 @@ import dataclasses
 import enum
 import importlib
 import inspect
+import re
 import sys
 import types
 from pathlib import Path
@@ -80,6 +86,9 @@ PACKAGE = sorted(ROOT.glob("src/btauthsim/*.py"))
 PROGRAM = sorted([*PACKAGE, *SCRIPTS])
 MODULES = sorted([*PROGRAM, *ROOT.glob("tests/*.py")])
 SUPPORT = ROOT / "tests" / "support.py"
+README = ROOT / "README.md"
+LEDGER = "## Fast-path ledger"
+CACHES = {"lru_cache", "cache", "cached_property"}
 SIMNET = "btauthsim.simnet"
 MAKERS = {"dataclass", "make_dataclass"}
 CRYPTO_READERS = [
@@ -256,6 +265,45 @@ def import_lines(source: str, module: str) -> list[int]:
         or (isinstance(node, ast.ImportFrom) and node.level == 0
             and node.module.partition(".")[0] == module)
     )
+
+
+def ledger_names(text: str) -> list[str]:
+    """The dotted names in backticks in the first cell of each row of the
+    table under the README's ledger heading, up to the next heading."""
+    section = text.partition(LEDGER)[2].partition("\n## ")[0]
+    return [
+        name
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for name in re.findall(r"`(\w+\.[\w.]+)`", line.split("|")[1])
+    ]
+
+
+def cached_names(source: str, module: str) -> list[str]:
+    """module.name of each function or method defined at the module's top
+    level or in a top-level class under a cache decorator, and of each
+    top-level name assigned a cache built by a call."""
+    def is_cache(node: ast.AST) -> bool:
+        return any(
+            (isinstance(n, ast.Attribute) and n.attr in CACHES and ast.unparse(n.value) == "functools")
+            or (isinstance(n, ast.Name) and n.id in CACHES)
+            for n in ast.walk(node)
+        )
+
+    found = []
+
+    def visit(body, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(is_cache(decorator) for decorator in node.decorator_list):
+                    found.append(prefix + node.name)
+            elif isinstance(node, ast.Assign) and is_cache(node.value):
+                found.extend(prefix + t.id for t in node.targets if isinstance(t, ast.Name))
+
+    visit(ast.parse(source).body, f"{module}.")
+    return found
 
 
 # a record's class body holds none of these: the namedtuple's are its own
@@ -654,3 +702,47 @@ def test_modules_are_found():
 )
 def test_the_check_itself(source, unread):
     assert unread_imports(source) + unread_private_names(source) + unbound_exports(source) == unread
+
+
+def test_every_cache_has_a_ledger_row():
+    ledger = set(ledger_names(README.read_text()))
+    cached = [name for path in PACKAGE for name in cached_names(path.read_text(), path.stem)]
+    assert cached
+    assert sorted(set(cached) - ledger) == []
+
+
+def test_every_ledger_name_exists():
+    names = ledger_names(README.read_text())
+    assert names
+    missing = []
+    for name in names:
+        module, *attrs = name.split(".")
+        value = importlib.import_module(f"btauthsim.{module}")
+        for attr in attrs:
+            value = getattr(value, attr, missing)
+        if value is missing:
+            missing.append(name)
+    assert missing == []
+
+
+def test_the_ledger_check_itself():
+    text = (
+        "## Fast-path ledger\n\nprose `not.a.row`\n\n| fast path | lines |\n|---|---|\n"
+        "| `crypto.e1` written out, `crypto.e1` memo, past `__new__` | 20 `crypto.x` |\n"
+        "| `cli.ScenarioConfig.scenario_name` | 1 |\n\n## Layout\n\n| `simnet.run` | 0 |\n"
+    )
+    assert ledger_names(text) == ["crypto.e1", "crypto.e1", "cli.ScenarioConfig.scenario_name"]
+
+
+def test_the_cache_check_itself():
+    source = (
+        "import functools\nfrom functools import cached_property, lru_cache\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(x):\n    return x\n"
+        "@lru_cache\ndef b(x):\n    return x\n"
+        "c = functools.lru_cache(maxsize=4, typed=True)(int)\n"
+        "class D:\n    @functools.cached_property\n    def e(self):\n        return 1\n"
+        "    @property\n    def f(self):\n        return 2\n"
+        "def g(x):\n    return functools.lru_cache(h)\n"
+        "i = functools.partial(a, 1)\n"
+    )
+    assert cached_names(source, "m") == ["m.a", "m.b", "m.c", "m.D.e"]

@@ -86,15 +86,14 @@ def test_matches_reference_across_lengths():
 
 
 def test_every_length_and_buffer_type_matches_reference():
-    # 73 lengths, more than the 64 that mixhash128's layout cache holds, and
-    # twice over, so lengths evicted from the cache are laid out again
+    # lengths 0 to 72, each padding remainder at least nine times, as bytes
+    # and as a bytes subclass
     rng = random.Random(0x48)
-    for _ in range(2):
-        for n in range(0, 73):
-            data = rng.randbytes(n)
-            expected = ref_mixhash128(data)
-            assert mixhash128(data) == expected, n
-            assert mixhash128(Octets(data)) == expected, n
+    for n in range(0, 73):
+        data = rng.randbytes(n)
+        expected = ref_mixhash128(data)
+        assert mixhash128(data) == expected, n
+        assert mixhash128(Octets(data)) == expected, n
 
 
 @pytest.mark.parametrize("data", [

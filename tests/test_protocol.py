@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from support import ADDR_A, ADDR_B, ADDR_C, KEY, PARAMS, pair, recorded, run_of
 
-from btauthsim import adversary, protocol, simnet
-from btauthsim.adversary import AttackVerdict, Confidentiality, Integrity
+from btauthsim import protocol, simnet
 from btauthsim.crypto import (
     check_octets,
     dh_shared,
@@ -22,7 +21,6 @@ from btauthsim.crypto import (
     xor_bytes,
 )
 from btauthsim.protocol import (
-    AuthOutcome,
     AuthStatus,
     Message,
     MsgKind,
@@ -36,7 +34,7 @@ from btauthsim.protocol import (
     outcome_of,
     start,
 )
-from btauthsim.simnet import Detection, transcript_rtt
+from btauthsim.simnet import transcript_rtt
 
 KEY2 = bytes(range(16, 32))
 
@@ -651,9 +649,7 @@ def distinct_addresses(n: int) -> list[tuple[bytes, bytes]]:
 
 # each interned constructor: the class it interns, valid arguments, bad
 # ones (each hashable, as every argument a run hands it is), and the
-# arguments it takes for a pair of addresses; a record checks none of its
-# fields, so any value keys an entry of its own, and a wrong count of
-# arguments is its one error
+# arguments it takes for a pair of addresses
 INTERNED = {
     "message": (
         protocol._control_message,
@@ -674,31 +670,14 @@ INTERNED = {
         ],
         lambda a, b: (MsgKind.AUTH_FAIL, a, b),
     ),
-    "outcome": (
-        protocol._outcome,
-        AuthOutcome,
-        [(AuthStatus.MUTUAL_SUCCESS, ADDR_B), (AuthStatus.FAILED, None)],
-        [(AuthStatus.FAILED,), (AuthStatus.FAILED, None, None)],
-        lambda a, b: (AuthStatus.MUTUAL_SUCCESS, a),
-    ),
-    "verdict": (
-        adversary._verdict,
-        AttackVerdict,
-        [
-            (True, Integrity.MAINTAINED, Confidentiality.BREACHED, Detection.DELAY_FLAGGED),
-            (False, Integrity.BROKEN, Confidentiality.MAINTAINED, Detection.NONE),
-        ],
-        [(True, Integrity.MAINTAINED, Confidentiality.BREACHED), ()],
-        lambda a, b: (False, a, b, Detection.NONE),
-    ),
 }
 
 
 @pytest.mark.parametrize("name", INTERNED)
 class TestInternedValues:
-    """The messages, outcomes and verdicts that runs share are the values
-    their plain constructors build, one object per value, with the same
-    errors, and their caches stay within their bounds."""
+    """The messages that runs share are the values their plain
+    constructor builds, one object per value, with the same errors, and
+    their cache stays within its bound."""
 
     def test_equals_a_fresh_construction(self, name):
         interned, cls, valid, _, _ = INTERNED[name]
@@ -706,9 +685,7 @@ class TestInternedValues:
             value, fresh = interned(*args), cls(*args)
             assert type(value) is cls
             assert value == fresh
-            # a message keeps its fields in its dict, a record in its tuple
-            stored = vars if cls is Message else cls._asdict
-            assert list(stored(value).items()) == list(stored(fresh).items())
+            assert list(vars(value).items()) == list(vars(fresh).items())
 
     def test_a_repeated_call_returns_the_same_object(self, name):
         interned, _, valid, _, _ = INTERNED[name]
