@@ -166,15 +166,11 @@ def _derive_link_key(master: Stream) -> bytes:
     return combination_link_key(rand_a, ADDR_A, rand_b, ADDR_B)
 
 
-# one checked group, with its one fixed-base table, per (p, alpha); the
-# cache stores no exception, so a refused group is refused on every call
-@functools.lru_cache(maxsize=None, typed=True)
 def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     """The group of modulus dh_p and generator dh_alpha, two ints (each
     ScenarioConfig checks them, and scripts/dlog_cost.py takes them typed
-    from argparse), built and checked once; raises ConfigError unless dh_p
-    is a prime below DH_P_CAP and dh_alpha generates its whole
-    multiplicative group."""
+    from argparse); raises ConfigError unless dh_p is a prime below
+    DH_P_CAP and dh_alpha generates its whole multiplicative group."""
     if dh_p >= DH_P_CAP:
         raise ConfigError(f"dh-p must be below 2^48, got {dh_p}")
     params = _construct("dh-p/dh-alpha", DhParams, dh_p, dh_alpha)
@@ -192,9 +188,8 @@ def _prepared(
     dh_alpha: int | None = None,
 ) -> Prepared:
     """Links, group and per-device baselines of one configuration, built
-    and checked once per variant, link timing and group, the group once
-    per (p, alpha) through check_group's memo. Only dh-improved takes a
-    group; ScenarioConfig passes dh_p and dh_alpha for it alone.
+    and checked once per variant, link timing and group. Only dh-improved
+    takes a group; ScenarioConfig passes dh_p and dh_alpha for it alone.
 
     The link timing and the group (through check_group) are checked and
     turned into their value types here and nowhere else. The baselines are

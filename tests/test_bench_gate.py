@@ -41,7 +41,6 @@ def test_tracer_patch_points_are_on_the_call_path(monkeypatch):
     # written as JSONL, reaches every point
     tracer = spans.Tracer()
     cli._prepared.cache_clear()
-    cli.check_group.cache_clear()
     tracer.install()
     try:
         for module, attr, original in originals:
