@@ -18,7 +18,8 @@ import time
 
 from btauthsim.adversary import dlog_bruteforce
 from btauthsim.cli import ConfigError, check_group
-from btauthsim.crypto import Stream, dh_keypair, draw_exponent
+from btauthsim.crypto import dh_keypair
+from btauthsim.draw import Stream, draw_exponent
 
 
 def measure(params, trials: int, seed: int) -> tuple[list[int], float]:

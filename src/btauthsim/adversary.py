@@ -13,19 +13,8 @@ and that transcript alone, with the detector's baselines and threshold.
 from collections import namedtuple
 from dataclasses import field
 
-from .crypto import (
-    DhParams,
-    IdentityEnum,
-    Stream,
-    check_octets,
-    check_public,
-    check_type,
-    dh_keypair,
-    draw_exponent,
-    draw_octets,
-    e1,
-    value_class,
-)
+from .crypto import DhParams, check_public, dh_keypair, e1
+from .draw import Stream, draw_exponent, draw_octets
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -36,6 +25,7 @@ from .protocol import (
     encode_public,
 )
 from .simnet import Detection, Transcript, _detection, _one_pass
+from .values import IdentityEnum, check_octets, check_type, value_class
 
 __all__ = [
     "IntruderMode",

@@ -15,19 +15,11 @@ import os
 import sys
 
 from .adversary import IntruderMode, IntruderState, verdict
-from .crypto import (
-    DhParams,
-    Stream,
-    check_type,
-    clear_memos,
-    combination_link_key,
-    draw_octets,
-    has_full_order,
-    init_key,
-    value_class,
-)
+from .crypto import DhParams, clear_memos, combination_link_key, has_full_order, init_key
+from .draw import master_draw
 from .protocol import Variant, new_device
 from .simnet import LinkConfig, _new_tuple, delay_detector, run, transcript_rtt
+from .values import check_type, value_class
 
 __all__ = [
     "ScenarioConfig", "HEADLINE", "ScenarioResult", "ConfigError", "run_scenario", "main",
@@ -111,7 +103,7 @@ class ScenarioConfig:
         check_type("variant", variant, Variant)
         # link timing, group and calibration, checked once per configuration
         group = (dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else ()
-        prepared = _prepared(variant, latency_ms, timeout_ms, *group)
+        prepared = _prepared(variant, latency_ms, timeout_ms, ADDR_A, ADDR_B, *group)
         self.__dict__.update(
             variant=variant,
             intruder=intruder,
@@ -155,17 +147,6 @@ def _construct(flags: str, value_type, *args):
         raise ConfigError(f"{flags}: {err}") from None
 
 
-def _derive_link_key(master: Stream) -> bytes:
-    """Pairing with no user input: any PIN's bootstrap-key mask (init_key)
-    cancels out of the combined contributions, so no run computes it; the
-    mask's random number is still drawn first, so the contributions keep
-    their draws. Each of the three is one draw_octets."""
-    draw_octets(master)
-    rand_a = draw_octets(master)
-    rand_b = draw_octets(master)
-    return combination_link_key(rand_a, ADDR_A, rand_b, ADDR_B)
-
-
 def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     """The group of modulus dh_p and generator dh_alpha, two ints (each
     ScenarioConfig checks them, and scripts/dlog_cost.py takes them typed
@@ -184,11 +165,14 @@ def _prepared(
     variant: Variant,
     latency_ms: int,
     timeout_ms: int,
+    addr_a: bytes,
+    addr_b: bytes,
     dh_p: int | None = None,
     dh_alpha: int | None = None,
 ) -> Prepared:
     """Links, group and per-device baselines of one configuration, built
-    and checked once per variant, link timing and group. Only dh-improved
+    and checked once per variant, link timing, honest cast (the addresses
+    of A and B, which the baselines hold) and group. Only dh-improved
     takes a group; ScenarioConfig passes dh_p and dh_alpha for it alone.
 
     The link timing and the group (through check_group) are checked and
@@ -205,10 +189,10 @@ def _prepared(
     """
     links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
     params = check_group(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None
-    dev_a = new_device(ADDR_A, variant, bytes(16), 0, params)
-    dev_b = new_device(ADDR_B, variant, bytes(16), 1, params)
+    dev_a = new_device(addr_a, variant, bytes(16), 0, params)
+    dev_b = new_device(addr_b, variant, bytes(16), 1, params)
     calibration, _ = run(dev_a, dev_b, None, links)
-    baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (ADDR_A, ADDR_B))
+    baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (addr_a, addr_b))
     if any(baseline is None for _, baseline in baselines):
         raise ConfigError(
             f"latency-ms/timeout-ms: timeout {timeout_ms} ms ends the intruder-free "
@@ -244,25 +228,26 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     judges detection against the configuration's cached baselines and
     threshold. It first clears crypto's memos, so the run starts from no
     other run's entries, then takes links, group and baselines from the
-    configuration, which construction checked. It raises ConfigError for a
-    negative seed, which random.Random would take as its absolute value,
-    and TypeError for a seed that is not an int."""
+    configuration, which construction checked, and the addresses of A and
+    B from its baselines. The link key combines the two contributions of
+    master_draw: pairing takes no user input, so a PIN's bootstrap-key
+    mask (init_key) would cancel out, and no run computes one. It raises
+    ConfigError for a negative seed, which random.Random would take as its
+    absolute value, and TypeError for a seed that is not an int."""
     _check_seed(seed)
     clear_memos()
     links, params, calibrated = config.prepared
+    (addr_a, _), (addr_b, _) = calibrated
     baselines = dict(calibrated)
-    master = Stream(seed)
-    seed_a = master.getrandbits(64)
-    seed_b = master.getrandbits(64)
-    seed_c = master.getrandbits(64)
-    link_key = _derive_link_key(master)
+    seed_a, seed_b, seed_c, rand_a, rand_b = master_draw(seed)
+    link_key = combination_link_key(rand_a, addr_a, rand_b, addr_b)
 
     variant = config.variant
-    dev_a = new_device(ADDR_A, variant, link_key, seed_a, params)
-    dev_b = new_device(ADDR_B, variant, link_key, seed_b, params)
+    dev_a = new_device(addr_a, variant, link_key, seed_a, params)
+    dev_b = new_device(addr_b, variant, link_key, seed_b, params)
     intruder = None
     if config.intruder is not None:
-        intruder = IntruderState(ADDR_C, config.intruder, variant, ADDR_A, ADDR_B, seed_c, params)
+        intruder = IntruderState(ADDR_C, config.intruder, variant, addr_a, addr_b, seed_c, params)
     transcript, outcomes = run(dev_a, dev_b, intruder, links)
     score = verdict(outcomes, transcript, link_key, baselines, config.detect_factor)
     # as simnet.run builds its records: ScenarioResult's own __new__, less its frame

@@ -1,40 +1,15 @@
-"""Key material, the keyed mixing function behind E1 and E2, and Diffie-Hellman arithmetic.
+"""The paper's functions: the keyed mixing digest behind E1 and E2, key
+derivation, and Diffie-Hellman arithmetic.
 
-Apart from the seeded random stream each party of a run draws from, all
-operations are pure functions and safe to call from any thread.
-Stream(seed) checks its seed and returns _random.Random(seed), the C
-Mersenne Twister under random.Random, seeded once, and every value a run
-draws is one getrandbits call on it: a 64-bit seed is getrandbits(64),
-and draw_octets and draw_exponent draw a 16-octet value and a private
-exponent. Each equals the matching random.Random(seed) draw, and no module
-of the package imports random.
-Octet widths follow the Bluetooth wire formats: 48-bit addresses, PINs of 1 to 16
-octets, 128-bit challenges and keys, and 32-bit signed responses. Every
-octet string a function takes or returns, addresses, PINs and mixhash128's
-data included, is plain bytes; each function checks the type and width of
-the octets it takes, and check_octets holds that check and its messages,
-as check_type does for a value that must be exactly of one type (an int, an
-enum, a value class, a record) and check_public for a peer's public value.
-value_class, beside them, makes each value class of the package, the
-values that check their arguments or change in place:
-dataclass writes only its fields, their class defaults and
-__match_args__; each class writes its own __init__ and docstring in its
-body; and every other method (__repr__, __eq__, __hash__, and a frozen
-class's __setattr__ and __delattr__) is a closure over the field names,
-whose code compiles once, with this module. So no source is generated and
-exec'd for any value class at import. Each __init__ checks its arguments, if
-it checks any, before it stores them; a frozen class stores every field
-in one self.__dict__.update. The records, the frozen values that check
-nothing (DhKeyPair here), are instead subclasses of a
-collections.namedtuple class, which builds, shows, compares and hashes
-them. IdentityEnum, beside value_class, is the base of every enum of the
-package, and gives each member the identity hash.
-The functions every run calls (e1 and combination_link_key; no run calls
-init_key, see cli._derive_link_key) first test each octet string inline,
-exact bytes of the width, so a well-formed value costs no call; only a
-value that fails that test, a bytes subclass included, reaches
-check_octets, which accepts or refuses it. session_key tests a peer's
-public value inline in the same way, and check_public words its refusal.
+All are pure functions and safe to call from any thread. Each checks the
+octets and values it takes with values.check_octets and values.check_type,
+and check_public words the refusal of a peer's public value. The
+functions every run calls (e1 and combination_link_key; no run calls
+init_key, since pairing without a PIN needs no bootstrap key) first test
+each octet string inline, exact bytes of the width, so a well-formed value
+costs no call; only a value that fails that test, a bytes subclass
+included, reaches check_octets. session_key tests a peer's public value
+inline in the same way.
 
 e1 derives the 32-bit response from the one lane of the digest that the
 response reads, combination_link_key runs the digests of its two
@@ -67,22 +42,15 @@ that race to build it build equal tables.
 """
 
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass, fields
-from enum import Enum
 import functools
-import _random
 import struct
 import sys
 import threading
 
+from .values import check_octets, check_type, value_class
+
 __all__ = [
-    "check_octets",
-    "check_type",
     "check_public",
-    "IdentityEnum",
-    "Stream",
-    "draw_octets",
-    "draw_exponent",
     "DhParams",
     "DhKeyPair",
     "mixhash128",
@@ -100,129 +68,6 @@ __all__ = [
     "clear_memos",
     "xor_bytes",
 ]
-
-
-def check_octets(name: str, value: bytes, width: int, max_width: int | None = None) -> None:
-    """Raise TypeError unless value is bytes, and ValueError naming it
-    unless it holds exactly width octets, or width to max_width when
-    max_width is given."""
-    # each message formats the name itself: a value that passes formats nothing
-    if not isinstance(value, bytes):
-        raise TypeError(f"{name} must be bytes, got {type(value).__name__}")
-    if max_width is None:
-        if len(value) != width:
-            raise ValueError(f"{name} must be exactly {width} octets, got {len(value)}")
-    elif not width <= len(value) <= max_width:
-        raise ValueError(f"{name} must be {width} to {max_width} octets, got {len(value)}")
-
-
-def check_type(name: str, value, kind: type, none: bool = False) -> None:
-    """Raise TypeError naming value unless its type is exactly kind, or it
-    is None where none is set: a bool or a float equals, hashes like and
-    passes range checks as the int it is."""
-    if type(value) is not kind and not (none and value is None):
-        raise TypeError(
-            f"{name} must be {'an' if kind.__name__[0] in 'aeiouAEIOU' else 'a'} {kind.__name__}"
-            f"{' or None' if none else ''}, got {type(value).__name__}"
-        )
-
-
-def value_class(cls: type | None = None, /, *, frozen: bool = False):
-    """cls as a dataclass, frozen if frozen is set, with the __init__ that
-    its own body writes; used bare or called, as dataclass is.
-
-    dataclass builds only the fields, their class defaults and
-    __match_args__, and writes no method. Each other method is a closure
-    over the field names, one code object each for every class: __repr__
-    shows the fields whose repr flag is set, __eq__ compares the fields
-    whose compare flag is set, in order, with those of another instance of
-    the same class (NotImplemented otherwise), and __hash__ hashes the
-    tuple of the fields that dataclass would hash. A mutable class is
-    unhashable. A frozen class shares a __setattr__ and __delattr__ that
-    raise FrozenInstanceError as dataclass's do, so its __init__ stores
-    its fields through self.__dict__; dataclass is not told it is frozen,
-    so its __dataclass_params__.frozen reads False. A class that defines
-    one of these methods itself, or that defines no __init__ of its own,
-    is a TypeError. The repr has no guard against a value that contains
-    itself, which no field of the package holds.
-    """
-    if cls is None:
-        return functools.partial(value_class, frozen=frozen)
-    cls = dataclass(cls, init=False, repr=False, eq=False)
-    own = fields(cls)
-    names = tuple(f.name for f in own)
-    shown = [f.name for f in own if f.repr]
-    compared = [f.name for f in own if f.compare]
-    hashed = [f.name for f in own if (f.compare if f.hash is None else f.hash)]
-
-    def __repr__(self):
-        shows = ", ".join([f"{name}={getattr(self, name)!r}" for name in shown])
-        return f"{self.__class__.__qualname__}({shows})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            mine = [getattr(self, name) for name in compared]
-            return mine == [getattr(other, name) for name in compared]
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, name) for name in hashed))
-
-    def __setattr__(self, name, value):
-        if type(self) is cls or name in names:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        super(cls, self).__setattr__(name, value)
-
-    def __delattr__(self, name):
-        if type(self) is cls or name in names:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
-        super(cls, self).__delattr__(name)
-
-    methods = [__repr__, __eq__]
-    if not frozen:
-        cls.__hash__ = None
-    else:
-        methods += [__hash__, __setattr__, __delattr__]
-    for method in methods:
-        if method.__name__ in cls.__dict__:
-            raise TypeError(f"value class {cls.__name__} defines its own {method.__name__}")
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
-    if "__init__" not in cls.__dict__:
-        raise TypeError(f"value class {cls.__name__} defines no __init__ of its own")
-    return cls
-
-
-class IdentityEnum(Enum):
-    """The base of every enum of the package, with no members of its own.
-
-    Members are singletons compared by identity, so the identity hash
-    agrees with equality and, unlike Enum's hash of the member's name,
-    costs no Python-level call: a member is a cheap key of a dict or of
-    a functools.lru_cache.
-    """
-
-    __hash__ = object.__hash__
-
-
-def Stream(seed: int) -> _random.Random:
-    """The Mersenne Twister stream of a non-negative int seed: a
-    _random.Random, seeded once by the C routine that random.Random.seed
-    hands an int to, so it has the same state, and draws the same
-    getrandbits, as random.Random(seed).
-
-    It refuses what random.Random would take as another seed: a seed that
-    is not exactly an int raises TypeError, and a negative one ValueError,
-    since the routine would hash any other object and seed from the
-    absolute value of a negative int. getstate returns the generator's
-    state alone, without random.Random's version and gauss_next.
-    """
-    # a valid seed costs no call, as in e1
-    if type(seed) is not int:
-        check_type("seed", seed, int)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return _random.Random(seed)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -546,25 +391,6 @@ class DhKeyPair(namedtuple("DhKeyPair", "r_private s_public")):
     """Per-device exchange pair: private exponent and public power."""
 
     __slots__ = ()
-
-
-def draw_octets(stream: _random.Random) -> bytes:
-    """A 16-octet value drawn from stream as random.Random.randbytes(16)
-    draws it: getrandbits(128) as 16 little-endian octets."""
-    return stream.getrandbits(128).to_bytes(16, "little")
-
-
-def draw_exponent(stream: _random.Random, p: int) -> int:
-    """A private exponent in [1, p-1], drawn from stream as
-    random.Random.randrange(1, p) draws it: 1 + r, where r is
-    getrandbits((p-1).bit_length()), drawn again until it is below p-1.
-    p is a group's modulus, at least 3 (DhParams checks it)."""
-    below = p - 1
-    width = below.bit_length()
-    r = stream.getrandbits(width)
-    while r >= below:
-        r = stream.getrandbits(width)
-    return 1 + r
 
 
 def _power_of_alpha(params: DhParams, e: int) -> int:

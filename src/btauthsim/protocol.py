@@ -44,21 +44,9 @@ from collections import namedtuple
 from dataclasses import field
 import functools
 
-from .crypto import (
-    DhKeyPair,
-    DhParams,
-    IdentityEnum,
-    Stream,
-    check_octets,
-    check_type,
-    dh_keypair,
-    draw_exponent,
-    draw_octets,
-    e1,
-    session_key,
-    value_class,
-    xor_bytes,
-)
+from .crypto import DhKeyPair, DhParams, dh_keypair, e1, session_key, xor_bytes
+from .draw import Stream, draw_exponent, draw_octets
+from .values import IdentityEnum, check_octets, check_type, value_class
 
 __all__ = [
     "ProtocolError",

@@ -18,7 +18,6 @@ import functools
 import math
 from collections import namedtuple
 
-from .crypto import IdentityEnum, check_octets, check_type, value_class
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -29,6 +28,7 @@ from .protocol import (
     outcome_of,
     start as protocol_start,
 )
+from .values import IdentityEnum, check_octets, check_type, value_class
 
 __all__ = [
     "LinkConfig",

@@ -30,10 +30,11 @@ RAISED = ("TypeError", "ValueError", "ConfigError")
 
 # module -> the functions of the table's entry points and of the checks they call
 SCOPE = {
+    "values.py": ["check_octets", "check_type"],
+    "draw.py": ["Stream", "master_draw"],
     "crypto.py": [
-        "check_octets", "check_type", "Stream", "xor_bytes", "mixhash128", "e1", "init_key",
-        "combination_link_key", "DhParams.__init__", "dh_keypair",
-        "check_public", "dh_shared", "session_key_from_shared", "session_key",
+        "xor_bytes", "mixhash128", "e1", "init_key", "combination_link_key", "DhParams.__init__",
+        "dh_keypair", "check_public", "dh_shared", "session_key_from_shared", "session_key",
     ],
     "protocol.py": ["Message.__init__", "new_device"],
     "adversary.py": ["IntruderState.__init__", "verdict", "dlog_bruteforce"],

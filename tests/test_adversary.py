@@ -43,16 +43,15 @@ from btauthsim.adversary import (
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
 from btauthsim.crypto import (
     DhParams,
-    Stream,
     combination_link_key,
     dh_keypair,
-    draw_octets,
     e1,
     init_key,
     prime_factors,
     session_key_from_shared,
     xor_bytes,
 )
+from btauthsim.draw import Stream, draw_octets
 from btauthsim.protocol import (
     AuthOutcome,
     AuthStatus,

@@ -1,6 +1,7 @@
 """Scenario configuration, report lines, output modes, exit codes."""
 
 import collections
+import dataclasses
 import enum
 import errno
 import itertools
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from support import PARAMS, WIDE_P, recorded, run_of
 
-from btauthsim import adversary, cli, crypto, protocol, simnet
+from btauthsim import adversary, cli, crypto, draw, protocol, simnet, values
 from btauthsim.cli import ConfigError, ScenarioConfig, main, run_scenario
 from btauthsim.adversary import AttackVerdict, Confidentiality, Integrity, IntruderMode, IntruderState
 from btauthsim.crypto import DhParams, combination_link_key, init_key, mixhash128, xor_bytes
@@ -34,7 +35,8 @@ def fresh_baselines(config: ScenarioConfig, seed: int) -> dict:
     master = random.Random(seed)
     seeds = master.getrandbits(64), master.getrandbits(64)
     master.getrandbits(64)  # the intruder's stream
-    link_key = cli._derive_link_key(master)
+    master.randbytes(16)  # IN_RAND, which pairing without a PIN discards
+    link_key = combination_link_key(master.randbytes(16), cli.ADDR_A, master.randbytes(16), cli.ADDR_B)
     _, _, transcript, outcomes = run_of(
         config.variant,
         seeds=seeds,
@@ -387,6 +389,31 @@ class TestConfigErrors:
         assert after.baselines == fresh.baselines
         assert all(type(rtt) is int for rtt in after.baselines.values())
 
+    def test_a_configuration_carries_its_cast(self, monkeypatch):
+        # relabelling A and B: a configuration built under the new cast is
+        # calibrated, and runs, with it, with no clear of the cache; one
+        # built before keeps the cast it was calibrated with
+        def rows(configs):
+            return [
+                (score.attack_success, score.integrity, score.confidentiality, score.detection,
+                 len(result.transcript.events))
+                for config in configs
+                for seed in range(5)
+                for result in [run_scenario(config, seed)]
+                for score in [result.score]
+            ]
+
+        expected = rows(cli.HEADLINE)
+        cast = bytes.fromhex("a1b2c3d4e5f6"), bytes.fromhex("0102030405ff")
+        monkeypatch.setattr(cli, "ADDR_A", cast[0])
+        monkeypatch.setattr(cli, "ADDR_B", cast[1])
+        fresh = [dataclasses.replace(config) for config in cli.HEADLINE]
+        assert fresh == list(cli.HEADLINE)
+        assert all(tuple(dev for dev, _ in config.prepared[2]) == cast for config in fresh)
+        assert rows(fresh) == expected
+        assert set(run_scenario(fresh[0], 0).outcomes) == set(cast)
+        assert rows(cli.HEADLINE) == expected
+
     def test_group_checked_once_per_configuration(self):
         cli._prepared.cache_clear()
         with recorded(cli, "has_full_order") as calls:
@@ -426,8 +453,9 @@ class TestScenarioApi:
     def test_custom_pin_changes_nothing_downstream(self, seed, pin):
         # the masked pairing: both contributions cross the wire masked by
         # the bootstrap key of the PIN and the pairing random number, and
-        # are unmasked on arrival; the mask cancels, so _derive_link_key
-        # gives the same key, for any PIN, from the same three draws
+        # are unmasked on arrival; the mask cancels, so the run's link key
+        # is the same, for any PIN, from the same draws: the master draw's
+        # IN_RAND and two contributions, after the three party seeds
         def masked_link_key(master):
             bootstrap = init_key(pin, cli.ADDR_A, master.randbytes(16))
             masked_a = xor_bytes(master.randbytes(16), bootstrap)
@@ -436,8 +464,13 @@ class TestScenarioApi:
             rand_b = xor_bytes(masked_b, bootstrap)
             return combination_link_key(rand_a, cli.ADDR_A, rand_b, cli.ADDR_B)
 
-        master, oracle = random.Random(seed), random.Random(seed)
-        assert cli._derive_link_key(master) == masked_link_key(oracle)
+        oracle = random.Random(seed)
+        seeds = tuple(oracle.getrandbits(64) for _ in range(3))
+        assert run_scenario(cli.HEADLINE[0], seed).link_key == masked_link_key(oracle)
+        # the master draw is those draws and no more
+        master = random.Random(seed)
+        master.randbytes(72)
+        assert draw.master_draw(seed)[:3] == seeds
         assert master.getrandbits(64) == oracle.getrandbits(64)
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=50))
@@ -556,7 +589,7 @@ class TestCallBudget:
     every typed value on a run's path passes its caller's inline pre-test,
     so neither check_octets nor check_type is reached, and no enum hash
     runs Enum.__hash__: every enum of the package derives from
-    crypto.IdentityEnum and hashes by identity, among them the four a run
+    values.IdentityEnum and hashes by identity, among them the four a run
     hashes (Variant and IntruderMode in the intruder's plan table, MsgKind
     and Phase in the transition table, and MsgKind in the keys of the
     interned messages).
@@ -580,8 +613,8 @@ class TestCallBudget:
             real = module.check_octets
             name = f"{module.__name__}.check_octets"
             monkeypatch.setattr(module, "check_octets", self.counted(calls, name, real))
-        check_type = crypto.check_type
-        typed = (crypto, protocol, adversary, simnet, cli)
+        check_type = values.check_type
+        typed = (crypto, draw, protocol, adversary, simnet, cli)
         for module in typed:
             name = f"{module.__name__}.check_type"
             monkeypatch.setattr(module, "check_type", self.counted(calls, name, check_type))
@@ -618,6 +651,8 @@ class TestCallBudget:
             transcript_rtt(run_scenario(cli.HEADLINE[0], 0).transcript, bytearray(cli.ADDR_A))
         with pytest.raises(TypeError):
             run_scenario(cli.HEADLINE[0], True)
+        with pytest.raises(TypeError):
+            draw.master_draw(1.0)
         assert calls == {
             "btauthsim.crypto.check_octets": 1,
             "btauthsim.protocol.check_octets": 1,
@@ -668,9 +703,10 @@ class TestCallBudget:
             # as above: the calibration run is not any run's work
             config.prepared
         calls = collections.Counter()
-        # each module that draws calls Stream by the name it imported
-        for module in (cli, protocol, adversary):
-            monkeypatch.setattr(module, "Stream", self.counted(calls, "Stream", crypto.Stream))
+        # each module that seeds a stream calls Stream by its own name
+        stream = self.counted(calls, "Stream", draw.Stream)
+        for module in (draw, protocol, adversary):
+            monkeypatch.setattr(module, "Stream", stream)
         counts = {}
         for config in cli.HEADLINE:
             for seed in range(3):

@@ -19,8 +19,9 @@ a stream and a group's modulus, each built from values that new_device,
 IntruderState or run_scenario checked; clear_memos takes no argument;
 encode_public, decode_public, the drivers and main take checked or
 argparse-typed values; the check_* functions are what every row reaches;
-records, enums and exceptions check nothing. ScenarioConfig checks itself when built,
-and each validate and run_scenario cell builds one. Every record a call
+value_class takes a class body; records, enums and exceptions check
+nothing. ScenarioConfig checks itself when built, and each validate and
+run_scenario cell builds one. Every record a call
 takes (a group, a key pair, a transcript) is a row.
 """
 
@@ -32,7 +33,7 @@ import pytest
 
 from support import ADDR_A, ADDR_B, ADDR_C, KEY, LINKS
 
-from btauthsim import adversary, cli, crypto, protocol, simnet
+from btauthsim import adversary, cli, crypto, draw, protocol, simnet, values
 from btauthsim.adversary import IntruderMode, IntruderState
 from btauthsim.cli import ConfigError, ScenarioConfig
 from btauthsim.crypto import DhParams
@@ -252,7 +253,8 @@ ROWS = [
            rand_a=KEY16, addr_a=ADDR, rand_b=KEY16, addr_b=ADDR),
     *table("xor_bytes", crypto.xor_bytes, dict(a=KEY, b=NONCE), a=octets(), b=octets()),
     *table("mixhash128", crypto.mixhash128, dict(data=NONCE), data=octets()),
-    *table("Stream", crypto.Stream, dict(seed=1), seed=seed("seed")),
+    *table("Stream", draw.Stream, dict(seed=1), seed=seed("seed")),
+    *table("master_draw", draw.master_draw, dict(seed=1), seed=seed("seed")),
     *table("DhParams", DhParams, dict(p=23, alpha=5),
            p=integer(), alpha=integer(2, 22, "alpha must be in [2, p-1], got {}")),
     *table("dh_keypair", crypto.dh_keypair, dict(params=P23, r=6), r=in_group("private exponent"),
@@ -392,14 +394,14 @@ LEFT_OUT = {
     "modexp", "is_prime", "prime_factors", "has_full_order", "draw_octets", "draw_exponent",
     "clear_memos", "encode_public",
     "decode_public", "start", "handle", "outcome_of", "run", "intercept", "main",
-    "check_type", "check_octets", "DhKeyPair", "AuthOutcome", "DeviceState", "TranscriptEvent",
+    "check_type", "check_octets", "value_class", "DhKeyPair", "AuthOutcome", "DeviceState", "TranscriptEvent",
     "Transcript", "AttackVerdict", "ScenarioConfig", "ScenarioResult", "HEADLINE",
 }
 
 
 def test_every_public_name_is_a_row_or_left_out():
     entries = {row.id.split("-")[0] for row in ROWS}
-    modules = (crypto, protocol, simnet, adversary, cli)
+    modules = (values, draw, crypto, protocol, simnet, adversary, cli)
     for module in modules:
         for name in module.__all__:
             value = getattr(module, name)

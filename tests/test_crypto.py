@@ -1,13 +1,10 @@
-"""Key-derivation functions, the random stream and the Diffie-Hellman key memos."""
+"""Key-derivation functions and the Diffie-Hellman key memos."""
 
-import _random
-import random
 import sys
 import threading
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from support import ADDR_A, ADDR_B, PARAMS, WIDE_P, recorded
@@ -16,7 +13,6 @@ from btauthsim import crypto
 from btauthsim.crypto import (
     DhKeyPair,
     DhParams,
-    Stream,
     combination_link_key,
     dh_keypair,
     dh_shared,
@@ -52,81 +48,6 @@ def exponents(p):
 EQUAL_LENGTH_PAIRS = st.integers(min_value=0, max_value=32).flatmap(
     lambda n: st.tuples(st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))
 )
-
-
-# one draw the package makes on a stream, named for the random.Random
-# method that draws the same value: (name, its width or modulus)
-stream_draws = st.one_of(
-    st.tuples(st.just("getrandbits"), st.integers(1, 300)),
-    st.tuples(st.just("randbytes"), st.just(16)),
-    st.tuples(st.just("randrange"), st.integers(3, 2**64) | st.integers(3, 2**160)),
-)
-
-
-def package_draw(stream, name, arg):
-    """The value the package draws from stream for that random.Random draw."""
-    if name == "getrandbits":
-        return stream.getrandbits(arg)
-    if name == "randbytes":
-        return crypto.draw_octets(stream)
-    return crypto.draw_exponent(stream, arg)
-
-
-def oracle_draw(oracle, name, arg):
-    return oracle.randrange(1, arg) if name == "randrange" else getattr(oracle, name)(arg)
-
-
-def generator_state(oracle):
-    # random.Random's state is (version, the generator's state, gauss_next)
-    return _random.Random.getstate(oracle)
-
-
-class TestStream:
-    """Stream(seed) is _random.Random(seed), the generator of
-    random.Random(seed), built once without random.Random.seed, and every
-    value the package draws from it equals the matching random.Random draw."""
-
-    # rejection is likeliest where p - 1 is a power of two: getrandbits
-    # then draws one bit more than p - 2 needs, and refuses half its values
-    @given(st.integers(0, 2**64) | st.integers(0, 2**4096), st.lists(stream_draws, max_size=12))
-    @example(0, [("randrange", 3)] * 4)
-    @example(1, [("randrange", 5)] * 4)
-    @example(2, [("randrange", 17)] * 4)
-    @example(3, [("randrange", 257)] * 4)
-    @example(2**64, [("randrange", 65537)] * 4)
-    def test_draws_as_random_random(self, seed, draws):
-        stream, oracle = Stream(seed), random.Random(seed)
-        assert type(stream) is _random.Random
-        assert stream.getstate() == generator_state(oracle)
-        for name, arg in draws:
-            assert package_draw(stream, name, arg) == oracle_draw(oracle, name, arg)
-            assert stream.getstate() == generator_state(oracle)
-
-    def test_examples_reach_the_rejection(self):
-        # a stream has no instance dict to patch, so a subclass counts
-        class Counted(_random.Random):
-            def getrandbits(self, k):
-                self.calls += 1
-                return super().getrandbits(k)
-
-        # each example above redraws at least once
-        for seed, p in [(0, 3), (1, 5), (2, 17), (3, 257), (2**64, 65537)]:
-            stream = Counted(seed)
-            stream.calls = 0
-            for _ in range(4):
-                crypto.draw_exponent(stream, p)
-            assert stream.calls > 4, p
-
-    def test_seeds_from_the_int_with_no_instance_dict(self, monkeypatch):
-        # one construction, which seeds once on every version: in __new__
-        # before 3.11, in __init__ from 3.11 on
-        monkeypatch.setattr(crypto, "_random", SimpleNamespace(Random=_random.Random))
-        with recorded(crypto._random, "Random") as built:
-            stream = Stream(seed=5)
-        assert built == [(5,)]
-        assert type(stream) is _random.Random
-        assert stream.getstate() == generator_state(random.Random(5))
-        assert not hasattr(stream, "__dict__")
 
 
 class TestE1:

@@ -34,13 +34,19 @@ would import it.
 
 Nor does any module of the package import ``random``: a run's draws rest
 only on ``_random``'s seeding of an int and on ``getrandbits``
-(``crypto.Stream``), not on ``random.py``'s Python-level methods, which
+(``draw.Stream``), not on ``random.py``'s Python-level methods, which
 another Python version may define otherwise and which cost a Python frame
 per draw; the tests keep ``random.Random`` as the oracle each draw equals.
+No module of the package but ``draw`` imports ``_random`` or calls
+``getrandbits``, so a change of the stream is a change of ``draw`` alone.
 
-No module of the package but ``crypto`` applies ``dataclasses.dataclass``
+``values`` imports no module of the package, so every module can import
+it, and ``simnet``, which runs no cryptography, imports nothing from
+``crypto``.
+
+No module of the package but ``values`` applies ``dataclasses.dataclass``
 or ``make_dataclass``, and every value class of the package runs the
-``__repr__``, ``__eq__`` and ``__hash__`` code of ``crypto.value_class``:
+``__repr__``, ``__eq__`` and ``__hash__`` code of ``values.value_class``:
 a new value class brings back no per-class generated methods (a record's
 namedtuple evals one ``__new__``, the one method it generates). Nor does any
 function in a value class's body come from source generated at import:
@@ -49,14 +55,15 @@ each class writes its own ``__init__`` and its own docstring, so
 to write a docstring, and ``value_class`` refuses a class without an
 ``__init__`` of its own.
 
-Every enum of the package derives from ``crypto.IdentityEnum``, and none
+Every enum of the package derives from ``values.IdentityEnum``, and none
 but that base defines ``__hash__``: the rule that a member hashes by
 identity is declared once.
 
-Every name that ``crypto`` exports is read by the package or by a script
-that measures it (attack_matrix.py, dlog_cost.py), outside its own
-definition, or has its reason in UNREAD_EXPORTS: a function that no run,
-judge or analysis reaches is retired, not kept for its own tests.
+Every name that ``crypto``, ``values`` or ``draw`` exports is read by the
+package or by a script that measures it (attack_matrix.py, dlog_cost.py),
+outside its own definition, or has its reason in UNREAD_EXPORTS: a
+function that no run, judge or analysis reaches is retired, not kept for
+its own tests.
 gen_golden_vectors.py is no reader, since it pins whatever exists.
 
 Every ``functools.lru_cache``, ``cache`` and ``cached_property`` of the
@@ -78,7 +85,7 @@ from pathlib import Path
 
 import pytest
 
-from btauthsim import crypto
+from btauthsim import crypto, draw, values
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
@@ -91,10 +98,12 @@ LEDGER = "## Fast-path ledger"
 CACHES = {"lru_cache", "cache", "cached_property"}
 SIMNET = "btauthsim.simnet"
 MAKERS = {"dataclass", "make_dataclass"}
-CRYPTO_READERS = [
+EXPORT_READERS = [
     *PACKAGE, ROOT / "scripts" / "attack_matrix.py", ROOT / "scripts" / "dlog_cost.py",
 ]
-# the names crypto exports that no reader reads, each with its reason
+# the modules whose every export a reader reads
+READ_MODULES = (crypto, values, draw)
+# the names those modules export that no reader reads, each with its reason
 UNREAD_EXPORTS = {
     "dh_shared": "the session-key tests compare session_key against it",
     "session_key_from_shared": "the session-key tests compare session_key against it",
@@ -413,9 +422,9 @@ def test_the_dict_check_itself(source, readers):
     assert dict_readers(source) == readers
 
 
-def test_only_crypto_makes_a_dataclass():
+def test_only_values_makes_a_dataclass():
     makers = {path.stem for path in PACKAGE if dataclass_lines(path.read_text())}
-    assert makers == {"crypto"}
+    assert makers == {"values"}
 
 
 @pytest.mark.parametrize(
@@ -469,6 +478,78 @@ def test_the_typing_check_itself(source, lines):
 )
 def test_the_random_check_itself(source, lines):
     assert import_lines(source, "random") == lines
+
+
+def stream_lines(source: str) -> list[int]:
+    """The lines on which the source imports _random or reads getrandbits
+    as an attribute, to call it or otherwise."""
+    return sorted(
+        set(import_lines(source, "_random"))
+        | {node.lineno for node in ast.walk(ast.parse(source))
+           if isinstance(node, ast.Attribute) and node.attr == "getrandbits"}
+    )
+
+
+def package_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each module of the package that the source
+    imports, relatively or as btauthsim, or imports a name from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[2]) for alias in node.names
+                      if alias.name.startswith("btauthsim.")]
+        elif isinstance(node, ast.ImportFrom):
+            # the module after the package: "" for from . import a, b
+            package, _, module = ("btauthsim." + (node.module or "") if node.level
+                                  else node.module).partition(".")
+            if package == "btauthsim":
+                names = [module] if module else [alias.name for alias in node.names]
+                found += [(node.lineno, name) for name in names]
+    return found
+
+
+def test_only_draw_touches_the_generator():
+    touching = {path.stem for path in PACKAGE if stream_lines(path.read_text())}
+    assert touching == {"draw"}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import _random\n", [1]),
+        ("from _random import Random\n", [1]),
+        ("x = 1\nseed = stream.getrandbits(64)\n", [2]),
+        ("def f(s):\n    draw = s.getrandbits\n    return draw(8)\n", [2]),
+        ("import random\nfrom .draw import Stream\ngetrandbits = 1\n", []),
+    ],
+)
+def test_the_generator_check_itself(source, lines):
+    assert stream_lines(source) == lines
+
+
+def test_values_imports_no_module_of_the_package():
+    assert package_imports((ROOT / "src" / "btauthsim" / "values.py").read_text()) == []
+
+
+def test_simnet_imports_nothing_from_crypto():
+    imported = package_imports((ROOT / "src" / "btauthsim" / "simnet.py").read_text())
+    assert imported and "crypto" not in [module for _, module in imported]
+
+
+@pytest.mark.parametrize(
+    "source,imported",
+    [
+        ("from .crypto import e1\n", [(1, "crypto")]),
+        ("from . import crypto, draw\n", [(1, "crypto"), (1, "draw")]),
+        ("from btauthsim.crypto import e1\n", [(1, "crypto")]),
+        ("from btauthsim import crypto\n", [(1, "crypto")]),
+        ("import os\nimport btauthsim.crypto as c\n", [(2, "crypto")]),
+        ("def f():\n    from .values import check_type\n", [(2, "values")]),
+        ("import functools\nfrom dataclasses import field\nfrom btauthsimx import a\n", []),
+    ],
+)
+def test_the_package_import_check_itself(source, imported):
+    assert package_imports(source) == imported
 
 
 PACKAGE_CLASSES = sorted(
@@ -542,7 +623,7 @@ VALUE_CLASSES = [cls for cls in PACKAGE_CLASSES if dataclasses.is_dataclass(cls)
 def test_every_value_class_runs_the_shared_methods():
     shared = {
         code.co_name: code
-        for code in crypto.value_class.__code__.co_consts
+        for code in values.value_class.__code__.co_consts
         if isinstance(code, types.CodeType)
     }
     assert sorted(cls.__name__ for cls in VALUE_CLASSES) == [
@@ -571,7 +652,7 @@ def test_every_value_class_writes_its_own_methods(cls):
 
 
 @pytest.mark.parametrize(
-    "make", [crypto.value_class, crypto.value_class(frozen=True)], ids=["value_class", "frozen"]
+    "make", [values.value_class, values.value_class(frozen=True)], ids=["value_class", "frozen"]
 )
 def test_a_value_class_needs_an_init_of_its_own(make):
     class Bare:
@@ -621,8 +702,8 @@ def test_every_enum_hashes_by_identity():
         "AuthStatus", "Confidentiality", "Detection", "IdentityEnum", "Integrity",
         "IntruderMode", "MsgKind", "Phase", "Role", "Variant",
     ]
-    assert enum_faults(ENUMS, crypto.IdentityEnum) == []
-    assert vars(crypto.IdentityEnum)["__hash__"] is object.__hash__
+    assert enum_faults(ENUMS, values.IdentityEnum) == []
+    assert vars(values.IdentityEnum)["__hash__"] is object.__hash__
     assert all(cls.__hash__ is object.__hash__ for cls in ENUMS)
 
 
@@ -644,8 +725,8 @@ def test_the_enum_check_itself():
 
 
 def test_every_crypto_export_is_read():
-    read = set().union(*(outside_reads(path.read_text()) for path in CRYPTO_READERS))
-    unread = set(crypto.__all__) - read
+    read = set().union(*(outside_reads(path.read_text()) for path in EXPORT_READERS))
+    unread = {name for module in READ_MODULES for name in module.__all__} - read
     assert sorted(unread - UNREAD_EXPORTS.keys()) == []
     # and a reason goes once a reader reads its name
     assert sorted(UNREAD_EXPORTS.keys() - unread) == []

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 from support import ADDR_A, ADDR_B, ADDR_C, KEY, PARAMS, pair, recorded, run_of
 
 from btauthsim import protocol, simnet
-from btauthsim.crypto import (
-    check_octets,
-    dh_shared,
-    e1,
-    session_key_from_shared,
-    xor_bytes,
-)
+from btauthsim.crypto import dh_shared, e1, session_key_from_shared, xor_bytes
 from btauthsim.protocol import (
     AuthStatus,
     Message,
@@ -35,6 +29,7 @@ from btauthsim.protocol import (
     start,
 )
 from btauthsim.simnet import transcript_rtt
+from btauthsim.values import check_octets
 
 KEY2 = bytes(range(16, 32))
 

@@ -27,7 +27,7 @@ from support import (
     run_of,
 )
 
-from btauthsim import cli, crypto, simnet
+from btauthsim import cli, simnet, values
 from btauthsim.adversary import (
     AttackVerdict,
     Confidentiality,
@@ -612,7 +612,7 @@ def outcome(call, *args, **kwargs):
 
 
 class TestValueClass:
-    """Each value class, made by crypto.value_class, behaves as the plain
+    """Each value class, made by values.value_class, behaves as the plain
     dataclass of its fields."""
 
     @pytest.mark.parametrize("cls", list(VALUE_ARGS), ids=lambda cls: cls.__name__)
@@ -674,7 +674,7 @@ class TestValueClass:
     def test_refuses_a_method_of_its_own(self):
         with pytest.raises(TypeError, match="^value class Shown defines its own __repr__$"):
 
-            @crypto.value_class
+            @values.value_class
             class Shown:
                 a: int
 
