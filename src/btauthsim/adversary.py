@@ -8,10 +8,17 @@ script sends, drawn when it is built, and the one payload a script holds
 back. It keeps no record of what it saw: every hop it sends or receives
 is in the run's transcript, and verdict scores a run from the outcomes
 and that transcript alone, with the detector's baselines and threshold.
+
+The judge is all here. One pass over a transcript's events, _one_pass,
+is the one reconstruction of a round trip and reads every hop fact the
+verdict reads; transcript_rtt reads one device's round trip through it,
+and _detection holds the detector's checks and its strict > rule, which
+delay_detector and verdict both apply.
 """
 
 from collections import namedtuple
 from dataclasses import field
+import math
 
 from .crypto import DhParams, check_public, dh_keypair, e1
 from .draw import Stream, draw_exponent, draw_octets
@@ -21,10 +28,10 @@ from .protocol import (
     Message,
     MsgKind,
     Variant,
-    _control_message,
+    control_message,
     encode_public,
 )
-from .simnet import Detection, Transcript, _detection, _one_pass
+from .simnet import Transcript, TranscriptEvent
 from .values import IdentityEnum, check_octets, check_type, value_class
 
 __all__ = [
@@ -32,8 +39,11 @@ __all__ = [
     "IntruderState",
     "Integrity",
     "Confidentiality",
+    "Detection",
     "AttackVerdict",
     "intercept",
+    "transcript_rtt",
+    "delay_detector",
     "verdict",
     "dlog_bruteforce",
 ]
@@ -53,6 +63,11 @@ class Integrity(IdentityEnum):
 class Confidentiality(IdentityEnum):
     MAINTAINED = "Maintained"
     BREACHED = "Breached"
+
+
+class Detection(IdentityEnum):
+    NONE = "None"
+    DELAY_FLAGGED = "DelayFlagged"
 
 
 class AttackVerdict(
@@ -248,10 +263,117 @@ def _act(intruder: IntruderState, row, arriving: bytes | None) -> list[Message]:
             payload = values[source]
         if kind is AUTH_REQUEST:
             # its kind and parties fix every field, as in protocol.start
-            out.append(_control_message(kind, values[sender], values[receiver], payload))
+            out.append(control_message(kind, values[sender], values[receiver], payload))
         else:
             out.append(Message(kind, values[sender], values[receiver], payload))
     return out
+
+
+def _one_pass(transcript: Transcript, a: bytes, b: bytes) -> tuple:
+    """Everything the judge reads of a run, in one pass over the events:
+    the round trips of devices a and b, whether any hop ran directly
+    between them, whether a party other than a and b delivered either of
+    them a hop that the other had not emitted before it (a forged hop),
+    and for each of a and b the ChallengeMsg payloads of 16 octets such a
+    party delivered to it and the ResponseMsg payloads it sent such a
+    party, each a dict of sets by device. a may equal b.
+
+    A device's round trip runs from its send (the delivery of its first
+    ChallengeMsg, minus one hop) to the first ResponseMsg delivered to it
+    at or after that send, in list order, a response listed before the
+    challenge included; None when either is missing. The caller checks
+    the arguments."""
+    latency = transcript.links.latency_ms
+    peer = {a: b, b: a}
+    # the times of the responses delivered to a device before its first
+    # challenge, while that challenge is unseen (a tuple, as such a response
+    # is rare); then the challenge's send time, until a response meets it
+    early: dict[bytes, tuple[int, ...]] = {a: (), b: ()}
+    sent: dict[bytes, int] = {}
+    rtt: dict[bytes, int | None] = {a: None, b: None}
+    # each device's hops, kept as the events themselves
+    emitted: dict[bytes, list[TranscriptEvent]] = {a: [], b: []}
+    delivered: dict[bytes, set[bytes]] = {a: set(), b: set()}
+    answered: dict[bytes, set[bytes]] = {a: set(), b: set()}
+    challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
+    direct_hops = forged = False
+    for event in transcript.events:
+        _, time, from_id, to_id, kind, payload = event
+        if kind is response:
+            if to_id in sent:
+                if time >= sent[to_id]:
+                    rtt[to_id] = time - sent.pop(to_id)
+            elif to_id in early:
+                early[to_id] += (time,)
+        elif kind is challenge and from_id in early:
+            start = sent[from_id] = time - latency
+            for arrived in early.pop(from_id):
+                if arrived >= start:
+                    rtt[from_id] = arrived - sent.pop(from_id)
+                    break
+        if from_id in peer:
+            emitted[from_id].append(event)
+            if to_id in peer:
+                direct_hops = True
+            elif kind is response:
+                answered[from_id].add(payload)
+        elif to_id in peer:
+            if not forged:
+                for hop in emitted[peer[to_id]]:
+                    if hop[4] is kind and hop[5] == payload:
+                        break
+                else:
+                    forged = True
+            if kind is challenge and len(payload) == 16:
+                delivered[to_id].add(payload)
+    return rtt[a], rtt[b], direct_hops, forged, delivered, answered
+
+
+def transcript_rtt(transcript: Transcript, device: bytes) -> int | None:
+    """Round trip of the one challenge a device sends, reconstructed from
+    delivery times alone: from its send (the delivery of the device's first
+    ChallengeMsg, minus one hop) to the first ResponseMsg delivered to the
+    device at or after that send, wherever it is listed. None when either
+    is missing. transcript is a Transcript and device a 6-octet address
+    (TypeError, ValueError otherwise). The judge reads both honest
+    devices' round trips in the same pass, _one_pass."""
+    check_type("transcript", transcript, Transcript)
+    check_octets("device", device, 6)
+    return _one_pass(transcript, device, device)[0]
+
+
+def _detection(observed: int | None, baseline_rtt: int, threshold_factor: float) -> Detection:
+    """The detector's rule, which the judge applies too: flagged when the
+    observed round trip exceeds threshold_factor x baseline_rtt, after the
+    detector's checks of both."""
+    # a valid baseline costs no call, as in protocol.new_device
+    if type(baseline_rtt) is not int:
+        check_type("baseline_rtt", baseline_rtt, int)
+    if baseline_rtt <= 0:
+        raise ValueError("baseline rtt must be positive")
+    try:
+        if not 1 < threshold_factor < math.inf:
+            raise ValueError(f"threshold factor must be finite and exceed 1, got {threshold_factor}")
+    except TypeError:
+        kind = type(threshold_factor).__name__
+        raise TypeError(f"threshold_factor must be a real number, got {kind}") from None
+    if observed is not None and observed > threshold_factor * baseline_rtt:
+        return Detection.DELAY_FLAGGED
+    return Detection.NONE
+
+
+def delay_detector(
+    transcript: Transcript,
+    baseline_rtt: int,
+    threshold_factor: float,
+    device: bytes,
+) -> Detection:
+    """Flag a device whose observed round trip, by transcript_rtt, exceeds
+    factor x baseline. transcript and device are checked by transcript_rtt;
+    then baseline_rtt must be exactly an int and threshold_factor a real
+    number (TypeError naming it otherwise), the baseline positive and the
+    factor finite and above 1 (ValueError)."""
+    return _detection(transcript_rtt(transcript, device), baseline_rtt, threshold_factor)
 
 
 def verdict(
@@ -270,9 +392,9 @@ def verdict(
     knowledge: it identifies which captured challenge-response pairs are
     the victims' real credentials, and is never given to the intruder.
 
-    One pass over the events (simnet._one_pass) reads every fact below
-    and both honest devices' round trips, as transcript_rtt reads them.
-    Detection is flagged by delay_detector's rule and checks, when either
+    One pass over the events (_one_pass) reads every fact below and both
+    honest devices' round trips, as transcript_rtt reads them. Detection
+    is flagged by delay_detector's rule and checks (_detection), when either
     round trip exceeds threshold_factor x the device's entry of baselines,
     a dict (TypeError naming baselines otherwise, and ValueError when an
     entry is missing).

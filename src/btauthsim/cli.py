@@ -14,11 +14,11 @@ import math
 import os
 import sys
 
-from .adversary import IntruderMode, IntruderState, verdict
+from .adversary import IntruderMode, IntruderState, delay_detector, transcript_rtt, verdict
 from .crypto import DhParams, clear_memos, combination_link_key, has_full_order, init_key
 from .draw import master_draw
 from .protocol import Variant, new_device
-from .simnet import LinkConfig, _new_tuple, delay_detector, run, transcript_rtt
+from .simnet import LinkConfig, run
 from .values import check_type, value_class
 
 __all__ = [
@@ -83,8 +83,7 @@ class ScenarioConfig:
         dh_p: int = 2147483647,
         dh_alpha: int = 7,
     ) -> None:
-        if intruder is not None and type(intruder) is not IntruderMode:
-            check_type("intruder", intruder, IntruderMode, none=True)
+        check_type("intruder", intruder, IntruderMode, none=True)
         if initiator not in ("A", "C"):
             raise ConfigError(f"initiator must be A or C, got {initiator}")
         if (initiator == "C") != (intruder is IntruderMode.ORIGINATE_TO_A):
@@ -251,7 +250,7 @@ def run_scenario(config: ScenarioConfig, seed: int) -> ScenarioResult:
     transcript, outcomes = run(dev_a, dev_b, intruder, links)
     score = verdict(outcomes, transcript, link_key, baselines, config.detect_factor)
     # as simnet.run builds its records: ScenarioResult's own __new__, less its frame
-    return _new_tuple(ScenarioResult, (seed, transcript, outcomes, score, baselines, link_key))
+    return tuple.__new__(ScenarioResult, (seed, transcript, outcomes, score, baselines, link_key))
 
 
 def report_line(config: ScenarioConfig, result: ScenarioResult) -> str:

@@ -97,9 +97,8 @@ def mixhash128(data: bytes) -> bytes:
     The s0 update reads only s0 and the block, never s1, so the first 8
     octets of the digest are the s0 lane alone; e1 runs that lane by itself.
     """
-    # pre-tested as in e1; any length is in check_octets' range
-    if type(data) is not bytes:
-        check_octets("data", data, 0, sys.maxsize)
+    # any length is in check_octets' range
+    check_octets("data", data, 0, sys.maxsize)
     n = len(data)
     # the padded message, then the four zero blocks
     padded = data + b"\x80" + bytes(-(n + 1) % 8) + n.to_bytes(8, "little") + bytes(32)
@@ -442,10 +441,8 @@ def dh_keypair(params: DhParams, r: int) -> DhKeyPair:
 def check_public(params: DhParams, value: int) -> None:
     """Raise TypeError unless params is a DhParams and a peer's public
     value exactly an int, and ValueError unless the value lies in [1, p-1]."""
-    if type(params) is not DhParams:
-        check_type("params", params, DhParams)
-    if type(value) is not int:
-        check_type("peer public value", value, int)
+    check_type("params", params, DhParams)
+    check_type("peer public value", value, int)
     if not 1 <= value <= params.p - 1:
         raise ValueError(f"peer public value must be in [1, p-1], got {value}")
 
@@ -503,10 +500,8 @@ def _session_key_of(k: int, p: int) -> bytes:
 def session_key_from_shared(k: int, params: DhParams) -> bytes:
     """Bind the shared integer and group modulus into a uniform 16-octet
     key; k must be an int and params a DhParams (TypeError otherwise)."""
-    if type(k) is not int:
-        check_type("shared value", k, int)
-    if type(params) is not DhParams:
-        check_type("params", params, DhParams)
+    check_type("shared value", k, int)
+    check_type("params", params, DhParams)
     if not 0 <= k <= params.p - 1:
         raise ValueError(f"shared value must be in [0, p-1], got {k}")
     return _session_key_of(k, params.p)

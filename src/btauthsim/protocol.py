@@ -33,7 +33,7 @@ payloads and claimed senders on as they arrive. Addresses compare by value.
 Runs share the messages that their inputs fix. The fields of an
 AuthRequest, AuthSuccess or AuthFail are fixed by its kind and two
 parties; each comes from a bounded, typed lru_cache over Message,
-_control_message, so each distinct message is built and checked once.
+control_message, so each distinct message is built and checked once.
 The intruder's AuthRequests come from the same cache as start's.
 The cache stores no exception, so a bad argument raises Message's own
 error on every call; start checks that its peer is bytes before the
@@ -64,6 +64,7 @@ __all__ = [
     "outcome_of",
     "encode_public",
     "decode_public",
+    "control_message",
 ]
 
 
@@ -131,7 +132,7 @@ class Message:
 
 # the messages whose every field their kind and parties fix, each built
 # and checked once; called positionally, so each value has one key
-_control_message = functools.lru_cache(maxsize=64, typed=True)(Message)
+control_message = functools.lru_cache(maxsize=64, typed=True)(Message)
 
 
 def encode_public(value: int) -> bytes:
@@ -266,7 +267,7 @@ def start(device: DeviceState, peer: bytes) -> list[Message]:
         check_octets("message receiver", peer, 6)
     device.role = Role.INITIATOR
     device.peer = peer
-    out = [_control_message(MsgKind.AUTH_REQUEST, device.id, peer, device.id)]
+    out = [control_message(MsgKind.AUTH_REQUEST, device.id, peer, device.id)]
     if device.variant is Variant.DH_IMPROVED:
         out.append(Message(MsgKind.DH_PUBLIC, device.id, peer, encode_public(device.dh.s_public)))
         device.phase = Phase.DH_EXCHANGE
@@ -308,7 +309,7 @@ def _answer(device: DeviceState, challenge: bytes) -> Message:
 def _fail(device: DeviceState, msg: Message) -> list[Message]:
     device.phase = Phase.FAILED
     target = device.peer if device.peer is not None else msg.sender
-    return [_control_message(MsgKind.AUTH_FAIL, device.id, target)]
+    return [control_message(MsgKind.AUTH_FAIL, device.id, target)]
 
 
 def _on_auth_success(device: DeviceState, msg: Message) -> list[Message]:
@@ -394,7 +395,7 @@ def _on_response(device: DeviceState, msg: Message) -> list[Message]:
     # our earlier answer plus this verification closes the loop; tell the
     # peer and finish
     device.phase = Phase.DONE
-    return [_control_message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
+    return [control_message(MsgKind.AUTH_SUCCESS, device.id, device.peer)]
 
 
 _TERMINAL = frozenset((Phase.DONE, Phase.FAILED))

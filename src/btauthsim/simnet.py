@@ -11,11 +11,11 @@ direct link, so every honest transmission physically arrives at the
 intruder, whatever the message claims. The transcript records
 physical transmitter and receiver per hop; claimed identities live inside
 the messages. Addresses are plain bytes and compare by value: equal
-addresses need not be one object.
+addresses need not be one object. The network only records: reading a
+transcript, for round trips, detection and the verdict, is adversary's.
 """
 
 import functools
-import math
 from collections import namedtuple
 
 from .protocol import (
@@ -28,22 +28,9 @@ from .protocol import (
     outcome_of,
     start as protocol_start,
 )
-from .values import IdentityEnum, check_octets, check_type, value_class
+from .values import check_type, value_class
 
-__all__ = [
-    "LinkConfig",
-    "TranscriptEvent",
-    "Transcript",
-    "Detection",
-    "run",
-    "delay_detector",
-    "transcript_rtt",
-]
-
-
-class Detection(IdentityEnum):
-    NONE = "None"
-    DELAY_FLAGGED = "DelayFlagged"
+__all__ = ["LinkConfig", "TranscriptEvent", "Transcript", "run"]
 
 
 @value_class(frozen=True)
@@ -205,113 +192,3 @@ def run(
         finished = finished and outcome.status is not AuthStatus.TIMED_OUT
     end_time = last_time if finished else timeout
     return _new_tuple(Transcript, (tuple(events), links, end_time)), outcomes
-
-
-def _one_pass(transcript: Transcript, a: bytes, b: bytes) -> tuple:
-    """Everything the judge reads of a run, in one pass over the events:
-    the round trips of devices a and b, whether any hop ran directly
-    between them, whether a party other than a and b delivered either of
-    them a hop that the other had not emitted before it (a forged hop),
-    and for each of a and b the ChallengeMsg payloads of 16 octets such a
-    party delivered to it and the ResponseMsg payloads it sent such a
-    party, each a dict of sets by device. a may equal b.
-
-    A device's round trip runs from its send (the delivery of its first
-    ChallengeMsg, minus one hop) to the first ResponseMsg delivered to it
-    at or after that send, in list order, a response listed before the
-    challenge included; None when either is missing. The caller checks
-    the arguments."""
-    latency = transcript.links.latency_ms
-    peer = {a: b, b: a}
-    # the times of the responses delivered to a device before its first
-    # challenge, while that challenge is unseen (a tuple, as such a response
-    # is rare); then the challenge's send time, until a response meets it
-    early: dict[bytes, tuple[int, ...]] = {a: (), b: ()}
-    sent: dict[bytes, int] = {}
-    rtt: dict[bytes, int | None] = {a: None, b: None}
-    # each device's hops, kept as the events themselves
-    emitted: dict[bytes, list[TranscriptEvent]] = {a: [], b: []}
-    delivered: dict[bytes, set[bytes]] = {a: set(), b: set()}
-    answered: dict[bytes, set[bytes]] = {a: set(), b: set()}
-    challenge, response = MsgKind.CHALLENGE, MsgKind.RESPONSE
-    direct_hops = forged = False
-    for event in transcript.events:
-        _, time, from_id, to_id, kind, payload = event
-        if kind is response:
-            if to_id in sent:
-                if time >= sent[to_id]:
-                    rtt[to_id] = time - sent.pop(to_id)
-            elif to_id in early:
-                early[to_id] += (time,)
-        elif kind is challenge and from_id in early:
-            start = sent[from_id] = time - latency
-            for arrived in early.pop(from_id):
-                if arrived >= start:
-                    rtt[from_id] = arrived - sent.pop(from_id)
-                    break
-        if from_id in peer:
-            emitted[from_id].append(event)
-            if to_id in peer:
-                direct_hops = True
-            elif kind is response:
-                answered[from_id].add(payload)
-        elif to_id in peer:
-            if not forged:
-                for hop in emitted[peer[to_id]]:
-                    if hop[4] is kind and hop[5] == payload:
-                        break
-                else:
-                    forged = True
-            if kind is challenge and len(payload) == 16:
-                delivered[to_id].add(payload)
-    return rtt[a], rtt[b], direct_hops, forged, delivered, answered
-
-
-def transcript_rtt(transcript: Transcript, device: bytes) -> int | None:
-    """Round trip of the one challenge a device sends, reconstructed from
-    delivery times alone: from its send (the delivery of the device's first
-    ChallengeMsg, minus one hop) to the first ResponseMsg delivered to the
-    device at or after that send, wherever it is listed. None when either
-    is missing. transcript is a Transcript and device a 6-octet address
-    (TypeError, ValueError otherwise). The judge reads both honest
-    devices' round trips in the same pass, _one_pass."""
-    # pre-tested, as in new_device
-    if type(transcript) is not Transcript:
-        check_type("transcript", transcript, Transcript)
-    if type(device) is not bytes or len(device) != 6:
-        check_octets("device", device, 6)
-    return _one_pass(transcript, device, device)[0]
-
-
-def _detection(observed: int | None, baseline_rtt: int, threshold_factor: float) -> Detection:
-    """The detector's rule, which the judge applies too: flagged when the
-    observed round trip exceeds threshold_factor x baseline_rtt, after the
-    detector's checks of both."""
-    # a valid baseline costs no call, as in protocol.new_device
-    if type(baseline_rtt) is not int:
-        check_type("baseline_rtt", baseline_rtt, int)
-    if baseline_rtt <= 0:
-        raise ValueError("baseline rtt must be positive")
-    try:
-        if not 1 < threshold_factor < math.inf:
-            raise ValueError(f"threshold factor must be finite and exceed 1, got {threshold_factor}")
-    except TypeError:
-        kind = type(threshold_factor).__name__
-        raise TypeError(f"threshold_factor must be a real number, got {kind}") from None
-    if observed is not None and observed > threshold_factor * baseline_rtt:
-        return Detection.DELAY_FLAGGED
-    return Detection.NONE
-
-
-def delay_detector(
-    transcript: Transcript,
-    baseline_rtt: int,
-    threshold_factor: float,
-    device: bytes,
-) -> Detection:
-    """Flag a device whose observed round trip, by transcript_rtt, exceeds
-    factor x baseline. transcript and device are checked by transcript_rtt;
-    then baseline_rtt must be exactly an int and threshold_factor a real
-    number (TypeError naming it otherwise), the baseline positive and the
-    factor finite and above 1 (ValueError)."""
-    return _detection(transcript_rtt(transcript, device), baseline_rtt, threshold_factor)

@@ -37,8 +37,11 @@ SCOPE = {
         "dh_keypair", "check_public", "dh_shared", "session_key_from_shared", "session_key",
     ],
     "protocol.py": ["Message.__init__", "new_device"],
-    "adversary.py": ["IntruderState.__init__", "verdict", "dlog_bruteforce"],
-    "simnet.py": ["LinkConfig.__init__", "transcript_rtt", "_detection", "delay_detector"],
+    "adversary.py": [
+        "IntruderState.__init__", "transcript_rtt", "_detection", "delay_detector", "verdict",
+        "dlog_bruteforce",
+    ],
+    "simnet.py": ["LinkConfig.__init__"],
     "cli.py": [
         "ScenarioConfig.__init__", "check_group", "_prepared", "_check_seed", "run_scenario",
     ],

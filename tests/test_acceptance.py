@@ -33,7 +33,7 @@ from pathlib import Path
 from support import ADDR_A, ADDR_B, ADDR_C, PARAMS, attacked, captured, load_script, session_of
 from test_mixhash import ref_mixhash128
 
-from btauthsim.adversary import Confidentiality, Integrity, IntruderMode
+from btauthsim.adversary import Confidentiality, Detection, Integrity, IntruderMode
 from btauthsim.cli import ScenarioConfig, run_scenario
 from btauthsim.crypto import (
     DhParams,
@@ -44,7 +44,6 @@ from btauthsim.crypto import (
     session_key_from_shared,
 )
 from btauthsim.protocol import AuthStatus, MsgKind, Variant, encode_public
-from btauthsim.simnet import Detection
 
 SEEDS = range(100)
 

@@ -34,10 +34,12 @@ from btauthsim.adversary import (
     PUBLIC,
     AttackVerdict,
     Confidentiality,
+    Detection,
     Integrity,
     IntruderMode,
     IntruderState,
     dlog_bruteforce,
+    transcript_rtt,
     verdict,
 )
 from btauthsim.cli import ConfigError, ScenarioConfig, run_scenario
@@ -64,7 +66,7 @@ from btauthsim.protocol import (
     new_device,
     start,
 )
-from btauthsim.simnet import Detection, LinkConfig, transcript_rtt
+from btauthsim.simnet import LinkConfig
 
 
 def keeping(built):

@@ -20,10 +20,18 @@ from support import PARAMS, WIDE_P, recorded, run_of
 
 from btauthsim import adversary, cli, crypto, draw, protocol, simnet, values
 from btauthsim.cli import ConfigError, ScenarioConfig, main, run_scenario
-from btauthsim.adversary import AttackVerdict, Confidentiality, Integrity, IntruderMode, IntruderState
+from btauthsim.adversary import (
+    AttackVerdict,
+    Confidentiality,
+    Detection,
+    Integrity,
+    IntruderMode,
+    IntruderState,
+    transcript_rtt,
+)
 from btauthsim.crypto import DhParams, combination_link_key, init_key, mixhash128, xor_bytes
 from btauthsim.protocol import Variant, new_device
-from btauthsim.simnet import Detection, LinkConfig, transcript_rtt
+from btauthsim.simnet import LinkConfig
 
 # hops of the intruder-free handshake, first send to last delivery
 HANDSHAKE_HOPS = {Variant.LEGACY: 4, Variant.IMPROVED: 5, Variant.DH_IMPROVED: 7}
@@ -609,7 +617,7 @@ class TestCallBudget:
         # no enum of the package keeps Enum's hash; this one does
         Plain = enum.Enum("Plain", "ONE")
         calls = collections.Counter()
-        for module in (crypto, protocol, adversary, simnet):
+        for module in (crypto, protocol, adversary):
             real = module.check_octets
             name = f"{module.__name__}.check_octets"
             monkeypatch.setattr(module, "check_octets", self.counted(calls, name, real))
@@ -646,6 +654,10 @@ class TestCallBudget:
                 bytes(6), IntruderMode.RELAY_PASSIVE, Variant.LEGACY, cli.ADDR_A, cli.ADDR_B, 0.0
             )
         with pytest.raises(TypeError):
+            LinkConfig(10.0)
+        # transcript_rtt has no pre-test, as only building a configuration
+        # calls it: a valid transcript costs its check_type call too
+        with pytest.raises(TypeError):
             transcript_rtt(None, cli.ADDR_A)
         with pytest.raises(TypeError):
             transcript_rtt(run_scenario(cli.HEADLINE[0], 0).transcript, bytearray(cli.ADDR_A))
@@ -656,10 +668,10 @@ class TestCallBudget:
         assert calls == {
             "btauthsim.crypto.check_octets": 1,
             "btauthsim.protocol.check_octets": 1,
-            "btauthsim.adversary.check_octets": 1,
-            "btauthsim.simnet.check_octets": 1,
+            "btauthsim.adversary.check_octets": 2,
             "Enum.__hash__": 1,
             **{f"{module.__name__}.check_type": 1 for module in typed},
+            "btauthsim.adversary.check_type": 3,
         }
 
     def test_headline_runs_compute_no_bootstrap_key(self, monkeypatch):

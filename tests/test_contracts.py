@@ -18,7 +18,8 @@ takes ints that the rows checked, draw_octets a stream and draw_exponent
 a stream and a group's modulus, each built from values that new_device,
 IntruderState or run_scenario checked; clear_memos takes no argument;
 encode_public, decode_public, the drivers and main take checked or
-argparse-typed values; the check_* functions are what every row reaches;
+argparse-typed values; control_message is an lru_cache over Message,
+which checks; the check_* functions are what every row reaches;
 value_class takes a class body; records, enums and exceptions check
 nothing. ScenarioConfig checks itself when built, and each validate and
 run_scenario cell builds one. Every record a call
@@ -296,9 +297,9 @@ ROWS = [
     *table("LinkConfig", LinkConfig, dict(latency_ms=10, timeout_ms=2000),
            latency_ms=integer(1, 1999, "latency must be positive", above=TIMING),
            timeout_ms=integer(11, message=TIMING)),
-    *table("transcript_rtt", simnet.transcript_rtt, dict(transcript=EMPTY, device=ADDR_A),
+    *table("transcript_rtt", adversary.transcript_rtt, dict(transcript=EMPTY, device=ADDR_A),
            device=ADDR, transcript=TRANSCRIPT),
-    *table("delay_detector", simnet.delay_detector,
+    *table("delay_detector", adversary.delay_detector,
            dict(transcript=EMPTY, baseline_rtt=20, threshold_factor=1.5, device=ADDR_A),
            baseline_rtt=integer(1, message="baseline rtt must be positive"),
            threshold_factor=THRESHOLD, device=ADDR, transcript=TRANSCRIPT),
@@ -393,7 +394,7 @@ def test_every_override_is_a_cell():
 LEFT_OUT = {
     "modexp", "is_prime", "prime_factors", "has_full_order", "draw_octets", "draw_exponent",
     "clear_memos", "encode_public",
-    "decode_public", "start", "handle", "outcome_of", "run", "intercept", "main",
+    "decode_public", "control_message", "start", "handle", "outcome_of", "run", "intercept", "main",
     "check_type", "check_octets", "value_class", "DhKeyPair", "AuthOutcome", "DeviceState", "TranscriptEvent",
     "Transcript", "AttackVerdict", "ScenarioConfig", "ScenarioResult", "HEADLINE",
 }

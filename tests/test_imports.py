@@ -42,7 +42,9 @@ No module of the package but ``draw`` imports ``_random`` or calls
 
 ``values`` imports no module of the package, so every module can import
 it, and ``simnet``, which runs no cryptography, imports nothing from
-``crypto``.
+``crypto``. No module of the package imports a private name of another,
+or reads one as an attribute of it: what one module uses of another is
+that module's public interface, so its private names change with it alone.
 
 No module of the package but ``values`` applies ``dataclasses.dataclass``
 or ``make_dataclass``, and every value class of the package runs the
@@ -550,6 +552,51 @@ def test_simnet_imports_nothing_from_crypto():
 )
 def test_the_package_import_check_itself(source, imported):
     assert package_imports(source) == imported
+
+
+def is_private(name: str) -> bool:
+    """A leading underscore, and not a dunder."""
+    return name.startswith("_") and not name.endswith("__")
+
+
+MODULE_NAMES = {path.stem for path in PACKAGE} - {"__init__"}
+
+
+def private_references(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each private name that the source imports from a
+    module of the package, relatively or as btauthsim, or reads as an
+    attribute of a package module, named as itself or as btauthsim.module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "btauthsim." + (node.module or "") if node.level else node.module
+            if module.partition(".")[0] == "btauthsim":
+                found += [(node.lineno, alias.name) for alias in node.names if is_private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and is_private(node.attr)
+              and ast.unparse(node.value).removeprefix("btauthsim.") in MODULE_NAMES):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_package_module_reaches_another_ones_private_name():
+    found = {path.name: private_references(path.read_text()) for path in PACKAGE}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("from .simnet import Transcript, _one_pass\n", [(1, "_one_pass")]),
+        ("from . import simnet\nsimnet._one_pass(t, a, b)\n", [(2, "_one_pass")]),
+        ("from btauthsim.protocol import _control_message as make\n", [(1, "_control_message")]),
+        ("import btauthsim.simnet\nf = btauthsim.simnet._new_tuple\n", [(2, "_new_tuple")]),
+        ("def f():\n    from . import _hidden\n", [(2, "_hidden")]),
+        ("from . import cli\ncli._prepared.cache_clear()\n", [(2, "_prepared")]),
+        ("import _random\nfrom os import _exit\nsimnet.__name__\nself._held\nsimnet.run\n", []),
+    ],
+)
+def test_the_private_name_check_itself(source, found):
+    assert private_references(source) == found
 
 
 PACKAGE_CLASSES = sorted(

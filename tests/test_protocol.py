@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from support import ADDR_A, ADDR_B, ADDR_C, KEY, PARAMS, pair, recorded, run_of
 
 from btauthsim import protocol, simnet
+from btauthsim.adversary import transcript_rtt
 from btauthsim.crypto import dh_shared, e1, session_key_from_shared, xor_bytes
 from btauthsim.protocol import (
     AuthStatus,
@@ -28,7 +29,6 @@ from btauthsim.protocol import (
     outcome_of,
     start,
 )
-from btauthsim.simnet import transcript_rtt
 from btauthsim.values import check_octets
 
 KEY2 = bytes(range(16, 32))
@@ -647,7 +647,7 @@ def distinct_addresses(n: int) -> list[tuple[bytes, bytes]]:
 # arguments it takes for a pair of addresses
 INTERNED = {
     "message": (
-        protocol._control_message,
+        protocol.control_message,
         Message,
         [
             (MsgKind.AUTH_REQUEST, ADDR_A, ADDR_B, ADDR_A),

@@ -27,25 +27,21 @@ from support import (
     run_of,
 )
 
-from btauthsim import cli, simnet, values
+from btauthsim import adversary, cli, simnet, values
 from btauthsim.adversary import (
     AttackVerdict,
     Confidentiality,
+    Detection,
     Integrity,
     IntruderMode,
     IntruderState,
+    delay_detector,
+    transcript_rtt,
 )
 from btauthsim.cli import ScenarioConfig, ScenarioResult, run_scenario
 from btauthsim.crypto import DhKeyPair, DhParams
 from btauthsim.protocol import AuthOutcome, AuthStatus, DeviceState, Message, MsgKind, Variant
-from btauthsim.simnet import (
-    Detection,
-    LinkConfig,
-    Transcript,
-    TranscriptEvent,
-    delay_detector,
-    transcript_rtt,
-)
+from btauthsim.simnet import LinkConfig, Transcript, TranscriptEvent
 
 
 class TestDirectRuns:
@@ -691,32 +687,6 @@ class TestValueClass:
         assert repr(built) == repr(fresh) == f"DhParams(p={WIDE_P}, alpha=2)"
 
 
-def two_pass_rtt(transcript, device):
-    """transcript_rtt as it was written with one comprehension for the sends
-    and one for the arrivals; the oracle for the single pass."""
-    latency = transcript.links.latency_ms
-    sends = [
-        e.time - latency
-        for e in transcript.events
-        if e.kind is MsgKind.CHALLENGE and e.from_id == device
-    ]
-    arrivals = [
-        e.time for e in transcript.events if e.kind is MsgKind.RESPONSE and e.to_id == device
-    ]
-    worst = None
-    cursor = 0
-    for sent in sends:
-        while cursor < len(arrivals) and arrivals[cursor] < sent:
-            cursor += 1
-        if cursor == len(arrivals):
-            break
-        rtt = arrivals[cursor] - sent
-        cursor += 1
-        if worst is None or rtt > worst:
-            worst = rtt
-    return worst
-
-
 def hop_transcript(hops, latency_ms):
     """A transcript of (delivery time, sender, receiver, kind) hops with
     empty payloads."""
@@ -771,10 +741,13 @@ class TestRttReconstruction:
     )
     # a response listed after A's challenge, delivered at the send instant
     @example([(20, ADDR_A, ADDR_B, MsgKind.CHALLENGE), (10, ADDR_B, ADDR_A, MsgKind.RESPONSE)], 10, False)
-    def test_single_pass_matches_two_pass_oracle(self, hops, latency_ms, in_order):
+    def test_one_pass_matches_the_oracle(self, hops, latency_ms, in_order):
         if in_order:
             hops = sorted(hops, key=lambda hop: hop[0])
-        # each device sends at most one challenge, as every handshake does
+        # the hops with each device sending at most one challenge, as every
+        # handshake does, then every hop, a device's later challenges among
+        # them, each against the rule itself: the first challenge's send,
+        # then the first response at or after it
         challengers = set()
         kept = []
         for hop in hops:
@@ -784,20 +757,14 @@ class TestRttReconstruction:
                     continue
                 challengers.add(sender)
             kept.append(hop)
-        transcript = hop_transcript(kept, latency_ms)
-        for device in (ADDR_A, ADDR_B, ADDR_C):
-            assert transcript_rtt(transcript, device) == two_pass_rtt(transcript, device)
-        # and on every hop, a device's later challenges among them, against
-        # the rule itself: the first challenge's send, then the first
-        # response at or after it
-        transcript = hop_transcript(hops, latency_ms)
-        for device in (ADDR_A, ADDR_B, ADDR_C):
-            assert transcript_rtt(transcript, device) == oracle_rtt(transcript, device)
+        for listed in (kept, hops):
+            transcript = hop_transcript(listed, latency_ms)
+            for device in (ADDR_A, ADDR_B, ADDR_C):
+                assert transcript_rtt(transcript, device) == oracle_rtt(transcript, device)
 
     def test_reads_the_first_challenge_only(self):
         # A's challenges go out at 0 and 40 and the answers arrive at 30
-        # and 100; only the first challenge's round trip counts, where the
-        # oracle takes the worse of the two
+        # and 100; only the first challenge's round trip counts
         transcript = hop_transcript(
             [
                 (10, ADDR_A, ADDR_B, MsgKind.CHALLENGE),
@@ -808,7 +775,6 @@ class TestRttReconstruction:
             10,
         )
         assert transcript_rtt(transcript, ADDR_A) == 30
-        assert two_pass_rtt(transcript, ADDR_A) == 60
 
     def test_no_samples_when_no_responses(self):
         dev_c = intruder(IntruderMode.ORIGINATE_TO_A, Variant.IMPROVED)
@@ -892,7 +858,7 @@ class TestAddressesCompareByValue:
         copying(cli, "transcript_rtt", 1)
         cli._prepared.cache_clear()
         try:
-            with recorded(simnet, "_one_pass") as calibration:
+            with recorded(adversary, "_one_pass") as calibration:
                 fresh = dataclasses.replace(config)
             assert fresh == config and fresh.prepared is not config.prepared
             assert calibration
