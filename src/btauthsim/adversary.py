@@ -21,7 +21,7 @@ from dataclasses import field
 import math
 
 from .crypto import DhParams, check_public, dh_keypair, e1
-from .draw import Stream, draw_exponent, draw_octets
+from .draw import party_draws
 from .protocol import (
     AuthOutcome,
     AuthStatus,
@@ -149,11 +149,10 @@ class IntruderState:
     captured is read from the run's transcript by verdict.
 
     It runs SCRIPTS[mode, variant], with A and B resolved to addresses once,
-    when it is built. When built, it draws from Stream(rng_seed) only what
-    its script sends, as new_device draws: against the dh variant a key
-    pair (draw_exponent) first, if the script sends PUBLIC (so it needs
-    the group parameters; ValueError otherwise), then a challenge
-    (draw_octets), if it sends NONCE. Last it puts together
+    when it is built. When built, it draws by party_draws(rng_seed) only
+    what its script sends: against the dh variant a key pair, if the
+    script sends PUBLIC (so it needs the group parameters; ValueError
+    otherwise), and a challenge, if it sends NONCE. Last it puts together
     opening, the messages of the script's OPEN row, with which simnet.run
     opens the run: originate's open toward victim_a under victim_b's
     address, and a relay's is empty. id, victim_a and victim_b are
@@ -203,10 +202,6 @@ class IntruderState:
             check_type("variant", variant, Variant)
         if type(dh_params) is not DhParams and dh_params is not None:
             check_type("dh_params", dh_params, DhParams, none=True)
-        if type(rng_seed) is not int:
-            check_type("rng_seed", rng_seed, int)
-        if rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
         script, forges_publics, sends_nonce = _PLANS[mode, variant]
         if forges_publics and dh_params is None:
             raise ValueError("an active intruder against the dh variant needs the group parameters")
@@ -221,13 +216,11 @@ class IntruderState:
         self.script = script
         self.values = {A: victim_a, B: victim_b}
         self.victim_of = {victim_a: A, victim_b: B}
-        if forges_publics or sends_nonce:
-            rng = Stream(rng_seed)
-            if forges_publics:
-                own = dh_keypair(dh_params, draw_exponent(rng, dh_params.p))
-                self.values[PUBLIC] = encode_public(own.s_public)
-            if sends_nonce:
-                self.values[NONCE] = draw_octets(rng)
+        exponent, nonce = party_draws(rng_seed, dh_params.p if forges_publics else None, sends_nonce)
+        if forges_publics:
+            self.values[PUBLIC] = encode_public(dh_keypair(dh_params, exponent).s_public)
+        if sends_nonce:
+            self.values[NONCE] = nonce
         self.opening = tuple(_act(self, script.get(OPEN, ()), None))
 
     # a forwarder only because perfbench's tracer patches the module-level

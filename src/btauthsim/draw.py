@@ -19,11 +19,12 @@ The run's seed draws its 72 octets in one call, laid out as
     octets 56-71  LK_RAND_B, B's
 
 which is octet for octet what three 64-bit seeds and three draw_octets
-calls draw in turn. Each party then draws from the stream of its own
-seed, when it is built, every random value it may send: its private
-exponent first (draw_exponent; a dh-improved device, and the intruder
-when its script sends its public value), then its 16-octet challenge
-(draw_octets; every device, and the intruder when its script sends one).
+calls draw in turn. Each party then draws, when it is built, every random
+value it may send through party_draws, from the stream of its own seed:
+its private exponent first (a dh-improved device, and the intruder when
+its script sends its public value), then its 16-octet challenge (every
+device, and the intruder when its script sends one). party_draws checks
+the party's seed too, so no other module seeds a stream or checks a seed.
 """
 
 import _random
@@ -31,7 +32,7 @@ import struct
 
 from .values import check_type
 
-__all__ = ["Stream", "master_draw", "draw_octets", "draw_exponent"]
+__all__ = ["Stream", "master_draw", "party_draws", "draw_octets", "draw_exponent"]
 
 # the master draw's layout: the three seeds, IN_RAND skipped, LK_RAND_A and LK_RAND_B
 _MASTER = struct.Struct("<3Q16x16s16s")
@@ -63,6 +64,27 @@ def master_draw(seed: int) -> tuple[int, int, int, bytes, bytes]:
     little-endian octets, read by the layout above. Raises as Stream does
     on a seed it refuses."""
     return _MASTER.unpack(Stream(seed).getrandbits(576).to_bytes(72, "little"))
+
+
+def party_draws(
+    rng_seed: int, p: int | None = None, octets: bool = True
+) -> tuple[int | None, bytes | None]:
+    """A party's random values from Stream(rng_seed): its private exponent
+    (draw_exponent) first, when p, a group's modulus, is given, then its
+    16-octet challenge (draw_octets), when octets is set, each None when
+    not drawn; a party that draws nothing seeds no stream. rng_seed must
+    be exactly an int (TypeError) and non-negative (ValueError), as Stream
+    requires, whether or not the party draws."""
+    # a valid seed costs no call, as in Stream
+    if type(rng_seed) is not int:
+        check_type("rng_seed", rng_seed, int)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+    if p is None and not octets:
+        return None, None
+    stream = Stream(rng_seed)
+    exponent = None if p is None else draw_exponent(stream, p)
+    return exponent, draw_octets(stream) if octets else None
 
 
 def draw_octets(stream: _random.Random) -> bytes:

@@ -24,11 +24,12 @@ and devices share nothing but messages.
 
 Every octet string is plain bytes: each address, the link key, both
 challenges and each message payload. new_device checks the address and the
-link key it takes, that its variant is a Variant, its group a DhParams or
-None and its seed a non-negative int, Message refuses a kind that is not a
-MsgKind, parties that are not 6-octet bytes and a payload that is not bytes
-of its kind's width, and e1 checks the octets it takes, so handlers pass
-payloads and claimed senders on as they arrive. Addresses compare by value.
+link key it takes, that its variant is a Variant and its group a DhParams or
+None, draw.party_draws that its seed is a non-negative int, Message refuses
+a kind that is not a MsgKind, parties that are not 6-octet bytes and a
+payload that is not bytes of its kind's width, and e1 checks the octets it
+takes, so handlers pass payloads and claimed senders on as they arrive.
+Addresses compare by value.
 
 Runs share the messages that their inputs fix. The fields of an
 AuthRequest, AuthSuccess or AuthFail are fixed by its kind and two
@@ -45,7 +46,7 @@ from dataclasses import field
 import functools
 
 from .crypto import DhKeyPair, DhParams, dh_keypair, e1, session_key, xor_bytes
-from .draw import Stream, draw_exponent, draw_octets
+from .draw import party_draws
 from .values import IdentityEnum, check_octets, check_type, value_class
 
 __all__ = [
@@ -223,13 +224,11 @@ def new_device(
     dh_params: DhParams | None = None,
 ) -> DeviceState:
     """Fresh idle device of 6-octet address id, holding its 16-octet link
-    key and every random value it may send, drawn from Stream(rng_seed):
-    on dh-improved its key pair (draw_exponent) first, then its challenge
-    (draw_octets). variant must be a Variant,
-    dh_params a DhParams or None, and rng_seed exactly an int
-    (TypeError naming the field otherwise), and rng_seed non-negative
-    (ValueError), as Stream requires: random.Random would take a bool, a
-    float or a negative int as the int or the absolute value it stands for."""
+    key and every random value it may send, drawn by
+    party_draws(rng_seed): on dh-improved its key pair, and its challenge.
+    variant must be a Variant and dh_params a DhParams or None (TypeError
+    naming the field otherwise), and dh-improved needs a group (ValueError);
+    party_draws checks rng_seed."""
     # a well-formed address and key cost no call, as in Message
     if type(id) is not bytes or len(id) != 6:
         check_octets("id", id, 6)
@@ -240,18 +239,12 @@ def new_device(
         check_type("variant", variant, Variant)
     if type(dh_params) is not DhParams and dh_params is not None:
         check_type("dh_params", dh_params, DhParams, none=True)
-    if type(rng_seed) is not int:
-        check_type("rng_seed", rng_seed, int)
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
-    rng = Stream(rng_seed)
-    dh = None
-    if variant is Variant.DH_IMPROVED:
-        if dh_params is None:
-            raise ValueError("dh-improved devices need group parameters")
-        dh = dh_keypair(dh_params, draw_exponent(rng, dh_params.p))
-    device = DeviceState(id, variant, link_key, draw_octets(rng), dh_params)
-    device.dh = dh
+    dh_improved = variant is Variant.DH_IMPROVED
+    if dh_improved and dh_params is None:
+        raise ValueError("dh-improved devices need group parameters")
+    exponent, challenge = party_draws(rng_seed, dh_params.p if dh_improved else None)
+    device = DeviceState(id, variant, link_key, challenge, dh_params)
+    device.dh = dh_keypair(dh_params, exponent) if dh_improved else None
     return device
 
 

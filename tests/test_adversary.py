@@ -28,7 +28,7 @@ from support import (
     transcript_of,
 )
 
-from btauthsim import adversary, cli
+from btauthsim import adversary, cli, draw
 from btauthsim.adversary import (
     NONCE,
     PUBLIC,
@@ -1277,9 +1277,10 @@ class TestIntruderRng:
         ids=lambda v: v.value,
     )
     def test_a_relay_that_never_draws_never_seeds(self, variant, mode):
-        with recorded(adversary, "Stream") as seeded:
+        # every stream is seeded in draw: here A's and B's alone
+        with recorded(draw, "Stream") as seeded:
             _, _, dev_c, _, _, _ = attacked(variant, mode)
-        assert seeded == []
+        assert seeded == [(1,), (2,)]
         assert PUBLIC not in dev_c.values
         assert NONCE not in dev_c.values
 
@@ -1287,9 +1288,10 @@ class TestIntruderRng:
     def test_originate_draws_follow_the_seeded_stream(self, variant):
         # alpha 7 generates the group mod 2^31 - 1, so each public value
         # names one exponent
-        with recorded(adversary, "Stream") as seeded:
+        # C is built, and seeds its stream, before A and B
+        with recorded(draw, "Stream") as seeded:
             _, _, dev_c, transcript, _, _ = attacked(variant, IntruderMode.ORIGINATE_TO_A)
-        assert seeded == [(3,)]
+        assert seeded == [(3,), (1,), (2,)]
         stream = random.Random(3)
         if variant is Variant.DH_IMPROVED:
             drawn = dh_keypair(PARAMS, stream.randrange(1, PARAMS.p))
@@ -1306,9 +1308,9 @@ class TestIntruderRng:
         assert sent[0] == challenge
 
     def test_relay_active_keypair_follows_the_seeded_stream(self):
-        with recorded(adversary, "Stream") as seeded:
+        with recorded(draw, "Stream") as seeded:
             _, _, dev_c, _, _, _ = attacked(Variant.DH_IMPROVED, IntruderMode.RELAY_ACTIVE)
-        assert seeded == [(3,)]
+        assert seeded == [(3,), (1,), (2,)]
         drawn = dh_keypair(PARAMS, random.Random(3).randrange(1, PARAMS.p))
         assert dev_c.values[PUBLIC] == encode_public(drawn.s_public)
         assert NONCE not in dev_c.values

@@ -592,6 +592,88 @@ class TestScenarioApi:
         assert result.score.attack_success is False
 
 
+# the ten headline scenarios, and dh-improved+originate, whose script no
+# headline scenario runs
+SCENARIOS = (
+    *cli.HEADLINE, ScenarioConfig(Variant.DH_IMPROVED, IntruderMode.ORIGINATE_TO_A, initiator="C")
+)
+# a latency L in ms and a timeout of 8L to 60L
+TIMINGS = st.integers(1, 60).flatmap(
+    lambda latency: st.tuples(st.just(latency), st.integers(8 * latency, 60 * latency))
+)
+# three distinct 6-octet addresses, in any order: an address and two
+# offsets from it whose sum stays below 2^48
+CASTS = st.tuples(
+    st.integers(0, 2**48 - 1), st.integers(1, 2**47 - 1), st.integers(1, 2**47 - 1)
+).flatmap(lambda t: st.permutations(
+    [(t[0] + offset) % 2**48 for offset in (0, t[1], t[1] + t[2])]
+)).map(lambda numbers: [number.to_bytes(6, "big") for number in numbers])
+
+
+def hops(transcript) -> list[tuple]:
+    """Each delivered hop of a transcript without its time."""
+    return [(e.seq, e.from_id, e.to_id, e.kind, e.payload) for e in transcript.events]
+
+
+class TestVerdictInvariances:
+    """What a verdict must not change under, over SCENARIOS: the report
+    row of a run is fixed by its scenario's structure (how many hops a
+    relay adds, which challenge meets which response), not by the time
+    unit, the names of the cast or, past the round-trip ratio a run shows,
+    the exact detector threshold. Each relation holds without an oracle
+    for its outputs."""
+
+    @given(st.sampled_from(SCENARIOS), st.integers(0, 2**32), TIMINGS, st.integers(2, 9))
+    @settings(deadline=None)
+    def test_scaling_time_scales_only_the_times(self, config, seed, timing, k):
+        latency_ms, timeout_ms = timing
+        base = dataclasses.replace(config, latency_ms=latency_ms, timeout_ms=timeout_ms)
+        scaled = dataclasses.replace(config, latency_ms=k * latency_ms, timeout_ms=k * timeout_ms)
+        one, other = run_scenario(base, seed), run_scenario(scaled, seed)
+        assert cli.report_line(scaled, other) == cli.report_line(base, one)
+        assert hops(other.transcript) == hops(one.transcript)
+        assert [e.time for e in other.transcript.events] == [
+            k * e.time for e in one.transcript.events
+        ]
+        assert other.transcript.end_time == k * one.transcript.end_time
+        assert other.baselines == {dev: k * rtt for dev, rtt in one.baselines.items()}
+
+    @given(st.sampled_from(SCENARIOS), st.integers(0, 2**32), CASTS)
+    @settings(deadline=None)
+    def test_relabelling_the_cast_keeps_the_row(self, config, seed, cast):
+        # the payloads change with the cast: e1 binds the claimant, and the
+        # link key both addresses
+        expected = cli.report_line(config, run_scenario(config, seed))
+        with pytest.MonkeyPatch.context() as patch:
+            for name, address in zip(("ADDR_A", "ADDR_B", "ADDR_C"), cast):
+                patch.setattr(cli, name, address)
+            relabelled = dataclasses.replace(config)
+            result = run_scenario(relabelled, seed)
+        assert cli.report_line(relabelled, result) == expected
+        parties = {party for e in result.transcript.events for party in (e.from_id, e.to_id)}
+        assert parties <= set(cast)
+
+    @given(
+        st.sampled_from(SCENARIOS),
+        st.integers(0, 2**32),
+        st.integers(1, 60),
+        st.lists(st.floats(1, 4, exclude_min=True), min_size=2, max_size=6),
+    )
+    @example(cli.HEADLINE[3], 0, 10, [1.99, 2.0])
+    @settings(deadline=None)
+    def test_a_run_flagged_at_a_factor_is_flagged_at_every_lower_one(
+        self, config, seed, latency_ms, factors
+    ):
+        flagged = [
+            run_scenario(
+                dataclasses.replace(config, latency_ms=latency_ms, detect_factor=factor), seed
+            ).score.detection is Detection.DELAY_FLAGGED
+            for factor in sorted(factors)
+        ]
+        # flagged up to some factor, and at none above it
+        assert flagged == sorted(flagged, reverse=True)
+
+
 class TestCallBudget:
     """A valid run makes no call that does no work: every octet string and
     every typed value on a run's path passes its caller's inline pre-test,
@@ -648,6 +730,9 @@ class TestCallBudget:
             # the group that the runs above cached, built with no count
             crypto.dh_keypair(cli.HEADLINE[-1].prepared[1], 1.0)
         with pytest.raises(TypeError):
+            new_device(cli.ADDR_A, "legacy", bytes(16), 0)
+        # draw.party_draws checks each party's seed
+        with pytest.raises(TypeError):
             new_device(cli.ADDR_A, Variant.LEGACY, bytes(16), True)
         with pytest.raises(TypeError):
             IntruderState(
@@ -671,7 +756,8 @@ class TestCallBudget:
             "btauthsim.adversary.check_octets": 2,
             "Enum.__hash__": 1,
             **{f"{module.__name__}.check_type": 1 for module in typed},
-            "btauthsim.adversary.check_type": 3,
+            "btauthsim.draw.check_type": 3,
+            "btauthsim.adversary.check_type": 2,
         }
 
     def test_headline_runs_compute_no_bootstrap_key(self, monkeypatch):
@@ -715,10 +801,8 @@ class TestCallBudget:
             # as above: the calibration run is not any run's work
             config.prepared
         calls = collections.Counter()
-        # each module that seeds a stream calls Stream by its own name
-        stream = self.counted(calls, "Stream", draw.Stream)
-        for module in (draw, protocol, adversary):
-            monkeypatch.setattr(module, "Stream", stream)
+        # every stream is seeded in draw, by master_draw or party_draws
+        monkeypatch.setattr(draw, "Stream", self.counted(calls, "Stream", draw.Stream))
         counts = {}
         for config in cli.HEADLINE:
             for seed in range(3):

@@ -14,9 +14,10 @@ the valid call first, so a memo holds its entry when an equal value
 arrives (1.0 after 1, a view after bytes). OVERRIDES give the rest, with reasons.
 
 LEFT_OUT: no outside value reaches these unchecked. The number theory
-takes ints that the rows checked, draw_octets a stream and draw_exponent
-a stream and a group's modulus, each built from values that new_device,
-IntruderState or run_scenario checked; clear_memos takes no argument;
+takes ints that the rows checked; draw_octets takes a stream, and
+draw_exponent a stream and a group's modulus, which Stream and DhParams
+check, as party_draws, whose row is its seed, takes the modulus and a flag
+that new_device or IntruderState sets; clear_memos takes no argument;
 encode_public, decode_public, the drivers and main take checked or
 argparse-typed values; control_message is an lru_cache over Message,
 which checks; the check_* functions are what every row reaches;
@@ -256,6 +257,7 @@ ROWS = [
     *table("mixhash128", crypto.mixhash128, dict(data=NONCE), data=octets()),
     *table("Stream", draw.Stream, dict(seed=1), seed=seed("seed")),
     *table("master_draw", draw.master_draw, dict(seed=1), seed=seed("seed")),
+    *table("party_draws", draw.party_draws, dict(rng_seed=1), rng_seed=seed("rng_seed")),
     *table("DhParams", DhParams, dict(p=23, alpha=5),
            p=integer(), alpha=integer(2, 22, "alpha must be in [2, p-1], got {}")),
     *table("dh_keypair", crypto.dh_keypair, dict(params=P23, r=6), r=in_group("private exponent"),

@@ -1,4 +1,5 @@
-"""The seeded random stream, the run's master draw and the frozen draws."""
+"""The seeded random stream, the run's master draw, a party's draws and
+the frozen draws."""
 
 import _random
 import random
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from support import ADDR_A, KEY, PARAMS, WIDE_P, recorded
+from support import ADDR_A, ADDR_B, ADDR_C, KEY, PARAMS, WIDE_P, recorded
 
-from btauthsim import draw
-from btauthsim.crypto import DhParams
-from btauthsim.draw import Stream, draw_exponent, draw_octets, master_draw
-from btauthsim.protocol import Variant, new_device
+from btauthsim import adversary, draw
+from btauthsim.adversary import NONCE, PUBLIC, IntruderMode, IntruderState
+from btauthsim.crypto import DhParams, dh_keypair
+from btauthsim.draw import Stream, draw_exponent, draw_octets, master_draw, party_draws
+from btauthsim.protocol import Variant, encode_public, new_device
 
 VECTORS = Path(__file__).parent / "vectors" / "draws.txt"
 # the generator of each group of the frozen device draws
@@ -25,6 +27,11 @@ def frozen(kind: str) -> list[list[str]]:
     """The fields after the kind of each line of kind in VECTORS."""
     rows = [line.split() for line in VECTORS.read_text().splitlines() if not line.startswith("#")]
     return [fields[1:] for fields in rows if fields and fields[0] == kind]
+
+
+def optional(field: str, read):
+    """read(field), or None for a field written as -."""
+    return None if field == "-" else read(field)
 
 
 def laid_out(octets: bytes) -> tuple:
@@ -133,6 +140,32 @@ class TestMasterDraw:
         assert seeded == [(7,)]
 
 
+class TestPartyDraws:
+    """party_draws(seed, p, octets) draws from Stream(seed) the exponent
+    of p, then 16 octets, as random.Random(seed) draws randrange(1, p) and
+    randbytes(16), and seeds no stream when it draws nothing."""
+
+    @given(
+        st.integers(0, 2**64),
+        st.none() | st.sampled_from([3, 5, 23, PARAMS.p, WIDE_P]),
+        st.booleans(),
+    )
+    def test_draws_as_random_random(self, seed, p, octets):
+        oracle = random.Random(seed)
+        exponent = None if p is None else oracle.randrange(1, p)
+        nonce = oracle.randbytes(16) if octets else None
+        assert party_draws(seed, p, octets) == (exponent, nonce)
+
+    def test_seeds_one_stream_only_when_it_draws(self):
+        with recorded(draw, "Stream") as seeded:
+            assert party_draws(5, None, False) == (None, None)
+        assert seeded == []
+        with recorded(draw, "Stream") as seeded:
+            party_draws(5, PARAMS.p, False)
+            party_draws(6)
+        assert seeded == [(5,), (6,)]
+
+
 class TestFrozenDraws:
     """The package's draws against the hex of tests/vectors/draws.txt.
 
@@ -168,12 +201,49 @@ class TestFrozenDraws:
         cause = self.cause(now, exponent.to_bytes(8, "little") + challenge)
         stream = Stream(seed)
         assert (draw_exponent(stream, p), draw_octets(stream)) == (exponent, challenge), cause
+        assert party_draws(seed, p) == (exponent, challenge), cause
         # and a dh-improved device draws them in that order when it is built
         device = new_device(ADDR_A, Variant.DH_IMPROVED, KEY, seed, DhParams(p, GENERATORS[p]))
         assert (device.dh.r_private, device.challenge) == (exponent, challenge)
 
+    @pytest.mark.parametrize(
+        "seed,p,exponent,nonce",
+        [(int(s), optional(p, int), optional(e, lambda e: int(e, 16)), optional(n, bytes.fromhex))
+         for s, p, e, n in frozen("intruder")],
+        ids=[f"p={p}-nonce={'-' if n == '-' else 'drawn'}" for _, p, _, n in frozen("intruder")],
+    )
+    def test_intruder_draws(self, seed, p, exponent, nonce):
+        oracle = random.Random(seed)
+        now = (b"" if p is None else oracle.randrange(1, p).to_bytes(8, "little")) + (
+            b"" if nonce is None else oracle.randbytes(16)
+        )
+        drawn = (b"" if p is None else exponent.to_bytes(8, "little")) + (nonce or b"")
+        cause = self.cause(now, drawn)
+        assert party_draws(seed, p, nonce is not None) == (exponent, nonce), cause
+        # and the intruder whose script sends those values draws them when
+        # it is built: originate sends a nonce, and against dh-improved a
+        # public value too; relay-active against dh-improved, a public value
+        mode = IntruderMode.RELAY_ACTIVE if nonce is None else IntruderMode.ORIGINATE_TO_A
+        params = None if p is None else DhParams(p, GENERATORS[p])
+        values = {adversary.A: ADDR_A, adversary.B: ADDR_B}
+        if p is not None:
+            values[PUBLIC] = encode_public(dh_keypair(params, exponent).s_public)
+        if nonce is not None:
+            values[NONCE] = nonce
+        variants = [Variant.DH_IMPROVED] if p is not None else [Variant.LEGACY, Variant.IMPROVED]
+        for variant in variants:
+            intruder = IntruderState(ADDR_C, mode, variant, ADDR_A, ADDR_B, seed, params)
+            assert intruder.values == values, variant
+
     def test_the_file_holds_every_case(self):
         assert [int(seed) for seed, _ in frozen("master")] == [0, 1, 10**6, 2**64 - 1]
         devices = [(int(seed), int(p)) for seed, p, _, _ in frozen("device")]
-        seed_a, seed_b = master_draw(0)[:2]
+        seed_a, seed_b, seed_c = master_draw(0)[:3]
         assert devices == [(seed, p) for seed in (seed_a, seed_b) for p in (PARAMS.p, WIDE_P)]
+        intruders = [(int(seed), p, nonce != "-") for seed, p, _, nonce in frozen("intruder")]
+        assert intruders == [
+            (seed_c, "-", True),
+            (seed_c, str(PARAMS.p), True),
+            (seed_c, str(WIDE_P), True),
+            (seed_c, str(PARAMS.p), False),
+        ]

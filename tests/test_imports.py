@@ -39,6 +39,11 @@ another Python version may define otherwise and which cost a Python frame
 per draw; the tests keep ``random.Random`` as the oracle each draw equals.
 No module of the package but ``draw`` imports ``_random`` or calls
 ``getrandbits``, so a change of the stream is a change of ``draw`` alone.
+Nor does any module of the package but ``draw`` name ``Stream``,
+``draw_exponent`` or ``draw_octets``, by import or as an attribute: each
+party asks ``draw.party_draws`` for its values, so how a party's values
+come from its seed is a change of ``draw`` alone too. Scripts and tests
+may seed and draw as they need.
 
 ``values`` imports no module of the package, so every module can import
 it, and ``simnet``, which runs no cryptography, imports nothing from
@@ -492,6 +497,25 @@ def stream_lines(source: str) -> list[int]:
     )
 
 
+# the names with which a module seeds a stream or draws from one
+STREAM_NAMES = {"Stream", "draw_exponent", "draw_octets"}
+
+
+def stream_name_lines(source: str) -> list[int]:
+    """The lines on which the source imports one of STREAM_NAMES, or reads
+    one by name or as an attribute."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.rpartition(".")[2] in STREAM_NAMES for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in STREAM_NAMES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in STREAM_NAMES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def package_imports(source: str) -> list[tuple[int, str]]:
     """(line, module) of each module of the package that the source
     imports, relatively or as btauthsim, or imports a name from."""
@@ -527,6 +551,25 @@ def test_only_draw_touches_the_generator():
 )
 def test_the_generator_check_itself(source, lines):
     assert stream_lines(source) == lines
+
+
+def test_only_draw_seeds_or_draws_a_party():
+    naming = {path.stem for path in PACKAGE if stream_name_lines(path.read_text())}
+    assert naming == {"draw"}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("from .draw import Stream, party_draws\n", [1]),
+        ("from btauthsim.draw import draw_octets as octets\n", [1]),
+        ("from . import draw\nx = 1\nr = draw.draw_exponent(s, p)\n", [3]),
+        ("def f(seed):\n    return Stream(seed)\n", [2]),
+        ("from .draw import master_draw, party_draws\nparty_draws(1)\nStreams = 1\n", []),
+    ],
+)
+def test_the_party_draw_check_itself(source, lines):
+    assert stream_name_lines(source) == lines
 
 
 def test_values_imports_no_module_of_the_package():
