@@ -48,14 +48,15 @@ Prepared = tuple[LinkConfig, DhParams | None, tuple[tuple[bytes, int], ...]]
 class ScenarioConfig:
     """A configuration that can run; construction refuses any other. The
     intruder must be an IntruderMode or None, the variant a Variant, and
-    latency_ms, timeout_ms, dh_p and dh_alpha exact ints, whatever the
-    variant, although only dh-improved reads the group (TypeError naming
-    the field otherwise). The initiator must be C exactly for the
-    originate intruder, the one mode that opens a run itself, and the
-    detector threshold a real number, finite and above 1. _prepared checks
-    the link timing (by LinkConfig) and the group (by check_group), and
-    catches a timeout too short for the intruder-free handshake, once per
-    configuration. ConfigError messages name the command line's flags.
+    dh_p and dh_alpha exact ints, whatever the variant, although only
+    dh-improved reads the group (TypeError naming the field otherwise).
+    LinkConfig, built here, is the one check of latency_ms and timeout_ms.
+    The initiator must be C exactly for the originate intruder, the one
+    mode that opens a run itself, and the detector threshold a real
+    number, finite and above 1. _prepared checks the group (by
+    check_group) and catches a timeout too short for the intruder-free
+    handshake, once per configuration. ConfigError messages name the
+    command line's flags.
 
     prepared, derived when the configuration is built, holds the links,
     the group (dh-improved only) and the per-device baselines from
@@ -97,12 +98,11 @@ class ScenarioConfig:
         # the cache is keyed by value, so True or 10.0 must not reach the int's entry
         check_type("dh_p", dh_p, int)
         check_type("dh_alpha", dh_alpha, int)
-        check_type("latency_ms", latency_ms, int)
-        check_type("timeout_ms", timeout_ms, int)
+        links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
         check_type("variant", variant, Variant)
-        # link timing, group and calibration, checked once per configuration
+        # group and calibration, checked once per configuration
         group = (dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else ()
-        prepared = _prepared(variant, latency_ms, timeout_ms, ADDR_A, ADDR_B, *group)
+        prepared = _prepared(variant, links, ADDR_A, ADDR_B, *group)
         self.__dict__.update(
             variant=variant,
             intruder=intruder,
@@ -135,7 +135,9 @@ class ScenarioResult(
 
 
 def validate(config: ScenarioConfig) -> Prepared:
-    """The links, group and baselines of a configuration, which construction checked."""
+    """The links, group and baselines of a configuration, which construction
+    checked. No run calls it: perfbench/ does, and the contract table's
+    validate rows."""
     return config.prepared
 
 
@@ -159,11 +161,13 @@ def check_group(dh_p: int, dh_alpha: int) -> DhParams:
     return params
 
 
-@functools.lru_cache(maxsize=None)
+# bounded, so that a sweep over link timings does not keep each group's
+# fixed-base table alive: the benchmark builds at most 13 distinct
+# configurations in a process, the CLI and scripts/attack_matrix.py fewer
+@functools.lru_cache(maxsize=32)
 def _prepared(
     variant: Variant,
-    latency_ms: int,
-    timeout_ms: int,
+    links: LinkConfig,
     addr_a: bytes,
     addr_b: bytes,
     dh_p: int | None = None,
@@ -174,8 +178,9 @@ def _prepared(
     of A and B, which the baselines hold) and group. Only dh-improved
     takes a group; ScenarioConfig passes dh_p and dh_alpha for it alone.
 
-    The link timing and the group (through check_group) are checked and
-    turned into their value types here and nowhere else. The baselines are
+    The links come checked: ScenarioConfig builds the LinkConfig, which
+    hashes by value and holds exact ints. The group is checked (through
+    check_group) and turned into its value type here. The baselines are
     the round trips of an intruder-free companion run, read from its
     transcript. In an honest run no branch depends on payload octets
     (responses always verify, and every public value of a keypair is a
@@ -183,10 +188,9 @@ def _prepared(
     trip, depends on the variant and the link timing alone; one run at a
     fixed seed calibrates every seed. ScenarioConfig checks the type of
     every argument first, so the cache is keyed by value alone. Raises
-    ConfigError on an invalid link timing or group or when the timeout
-    cuts that run short of a round trip for either device.
+    ConfigError on an invalid group or when the timeout cuts that run
+    short of a round trip for either device.
     """
-    links = _construct("latency-ms/timeout-ms", LinkConfig, latency_ms, timeout_ms)
     params = check_group(dh_p, dh_alpha) if variant is Variant.DH_IMPROVED else None
     dev_a = new_device(addr_a, variant, bytes(16), 0, params)
     dev_b = new_device(addr_b, variant, bytes(16), 1, params)
@@ -194,7 +198,7 @@ def _prepared(
     baselines = tuple((dev, transcript_rtt(calibration, dev)) for dev in (addr_a, addr_b))
     if any(baseline is None for _, baseline in baselines):
         raise ConfigError(
-            f"latency-ms/timeout-ms: timeout {timeout_ms} ms ends the intruder-free "
+            f"latency-ms/timeout-ms: timeout {links.timeout_ms} ms ends the intruder-free "
             f"{variant.value} handshake before both round trips complete"
         )
     return links, params, baselines

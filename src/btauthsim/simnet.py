@@ -61,12 +61,6 @@ class TranscriptEvent(namedtuple("TranscriptEvent", "seq time from_id to_id kind
     __slots__ = ()
 
 
-# what a record's own __new__ does, tuple.__new__ of the class and its
-# fields in order, called directly: run builds an event per delivered hop
-# and a Transcript per run, and this saves that __new__'s Python frame on each
-_new_tuple = tuple.__new__
-
-
 # The text of a line up to its payload's hex, built once per hop: a
 # configuration's runs deliver the same (seq, time, from, to, kind) hops at
 # every seed, so each head is formatted once and then shared. 256 entries
@@ -163,8 +157,9 @@ def run(
         last_time = time
         upcoming = []
         for msg, physical_from, physical_to in wave:
+            # each record by tuple.__new__ of its class: its own __new__, less that frame
             events.append(
-                _new_tuple(
+                tuple.__new__(
                     TranscriptEvent,
                     (len(events), time, physical_from, physical_to, msg.kind, msg.payload),
                 )
@@ -191,4 +186,4 @@ def run(
         outcomes[dev_id] = outcome = outcome_of(dev)
         finished = finished and outcome.status is not AuthStatus.TIMED_OUT
     end_time = last_time if finished else timeout
-    return _new_tuple(Transcript, (tuple(events), links, end_time)), outcomes
+    return tuple.__new__(Transcript, (tuple(events), links, end_time)), outcomes

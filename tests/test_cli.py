@@ -4,12 +4,14 @@ import collections
 import dataclasses
 import enum
 import errno
+import gc
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -428,6 +430,19 @@ class TestConfigErrors:
             for mode in (None, IntruderMode.RELAY_ACTIVE, IntruderMode.RELAY_PASSIVE):
                 run_scenario(ScenarioConfig(variant=Variant.DH_IMPROVED, intruder=mode), 0)
         assert calls == [(PARAMS,)]
+
+    def test_a_sweep_of_link_timings_keeps_no_old_group(self):
+        # the cache is bounded: configurations that differ only in link
+        # timing do not keep every earlier group, and its fixed-base
+        # table, alive
+        cli._prepared.cache_clear()
+        config = ScenarioConfig(variant=Variant.DH_IMPROVED)
+        group = weakref.ref(config.prepared[1])
+        del config
+        for latency_ms in range(11, 211):
+            ScenarioConfig(variant=Variant.DH_IMPROVED, latency_ms=latency_ms)
+        gc.collect()
+        assert group() is None
 
     def test_wide_group_primality_tests(self):
         # one Miller-Rabin pass on p, by DhParams, and one inside the
